@@ -26,7 +26,7 @@ from .poly import (
     read_poly_file,
     write_poly_file,
 )
-from .rings import GF, RngStream, ZZ
+from .rings import GF, RngStream, ZZ, is_prime
 
 DEFAULT_EPSILON = Fraction(1, 2**20)
 
@@ -235,6 +235,8 @@ def _example2_triple(ctx, t):
 def _cmd_gen(args):
     if args.ring == "GF" and args.q is None:
         raise CliError("--q is required with --ring GF")
+    if args.ring == "GF" and not is_prime(args.q):
+        raise CliError(f"--q {args.q} is not prime")
     ctx = ZZ if args.ring == "Z" else GF(args.q)
     rng = RngStream(_seed_from(args))
     kind = args.adversarial or "none"

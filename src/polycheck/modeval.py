@@ -1,17 +1,26 @@
-"""Evaluating a modular product (F*G) mod P at a point, or projecting it
-through a companion-matrix operator, without ever forming F*G.
+"""Evaluating a modular product (F*G) mod P at a point without ever
+forming F*G.
 
 The dense routines run a linear scan driven by the leading coefficients of
 the shifted residues (X^i * F) mod P; the sparse routines only visit indices
-where something happens, tracked in an ordered index map.  Companion-matrix
-variants replace the evaluation point by the companion matrix of a monic R,
-either projected through a 0/1 row vector or as full k x k matrices.
+where something happens, tracked in an ordered index map.  The companion
+matrix C_R of a monic R needs no scan of its own: column 0 of H(C_R) is the
+coefficient vector of H mod R, which is H evaluated at the class of X in
+the quotient ring B[X]/(R), and column j is X^j * (H mod R).  So the
+companion routines run the same scans at alpha = X in that ring, where
+"times alpha" is ExtField.mul_x, and only read the columns off the result.
 """
 
 import heapq
 
-from .poly import DensePoly, SparsePoly, evaluate, gap_info, _check_eval_ring
-from .rings import IntegerRing, PrimeField
+from .poly import (
+    SparsePoly,
+    _check_eval_ring,
+    evaluate,
+    gap_info,
+    x_pow_minus_one,
+)
+from .rings import ExtField, IntegerRing, PrimeField
 
 
 class SparseIndexMap:
@@ -61,19 +70,17 @@ class SparseIndexMap:
 
 
 class CompanionOperator:
-    """Multiplication-by-X operator modulo a monic R of degree k >= 1; the
-    companion matrix itself stays implicit."""
+    """Multiplication by X modulo a monic R of degree k >= 1, as the
+    quotient ring ``ring`` = B[X]/(R); the companion matrix stays implicit."""
 
-    __slots__ = ("R", "k")
+    __slots__ = ("R", "k", "ring")
 
     def __init__(self, R):
-        ctx = R.ctx
         if R.is_zero() or R.degree() < 1:
             raise ValueError("R must have degree >= 1")
-        if not ctx.is_zero(ctx.sub(R.coeffs[-1], ctx.one())):
-            raise ValueError("R must be monic")
         self.R = R
         self.k = R.degree()
+        self.ring = ExtField(R.ctx, R.coeffs)  # raises unless R is monic
 
     @property
     def ctx(self):
@@ -101,6 +108,23 @@ def _require_args(P, F, G):
     return n
 
 
+def _scan_value(S, alpha, ring):
+    """S(alpha) for a sparse S no longer than the calling O(n) scan.  At the
+    class of X the powers are reached by deg S steps of mul_x, which keeps
+    the dense scans free of polynomial products; elsewhere this is evaluate."""
+    if not (isinstance(ring, ExtField) and alpha is ring.x):
+        return evaluate(S, alpha, ring)
+    acc = ring.zero()
+    power = ring.one()
+    done = 0
+    for e, c in S.terms:
+        for _ in range(e - done):
+            power = ring.mul_x(power)
+        done = e
+        acc = ring.add(acc, ring.scalar_mul(c, power))
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # products modulo X^n - 1
 
@@ -117,7 +141,7 @@ def eval_mod_binomial_dense(F, G, n, alpha, ring=None):
         raise ValueError("mixed coefficient contexts")
     ring = _check_eval_ring(F, ring)
     c = evaluate(F, alpha, ring)
-    p_alpha = ring.sub(ring.pow(alpha, n), ring.one())
+    p_alpha = _scan_value(x_pow_minus_one(F.ctx, n), alpha, ring)
     beta = ring.scalar_mul(G.coeff(0), c)
     for j in range(1, n):
         c = ring.sub(ring.mul(alpha, c), ring.scalar_mul(F.coeff(n - j), p_alpha))
@@ -260,7 +284,7 @@ def eval_mod_p_dense(P, F, G, alpha, ring=None, lc=None):
     if G.is_zero() or F.is_zero():
         return ring.zero()
     V = leading_coefficients(P, F) if lc is None else lc
-    p_alpha = evaluate(P, alpha, ring)
+    p_alpha = _scan_value(P, alpha, ring)
     f_alpha = evaluate(F, alpha, ring)
     beta = ring.scalar_mul(G.coeff(0), f_alpha)
     zero = G.ctx.is_zero
@@ -305,508 +329,77 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None):
 
 
 # ---------------------------------------------------------------------------
-# companion-matrix variants
+# companion-matrix views of the scans at X
 
 
-def _row_times_companion(op, v):
-    """Row vector times the companion matrix of R, in O(k) ring operations."""
-    ctx = op.ctx
-    R = op.R
-    k = op.k
-    s = ctx.zero()
-    for i in range(k):
-        ri = R.coeffs[i]
-        if not ctx.is_zero(ri):
-            s = ctx.add(s, ctx.mul(v[i], ri))
-    return v[1:] + (ctx.neg(s),)
+def _columns(op, w):
+    """Coordinates of X^j * w mod R for j < k: the columns of W(C_R) when w
+    is the residue W mod R."""
+    ring = op.ring
+    cols = []
+    for _ in range(op.k):
+        cols.append(ring.coeffs(w))
+        w = ring.mul_x(w)
+    return cols
 
 
-def _vec_scalar(ctx, c, v):
-    return tuple(ctx.mul(c, x) for x in v)
+def _matrix(op, w):
+    return tuple(zip(*_columns(op, w)))
 
 
-def _vec_sub(ctx, a, b):
-    return tuple(ctx.sub(x, y) for x, y in zip(a, b))
-
-
-def _vec_add(ctx, a, b):
-    return tuple(ctx.add(x, y) for x, y in zip(a, b))
-
-
-def _as_vector(op, u):
+def _projection(op, u, w):
+    """The row vector u * W(C_R) for the residue w = W mod R."""
     ctx = op.ctx
     if len(u) != op.k:
         raise ValueError("vector length must equal deg R")
-    return tuple(ctx.from_int(x) for x in u)
+    uv = [ctx.from_int(x) for x in u]
+    out = []
+    for col in _columns(op, w):
+        s = ctx.zero()
+        for a, b in zip(uv, col):
+            s = ctx.add(s, ctx.mul(a, b))
+        out.append(s)
+    return tuple(out)
 
 
-def _u_to_mask(u):
-    return sum((int(x) & 1) << i for i, x in enumerate(u))
-
-
-def _mask_to_vec(m, k):
-    return tuple((m >> i) & 1 for i in range(k))
+def _same_ctx(X, op):
+    if X.ctx != op.ctx:
+        raise ValueError("operator must live over the same ctx")
 
 
 def project_poly_companion(H, op, u):
-    """The row vector u * H(C_R), by Horner with O(k) companion products."""
-    ctx = op.ctx
-    if H.ctx != ctx:
-        raise ValueError("mixed coefficient contexts")
-    if len(u) != op.k:
-        raise ValueError("vector length must equal deg R")
-    if H.is_zero():
-        return tuple(ctx.zero() for _ in range(op.k))
-    if _is_gf2(ctx):
-        k = op.k
-        rmask = _m2_rmask(op)
-        um = _u_to_mask(u)
-        w = um if H.coeffs[-1] & 1 else 0
-        for i in range(len(H.coeffs) - 2, -1, -1):
-            w = _m2_row_companion(w, rmask, k)
-            if H.coeffs[i] & 1:
-                w ^= um
-        return _mask_to_vec(w, k)
-    uv = _as_vector(op, u)
-    w = _vec_scalar(ctx, H.coeffs[-1], uv)
-    for i in range(len(H.coeffs) - 2, -1, -1):
-        w = _row_times_companion(op, w)
-        ci = H.coeffs[i]
-        if not ctx.is_zero(ci):
-            w = _vec_add(ctx, w, _vec_scalar(ctx, ci, uv))
-    return w
-
-
-def project_sparse_poly_companion(P, op, u):
-    """u * P(C_R) for sparse P, walking the exponents upward."""
-    ctx = op.ctx
-    uv = _as_vector(op, u)
-    acc = tuple(ctx.zero() for _ in range(op.k))
-    cur = 0
-    v = uv
-    for e, c in P.terms:
-        for _ in range(e - cur):
-            v = _row_times_companion(op, v)
-        cur = e
-        acc = _vec_add(ctx, acc, _vec_scalar(ctx, c, v))
-    return acc
+    """The row vector u * H(C_R)."""
+    _same_ctx(H, op)
+    return _projection(op, u, evaluate(H, op.ring.x, op.ring))
 
 
 def project_modprod_companion(P, F, G, op, u, lc=None):
-    """u * ((F*G) mod P)(C_R): the dense modular-evaluation scan with ring
-    elements replaced by row vectors and "times alpha" by "times C_R"."""
-    n = _require_args(P, F, G)
-    ctx = P.ctx
-    if op.ctx != ctx:
-        raise ValueError("operator must live over the same ctx")
-    if len(u) != op.k:
-        raise ValueError("vector length must equal deg R")
-    if F.is_zero() or G.is_zero():
-        return tuple(ctx.zero() for _ in range(op.k))
+    """u * ((F*G) mod P)(C_R): the dense scan at X modulo R, projected."""
+    _same_ctx(P, op)
     Fd = F.to_dense() if isinstance(F, SparsePoly) else F
     Gd = G.to_dense() if isinstance(G, SparsePoly) else G
-    V = leading_coefficients(P, Fd) if lc is None else lc
-    if _is_gf2(ctx):
-        return _project_modprod_gf2(P, Fd, Gd, op, u, V, n)
-    uv = _as_vector(op, u)
-    pu = project_sparse_poly_companion(P, op, u)
-    fu = project_poly_companion(Fd, op, u)
-    beta = _vec_scalar(ctx, Gd.coeff(0), fu)
-    for i in range(1, n):
-        fu = _vec_sub(ctx, _row_times_companion(op, fu), _vec_scalar(ctx, V[i - 1], pu))
-        gi = Gd.coeff(i)
-        if not ctx.is_zero(gi):
-            beta = _vec_add(ctx, beta, _vec_scalar(ctx, gi, fu))
-    return beta
+    w = eval_mod_p_dense(P, Fd, Gd, op.ring.x, op.ring, lc)
+    return _projection(op, u, w)
 
 
-def _project_modprod_gf2(P, Fd, Gd, op, u, V, n):
-    k = op.k
-    rmask = _m2_rmask(op)
-    um = _u_to_mask(u)
-    # u * P(C_R), walking the sparse exponents upward
-    pu = 0
-    cur = 0
-    v = um
-    for e, c in P.terms:
-        for _ in range(e - cur):
-            v = (v >> 1) | (((v & rmask).bit_count() & 1) << (k - 1))
-        cur = e
-        if c & 1:
-            pu ^= v
-    fu = 0
-    for i in range(len(Fd.coeffs) - 1, -1, -1):
-        fu = (fu >> 1) | (((fu & rmask).bit_count() & 1) << (k - 1))
-        if Fd.coeffs[i] & 1:
-            fu ^= um
-    gc = Gd.coeffs
-    beta = fu if gc and gc[0] & 1 else 0
-    gl = len(gc)
-    top = k - 1
-    for i in range(1, n):
-        fu = (fu >> 1) | (((fu & rmask).bit_count() & 1) << top)
-        if V[i - 1]:
-            fu ^= pu
-        if i < gl and gc[i] & 1:
-            beta ^= fu
-    return _mask_to_vec(beta, k)
+def poly_at_companion(H, op):
+    """The full matrix H(C_R)."""
+    _same_ctx(H, op)
+    return _matrix(op, evaluate(H, op.ring.x, op.ring))
 
 
-# -- full-matrix arithmetic over the ctx -------------------------------------
+def eval_modprod_companion_sparse(P, F, G, op):
+    """The full matrix ((F*G) mod P)(C_R), from the sparse scan at X."""
+    _same_ctx(P, op)
+    return _matrix(op, eval_mod_p_sparse(P, F, G, op.ring.x, op.ring))
+
+
+def companion_power(op, t):
+    """C_R^t, the matrix of X^t mod R."""
+    return _matrix(op, op.ring.pow(op.ring.x, t))
 
 
 def mat_identity(ctx, k):
     return tuple(
         tuple(ctx.one() if i == j else ctx.zero() for j in range(k)) for i in range(k)
     )
-
-
-def mat_zero(ctx, k):
-    z = ctx.zero()
-    return tuple(tuple(z for _ in range(k)) for _ in range(k))
-
-
-def mat_add(ctx, A, B):
-    return tuple(
-        tuple(ctx.add(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
-
-
-def mat_sub(ctx, A, B):
-    return tuple(
-        tuple(ctx.sub(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
-
-
-def mat_scalar(ctx, c, A):
-    return tuple(tuple(ctx.mul(c, a) for a in row) for row in A)
-
-
-def mat_mul(ctx, A, B):
-    cols = list(zip(*B))
-    out = []
-    for row in A:
-        orow = []
-        for col in cols:
-            s = ctx.zero()
-            for a, b in zip(row, col):
-                if not ctx.is_zero(a):
-                    s = ctx.add(s, ctx.mul(a, b))
-            orow.append(s)
-        out.append(tuple(orow))
-    return tuple(out)
-
-
-def mat_times_companion(op, A):
-    """A * C_R, row by row in O(k^2)."""
-    return tuple(_row_times_companion(op, row) for row in A)
-
-
-def companion_power(op, t):
-    """C_R^t by binary powering: full squarings plus O(k)-per-row companion
-    multiplies for the set bits."""
-    ctx = op.ctx
-    acc = mat_identity(ctx, op.k)
-    if t == 0:
-        return acc
-    for bit in bin(t)[2:]:
-        acc = mat_mul(ctx, acc, acc)
-        if bit == "1":
-            acc = mat_times_companion(op, acc)
-    return acc
-
-
-def _is_gf2(ctx):
-    return isinstance(ctx, PrimeField) and ctx.q == 2
-
-
-# -- bit-packed GF(2) matrix engine: a matrix is a tuple of row bitmasks ----
-
-
-def _m2_from_rows(rows):
-    return tuple(sum(c << j for j, c in enumerate(row)) for row in rows)
-
-
-def _m2_to_rows(m2, k):
-    return tuple(tuple((row >> j) & 1 for j in range(k)) for row in m2)
-
-
-def _m2_identity(k):
-    return tuple(1 << i for i in range(k))
-
-
-def _m2_mul(A, B):
-    out = []
-    for a in A:
-        r = 0
-        x = a
-        while x:
-            lsb = x & -x
-            r ^= B[lsb.bit_length() - 1]
-            x ^= lsb
-        out.append(r)
-    return tuple(out)
-
-
-def _m2_row_companion(v, rmask, k):
-    # row vector times C_R over GF(2): shift down, parity-fill the last column
-    return (v >> 1) | (((v & rmask).bit_count() & 1) << (k - 1))
-
-
-def _m2_times_companion(A, rmask, k):
-    return tuple(_m2_row_companion(row, rmask, k) for row in A)
-
-
-def _m2_companion_power(op, t, rmask):
-    k = op.k
-    acc = _m2_identity(k)
-    if t == 0:
-        return acc
-    for bit in bin(t)[2:]:
-        acc = _m2_mul(acc, acc)
-        if bit == "1":
-            acc = _m2_times_companion(acc, rmask, k)
-    return acc
-
-
-def _m2_rmask(op):
-    return sum((op.R.coeffs[i] & 1) << i for i in range(op.k))
-
-
-def poly_at_companion(H, op):
-    """The full matrix H(C_R).
-
-    Reduces H modulo R first (residue arithmetic, degree < k), then assembles
-    W(C_R) column-by-column: column j holds the coordinates of X^j * W mod R.
-    """
-    ctx = op.ctx
-    if H.ctx != ctx:
-        raise ValueError("mixed coefficient contexts")
-    k = op.k
-    R = op.R
-    if H.is_zero():
-        return mat_zero(ctx, k)
-    if _is_gf2(ctx):
-        return _poly_at_companion_gf2(H, op)
-
-    def mulmod_x(cs):
-        # multiply a residue (list of k coeffs) by X modulo R
-        top = cs[-1]
-        out = [ctx.zero()] + cs[:-1]
-        if not ctx.is_zero(top):
-            for idx in range(k):
-                ri = R.coeffs[idx]
-                if not ctx.is_zero(ri):
-                    out[idx] = ctx.sub(out[idx], ctx.mul(top, ri))
-        return out
-
-    def xpow_mod(t):
-        # X^t mod R by square-and-multiply on residues
-        if t < k:
-            out = [ctx.zero()] * k
-            out[t] = ctx.one()
-            return out
-        acc = [ctx.zero()] * k
-        acc[0] = ctx.one()
-        base = [ctx.zero()] * k
-        base[1 % k] = ctx.one()
-        if k == 1:
-            base = mulmod_x([ctx.one()])
-        while t:
-            if t & 1:
-                acc = _residue_mul(ctx, R, k, acc, base)
-            t >>= 1
-            if t:
-                base = _residue_mul(ctx, R, k, base, base)
-        return acc
-
-    w = [ctx.zero()] * k
-    if isinstance(H, DensePoly):
-        terms = [(e, c) for e, c in enumerate(H.coeffs) if not ctx.is_zero(c)]
-    else:
-        terms = list(H.terms)
-    prev = None
-    cur = None
-    for e, c in terms:
-        if prev is None:
-            cur = xpow_mod(e)
-        else:
-            gap = e - prev
-            cur = _residue_mul(ctx, R, k, cur, xpow_mod(gap))
-        prev = e
-        for idx in range(k):
-            w[idx] = ctx.add(w[idx], ctx.mul(c, cur[idx]))
-    cols = []
-    col = w
-    for _ in range(k):
-        cols.append(col)
-        col = mulmod_x(col)
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-
-
-def _poly_at_companion_gf2(H, op):
-    """GF(2) fast path: residues are bit-packed, matrices are row bitmasks."""
-    k = op.k
-    m = sum((op.R.coeffs[i] & 1) << i for i in range(k)) | (1 << k)
-
-    def redmod(x):
-        bl = x.bit_length()
-        while bl > k:
-            x ^= m << (bl - 1 - k)
-            bl = x.bit_length()
-        return x
-
-    def rmul(a, b):
-        r = 0
-        x = a
-        while b:
-            if b & 1:
-                r ^= x
-            b >>= 1
-            x <<= 1
-        return redmod(r)
-
-    def xpow(t):
-        acc = 1
-        base = redmod(2)
-        while t:
-            if t & 1:
-                acc = rmul(acc, base)
-            t >>= 1
-            if t:
-                base = rmul(base, base)
-        return acc
-
-    if isinstance(H, DensePoly):
-        terms = [(e, c) for e, c in enumerate(H.coeffs) if c]
-    else:
-        terms = list(H.terms)
-    w = 0
-    prev = None
-    cur = 0
-    for e, c in terms:
-        cur = xpow(e) if prev is None else rmul(cur, xpow(e - prev))
-        prev = e
-        if c & 1:
-            w ^= cur
-    # column j of W(C_R) holds X^j * W mod R
-    cols = []
-    col = w
-    for _ in range(k):
-        cols.append(col)
-        col = redmod(col << 1)
-    return tuple(tuple((cols[j] >> i) & 1 for j in range(k)) for i in range(k))
-
-
-def _residue_mul(ctx, R, k, a, b):
-    out = [ctx.zero()] * (2 * k - 1)
-    for i, ai in enumerate(a):
-        if not ctx.is_zero(ai):
-            for j, bj in enumerate(b):
-                if not ctx.is_zero(bj):
-                    out[i + j] = ctx.add(out[i + j], ctx.mul(ai, bj))
-    for i in range(2 * k - 2, k - 1, -1):
-        c = out[i]
-        if ctx.is_zero(c):
-            continue
-        out[i] = ctx.zero()
-        for j in range(k):
-            rj = R.coeffs[j]
-            if not ctx.is_zero(rj):
-                out[i - k + j] = ctx.sub(out[i - k + j], ctx.mul(c, rj))
-    return out[:k]
-
-
-def eval_modprod_companion_sparse(P, F, G, op):
-    """The full matrix ((F*G) mod P)(C_R), by the sparse modular-evaluation
-    scan with alpha := C_R and powers via binary exponentiation of C_R."""
-    n = _require_args(P, F, G)
-    ctx = P.ctx
-    if op.ctx != ctx:
-        raise ValueError("operator must live over the same ctx")
-    k = op.k
-    if F.is_zero() or G.is_zero():
-        return mat_zero(ctx, k)
-    if G.sparsity() < F.sparsity():
-        F, G = G, F
-    if _is_gf2(ctx):
-        return _eval_modprod_companion_sparse_gf2(P, F, G, op)
-    lc = sparse_leading_coefficients(P, F)
-    vals = dict(lc)
-    if 0 not in vals:
-        vals[0] = ctx.zero()
-    g = dict(G.terms)
-    p_mat = _sparse_poly_companion_matrix(P, op)
-    f_mat = _sparse_poly_companion_matrix(F, op)
-    beta = mat_scalar(ctx, g[0], f_mat) if 0 in g else mat_zero(ctx, k)
-    i = 0
-    for j in sorted(set(vals) | set(g)):
-        if j == 0:
-            continue
-        # advancing past index i applies its stored correction exactly once
-        step = mat_sub(
-            ctx, mat_times_companion(op, f_mat), mat_scalar(ctx, vals[i], p_mat)
-        )
-        value_j = mat_mul(ctx, companion_power(op, j - i - 1), step)
-        if j in vals:
-            f_mat = value_j
-            i = j
-        if j in g:
-            beta = mat_add(ctx, beta, mat_scalar(ctx, g[j], value_j))
-    return beta
-
-
-def _sparse_poly_companion_matrix(P, op):
-    ctx = op.ctx
-    acc = mat_zero(ctx, op.k)
-    cur = 0
-    m = mat_identity(ctx, op.k)
-    for e, c in P.terms:
-        gap = e - cur
-        if gap:
-            m = mat_mul(ctx, m, companion_power(op, gap))
-        cur = e
-        acc = mat_add(ctx, acc, mat_scalar(ctx, c, m))
-    return acc
-
-
-def _eval_modprod_companion_sparse_gf2(P, F, G, op):
-    k = op.k
-    rmask = _m2_rmask(op)
-
-    def sparse_mat(X):
-        acc = (0,) * k
-        cur = 0
-        m = _m2_identity(k)
-        for e, c in X.terms:
-            gap = e - cur
-            if gap:
-                m = _m2_mul(m, _m2_companion_power(op, gap, rmask))
-            cur = e
-            if c & 1:
-                acc = tuple(a ^ b for a, b in zip(acc, m))
-        return acc
-
-    lc = sparse_leading_coefficients(P, F)
-    vals = dict(lc)
-    if 0 not in vals:
-        vals[0] = 0
-    g = dict(G.terms)
-    p_mat = sparse_mat(P)
-    f_mat = sparse_mat(F)
-    zero = (0,) * k
-    beta = f_mat if 0 in g else zero
-    i = 0
-    for j in sorted(set(vals) | set(g)):
-        if j == 0:
-            continue
-        step = _m2_times_companion(f_mat, rmask, k)
-        if vals[i]:
-            step = tuple(a ^ b for a, b in zip(step, p_mat))
-        value_j = _m2_mul(_m2_companion_power(op, j - i - 1, rmask), step)
-        if j in vals:
-            f_mat = value_j
-            i = j
-        if j in g:
-            beta = tuple(a ^ b for a, b in zip(beta, value_j))
-    return _m2_to_rows(beta, k)

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import modeval
-from .modeval import CompanionOperator
 from .poly import (
     DensePoly,
     SparsePoly,
@@ -26,6 +25,7 @@ from .rings import (
     IntegerRing,
     PrimeField,
     RngStream,
+    ceil_log2,
     ln_upper,
     random_irreducible,
     random_monic,
@@ -40,7 +40,8 @@ METHODS = (
     "companion-no-polymul",
 )
 
-# per-round constant for the companion methods; must sit in (0, 1/4)
+# bound on each of the two ways a companion round can fail (R divides the
+# difference; R is not irreducible), so a round fails with probability <= 1/4
 COMPANION_EPS1 = Fraction(1, 8)
 
 
@@ -167,11 +168,15 @@ def verify_mod(F, G, H, P, cfg=None):
     return VerifyReport(verdict, float(eps), 1, witnesses, "direct-eval", cfg.seed)
 
 
+def _agree_at(F, G, H, P, alpha, ring):
+    """H(alpha) == ((F*G) mod P)(alpha): the check behind every verifier of
+    this module, at a random point or at the class of X modulo R."""
+    return evaluate(H, alpha, ring) == _eval_mod_point(P, F, G, alpha, ring)
+
+
 def _verify_mod_once(F, G, H, P, ring, rng):
     alpha = _sample_point(ring, rng)
-    lhs = evaluate(H, alpha, ring)
-    rhs = _eval_mod_point(P, F, G, alpha, ring)
-    return lhs == rhs, [{"alpha": _describe(ring, alpha)}]
+    return _agree_at(F, G, H, P, alpha, ring), [{"alpha": _describe(ring, alpha)}]
 
 
 def delta_norm_bound(F, G, H, P):
@@ -254,8 +259,7 @@ def verify_mod_ff(F, G, H, P, cfg=None):
     R = random_irreducible(ctx, d, eps / 2, rng)
     ext = ExtField(ctx, R.coeffs)
     alpha = _sample_point(ext, rng)
-    lhs = evaluate(H, alpha, ext)
-    rhs = _eval_mod_point(P, F, G, alpha, ext)
+    verdict = _agree_at(F, G, H, P, alpha, ext)
     witnesses = [
         {
             "extension_degree": d,
@@ -263,68 +267,74 @@ def verify_mod_ff(F, G, H, P, cfg=None):
             "alpha": _describe(ext, alpha),
         }
     ]
-    return VerifyReport(lhs == rhs, float(eps), 1, witnesses, "extension", cfg.seed)
+    return VerifyReport(verdict, float(eps), 1, witnesses, "extension", cfg.seed)
 
 
 def _companion_rounds(eps):
-    """Smallest r with (1/2 + 2*eps1)^r <= eps, for eps1 = 1/8."""
-    per_round = Fraction(1, 2) + 2 * COMPANION_EPS1
-    r = 0
-    acc = Fraction(1)
-    while acc > eps:
-        acc *= per_round
-        r += 1
-    return max(r, 1)
+    """Smallest r >= 1 with (1/4)^r <= eps."""
+    return max(1, (ceil_log2(1 / eps) + 1) // 2)
+
+
+def _companion_degree(q, n):
+    """Smallest d with q^d >= 16n, which holds the chance that a uniform
+    irreducible R of degree d divides a nonzero Δ of degree < n below 1/8."""
+    return minimal_extension_degree(q, Fraction(2 * n, 1) / COMPANION_EPS1)
 
 
 def verify_mod_companion(F, G, H, P, cfg=None):
-    """Small-field verification through companion matrices: draw a monic R of
-    degree d = ceil(log_q(2n/eps1)) and a 0/1 vector u, then compare the row
-    projections u*H(C_R) and u*((F*G) mod P)(C_R).  In "companion-freivalds"
-    mode R is screened for irreducibility; in "companion-no-polymul" mode a
-    batch of unscreened monic draws replaces the screening so that no
-    polynomial multiplication happens anywhere on the path."""
+    """Small-field verification modulo random monic polynomials R.
+
+    A round draws R of degree d, the least d with q^d >= 16n, and compares
+    H mod R with ((F*G) mod P) mod R: both are the evaluation scans run at
+    the class of X in GF(q)[X]/(R), the first column of the companion-matrix
+    values H(C_R) and ((F*G) mod P)(C_R).  The scans use ring operations
+    only, never an inverse, so a true H passes for every R, reducible or not.
+
+    Soundness: let Δ = H - (F*G) mod P be nonzero, of degree < n; a round
+    accepts only if R divides Δ.  Δ has at most (n-1)/d monic irreducible
+    factors of degree d, and there are at least (q^d - 2q^(d/2))/d >=
+    q^d/(2d) monic irreducibles of degree d, so a uniform irreducible R
+    divides Δ with probability at most 2(n-1)/q^d < 1/8.
+      - "companion-freivalds" screens R with random_irreducible, which
+        returns a uniform irreducible except with probability 1/8.
+      - "companion-no-polymul" skips the screening, whose naive products it
+        must avoid, and draws ceil(2d ln 8) unscreened monic R per round.
+        Each is irreducible with probability >= 1/(2d), so they all miss
+        the irreducibles with probability <= e^(-ln 8) = 1/8, and the first
+        irreducible among them is uniform.  Dense scans at X step by
+        ExtField.mul_x, so no polynomial multiplication runs on this path.
+    Either way a round fails with probability at most 1/8 + 1/8 = 1/4, and
+    the rounds are the least r with (1/4)^r <= epsilon.
+    """
     cfg = cfg or VerifyConfig()
     n = _check_shapes(F, G, H, P)
     ctx = P.ctx
     if not isinstance(ctx, PrimeField):
         raise TypeError("companion verification needs GF(q) polynomials")
-    Fd = F if isinstance(F, DensePoly) else F.to_dense()
-    Gd = G if isinstance(G, DensePoly) else G.to_dense()
-    Hd = H if isinstance(H, DensePoly) else H.to_dense()
+    Fd, Gd, Hd = (X if isinstance(X, DensePoly) else X.to_dense() for X in (F, G, H))
     eps = cfg.epsilon
     no_polymul = cfg.method == "companion-no-polymul"
     rng = RngStream(cfg.seed)
-    q = ctx.q
-    d = minimal_extension_degree(q, Fraction(2 * n, 1) / COMPANION_EPS1)
+    d = _companion_degree(ctx.q, n)
     rounds = _companion_rounds(eps)
     draws_per_round = (
         max(1, math.ceil(2 * d * math.log(1 / float(COMPANION_EPS1)) + 1e-9))
         if no_polymul
         else 1
     )
-    lc = modeval.leading_coefficients(P, Fd) if not Fd.is_zero() else None
     witnesses = []
     verdict = True
     for rnd in range(rounds):
-        moduli = []
         if no_polymul:
-            for _ in range(draws_per_round):
-                moduli.append(DensePoly(ctx, random_monic(ctx, d, rng)))
+            moduli = [random_monic(ctx, d, rng) for _ in range(draws_per_round)]
         else:
-            moduli.append(random_irreducible(ctx, d, COMPANION_EPS1, rng))
-        u = tuple(rng.below(2) for _ in range(d))
-        entry = {"round": rnd, "u": list(u), "moduli": [list(R.coeffs) for R in moduli]}
+            moduli = [random_irreducible(ctx, d, COMPANION_EPS1, rng).coeffs]
+        entry = {"round": rnd, "moduli": [list(R) for R in moduli]}
         witnesses.append(entry)
         for R in moduli:
-            op = CompanionOperator(R)
-            lhs = modeval.project_poly_companion(Hd, op, u)
-            if Fd.is_zero() or Gd.is_zero():
-                rhs = tuple(ctx.zero() for _ in range(d))
-            else:
-                rhs = modeval.project_modprod_companion(P, Fd, Gd, op, u, lc=lc)
-            if lhs != rhs:
-                entry["mismatch"] = list(R.coeffs)
+            ring = ExtField(ctx, R)
+            if not _agree_at(Fd, Gd, Hd, P, ring.x, ring):
+                entry["mismatch"] = list(R)
                 verdict = False
                 break
         if not verdict:
@@ -334,9 +344,17 @@ def verify_mod_companion(F, G, H, P, cfg=None):
 
 
 def verify_mod_companion_sparse(F, G, H, P, cfg=None):
-    """Sparse companion verification: ceil(log2(n/eps) * log2(1/eps)) random
-    monic moduli R, comparing the full matrices H(C_R) and
-    ((F*G) mod P)(C_R); any mismatch rejects."""
+    """Sparse companion verification: ceil(log2(n/eps) * log2(1/eps))
+    unscreened random monic R of degree d (q^d >= 16n), each comparing
+    H mod R with ((F*G) mod P) mod R through the sparse scans at the class
+    of X in GF(q)[X]/(R); any mismatch rejects.  Powers of X come from
+    square-and-multiply, whose products POLY_MUL_OPS counts.
+
+    With the bounds of verify_mod_companion, a draw is irreducible with
+    probability >= (1 - 2q^(-d/2))/d and then divides Δ with probability
+    < 1/8, so a wrong H passes m draws with probability at most
+    (1 - 7(1 - 2q^(-d/2))/(8d))^m.
+    """
     cfg = cfg or VerifyConfig()
     n = _check_shapes(F, G, H, P)
     ctx = P.ctx
@@ -346,8 +364,7 @@ def verify_mod_companion_sparse(F, G, H, P, cfg=None):
         raise TypeError("sparse companion verification needs sparse polynomials")
     eps = cfg.epsilon
     rng = RngStream(cfg.seed)
-    q = ctx.q
-    d = minimal_extension_degree(q, Fraction(2 * n, 1) / COMPANION_EPS1)
+    d = _companion_degree(ctx.q, n)
     draws = max(
         1,
         math.ceil(
@@ -357,13 +374,11 @@ def verify_mod_companion_sparse(F, G, H, P, cfg=None):
     witnesses = []
     verdict = True
     for _ in range(draws):
-        R = DensePoly(ctx, random_monic(ctx, d, rng))
-        op = CompanionOperator(R)
-        entry = {"modulus": list(R.coeffs)}
+        R = random_monic(ctx, d, rng)
+        entry = {"modulus": R}
         witnesses.append(entry)
-        lhs = modeval.poly_at_companion(H, op)
-        rhs = modeval.eval_modprod_companion_sparse(P, F, G, op)
-        if lhs != rhs:
+        ring = ExtField(ctx, R)
+        if not _agree_at(F, G, H, P, ring.x, ring):
             entry["mismatch"] = True
             verdict = False
             break

@@ -9,7 +9,7 @@ coefficient vector / empty term list and has no degree.
 
 from fractions import Fraction
 
-from .rings import ExtField, IntegerRing, PrimeField, POLY_MUL_OPS, ZZ, GF
+from .rings import ExtField, IntegerRing, PrimeField, POLY_MUL_OPS, ZZ, GF, is_prime
 
 EXPONENT_CAP = 2**63 - 1
 KARATSUBA_THRESHOLD = 32
@@ -408,7 +408,9 @@ def _check_eval_ring(F, ring):
 
 def evaluate(F, alpha, ring=None):
     """F(alpha).  alpha may live in F.ctx or in an ExtField over it; dense
-    polynomials use Horner, sparse ones square-and-multiply per exponent."""
+    polynomials use Horner, sparse ones square-and-multiply per exponent.
+    At the class of X in a quotient ring, F(X) is F mod R, and dense Horner
+    multiplies no polynomials (see ExtField.mul)."""
     ring = _check_eval_ring(F, ring)
     if isinstance(F, DensePoly):
         acc = ring.zero()
@@ -531,8 +533,8 @@ def parse_poly(text):
             q = int(head[2])
         except ValueError:
             raise PolyFormatError(f"bad field modulus {head[2]!r}") from None
-        if q < 2:
-            raise PolyFormatError("field modulus must be >= 2")
+        if not is_prime(q):
+            raise PolyFormatError(f"field modulus {q} is not prime")
         ctx = GF(q)
     else:
         raise PolyFormatError(f"bad ring line {lines[0]!r}")

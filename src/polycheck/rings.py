@@ -1,11 +1,13 @@
 """Coefficient domains and randomness.
 
-Provides exact integer arithmetic, prime fields GF(q), extension fields
-GF(q)[X]/(R), a deterministic seedable random stream, probable-prime
-generation and probable-irreducible generation.  Field elements are plain
-Python ints (residues in [0, q)); extension-field elements are tuples of
-residues, or bit-packed ints when the base field is GF(2).  All values are
-immutable; every operation is pure except RngStream draws.
+Provides exact integer arithmetic, prime fields GF(q), quotient rings
+B[X]/(R) over any of these (extension fields when B = GF(q) and R is
+irreducible), a deterministic seedable random stream, primality checks,
+probable-prime generation and probable-irreducible generation.  Field
+elements are plain Python ints (residues in [0, q)); quotient-ring elements
+are tuples of base elements, or bit-packed ints when the base field is
+GF(2).  All values are immutable; every operation is pure except RngStream
+draws.
 """
 
 import math
@@ -238,32 +240,36 @@ def GF(q):
 
 
 class ExtField:
-    """GF(q)[X]/(R) with R monic of degree d >= 1.
+    """B[X]/(R) for a coefficient ring B of this package and R monic of
+    degree d >= 1.
 
-    A quotient ring in general: it is a field exactly when R is irreducible,
-    and no operation here except inv() requires that.  Elements are tuples of
-    d residues (coefficient i of the representative), or bit-packed ints when
-    q == 2.
+    A quotient ring in general: over GF(q) it is a field exactly when R is
+    irreducible, and no operation here except inv() requires that.  Elements
+    are tuples of d base elements (coefficient i of the representative).
+    Over a prime field these are residues reduced with % q, and over GF(2)
+    an element is one bit-packed int.  ``x`` is the class of X; mul_x
+    multiplies by it with one shift and subtract, which is not a polynomial
+    product and is not counted in POLY_MUL_OPS, so scans run at x multiply
+    no polynomials.
     """
 
-    __slots__ = ("base", "modulus", "d", "_m2")
+    __slots__ = ("base", "modulus", "d", "x", "_q", "_m2")
 
     def __init__(self, base, modulus):
-        if not isinstance(base, PrimeField):
-            raise TypeError("ExtField base must be a PrimeField")
-        mod = tuple(int(c) % base.q for c in modulus)
-        if len(mod) < 2 or mod[-1] != 1:
+        mod = tuple(base.canon(c) for c in modulus)
+        if len(mod) < 2 or not base.is_zero(base.sub(mod[-1], base.one())):
             raise ValueError("modulus must be monic of degree >= 1")
         self.base = base
         self.modulus = mod
         self.d = len(mod) - 1
-        if base.q == 2:
-            self._m2 = sum(c << i for i, c in enumerate(mod))
-        else:
-            self._m2 = None
+        self._q = base.q if isinstance(base, PrimeField) else None
+        self._m2 = sum(c << i for i, c in enumerate(mod)) if self._q == 2 else None
+        self.x = self.mul_x(self.one())
 
     def __repr__(self):
-        return f"GF({self.base.q}^{self.d})"
+        if self._q is not None:
+            return f"GF({self._q}^{self.d})"
+        return f"{self.base!r}[X]/{self.modulus}"
 
     def __eq__(self, other):
         return (
@@ -273,18 +279,20 @@ class ExtField:
         )
 
     def __hash__(self):
-        return hash(("ExtField", self.base.q, self.modulus))
+        return hash(("ExtField", self.base, self.modulus))
 
     def size(self):
-        return self.base.q**self.d
+        s = self.base.size()
+        return None if s is None else s**self.d
 
     # -- representation helpers ------------------------------------------
 
     def from_coeffs(self, coeffs):
-        cs = [int(c) % self.base.q for c in coeffs]
+        base = self.base
+        cs = [base.canon(c) for c in coeffs]
         if len(cs) > self.d:
             raise ValueError("representative degree too large")
-        cs += [0] * (self.d - len(cs))
+        cs += [base.zero()] * (self.d - len(cs))
         if self._m2 is not None:
             return sum(c << i for i, c in enumerate(cs))
         return tuple(cs)
@@ -297,60 +305,99 @@ class ExtField:
     # -- ring operations ---------------------------------------------------
 
     def zero(self):
-        return 0 if self._m2 is not None else (0,) * self.d
+        return 0 if self._m2 is not None else (self.base.zero(),) * self.d
 
     def one(self):
-        return self.from_coeffs([1])
+        return self.from_coeffs([self.base.one()])
 
     def canon(self, a):
         return a
 
     def embed(self, c):
-        """Lift a base-field scalar; elements of the extension pass through.
-        Over GF(2) the packed form of a canonical base bit is the bit itself,
-        so ints are already in place."""
+        """Lift a base scalar.  Over GF(q) with q > 2 an element of the
+        extension passes through; over GF(2) the packed form of a canonical
+        base bit is the bit itself, so ints are already in place."""
         if self._m2 is not None:
             return int(c)
-        if isinstance(c, tuple):
+        if self._q is not None and isinstance(c, tuple):
             return c
         return self.from_coeffs([c])
 
     def add(self, a, b):
         if self._m2 is not None:
             return a ^ b
-        q = self.base.q
+        q = self._q
+        if q is None:
+            add = self.base.add
+            return tuple(add(x, y) for x, y in zip(a, b))
         return tuple((x + y) % q for x, y in zip(a, b))
 
     def sub(self, a, b):
         if self._m2 is not None:
             return a ^ b
-        q = self.base.q
+        q = self._q
+        if q is None:
+            sub = self.base.sub
+            return tuple(sub(x, y) for x, y in zip(a, b))
         return tuple((x - y) % q for x, y in zip(a, b))
 
     def neg(self, a):
         if self._m2 is not None:
             return a
-        q = self.base.q
+        q = self._q
+        if q is None:
+            return tuple(self.base.neg(x) for x in a)
         return tuple((-x) % q for x in a)
 
     def scalar_mul(self, c, a):
-        """Multiply by a base-field scalar; a full extension element as the
-        scalar falls through to the ring product."""
+        """Multiply by a base scalar.  Over GF(q) a full extension element
+        as the scalar falls through to the ring product."""
         if self._m2 is not None:
             if c <= 1:
                 return a if c else 0
             return self.mul(c, a)
+        q = self._q
+        if q is None:
+            mul = self.base.mul
+            return tuple(mul(c, x) for x in a)
         if isinstance(c, tuple):
             return self.mul(c, a)
-        q = self.base.q
         c %= q
         return tuple((c * x) % q for x in a)
 
+    def mul_x(self, a):
+        """X * a: shift up one place and subtract the overflow times the
+        modulus, O(d) base operations."""
+        if self._m2 is not None:
+            a <<= 1
+            return a ^ self._m2 if a >> self.d else a
+        base = self.base
+        top = a[-1]
+        shifted = (base.zero(),) + a[:-1]
+        if base.is_zero(top):
+            return shifted
+        q = self._q
+        if q is None:
+            return tuple(base.sub(y, base.mul(top, m)) for y, m in zip(shifted, self.modulus))
+        return tuple((y - top * m) % q for y, m in zip(shifted, self.modulus))
+
     def mul(self, a, b):
+        """The ring product, counted in POLY_MUL_OPS.  A factor that is
+        ``x`` itself (by identity) makes it mul_x, which is not counted."""
+        if a is self.x:
+            return self.mul_x(b)
+        if b is self.x:
+            return self.mul_x(a)
         POLY_MUL_OPS.bump()
         if self._m2 is not None:
             return self._mul2(a, b)
-        q = self.base.q
+        q = self._q
+        if q is None:
+            # Horner over the coefficients of b
+            acc = self.zero()
+            for c in reversed(b):
+                acc = self.add(self.mul_x(acc), self.scalar_mul(c, a))
+            return acc
         d = self.d
         res = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
@@ -399,7 +446,7 @@ class ExtField:
         return a == self.zero()
 
     def from_int(self, k):
-        return self.embed(int(k) % self.base.q)
+        return self.embed(self.base.from_int(k))
 
     def inv(self, a):
         """Inverse via extended Euclid; raises if a is not a unit (which can
@@ -427,7 +474,7 @@ class ExtField:
         return self.from_coeffs(out[: self.d])
 
     def sample(self, rng):
-        return self.from_coeffs([rng.residue(self.base.q) for _ in range(self.d)])
+        return self.from_coeffs([self.base.sample(rng) for _ in range(self.d)])
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +599,27 @@ def poly_list_is_irreducible(coeffs, q):
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to every one of these bases is exact below _DET_LIMIT, the
+# least strong pseudoprime to all of them (Sorenson and Webster, 2015).
+_DET_BASES = _SMALL_PRIMES + (41,)
+_DET_LIMIT = 3317044064679887385961981
+
+
+def _strong_probable_prime(n, a):
+    """One Miller-Rabin round: False proves the odd n > 2 composite."""
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = (x * x) % n
+        if x == n - 1:
+            return True
+    return False
 
 
 def is_probable_prime(n, rounds, rng=None):
@@ -568,23 +636,21 @@ def is_probable_prime(n, rounds, rng=None):
             return False
     if rng is None:
         rng = RngStream(_splitmix64((n & _MASK64) ^ rounds))
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for _ in range(rounds):
-        a = 2 + rng.below(n - 3)
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return all(_strong_probable_prime(n, 2 + rng.below(n - 3)) for _ in range(rounds))
+
+
+def is_prime(n):
+    """Primality check for a modulus given from outside: exact below
+    3.3 * 10^24, and above that Miller-Rabin with 64 rounds (a composite
+    passes with probability at most 4**-64)."""
+    if n >= _DET_LIMIT:
+        return is_probable_prime(n, 64)
+    if n < 2:
+        return False
+    for p in _DET_BASES:
+        if n % p == 0:
+            return n == p
+    return all(_strong_probable_prime(n, a) for a in _DET_BASES)
 
 
 def random_prime(lam, epsilon, rng):
@@ -623,16 +689,15 @@ def random_monic(field, d, rng):
     return [rng.below(q) for _ in range(d)] + [1]
 
 
-def random_irreducible(field, d, epsilon, rng, monic_only=False):
+def random_irreducible(field, d, epsilon, rng):
     """Monic degree-d polynomial over the finite field, irreducible with
     probability >= 1 - epsilon.
 
     Monte Carlo: samples up to ceil(2*d*ln(1/epsilon)) monic candidates and
     returns the first one passing an exact naive-arithmetic irreducibility
     test; if none passes, the last candidate is returned (this happens with
-    probability at most epsilon).  With monic_only=True the screening is
-    skipped entirely and one uniform monic sample is returned, for callers
-    that must avoid polynomial multiplication.
+    probability at most epsilon).  The result is uniform over the monic
+    irreducibles of degree d whenever it is irreducible.
     """
     from .poly import DensePoly
 
@@ -641,8 +706,6 @@ def random_irreducible(field, d, epsilon, rng, monic_only=False):
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError("epsilon must be in (0, 1)")
-    if monic_only:
-        return DensePoly(field, random_monic(field, d, rng))
     budget = max(1, math.ceil(2 * d * math.log(1 / float(eps)) + 1e-9))
     q = field.q
     cand = None

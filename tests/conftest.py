@@ -4,40 +4,14 @@ import pytest
 from hypothesis import settings
 
 import polycheck as pc
-from polycheck.rings import RngStream
+from polycheck.rings import RngStream, is_prime
 
 settings.register_profile("ci", deadline=None, derandomize=True, max_examples=80)
 settings.load_profile("ci")
 
 
-# deterministic Miller-Rabin witness set, exact for all n < 3.3 * 10^24
-_DET_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime_det64(n):
-    """Deterministic primality for 64-bit-scale integers."""
-    if n < 2:
-        return False
-    for p in _DET_BASES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _DET_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+# exact Miller-Rabin below 3.3 * 10^24, as used for moduli from outside
+is_prime_det64 = is_prime
 
 
 def all_monics_gf2(d):

@@ -147,6 +147,20 @@ class TestVerifyModCommand:
         )
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("q, code", [(4, 2), (15, 2), (7, 0)])
+    def test_field_modulus_must_be_prime(self, tmp_path, capsys, q, code):
+        paths = []
+        for name, body in (("F", "dense 1 1"), ("H", "dense 1 2 1"), ("P", "sparse 3:1")):
+            path = tmp_path / f"{name}.poly"
+            path.write_text(f"ring GF {q}\n{body}\n")
+            paths.append(str(path))
+        F, H, P = paths
+        assert main(["verify-mod", "--F", F, "--G", F, "--H", H, "--P", P]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert f"field modulus {q} is not prime" in err
+
     def test_mismatched_rings_exit_two(self, tmp_path, mod_instance_files):
         other = tmp_path / "z.poly"
         other.write_text("ring Z\ndense 1 1\n")
@@ -218,6 +232,11 @@ class TestGenCommand:
                  "--out-prefix", b])
         for name in ("F", "G", "H"):
             assert open(f"{a}_{name}.poly").read() == open(f"{b}_{name}.poly").read()
+
+    def test_composite_q_exits_two(self, tmp_path, capsys):
+        code = main(["gen", "--ring", "GF", "--q", "4", "--n", "10",
+                     "--out-prefix", str(tmp_path / "x")])
+        assert code == 2 and "not prime" in capsys.readouterr().err
 
     def test_gf_requires_q(self, tmp_path):
         code, _, _ = run_cli(

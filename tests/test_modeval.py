@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 import polycheck as pc
 from polycheck import modeval
@@ -408,3 +409,54 @@ class TestCompanionMatrixEval:
         for t in (0, 1, 2, 3, 7, 19, 64):
             Xt = pc.DensePoly(K, [0] * t + [1])
             assert companion_power(op, t) == oracle_matrix_eval(Xt, R)
+
+
+GF2_8 = pc.ExtField(F2, (1, 0, 1, 1, 1, 0, 0, 0, 1))
+
+
+def _coeffs(ctx):
+    if ctx == Z:
+        return st.integers(-5, 5)
+    if ctx == GF2_8:
+        return st.integers(0, 255)
+    return st.integers(0, ctx.q - 1)
+
+
+@st.composite
+def scan_instances(draw):
+    """(P, F, G, R): general or binomial P of degree n, F and G of degree
+    < n, and a monic R of degree k that may be reducible."""
+    ctx = draw(st.sampled_from((F2, pc.GF(3), pc.GF(65537), Z, GF2_8)))
+    coeffs = _coeffs(ctx)
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        P = pc.x_pow_minus_one(ctx, n)
+    else:
+        low = draw(st.lists(coeffs, min_size=n, max_size=n))
+        P = pc.DensePoly(ctx, low + [ctx.one()]).to_sparse()
+    F, G = (pc.DensePoly(ctx, draw(st.lists(coeffs, max_size=n))) for _ in "FG")
+    k = draw(st.integers(1, 4))
+    R = pc.DensePoly(ctx, draw(st.lists(coeffs, min_size=k, max_size=k)) + [ctx.one()])
+    return P, F, G, R
+
+
+class TestScanAtX:
+    @given(scan_instances())
+    def test_scans_at_x_give_product_mod_r(self, inst):
+        P, F, G, R = inst
+        ctx = P.ctx
+        op = CompanionOperator(R)
+        ring, x = op.ring, op.ring.x
+        H = oracle_mod_product(F, G, P)
+        rem = poly_divmod(H, R)[1].coeffs
+        want = tuple(rem) + (ctx.zero(),) * (op.k - len(rem))
+        Fs, Gs = F.to_sparse(), G.to_sparse()
+        values = [eval_mod_p_dense(P, F, G, x, ring), eval_mod_p_sparse(P, Fs, Gs, x, ring)]
+        n = P.degree()
+        if P == pc.x_pow_minus_one(ctx, n):
+            values += [eval_mod_binomial_dense(F, G, n, x, ring),
+                       eval_mod_binomial_sparse(Fs, Gs, n, x, ring)]
+        for value in values:
+            assert ring.coeffs(value) == want
+        assert poly_at_companion(H, op) == oracle_matrix_eval(H, R)
+        assert poly_at_companion(H.to_sparse(), op) == oracle_matrix_eval(H, R)

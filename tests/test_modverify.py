@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from hypothesis import given, strategies as st
 
 import polycheck as pc
 from polycheck import modverify
@@ -15,7 +16,7 @@ from polycheck.modverify import (
     verify_mod_ff,
     verify_mod_over_Z,
 )
-from polycheck.oracle import oracle_mod_product
+from polycheck.oracle import oracle_mod_product, poly_divmod
 from polycheck.rings import POLY_MUL_OPS, RngStream
 from conftest import perturb_poly, rand_dense, rand_monic_sparse, rand_sparse
 
@@ -185,12 +186,21 @@ class TestVerifyModCompanion:
                 r = verify_mod_companion(F, G, H, P, cfg(seed, method=method))
                 assert r.verdict is True
 
-    def test_witnesses_record_u_and_moduli(self, rng):
+    def test_witnesses_replay_moduli(self, rng):
+        # the recorded moduli are monic of degree d, and comparing H mod R
+        # with the true product mod R on them reproduces the verdict
         P, F, G, H = make_instance(F2, 32, 4, rng, sparse=False)
-        r = verify_mod_companion(F, G, H, P, cfg(5))
-        for entry in r.witnesses:
-            assert "u" in entry and "moduli" in entry
-            assert all(x in (0, 1) for x in entry["u"])
+        d = minimal_extension_degree(2, 16 * 32)
+        for method in ("companion-freivalds", "companion-no-polymul"):
+            for Hx in (H, perturb_poly(H, rng)):
+                r = verify_mod_companion(F, G, Hx, P, cfg(5, method=method))
+                agree = []
+                for entry in r.witnesses:
+                    for coeffs in entry["moduli"]:
+                        R = pc.DensePoly(F2, coeffs)
+                        assert R.degree() == d and R.coeffs[-1] == 1
+                        agree.append(poly_divmod(Hx, R)[1] == poly_divmod(H, R)[1])
+                assert r.verdict == all(agree)
 
     def test_no_polymul_structural(self, rng):
         P, F, G, H = make_instance(F2, 48, 5, rng, sparse=False)
@@ -221,7 +231,9 @@ class TestVerifyModCompanion:
     def test_rounds_match_epsilon(self, rng):
         P, F, G, H = make_instance(F2, 16, 3, rng, sparse=False)
         r = verify_mod_companion(F, G, H, P, cfg(1, eps=Fraction(1, 4)))
-        assert r.rounds == 5  # smallest r with (3/4)^r <= 1/4
+        assert r.rounds == 1  # smallest r with (1/4)^r <= 1/4
+        r = verify_mod_companion(F, G, H, P, cfg(1, eps=Fraction(1, 2**20)))
+        assert r.rounds == 10
 
 
 class TestVerifyModCompanionSparse:
@@ -258,6 +270,48 @@ class TestVerifyModCompanionSparse:
         P, F, G, H = make_instance(F2, 128, 3, rng)
         r = verify_mod_companion_sparse(F, G, H, P, cfg(2))
         assert all("modulus" in w for w in r.witnesses)
+
+    def test_counts_its_products(self, rng):
+        # square-and-multiply at X is counted; the dense scans at X step by
+        # mul_x and count nothing on the same ring
+        P, F, G, H = make_instance(F2, 256, 4, rng)
+        before = POLY_MUL_OPS.count
+        verify_mod_companion_sparse(F, G, H, P, cfg(0))
+        assert POLY_MUL_OPS.count > before
+        Fd, Gd, Hd = (X.to_dense() for X in (F, G, H))
+        before = POLY_MUL_OPS.count
+        verify_mod_companion(Fd, Gd, Hd, P, cfg(0, method="companion-no-polymul"))
+        assert POLY_MUL_OPS.count == before
+
+
+@st.composite
+def true_small_field_instances(draw):
+    q = draw(st.sampled_from((2, 3, 65537)))
+    K = pc.GF(q)
+    n = draw(st.integers(1, 24))
+    coeffs = st.integers(0, q - 1)
+    if draw(st.booleans()):
+        P = pc.x_pow_minus_one(K, n)
+    else:
+        P = pc.DensePoly(K, draw(st.lists(coeffs, min_size=n, max_size=n)) + [1]).to_sparse()
+    F, G = (pc.DensePoly(K, draw(st.lists(coeffs, max_size=n))) for _ in "FG")
+    H = oracle_mod_product(F, G, P)
+    return P, F, G, H, draw(st.integers(0, 2**32))
+
+
+class TestCompanionProperties:
+    @given(true_small_field_instances())
+    def test_accept_true_and_replay(self, inst):
+        P, F, G, H, seed = inst
+        sparse = tuple(X.to_sparse() for X in (F, G, H))
+        for method in ("companion-freivalds", "companion-no-polymul"):
+            c = cfg(seed, method=method)
+            r = verify_mod_companion(F, G, H, P, c)
+            assert r.verdict is True
+            assert r == verify_mod_companion(F, G, H, P, c)
+            r = verify_mod_companion_sparse(*sparse, P, c)
+            assert r.verdict is True
+            assert r == verify_mod_companion_sparse(*sparse, P, c)
 
 
 class TestReports:

@@ -128,10 +128,6 @@ class TestRandomIrreducible:
                 bad += 1
         assert bad / trials <= 0.30
 
-    def test_monic_only_skips_screening(self):
-        R = random_irreducible(pc.GF(2), 6, Fraction(1, 4), RngStream(1), monic_only=True)
-        assert R.coeffs[-1] == 1 and R.degree() == 6
-
     def test_rabin_test_exhaustive_gf2(self):
         for d in range(1, 9):
             from conftest import all_monics_gf2
