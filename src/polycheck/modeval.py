@@ -18,6 +18,7 @@ from .poly import (
     _check_eval_ring,
     evaluate,
     gap_info,
+    power_table,
     x_pow_minus_one,
 )
 from .rings import ExtField, IntegerRing, PrimeField
@@ -164,15 +165,7 @@ def eval_mod_binomial_sparse(F, G, n, alpha, ring=None):
     ring = _check_eval_ring(F, ring)
     if G.is_zero():
         return ring.zero()
-    powers = {}
-
-    def pw(t):
-        v = powers.get(t)
-        if v is None:
-            v = ring.pow(alpha, t)
-            powers[t] = v
-        return v
-
+    pw = power_table(ring, alpha)
     p_alpha = ring.sub(pw(n), ring.one())
     # F terms keyed by ell = n - t: the coefficient f_{n-ell} feeds the
     # transition whose target j satisfies ell in (j_prev, j].
@@ -298,7 +291,8 @@ def eval_mod_p_dense(P, F, G, alpha, ring=None, lc=None):
 
 def eval_mod_p_sparse(P, F, G, alpha, ring=None):
     """Sparse variant: only indices where a leading coefficient is nonzero or
-    G has a term are visited; power gaps are bridged by square-and-multiply."""
+    G has a term are visited; power gaps are bridged by alpha^gap from one
+    power_table."""
     n = _require_args(P, F, G)
     if G.sparsity() < F.sparsity():
         F, G = G, F  # the product is symmetric and the cost follows #F
@@ -312,6 +306,7 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None):
     g = dict(G.terms)
     p_alpha = evaluate(P, alpha, ring)
     f_alpha = evaluate(F, alpha, ring)
+    pw = power_table(ring, alpha)
     beta = ring.scalar_mul(g[0], f_alpha) if 0 in g else ring.zero()
     i = 0
     for j in sorted(set(vals) | set(g)):
@@ -319,7 +314,7 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None):
             continue
         # advancing past index i applies its stored correction exactly once
         step = ring.sub(ring.mul(alpha, f_alpha), ring.scalar_mul(vals[i], p_alpha))
-        value_j = ring.mul(ring.pow(alpha, j - i - 1), step)
+        value_j = ring.mul(pw(j - i - 1), step)
         if j in vals:
             f_alpha = value_j
             i = j

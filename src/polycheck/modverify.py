@@ -297,8 +297,8 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     divides Δ with probability at most 2(n-1)/q^d < 1/8.
       - "companion-freivalds" screens R with random_irreducible, which
         returns a uniform irreducible except with probability 1/8.
-      - "companion-no-polymul" skips the screening, whose naive products it
-        must avoid, and draws ceil(2d ln 8) unscreened monic R per round.
+      - "companion-no-polymul" skips the screening, whose products it must
+        avoid, and draws ceil(2d ln 8) unscreened monic R per round.
         Each is irreducible with probability >= 1/(2d), so they all miss
         the irreducibles with probability <= e^(-ln 8) = 1/8, and the first
         irreducible among them is uniform.  Dense scans at X step by
@@ -343,17 +343,31 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     return VerifyReport(verdict, float(eps), rounds, witnesses, method, cfg.seed)
 
 
+def _companion_sparse_draws(q, d, eps):
+    """Least m >= 1 with rho^m <= eps, where rho >= 1 - 7(1 - 2q^(-d/2))/(8d)
+    bounds the chance that one unscreened monic R of degree d (q^d >= 16n)
+    passes a wrong H; q^(d/2) is bounded below by isqrt(q^d 4^64) / 2^64."""
+    root_lo = Fraction(math.isqrt(q**d << 128), 1 << 64)
+    rho = 1 - Fraction(7, 8 * d) * (1 - 2 / root_lo)
+    log_eps = math.log(eps.numerator) - math.log(eps.denominator)
+    m = max(1, math.ceil(log_eps / math.log(rho)) - 1)
+    while rho**m > eps:
+        m += 1
+    return m
+
+
 def verify_mod_companion_sparse(F, G, H, P, cfg=None):
-    """Sparse companion verification: ceil(log2(n/eps) * log2(1/eps))
-    unscreened random monic R of degree d (q^d >= 16n), each comparing
-    H mod R with ((F*G) mod P) mod R through the sparse scans at the class
-    of X in GF(q)[X]/(R); any mismatch rejects.  Powers of X come from
-    square-and-multiply, whose products POLY_MUL_OPS counts.
+    """Sparse companion verification: m unscreened random monic R of degree
+    d (q^d >= 16n), each comparing H mod R with ((F*G) mod P) mod R through
+    the sparse scans at the class of X in GF(q)[X]/(R); any mismatch
+    rejects.  Powers of X come from squares of X, whose products
+    POLY_MUL_OPS counts.
 
     With the bounds of verify_mod_companion, a draw is irreducible with
     probability >= (1 - 2q^(-d/2))/d and then divides Δ with probability
     < 1/8, so a wrong H passes m draws with probability at most
-    (1 - 7(1 - 2q^(-d/2))/(8d))^m.
+    (1 - 7(1 - 2q^(-d/2))/(8d))^m, and m is the least draw count that
+    holds this at or below epsilon.
     """
     cfg = cfg or VerifyConfig()
     n = _check_shapes(F, G, H, P)
@@ -365,12 +379,7 @@ def verify_mod_companion_sparse(F, G, H, P, cfg=None):
     eps = cfg.epsilon
     rng = RngStream(cfg.seed)
     d = _companion_degree(ctx.q, n)
-    draws = max(
-        1,
-        math.ceil(
-            math.log2(n / float(eps)) * math.log2(1 / float(eps)) + 1e-9
-        ),
-    )
+    draws = _companion_sparse_draws(ctx.q, d, eps)
     witnesses = []
     verdict = True
     for _ in range(draws):

@@ -406,10 +406,39 @@ def _check_eval_ring(F, ring):
     raise ValueError("evaluation point must live in the ctx or an extension of it")
 
 
+def power_table(ring, alpha):
+    """The map e -> alpha^e for repeated exponents at one point.
+
+    In an ExtField, whose product runs in Python, the squares alpha^(2^i)
+    are computed once, as far as the largest exponent asked for needs, and
+    alpha^e is the product of the squares at the set bits of e: popcount(e)
+    - 1 products instead of the about log2(e) + popcount(e) of a fresh
+    square-and-multiply.  Other rings keep their builtin pow."""
+    if not isinstance(ring, ExtField):
+        return lambda e: ring.pow(alpha, e)
+    squares = [alpha]
+    mul = ring.mul
+
+    def pw(e):
+        while len(squares) < e.bit_length():
+            s = squares[-1]
+            squares.append(mul(s, s))
+        acc = None
+        while e:
+            low = e & -e
+            e ^= low
+            s = squares[low.bit_length() - 1]
+            acc = s if acc is None else mul(acc, s)
+        return ring.one() if acc is None else acc
+
+    return pw
+
+
 def evaluate(F, alpha, ring=None):
     """F(alpha).  alpha may live in F.ctx or in an ExtField over it; dense
-    polynomials use Horner, sparse ones square-and-multiply per exponent.
-    At the class of X in a quotient ring, F(X) is F mod R, and dense Horner
+    polynomials use Horner, sparse ones take every alpha^e from one
+    power_table, which squares alpha once per bit of the degree.  At the
+    class of X in a quotient ring, F(X) is F mod R, and dense Horner
     multiplies no polynomials (see ExtField.mul)."""
     ring = _check_eval_ring(F, ring)
     if isinstance(F, DensePoly):
@@ -418,9 +447,10 @@ def evaluate(F, alpha, ring=None):
             acc = ring.add(ring.mul(acc, alpha), ring.embed(c))
         return acc
     if isinstance(F, SparsePoly):
+        pw = power_table(ring, alpha)
         acc = ring.zero()
         for e, c in F.terms:
-            acc = ring.add(acc, ring.scalar_mul(c, ring.pow(alpha, e)))
+            acc = ring.add(acc, ring.scalar_mul(c, pw(e)))
         return acc
     raise TypeError("unsupported polynomial type")
 

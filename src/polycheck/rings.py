@@ -253,7 +253,7 @@ class ExtField:
     no polynomials.
     """
 
-    __slots__ = ("base", "modulus", "d", "x", "_q", "_m2")
+    __slots__ = ("base", "modulus", "d", "x", "_q", "_m2", "_fold")
 
     def __init__(self, base, modulus):
         mod = tuple(base.canon(c) for c in modulus)
@@ -264,6 +264,7 @@ class ExtField:
         self.d = len(mod) - 1
         self._q = base.q if isinstance(base, PrimeField) else None
         self._m2 = sum(c << i for i, c in enumerate(mod)) if self._q == 2 else None
+        self._fold = None  # GF(2) reduction tables, built by the first _mul2
         self.x = self.mul_x(self.one())
 
     def __repr__(self):
@@ -415,31 +416,62 @@ class ExtField:
         return tuple(x % q for x in res[:d])
 
     def _mul2(self, a, b):
+        """GF(2) product of packed elements: the carry-less product by a
+        4-bit comb (the 16 multiples a*j, then one shift and XOR per nibble
+        of b), then the high part reduced a byte at a time through the
+        tables of (byte * X^(d+8k)) mod R."""
+        a2 = a << 1
+        a4 = a << 2
+        a8 = a << 3
+        a3 = a2 ^ a
+        a6 = a4 ^ a2
+        comb = (0, a, a2, a3, a4, a4 ^ a, a6, a6 ^ a,
+                a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a4 ^ a, a8 ^ a6, a8 ^ a6 ^ a)
         r = 0
-        x = a
-        while b:
-            if b & 1:
-                r ^= x
-            b >>= 1
-            x <<= 1
-        m = self._m2
+        for s in range((b.bit_length() - 1) & ~3, -1, -4):
+            r = (r << 4) ^ comb[(b >> s) & 15]
         d = self.d
-        bl = r.bit_length()
-        while bl > d:
-            r ^= m << (bl - 1 - d)
-            bl = r.bit_length()
+        high = r >> d
+        if not high:
+            return r
+        r ^= high << d
+        for table in self._fold or self._fold_tables():
+            r ^= table[high & 255]
+            high >>= 8
+            if not high:
+                break
         return r
 
+    def _fold_tables(self):
+        """Table k maps a byte c to (c * X^(d+8k)) mod R, XORed together
+        from its 8 basis values; a product's high part has < d bits."""
+        tables = []
+        v = self._m2 ^ (1 << self.d)  # X^d mod R
+        for _ in range((self.d + 6) // 8):
+            basis = []
+            for _ in range(8):
+                basis.append(v)
+                v = self.mul_x(v)
+            table = [0] * 256
+            for c in range(1, 256):
+                low = c & -c
+                table[c] = table[c ^ low] ^ basis[low.bit_length() - 1]
+            tables.append(table)
+        self._fold = tables
+        return tables
+
     def pow(self, a, e):
+        """a^e, left to right from the top set bit of e: bit_length(e) - 1
+        squarings and popcount(e) - 1 products by a."""
         if e < 0:
             raise ValueError("negative exponent")
-        acc = self.one()
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
+        if e == 0:
+            return self.one()
+        acc = a
+        for i in range(e.bit_length() - 2, -1, -1):
+            acc = self.mul(acc, acc)
+            if (e >> i) & 1:
+                acc = self.mul(acc, a)
         return acc
 
     def is_zero(self, a):
@@ -478,8 +510,8 @@ class ExtField:
 
 
 # ---------------------------------------------------------------------------
-# naive polynomial helpers on coefficient lists over GF(q) (used by the
-# irreducibility test; deliberately quadratic)
+# schoolbook polynomial helpers on coefficient lists over GF(q), for
+# ExtField.inv and the gcd of the irreducibility test over odd q
 
 
 def _list_trim(a):
@@ -538,60 +570,40 @@ def _list_gcd(a, b, q):
     return a
 
 
-def _list_mulmod(a, b, f, q):
-    prod = _list_mul(a, b, q)
-    _, rem = _list_divmod(prod, f, q)
-    return rem
-
-
-def _list_powmod_x(e, f, q):
-    """x**e mod f over GF(q), naive square-and-multiply."""
-    acc = [1]
-    base = [0, 1]
-    _, base = _list_divmod(base, f, q)
-    while e:
-        if e & 1:
-            acc = _list_mulmod(acc, base, f, q)
-        e >>= 1
-        if e:
-            base = _list_mulmod(base, base, f, q)
-    return acc
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _gf2_gcd(a, b):
+    """gcd of two bit-packed GF(2) polynomials, by XOR Euclid."""
+    while b:
+        db = b.bit_length()
+        while a.bit_length() >= db:
+            a ^= b << (a.bit_length() - db)
+        a, b = b, a
+    return a
 
 
 def poly_list_is_irreducible(coeffs, q):
     """Exact irreducibility test for a monic polynomial over GF(q).
 
-    Rabin's criterion using only naive polynomial products: f of degree d is
-    irreducible iff x^(q^d) = x (mod f) and gcd(x^(q^(d/p)) - x, f) = 1 for
-    every prime p dividing d.
+    Ben-Or's test: f of degree d is irreducible iff gcd(x^(q^i) - x, f) = 1
+    for every i <= d/2, since a reducible f has an irreducible factor of
+    degree i <= d/2, which divides x^(q^i) - x.  The powers x^(q^i) come by
+    successive q-th powers in ExtField(GF(q), f), so most reducible f stop
+    at a small i.  Over GF(2) the products and the gcd run on packed ints.
     """
     f = [c % q for c in coeffs]
     d = len(f) - 1
     if d < 1 or f[-1] != 1:
         raise ValueError("need a monic polynomial of degree >= 1")
-    if d == 1:
-        return True
-    for p in _prime_divisors(d):
-        h = _list_powmod_x(q ** (d // p), f, q)
-        g = _list_gcd(_list_sub(h, [0, 1], q), f, q)
-        if len(g) - 1 > 0:
+    ring = ExtField(PrimeField(q), f)
+    h = ring.x
+    for _ in range(d // 2):
+        h = ring.pow(h, q)
+        diff = ring.sub(h, ring.x)
+        if q == 2:
+            if _gf2_gcd(ring._m2, diff).bit_length() > 1:
+                return False
+        elif len(_list_gcd(list(diff), f, q)) > 1:
             return False
-    h = _list_powmod_x(q**d, f, q)
-    return _list_trim(_list_sub(h, [0, 1], q)) == []
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +706,8 @@ def random_irreducible(field, d, epsilon, rng):
     probability >= 1 - epsilon.
 
     Monte Carlo: samples up to ceil(2*d*ln(1/epsilon)) monic candidates and
-    returns the first one passing an exact naive-arithmetic irreducibility
-    test; if none passes, the last candidate is returned (this happens with
+    returns the first one passing poly_list_is_irreducible (Ben-Or's exact
+    test); if none passes, the last candidate is returned (this happens with
     probability at most epsilon).  The result is uniform over the monic
     irreducibles of degree d whenever it is irreducible.
     """

@@ -237,6 +237,26 @@ class TestVerifyModCompanion:
 
 
 class TestVerifyModCompanionSparse:
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("eps", [QUARTER, Fraction(1, 2**20)])
+    def test_draws_reach_epsilon(self, q, eps):
+        # the least m with (1 - 7(1 - 2q^(-d/2))/(8d))^m <= eps; the draws
+        # follow d alone, and these n reach every d of n = 2 .. 2^30
+        ns = sorted({2, 2**30} | {-(-q**d // 16) for d in range(1, 40)} - {0, 1})
+        seen = set()
+        for n in (n for n in ns if 2 <= n <= 2**30):
+            d = modverify._companion_degree(q, n)
+            seen.add(d)
+            draws = modverify._companion_sparse_draws(q, d, eps)
+            bound = 1 - 7 * (1 - 2 * q ** (-d / 2)) / (8 * d)
+            assert bound**draws <= eps
+            assert bound ** (draws - 1) > eps
+            if n <= 64:
+                P = pc.SparsePoly(pc.GF(q), [(n, 1)])
+                Zp = pc.SparsePoly.zero(pc.GF(q))
+                assert verify_mod_companion_sparse(Zp, Zp, Zp, P, cfg(0, eps)).rounds == draws
+        assert seen == set(range(min(seen), modverify._companion_degree(q, 2**30) + 1))
+
     def test_one_sided(self, rng):
         for seed in range(6):
             P, F, G, H = make_instance(F2, 1024, 4, rng)

@@ -158,6 +158,26 @@ class TestEvaluate:
             a = rng.below(q)
             assert pc.evaluate(F, a) == pc.evaluate(F.to_dense(), a)
 
+    @given(st.data())
+    def test_sparse_power_table_matches_dense_horner(self, data):
+        # every alpha^e of a sparse evaluation comes from one squares table
+        base = data.draw(st.sampled_from((2, 3, 65537, 0)))
+        ctx = Z if base == 0 else pc.GF(base)
+        coeff = st.integers(-50, 50) if base == 0 else st.integers(0, base - 1)
+        ring = ctx
+        if base in (2, 3):
+            d = data.draw(st.integers(1, 45 if base == 2 else 12))
+            ring = pc.ExtField(ctx, data.draw(st.lists(coeff, min_size=d, max_size=d)) + [1])
+        if ring is not ctx and data.draw(st.booleans()):
+            alpha = ring.x
+        elif ring is not ctx:
+            alpha = ring.from_coeffs(data.draw(st.lists(coeff, min_size=ring.d, max_size=ring.d)))
+        else:
+            alpha = data.draw(coeff)
+        exps = data.draw(st.lists(st.integers(0, 400), max_size=8, unique=True))
+        F = pc.SparsePoly(ctx, [(e, data.draw(coeff)) for e in sorted(exps)])
+        assert pc.evaluate(F, alpha, ring) == pc.evaluate(F.to_dense(), alpha, ring)
+
     def test_extension_point(self):
         K = pc.GF(2)
         ext = pc.ExtField(K, (1, 1, 1))

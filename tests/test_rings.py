@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 import polycheck as pc
 from polycheck.rings import (
+    POLY_MUL_OPS,
     ExtField,
     PrimeGenerationError,
     RngStream,
@@ -137,6 +138,55 @@ class TestRandomIrreducible:
                     cand
                 )
 
+    # Outputs of the earlier Rabin-test implementation for these seeds, with
+    # the draw that follows: the exact test must keep the candidates and the
+    # RNG consumption, and with them the default CLI output.
+    @pytest.mark.parametrize(
+        "q, d, seed, coeffs, next_bits",
+        [
+            (2, 24, 1, "1110001110111011000110011", 743061144),
+            (2, 41, 2, "111011001001010000000000101100100000001011", 3127871447),
+            (2, 60, 3, "1001010110011100011011000100110011110100111011010001110001001",
+             1802903493),
+            (65537, 3, 4, [11809, 8718, 2597, 1], 1724820278),
+        ],
+    )
+    def test_pinned_outputs(self, q, d, seed, coeffs, next_bits):
+        rng = RngStream(seed)
+        R = random_irreducible(pc.GF(q), d, Fraction(1, 2**21), rng)
+        assert list(R.coeffs) == [int(c) for c in coeffs]
+        assert rng.bits(32) == next_bits
+
+
+def _irreducible_by_trial_division(f, q):
+    """No monic of degree 1..d/2 over GF(q) divides f."""
+    d = len(f) - 1
+    for deg in range(1, d // 2 + 1):
+        for k in range(q**deg):
+            g = [(k // q**i) % q for i in range(deg)] + [1]
+            r = list(f)
+            for i in range(d, deg - 1, -1):
+                c = r[i]
+                for j in range(deg + 1):
+                    r[i - deg + j] = (r[i - deg + j] - c * g[j]) % q
+            if not any(r[:deg]):
+                return False
+    return True
+
+
+@st.composite
+def small_monics(draw):
+    q = draw(st.sampled_from((2, 3)))
+    d = draw(st.integers(1, 10 if q == 2 else 5))
+    return q, draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d)) + [1]
+
+
+class TestIrreducibilityTest:
+    @given(small_monics())
+    def test_matches_trial_division(self, case):
+        q, f = case
+        assert poly_list_is_irreducible(f, q) == _irreducible_by_trial_division(f, q)
+
 
 @st.composite
 def fq_pair(draw):
@@ -229,6 +279,40 @@ class TestExtField:
         K = ExtField(pc.GF(2), (1, 0, 1))
         with pytest.raises(ZeroDivisionError):
             K.inv(K.from_coeffs([1, 1]))
+
+    @given(st.data())
+    def test_gf2_product_matches_shift_and_xor(self, data):
+        d = data.draw(st.sampled_from((1, 8, 9, 64)) | st.integers(1, 70))
+        low = data.draw(st.integers(0, 2**d - 1))
+        K = ExtField(pc.GF(2), [(low >> i) & 1 for i in range(d)] + [1])
+        a, b = (data.draw(st.integers(0, 2**d - 1)) for _ in "ab")
+        m = low | 1 << d
+        want = 0
+        for i in range(d):
+            if b >> i & 1:
+                want ^= a << i
+        for i in range(2 * d - 2, d - 1, -1):
+            if want >> i & 1:
+                want ^= m << (i - d)
+        assert K.mul(a, b) == want
+
+    @pytest.mark.parametrize("q, d", [(2, 41), (3, 6), (65537, 3)])
+    def test_pow_counts_squarings_and_products(self, q, d, rng):
+        K = ExtField(pc.GF(q), [rng.below(q) for _ in range(d)] + [1])
+        for e in (1, 2, 3, 7, 8, 1000, 2**40 + 5, 3**30):
+            a = K.sample(rng)
+            assert a != K.x
+            before = POLY_MUL_OPS.count
+            got = K.pow(a, e)
+            assert POLY_MUL_OPS.count - before == (e.bit_length() - 1) + (bin(e).count("1") - 1)
+            want, base, k = K.one(), a, e  # right to left, as a reference
+            while k:
+                if k & 1:
+                    want = K.mul(want, base)
+                base = K.mul(base, base)
+                k >>= 1
+            assert got == want
+        assert K.pow(K.sample(rng), 0) == K.one()
 
     def test_size(self):
         assert ExtField(pc.GF(2), (1, 1, 1)).size() == 4
