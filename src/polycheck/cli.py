@@ -44,7 +44,7 @@ def _parse_epsilon(text):
             eps = Fraction(text)
         else:
             eps = Fraction(float(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise CliError(f"bad epsilon {text!r}: {exc}") from None
     if not 0 < eps < 1:
         raise CliError("epsilon must be in (0, 1)")
@@ -237,6 +237,10 @@ def _cmd_gen(args):
         raise CliError("--q is required with --ring GF")
     if args.ring == "GF" and not is_prime(args.q):
         raise CliError(f"--q {args.q} is not prime")
+    if args.n < 0:
+        raise CliError("--n must be >= 0")
+    if args.coeff_bits < 1:
+        raise CliError("--coeff-bits must be >= 1")
     ctx = ZZ if args.ring == "Z" else GF(args.q)
     rng = RngStream(_seed_from(args))
     kind = args.adversarial or "none"

@@ -3,12 +3,15 @@ forming F*G.
 
 The dense routines run a linear scan driven by the leading coefficients of
 the shifted residues (X^i * F) mod P; the sparse routines only visit indices
-where something happens, tracked in an ordered index map.  The companion
-matrix C_R of a monic R needs no scan of its own: column 0 of H(C_R) is the
-coefficient vector of H mod R, which is H evaluated at the class of X in
-the quotient ring B[X]/(R), and column j is X^j * (H mod R).  So the
-companion routines run the same scans at alpha = X in that ring, where
-"times alpha" is ExtField.mul_x, and only read the columns off the result.
+where something happens, tracked in an ordered index map.  P = X^n - 1 is
+one such P, not a scan of its own.
+
+The companion matrix C_R of a monic R needs no scan of its own either:
+column 0 of H(C_R) is the coefficient vector of H mod R, which is H
+evaluated at the class of X in the quotient ring B[X]/(R), and column j is
+X^j * (H mod R).  So the companion routines run the same scans at alpha = X
+in that ring, where "times alpha" is ExtField.mul_x, and only read the
+columns off the result.
 """
 
 import heapq
@@ -131,67 +134,16 @@ def _scan_value(S, alpha, ring):
 
 
 def eval_mod_binomial_dense(F, G, n, alpha, ring=None):
-    """((F*G) mod X^n - 1)(alpha) in O(n) ring operations, by the recurrence
+    """((F*G) mod X^n - 1)(alpha): eval_mod_p_dense at P = X^n - 1, whose
+    leading coefficients need no updates, so the scan is the recurrence
     c_0 = F(alpha), c_{j+1} = alpha*c_j - (alpha^n - 1) f_{n-j-1}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for X in (F, G):
-        if not X.is_zero() and X.degree() >= n:
-            raise ValueError("inputs must have degree < n")
-    if F.ctx != G.ctx:
-        raise ValueError("mixed coefficient contexts")
-    ring = _check_eval_ring(F, ring)
-    c = evaluate(F, alpha, ring)
-    p_alpha = _scan_value(x_pow_minus_one(F.ctx, n), alpha, ring)
-    beta = ring.scalar_mul(G.coeff(0), c)
-    for j in range(1, n):
-        c = ring.sub(ring.mul(alpha, c), ring.scalar_mul(F.coeff(n - j), p_alpha))
-        gj = G.coeff(j)
-        if not G.ctx.is_zero(gj):
-            beta = ring.add(beta, ring.scalar_mul(gj, c))
-    return beta
+    return eval_mod_p_dense(x_pow_minus_one(F.ctx, n), F, G, alpha, ring)
 
 
 def eval_mod_binomial_sparse(F, G, n, alpha, ring=None):
-    """Sparse variant touching only the entries c_j with j in supp(G), in
+    """Sparse variant: eval_mod_p_sparse at P = X^n - 1, in
     O((#F + #G) log n) ring operations."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for X in (F, G):
-        if not X.is_zero() and X.degree() >= n:
-            raise ValueError("inputs must have degree < n")
-    if F.ctx != G.ctx:
-        raise ValueError("mixed coefficient contexts")
-    ring = _check_eval_ring(F, ring)
-    if G.is_zero():
-        return ring.zero()
-    pw = power_table(ring, alpha)
-    p_alpha = ring.sub(pw(n), ring.one())
-    # F terms keyed by ell = n - t: the coefficient f_{n-ell} feeds the
-    # transition whose target j satisfies ell in (j_prev, j].
-    by_ell = sorted((n - t, c) for t, c in F.terms)
-    supp_g = G.terms
-    j0 = supp_g[0][0]
-    c = ring.zero()
-    for t, coef in F.terms:
-        c = ring.add(c, ring.scalar_mul(coef, pw((t + j0) % n)))
-    beta = ring.scalar_mul(supp_g[0][1], c)
-    idx = 0
-    prev = j0
-    for j, gj in supp_g[1:]:
-        # skip F entries with ell <= prev (already consumed)
-        while idx < len(by_ell) and by_ell[idx][0] <= prev:
-            idx += 1
-        s = ring.zero()
-        probe = idx
-        while probe < len(by_ell) and by_ell[probe][0] <= j:
-            ell, coef = by_ell[probe]
-            s = ring.add(s, ring.scalar_mul(coef, pw(j - ell)))
-            probe += 1
-        c = ring.sub(ring.mul(pw(j - prev), c), ring.mul(p_alpha, s))
-        beta = ring.add(beta, ring.scalar_mul(gj, c))
-        prev = j
-    return beta
+    return eval_mod_p_sparse(x_pow_minus_one(F.ctx, n), F, G, alpha, ring)
 
 
 # ---------------------------------------------------------------------------

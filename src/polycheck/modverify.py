@@ -7,7 +7,7 @@ list so a failing run can be replayed from its seed.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import modeval
@@ -40,8 +40,8 @@ METHODS = (
     "companion-no-polymul",
 )
 
-# bound on each of the two ways a companion round can fail (R divides the
-# difference; R is not irreducible), so a round fails with probability <= 1/4
+# bound on each of the two ways a screened companion draw can fail (R divides
+# the difference; R is not irreducible), so it fails with probability <= 1/4
 COMPANION_EPS1 = Fraction(1, 8)
 
 
@@ -237,16 +237,14 @@ def minimal_extension_degree(q, bound):
 def verify_mod_ff(F, G, H, P, cfg=None):
     """Finite-field front end: evaluate directly when GF(q) is large enough
     for the target epsilon, otherwise verify over a random degree-d extension
-    GF(q^d) with q^d >= (2/epsilon)(n-1), or dispatch to a companion method
-    when the config requests one."""
+    GF(q^d) with q^d >= (2/epsilon)(n-1), or run verify_mod_companion when
+    the config requests a companion method."""
     cfg = cfg or VerifyConfig()
     n = _check_shapes(F, G, H, P)
     ctx = P.ctx
     if not isinstance(ctx, PrimeField):
         raise TypeError("verify_mod_ff needs GF(q) polynomials")
     if cfg.method in ("companion-freivalds", "companion-no-polymul"):
-        if _all_sparse(F, G, H):
-            return verify_mod_companion_sparse(F, G, H, P, cfg)
         return verify_mod_companion(F, G, H, P, cfg)
     eps = cfg.epsilon
     q = ctx.q
@@ -281,69 +279,7 @@ def _companion_degree(q, n):
     return minimal_extension_degree(q, Fraction(2 * n, 1) / COMPANION_EPS1)
 
 
-def verify_mod_companion(F, G, H, P, cfg=None):
-    """Small-field verification modulo random monic polynomials R.
-
-    A round draws R of degree d, the least d with q^d >= 16n, and compares
-    H mod R with ((F*G) mod P) mod R: both are the evaluation scans run at
-    the class of X in GF(q)[X]/(R), the first column of the companion-matrix
-    values H(C_R) and ((F*G) mod P)(C_R).  The scans use ring operations
-    only, never an inverse, so a true H passes for every R, reducible or not.
-
-    Soundness: let Δ = H - (F*G) mod P be nonzero, of degree < n; a round
-    accepts only if R divides Δ.  Δ has at most (n-1)/d monic irreducible
-    factors of degree d, and there are at least (q^d - 2q^(d/2))/d >=
-    q^d/(2d) monic irreducibles of degree d, so a uniform irreducible R
-    divides Δ with probability at most 2(n-1)/q^d < 1/8.
-      - "companion-freivalds" screens R with random_irreducible, which
-        returns a uniform irreducible except with probability 1/8.
-      - "companion-no-polymul" skips the screening, whose products it must
-        avoid, and draws ceil(2d ln 8) unscreened monic R per round.
-        Each is irreducible with probability >= 1/(2d), so they all miss
-        the irreducibles with probability <= e^(-ln 8) = 1/8, and the first
-        irreducible among them is uniform.  Dense scans at X step by
-        ExtField.mul_x, so no polynomial multiplication runs on this path.
-    Either way a round fails with probability at most 1/8 + 1/8 = 1/4, and
-    the rounds are the least r with (1/4)^r <= epsilon.
-    """
-    cfg = cfg or VerifyConfig()
-    n = _check_shapes(F, G, H, P)
-    ctx = P.ctx
-    if not isinstance(ctx, PrimeField):
-        raise TypeError("companion verification needs GF(q) polynomials")
-    Fd, Gd, Hd = (X if isinstance(X, DensePoly) else X.to_dense() for X in (F, G, H))
-    eps = cfg.epsilon
-    no_polymul = cfg.method == "companion-no-polymul"
-    rng = RngStream(cfg.seed)
-    d = _companion_degree(ctx.q, n)
-    rounds = _companion_rounds(eps)
-    draws_per_round = (
-        max(1, math.ceil(2 * d * math.log(1 / float(COMPANION_EPS1)) + 1e-9))
-        if no_polymul
-        else 1
-    )
-    witnesses = []
-    verdict = True
-    for rnd in range(rounds):
-        if no_polymul:
-            moduli = [random_monic(ctx, d, rng) for _ in range(draws_per_round)]
-        else:
-            moduli = [random_irreducible(ctx, d, COMPANION_EPS1, rng).coeffs]
-        entry = {"round": rnd, "moduli": [list(R) for R in moduli]}
-        witnesses.append(entry)
-        for R in moduli:
-            ring = ExtField(ctx, R)
-            if not _agree_at(Fd, Gd, Hd, P, ring.x, ring):
-                entry["mismatch"] = list(R)
-                verdict = False
-                break
-        if not verdict:
-            break
-    method = "companion-no-polymul" if no_polymul else "companion-freivalds"
-    return VerifyReport(verdict, float(eps), rounds, witnesses, method, cfg.seed)
-
-
-def _companion_sparse_draws(q, d, eps):
+def _companion_draws(q, d, eps):
     """Least m >= 1 with rho^m <= eps, where rho >= 1 - 7(1 - 2q^(-d/2))/(8d)
     bounds the chance that one unscreened monic R of degree d (q^d >= 16n)
     passes a wrong H; q^(d/2) is bounded below by isqrt(q^d 4^64) / 2^64."""
@@ -356,34 +292,66 @@ def _companion_sparse_draws(q, d, eps):
     return m
 
 
-def verify_mod_companion_sparse(F, G, H, P, cfg=None):
-    """Sparse companion verification: m unscreened random monic R of degree
-    d (q^d >= 16n), each comparing H mod R with ((F*G) mod P) mod R through
-    the sparse scans at the class of X in GF(q)[X]/(R); any mismatch
-    rejects.  Powers of X come from squares of X, whose products
-    POLY_MUL_OPS counts.
+def verify_mod_companion(F, G, H, P, cfg=None):
+    """Small-field verification modulo random monic polynomials R.
 
-    With the bounds of verify_mod_companion, a draw is irreducible with
-    probability >= (1 - 2q^(-d/2))/d and then divides Δ with probability
-    < 1/8, so a wrong H passes m draws with probability at most
-    (1 - 7(1 - 2q^(-d/2))/(8d))^m, and m is the least draw count that
-    holds this at or below epsilon.
+    Each draw takes R of degree d, the least d with q^d >= 16n, and compares
+    H mod R with ((F*G) mod P) mod R: both are the evaluation scans run at
+    the class of X in GF(q)[X]/(R), the first column of the companion-matrix
+    values H(C_R) and ((F*G) mod P)(C_R).  The scans use ring operations
+    only, never an inverse, so a true H passes for every R, reducible or
+    not.  All-sparse inputs run the sparse scans, whose powers of X come
+    from squares that POLY_MUL_OPS counts; any other input is made dense
+    and runs the dense scans, which step by ExtField.mul_x and multiply no
+    polynomials.
+
+    Soundness: let Δ = H - (F*G) mod P be nonzero, of degree < n; a draw
+    accepts only if R divides Δ.  Δ has at most (n-1)/d monic irreducible
+    factors of degree d, and there are at least (q^d - 2q^(d/2))/d >=
+    q^d/(2d) monic irreducibles of degree d, so a uniform irreducible R
+    divides Δ with probability at most 2(n-1)/q^d < 1/8.  cfg.method picks
+    where R comes from:
+      - "companion-freivalds" (and any method but the next) screens R with
+        random_irreducible, which returns a uniform irreducible except with
+        probability 1/8.  A draw then fails with probability at most
+        1/8 + 1/8 = 1/4, and the draws are the least r with (1/4)^r <= eps.
+      - "companion-no-polymul" skips the screening, whose products it must
+        avoid.  An unscreened monic R is irreducible with probability at
+        least (1 - 2q^(-d/2))/d and then divides Δ with probability < 1/8,
+        so a wrong H passes m draws with probability at most
+        (1 - 7(1 - 2q^(-d/2))/(8d))^m, and the draws are the least m that
+        holds this at or below eps.
+    The report has one witness {"modulus": R} per draw, with "mismatch":
+    true on the draw that rejects, and rounds = the draw count.  Its method
+    is "companion-freivalds" for screened draws, "companion-no-polymul" for
+    unscreened draws on the dense scans and "companion-sparse" for
+    unscreened draws on the sparse scans.
     """
     cfg = cfg or VerifyConfig()
     n = _check_shapes(F, G, H, P)
     ctx = P.ctx
     if not isinstance(ctx, PrimeField):
         raise TypeError("companion verification needs GF(q) polynomials")
-    if not _all_sparse(F, G, H):
-        raise TypeError("sparse companion verification needs sparse polynomials")
+    sparse = _all_sparse(F, G, H)
+    if not sparse:
+        F, G, H = (X if isinstance(X, DensePoly) else X.to_dense() for X in (F, G, H))
     eps = cfg.epsilon
+    screened = cfg.method != "companion-no-polymul"
     rng = RngStream(cfg.seed)
     d = _companion_degree(ctx.q, n)
-    draws = _companion_sparse_draws(ctx.q, d, eps)
+    if screened:
+        draws = _companion_rounds(eps)
+        method = "companion-freivalds"
+    else:
+        draws = _companion_draws(ctx.q, d, eps)
+        method = "companion-sparse" if sparse else "companion-no-polymul"
     witnesses = []
     verdict = True
     for _ in range(draws):
-        R = random_monic(ctx, d, rng)
+        if screened:
+            R = list(random_irreducible(ctx, d, COMPANION_EPS1, rng).coeffs)
+        else:
+            R = random_monic(ctx, d, rng)
         entry = {"modulus": R}
         witnesses.append(entry)
         ring = ExtField(ctx, R)
@@ -391,6 +359,14 @@ def verify_mod_companion_sparse(F, G, H, P, cfg=None):
             entry["mismatch"] = True
             verdict = False
             break
-    return VerifyReport(
-        verdict, float(eps), draws, witnesses, "companion-sparse", cfg.seed
-    )
+    return VerifyReport(verdict, float(eps), draws, witnesses, method, cfg.seed)
+
+
+def verify_mod_companion_sparse(F, G, H, P, cfg=None):
+    """verify_mod_companion with unscreened draws on sparse inputs, which
+    run the sparse scans at X modulo R; the report's method is
+    "companion-sparse"."""
+    if not _all_sparse(F, G, H):
+        raise TypeError("sparse companion verification needs sparse polynomials")
+    cfg = replace(cfg or VerifyConfig(), method="companion-no-polymul")
+    return verify_mod_companion(F, G, H, P, cfg)

@@ -176,6 +176,8 @@ def _modular_check_no_mul(F, G, H, P, eps, seed):
     if size * eps >= max(n - 1, 0):
         return modverify.verify_mod(F, G, H, P, cfg)
     if isinstance(ctx, PrimeField):
+        # the dense scans at X multiply no polynomials; the sparse ones would
+        F, G, H = (X.to_dense() if isinstance(X, SparsePoly) else X for X in (F, G, H))
         cfg = VerifyConfig(epsilon=eps, method="companion-no-polymul", seed=seed)
         return modverify.verify_mod_companion(F, G, H, P, cfg)
     raise FieldTooSmallError("small extension-field inputs are not supported here")
@@ -386,7 +388,10 @@ def verify_sparse_product(F, G, H, cfg=None):
     """Decide H = F*G for sparse polynomials: screen the trivial shape
     mistakes, fold all exponents modulo a random prime p that almost surely
     keeps a nonzero difference nonzero, and verify the folded identity
-    modulo X^p - 1."""
+    modulo X^p - 1: through verify_mod_ff over GF(q), which picks direct
+    evaluation or an extension field, and through verify_mod otherwise,
+    which reduces integers modulo a random prime and raises
+    FieldTooSmallError on an extension field too small for the bound."""
     cfg = cfg or VerifyConfig()
     if F.ctx != G.ctx or F.ctx != H.ctx:
         raise ValueError("mixed coefficient contexts")
@@ -414,14 +419,8 @@ def verify_sparse_product(F, G, H, cfg=None):
     ctx = F.ctx
     P = x_pow_minus_one(ctx, p)
     inner_cfg = VerifyConfig(epsilon=params.eps2, seed=rng.bits(64))
-    if isinstance(ctx, IntegerRing):
-        inner = modverify.verify_mod_over_Z(Fp, Gp, Hp, P, inner_cfg)
-    elif ctx.size() * params.eps2 >= p - 1:
-        inner = modverify.verify_mod(Fp, Gp, Hp, P, inner_cfg)
-    elif isinstance(ctx, PrimeField):
-        inner = modverify.verify_mod_ff(Fp, Gp, Hp, P, inner_cfg)
-    else:
-        raise FieldTooSmallError("small extension-field inputs are not supported here")
+    verify = modverify.verify_mod_ff if isinstance(ctx, PrimeField) else modverify.verify_mod
+    inner = verify(Fp, Gp, Hp, P, inner_cfg)
     witnesses = [{"p": p, "inner": inner.witnesses}]
     return VerifyReport(inner.verdict, float(eps), 1, witnesses, "sparse", cfg.seed)
 

@@ -238,6 +238,14 @@ class TestGenCommand:
                      "--out-prefix", str(tmp_path / "x")])
         assert code == 2 and "not prime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sizes", [["--n", "-1", "--T", "2"], ["--n", "8", "--coeff-bits", "0"]]
+    )
+    def test_bad_sizes_exit_two(self, tmp_path, capsys, sizes):
+        code = main(["gen", "--ring", "Z", *sizes, "--out-prefix", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
     def test_gf_requires_q(self, tmp_path):
         code, _, _ = run_cli(
             ["gen", "--ring", "GF", "--n", "10", "--T", "2",
@@ -304,7 +312,9 @@ class TestInProcessMain:
         assert json.loads(out)["verdict"] is True
 
     def test_bad_epsilon_exits_two(self, example1_files, capsys):
-        rc = main(["verify-prod", "--F", example1_files["F"],
-                   "--G", example1_files["H"], "--H", example1_files["FH"],
-                   "--epsilon", "2"])
-        assert rc == 2
+        for eps in ("2", "inf", "-inf"):
+            rc = main(["verify-prod", "--F", example1_files["F"],
+                       "--G", example1_files["H"], "--H", example1_files["FH"],
+                       f"--epsilon={eps}"])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("error: ")

@@ -1,0 +1,133 @@
+"""Golden stdout of the default-method verify commands.
+
+For a fixed seed the report a default-method ``verify-mod`` or
+``verify-prod`` prints is a stable output of the package: these cases pin
+the sha256 of its stdout (first 16 hex digits) on instances over Z, GF(2),
+GF(7) and GF(65537), dense and sparse, modulo X^n - 1 and a trinomial, true
+and wrong H, seeds 0-2, epsilon 2^-20 and 1/4.  A change that alters any of
+them changes what a user replaying a seed sees.
+"""
+
+import hashlib
+import itertools
+
+import pytest
+
+import polycheck as pc
+from polycheck.cli import main
+from polycheck.oracle import oracle_mod_product
+from polycheck.poly import write_poly_file
+from polycheck.rings import RngStream
+from conftest import perturb_poly, rand_dense, rand_sparse
+
+RINGS = {"Z": pc.ZZ, "GF2": pc.GF(2), "GF7": pc.GF(7), "GF65537": pc.GF(65537)}
+REPS = ("dense", "sparse")
+TRUTHS = ("true", "wrong")
+GROUPS = (
+    itertools.product(("mod",), RINGS, REPS, ("binomial", "trinomial"), TRUTHS),
+    itertools.product(("prod",), RINGS, REPS, TRUTHS),
+)
+# case name -> (key, seed); the seed cycles through 0-2 within each command,
+# and seed 2 runs at epsilon 1/4
+CASES = {"-".join(key): (key, i % 3) for group in GROUPS for i, key in enumerate(group)}
+
+GOLDEN = {
+    "mod-GF2-dense-binomial-true": "ccd0f582952b9784",
+    "mod-GF2-dense-binomial-wrong": "13e2564079429dd9",
+    "mod-GF2-dense-trinomial-true": "baacd85bb07a7f53",
+    "mod-GF2-dense-trinomial-wrong": "724bc9e01543f1b5",
+    "mod-GF2-sparse-binomial-true": "bff5d88d0fb25b8a",
+    "mod-GF2-sparse-binomial-wrong": "58c2c6a73b87d8be",
+    "mod-GF2-sparse-trinomial-true": "b9cb2b6c884dd410",
+    "mod-GF2-sparse-trinomial-wrong": "0ef5a621363980ed",
+    "mod-GF65537-dense-binomial-true": "ec99cb5378565bbe",
+    "mod-GF65537-dense-binomial-wrong": "8da036cab5d32ddd",
+    "mod-GF65537-dense-trinomial-true": "d29bf9d4ffae989c",
+    "mod-GF65537-dense-trinomial-wrong": "ddc474151a9bac99",
+    "mod-GF65537-sparse-binomial-true": "fded4ce27ae6fe5e",
+    "mod-GF65537-sparse-binomial-wrong": "0cf75015d7f9697e",
+    "mod-GF65537-sparse-trinomial-true": "4bedcbd3f5a2f138",
+    "mod-GF65537-sparse-trinomial-wrong": "904c2f1fb1dc58b7",
+    "mod-GF7-dense-binomial-true": "037edf5e87a4f730",
+    "mod-GF7-dense-binomial-wrong": "e4deaea24c514251",
+    "mod-GF7-dense-trinomial-true": "6bd9633742fc30bd",
+    "mod-GF7-dense-trinomial-wrong": "85e2125edda34bc5",
+    "mod-GF7-sparse-binomial-true": "ce5b0d94e5d8d83d",
+    "mod-GF7-sparse-binomial-wrong": "ffc6a5b6a99bae8d",
+    "mod-GF7-sparse-trinomial-true": "bd465d12e1e87ab5",
+    "mod-GF7-sparse-trinomial-wrong": "2555dc1e32d52c5a",
+    "mod-Z-dense-binomial-true": "b066968ff34b054c",
+    "mod-Z-dense-binomial-wrong": "d5f495b7d1ff54dc",
+    "mod-Z-dense-trinomial-true": "beff8c1a41117daa",
+    "mod-Z-dense-trinomial-wrong": "8fb6e150be8a6ddd",
+    "mod-Z-sparse-binomial-true": "2245ec789d1a555a",
+    "mod-Z-sparse-binomial-wrong": "0cf75015d7f9697e",
+    "mod-Z-sparse-trinomial-true": "e0b0628a2beb5d45",
+    "mod-Z-sparse-trinomial-wrong": "2d8608a829ede3f5",
+    "prod-GF2-dense-true": "14abe3cb840660d7",
+    "prod-GF2-dense-wrong": "8c1e547fd4d99aa7",
+    "prod-GF2-sparse-true": "2dd4e8f7846cbaab",
+    "prod-GF2-sparse-wrong": "1d2bf2f73f5ac582",
+    "prod-GF65537-dense-true": "1f38c63f7704fa3f",
+    "prod-GF65537-dense-wrong": "871c1c0c1f69f973",
+    "prod-GF65537-sparse-true": "bd028856047c8aaa",
+    "prod-GF65537-sparse-wrong": "c0b8c3dd2d1ce6cb",
+    "prod-GF7-dense-true": "6f21f15af3f18ca1",
+    "prod-GF7-dense-wrong": "7fb0732ef719632e",
+    "prod-GF7-sparse-true": "6b282e0caa21c144",
+    "prod-GF7-sparse-wrong": "7584930b32967805",
+    "prod-Z-dense-true": "32d67b175e65b7d4",
+    "prod-Z-dense-wrong": "5a653c2cd35dff91",
+    "prod-Z-sparse-true": "fb4ec538fd1e481f",
+    "prod-Z-sparse-wrong": "27c1f002a3f1ae14",
+}
+
+
+def _instance(key):
+    """The files' polynomials, drawn from a stream fixed by the case name."""
+    digest = hashlib.sha256("-".join(key).encode()).digest()
+    rng = RngStream(int.from_bytes(digest[:8], "big"))
+    if key[0] == "mod":
+        _, ring, rep, pkind, truth = key
+        ctx = RINGS[ring]
+        n = 48 if rep == "dense" else 4096
+        if pkind == "binomial":
+            P = pc.x_pow_minus_one(ctx, n)
+        else:
+            k = 1 + rng.below(n - 1)
+            P = pc.SparsePoly(ctx, [(0, ctx.one()), (k, ctx.one()), (n, ctx.one())])
+        if rep == "dense":
+            F, G = (rand_dense(ctx, n - 1 - rng.below(4), rng) for _ in "FG")
+        else:
+            F, G = (rand_sparse(ctx, n, 5, rng) for _ in "FG")
+        H = oracle_mod_product(F, G, P)
+        if rep == "dense" and not isinstance(H, pc.DensePoly):
+            H = H.to_dense()
+        polys = {"F": F, "G": G, "H": H, "P": P}
+    else:
+        _, ring, rep, truth = key
+        ctx = RINGS[ring]
+        if rep == "dense":
+            F, G = (rand_dense(ctx, 40 + rng.below(8), rng) for _ in "FG")
+        else:
+            F, G = (rand_sparse(ctx, 2**14, 6, rng) for _ in "FG")
+        polys = {"F": F, "G": G, "H": pc.mul_oracle(F, G)}
+    if truth == "wrong":
+        polys["H"] = perturb_poly(polys["H"], rng)
+    return polys
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_default_output_is_pinned(case, tmp_path, capsys):
+    key, seed = CASES[case]
+    args = ["verify-mod" if key[0] == "mod" else "verify-prod", "--seed", str(seed)]
+    if seed == 2:
+        args += ["--epsilon", "1/4"]
+    for name, X in _instance(key).items():
+        path = tmp_path / f"{name}.poly"
+        write_poly_file(path, X)
+        args += [f"--{name}", str(path)]
+    code = main(args)
+    out = capsys.readouterr().out
+    assert code == (0 if key[-1] == "true" else 1)
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN[case]

@@ -176,6 +176,12 @@ class TestVerifyModFF:
         Ps, Fs, Gs, Hs = (X.to_sparse() if isinstance(X, pc.DensePoly) else X for X in (P, F, G, H))
         r2 = verify_mod_ff(Fs, Gs, Hs, Ps, cfg(1, method="companion-no-polymul"))
         assert r2.method == "companion-sparse"
+        # screened draws keep their method and count on the sparse scans
+        for seed in range(3):
+            for eps in (QUARTER, Fraction(1, 2**20)):
+                r3 = verify_mod_ff(Fs, Gs, Hs, Ps, cfg(seed, eps, "companion-freivalds"))
+                assert r3.method == "companion-freivalds" and r3.verdict is True
+                assert r3.rounds == modverify._companion_rounds(eps)
 
 
 class TestVerifyModCompanion:
@@ -196,11 +202,11 @@ class TestVerifyModCompanion:
                 r = verify_mod_companion(F, G, Hx, P, cfg(5, method=method))
                 agree = []
                 for entry in r.witnesses:
-                    for coeffs in entry["moduli"]:
-                        R = pc.DensePoly(F2, coeffs)
-                        assert R.degree() == d and R.coeffs[-1] == 1
-                        agree.append(poly_divmod(Hx, R)[1] == poly_divmod(H, R)[1])
+                    R = pc.DensePoly(F2, entry["modulus"])
+                    assert R.degree() == d and R.coeffs[-1] == 1
+                    agree.append(poly_divmod(Hx, R)[1] == poly_divmod(H, R)[1])
                 assert r.verdict == all(agree)
+                assert r.witnesses[-1].get("mismatch", False) is not r.verdict
 
     def test_no_polymul_structural(self, rng):
         P, F, G, H = make_instance(F2, 48, 5, rng, sparse=False)
@@ -208,6 +214,8 @@ class TestVerifyModCompanion:
         before = POLY_MUL_OPS.count
         verify_mod_companion(F, G, H, P, cfg(0, method="companion-no-polymul"))
         verify_mod_companion(F, G, Hbad, P, cfg(0, method="companion-no-polymul"))
+        # a sparse-encoded H alone does not switch to the counted sparse scans
+        verify_mod_companion(F, G, Hbad.to_sparse(), P, cfg(0, method="companion-no-polymul"))
         assert POLY_MUL_OPS.count == before
 
     def test_freivalds_mode_may_multiply(self, rng):
@@ -247,7 +255,7 @@ class TestVerifyModCompanionSparse:
         for n in (n for n in ns if 2 <= n <= 2**30):
             d = modverify._companion_degree(q, n)
             seen.add(d)
-            draws = modverify._companion_sparse_draws(q, d, eps)
+            draws = modverify._companion_draws(q, d, eps)
             bound = 1 - 7 * (1 - 2 * q ** (-d / 2)) / (8 * d)
             assert bound**draws <= eps
             assert bound ** (draws - 1) > eps
@@ -255,6 +263,9 @@ class TestVerifyModCompanionSparse:
                 P = pc.SparsePoly(pc.GF(q), [(n, 1)])
                 Zp = pc.SparsePoly.zero(pc.GF(q))
                 assert verify_mod_companion_sparse(Zp, Zp, Zp, P, cfg(0, eps)).rounds == draws
+                Zd = pc.DensePoly.zero(pc.GF(q))
+                r = verify_mod_companion(Zd, Zd, Zd, P, cfg(0, eps, "companion-no-polymul"))
+                assert r.method == "companion-no-polymul" and r.rounds == draws
         assert seen == set(range(min(seen), modverify._companion_degree(q, 2**30) + 1))
 
     def test_one_sided(self, rng):

@@ -3,7 +3,7 @@ import pytest
 from fractions import Fraction
 
 import polycheck as pc
-from polycheck.modverify import VerifyConfig
+from polycheck.modverify import FieldTooSmallError, VerifyConfig
 from polycheck.prodverify import (
     KaminskiParams,
     SparseVerifyParams,
@@ -390,6 +390,14 @@ class TestSparseProduct:
         H = pc.mul_oracle(F, G)
         r = verify_sparse_product(F, G, H, cfg(4))
         assert r.verdict is True
+
+    def test_small_extension_field_raises(self, rng):
+        # only GF(q) has an extension path; GF(4) cannot reach the bound
+        ext = pc.ExtField(F2, (1, 1, 1))
+        F = rand_sparse(ext, 100, 6, rng)
+        G = rand_sparse(ext, 100, 6, rng)
+        with pytest.raises(FieldTooSmallError):
+            verify_sparse_product(F, G, pc.mul_oracle(F, G), cfg(4))
 
     def test_adversarial_extra_monomial_quarter(self, rng):
         n = 2**30
