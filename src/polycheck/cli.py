@@ -392,6 +392,13 @@ BENCH_COLUMNS = [
 
 
 def run_bench(suite, sizes, trials, seed):
+    # the modverify suite's P = X^n + aX + 1 needs n >= 2, and both suites
+    # take the same sizes; zero trials gives a header-only table
+    if trials < 0:
+        raise CliError(f"trials must be >= 0, got {trials}")
+    for n in sizes:
+        if n < 2:
+            raise CliError(f"sizes must be >= 2, got {n}")
     rng = RngStream(seed)
     rows = []
     for n in sizes:

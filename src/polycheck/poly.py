@@ -1,10 +1,12 @@
 """Dense and sparse polynomial values.
 
-Reference-grade arithmetic (schoolbook/Karatsuba products, iterated modular
-reduction), evaluation, the gap parameter of a monic sparse modulus, growth
-bounds for products and reductions, and the on-disk text format shared with
-the CLI.  Polynomials are immutable; the zero polynomial is the empty
-coefficient vector / empty term list and has no degree.
+Reference-grade arithmetic (dense products over Z and GF(q) by Kronecker
+substitution, one big-integer multiply; schoolbook/Karatsuba over quotient
+rings; iterated modular reduction), evaluation, the gap parameter of a monic
+sparse modulus, growth bounds for products and reductions, and the on-disk
+text format shared with the CLI.  Polynomials are immutable; the zero
+polynomial is the empty coefficient vector / empty term list and has no
+degree.
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from .rings import ExtField, IntegerRing, PrimeField, POLY_MUL_OPS, ZZ, GF, is_p
 
 EXPONENT_CAP = 2**63 - 1
 KARATSUBA_THRESHOLD = 32
+KRONECKER_LEAF = 32
 DENSIFY_CAP = 2**26
 
 
@@ -182,49 +185,45 @@ def x_pow_minus_one(ctx, n):
 # reference multiplication
 
 
-def _school_ints(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+def kronecker_pack(cs, w):
+    """sum cs[i] * 2^(i*w) for any integers cs[i], signed or not.
+
+    Kronecker substitution: the coefficient vector read as base-2^w digits.
+    The vector is split in halves and the high half's value shifted past
+    the low one, with a short Horner loop at the leaves, so the cost is
+    O(n w log n) bit operations instead of the quadratic n shifts of one
+    growing accumulator."""
+    n = len(cs)
+    if n <= KRONECKER_LEAF:
+        acc = 0
+        for c in reversed(cs):
+            acc = (acc << w) + c
+        return acc
+    m = n // 2
+    return kronecker_pack(cs[:m], w) + (kronecker_pack(cs[m:], w) << (m * w))
 
 
-def _add_ints(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] += v
-    return out
+def _kronecker_ints(a, b):
+    """The integer convolution of a and b as one big-integer product.
 
-
-def _kara_ints(a, b):
-    if not a or not b:
-        return []
-    if min(len(a), len(b)) <= KARATSUBA_THRESHOLD:
-        return _school_ints(a, b)
-    m = max(len(a), len(b)) // 2
-    a0, a1 = a[:m], a[m:]
-    b0, b1 = b[:m], b[m:]
-    z0 = _kara_ints(a0, b0)
-    z2 = _kara_ints(a1, b1)
-    z1 = _kara_ints(_add_ints(a0, a1), _add_ints(b0, b1))
-    for i, v in enumerate(z0):
-        z1[i] -= v
-    for i, v in enumerate(z2):
-        z1[i] -= v
-    out = [0] * (len(a) + len(b) - 1)
-    for i, v in enumerate(z0):
-        out[i] += v
-    for i, v in enumerate(z1):
-        if v:
-            out[i + m] += v
-    for i, v in enumerate(z2):
-        if v:
-            out[i + 2 * m] += v
-    return out
+    Every product coefficient is below min(len) max|a| max|b| < 2^(w-1) in
+    absolute value, with w a multiple of 8.  Adding 2^(w-1) to every digit
+    of the packed product (the offset 2^(w-1) (2^(size w) - 1)/(2^w - 1),
+    built as repeated bytes) makes all digits nonnegative and below 2^w, so
+    they are read back whole, w/8 bytes each, and shifted down again."""
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    nb = bound.bit_length() // 8 + 1
+    w = 8 * nb
+    half = 1 << (w - 1)
+    size = len(a) + len(b) - 1
+    offset = int.from_bytes(half.to_bytes(nb, "little") * size, "little")
+    buf = (kronecker_pack(a, w) * kronecker_pack(b, w) + offset).to_bytes(
+        size * nb, "little"
+    )
+    return [
+        int.from_bytes(buf[i : i + nb], "little") - half
+        for i in range(0, size * nb, nb)
+    ]
 
 
 def _school_ctx(ctx, a, b):
@@ -274,8 +273,11 @@ def _kara_ctx(ctx, a, b):
 def mul_oracle(F, G):
     """Reference product.
 
-    Dense: schoolbook below the Karatsuba threshold, Karatsuba above.
-    Sparse: generate all #F*#G monomials, merge equal exponents, drop zeros.
+    Dense over Z or GF(q): Kronecker substitution, both factors packed at
+    2^w and multiplied once by CPython's big-integer product, the product's
+    digits read back and reduced mod q.  Dense over a quotient ring:
+    schoolbook below the Karatsuba threshold, Karatsuba above.  Sparse:
+    generate all #F*#G monomials, merge equal exponents, drop zeros.
     """
     if F.ctx != G.ctx:
         raise ValueError("mixed coefficient contexts")
@@ -285,7 +287,7 @@ def mul_oracle(F, G):
         if F.is_zero() or G.is_zero():
             return DensePoly.zero(ctx)
         if _int_ctx(ctx):
-            return DensePoly(ctx, _kara_ints(list(F.coeffs), list(G.coeffs)))
+            return DensePoly(ctx, _kronecker_ints(F.coeffs, G.coeffs))
         return DensePoly(ctx, _kara_ctx(ctx, list(F.coeffs), list(G.coeffs)))
     if isinstance(F, SparsePoly) and isinstance(G, SparsePoly):
         acc = {}

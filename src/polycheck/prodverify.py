@@ -17,6 +17,7 @@ from . import modverify
 from .modverify import VerifyConfig, VerifyReport, FieldTooSmallError
 from .poly import (
     SparsePoly,
+    kronecker_pack,
     mul_oracle,
     reduce_mod_binomial,
     x_pow_minus_one,
@@ -111,7 +112,7 @@ def _rounds_for(eps, per_round):
 
 def kaminski_round(F, G, H, i):
     """One deterministic fold-and-compare at fold degree i: reduce F, G, H
-    modulo X^i - 1, multiply the folded factors (Karatsuba) and compare."""
+    modulo X^i - 1, multiply the folded factors (mul_oracle) and compare."""
     Fi = reduce_mod_binomial(F, i)
     Gi = reduce_mod_binomial(G, i)
     Hi = reduce_mod_binomial(H, i)
@@ -306,16 +307,14 @@ def kronecker_point(F, G, H):
 
 
 def _eval_power_of_two(F, w):
-    """F(2^w) by shift-accumulate."""
+    """F(2^w), the Kronecker substitution of F: poly.kronecker_pack for
+    dense F, a shifted sum of the terms for sparse F."""
     if isinstance(F, SparsePoly):
         acc = 0
         for e, c in F.terms:
             acc += c << (e * w)
         return acc
-    acc = 0
-    for c in reversed(F.coeffs):
-        acc = (acc << w) + c
-    return acc
+    return kronecker_pack(F.coeffs, w)
 
 
 def verify_product_kronecker(F, G, H, cfg=None, e=None):

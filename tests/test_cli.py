@@ -279,6 +279,29 @@ class TestBenchCommand:
             "method,ring,n,T,bits,trials,verify_mean_s,multiply_mean_s,acceptance_rate\n"
         )
 
+    @pytest.mark.parametrize(
+        "suite, sizes, trials",
+        [
+            ("modverify", "0", "1"),
+            ("modverify", "1", "1"),
+            ("prodverify", "0", "1"),
+            ("prodverify", "1", "1"),
+            ("modverify", "64,-3", "1"),
+            ("modverify", "64", "-1"),
+            ("prodverify", "64", "-1"),
+        ],
+    )
+    def test_bad_sizes_or_trials_exit_two(self, suite, sizes, trials):
+        code, out, err = run_cli(["bench", "--suite", suite, f"--sizes={sizes}",
+                                  f"--trials={trials}", "--seed", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_smallest_size_runs(self):
+        for suite in ("modverify", "prodverify"):
+            lines = run_bench(suite, [2], 1, 5).strip().splitlines()
+            assert len(lines) == 2 and lines[1].split(",")[-1] == "1.0000"
+
     def test_acceptance_rate_is_one_on_true_instances(self):
         out = run_bench("modverify", [128], 3, 7)
         lines = out.strip().splitlines()

@@ -7,10 +7,11 @@ from polycheck.oracle import poly_divmod
 from polycheck.poly import (
     PolyFormatError,
     format_poly,
+    kronecker_pack,
     parse_poly,
     reduction_steps,
 )
-from polycheck.rings import RngStream
+from polycheck.rings import POLY_MUL_OPS, RngStream
 from conftest import rand_dense, rand_monic_sparse, rand_sparse
 
 Z = pc.ZZ
@@ -62,6 +63,62 @@ class TestMulOracle:
             F = rand_dense(ctx, 300, rng)
             G = rand_dense(ctx, 271, rng)
             assert pc.mul_oracle(F, G) == _school_product_dense(F, G)
+
+
+KRONECKER_RINGS = (Z, pc.GF(2), pc.GF(65537), pc.GF(2**61 - 1))
+
+
+@st.composite
+def kronecker_factors(draw):
+    """Dense factor pairs for the Kronecker kernel: signed Z coefficients up
+    to 2^200 or reduced GF(q) ones, lengths 1..300, a nonzero leading
+    coefficient (negative ones included over Z)."""
+    ctx = draw(st.sampled_from(KRONECKER_RINGS))
+    lo, hi = (-(2**200), 2**200) if ctx == Z else (0, ctx.q - 1)
+    coeff = st.integers(lo, hi)
+    lead = coeff.filter(lambda c: c != 0)
+
+    def factor():
+        n = draw(st.one_of(st.integers(1, 4), st.integers(1, 300)))
+        body = draw(st.lists(coeff, min_size=n - 1, max_size=n - 1))
+        return pc.DensePoly(ctx, body + [draw(lead)])
+
+    return factor(), factor()
+
+
+class TestKroneckerKernel:
+    @given(kronecker_factors())
+    def test_matches_schoolbook_oracle(self, pair):
+        from polycheck.oracle import _school_product_dense
+
+        F, G = pair
+        assert pc.mul_oracle(F, G) == _school_product_dense(F, G)
+
+    def test_extreme_coefficients(self):
+        # every digit of the packed product at its extreme: all coefficients
+        # +-2^200 or q - 1, negative leading coefficients, unequal lengths
+        from polycheck.oracle import _school_product_dense
+
+        big = 2**200
+        for ctx in KRONECKER_RINGS:
+            top = big if ctx == Z else ctx.q - 1
+            for la, lb in ((1, 1), (1, 300), (300, 1), (17, 300), (300, 300)):
+                for sa, sb in ((1, 1), (-1, 1), (-1, -1)):
+                    F = pc.DensePoly(ctx, [sa * top] * la)
+                    G = pc.DensePoly(ctx, [sb * top] * lb)
+                    assert pc.mul_oracle(F, G) == _school_product_dense(F, G)
+
+    def test_counts_one_product(self):
+        F = pc.DensePoly(pc.GF(65537), range(1, 200))
+        before = POLY_MUL_OPS.count
+        pc.mul_oracle(F, F)
+        assert POLY_MUL_OPS.count == before + 1
+
+    @pytest.mark.parametrize("w", [1, 2, 7, 8, 77])
+    def test_pack_is_the_shifted_sum(self, w, rng):
+        for n in (0, 1, 2, 31, 32, 33, 64, 300, 1000):
+            cs = [rng.below(2**20 + 1) - 2**19 for _ in range(n)]
+            assert kronecker_pack(cs, w) == sum(c << (i * w) for i, c in enumerate(cs))
 
 
 class TestModReduce:

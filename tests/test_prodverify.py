@@ -337,6 +337,16 @@ class TestKronecker:
             ) == _eval_power_of_two(H, w)
             assert same_int == (pc.mul_oracle(F, G) == H)
 
+    @pytest.mark.parametrize("w", [1, 2, 7, 8, 77])
+    def test_eval_power_of_two_is_the_shifted_sum(self, w, rng):
+        from polycheck.prodverify import _eval_power_of_two
+
+        for deg in (0, 1, 31, 32, 33, 200, 700):
+            F = rand_dense(Z, deg, rng, hi=2**40)
+            for X in (F, F.to_sparse()):
+                naive = sum(c << (i * w) for i, c in enumerate(F.coeffs))
+                assert _eval_power_of_two(X, w) == naive
+
     def test_needs_integer_ring(self, rng):
         F = rand_dense(F2, 4, rng)
         with pytest.raises(TypeError):
