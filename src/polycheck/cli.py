@@ -115,11 +115,7 @@ def _pick_prod_method(args, F, G, H, ctx):
     if ctx == ZZ:
         degs = [X.degree() for X in (F, G, H) if not X.is_zero()]
         n = max(degs, default=1)
-        cbits = max(
-            max((abs(c).bit_length() for c in X.coeffs), default=1)
-            for X in (F, G, H)
-            if not X.is_zero()
-        )
+        cbits = max((X.norm().bit_length() for X in (F, G, H) if not X.is_zero()), default=1)
         # Kronecker wants coefficients at least as wide as the degree index
         return "kronecker" if n.bit_length() <= 2 * cbits else "kaminski"
     return "kaminski"

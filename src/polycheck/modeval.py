@@ -17,6 +17,7 @@ columns off the result.
 import heapq
 
 from .poly import (
+    DENSIFY_CAP,
     SparsePoly,
     _check_eval_ring,
     evaluate,
@@ -228,6 +229,8 @@ def eval_mod_p_dense(P, F, G, alpha, ring=None, lc=None):
     ring = _check_eval_ring(F, ring)
     if G.is_zero() or F.is_zero():
         return ring.zero()
+    if n >= DENSIFY_CAP:
+        raise ValueError(f"degree {n} too large to densify")
     V = leading_coefficients(P, F) if lc is None else lc
     p_alpha = _scan_value(P, alpha, ring)
     f_alpha = evaluate(F, alpha, ring)

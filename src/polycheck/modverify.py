@@ -4,6 +4,11 @@ All verdicts are one-sided (True-biased): a correct H is always accepted,
 and a wrong one is accepted with probability at most the configured epsilon.
 Every random choice made along the way is recorded in the report's witness
 list so a failing run can be replayed from its seed.
+
+A field with (n-1)/epsilon elements or more takes one evaluation at a random
+point, integers after a reduction modulo a random prime.  A smaller GF(q)
+takes one draw at X modulo one screened irreducible R of degree D; only
+"companion-no-polymul" makes many unscreened draws instead.
 """
 
 import math
@@ -25,7 +30,6 @@ from .rings import (
     IntegerRing,
     PrimeField,
     RngStream,
-    ceil_log2,
     ln_upper,
     random_irreducible,
     random_monic,
@@ -39,10 +43,6 @@ METHODS = (
     "companion-freivalds",
     "companion-no-polymul",
 )
-
-# bound on each of the two ways a screened companion draw can fail (R divides
-# the difference; R is not irreducible), so it fails with probability <= 1/4
-COMPANION_EPS1 = Fraction(1, 8)
 
 
 class FieldTooSmallError(ValueError):
@@ -92,11 +92,6 @@ def _describe(ctx, a):
     return a
 
 
-def _sample_point(ring, rng):
-    # the whole field, drawn rejection-free
-    return ring.sample(rng)
-
-
 def _all_sparse(*polys):
     return all(isinstance(p, SparsePoly) for p in polys)
 
@@ -111,9 +106,15 @@ def _sparsity_precheck(F, G, H, P):
     return H.sparsity() > bound
 
 
+def _dense(X):
+    return X if isinstance(X, DensePoly) else X.to_dense()
+
+
 def _check_shapes(F, G, H, P):
     if not (F.ctx == G.ctx == H.ctx == P.ctx):
         raise ValueError("mixed coefficient contexts")
+    if P.is_zero() or P.degree() < 1:
+        raise ValueError("modulus must have degree >= 1")
     n = P.degree()
     for X in (F, G, H):
         if not X.is_zero() and X.degree() >= n:
@@ -134,11 +135,10 @@ def _eval_mod_point(P, F, G, alpha, ring):
         if binom:
             return modeval.eval_mod_binomial_sparse(F, G, n, alpha, ring)
         return modeval.eval_mod_p_sparse(P, F, G, alpha, ring)
-    Fd = F if isinstance(F, DensePoly) else F.to_dense()
-    Gd = G if isinstance(G, DensePoly) else G.to_dense()
+    F, G = _dense(F), _dense(G)
     if binom:
-        return modeval.eval_mod_binomial_dense(Fd, Gd, n, alpha, ring)
-    return modeval.eval_mod_p_dense(P, Fd, Gd, alpha, ring)
+        return modeval.eval_mod_binomial_dense(F, G, n, alpha, ring)
+    return modeval.eval_mod_p_dense(P, F, G, alpha, ring)
 
 
 def verify_mod(F, G, H, P, cfg=None):
@@ -175,7 +175,7 @@ def _agree_at(F, G, H, P, alpha, ring):
 
 
 def _verify_mod_once(F, G, H, P, ring, rng):
-    alpha = _sample_point(ring, rng)
+    alpha = ring.sample(rng)
     return _agree_at(F, G, H, P, alpha, ring), [{"alpha": _describe(ring, alpha)}]
 
 
@@ -234,11 +234,42 @@ def minimal_extension_degree(q, bound):
     return d
 
 
+def _verify_at_irreducible(F, G, H, P, cfg, method):
+    """One draw at X modulo one screened irreducible R: compare H mod R with
+    ((F*G) mod P) mod R, both from the evaluation scans at the class of X in
+    GF(q)[X]/(R) (Rabin 1980).  R has degree D, the least D with
+    q^D >= max(36, 2 max(n-1, 1)/eps).  All-sparse input keeps the sparsity
+    precheck and runs the sparse scans; any other input is made dense.
+
+    Soundness: a nonzero Δ = H - (F*G) mod P of degree < n passes only if R
+    divides it.  Δ has at most (n-1)/D monic irreducible factors of degree
+    D, and there are at least (q^D - 2q^(D/2))/D >= (2/3) q^D/D monic
+    irreducibles of degree D, as q^(D/2) >= 6.  So a uniform irreducible R
+    divides Δ with probability at most 3(n-1)/(2q^D) <= 3ε/4, and screening
+    R with random_irreducible at ε/4 adds at most ε/4.  The report has
+    rounds = 1 and one witness {"extension_degree": D, "modulus": R}.
+    """
+    ctx = P.ctx
+    eps = cfg.epsilon
+    if not _all_sparse(F, G, H):
+        F, G, H = _dense(F), _dense(G), _dense(H)
+    elif _sparsity_precheck(F, G, H, P):
+        return VerifyReport(False, float(eps), 0, [], method, cfg.seed)
+    rng = RngStream(cfg.seed)
+    d = minimal_extension_degree(ctx.q, max(36, 2 * max(P.degree() - 1, 1) / eps))
+    R = list(random_irreducible(ctx, d, eps / 4, rng).coeffs)
+    ring = ExtField(ctx, R)
+    verdict = _agree_at(F, G, H, P, ring.x, ring)
+    witnesses = [{"extension_degree": d, "modulus": R}]
+    return VerifyReport(verdict, float(eps), 1, witnesses, method, cfg.seed)
+
+
 def verify_mod_ff(F, G, H, P, cfg=None):
-    """Finite-field front end: evaluate directly when GF(q) is large enough
-    for the target epsilon, otherwise verify over a random degree-d extension
-    GF(q^d) with q^d >= (2/epsilon)(n-1), or run verify_mod_companion when
-    the config requests a companion method."""
+    """Finite-field front end.  "direct-eval", and "auto" when GF(q) has at
+    least (n-1)/epsilon elements, evaluate at a random point (verify_mod).
+    "auto" on a smaller field and "extension" make one draw at X modulo one
+    screened irreducible R of degree D (_verify_at_irreducible), reported
+    as "extension"; the companion methods go to verify_mod_companion."""
     cfg = cfg or VerifyConfig()
     n = _check_shapes(F, G, H, P)
     ctx = P.ctx
@@ -246,37 +277,15 @@ def verify_mod_ff(F, G, H, P, cfg=None):
         raise TypeError("verify_mod_ff needs GF(q) polynomials")
     if cfg.method in ("companion-freivalds", "companion-no-polymul"):
         return verify_mod_companion(F, G, H, P, cfg)
-    eps = cfg.epsilon
-    q = ctx.q
-    if cfg.method == "direct-eval" or (cfg.method == "auto" and q * eps >= n - 1):
+    if cfg.method == "direct-eval" or (cfg.method == "auto" and ctx.q * cfg.epsilon >= n - 1):
         return verify_mod(F, G, H, P, cfg)
-    if _all_sparse(F, G, H) and _sparsity_precheck(F, G, H, P):
-        return VerifyReport(False, float(eps), 0, [], "extension", cfg.seed)
-    rng = RngStream(cfg.seed)
-    d = minimal_extension_degree(q, Fraction(2, 1) / eps * max(n - 1, 1))
-    R = random_irreducible(ctx, d, eps / 2, rng)
-    ext = ExtField(ctx, R.coeffs)
-    alpha = _sample_point(ext, rng)
-    verdict = _agree_at(F, G, H, P, alpha, ext)
-    witnesses = [
-        {
-            "extension_degree": d,
-            "modulus": list(R.coeffs),
-            "alpha": _describe(ext, alpha),
-        }
-    ]
-    return VerifyReport(verdict, float(eps), 1, witnesses, "extension", cfg.seed)
-
-
-def _companion_rounds(eps):
-    """Smallest r >= 1 with (1/4)^r <= eps."""
-    return max(1, (ceil_log2(1 / eps) + 1) // 2)
+    return _verify_at_irreducible(F, G, H, P, cfg, "extension")
 
 
 def _companion_degree(q, n):
     """Smallest d with q^d >= 16n, which holds the chance that a uniform
     irreducible R of degree d divides a nonzero Δ of degree < n below 1/8."""
-    return minimal_extension_degree(q, Fraction(2 * n, 1) / COMPANION_EPS1)
+    return minimal_extension_degree(q, 16 * n)
 
 
 def _companion_draws(q, d, eps):
@@ -295,63 +304,48 @@ def _companion_draws(q, d, eps):
 def verify_mod_companion(F, G, H, P, cfg=None):
     """Small-field verification modulo random monic polynomials R.
 
-    Each draw takes R of degree d, the least d with q^d >= 16n, and compares
-    H mod R with ((F*G) mod P) mod R: both are the evaluation scans run at
-    the class of X in GF(q)[X]/(R), the first column of the companion-matrix
-    values H(C_R) and ((F*G) mod P)(C_R).  The scans use ring operations
+    Every method but "companion-no-polymul" makes the one screened draw of
+    _verify_at_irreducible, reported as "companion-freivalds".
+
+    "companion-no-polymul" skips the irreducibility screening, whose
+    products it must avoid, and makes several unscreened draws instead.
+    Each takes a uniform monic R of degree d, the least d with q^d >= 16n,
+    and compares H mod R with ((F*G) mod P) mod R through the evaluation
+    scans at the class of X in GF(q)[X]/(R).  The scans use ring operations
     only, never an inverse, so a true H passes for every R, reducible or
     not.  All-sparse inputs run the sparse scans, whose powers of X come
     from squares that POLY_MUL_OPS counts; any other input is made dense
-    and runs the dense scans, which step by ExtField.mul_x and multiply no
-    polynomials.
+    and runs the dense scans, which multiply no polynomials.
 
-    Soundness: let Δ = H - (F*G) mod P be nonzero, of degree < n; a draw
-    accepts only if R divides Δ.  Δ has at most (n-1)/d monic irreducible
-    factors of degree d, and there are at least (q^d - 2q^(d/2))/d >=
-    q^d/(2d) monic irreducibles of degree d, so a uniform irreducible R
-    divides Δ with probability at most 2(n-1)/q^d < 1/8.  cfg.method picks
-    where R comes from:
-      - "companion-freivalds" (and any method but the next) screens R with
-        random_irreducible, which returns a uniform irreducible except with
-        probability 1/8.  A draw then fails with probability at most
-        1/8 + 1/8 = 1/4, and the draws are the least r with (1/4)^r <= eps.
-      - "companion-no-polymul" skips the screening, whose products it must
-        avoid.  An unscreened monic R is irreducible with probability at
-        least (1 - 2q^(-d/2))/d and then divides Δ with probability < 1/8,
-        so a wrong H passes m draws with probability at most
-        (1 - 7(1 - 2q^(-d/2))/(8d))^m, and the draws are the least m that
-        holds this at or below eps.
-    The report has one witness {"modulus": R} per draw, with "mismatch":
-    true on the draw that rejects, and rounds = the draw count.  Its method
-    is "companion-freivalds" for screened draws, "companion-no-polymul" for
-    unscreened draws on the dense scans and "companion-sparse" for
-    unscreened draws on the sparse scans.
+    Soundness of the unscreened draws: let Δ = H - (F*G) mod P be nonzero,
+    of degree < n; a draw accepts only if R divides Δ.  R is irreducible
+    with probability at least (1 - 2q^(-d/2))/d, and a uniform irreducible
+    R of degree d divides Δ with probability at most 2(n-1)/q^d < 1/8, so a
+    wrong H passes m draws with probability at most
+    (1 - 7(1 - 2q^(-d/2))/(8d))^m; the draws are the least m that holds
+    this at or below eps.  The report has one witness {"modulus": R} per
+    draw, with "mismatch": true on the draw that rejects, rounds = the draw
+    count, and method "companion-no-polymul" on the dense scans or
+    "companion-sparse" on the sparse scans.
     """
     cfg = cfg or VerifyConfig()
     n = _check_shapes(F, G, H, P)
     ctx = P.ctx
     if not isinstance(ctx, PrimeField):
         raise TypeError("companion verification needs GF(q) polynomials")
+    if cfg.method != "companion-no-polymul":
+        return _verify_at_irreducible(F, G, H, P, cfg, "companion-freivalds")
     sparse = _all_sparse(F, G, H)
     if not sparse:
-        F, G, H = (X if isinstance(X, DensePoly) else X.to_dense() for X in (F, G, H))
+        F, G, H = _dense(F), _dense(G), _dense(H)
     eps = cfg.epsilon
-    screened = cfg.method != "companion-no-polymul"
     rng = RngStream(cfg.seed)
     d = _companion_degree(ctx.q, n)
-    if screened:
-        draws = _companion_rounds(eps)
-        method = "companion-freivalds"
-    else:
-        draws = _companion_draws(ctx.q, d, eps)
-        method = "companion-sparse" if sparse else "companion-no-polymul"
+    draws = _companion_draws(ctx.q, d, eps)
     witnesses = []
     verdict = True
     for _ in range(draws):
-        if screened:
-            R = list(random_irreducible(ctx, d, COMPANION_EPS1, rng).coeffs)
-        else:
-            R = random_monic(ctx, d, rng)
+        R = random_monic(ctx, d, rng)
         entry = {"modulus": R}
         witnesses.append(entry)
         ring = ExtField(ctx, R)
@@ -359,6 +353,7 @@ def verify_mod_companion(F, G, H, P, cfg=None):
             entry["mismatch"] = True
             verdict = False
             break
+    method = "companion-sparse" if sparse else "companion-no-polymul"
     return VerifyReport(verdict, float(eps), draws, witnesses, method, cfg.seed)
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import modverify
 from .modverify import VerifyConfig, VerifyReport, FieldTooSmallError
 from .poly import (
+    DENSIFY_CAP,
     SparsePoly,
     kronecker_pack,
     mul_oracle,
@@ -331,6 +332,8 @@ def verify_product_kronecker(F, G, H, cfg=None, e=None):
         return VerifyReport(
             quick, 0.0, 0, [{"deterministic": "shape"}], "kronecker", cfg.seed
         )
+    if H.degree() >= DENSIFY_CAP:
+        raise ValueError(f"degree {H.degree()} too large to densify")
     beta = kronecker_point(F, G, H)
     w = beta.bit_length() - 1
     fb = _eval_power_of_two(F, w)
@@ -387,10 +390,11 @@ def verify_sparse_product(F, G, H, cfg=None):
     """Decide H = F*G for sparse polynomials: screen the trivial shape
     mistakes, fold all exponents modulo a random prime p that almost surely
     keeps a nonzero difference nonzero, and verify the folded identity
-    modulo X^p - 1: through verify_mod_ff over GF(q), which picks direct
-    evaluation or an extension field, and through verify_mod otherwise,
-    which reduces integers modulo a random prime and raises
-    FieldTooSmallError on an extension field too small for the bound."""
+    modulo X^p - 1: through verify_mod_ff over GF(q), which evaluates at a
+    random point of a large field or, on a small one, at X modulo one
+    screened irreducible R, and through verify_mod otherwise, which reduces
+    integers modulo a random prime and raises FieldTooSmallError on an
+    extension field too small for the bound."""
     cfg = cfg or VerifyConfig()
     if F.ctx != G.ctx or F.ctx != H.ctx:
         raise ValueError("mixed coefficient contexts")

@@ -15,7 +15,7 @@ from conftest import rand_monic_sparse, rand_sparse
 Z = pc.ZZ
 
 
-def run_cli(args, env_seed=None):
+def run_cli(args, env_seed=None, timeout=None):
     env = dict(os.environ)
     env.pop("POLYPROOF_SEED", None)
     if env_seed is not None:
@@ -25,8 +25,19 @@ def run_cli(args, env_seed=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def poly_args(tmp_path, ring, **bodies):
+    """Write one .poly file per keyword and return the --name path flags."""
+    args = []
+    for name, body in bodies.items():
+        path = tmp_path / f"{name}.poly"
+        path.write_text(f"ring {ring}\n{body}\n")
+        args += [f"--{name}", str(path)]
+    return args
 
 
 @pytest.fixture
@@ -108,7 +119,51 @@ class TestVerifyProdCommand:
             assert code == 0, (method, out)
 
 
+class TestVerifyProdInputs:
+    def test_all_zero_integers_auto_accepts(self, tmp_path):
+        # 0 * 0 = 0 is a true identity: auto picks Kronecker and accepts it
+        args = poly_args(tmp_path, "Z", F="dense", G="dense 0", H="dense")
+        code, out, err = run_cli(["verify-prod", *args], timeout=60)
+        assert code == 0 and "Traceback" not in err
+        report = json.loads(out)
+        assert report["verdict"] is True and report["method"] == "kronecker"
+
+    def test_mixed_dense_sparse_integers_auto(self, tmp_path):
+        # (1 + 2X + 3X^2)(1 + X) = 1 + 3X + 5X^2 + 3X^3
+        args = poly_args(tmp_path, "Z", F="dense 1 2 3", G="sparse 0:1 1:1", H="dense 1 3 5 3")
+        code, out, err = run_cli(["verify-prod", *args], timeout=60)
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out)["method"] == "kronecker"
+
+    def test_kronecker_past_the_densify_cap_exits_two(self, tmp_path):
+        # X^(2^61) * X^(2^61) = X^(2^62) is a dense encoding of 2^62 digits
+        args = poly_args(tmp_path, "Z", F=f"sparse {2**61}:1", G=f"sparse {2**61}:1",
+                         H=f"sparse {2**62}:1")
+        code, out, err = run_cli(["verify-prod", "--method", "kronecker", *args], timeout=60)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: degree {2**62} too large to densify")
+
+
 class TestVerifyModCommand:
+    def test_constant_modulus_exits_two(self, tmp_path):
+        args = poly_args(tmp_path, "GF 2", F="dense", G="dense", H="dense", P="dense 1")
+        code, out, err = run_cli(
+            ["verify-mod", "--method", "companion-no-polymul", *args], timeout=60
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: modulus must have degree >= 1")
+
+    @pytest.mark.parametrize(
+        "method", ["auto", "extension", "companion-freivalds", "companion-no-polymul"]
+    )
+    def test_dense_scan_past_the_densify_cap_exits_two(self, tmp_path, method):
+        n = 2**63 - 1
+        args = poly_args(tmp_path, "GF 2", F="dense 1 1", G="dense 1 1", H="dense 1 0 1",
+                         P=f"sparse 0:1 {n}:1")
+        code, out, err = run_cli(["verify-mod", "--method", method, *args], timeout=60)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: degree {n} too large to densify")
+
     def test_true_instance_exits_zero(self, mod_instance_files):
         code, out, _ = run_cli(
             ["verify-mod", "--F", mod_instance_files["F"], "--G", mod_instance_files["G"],

@@ -32,30 +32,30 @@ GROUPS = (
 CASES = {"-".join(key): (key, i % 3) for group in GROUPS for i, key in enumerate(group)}
 
 GOLDEN = {
-    "mod-GF2-dense-binomial-true": "ccd0f582952b9784",
-    "mod-GF2-dense-binomial-wrong": "13e2564079429dd9",
-    "mod-GF2-dense-trinomial-true": "baacd85bb07a7f53",
-    "mod-GF2-dense-trinomial-wrong": "724bc9e01543f1b5",
-    "mod-GF2-sparse-binomial-true": "bff5d88d0fb25b8a",
-    "mod-GF2-sparse-binomial-wrong": "58c2c6a73b87d8be",
-    "mod-GF2-sparse-trinomial-true": "b9cb2b6c884dd410",
-    "mod-GF2-sparse-trinomial-wrong": "0ef5a621363980ed",
-    "mod-GF65537-dense-binomial-true": "ec99cb5378565bbe",
-    "mod-GF65537-dense-binomial-wrong": "8da036cab5d32ddd",
+    "mod-GF2-dense-binomial-true": "0583d0c83a89908d",
+    "mod-GF2-dense-binomial-wrong": "b584ac925c3857bc",
+    "mod-GF2-dense-trinomial-true": "104e718f275c64d4",
+    "mod-GF2-dense-trinomial-wrong": "58e3321e9bc910ad",
+    "mod-GF2-sparse-binomial-true": "686f310498b17320",
+    "mod-GF2-sparse-binomial-wrong": "6f0a1c64f3b6a6e8",
+    "mod-GF2-sparse-trinomial-true": "e6625c9f3e2220c5",
+    "mod-GF2-sparse-trinomial-wrong": "fc4c6db183123033",
+    "mod-GF65537-dense-binomial-true": "faedfbe3181f0720",
+    "mod-GF65537-dense-binomial-wrong": "7506203a9ef51939",
     "mod-GF65537-dense-trinomial-true": "d29bf9d4ffae989c",
-    "mod-GF65537-dense-trinomial-wrong": "ddc474151a9bac99",
-    "mod-GF65537-sparse-binomial-true": "fded4ce27ae6fe5e",
+    "mod-GF65537-dense-trinomial-wrong": "1fd6ddae9864c91e",
+    "mod-GF65537-sparse-binomial-true": "447cae047cf93c3d",
     "mod-GF65537-sparse-binomial-wrong": "0cf75015d7f9697e",
-    "mod-GF65537-sparse-trinomial-true": "4bedcbd3f5a2f138",
-    "mod-GF65537-sparse-trinomial-wrong": "904c2f1fb1dc58b7",
-    "mod-GF7-dense-binomial-true": "037edf5e87a4f730",
-    "mod-GF7-dense-binomial-wrong": "e4deaea24c514251",
-    "mod-GF7-dense-trinomial-true": "6bd9633742fc30bd",
-    "mod-GF7-dense-trinomial-wrong": "85e2125edda34bc5",
-    "mod-GF7-sparse-binomial-true": "ce5b0d94e5d8d83d",
-    "mod-GF7-sparse-binomial-wrong": "ffc6a5b6a99bae8d",
-    "mod-GF7-sparse-trinomial-true": "bd465d12e1e87ab5",
-    "mod-GF7-sparse-trinomial-wrong": "2555dc1e32d52c5a",
+    "mod-GF65537-sparse-trinomial-true": "4c0cadf042d95759",
+    "mod-GF65537-sparse-trinomial-wrong": "5a5c663f10bbd76a",
+    "mod-GF7-dense-binomial-true": "1e8a1ffe2aaea85a",
+    "mod-GF7-dense-binomial-wrong": "9df26c75d24a97ec",
+    "mod-GF7-dense-trinomial-true": "6de08f7f2b154e15",
+    "mod-GF7-dense-trinomial-wrong": "f99d6cca7a76910c",
+    "mod-GF7-sparse-binomial-true": "51bd619413c0a035",
+    "mod-GF7-sparse-binomial-wrong": "aa0baca2102588e7",
+    "mod-GF7-sparse-trinomial-true": "15edff1325193c69",
+    "mod-GF7-sparse-trinomial-wrong": "579d38a6f7b63675",
     "mod-Z-dense-binomial-true": "b066968ff34b054c",
     "mod-Z-dense-binomial-wrong": "d5f495b7d1ff54dc",
     "mod-Z-dense-trinomial-true": "beff8c1a41117daa",
@@ -66,16 +66,16 @@ GOLDEN = {
     "mod-Z-sparse-trinomial-wrong": "2d8608a829ede3f5",
     "prod-GF2-dense-true": "14abe3cb840660d7",
     "prod-GF2-dense-wrong": "8c1e547fd4d99aa7",
-    "prod-GF2-sparse-true": "2dd4e8f7846cbaab",
-    "prod-GF2-sparse-wrong": "1d2bf2f73f5ac582",
+    "prod-GF2-sparse-true": "49fe50fe8e946589",
+    "prod-GF2-sparse-wrong": "d7ca90020d90fd8f",
     "prod-GF65537-dense-true": "1f38c63f7704fa3f",
     "prod-GF65537-dense-wrong": "871c1c0c1f69f973",
-    "prod-GF65537-sparse-true": "bd028856047c8aaa",
+    "prod-GF65537-sparse-true": "8bdcbce22bb197e0",
     "prod-GF65537-sparse-wrong": "c0b8c3dd2d1ce6cb",
     "prod-GF7-dense-true": "6f21f15af3f18ca1",
     "prod-GF7-dense-wrong": "7fb0732ef719632e",
-    "prod-GF7-sparse-true": "6b282e0caa21c144",
-    "prod-GF7-sparse-wrong": "7584930b32967805",
+    "prod-GF7-sparse-true": "e1c31bbb1c9d98f7",
+    "prod-GF7-sparse-wrong": "fda7ed822d6f0cbd",
     "prod-Z-dense-true": "32d67b175e65b7d4",
     "prod-Z-dense-wrong": "5a653c2cd35dff91",
     "prod-Z-sparse-true": "fb4ec538fd1e481f",

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
@@ -17,7 +19,7 @@ from polycheck.modverify import (
     verify_mod_over_Z,
 )
 from polycheck.oracle import oracle_mod_product, poly_divmod
-from polycheck.rings import POLY_MUL_OPS, RngStream
+from polycheck.rings import POLY_MUL_OPS, RngStream, poly_list_is_irreducible
 from conftest import perturb_poly, rand_dense, rand_monic_sparse, rand_sparse
 
 Z = pc.ZZ
@@ -176,12 +178,12 @@ class TestVerifyModFF:
         Ps, Fs, Gs, Hs = (X.to_sparse() if isinstance(X, pc.DensePoly) else X for X in (P, F, G, H))
         r2 = verify_mod_ff(Fs, Gs, Hs, Ps, cfg(1, method="companion-no-polymul"))
         assert r2.method == "companion-sparse"
-        # screened draws keep their method and count on the sparse scans
+        # the screened draw keeps its method and is one draw on the sparse scans
         for seed in range(3):
             for eps in (QUARTER, Fraction(1, 2**20)):
                 r3 = verify_mod_ff(Fs, Gs, Hs, Ps, cfg(seed, eps, "companion-freivalds"))
                 assert r3.method == "companion-freivalds" and r3.verdict is True
-                assert r3.rounds == modverify._companion_rounds(eps)
+                assert r3.rounds == 1
 
 
 class TestVerifyModCompanion:
@@ -193,20 +195,31 @@ class TestVerifyModCompanion:
                 assert r.verdict is True
 
     def test_witnesses_replay_moduli(self, rng):
-        # the recorded moduli are monic of degree d, and comparing H mod R
-        # with the true product mod R on them reproduces the verdict
+        # the recorded moduli are monic of degree D (one screened irreducible
+        # draw) or d (unscreened draws), and comparing H mod R with the true
+        # product mod R on them reproduces the verdict
         P, F, G, H = make_instance(F2, 32, 4, rng, sparse=False)
+        D = minimal_extension_degree(2, 2 * 31 / QUARTER)
         d = minimal_extension_degree(2, 16 * 32)
-        for method in ("companion-freivalds", "companion-no-polymul"):
+        runs = (
+            (verify_mod_companion, "companion-freivalds", D),
+            (verify_mod_ff, "extension", D),
+            (verify_mod_companion, "companion-no-polymul", d),
+        )
+        for verify, method, degree in runs:
             for Hx in (H, perturb_poly(H, rng)):
-                r = verify_mod_companion(F, G, Hx, P, cfg(5, method=method))
+                r = verify(F, G, Hx, P, cfg(5, method=method))
                 agree = []
                 for entry in r.witnesses:
                     R = pc.DensePoly(F2, entry["modulus"])
-                    assert R.degree() == d and R.coeffs[-1] == 1
+                    assert R.degree() == degree and R.coeffs[-1] == 1
                     agree.append(poly_divmod(Hx, R)[1] == poly_divmod(H, R)[1])
                 assert r.verdict == all(agree)
-                assert r.witnesses[-1].get("mismatch", False) is not r.verdict
+                if degree == D:
+                    assert r.rounds == 1 and r.witnesses[0]["extension_degree"] == D
+                    assert poly_list_is_irreducible(r.witnesses[0]["modulus"], 2)
+                else:
+                    assert r.witnesses[-1].get("mismatch", False) is not r.verdict
 
     def test_no_polymul_structural(self, rng):
         P, F, G, H = make_instance(F2, 48, 5, rng, sparse=False)
@@ -237,11 +250,36 @@ class TestVerifyModCompanion:
         assert accepted / trials <= 0.30
 
     def test_rounds_match_epsilon(self, rng):
+        # one screened draw at any epsilon; the degree of R carries epsilon
         P, F, G, H = make_instance(F2, 16, 3, rng, sparse=False)
         r = verify_mod_companion(F, G, H, P, cfg(1, eps=Fraction(1, 4)))
-        assert r.rounds == 1  # smallest r with (1/4)^r <= 1/4
+        assert r.rounds == 1
         r = verify_mod_companion(F, G, H, P, cfg(1, eps=Fraction(1, 2**20)))
-        assert r.rounds == 10
+        assert r.rounds == 1
+
+    @pytest.mark.parametrize("q, n_max", [(2, 8), (3, 5)])
+    @pytest.mark.parametrize("eps", [QUARTER, Fraction(1, 2)])
+    def test_irreducible_divides_few_differences(self, q, n_max, eps):
+        # the bound behind the screened draw, exhaustively: for every nonzero
+        # Δ of degree < n, at most a 3ε/4 share of the monic irreducible R of
+        # degree D divides Δ, D being the least with q^D >= max(36, 2(n-1)/ε)
+        K = pc.GF(q)
+        for n in range(1, n_max + 1):
+            D = minimal_extension_degree(q, max(36, 2 * max(n - 1, 1) / eps))
+            P = pc.SparsePoly(K, [(n, 1)])
+            Zd = pc.DensePoly.zero(K)
+            r = verify_mod_ff(Zd, Zd, Zd, P, cfg(0, eps, "extension"))
+            assert r.witnesses[0]["extension_degree"] == D
+            irreducibles = [
+                pc.DensePoly(K, list(tail) + [1])
+                for tail in itertools.product(range(q), repeat=D)
+                if poly_list_is_irreducible(list(tail) + [1], q)
+            ]
+            for cs in itertools.product(range(q), repeat=n):
+                if any(cs):
+                    delta = pc.DensePoly(K, list(cs))
+                    divisors = sum(poly_divmod(delta, R)[1].is_zero() for R in irreducibles)
+                    assert divisors <= Fraction(3, 4) * eps * len(irreducibles)
 
 
 class TestVerifyModCompanionSparse:
@@ -297,6 +335,18 @@ class TestVerifyModCompanionSparse:
                 accepted += 1
         assert accepted / trials <= 0.30
 
+    def test_constant_modulus_rejected(self):
+        # at deg P = 0 the bound per unscreened draw exceeds 1, so no number
+        # of draws reaches eps: the modulus is rejected before any draw
+        for q in (2, 3):
+            K = pc.GF(q)
+            P = pc.SparsePoly(K, [(0, 1)])
+            Zp = pc.SparsePoly.zero(K)
+            with pytest.raises(ValueError, match="modulus must have degree >= 1"):
+                verify_mod_companion_sparse(Zp, Zp, Zp, P, cfg(0))
+            with pytest.raises(ValueError, match="modulus must have degree >= 1"):
+                verify_mod_ff(Zp, Zp, Zp, P, cfg(0, method="companion-no-polymul"))
+
     def test_witnesses_record_moduli(self, rng):
         P, F, G, H = make_instance(F2, 128, 3, rng)
         r = verify_mod_companion_sparse(F, G, H, P, cfg(2))
@@ -343,6 +393,12 @@ class TestCompanionProperties:
             r = verify_mod_companion_sparse(*sparse, P, c)
             assert r.verdict is True
             assert r == verify_mod_companion_sparse(*sparse, P, c)
+        for method in ("auto", "extension"):
+            c = cfg(seed, method=method)
+            for FGH in ((F, G, H), sparse):
+                r = verify_mod_ff(*FGH, P, c)
+                assert r.verdict is True
+                assert r == verify_mod_ff(*FGH, P, c)
 
 
 class TestReports:
