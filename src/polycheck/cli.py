@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from . import modverify, prodverify
-from .modverify import VerifyConfig, FieldTooSmallError
+from .modverify import VerifyConfig
 from .poly import (
     DensePoly,
     PolyFormatError,
@@ -26,7 +26,7 @@ from .poly import (
     read_poly_file,
     write_poly_file,
 )
-from .rings import GF, RngStream, ZZ, is_prime
+from .rings import GF, PrimeGenerationError, RngStream, ZZ, is_prime
 
 DEFAULT_EPSILON = Fraction(1, 2**20)
 
@@ -101,7 +101,7 @@ def _cmd_verify_mod(args):
             report = modverify.verify_mod_over_Z(F, G, H, P, cfg)
         else:
             report = modverify.verify_mod_ff(F, G, H, P, cfg)
-    except (ValueError, FieldTooSmallError) as exc:
+    except (ValueError, TypeError, PrimeGenerationError) as exc:
         raise CliError(str(exc)) from None
     _print_report(report, "verify-mod")
     return 0 if report.verdict else 1
@@ -140,7 +140,7 @@ def _cmd_verify_prod(args):
             report = prodverify.verify_product_kaminski_nomul(F, G, H, cfg)
         else:
             raise CliError(f"unknown method {method!r}")
-    except (ValueError, FieldTooSmallError, TypeError) as exc:
+    except (ValueError, TypeError, PrimeGenerationError) as exc:
         raise CliError(str(exc)) from None
     _print_report(report, "verify-prod")
     return 0 if report.verdict else 1

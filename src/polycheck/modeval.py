@@ -12,6 +12,21 @@ evaluated at the class of X in the quotient ring B[X]/(R), and column j is
 X^j * (H mod R).  So the companion routines run the same scans at alpha = X
 in that ring, where "times alpha" is ExtField.mul_x, and only read the
 columns off the result.
+
+The dense scan (and the Horner loop of poly.evaluate) runs as one fused
+loop per element representation wherever poly.fused allows, and as the
+generic ring-method loop _dense_scan, their reference, everywhere else.
+There are three kernels:
+  - ints in GF(q) at any point (PrimeField.dense_scan): one multiply-add
+    and one % q per index;
+  - packed GF(2)[X]/(R) at x: a shift, a conditional XOR with R, one with
+    P(x) and one into the sum;
+  - GF(q)[X]/(R) at x for odd q: the d coordinates sit unreduced in w-bit
+    slots of one int, so x * f is a mask and shift plus (top slot % q)
+    times the packed -R mod q, and -v P(x) one more multiply-add.  The
+    f-slots stay below 2d q^2 and the slots of a sum of m terms below
+    2m d q^3; w is the bit length of that bound (ExtField.dense_scan).
+None of them multiplies polynomials or counts in POLY_MUL_OPS.
 """
 
 import heapq
@@ -20,7 +35,9 @@ from .poly import (
     DENSIFY_CAP,
     SparsePoly,
     _check_eval_ring,
+    _horner,
     evaluate,
+    fused,
     gap_info,
     power_table,
     x_pow_minus_one,
@@ -115,30 +132,28 @@ def _require_args(P, F, G):
 
 def _scan_value(S, alpha, ring):
     """S(alpha) for a sparse S no longer than the calling O(n) scan.  At the
-    class of X the powers are reached by deg S steps of mul_x, which keeps
-    the dense scans free of polynomial products; elsewhere this is evaluate."""
+    class of X its dense coefficient list goes through Horner, which
+    multiplies no polynomials there (see ExtField.mul); elsewhere this is
+    evaluate."""
     if not (isinstance(ring, ExtField) and alpha is ring.x):
         return evaluate(S, alpha, ring)
-    acc = ring.zero()
-    power = ring.one()
-    done = 0
+    cs = [S.ctx.zero()] * (S.degree() + 1)
     for e, c in S.terms:
-        for _ in range(e - done):
-            power = ring.mul_x(power)
-        done = e
-        acc = ring.add(acc, ring.scalar_mul(c, power))
-    return acc
+        cs[e] = c
+    if fused(ring, S.ctx, alpha):
+        return ring.horner(cs, alpha)
+    return _horner(cs, alpha, ring)
 
 
 # ---------------------------------------------------------------------------
 # products modulo X^n - 1
 
 
-def eval_mod_binomial_dense(F, G, n, alpha, ring=None):
+def eval_mod_binomial_dense(F, G, n, alpha, ring=None, lc=None):
     """((F*G) mod X^n - 1)(alpha): eval_mod_p_dense at P = X^n - 1, whose
     leading coefficients need no updates, so the scan is the recurrence
     c_0 = F(alpha), c_{j+1} = alpha*c_j - (alpha^n - 1) f_{n-j-1}."""
-    return eval_mod_p_dense(x_pow_minus_one(F.ctx, n), F, G, alpha, ring)
+    return eval_mod_p_dense(x_pow_minus_one(F.ctx, n), F, G, alpha, ring, lc)
 
 
 def eval_mod_binomial_sparse(F, G, n, alpha, ring=None):
@@ -155,10 +170,14 @@ def leading_coefficients(P, F):
     """Dense vector [v_0, ..., v_{n-2}] where v_i is the degree-(n-1)
     coefficient of (X^i * F) mod P, in O(n #P) ring operations."""
     n = _require_args(P, F, SparsePoly.zero(P.ctx))
+    if n >= DENSIFY_CAP:
+        raise ValueError(f"degree {n} too large to densify")
     ctx = P.ctx
     g = gap_info(P)
     k2 = g.second_degree
-    V = [F.coeff(n - 1 - j) for j in range(n - 1)]
+    cs = F.to_dense().coeffs if isinstance(F, SparsePoly) else F.coeffs
+    cs += (ctx.zero(),) * (n - len(cs))
+    V = list(cs[:0:-1])  # V[j] = f_{n-1-j}
     if n == 1:
         return V
     updates = [(k, c) for k, c in P.terms[:-1] if k > 0]
@@ -224,7 +243,10 @@ def sparse_leading_coefficients(P, F):
 
 def eval_mod_p_dense(P, F, G, alpha, ring=None, lc=None):
     """((F*G) mod P)(alpha) without forming F*G: O(n #P) base-ring operations
-    plus O(n) operations where alpha lives."""
+    plus O(n) operations where alpha lives.  lc, if given, is
+    leading_coefficients(P, F), for callers that scan one F at many points.
+    The scan is the ring's fused dense_scan where it has one (see
+    poly.fused), and _dense_scan otherwise."""
     n = _require_args(P, F, G)
     ring = _check_eval_ring(F, ring)
     if G.is_zero() or F.is_zero():
@@ -234,13 +256,22 @@ def eval_mod_p_dense(P, F, G, alpha, ring=None, lc=None):
     V = leading_coefficients(P, F) if lc is None else lc
     p_alpha = _scan_value(P, alpha, ring)
     f_alpha = evaluate(F, alpha, ring)
-    beta = ring.scalar_mul(G.coeff(0), f_alpha)
-    zero = G.ctx.is_zero
-    for i in range(1, n):
-        f_alpha = ring.sub(ring.mul(alpha, f_alpha), ring.scalar_mul(V[i - 1], p_alpha))
-        gi = G.coeff(i)
-        if not zero(gi):
-            beta = ring.add(beta, ring.scalar_mul(gi, f_alpha))
+    if fused(ring, F.ctx, alpha):
+        return ring.dense_scan(f_alpha, alpha, p_alpha, V, G.coeffs)
+    return _dense_scan(f_alpha, alpha, p_alpha, V, G.coeffs, ring, G.ctx)
+
+
+def _dense_scan(f_alpha, alpha, p_alpha, V, gs, ring, ctx):
+    """The generic scan on the ring interface, the reference for every
+    ring.dense_scan: f_0 = F(alpha), f_i = alpha f_{i-1} - V[i-1] P(alpha)
+    is ((X^i F) mod P)(alpha), and the result is sum gs[i] f_i, with gs
+    and V in ctx.  Past the last entry of gs the f_i matter no more."""
+    beta = ring.scalar_mul(gs[0], f_alpha)
+    zero = ctx.is_zero
+    for v, g in zip(V, gs[1:]):
+        f_alpha = ring.sub(ring.mul(alpha, f_alpha), ring.scalar_mul(v, p_alpha))
+        if not zero(g):
+            beta = ring.add(beta, ring.scalar_mul(g, f_alpha))
     return beta
 
 

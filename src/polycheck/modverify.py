@@ -122,8 +122,9 @@ def _check_shapes(F, G, H, P):
     return n
 
 
-def _eval_mod_point(P, F, G, alpha, ring):
-    """Dispatch to the binomial fast path when P = X^n - 1."""
+def _eval_mod_point(P, F, G, alpha, ring, lc=None):
+    """Dispatch to the binomial fast path when P = X^n - 1; lc is the dense
+    scans' leading_coefficients(P, F) when the caller has it."""
     ctx = P.ctx
     n = P.degree()
     binom = (
@@ -137,8 +138,8 @@ def _eval_mod_point(P, F, G, alpha, ring):
         return modeval.eval_mod_p_sparse(P, F, G, alpha, ring)
     F, G = _dense(F), _dense(G)
     if binom:
-        return modeval.eval_mod_binomial_dense(F, G, n, alpha, ring)
-    return modeval.eval_mod_p_dense(P, F, G, alpha, ring)
+        return modeval.eval_mod_binomial_dense(F, G, n, alpha, ring, lc)
+    return modeval.eval_mod_p_dense(P, F, G, alpha, ring, lc)
 
 
 def verify_mod(F, G, H, P, cfg=None):
@@ -168,10 +169,10 @@ def verify_mod(F, G, H, P, cfg=None):
     return VerifyReport(verdict, float(eps), 1, witnesses, "direct-eval", cfg.seed)
 
 
-def _agree_at(F, G, H, P, alpha, ring):
+def _agree_at(F, G, H, P, alpha, ring, lc=None):
     """H(alpha) == ((F*G) mod P)(alpha): the check behind every verifier of
     this module, at a random point or at the class of X modulo R."""
-    return evaluate(H, alpha, ring) == _eval_mod_point(P, F, G, alpha, ring)
+    return evaluate(H, alpha, ring) == _eval_mod_point(P, F, G, alpha, ring, lc)
 
 
 def _verify_mod_once(F, G, H, P, ring, rng):
@@ -336,8 +337,10 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     if cfg.method != "companion-no-polymul":
         return _verify_at_irreducible(F, G, H, P, cfg, "companion-freivalds")
     sparse = _all_sparse(F, G, H)
+    lc = None
     if not sparse:
         F, G, H = _dense(F), _dense(G), _dense(H)
+        lc = modeval.leading_coefficients(P, F)  # one F for every draw
     eps = cfg.epsilon
     rng = RngStream(cfg.seed)
     d = _companion_degree(ctx.q, n)
@@ -349,7 +352,7 @@ def verify_mod_companion(F, G, H, P, cfg=None):
         entry = {"modulus": R}
         witnesses.append(entry)
         ring = ExtField(ctx, R)
-        if not _agree_at(F, G, H, P, ring.x, ring):
+        if not _agree_at(F, G, H, P, ring.x, ring, lc):
             entry["mismatch"] = True
             verdict = False
             break

@@ -436,18 +436,38 @@ def power_table(ring, alpha):
     return pw
 
 
+def fused(ring, ctx, alpha):
+    """Whether ring's fused kernels (horner, dense_scan; see rings) serve
+    coefficients in ctx at alpha: in GF(q) at any point, and in
+    GF(q)[X]/(R) only at its own x with coefficients in GF(q).  Z, a
+    quotient ring over anything else, coefficients in the ring itself
+    (where 2 is x of GF(2^d)) and other points of the ring take the
+    generic loops."""
+    if isinstance(ring, ExtField):
+        return alpha is ring.x and ring.base == ctx and isinstance(ctx, PrimeField)
+    return isinstance(ring, PrimeField)
+
+
+def _horner(cs, alpha, ring):
+    """The generic Horner loop on the ring interface, the reference for
+    every ring.horner."""
+    acc = ring.zero()
+    for c in reversed(cs):
+        acc = ring.add(ring.mul(acc, alpha), ring.embed(c))
+    return acc
+
+
 def evaluate(F, alpha, ring=None):
     """F(alpha).  alpha may live in F.ctx or in an ExtField over it; dense
-    polynomials use Horner, sparse ones take every alpha^e from one
-    power_table, which squares alpha once per bit of the degree.  At the
-    class of X in a quotient ring, F(X) is F mod R, and dense Horner
-    multiplies no polynomials (see ExtField.mul)."""
+    polynomials use Horner, the ring's fused loop where it has one, sparse
+    ones take every alpha^e from one power_table, which squares alpha once
+    per bit of the degree.  At the class of X in a quotient ring, F(X) is
+    F mod R, and dense Horner multiplies no polynomials (see ExtField.mul)."""
     ring = _check_eval_ring(F, ring)
     if isinstance(F, DensePoly):
-        acc = ring.zero()
-        for c in reversed(F.coeffs):
-            acc = ring.add(ring.mul(acc, alpha), ring.embed(c))
-        return acc
+        if fused(ring, F.ctx, alpha):
+            return ring.horner(F.coeffs, alpha)
+        return _horner(F.coeffs, alpha, ring)
     if isinstance(F, SparsePoly):
         pw = power_table(ring, alpha)
         acc = ring.zero()

@@ -138,7 +138,8 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
     """Decide H = F*G over any coefficient ring by folding modulo a random
     X^i - 1 and comparing folded products.  One-sided; when the per-round
     bound at this degree is vacuous, falls back to one exact reference
-    multiplication."""
+    multiplication.  A triple that is not all sparse is made dense first,
+    so products and comparisons meet one representation."""
     cfg = cfg or VerifyConfig()
     params = params or KaminskiParams()
     if F.ctx != G.ctx or F.ctx != H.ctx:
@@ -147,6 +148,8 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
     quick = _product_shape_reject(F, G, H)
     if quick is not None:
         return VerifyReport(quick, 0.0, 0, [{"deterministic": "shape"}], "kaminski", cfg.seed)
+    if not all(isinstance(X, SparsePoly) for X in (F, G, H)):
+        F, G, H = (X.to_dense() if isinstance(X, SparsePoly) else X for X in (F, G, H))
     n = max(F.degree(), G.degree(), 1)
     rho = params.per_round_bound(n)
     if rho > Fraction(1, 2):

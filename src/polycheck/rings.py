@@ -15,6 +15,7 @@ import random
 from fractions import Fraction
 
 _MASK64 = (1 << 64) - 1
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # GF(2) coefficients as binary digits
 
 
 class PrimeGenerationError(RuntimeError):
@@ -102,6 +103,17 @@ def ln_upper(x):
 
 # ---------------------------------------------------------------------------
 # coefficient domains
+#
+# PrimeField and ExtField over GF(q) also supply the two dense loops of
+# poly.evaluate and modeval.eval_mod_p_dense as fused kernels with the
+# contract of the generic loops poly._horner and modeval._dense_scan, their
+# reference (poly.fused says where they apply):
+#
+#   horner(cs, alpha)                sum cs[i] alpha^i, cs in GF(q)
+#   dense_scan(f, alpha, pa, V, gs)  f_0 = f, f_i = alpha f_{i-1} - V[i-1] pa;
+#                                    returns sum gs[i] f_i over i < len(gs)
+#
+# The kernels multiply no polynomials and count nothing in POLY_MUL_OPS.
 
 
 class IntegerRing:
@@ -230,6 +242,25 @@ class PrimeField:
 
     def sample(self, rng):
         return rng.residue(self.q)
+
+    # -- fused dense kernels: plain int loops --------------------------
+
+    def horner(self, cs, alpha):
+        q = self.q
+        acc = 0
+        for c in reversed(cs):
+            acc = (acc * alpha + c) % q
+        return acc
+
+    def dense_scan(self, f, alpha, pa, V, gs):
+        """f is reduced at every step, the sum only once at the end."""
+        q = self.q
+        beta = gs[0] * f
+        for v, g in zip(V, gs[1:]):
+            f = (alpha * f - v * pa) % q
+            if g:
+                beta += g * f
+        return beta % q
 
     embed = canon
     scalar_mul = mul
@@ -382,6 +413,88 @@ class ExtField:
             return tuple(base.sub(y, base.mul(top, m)) for y, m in zip(shifted, self.modulus))
         return tuple((y - top * m) % q for y, m in zip(shifted, self.modulus))
 
+    # -- fused dense kernels at x (over GF(q) only) ----------------------
+
+    def horner(self, cs, alpha):
+        """sum cs[i] x^i, that is the polynomial cs mod R, for coefficients
+        cs in GF(q); alpha must be x."""
+        if alpha is not self.x:
+            raise ValueError("the fused kernels run at x only")
+        if self._m2 is not None:
+            if not cs:
+                return 0
+            # the bits of cs as one int, reduced a byte at a time
+            table = (self._fold or self._fold_tables())[0]
+            d = self.d
+            low = (1 << d) - 1
+            bits = int(bytes(cs[::-1]).translate(_BIT_DIGITS), 2)
+            acc = 0
+            for byte in bits.to_bytes((len(cs) + 7) // 8, "big"):
+                acc = (acc << 8) ^ byte
+                acc = (acc & low) ^ table[acc >> d]
+            return acc
+        w, mask, sh, M = self._slots(2 * self.d * self._q**2)
+        q = self._q
+        acc = 0
+        for c in reversed(cs):
+            acc = ((acc & mask) << w) + (acc >> sh) % q * M + c
+        return self._unpack(acc, w)
+
+    def dense_scan(self, f, alpha, pa, V, gs):
+        """The dense scan at alpha = x for V and gs in GF(q).
+
+        Over GF(2) a step is a shift, a conditional XOR with R, a
+        conditional XOR with pa and a conditional XOR into the sum.  Over
+        odd q the d coordinates sit unreduced in w-bit slots of one int, and
+        a step is f <- (f without its top slot) << w + (top % q) M + v NP,
+        where M packs -R mod q and NP packs -pa mod q.  A step adds two
+        nonnegative terms of at most (q-1)^2 to every slot, and slot j
+        inherits slot j-1, so every f-slot stays below 2d q^2 and every slot
+        of the sum of len(gs) terms g f below 2 len(gs) d q^3 < 2^w: no slot
+        carries into the next, and one reduction per slot at the end gives
+        the element.  (Horner adds one such term and a coefficient, so its
+        slots stay below 2d q^2.)"""
+        if alpha is not self.x:
+            raise ValueError("the fused kernels run at x only")
+        if self._m2 is not None:
+            m2, d = self._m2, self.d
+            beta = f if gs[0] else 0
+            for v, g in zip(V, gs[1:]):
+                f <<= 1
+                if f >> d:
+                    f ^= m2
+                if v:
+                    f ^= pa
+                if g:
+                    beta ^= f
+            return beta
+        q = self._q
+        w, mask, sh, M = self._slots(2 * len(gs) * self.d * q**3)
+        NP = self._pack([(-c) % q for c in pa], w)
+        f = self._pack(f, w)
+        beta = gs[0] * f
+        for v, g in zip(V, gs[1:]):
+            f = ((f & mask) << w) + (f >> sh) % q * M + v * NP
+            if g:
+                beta += g * f
+        return self._unpack(beta, w)
+
+    def _slots(self, bound):
+        """For a slot bound: the width w with 2^w > bound, the mask of the
+        low d-1 slots, the shift of the top slot and M, the packed -R."""
+        w = bound.bit_length()
+        sh = (self.d - 1) * w
+        M = self._pack([(-c) % self._q for c in self.modulus[:-1]], w)
+        return w, (1 << sh) - 1, sh, M
+
+    @staticmethod
+    def _pack(cs, w):
+        return sum(c << (j * w) for j, c in enumerate(cs))
+
+    def _unpack(self, a, w):
+        q, slot = self._q, (1 << w) - 1
+        return tuple(((a >> (j * w)) & slot) % q for j in range(self.d))
+
     def mul(self, a, b):
         """The ring product, counted in POLY_MUL_OPS.  A factor that is
         ``x`` itself (by identity) makes it mul_x, which is not counted."""
@@ -444,18 +557,16 @@ class ExtField:
 
     def _fold_tables(self):
         """Table k maps a byte c to (c * X^(d+8k)) mod R, XORed together
-        from its 8 basis values; a product's high part has < d bits."""
+        from its 8 basis values by doubling the table once per bit; a
+        product's high part has < d bits, and horner reads table 0 even at
+        d = 1."""
         tables = []
         v = self._m2 ^ (1 << self.d)  # X^d mod R
-        for _ in range((self.d + 6) // 8):
-            basis = []
+        for _ in range(max(1, (self.d + 6) // 8)):
+            table = [0]
             for _ in range(8):
-                basis.append(v)
+                table += [t ^ v for t in table]
                 v = self.mul_x(v)
-            table = [0] * 256
-            for c in range(1, 256):
-                low = c & -c
-                table[c] = table[c ^ low] ^ basis[low.bit_length() - 1]
             tables.append(table)
         self._fold = tables
         return tables

@@ -1,13 +1,18 @@
 """Shared test helpers: deterministic oracles and random instance builders."""
 
+import os
+
 import pytest
 from hypothesis import settings
 
 import polycheck as pc
 from polycheck.rings import RngStream, is_prime
 
+# "ci" is the default; POLYCHECK_HYPOTHESIS_PROFILE=thorough draws many more
+# (still reproducible) examples, for the kernel-equivalence tests in CI.
 settings.register_profile("ci", deadline=None, derandomize=True, max_examples=80)
-settings.load_profile("ci")
+settings.register_profile("thorough", deadline=None, derandomize=True, max_examples=1000)
+settings.load_profile(os.environ.get("POLYCHECK_HYPOTHESIS_PROFILE", "ci"))
 
 
 # exact Miller-Rabin below 3.3 * 10^24, as used for moduli from outside

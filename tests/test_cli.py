@@ -135,6 +135,15 @@ class TestVerifyProdInputs:
         assert code == 0 and "Traceback" not in err
         assert json.loads(out)["method"] == "kronecker"
 
+    @pytest.mark.parametrize("method", ["auto", "kaminski"])
+    @pytest.mark.parametrize("H, code", [("dense 1 3 5 3", 0), ("dense 1 3 5 4", 1)])
+    def test_mixed_dense_sparse_field_kaminski(self, tmp_path, method, H, code):
+        # the exact-product fallback once handed the mixed pair to mul_oracle
+        args = poly_args(tmp_path, "GF 7", F="dense 1 2 3", G="sparse 0:1 1:1", H=H)
+        got, out, err = run_cli(["verify-prod", "--method", method, *args], timeout=60)
+        assert got == code and "Traceback" not in err and err == ""
+        assert json.loads(out)["verdict"] is (code == 0)
+
     def test_kronecker_past_the_densify_cap_exits_two(self, tmp_path):
         # X^(2^61) * X^(2^61) = X^(2^62) is a dense encoding of 2^62 digits
         args = poly_args(tmp_path, "Z", F=f"sparse {2**61}:1", G=f"sparse {2**61}:1",
@@ -396,3 +405,40 @@ class TestInProcessMain:
                        f"--epsilon={eps}"])
             assert rc == 2
             assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestLibraryErrorsExitTwo:
+    """Library exceptions on the CLI paths end in exit 2 and one error line."""
+
+    @staticmethod
+    def _raise(exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        return fail
+
+    def _check(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_verify_mod_type_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pc.modverify, "verify_mod_ff", self._raise(TypeError("bad type")))
+        args = poly_args(tmp_path, "GF 7", F="dense 1 1", G="dense 1 1", H="dense 1 2 1",
+                         P="sparse 0:1 3:1")
+        self._check(capsys, ["verify-mod", *args], "bad type")
+
+    def test_verify_mod_prime_generation_error(self, tmp_path, capsys, monkeypatch):
+        exc = pc.rings.PrimeGenerationError("no probable prime")
+        monkeypatch.setattr(pc.modverify, "random_prime", self._raise(exc))
+        args = poly_args(tmp_path, "Z", F="dense 1 1", G="dense 1 1", H="dense 1 2 1",
+                         P="sparse 0:1 3:1")
+        self._check(capsys, ["verify-mod", *args], "no probable prime")
+
+    def test_verify_prod_prime_generation_error(self, tmp_path, capsys, monkeypatch):
+        exc = pc.rings.PrimeGenerationError("no probable prime")
+        monkeypatch.setattr(pc.prodverify, "random_prime", self._raise(exc))
+        args = poly_args(tmp_path, "Z", F="sparse 0:1 5:1", G="sparse 0:1 5:1",
+                         H="sparse 0:1 5:2 10:1")
+        self._check(capsys, ["verify-prod", "--method", "sparse", *args], "no probable prime")

@@ -1,0 +1,186 @@
+"""The fused dense kernels of every element representation against the
+generic ring-method loops that stay as their reference (poly._horner and
+modeval._dense_scan): ints in GF(q) at any point, packed GF(2)[X]/(R) and
+slot-packed GF(q)[X]/(R) at x, for reducible and irreducible R.  Z has no
+kernel; its instances check the generic loops against the oracle.
+
+These tests run under the "thorough" hypothesis profile in CI as well; see
+conftest.py.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, strategies as st
+
+import polycheck as pc
+from polycheck.modeval import _dense_scan, eval_mod_p_dense, leading_coefficients
+from polycheck.oracle import oracle_mod_product
+from polycheck.poly import _horner, evaluate, fused
+from polycheck.rings import POLY_MUL_OPS, ExtField, RngStream, random_irreducible
+
+Z = pc.ZZ
+FIELDS = tuple(pc.GF(q) for q in (2, 3, 7, 65537, 2**61 - 1))
+BIG = 2**64
+
+
+def _coeff(ctx, extreme):
+    """Coefficients of ctx; "extreme" makes every one q - 1 (or -2^64 in Z),
+    the largest slot contents the packed kernels can meet."""
+    if ctx == Z:
+        return st.just(-BIG) if extreme else st.integers(-BIG, BIG)
+    return st.just(ctx.q - 1) if extreme else st.integers(0, ctx.q - 1)
+
+
+@lru_cache(maxsize=None)
+def _irreducible(q, d, seed):
+    return tuple(random_irreducible(pc.GF(q), d, Fraction(1, 4), RngStream(seed)).coeffs)
+
+
+@st.composite
+def points(draw, ctx):
+    """(ring, alpha): ctx itself at a random point, or GF(q)[X]/(R) at x for
+    a monic R of degree D in 1..40, reducible or irreducible."""
+    if ctx == Z or draw(st.booleans()):
+        return ctx, draw(_coeff(ctx, False))
+    q = ctx.q
+    d = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("random", "ones", "extreme", "irreducible")))
+    if kind == "irreducible" and (q <= 7 or d <= 6):
+        R = _irreducible(q, d, draw(st.integers(0, 3)))
+    elif kind == "ones":
+        R = (1,) * (d + 1)  # -R mod q is q - 1 in every slot of M
+    elif kind == "extreme":
+        R = (q - 1,) * d + (1,)
+    else:
+        R = tuple(draw(st.lists(_coeff(ctx, False), min_size=d, max_size=d))) + (1,)
+    ring = ExtField(ctx, R)
+    return ring, ring.x
+
+
+@st.composite
+def scan_instances(draw):
+    """(P, F, G, ring, alpha) over one of GF(2), GF(3), GF(7), GF(65537),
+    GF(2^61 - 1) and Z: P monic of degree n in 1..300 (n = 1 and 2 drawn
+    often), F and G dense of degree < n, G often much shorter than n."""
+    ctx = draw(st.sampled_from(FIELDS + (Z,)))
+    extreme = draw(st.booleans())
+    coeff = _coeff(ctx, extreme)
+    n = draw(st.one_of(st.sampled_from((1, 2)), st.integers(1, 300)))
+    if draw(st.booleans()):
+        P = pc.x_pow_minus_one(ctx, n)
+    else:
+        # small over Z, where reducing the oracle's product would blow up
+        low_coeff = st.integers(-3, 3) if ctx == Z else coeff
+        low = draw(st.dictionaries(st.integers(0, n - 1), low_coeff, max_size=4))
+        P = pc.SparsePoly.from_dict(ctx, {**low, n: 1})
+    F = pc.DensePoly(ctx, draw(st.lists(coeff, min_size=n, max_size=n)))
+    g_len = draw(st.one_of(st.just(n), st.integers(0, n)))
+    G = pc.DensePoly(ctx, draw(st.lists(coeff, min_size=g_len, max_size=g_len)))
+    ring, alpha = draw(points(ctx))
+    return P, F, G, ring, alpha
+
+
+@st.composite
+def raw_scans(draw):
+    """Arbitrary scan inputs (f, pa, V, gs), not only those of a true
+    instance; "extreme" puts q - 1 in V and gs and in every coordinate of
+    f, and 1 in every coordinate of pa, so -pa packs q - 1 as well."""
+    ctx = draw(st.sampled_from(FIELDS))
+    ring, alpha = draw(points(ctx))
+    extreme = draw(st.booleans())
+    coeff = _coeff(ctx, extreme)
+    m = draw(st.integers(1, 300))
+    V = draw(st.lists(coeff, min_size=m - 1, max_size=m - 1))
+    gs = draw(st.lists(coeff, min_size=1, max_size=m))
+    if ring is ctx:
+        f, pa = draw(coeff), draw(coeff)
+    elif extreme:
+        f = ring.from_coeffs([ctx.q - 1] * ring.d)
+        pa = ring.from_coeffs([1] * ring.d)
+    else:
+        f, pa = (ring.from_coeffs(draw(st.lists(_coeff(ctx, False), min_size=ring.d,
+                                                 max_size=ring.d))) for _ in "fp")
+    return ring, alpha, ctx, f, pa, V, gs
+
+
+class TestKernelsMatchTheGenericLoops:
+    @given(scan_instances())
+    def test_horner(self, inst):
+        P, F, G, ring, alpha = inst
+        kernel = fused(ring, F.ctx, alpha)
+        assert kernel is (F.ctx != Z)
+        before = POLY_MUL_OPS.count
+        for X in (F, G, P.to_dense()):
+            want = _horner(X.coeffs, alpha, ring)
+            if kernel:
+                assert ring.horner(X.coeffs, alpha) == want
+            assert evaluate(X, alpha, ring) == want
+        if isinstance(ring, ExtField):
+            assert POLY_MUL_OPS.count == before
+
+    @given(scan_instances())
+    def test_modular_scan(self, inst):
+        P, F, G, ring, alpha = inst
+        before = POLY_MUL_OPS.count
+        got = eval_mod_p_dense(P, F, G, alpha, ring)
+        if isinstance(ring, ExtField):
+            assert POLY_MUL_OPS.count == before
+        if F.is_zero() or G.is_zero():
+            assert got == ring.zero()
+            return
+        V = leading_coefficients(P, F)
+        p_alpha = _horner(P.to_dense().coeffs, alpha, ring)
+        f_alpha = _horner(F.coeffs, alpha, ring)
+        assert got == _dense_scan(f_alpha, alpha, p_alpha, V, G.coeffs, ring, F.ctx)
+        assert got == _horner(oracle_mod_product(F, G, P).coeffs, alpha, ring)
+
+    @given(raw_scans())
+    def test_dense_scan_on_arbitrary_inputs(self, inst):
+        ring, alpha, ctx, f, pa, V, gs = inst
+        assert ring.dense_scan(f, alpha, pa, V, gs) == _dense_scan(
+            f, alpha, pa, V, gs, ring, ctx
+        )
+
+
+@pytest.mark.parametrize("q", [3, 65537, 2**61 - 1])
+@pytest.mark.parametrize("d", [1, 2, 5, 40])
+def test_packed_slots_at_their_largest(q, d):
+    """Every input at the top of its range: M and -pa pack q - 1 in every
+    slot, as do f, V and gs, over 300 steps."""
+    ctx = pc.GF(q)
+    ring = ExtField(ctx, [1] * (d + 1))
+    f = ring.from_coeffs([q - 1] * d)
+    pa = ring.from_coeffs([1] * d)
+    V, gs = [q - 1] * 299, [q - 1] * 300
+    want = _dense_scan(f, ring.x, pa, V, gs, ring, ctx)
+    assert ring.dense_scan(f, ring.x, pa, V, gs) == want
+    assert ring.horner(gs, ring.x) == _horner(gs, ring.x, ring)
+
+
+class TestDispatch:
+    def test_coefficients_in_the_ring_itself_take_the_generic_loop(self):
+        # 2 is both the cached small int and x of GF(2^8)
+        gf2_8 = ExtField(pc.GF(2), [1, 0, 1, 1, 1, 0, 0, 0, 1])
+        assert gf2_8.x == 2 and not fused(gf2_8, gf2_8, 2)
+        F = pc.DensePoly(gf2_8, [3, 0, 7, 1])
+        want = gf2_8.add(gf2_8.add(3, gf2_8.mul(7, gf2_8.mul(2, 2))),
+                         gf2_8.mul(2, gf2_8.mul(2, 2)))
+        assert evaluate(F, 2, gf2_8) == want
+
+    def test_other_points_and_rings_take_the_generic_loop(self):
+        ring = ExtField(pc.GF(7), [3, 1, 1])
+        assert fused(ring, pc.GF(7), ring.x)
+        assert not fused(ring, pc.GF(7), ring.from_coeffs([0, 1]))  # equal to x, not x
+        assert not fused(ExtField(Z, [1, 0, 1]), Z, ExtField(Z, [1, 0, 1]).x)
+        with pytest.raises(ValueError, match="at x only"):
+            ring.horner([1, 2], ring.from_coeffs([2, 1]))
+
+    def test_leading_coefficients_read_reversed_coefficients(self):
+        ctx = pc.GF(7)
+        F = pc.DensePoly(ctx, [1, 2, 3])
+        P = pc.x_pow_minus_one(ctx, 5)
+        assert leading_coefficients(P, F) == [0, 0, 3, 2]
+        assert leading_coefficients(P, F.to_sparse()) == [0, 0, 3, 2]
+        assert leading_coefficients(pc.x_pow_minus_one(ctx, 1), pc.DensePoly(ctx, [4])) == []

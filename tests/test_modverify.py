@@ -401,6 +401,33 @@ class TestCompanionProperties:
                 assert r == verify_mod_ff(*FGH, P, c)
 
 
+@st.composite
+def true_integer_instances(draw):
+    """(P, F, G, H, seed) over Z with H = (F*G) mod P; dense or sparse."""
+    n = draw(st.integers(1, 24))
+    coeffs = st.integers(-(2**40), 2**40)
+    low = draw(st.dictionaries(st.integers(0, n - 1), st.integers(-9, 9), max_size=3))
+    P = pc.SparsePoly.from_dict(Z, {**low, n: 1})
+    F, G = (pc.DensePoly(Z, draw(st.lists(coeffs, max_size=n))) for _ in "FG")
+    H = oracle_mod_product(F, G, P)
+    if draw(st.booleans()):
+        F, G, H = (X.to_sparse() for X in (F, G, H))
+    return P, F, G, H, draw(st.integers(0, 2**32))
+
+
+class TestOverZProperties:
+    @given(true_integer_instances())
+    def test_accept_true_and_replay(self, inst):
+        P, F, G, H, seed = inst
+        c = cfg(seed)
+        r = verify_mod_over_Z(F, G, H, P, c)
+        assert r.verdict is True
+        assert r == verify_mod_over_Z(F, G, H, P, c)
+        wrong = perturb_poly(H, RngStream(seed))
+        if wrong.is_zero() or wrong.degree() < P.degree():
+            assert verify_mod_over_Z(F, G, wrong, P, c) == verify_mod_over_Z(F, G, wrong, P, c)
+
+
 class TestReports:
     def test_reproducible(self, rng):
         P, F, G, H = make_instance(Z, 16, 4, rng)

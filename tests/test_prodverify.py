@@ -1,6 +1,7 @@
 import math
 import pytest
 from fractions import Fraction
+from hypothesis import given, strategies as st
 
 import polycheck as pc
 from polycheck.modverify import FieldTooSmallError, VerifyConfig
@@ -483,3 +484,48 @@ class TestBinomialDivisorCount:
         for _ in range(30):
             delta = rand_dense(Z, rng.below(2 * n), rng)
             assert count_binomial_divisors(delta, n) < k
+
+
+@st.composite
+def product_triples(draw, rings, sparse=False):
+    """(F, G, H, seed) with H = F*G over one of rings.  Dense triples may
+    mix in sparse encodings; sparse ones have exponents up to 2^30."""
+    ctx = draw(st.sampled_from(rings))
+    coeffs = st.integers(-(2**40), 2**40) if ctx == Z else st.integers(0, ctx.q - 1)
+    if sparse:
+        terms = st.dictionaries(st.integers(0, 2**30), coeffs, max_size=6)
+        F, G = (pc.SparsePoly.from_dict(ctx, draw(terms)) for _ in "FG")
+        return F, G, pc.mul_oracle(F, G), draw(st.integers(0, 2**32))
+    n = draw(st.integers(0, 60))
+    F, G = (pc.DensePoly(ctx, draw(st.lists(coeffs, max_size=n))) for _ in "FG")
+    H = pc.mul_oracle(F, G)
+    F, G, H = (X.to_sparse() if draw(st.booleans()) else X for X in (F, G, H))
+    return F, G, H, draw(st.integers(0, 2**32))
+
+
+def _accepts_and_replays(verify, F, G, H, seed):
+    """A true identity is accepted, a wrong one gives a verdict, and either
+    report is reproduced exactly from the same seed."""
+    c = cfg(seed)
+    report = verify(F, G, H, c)
+    assert report.verdict is True
+    assert verify(F, G, H, c) == report
+    wrong = perturb_poly(H, RngStream(seed))
+    assert verify(F, G, wrong, c) == verify(F, G, wrong, c)
+
+
+class TestOneSidedAndReplayable:
+    @given(product_triples((Z, F2, pc.GF(7), pc.GF(65537))), st.sampled_from((None, E_SMALL)))
+    def test_kaminski(self, inst, e):
+        params = None if e is None else KaminskiParams(e=e)
+        _accepts_and_replays(
+            lambda F, G, H, c: verify_product_kaminski(F, G, H, c, params), *inst
+        )
+
+    @given(product_triples((Z,)))
+    def test_kronecker(self, inst):
+        _accepts_and_replays(verify_product_kronecker, *inst)
+
+    @given(product_triples((Z, F2, pc.GF(7), pc.GF(65537)), sparse=True))
+    def test_sparse_product(self, inst):
+        _accepts_and_replays(verify_sparse_product, *inst)
