@@ -112,13 +112,7 @@ def _pick_prod_method(args, F, G, H, ctx):
         return args.method
     if all(isinstance(X, SparsePoly) for X in (F, G, H)):
         return "sparse"
-    if ctx == ZZ:
-        degs = [X.degree() for X in (F, G, H) if not X.is_zero()]
-        n = max(degs, default=1)
-        cbits = max((X.norm().bit_length() for X in (F, G, H) if not X.is_zero()), default=1)
-        # Kronecker wants coefficients at least as wide as the degree index
-        return "kronecker" if n.bit_length() <= 2 * cbits else "kaminski"
-    return "kaminski"
+    return "kronecker" if ctx == ZZ else "kaminski"
 
 
 def _cmd_verify_prod(args):

@@ -191,6 +191,24 @@ def delta_norm_bound(F, G, H, P):
     return h_norm + prod
 
 
+def prime_lambda(n, norm, eps):
+    """λ for reducing a nonzero integer polynomial Δ of degree < n, with
+    coefficients at most norm in absolute value, modulo a random prime p in
+    [λ, 2λ] and evaluating it at a random point of GF(p): the largest of
+    21, 2n/eps and (20/3) ln(norm)/eps.
+
+    A nonzero coefficient of Δ has at most ln(norm)/ln λ prime factors
+    >= λ, and [λ, 2λ] holds at least 3λ/(5 ln λ) primes for λ >= 21, so a
+    uniform prime of [λ, 2λ] divides it with probability at most
+    5 ln(norm)/(3λ) <= eps/4.  A random point of GF(p) is a root of a
+    nonzero Δ mod p with probability at most (n-1)/λ < eps/2."""
+    return max(
+        21,
+        -(-2 * n * eps.denominator // eps.numerator),
+        math.ceil(Fraction(20, 3) / eps * ln_upper(max(norm, 1))),
+    )
+
+
 def verify_mod_over_Z(F, G, H, P, cfg=None):
     """Integer-coefficient variant: bound the coefficients of the would-be
     difference, pick a random prime q that almost surely preserves a nonzero
@@ -203,12 +221,7 @@ def verify_mod_over_Z(F, G, H, P, cfg=None):
     if _all_sparse(F, G, H) and _sparsity_precheck(F, G, H, P):
         return VerifyReport(False, float(eps), 0, [], "direct-eval", cfg.seed)
     rng = RngStream(cfg.seed)
-    delta_inf = delta_norm_bound(F, G, H, P)
-    lam = max(
-        21,
-        -(-2 * n * eps.denominator // eps.numerator),
-        math.ceil(Fraction(20, 3) / eps * ln_upper(max(delta_inf, 1))),
-    )
+    lam = prime_lambda(n, delta_norm_bound(F, G, H, P), eps)
     q = random_prime(lam, eps / 2, rng)
     fq = GF(q)
     Fq, Gq, Hq, Pq = (_map_to_field(X, fq) for X in (F, G, H, P))
@@ -235,34 +248,48 @@ def minimal_extension_degree(q, bound):
     return d
 
 
+def extension_degree(q, deg, eps):
+    """The degree D of the screened irreducible R behind one comparison at
+    X modulo R, for a nonzero Δ of degree at most deg over GF(q): the least
+    D with q^D >= max(36, 2 max(deg, 1)/eps).
+
+    Δ has at most deg/D monic irreducible factors of degree D, and there
+    are at least (q^D - 2q^(D/2))/D >= (2/3) q^D/D monic irreducibles of
+    degree D, as q^(D/2) >= 6.  So a uniform irreducible R divides Δ with
+    probability at most 3 deg/(2q^D) <= 3eps/4, and screening R with
+    random_irreducible at eps/4 adds at most eps/4."""
+    return minimal_extension_degree(q, max(36, 2 * max(deg, 1) / eps))
+
+
+def screened_extension(ctx, deg, eps, rng):
+    """GF(q)[X]/(R) for one irreducible R of degree extension_degree(q,
+    deg, eps), screened by random_irreducible at eps/4, and its witness
+    {"extension_degree": D, "modulus": R}."""
+    d = extension_degree(ctx.q, deg, eps)
+    R = list(random_irreducible(ctx, d, eps / 4, rng).coeffs)
+    return ExtField(ctx, R), {"extension_degree": d, "modulus": R}
+
+
 def _verify_at_irreducible(F, G, H, P, cfg, method):
     """One draw at X modulo one screened irreducible R: compare H mod R with
     ((F*G) mod P) mod R, both from the evaluation scans at the class of X in
-    GF(q)[X]/(R) (Rabin 1980).  R has degree D, the least D with
-    q^D >= max(36, 2 max(n-1, 1)/eps).  All-sparse input keeps the sparsity
-    precheck and runs the sparse scans; any other input is made dense.
+    GF(q)[X]/(R) (Rabin 1980).  R has degree D = extension_degree(q, n-1,
+    eps).  All-sparse input keeps the sparsity precheck and runs the sparse
+    scans; any other input is made dense.
 
     Soundness: a nonzero Δ = H - (F*G) mod P of degree < n passes only if R
-    divides it.  Δ has at most (n-1)/D monic irreducible factors of degree
-    D, and there are at least (q^D - 2q^(D/2))/D >= (2/3) q^D/D monic
-    irreducibles of degree D, as q^(D/2) >= 6.  So a uniform irreducible R
-    divides Δ with probability at most 3(n-1)/(2q^D) <= 3ε/4, and screening
-    R with random_irreducible at ε/4 adds at most ε/4.  The report has
-    rounds = 1 and one witness {"extension_degree": D, "modulus": R}.
+    divides it, which happens with probability at most ε (see
+    extension_degree).  The report has rounds = 1 and one witness
+    {"extension_degree": D, "modulus": R}.
     """
-    ctx = P.ctx
     eps = cfg.epsilon
     if not _all_sparse(F, G, H):
         F, G, H = _dense(F), _dense(G), _dense(H)
     elif _sparsity_precheck(F, G, H, P):
         return VerifyReport(False, float(eps), 0, [], method, cfg.seed)
-    rng = RngStream(cfg.seed)
-    d = minimal_extension_degree(ctx.q, max(36, 2 * max(P.degree() - 1, 1) / eps))
-    R = list(random_irreducible(ctx, d, eps / 4, rng).coeffs)
-    ring = ExtField(ctx, R)
+    ring, witness = screened_extension(P.ctx, P.degree() - 1, eps, RngStream(cfg.seed))
     verdict = _agree_at(F, G, H, P, ring.x, ring)
-    witnesses = [{"extension_degree": d, "modulus": R}]
-    return VerifyReport(verdict, float(eps), 1, witnesses, method, cfg.seed)
+    return VerifyReport(verdict, float(eps), 1, [witness], method, cfg.seed)
 
 
 def verify_mod_ff(F, G, H, P, cfg=None):

@@ -1,9 +1,9 @@
 """Slow, obviously-correct reference implementations.
 
-These back the test suite and the verifiers' deterministic fallbacks.  They
-never call the package's optimized paths: dense products are plain schoolbook
-convolutions and reductions are classical term-by-term long division, so they
-form an independent route against which everything else is checked.
+These back the test suite; no verifier calls them.  They never call the
+package's optimized paths: dense products are plain schoolbook convolutions
+and reductions are classical term-by-term long division, so they form an
+independent route against which everything else is checked.
 """
 
 from .poly import DensePoly, SparsePoly

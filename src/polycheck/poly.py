@@ -605,7 +605,16 @@ def parse_poly(text):
         return c
 
     if kind == "dense":
-        return DensePoly(ctx, [parse_coeff(t) for t in items])
+        try:
+            cs = list(map(int, items))
+        except ValueError:
+            cs = None
+        if cs is None or (
+            isinstance(ctx, PrimeField) and cs and (min(cs) < 0 or max(cs) >= ctx.q)
+        ):
+            for tok in items:  # raises the error of the first bad token
+                parse_coeff(tok)
+        return _canonical_dense(ctx, cs)
     if kind == "sparse":
         terms = []
         last = -1
@@ -628,6 +637,17 @@ def parse_poly(text):
             terms.append((e, c))
         return SparsePoly(ctx, terms)
     raise PolyFormatError(f"bad representation {kind!r}")
+
+
+def _canonical_dense(ctx, cs):
+    """DensePoly(ctx, cs) for a list cs of ints already canonical in ctx (in
+    [0, q) over GF(q)), without the constructor's per-coefficient canon."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    F = DensePoly.__new__(DensePoly)
+    F.ctx = ctx
+    F.coeffs = tuple(cs)
+    return F
 
 
 def read_poly_file(path):

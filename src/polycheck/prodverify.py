@@ -7,6 +7,13 @@ Mersenne-style moduli 2^i - 1; integer-coefficient dense products reduce to
 one big integer product by evaluating at a power of two (Kronecker
 substitution); sparse products fold exponents modulo a random prime p and
 verify modulo X^p - 1.
+
+Where Kaminski's fold bound has no force (at the default e = 9/20, every
+degree below about 10^13), no verifier recomputes the product: the
+polynomial check compares H(α) with F(α)G(α) once (Schwartz 1980, Zippel
+1979), at a random point of GF(q), at X modulo a screened irreducible R
+over a small GF(q), or at a random point of GF(p) for a random prime p over
+Z; the integer check compares A*B with C modulo one random prime.
 """
 
 import math
@@ -17,9 +24,12 @@ from . import modverify
 from .modverify import VerifyConfig, VerifyReport, FieldTooSmallError
 from .poly import (
     DENSIFY_CAP,
+    DensePoly,
     SparsePoly,
+    evaluate,
     kronecker_pack,
     mul_oracle,
+    product_norm_bound,
     reduce_mod_binomial,
     x_pow_minus_one,
 )
@@ -73,7 +83,9 @@ class KaminskiParams:
         """Proven acceptance bound for one fold round on a wrong product, or
         1 when no claim is available.  The count bound is only trusted once
         the fold range is wide enough (lo >= 21) for its asymptotic constant
-        to have room; below that the verifiers fall back to exact checks."""
+        to have room; below that the verifiers fall back to one evaluation
+        (verify_product_kaminski, verify_int_product) or to one modular check
+        at a binomial (verify_product_kaminski_nomul)."""
         lo, hi = self.fold_range(n)
         k = self.k(n)
         if hi - lo < 1 or lo < 21 or k == 0:
@@ -134,12 +146,73 @@ def _product_shape_reject(F, G, H):
     return None
 
 
+def _value_mod_prime(X, alpha, fp):
+    """X(alpha) in GF(p) for an integer polynomial X: the int Horner kernel
+    reduces the signed coefficients as it goes."""
+    if isinstance(X, DensePoly):
+        return fp.horner(X.coeffs, alpha)
+    return evaluate(SparsePoly(fp, X.terms), alpha, fp)
+
+
+def _product_at_one_point(F, G, H, cfg, method):
+    """Decide H = F*G by comparing H(α) with F(α)G(α) once.  F, G and H are
+    all dense or all sparse, none zero, and deg H <= deg F + deg G, so
+    Δ = H - F*G has degree at most m = deg F + deg G.
+
+    - GF(q) with q ε >= m: α is uniform in GF(q); a nonzero Δ has at most m
+      roots, so it passes with probability at most m/q <= ε.
+    - A smaller GF(q): α is the class of X modulo one screened irreducible
+      R of degree D = modverify.extension_degree(q, m, ε); a nonzero Δ
+      passes only if R divides it, with probability at most ε.
+    - Z: p is a random prime in [λ, 2λ], λ = modverify.prime_lambda(m + 1,
+      ||H|| + min(#F, #G) ||F|| ||G||, ε), and α is uniform in GF(p).  p
+      divides every coefficient of a nonzero Δ with probability at most
+      ε/4, α is a root of a nonzero Δ mod p with probability below ε/2,
+      and random_prime at ε/4 returns a composite with probability at most
+      ε/4.
+
+    Every ring operation is exact, so a true H always passes.  The report
+    has rounds = 1 and one witness: {"alpha": α}, {"extension_degree": D,
+    "modulus": R} or {"p": p, "alpha": α}.  Other coefficient rings (a
+    quotient ring as coefficients) keep one exact product, with rounds = 0
+    and the witness {"deterministic": "reference-product"}."""
+    ctx = F.ctx
+    eps = cfg.epsilon
+    m = F.degree() + G.degree()
+    rng = RngStream(cfg.seed)
+    if isinstance(ctx, IntegerRing):
+        norm = H.norm() + product_norm_bound(F, G)
+        p = random_prime(modverify.prime_lambda(m + 1, norm, eps), eps / 4, rng)
+        ring = PrimeField(p)
+        alpha = ring.sample(rng)
+        fa, ga, ha = (_value_mod_prime(X, alpha, ring) for X in (F, G, H))
+        witness = {"p": p, "alpha": alpha}
+    elif isinstance(ctx, PrimeField):
+        if ctx.q * eps >= m:
+            ring = ctx
+            alpha = ring.sample(rng)
+            witness = {"alpha": alpha}
+        else:
+            ring, witness = modverify.screened_extension(ctx, m, eps, rng)
+            alpha = ring.x
+        fa, ga, ha = (evaluate(X, alpha, ring) for X in (F, G, H))
+    else:
+        verdict = mul_oracle(F, G) == H
+        return VerifyReport(
+            verdict, 0.0, 0, [{"deterministic": "reference-product"}], method, cfg.seed
+        )
+    verdict = ring.mul(fa, ga) == ha
+    return VerifyReport(verdict, float(eps), 1, [witness], method, cfg.seed)
+
+
 def verify_product_kaminski(F, G, H, cfg=None, params=None):
     """Decide H = F*G over any coefficient ring by folding modulo a random
-    X^i - 1 and comparing folded products.  One-sided; when the per-round
-    bound at this degree is vacuous, falls back to one exact reference
-    multiplication.  A triple that is not all sparse is made dense first,
-    so products and comparisons meet one representation."""
+    X^i - 1 and comparing folded products.  One-sided.  When the per-round
+    bound at this degree is vacuous, which at the default e holds for every
+    degree below about 10^13, it compares H and F*G at one point instead
+    (_product_at_one_point) and never multiplies F by G.  A triple that is
+    not all sparse is made dense first, so every comparison meets one
+    representation."""
     cfg = cfg or VerifyConfig()
     params = params or KaminskiParams()
     if F.ctx != G.ctx or F.ctx != H.ctx:
@@ -153,10 +226,7 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
     n = max(F.degree(), G.degree(), 1)
     rho = params.per_round_bound(n)
     if rho > Fraction(1, 2):
-        verdict = mul_oracle(F, G) == H
-        return VerifyReport(
-            verdict, 0.0, 0, [{"deterministic": "reference-product"}], "kaminski", cfg.seed
-        )
+        return _product_at_one_point(F, G, H, cfg, "kaminski")
     rng = RngStream(cfg.seed)
     lo, hi = params.fold_range(n)
     rounds = _rounds_for(eps, rho)
@@ -264,8 +334,18 @@ def fold_mersenne(x, i):
 def verify_int_product(a, b, c, cfg=None, e=None):
     """Decide a*b = c for integers by reducing modulo random 2^i - 1 with
     i drawn from [s^(1-e), 2 s^(1-e)), s the operand bit size.  One-sided;
-    signs are screened first, and sizes where the per-round bound is vacuous
-    use one exact product instead."""
+    signs and sizes are screened first.
+
+    Where the per-round bound is vacuous (or i would be below 2), it checks
+    A*B = C modulo one random prime p in [λ, 2λ] instead, with
+    λ = modverify.prime_lambda(1, 2^(2s), ε), linear in s/ε (about 2^42 for
+    a 2^12-coefficient Kronecker pack at ε = 2^-20).  After the screens A, B
+    and C are positive and C, AB < 2^(2s), so a nonzero Δ = C - AB is below
+    2^(2s) in absolute value and has fewer than 2s/log2 λ prime factors
+    >= λ.  [λ, 2λ] holds at least 3λ/(5 ln λ) primes, so a uniform prime
+    there divides Δ with probability at most (5/3) 2s ln 2/λ <= ε/4, and
+    random_prime at ε/2 returns a composite with probability at most ε/2.
+    The report has rounds = 1 and the witness {"p": p}."""
     cfg = cfg or VerifyConfig()
     params = KaminskiParams(e=e if e is not None else Fraction(9, 20))
     eps = cfg.epsilon
@@ -281,12 +361,12 @@ def verify_int_product(a, b, c, cfg=None, e=None):
         return VerifyReport(False, 0.0, 0, [{"deterministic": "size"}], "int-fold", cfg.seed)
     rho = params.per_round_bound(s)
     lo, hi = params.fold_range(s)
-    # 2^i - 1 is a useless modulus below i = 2, so tiny operands go exact
-    if rho > Fraction(1, 2) or lo < 2:
-        return VerifyReport(
-            A * B == C, 0.0, 0, [{"deterministic": "product"}], "int-fold", cfg.seed
-        )
     rng = RngStream(cfg.seed)
+    # 2^i - 1 is a useless modulus below i = 2, so tiny operands take a prime too
+    if rho > Fraction(1, 2) or lo < 2:
+        p = random_prime(modverify.prime_lambda(1, 1 << (2 * s), eps), eps / 2, rng)
+        verdict = (A % p) * (B % p) % p == C % p
+        return VerifyReport(verdict, float(eps), 1, [{"p": p}], "int-fold", cfg.seed)
     rounds = _rounds_for(eps, rho)
     witnesses = []
     for _ in range(rounds):
@@ -324,7 +404,10 @@ def _eval_power_of_two(F, w):
 def verify_product_kronecker(F, G, H, cfg=None, e=None):
     """Decide H = F*G over Z by evaluating all three at a power of two beta
     large enough that polynomial equality is equivalent to the integer
-    identity H(beta) = F(beta) G(beta), then verifying that integer product."""
+    identity H(beta) = F(beta) G(beta), then verifying that integer product
+    with verify_int_product: by Mersenne folds where their bound has force,
+    otherwise modulo one random prime, so F(beta) G(beta) is never formed.
+    The report carries the inner error bound, rounds and witnesses."""
     cfg = cfg or VerifyConfig()
     if F.ctx != G.ctx or F.ctx != H.ctx:
         raise ValueError("mixed coefficient contexts")

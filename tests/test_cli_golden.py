@@ -64,20 +64,20 @@ GOLDEN = {
     "mod-Z-sparse-binomial-wrong": "0cf75015d7f9697e",
     "mod-Z-sparse-trinomial-true": "e0b0628a2beb5d45",
     "mod-Z-sparse-trinomial-wrong": "2d8608a829ede3f5",
-    "prod-GF2-dense-true": "14abe3cb840660d7",
-    "prod-GF2-dense-wrong": "8c1e547fd4d99aa7",
+    "prod-GF2-dense-true": "20b1d8ed2bd82d7e",
+    "prod-GF2-dense-wrong": "f5a7cfaf06fa05d8",
     "prod-GF2-sparse-true": "49fe50fe8e946589",
     "prod-GF2-sparse-wrong": "d7ca90020d90fd8f",
-    "prod-GF65537-dense-true": "1f38c63f7704fa3f",
-    "prod-GF65537-dense-wrong": "871c1c0c1f69f973",
+    "prod-GF65537-dense-true": "1c0adc3c99734d4f",
+    "prod-GF65537-dense-wrong": "019692f6016754da",
     "prod-GF65537-sparse-true": "8bdcbce22bb197e0",
     "prod-GF65537-sparse-wrong": "c0b8c3dd2d1ce6cb",
-    "prod-GF7-dense-true": "6f21f15af3f18ca1",
-    "prod-GF7-dense-wrong": "7fb0732ef719632e",
+    "prod-GF7-dense-true": "5cb8285a68be4ace",
+    "prod-GF7-dense-wrong": "c4421038d9cec2ed",
     "prod-GF7-sparse-true": "e1c31bbb1c9d98f7",
     "prod-GF7-sparse-wrong": "fda7ed822d6f0cbd",
-    "prod-Z-dense-true": "32d67b175e65b7d4",
-    "prod-Z-dense-wrong": "5a653c2cd35dff91",
+    "prod-Z-dense-true": "93f7258255f10b0b",
+    "prod-Z-dense-wrong": "edd3af01794bcade",
     "prod-Z-sparse-true": "fb4ec538fd1e481f",
     "prod-Z-sparse-wrong": "27c1f002a3f1ae14",
 }

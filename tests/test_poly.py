@@ -385,6 +385,36 @@ class TestTextFormat:
             with pytest.raises(PolyFormatError):
                 parse_poly(text)
 
+    @given(st.data())
+    def test_format_parse_round_trip(self, data):
+        ctx = data.draw(st.sampled_from([Z, pc.GF(2), pc.GF(7), pc.GF(65537)]))
+        coeff = st.integers(-(2**70), 2**70) if ctx == Z else st.integers(0, ctx.q - 1)
+        if data.draw(st.booleans()):
+            F = pc.DensePoly(ctx, data.draw(st.lists(coeff, max_size=40)))
+        else:
+            terms = st.dictionaries(st.integers(0, 2**63 - 1), coeff, max_size=10)
+            F = pc.SparsePoly.from_dict(ctx, data.draw(terms))
+        text = format_poly(F)
+        G = parse_poly(text)
+        assert G == F and type(G) is type(F)
+        assert format_poly(G) == text
+
+    def test_dense_errors_name_the_first_bad_token(self):
+        cases = {
+            "ring GF 7\ndense 1 x 9\n": "bad coefficient 'x'",
+            "ring GF 7\ndense 1 9 x\n": "coefficient 9 not reduced into [0, 7)",
+            "ring GF 7\ndense 1 -1 9\n": "coefficient -1 not reduced into [0, 7)",
+            "ring Z\ndense 1 2.5 x\n": "bad coefficient '2.5'",
+        }
+        for text, message in cases.items():
+            with pytest.raises(PolyFormatError) as exc:
+                parse_poly(text)
+            assert str(exc.value) == message
+
+    def test_dense_trailing_zeros_dropped(self):
+        assert parse_poly("ring GF 7\ndense 1 2 0 0\n").coeffs == (1, 2)
+        assert parse_poly("ring Z\ndense 0 0\n").is_zero()
+
     def test_negative_over_Z_allowed(self):
         F = parse_poly("ring Z\nsparse 0:-4 28:1\n")
         assert F.terms == ((0, -4), (28, 1))

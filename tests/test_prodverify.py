@@ -1,10 +1,20 @@
+import itertools
 import math
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import polycheck as pc
-from polycheck.modverify import FieldTooSmallError, VerifyConfig
+from polycheck import prodverify
+from polycheck.cli import main
+from polycheck.modverify import (
+    FieldTooSmallError,
+    VerifyConfig,
+    extension_degree,
+    prime_lambda,
+)
+from polycheck.oracle import poly_divmod
+from polycheck.poly import write_poly_file
 from polycheck.prodverify import (
     KaminskiParams,
     SparseVerifyParams,
@@ -18,7 +28,7 @@ from polycheck.prodverify import (
     verify_product_kronecker,
     verify_sparse_product,
 )
-from polycheck.rings import POLY_MUL_OPS, RngStream
+from polycheck.rings import POLY_MUL_OPS, RngStream, poly_list_is_irreducible
 from conftest import perturb_poly, rand_dense, rand_sparse
 
 Z = pc.ZZ
@@ -104,12 +114,24 @@ class TestKaminski:
         r = verify_product_kaminski(EX1_F.to_dense(), EX1_H.to_dense(), EX1_FH.to_dense(), cfg(0))
         assert r.verdict is True
 
-    def test_deterministic_fallback_at_default_e(self, rng):
-        F = rand_dense(Z, 64, rng)
-        G = rand_dense(Z, 64, rng)
-        H = pc.mul_oracle(F, G)
-        r = verify_product_kaminski(F, G, H, cfg(1))
-        assert r.rounds == 0 and r.witnesses == [{"deterministic": "reference-product"}]
+    def test_one_point_fallback_at_default_e(self):
+        # at the default e the fold bound is vacuous, so one point is compared:
+        # a random prime and a point of GF(p) over Z, a point of a large
+        # GF(q), X modulo a screened irreducible R over a small GF(q)
+        rng = RngStream(77)
+        pinned = {
+            Z: [{"p": 1307, "alpha": 806}],
+            pc.GF(65537): [{"alpha": 2051}],
+            F2: [{"extension_degree": 10, "modulus": [1, 0, 1, 1, 1, 1, 0, 0, 1, 0, 1]}],
+        }
+        for ctx, witnesses in pinned.items():
+            F = rand_dense(ctx, 64, rng)
+            G = rand_dense(ctx, 64, rng)
+            H = pc.mul_oracle(F, G)
+            r = verify_product_kaminski(F, G, H, cfg(1))
+            assert r.verdict is True
+            assert (r.rounds, r.error_bound, r.method) == (1, 0.25, "kaminski")
+            assert r.witnesses == witnesses
 
     def test_probabilistic_path_small_e(self, rng):
         params = KaminskiParams(e=E_SMALL)
@@ -529,3 +551,137 @@ class TestOneSidedAndReplayable:
     @given(product_triples((Z, F2, pc.GF(7), pc.GF(65537)), sparse=True))
     def test_sparse_product(self, inst):
         _accepts_and_replays(verify_sparse_product, *inst)
+
+
+STRICT = Fraction(1, 2**20)
+ENCODINGS = ("dense", "sparse", "mixed")
+
+
+def _encode(encoding, F, G, H):
+    if encoding == "sparse":
+        return F.to_sparse(), G.to_sparse(), H.to_sparse()
+    if encoding == "mixed":
+        return F, G.to_sparse(), H
+    return F, G, H
+
+
+class TestNoProductRecomputed:
+    """The dense product checks decide true and perturbed H with the
+    reference product made to fail."""
+
+    @pytest.fixture(autouse=True)
+    def _no_reference_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the reference product ran")
+
+        monkeypatch.setattr(prodverify, "mul_oracle", refuse)
+
+    @staticmethod
+    def _instances(ctx, encoding, rng):
+        # an all-sparse 2^12-term evaluation over GF(7) takes seconds, so the
+        # sparse encoding stops at 2^9 coefficients
+        for n in (1, 2, 40, 2**9 if encoding == "sparse" else 2**12):
+            F = rand_dense(ctx, n - 1, rng)
+            G = rand_dense(ctx, n - 1 - rng.below(min(n, 3)), rng)
+            H = pc.mul_oracle(F, G)
+            yield F, G, H, perturb_poly(H, rng)
+
+    def _check(self, verify, ctx, encoding, rng):
+        for F, G, H, Hbad in self._instances(ctx, encoding, rng):
+            for seed in (0, 1):
+                assert verify(*_encode(encoding, F, G, H), cfg(seed)).verdict is True
+                assert verify(*_encode(encoding, F, G, H), cfg(seed, STRICT)).verdict is True
+                assert verify(*_encode(encoding, F, G, Hbad), cfg(seed, STRICT)).verdict is False
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("ctx", [Z, F2, pc.GF(7), pc.GF(65537)], ids=str)
+    def test_kaminski(self, ctx, encoding, rng):
+        self._check(verify_product_kaminski, ctx, encoding, rng)
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_kronecker(self, encoding, rng):
+        self._check(verify_product_kronecker, Z, encoding, rng)
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("ctx", [Z, F2, pc.GF(7), pc.GF(65537)], ids=str)
+    def test_cli_auto(self, ctx, encoding, rng, tmp_path, capsys):
+        for F, G, H, Hbad in self._instances(ctx, encoding, rng):
+            for X, code in ((H, 0), (Hbad, 1)):
+                args = ["verify-prod", "--method", "auto", "--seed", "3"]
+                for name, Y in zip("FGH", _encode(encoding, F, G, X)):
+                    write_poly_file(tmp_path / f"{name}.poly", Y)
+                    args += [f"--{name}", str(tmp_path / f"{name}.poly")]
+                assert main(args) == code
+        capsys.readouterr()
+
+
+def _primes_upto(n):
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(sieve[i * i :: i]))
+    return [i for i in range(n + 1) if sieve[i]]
+
+
+class TestOnePointSoundness:
+    @pytest.mark.parametrize("eps", [QUARTER, Fraction(1, 2)])
+    def test_prime_divides_few_int_differences(self, eps):
+        # the worst nonzero C - AB for the prime check of verify_int_product:
+        # the product of the consecutive primes >= λ that fit below 2^(2s);
+        # at most an ε/4 share of the primes in [λ, 2λ] divides it
+        for s in range(1, 65):
+            lam = prime_lambda(1, 1 << (2 * s), eps)
+            primes = _primes_upto(4 * lam)
+            window = [p for p in primes if lam <= p <= 2 * lam]
+            assert len(window) >= 3 * lam / (5 * math.log(lam))
+            delta = 1
+            for p in (p for p in primes if p >= lam):
+                if delta * p >= 1 << (2 * s):
+                    break
+                delta *= p
+            dividing = sum(delta % p == 0 for p in window)
+            assert dividing <= eps / 4 * len(window)
+            a = (1 << s) - 1
+            p = verify_int_product(a, a, a * a, cfg(s, eps)).witnesses[0]["p"]
+            assert lam <= p <= 2 * lam
+
+    @pytest.mark.parametrize("q, m_max", [(2, 8), (3, 5)])
+    @pytest.mark.parametrize("eps", [QUARTER, Fraction(1, 2)])
+    def test_irreducible_divides_few_product_differences(self, q, m_max, eps):
+        # the small-field point of verify_product_kaminski, exhaustively: for
+        # every nonzero Δ of degree <= m = deg F + deg G, at most a 3ε/4 share
+        # of the monic irreducible R of degree D = extension_degree(q, m, ε)
+        # divides Δ
+        K = pc.GF(q)
+        for m in range(1, m_max + 1):
+            if q * eps >= m:
+                continue  # a random point of GF(q) serves
+            D = extension_degree(q, m, eps)
+            F = pc.SparsePoly(K, [(m // 2, 1)]).to_dense()
+            G = pc.SparsePoly(K, [(m - m // 2, 1)]).to_dense()
+            r = verify_product_kaminski(F, G, pc.mul_oracle(F, G), cfg(0, eps))
+            assert r.witnesses[0]["extension_degree"] == D
+            irreducibles = [
+                pc.DensePoly(K, list(tail) + [1])
+                for tail in itertools.product(range(q), repeat=D)
+                if poly_list_is_irreducible(list(tail) + [1], q)
+            ]
+            for cs in itertools.product(range(q), repeat=m + 1):
+                if any(cs):
+                    delta = pc.DensePoly(K, list(cs))
+                    divisors = sum(poly_divmod(delta, R)[1].is_zero() for R in irreducibles)
+                    assert divisors <= Fraction(3, 4) * eps * len(irreducibles)
+
+    @pytest.mark.parametrize("ctx", [pc.GF(7), Z], ids=str)
+    def test_perturbed_product_acceptance_rate(self, ctx, rng):
+        F = rand_dense(ctx, 30, rng)
+        G = rand_dense(ctx, 25, rng)
+        H = pc.mul_oracle(F, G)
+        trials = 2000
+        accepted = 0
+        for seed in range(trials):
+            Hbad = perturb_poly(H, RngStream(seed ^ 0xABCD))
+            if verify_product_kaminski(F, G, Hbad, cfg(seed)).verdict:
+                accepted += 1
+        assert accepted / trials <= 0.30
