@@ -3,8 +3,11 @@ forming F*G.
 
 The dense routines run a linear scan driven by the leading coefficients of
 the shifted residues (X^i * F) mod P; the sparse routines only visit indices
-where something happens, tracked in an ordered index map.  P = X^n - 1 is
-one such P, not a scan of its own.
+where something happens, tracked in an ordered index map, and bridge the
+gaps between them by powers of the point from one windowed power table
+(poly.power_table), which also serves P(alpha) and F(alpha) and which the
+calling check shares with its evaluation of H.  P = X^n - 1 is one such P,
+not a scan of its own.
 
 The companion matrix C_R of a monic R needs no scan of its own either:
 column 0 of H(C_R) is the coefficient vector of H mod R, which is H
@@ -156,10 +159,10 @@ def eval_mod_binomial_dense(F, G, n, alpha, ring=None, lc=None):
     return eval_mod_p_dense(x_pow_minus_one(F.ctx, n), F, G, alpha, ring, lc)
 
 
-def eval_mod_binomial_sparse(F, G, n, alpha, ring=None):
+def eval_mod_binomial_sparse(F, G, n, alpha, ring=None, pw=None):
     """Sparse variant: eval_mod_p_sparse at P = X^n - 1, in
-    O((#F + #G) log n) ring operations."""
-    return eval_mod_p_sparse(x_pow_minus_one(F.ctx, n), F, G, alpha, ring)
+    O(#F + #G) ring operations and powers of alpha."""
+    return eval_mod_p_sparse(x_pow_minus_one(F.ctx, n), F, G, alpha, ring, pw)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +278,12 @@ def _dense_scan(f_alpha, alpha, p_alpha, V, gs, ring, ctx):
     return beta
 
 
-def eval_mod_p_sparse(P, F, G, alpha, ring=None):
+def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     """Sparse variant: only indices where a leading coefficient is nonzero or
-    G has a term are visited; power gaps are bridged by alpha^gap from one
-    power_table."""
+    G has a term are visited; power gaps are bridged by alpha^gap.  P(alpha),
+    F(alpha) and every gap power come from pw, the power_table(ring, alpha)
+    of the calling check (a fresh one if not given), at about
+    (bits of the power)/8 - 1 products each."""
     n = _require_args(P, F, G)
     if G.sparsity() < F.sparsity():
         F, G = G, F  # the product is symmetric and the cost follows #F
@@ -290,9 +295,9 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None):
     if 0 not in vals:
         vals[0] = F.ctx.zero()
     g = dict(G.terms)
-    p_alpha = evaluate(P, alpha, ring)
-    f_alpha = evaluate(F, alpha, ring)
-    pw = power_table(ring, alpha)
+    pw = pw or power_table(ring, alpha)
+    p_alpha = evaluate(P, alpha, ring, pw)
+    f_alpha = evaluate(F, alpha, ring, pw)
     beta = ring.scalar_mul(g[0], f_alpha) if 0 in g else ring.zero()
     i = 0
     for j in sorted(set(vals) | set(g)):

@@ -21,6 +21,7 @@ from .poly import (
     SparsePoly,
     evaluate,
     gap_info,
+    power_table,
     product_norm_bound,
     reduced_norm_bound,
 )
@@ -122,9 +123,10 @@ def _check_shapes(F, G, H, P):
     return n
 
 
-def _eval_mod_point(P, F, G, alpha, ring, lc=None):
+def _eval_mod_point(P, F, G, alpha, ring, lc=None, pw=None):
     """Dispatch to the binomial fast path when P = X^n - 1; lc is the dense
-    scans' leading_coefficients(P, F) when the caller has it."""
+    scans' leading_coefficients(P, F) when the caller has it, pw the sparse
+    scans' power_table(ring, alpha)."""
     ctx = P.ctx
     n = P.degree()
     binom = (
@@ -134,8 +136,8 @@ def _eval_mod_point(P, F, G, alpha, ring, lc=None):
     )
     if _all_sparse(F, G):
         if binom:
-            return modeval.eval_mod_binomial_sparse(F, G, n, alpha, ring)
-        return modeval.eval_mod_p_sparse(P, F, G, alpha, ring)
+            return modeval.eval_mod_binomial_sparse(F, G, n, alpha, ring, pw)
+        return modeval.eval_mod_p_sparse(P, F, G, alpha, ring, pw)
     F, G = _dense(F), _dense(G)
     if binom:
         return modeval.eval_mod_binomial_dense(F, G, n, alpha, ring, lc)
@@ -171,8 +173,10 @@ def verify_mod(F, G, H, P, cfg=None):
 
 def _agree_at(F, G, H, P, alpha, ring, lc=None):
     """H(alpha) == ((F*G) mod P)(alpha): the check behind every verifier of
-    this module, at a random point or at the class of X modulo R."""
-    return evaluate(H, alpha, ring) == _eval_mod_point(P, F, G, alpha, ring, lc)
+    this module, at a random point or at the class of X modulo R.  One
+    power table at alpha serves every sparse polynomial of the check."""
+    pw = power_table(ring, alpha)
+    return evaluate(H, alpha, ring, pw) == _eval_mod_point(P, F, G, alpha, ring, lc, pw)
 
 
 def _verify_mod_once(F, G, H, P, ring, rng):
@@ -201,7 +205,8 @@ def prime_lambda(n, norm, eps):
     >= λ, and [λ, 2λ] holds at least 3λ/(5 ln λ) primes for λ >= 21, so a
     uniform prime of [λ, 2λ] divides it with probability at most
     5 ln(norm)/(3λ) <= eps/4.  A random point of GF(p) is a root of a
-    nonzero Δ mod p with probability at most (n-1)/λ < eps/2."""
+    nonzero Δ mod p with probability at most (n-1)/λ < eps/2.  A caller
+    that asks random_prime for p at eps/4 keeps the total within eps."""
     return max(
         21,
         -(-2 * n * eps.denominator // eps.numerator),
@@ -212,7 +217,12 @@ def prime_lambda(n, norm, eps):
 def verify_mod_over_Z(F, G, H, P, cfg=None):
     """Integer-coefficient variant: bound the coefficients of the would-be
     difference, pick a random prime q that almost surely preserves a nonzero
-    difference, reduce everything modulo q and verify over GF(q)."""
+    difference, reduce everything modulo q and verify over GF(q).
+
+    The error splits three ways (see prime_lambda): random_prime at ε/4
+    returns a composite with probability at most ε/4, a prime q divides the
+    nonzero coefficient of Δ with probability at most ε/4, and the random
+    point is a root of Δ mod q with probability below ε/2."""
     cfg = cfg or VerifyConfig()
     n = _check_shapes(F, G, H, P)
     if not isinstance(P.ctx, IntegerRing):
@@ -222,7 +232,7 @@ def verify_mod_over_Z(F, G, H, P, cfg=None):
         return VerifyReport(False, float(eps), 0, [], "direct-eval", cfg.seed)
     rng = RngStream(cfg.seed)
     lam = prime_lambda(n, delta_norm_bound(F, G, H, P), eps)
-    q = random_prime(lam, eps / 2, rng)
+    q = random_prime(lam, eps / 4, rng)
     fq = GF(q)
     Fq, Gq, Hq, Pq = (_map_to_field(X, fq) for X in (F, G, H, P))
     witnesses = [{"q": q}]
@@ -342,8 +352,9 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     scans at the class of X in GF(q)[X]/(R).  The scans use ring operations
     only, never an inverse, so a true H passes for every R, reducible or
     not.  All-sparse inputs run the sparse scans, whose powers of X come
-    from squares that POLY_MUL_OPS counts; any other input is made dense
-    and runs the dense scans, which multiply no polynomials.
+    from one power table per draw, each of its products counted in
+    POLY_MUL_OPS; any other input is made dense and runs the dense scans,
+    which multiply no polynomials.
 
     Soundness of the unscreened draws: let Δ = H - (F*G) mod P be nonzero,
     of degree < n; a draw accepts only if R divides Δ.  R is irreducible

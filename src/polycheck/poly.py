@@ -17,6 +17,7 @@ EXPONENT_CAP = 2**63 - 1
 KARATSUBA_THRESHOLD = 32
 KRONECKER_LEAF = 32
 DENSIFY_CAP = 2**26
+WINDOW_BITS = 8  # power_table reads exponents a byte at a time
 
 
 class PolyFormatError(ValueError):
@@ -409,28 +410,53 @@ def _check_eval_ring(F, ring):
 
 
 def power_table(ring, alpha):
-    """The map e -> alpha^e for repeated exponents at one point.
+    """The map e -> alpha^e for many exponents at one point.
 
-    In an ExtField, whose product runs in Python, the squares alpha^(2^i)
-    are computed once, as far as the largest exponent asked for needs, and
-    alpha^e is the product of the squares at the set bits of e: popcount(e)
-    - 1 products instead of the about log2(e) + popcount(e) of a fresh
-    square-and-multiply.  Other rings keep their builtin pow."""
-    if not isinstance(ring, ExtField):
+    In GF(q) and in an ExtField it is one fixed-base windowed table
+    (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992): window i holds
+    alpha^(j 2^(8i)) for 0 < j < 256, and alpha^e is the product of one
+    entry per nonzero byte of e, so (nonzero bytes of e) - 1 products once
+    its entries exist.  Entries are filled lazily, one product each:
+    T[j] = T[j ^ low] T[low] with low the lowest set bit of j, and the
+    power-of-two entries T[2^k] = alpha^(2^(8i+k)) come from the squares of
+    alpha, one product per square, as far as the largest exponent asked
+    for needs.  Every product is ring.mul, which an ExtField counts in
+    POLY_MUL_OPS.  Z keeps its builtin pow.  One table serves every term of
+    every polynomial evaluated at alpha in one check; it is local to that
+    check."""
+    if not isinstance(ring, (ExtField, PrimeField)):
         return lambda e: ring.pow(alpha, e)
-    squares = [alpha]
     mul = ring.mul
+    squares = [alpha]
+    windows = []
+
+    def entry(window, i, j):
+        v = window[j]
+        if v is None:
+            low = j & -j
+            if low == j:
+                k = WINDOW_BITS * i + j.bit_length() - 1
+                while len(squares) <= k:
+                    s = squares[-1]
+                    squares.append(mul(s, s))
+                v = squares[k]
+            else:
+                v = mul(entry(window, i, j ^ low), entry(window, i, low))
+            window[j] = v
+        return v
 
     def pw(e):
-        while len(squares) < e.bit_length():
-            s = squares[-1]
-            squares.append(mul(s, s))
+        digits = e.to_bytes((e.bit_length() + 7) >> 3, "little")
+        while len(windows) < len(digits):
+            windows.append([None] * (1 << WINDOW_BITS))
         acc = None
-        while e:
-            low = e & -e
-            e ^= low
-            s = squares[low.bit_length() - 1]
-            acc = s if acc is None else mul(acc, s)
+        for i, j in enumerate(digits):
+            if j:
+                window = windows[i]
+                v = window[j]
+                if v is None:
+                    v = entry(window, i, j)
+                acc = v if acc is None else mul(acc, v)
         return ring.one() if acc is None else acc
 
     return pw
@@ -457,11 +483,12 @@ def _horner(cs, alpha, ring):
     return acc
 
 
-def evaluate(F, alpha, ring=None):
+def evaluate(F, alpha, ring=None, pw=None):
     """F(alpha).  alpha may live in F.ctx or in an ExtField over it; dense
     polynomials use Horner, the ring's fused loop where it has one, sparse
-    ones take every alpha^e from one power_table, which squares alpha once
-    per bit of the degree.  At the class of X in a quotient ring, F(X) is
+    ones take every alpha^e from pw, a power_table(ring, alpha) that a
+    check evaluating several polynomials at alpha builds once and shares,
+    or from a fresh one.  At the class of X in a quotient ring, F(X) is
     F mod R, and dense Horner multiplies no polynomials (see ExtField.mul)."""
     ring = _check_eval_ring(F, ring)
     if isinstance(F, DensePoly):
@@ -469,7 +496,7 @@ def evaluate(F, alpha, ring=None):
             return ring.horner(F.coeffs, alpha)
         return _horner(F.coeffs, alpha, ring)
     if isinstance(F, SparsePoly):
-        pw = power_table(ring, alpha)
+        pw = pw or power_table(ring, alpha)
         acc = ring.zero()
         for e, c in F.terms:
             acc = ring.add(acc, ring.scalar_mul(c, pw(e)))

@@ -29,6 +29,7 @@ from .poly import (
     evaluate,
     kronecker_pack,
     mul_oracle,
+    power_table,
     product_norm_bound,
     reduce_mod_binomial,
     x_pow_minus_one,
@@ -146,12 +147,13 @@ def _product_shape_reject(F, G, H):
     return None
 
 
-def _value_mod_prime(X, alpha, fp):
+def _value_mod_prime(X, alpha, fp, pw):
     """X(alpha) in GF(p) for an integer polynomial X: the int Horner kernel
-    reduces the signed coefficients as it goes."""
+    reduces the signed coefficients as it goes; sparse terms take their
+    powers from pw, the power_table(fp, alpha) of the check."""
     if isinstance(X, DensePoly):
         return fp.horner(X.coeffs, alpha)
-    return evaluate(SparsePoly(fp, X.terms), alpha, fp)
+    return evaluate(SparsePoly(fp, X.terms), alpha, fp, pw)
 
 
 def _product_at_one_point(F, G, H, cfg, method):
@@ -185,7 +187,8 @@ def _product_at_one_point(F, G, H, cfg, method):
         p = random_prime(modverify.prime_lambda(m + 1, norm, eps), eps / 4, rng)
         ring = PrimeField(p)
         alpha = ring.sample(rng)
-        fa, ga, ha = (_value_mod_prime(X, alpha, ring) for X in (F, G, H))
+        pw = power_table(ring, alpha)
+        fa, ga, ha = (_value_mod_prime(X, alpha, ring, pw) for X in (F, G, H))
         witness = {"p": p, "alpha": alpha}
     elif isinstance(ctx, PrimeField):
         if ctx.q * eps >= m:
@@ -195,7 +198,8 @@ def _product_at_one_point(F, G, H, cfg, method):
         else:
             ring, witness = modverify.screened_extension(ctx, m, eps, rng)
             alpha = ring.x
-        fa, ga, ha = (evaluate(X, alpha, ring) for X in (F, G, H))
+        pw = power_table(ring, alpha)
+        fa, ga, ha = (evaluate(X, alpha, ring, pw) for X in (F, G, H))
     else:
         verdict = mul_oracle(F, G) == H
         return VerifyReport(

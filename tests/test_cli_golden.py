@@ -56,14 +56,14 @@ GOLDEN = {
     "mod-GF7-sparse-binomial-wrong": "aa0baca2102588e7",
     "mod-GF7-sparse-trinomial-true": "15edff1325193c69",
     "mod-GF7-sparse-trinomial-wrong": "579d38a6f7b63675",
-    "mod-Z-dense-binomial-true": "b066968ff34b054c",
-    "mod-Z-dense-binomial-wrong": "d5f495b7d1ff54dc",
-    "mod-Z-dense-trinomial-true": "beff8c1a41117daa",
-    "mod-Z-dense-trinomial-wrong": "8fb6e150be8a6ddd",
-    "mod-Z-sparse-binomial-true": "2245ec789d1a555a",
+    "mod-Z-dense-binomial-true": "f9b2444cedede790",
+    "mod-Z-dense-binomial-wrong": "032655c21bdf5d85",
+    "mod-Z-dense-trinomial-true": "8d7a648c5077f354",
+    "mod-Z-dense-trinomial-wrong": "64ce3f8f8376c718",
+    "mod-Z-sparse-binomial-true": "7e93be327b947afc",
     "mod-Z-sparse-binomial-wrong": "0cf75015d7f9697e",
-    "mod-Z-sparse-trinomial-true": "e0b0628a2beb5d45",
-    "mod-Z-sparse-trinomial-wrong": "2d8608a829ede3f5",
+    "mod-Z-sparse-trinomial-true": "dd151560aeab6d7b",
+    "mod-Z-sparse-trinomial-wrong": "1bf7bb4f1c14776d",
     "prod-GF2-dense-true": "20b1d8ed2bd82d7e",
     "prod-GF2-dense-wrong": "f5a7cfaf06fa05d8",
     "prod-GF2-sparse-true": "49fe50fe8e946589",
@@ -78,8 +78,8 @@ GOLDEN = {
     "prod-GF7-sparse-wrong": "fda7ed822d6f0cbd",
     "prod-Z-dense-true": "93f7258255f10b0b",
     "prod-Z-dense-wrong": "edd3af01794bcade",
-    "prod-Z-sparse-true": "fb4ec538fd1e481f",
-    "prod-Z-sparse-wrong": "27c1f002a3f1ae14",
+    "prod-Z-sparse-true": "17f3df383a8ac755",
+    "prod-Z-sparse-wrong": "b129c783f22b538f",
 }
 
 

@@ -136,6 +136,22 @@ class TestVerifyModOverZ:
         with pytest.raises(TypeError):
             verify_mod_over_Z(F, G, H, P, cfg(0))
 
+    def test_prime_is_drawn_at_a_quarter_of_epsilon(self, rng, monkeypatch):
+        # composite share eps/4 + divisor share eps/4 + root share eps/2 = eps
+        asked = []
+        draw = modverify.random_prime
+
+        def spy(lam, eps, stream):
+            asked.append(eps)
+            return draw(lam, eps, stream)
+
+        monkeypatch.setattr(modverify, "random_prime", spy)
+        P, F, G, H = make_instance(Z, 25, 5, rng)
+        configs = [cfg(0), cfg(1, Fraction(1, 2**20)), cfg(2, Fraction(3, 7))]
+        for c in configs:
+            verify_mod_over_Z(F, G, H, P, c)
+        assert asked == [c.epsilon / 4 for c in configs]
+
 
 class TestVerifyModFF:
     def test_extension_degree_fixture(self):
@@ -353,8 +369,8 @@ class TestVerifyModCompanionSparse:
         assert all("modulus" in w for w in r.witnesses)
 
     def test_counts_its_products(self, rng):
-        # square-and-multiply at X is counted; the dense scans at X step by
-        # mul_x and count nothing on the same ring
+        # the products that fill the power table at X are counted; the dense
+        # scans at X step by mul_x and count nothing on the same ring
         P, F, G, H = make_instance(F2, 256, 4, rng)
         before = POLY_MUL_OPS.count
         verify_mod_companion_sparse(F, G, H, P, cfg(0))

@@ -9,6 +9,7 @@ from polycheck.poly import (
     format_poly,
     kronecker_pack,
     parse_poly,
+    power_table,
     reduction_steps,
 )
 from polycheck.rings import POLY_MUL_OPS, RngStream
@@ -217,7 +218,7 @@ class TestEvaluate:
 
     @given(st.data())
     def test_sparse_power_table_matches_dense_horner(self, data):
-        # every alpha^e of a sparse evaluation comes from one squares table
+        # every alpha^e of a sparse evaluation comes from one power table
         base = data.draw(st.sampled_from((2, 3, 65537, 0)))
         ctx = Z if base == 0 else pc.GF(base)
         coeff = st.integers(-50, 50) if base == 0 else st.integers(0, base - 1)
@@ -234,6 +235,46 @@ class TestEvaluate:
         exps = data.draw(st.lists(st.integers(0, 400), max_size=8, unique=True))
         F = pc.SparsePoly(ctx, [(e, data.draw(coeff)) for e in sorted(exps)])
         assert pc.evaluate(F, alpha, ring) == pc.evaluate(F.to_dense(), alpha, ring)
+
+    @given(st.data())
+    def test_power_table_matches_ring_pow(self, data):
+        # exponents across many 8-bit windows, the edges of each included,
+        # asked for unsorted and repeated on one table
+        kind = data.draw(st.sampled_from(("GF2^D", "GF3^D", 65537, 2**61 - 1)))
+        if isinstance(kind, int):
+            ring = pc.GF(kind)
+            random = st.integers(0, kind - 1)
+        else:
+            q, top = (2, 64) if kind == "GF2^D" else (3, 10)
+            d = data.draw(st.integers(1, top))
+            low = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
+            ring = pc.ExtField(pc.GF(q), low + [1])
+            coeffs = st.lists(st.integers(0, q - 1), min_size=d, max_size=d)
+            random = coeffs.map(ring.from_coeffs)
+        points = [ring.zero(), ring.one()] + ([ring.x] if isinstance(ring, pc.ExtField) else [])
+        alpha = data.draw(st.one_of(st.sampled_from(points), random))
+        edges = [2 ** (8 * i) + k for i in range(11) for k in (-1, 0, 1)]
+        exps = data.draw(
+            st.lists(st.one_of(st.sampled_from(edges), st.integers(0, 2**80)), min_size=1, max_size=8)
+        )
+        pw = power_table(ring, alpha)
+        want = [ring.pow(alpha, e) for e in exps]
+        assert [pw(e) for e in exps] == want
+        assert [pw(e) for e in reversed(exps)] == want[::-1]
+
+    def test_power_table_costs_one_product_per_extra_byte(self):
+        # on a filled table alpha^e is one entry per nonzero byte of e;
+        # square-and-multiply would take about 1.5 log2(e) products
+        K = pc.GF(2)
+        ring = pc.ExtField(K, [1, 1, 0, 1, 1] + [0] * 59 + [1])  # X^64 + X^4 + X^3 + X + 1
+        alpha = ring.from_coeffs([1, 0, 1, 1, 0, 0, 1] * 9)
+        for e in (1, 255, 2**8, 2**40 - 1, 0x0100_0000_0001, 2**63 - 1, 0xFF00_00FF_0000_FF00):
+            pw = power_table(ring, alpha)
+            want = pw(e)
+            before = POLY_MUL_OPS.count
+            assert pw(e) == want
+            nonzero = sum(1 for b in e.to_bytes(8, "little") if b)
+            assert POLY_MUL_OPS.count - before == nonzero - 1
 
     def test_extension_point(self):
         K = pc.GF(2)
