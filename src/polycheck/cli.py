@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from . import modverify, prodverify
-from .modverify import VerifyConfig
+from .modverify import VerifyConfig, VerifyReport
 from .poly import (
     DensePoly,
     PolyFormatError,
@@ -86,18 +86,38 @@ def _print_report(report, command):
     print(json.dumps(payload, sort_keys=True))
 
 
+def _all_sparse(*polys):
+    return all(isinstance(X, SparsePoly) for X in polys)
+
+
+def _exact_report(F, G, H, P, costs, seed):
+    """The certain verdict of the exact route: (F*G) mod P, or F*G without P,
+    computed and compared with H."""
+    FG = mul_oracle(F, G)
+    if P is not None:
+        FG = mod_reduce(FG, P)
+    witness = {"deterministic": "reference-product", "cost": costs}
+    return VerifyReport(FG == H, 0.0, 0, [witness], "exact", seed)
+
+
 def _cmd_verify_mod(args):
     F, G, H, P = (_load(p) for p in (args.F, args.G, args.H, args.P))
     ctx = _same_ctx(F, G, H, P)
+    sparse = _all_sparse(F, G, H, P)
     if not isinstance(P, SparsePoly):
         P = P.to_sparse()
     cfg = VerifyConfig(
         epsilon=_parse_epsilon(args.epsilon), method=args.method, seed=_seed_from(args)
     )
     try:
-        if ctx == ZZ:
-            if args.method not in ("auto", "direct-eval"):
-                raise CliError(f"method {args.method!r} needs GF(q) inputs")
+        if ctx == ZZ and args.method not in ("auto", "direct-eval"):
+            raise CliError(f"method {args.method!r} needs GF(q) inputs")
+        costs = None
+        if sparse and args.method == "auto":
+            costs = prodverify.exact_route_costs(F, G, H, cfg.epsilon, P)
+        if costs:
+            report = _exact_report(F, G, H, P, costs, cfg.seed)
+        elif ctx == ZZ:
             report = modverify.verify_mod_over_Z(F, G, H, P, cfg)
         else:
             report = modverify.verify_mod_ff(F, G, H, P, cfg)
@@ -107,21 +127,25 @@ def _cmd_verify_mod(args):
     return 0 if report.verdict else 1
 
 
-def _pick_prod_method(args, F, G, H, ctx):
+def _pick_prod_method(args, F, G, H, ctx, eps):
+    """The method to run and, for the exact route, its cost estimates."""
     if args.method != "auto":
-        return args.method
-    if all(isinstance(X, SparsePoly) for X in (F, G, H)):
-        return "sparse"
-    return "kronecker" if ctx == ZZ else "kaminski"
+        return args.method, None
+    if _all_sparse(F, G, H):
+        costs = prodverify.exact_route_costs(F, G, H, eps)
+        return ("exact", costs) if costs else ("sparse", None)
+    return ("kronecker" if ctx == ZZ else "kaminski"), None
 
 
 def _cmd_verify_prod(args):
     F, G, H = (_load(p) for p in (args.F, args.G, args.H))
     ctx = _same_ctx(F, G, H)
     cfg = VerifyConfig(epsilon=_parse_epsilon(args.epsilon), seed=_seed_from(args))
-    method = _pick_prod_method(args, F, G, H, ctx)
     try:
-        if method == "sparse":
+        method, costs = _pick_prod_method(args, F, G, H, ctx, cfg.epsilon)
+        if method == "exact":
+            report = _exact_report(F, G, H, None, costs, cfg.seed)
+        elif method == "sparse":
             FGH = [X if isinstance(X, SparsePoly) else X.to_sparse() for X in (F, G, H)]
             report = prodverify.verify_sparse_product(*FGH, cfg)
         elif method == "kronecker":

@@ -97,21 +97,35 @@ def _all_sparse(*polys):
     return all(isinstance(p, SparsePoly) for p in polys)
 
 
-def _sparsity_precheck(F, G, H, P):
+def reduced_product_terms(F, G, P, cap):
+    """#F #G max(#P - 1, 1)^ceil(1/gamma), which bounds the terms of
+    (F*G) mod P and, up to a small factor, the term operations of
+    mod_reduce(mul_oracle(F, G), P); or some value above cap once the bound
+    exceeds cap.  The power is built a factor at a time and stops there, so
+    a modulus with a tiny gap costs O(log cap) products, not a number with
+    ceil(1/gamma) digits."""
+    base = max(P.sparsity() - 1, 1)
+    k = gap_info(P).inv_gamma_ceil()
+    bound = F.sparsity() * G.sparsity()
+    while k and bound and base > 1 and bound <= cap:
+        bound *= base
+        k -= 1
+    return bound
+
+
+def sparsity_precheck(F, G, H, P):
     """Step-one rejection: a true (F*G) mod P can never have more than
     #F #G (#P - 1)^ceil(1/gamma) terms (needs #P >= 2)."""
     if P.sparsity() < 2:
         return False
-    g = gap_info(P)
-    bound = F.sparsity() * G.sparsity() * (P.sparsity() - 1) ** g.inv_gamma_ceil()
-    return H.sparsity() > bound
+    return H.sparsity() > reduced_product_terms(F, G, P, H.sparsity())
 
 
 def _dense(X):
     return X if isinstance(X, DensePoly) else X.to_dense()
 
 
-def _check_shapes(F, G, H, P):
+def check_shapes(F, G, H, P):
     if not (F.ctx == G.ctx == H.ctx == P.ctx):
         raise ValueError("mixed coefficient contexts")
     if P.is_zero() or P.degree() < 1:
@@ -154,13 +168,13 @@ def verify_mod(F, G, H, P, cfg=None):
     growth by reducing modulo a random prime.
     """
     cfg = cfg or VerifyConfig()
-    n = _check_shapes(F, G, H, P)
+    n = check_shapes(F, G, H, P)
     ctx = P.ctx
     if isinstance(ctx, IntegerRing):
         return verify_mod_over_Z(F, G, H, P, cfg)
     eps = cfg.epsilon
-    if _all_sparse(F, G, H) and _sparsity_precheck(F, G, H, P):
-        return VerifyReport(False, float(eps), 0, [], "direct-eval", cfg.seed)
+    if _all_sparse(F, G, H) and sparsity_precheck(F, G, H, P):
+        return VerifyReport(False, 0.0, 0, [], "direct-eval", cfg.seed)
     size = ctx.size()
     if size * eps < n - 1:
         raise FieldTooSmallError(
@@ -224,12 +238,12 @@ def verify_mod_over_Z(F, G, H, P, cfg=None):
     nonzero coefficient of Δ with probability at most ε/4, and the random
     point is a root of Δ mod q with probability below ε/2."""
     cfg = cfg or VerifyConfig()
-    n = _check_shapes(F, G, H, P)
+    n = check_shapes(F, G, H, P)
     if not isinstance(P.ctx, IntegerRing):
         raise TypeError("verify_mod_over_Z needs integer polynomials")
     eps = cfg.epsilon
-    if _all_sparse(F, G, H) and _sparsity_precheck(F, G, H, P):
-        return VerifyReport(False, float(eps), 0, [], "direct-eval", cfg.seed)
+    if _all_sparse(F, G, H) and sparsity_precheck(F, G, H, P):
+        return VerifyReport(False, 0.0, 0, [], "direct-eval", cfg.seed)
     rng = RngStream(cfg.seed)
     lam = prime_lambda(n, delta_norm_bound(F, G, H, P), eps)
     q = random_prime(lam, eps / 4, rng)
@@ -244,7 +258,7 @@ def verify_mod_over_Z(F, G, H, P, cfg=None):
 def _map_to_field(X, fq):
     if isinstance(X, DensePoly):
         return DensePoly(fq, [c % fq.q for c in X.coeffs])
-    return SparsePoly(fq, [(e, c % fq.q) for e, c in X.terms])
+    return SparsePoly.trusted(fq, [(e, c % fq.q) for e, c in X.terms])
 
 
 def minimal_extension_degree(q, bound):
@@ -295,8 +309,8 @@ def _verify_at_irreducible(F, G, H, P, cfg, method):
     eps = cfg.epsilon
     if not _all_sparse(F, G, H):
         F, G, H = _dense(F), _dense(G), _dense(H)
-    elif _sparsity_precheck(F, G, H, P):
-        return VerifyReport(False, float(eps), 0, [], method, cfg.seed)
+    elif sparsity_precheck(F, G, H, P):
+        return VerifyReport(False, 0.0, 0, [], method, cfg.seed)
     ring, witness = screened_extension(P.ctx, P.degree() - 1, eps, RngStream(cfg.seed))
     verdict = _agree_at(F, G, H, P, ring.x, ring)
     return VerifyReport(verdict, float(eps), 1, [witness], method, cfg.seed)
@@ -309,7 +323,7 @@ def verify_mod_ff(F, G, H, P, cfg=None):
     screened irreducible R of degree D (_verify_at_irreducible), reported
     as "extension"; the companion methods go to verify_mod_companion."""
     cfg = cfg or VerifyConfig()
-    n = _check_shapes(F, G, H, P)
+    n = check_shapes(F, G, H, P)
     ctx = P.ctx
     if not isinstance(ctx, PrimeField):
         raise TypeError("verify_mod_ff needs GF(q) polynomials")
@@ -368,7 +382,7 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     "companion-sparse" on the sparse scans.
     """
     cfg = cfg or VerifyConfig()
-    n = _check_shapes(F, G, H, P)
+    n = check_shapes(F, G, H, P)
     ctx = P.ctx
     if not isinstance(ctx, PrimeField):
         raise TypeError("companion verification needs GF(q) polynomials")

@@ -123,6 +123,21 @@ class SparsePoly:
     def from_dict(cls, ctx, d):
         return cls(ctx, sorted(d.items()))
 
+    @classmethod
+    def trusted(cls, ctx, terms):
+        """A SparsePoly from terms the caller built in order: exponents
+        strictly increasing ints within EXPONENT_CAP, coefficients canonical
+        in ctx.  Only zero coefficients are dropped; the checks of the
+        constructor are skipped."""
+        F = cls.__new__(cls)
+        F.ctx = ctx
+        if _int_ctx(ctx):
+            F.terms = tuple(t for t in terms if t[1])
+        else:
+            z = ctx.is_zero
+            F.terms = tuple(t for t in terms if not z(t[1]))
+        return F
+
     def is_zero(self):
         return not self.terms
 
@@ -361,7 +376,7 @@ def mod_reduce(Q, P):
                         acc.pop(pos, None)
                     else:
                         acc[pos] = v
-        return SparsePoly.from_dict(ctx, acc)
+        return SparsePoly.trusted(ctx, sorted(acc.items()))
     raise TypeError("unsupported polynomial type")
 
 
@@ -391,7 +406,7 @@ def reduce_mod_binomial(F, i):
         for e, c in F.terms:
             pos = e % i
             acc[pos] = ctx.add(acc.get(pos, zero), c)
-        return SparsePoly.from_dict(ctx, acc)
+        return SparsePoly.trusted(ctx, sorted(acc.items()))
     raise TypeError("unsupported polynomial type")
 
 

@@ -24,6 +24,7 @@ from . import modverify
 from .modverify import VerifyConfig, VerifyReport, FieldTooSmallError
 from .poly import (
     DENSIFY_CAP,
+    EXPONENT_CAP,
     DensePoly,
     SparsePoly,
     evaluate,
@@ -476,6 +477,19 @@ class SparseVerifyParams:
         return max(21, math.ceil(Fraction(1, 1) / self.eps1 * t_products * ln_upper(n)))
 
 
+def _sparse_screen(F, G, H):
+    """The O(1) screens of verify_sparse_product: (verdict, witness) when
+    the shapes alone decide H = F*G, else None.  Every such verdict is
+    certain."""
+    if F.is_zero() or G.is_zero():
+        return H.is_zero(), {"deterministic": "zero"}
+    if H.is_zero():
+        return False, {"deterministic": "shape"}
+    if H.sparsity() > F.sparsity() * G.sparsity() or H.degree() != F.degree() + G.degree():
+        return False, {"rejected": "shape"}
+    return None
+
+
 def verify_sparse_product(F, G, H, cfg=None):
     """Decide H = F*G for sparse polynomials: screen the trivial shape
     mistakes, fold all exponents modulo a random prime p that almost surely
@@ -492,15 +506,11 @@ def verify_sparse_product(F, G, H, cfg=None):
         if not isinstance(X, SparsePoly):
             raise TypeError("verify_sparse_product needs sparse polynomials")
     eps = cfg.epsilon
-    if F.is_zero() or G.is_zero():
-        return VerifyReport(
-            H.is_zero(), 0.0, 0, [{"deterministic": "zero"}], "sparse", cfg.seed
-        )
-    if H.is_zero():
-        return VerifyReport(False, 0.0, 0, [{"deterministic": "shape"}], "sparse", cfg.seed)
+    screen = _sparse_screen(F, G, H)
+    if screen is not None:
+        verdict, witness = screen
+        return VerifyReport(verdict, 0.0, 0, [witness], "sparse", cfg.seed)
     n = H.degree()
-    if H.sparsity() > F.sparsity() * G.sparsity() or n != F.degree() + G.degree():
-        return VerifyReport(False, float(eps), 0, [{"rejected": "shape"}], "sparse", cfg.seed)
     params = SparseVerifyParams.from_epsilon(eps)
     rng = RngStream(cfg.seed)
     t_products = F.sparsity() * G.sparsity() + H.sparsity()
@@ -516,6 +526,67 @@ def verify_sparse_product(F, G, H, cfg=None):
     inner = verify(Fp, Gp, Hp, P, inner_cfg)
     witnesses = [{"p": p, "inner": inner.witnesses}]
     return VerifyReport(inner.verdict, float(eps), 1, witnesses, "sparse", cfg.seed)
+
+
+# The cost model behind exact_route_costs, fitted to timings of both paths
+# (README, "auto on sparse input"): the verifier's cost per term and
+# exponent byte, in term operations of the exact product, and the factor a
+# verifier that evaluates in GF(q)[X]/(R) instead of a prime field pays.
+VERIFY_COST_PER_TERM_BYTE = 3
+EXTENSION_PRODUCT_COST = 8
+
+
+def exact_route_costs(F, G, H, eps, P=None):
+    """Whether the CLI's auto method should compute the exact product of
+    all-sparse F and G (reduced modulo P for a modular check) and compare it
+    with H instead of running the paper's verifier.
+
+    The input checks of the verifiers run first and raise as they do: for a
+    modular check, the degree checks of modverify.check_shapes and the
+    monic check of P.  Then the verifier's O(1) screens (_sparse_screen, or
+    modverify.sparsity_precheck): where one decides, the verifier's certain
+    answer is the cheapest, and this returns None.  Otherwise both costs
+    are estimated in term operations:
+
+    - product: #F #G, and modulo P the bound
+      modverify.reduced_product_terms, #F #G max(#P - 1, 1)^ceil(1/gamma);
+    - verify: VERIFY_COST_PER_TERM_BYTE (#F + #G + #H [+ #P]) b, with b the
+      byte count of the largest exponent the verifier evaluates (one
+      power_table product per byte and term): deg P - 1, or for a plain
+      product the lam of verify_sparse_product, below which it folds the
+      exponents; times EXTENSION_PRODUCT_COST over a GF(q) too small for
+      that exponent at the verifier's epsilon, where it evaluates in
+      GF(q)[X]/(R).
+
+    Returns {"product": ..., "verify": ...} when the product is cheaper and
+    every exponent of F*G stays within EXPONENT_CAP, else None."""
+    if P is None:
+        if _sparse_screen(F, G, H) is not None:
+            return None
+        # verify_sparse_product folds every exponent below a prime p >= lam
+        # and checks the folded identity at eps2
+        params = SparseVerifyParams.from_epsilon(eps)
+        top = params.lam(F.sparsity() * G.sparsity() + H.sparsity(), max(H.degree(), 2))
+        eps = params.eps2
+        terms = F.sparsity() + G.sparsity() + H.sparsity()
+    else:
+        top = modverify.check_shapes(F, G, H, P) - 1
+        if modverify.sparsity_precheck(F, G, H, P):
+            return None
+        if not (F.is_zero() or G.is_zero()) and F.degree() + G.degree() > EXPONENT_CAP:
+            return None
+        terms = F.sparsity() + G.sparsity() + H.sparsity() + P.sparsity()
+    verify = VERIFY_COST_PER_TERM_BYTE * terms * max(1, (top.bit_length() + 7) >> 3)
+    ctx = F.ctx
+    if isinstance(ctx, PrimeField) and ctx.q * eps < top:
+        verify *= EXTENSION_PRODUCT_COST
+    if P is None:
+        product = F.sparsity() * G.sparsity()
+    else:
+        product = modverify.reduced_product_terms(F, G, P, verify)
+    if product >= verify:
+        return None
+    return {"product": product, "verify": verify}
 
 
 def count_binomial_divisors(delta, n, e=Fraction(9, 20)):

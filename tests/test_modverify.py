@@ -469,3 +469,37 @@ class TestReports:
         d = verify_mod_over_Z(F, G, H, P, cfg(0)).to_dict()
         assert d["schema"] == 1
         assert set(d) >= {"verdict", "error_bound", "rounds", "witnesses", "method", "seed"}
+
+
+class TestCertainRejections:
+    """The sparsity precheck rejects with certainty, so its reports state
+    error bound 0 whatever epsilon was asked for."""
+
+    def instance(self, ctx):
+        P = pc.SparsePoly(ctx, [(0, 1), (50, 1)])  # #F #G (#P - 1) = 4 terms at most
+        F = pc.SparsePoly(ctx, [(0, 1), (1, 1)])
+        G = pc.SparsePoly(ctx, [(0, 1), (2, 1)])
+        return F, G, pc.SparsePoly(ctx, [(i, 1) for i in range(5)]), P
+
+    @pytest.mark.parametrize(
+        "verifier, ctx, method",
+        [
+            (verify_mod, pc.GF(65537), "auto"),
+            (verify_mod_over_Z, Z, "auto"),
+            (verify_mod_ff, F2, "auto"),
+            (verify_mod_ff, pc.GF(65537), "extension"),
+            (verify_mod_companion, F2, "companion-freivalds"),
+        ],
+    )
+    def test_precheck_reports_zero_error(self, verifier, ctx, method):
+        r = verifier(*self.instance(ctx), cfg(3, Fraction(1, 2**20), method))
+        assert (r.verdict, r.error_bound, r.rounds, r.witnesses) == (False, 0.0, 0, [])
+
+    def test_precheck_bound_is_not_built_past_h(self):
+        # ceil(1/gamma) = 2^50: the bound 4 * 2^(2^50) is never formed
+        n = 2**50
+        P = pc.SparsePoly(F2, [(0, 1), (n - 1, 1), (n, 1)])
+        F = pc.SparsePoly(F2, [(0, 1), (1, 1)])
+        H = pc.SparsePoly(F2, [(i, 1) for i in range(40)])
+        assert not modverify.sparsity_precheck(F, F, H, P)
+        assert modverify.reduced_product_terms(F, F, P, 40) == 64

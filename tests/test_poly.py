@@ -459,3 +459,25 @@ class TestTextFormat:
     def test_negative_over_Z_allowed(self):
         F = parse_poly("ring Z\nsparse 0:-4 28:1\n")
         assert F.terms == ((0, -4), (28, 1))
+
+
+class TestTrustedSparse:
+    """SparsePoly.trusted, the unchecked construction of the sparse
+    reductions, builds what the checking constructor builds."""
+
+    @pytest.mark.parametrize("ctx", [Z, pc.GF(2), pc.GF(7)], ids=repr)
+    def test_drops_only_zero_coefficients(self, ctx):
+        terms = [(0, 0), (3, 1), (5, 0), (9, 2 % ctx.size() if ctx != Z else -4)]
+        got = pc.SparsePoly.trusted(ctx, terms)
+        assert got == pc.SparsePoly(ctx, terms)
+        assert all(not ctx.is_zero(c) for _, c in got.terms)
+
+    def test_reductions_are_canonical(self, rng):
+        # every result equals its rebuild through the checking constructor
+        for _ in range(60):
+            ctx = (Z, pc.GF(2), pc.GF(3))[rng.below(3)]
+            F = rand_sparse(ctx, 200, 1 + rng.below(12), rng)
+            i = 1 + rng.below(20)
+            P = rand_monic_sparse(ctx, 1 + rng.below(30), 1 + rng.below(4), rng)
+            for got in (pc.reduce_mod_binomial(F, i), pc.mod_reduce(F, P)):
+                assert got == pc.SparsePoly(got.ctx, got.terms)

@@ -409,6 +409,19 @@ class TestSparseProduct:
         r = verify_sparse_product(F, G, wrong_degree, cfg(0))
         assert r.verdict is False
 
+    def test_shape_verdicts_are_certain(self):
+        # every screen verdict holds for sure: error bound 0 at any epsilon
+        F = pc.SparsePoly(Z, [(0, 1), (3, 1)])
+        cases = [
+            (F, F, pc.SparsePoly(Z, [(i, 1) for i in range(5)] + [(6, 1)]), False),
+            (F, F, pc.SparsePoly(Z, [(0, 1), (7, 1)]), False),
+            (F, F, pc.SparsePoly.zero(Z), False),
+            (F, pc.SparsePoly.zero(Z), pc.SparsePoly.zero(Z), True),
+        ]
+        for A, B, H, verdict in cases:
+            r = verify_sparse_product(A, B, H, cfg(0, Fraction(1, 2**20)))
+            assert (r.verdict, r.error_bound, r.rounds) == (verdict, 0.0, 0)
+
     def test_true_products_huge_degree(self, rng):
         for seed in range(10):
             n = 2**30
