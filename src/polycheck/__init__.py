@@ -33,7 +33,6 @@ from .poly import (
 )
 from .modeval import (
     CompanionOperator,
-    SparseIndexMap,
     eval_mod_binomial_dense,
     eval_mod_binomial_sparse,
     eval_mod_p_dense,
@@ -56,7 +55,6 @@ from .modverify import (
 )
 from .prodverify import (
     KaminskiParams,
-    SparseVerifyParams,
     count_binomial_divisors,
     verify_int_product,
     verify_product_kaminski,

@@ -326,70 +326,57 @@ def _time_call(fn):
     return time.perf_counter() - t0, result
 
 
-def _bench_modverify(n, trials, rng):
-    ctx = GF(65537)
-    rows = []
+def _bench_rows(row, trials, rng, draw, multiply, verify):
+    """The table row for one suite and size: per trial, draw F and G, time
+    the reference multiply(F, G) and then verify(F, G, H, cfg) on its
+    result H.  No trials give no row."""
     verify_t = 0.0
     mul_t = 0.0
     accepted = 0
-    P = SparsePoly(ctx, [(0, 1), (1, rng.below(ctx.q - 1) + 1), (n, 1)])
-    for trial in range(trials):
-        F = _random_dense(ctx, n - 1, 16, rng)
-        G = _random_dense(ctx, n - 1, 16, rng)
-        tm, prod = _time_call(lambda: mod_reduce(mul_oracle(F, G), P))
+    for _ in range(trials):
+        F, G = draw(), draw()
+        tm, H = _time_call(lambda: multiply(F, G))
         mul_t += tm
-        H = prod
         cfg = VerifyConfig(epsilon=Fraction(1, 2**20), seed=rng.bits(32))
-        tv, report = _time_call(lambda: modverify.verify_mod_ff(F, G, H, P, cfg))
+        tv, report = _time_call(lambda: verify(F, G, H, cfg))
         verify_t += tv
         accepted += 1 if report.verdict else 0
-    if trials:
-        rows.append(
-            {
-                "method": "verify_mod",
-                "ring": "GF 65537",
-                "n": n,
-                "T": "",
-                "bits": 17,
-                "trials": trials,
-                "verify_mean_s": f"{verify_t / trials:.6f}",
-                "multiply_mean_s": f"{mul_t / trials:.6f}",
-                "acceptance_rate": f"{accepted / trials:.4f}",
-            }
+    if not trials:
+        return []
+    return [
+        dict(
+            row,
+            trials=trials,
+            verify_mean_s=f"{verify_t / trials:.6f}",
+            multiply_mean_s=f"{mul_t / trials:.6f}",
+            acceptance_rate=f"{accepted / trials:.4f}",
         )
-    return rows
+    ]
+
+
+def _bench_modverify(n, trials, rng):
+    ctx = GF(65537)
+    P = SparsePoly(ctx, [(0, 1), (1, rng.below(ctx.q - 1) + 1), (n, 1)])
+    return _bench_rows(
+        {"method": "verify_mod", "ring": "GF 65537", "n": n, "T": "", "bits": 17},
+        trials,
+        rng,
+        lambda: _random_dense(ctx, n - 1, 16, rng),
+        lambda F, G: mod_reduce(mul_oracle(F, G), P),
+        lambda F, G, H, cfg: modverify.verify_mod_ff(F, G, H, P, cfg),
+    )
 
 
 def _bench_prodverify(n, trials, rng):
-    rows = []
-    verify_t = 0.0
-    mul_t = 0.0
-    accepted = 0
     t = 32
-    for trial in range(trials):
-        F = _random_sparse(ZZ, n, t, 32, rng)
-        G = _random_sparse(ZZ, n, t, 32, rng)
-        tm, H = _time_call(lambda: mul_oracle(F, G))
-        mul_t += tm
-        cfg = VerifyConfig(epsilon=Fraction(1, 2**20), seed=rng.bits(32))
-        tv, report = _time_call(lambda: prodverify.verify_sparse_product(F, G, H, cfg))
-        verify_t += tv
-        accepted += 1 if report.verdict else 0
-    if trials:
-        rows.append(
-            {
-                "method": "verify_sparse_product",
-                "ring": "Z",
-                "n": n,
-                "T": t,
-                "bits": 32,
-                "trials": trials,
-                "verify_mean_s": f"{verify_t / trials:.6f}",
-                "multiply_mean_s": f"{mul_t / trials:.6f}",
-                "acceptance_rate": f"{accepted / trials:.4f}",
-            }
-        )
-    return rows
+    return _bench_rows(
+        {"method": "verify_sparse_product", "ring": "Z", "n": n, "T": t, "bits": 32},
+        trials,
+        rng,
+        lambda: _random_sparse(ZZ, n, t, 32, rng),
+        mul_oracle,
+        prodverify.verify_sparse_product,
+    )
 
 
 BENCH_COLUMNS = [

@@ -3,11 +3,11 @@ forming F*G.
 
 The dense routines run a linear scan driven by the leading coefficients of
 the shifted residues (X^i * F) mod P; the sparse routines only visit indices
-where something happens, tracked in an ordered index map, and bridge the
-gaps between them by powers of the point from one windowed power table
-(poly.power_table), which also serves P(alpha) and F(alpha) and which the
-calling check shares with its evaluation of H.  P = X^n - 1 is one such P,
-not a scan of its own.
+where something happens, kept as a dict of pending values and a min-heap
+of their indices, and bridge the gaps between them by powers of the point
+from one windowed power table (poly.power_table), which also serves
+P(alpha) and F(alpha) and which the calling check shares with its
+evaluation of H.  P = X^n - 1 is one such P, not a scan of its own.
 
 The companion matrix C_R of a monic R needs no scan of its own either:
 column 0 of H(C_R) is the coefficient vector of H mod R, which is H
@@ -46,52 +46,6 @@ from .poly import (
     x_pow_minus_one,
 )
 from .rings import ExtField, IntegerRing, PrimeField
-
-
-class SparseIndexMap:
-    """Ordered index -> value map over universe [0, n) with insert, search,
-    remove and extract-min.  Backed by a dict plus a lazy min-heap; swap in a
-    van Emde Boas tree behind the same interface if the O(log n) ever hurts."""
-
-    __slots__ = ("universe", "_vals", "_heap")
-
-    def __init__(self, universe):
-        if universe < 1:
-            raise ValueError("universe size must be >= 1")
-        self.universe = universe
-        self._vals = {}
-        self._heap = []
-
-    def _check(self, key):
-        if not 0 <= key < self.universe:
-            raise KeyError(f"index {key} outside [0, {self.universe})")
-
-    def insert(self, key, value):
-        self._check(key)
-        if key not in self._vals:
-            heapq.heappush(self._heap, key)
-        self._vals[key] = value
-
-    def search(self, key):
-        self._check(key)
-        return self._vals.get(key)
-
-    def remove(self, key):
-        self._check(key)
-        self._vals.pop(key, None)
-
-    def extract_min(self):
-        while self._heap:
-            key = heapq.heappop(self._heap)
-            if key in self._vals:
-                return key, self._vals.pop(key)
-        raise KeyError("extract_min from empty map")
-
-    def __len__(self):
-        return len(self._vals)
-
-    def __bool__(self):
-        return bool(self._vals)
 
 
 class CompanionOperator:
@@ -211,32 +165,30 @@ def sparse_leading_coefficients(P, F):
     ctx = P.ctx
     if F.is_zero():
         return []
-    V = SparseIndexMap(max(n - 1, 1))
-    for t, c in F.terms:
-        i = n - 1 - t
-        if i <= n - 2:
-            V.insert(i, c)
+    pending = {n - 1 - t: c for t, c in F.terms if t > 0}  # index -> v_i
+    heap = sorted(pending)
     updates = [(k, c) for k, c in P.terms[:-1] if k > 0]
     out = []
-    while V:
-        i, v = V.extract_min()
-        if ctx.is_zero(v):
-            continue
+    while heap:
+        i = heapq.heappop(heap)
+        v = pending.pop(i, None)
+        if v is None:
+            continue  # cancelled to zero after it was pushed
         out.append((i, v))
         for k, pk in updates:
             if k > i + 1:
                 j = i + n - k
                 if j <= n - 2:
-                    old = V.search(j)
-                    nv = (
-                        ctx.neg(ctx.mul(pk, v))
-                        if old is None
-                        else ctx.sub(old, ctx.mul(pk, v))
-                    )
-                    if ctx.is_zero(nv):
-                        V.remove(j)
+                    old = pending.get(j)
+                    if old is None:
+                        heapq.heappush(heap, j)
+                        nv = ctx.neg(ctx.mul(pk, v))
                     else:
-                        V.insert(j, nv)
+                        nv = ctx.sub(old, ctx.mul(pk, v))
+                    if ctx.is_zero(nv):
+                        pending.pop(j, None)
+                    else:
+                        pending[j] = nv
     return out
 
 
@@ -379,13 +331,3 @@ def eval_modprod_companion_sparse(P, F, G, op):
     _same_ctx(P, op)
     return _matrix(op, eval_mod_p_sparse(P, F, G, op.ring.x, op.ring))
 
-
-def companion_power(op, t):
-    """C_R^t, the matrix of X^t mod R."""
-    return _matrix(op, op.ring.pow(op.ring.x, t))
-
-
-def mat_identity(ctx, k):
-    return tuple(
-        tuple(ctx.one() if i == j else ctx.zero() for j in range(k)) for i in range(k)
-    )

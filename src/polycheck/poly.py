@@ -2,9 +2,10 @@
 
 Reference-grade arithmetic (dense products over Z and GF(q) by Kronecker
 substitution, one big-integer multiply; schoolbook/Karatsuba over quotient
-rings; iterated modular reduction), evaluation, the gap parameter of a monic
-sparse modulus, growth bounds for products and reductions, and the on-disk
-text format shared with the CLI.  Polynomials are immutable; the zero
+rings; reduction modulo a monic sparse P, in one top-down pass when
+dense), evaluation, the gap parameter of a monic sparse modulus, growth
+bounds for products and reductions, and the on-disk text format shared
+with the CLI.  Polynomials are immutable; the zero
 polynomial is the empty coefficient vector / empty term list and has no
 degree.
 """
@@ -64,10 +65,6 @@ class DensePoly:
     def sparsity(self):
         z = self.ctx.is_zero
         return sum(1 for c in self.coeffs if not z(c))
-
-    def support(self):
-        z = self.ctx.is_zero
-        return [i for i, c in enumerate(self.coeffs) if not z(c)]
 
     def norm(self):
         if not isinstance(self.ctx, IntegerRing):
@@ -156,9 +153,6 @@ class SparsePoly:
 
     def sparsity(self):
         return len(self.terms)
-
-    def support(self):
-        return [e for e, _ in self.terms]
 
     def norm(self):
         if not isinstance(self.ctx, IntegerRing):
@@ -330,9 +324,14 @@ def _require_monic(P):
 
 
 def mod_reduce(Q, P):
-    """Remainder of Q modulo a monic sparse P, by repeatedly rewriting every
-    monomial of degree >= n = deg P through X^n = X^n - P until the dividend
-    has degree below n."""
+    """Remainder of Q modulo a monic sparse P of degree n, rewriting X^n
+    as X^n - P.  Dense Q: one top-down pass, in which the coefficient c
+    of X^i, i >= n, adds -c p_e to the coefficient of X^(i-n+e) for every
+    lower term p_e X^e of P; those indices are below i, so every
+    coefficient is final when the pass reaches it, and the cost is
+    (deg Q - n + 1)(#P - 1) ring products.  Sparse Q: every monomial of
+    degree >= n is rewritten in rounds until none is left, at a cost that
+    follows the term count."""
     _require_monic(P)
     if Q.ctx != P.ctx:
         raise ValueError("mixed coefficient contexts")
@@ -341,24 +340,13 @@ def mod_reduce(Q, P):
     low_terms = P.terms[:-1]  # X^n - P = -(low part of P)
     if isinstance(Q, DensePoly):
         cs = list(Q.coeffs)
-        while len(cs) > n:
-            high = cs[n:]
-            cs = cs[:n]
-            cs += [ctx.zero()] * (n - len(cs))
-            for e, c in low_terms:
-                nc = ctx.neg(c)
-                for idx, hv in enumerate(high):
-                    if not ctx.is_zero(hv):
-                        pos = e + idx
-                        add = ctx.mul(nc, hv)
-                        if pos < len(cs):
-                            cs[pos] = ctx.add(cs[pos], add)
-                        else:
-                            cs.extend([ctx.zero()] * (pos - len(cs)))
-                            cs.append(add)
-            while cs and ctx.is_zero(cs[-1]):
-                cs.pop()
-        return DensePoly(ctx, cs)
+        for i in range(len(cs) - 1, n - 1, -1):
+            c = cs[i]
+            if not ctx.is_zero(c):
+                for e, pe in low_terms:
+                    j = i - n + e
+                    cs[j] = ctx.sub(cs[j], ctx.mul(c, pe))
+        return DensePoly(ctx, cs[:n])
     if isinstance(Q, SparsePoly):
         acc = dict(Q.terms)
         zero = ctx.zero()

@@ -56,7 +56,6 @@ class KaminskiParams:
     at most 2n; the per-round error is (k-1)/range."""
 
     e: Fraction = Fraction(9, 20)
-    delta: float = KAMINSKI_DELTA
 
     def __post_init__(self):
         e = Fraction(self.e)
@@ -72,7 +71,7 @@ class KaminskiParams:
         inner = (1 - float(self.e)) * math.log(n)
         if inner <= 1.0:
             return 0
-        return max(1, math.ceil(2 * self.delta * n ** float(self.e) * math.log(inner)))
+        return max(1, math.ceil(2 * KAMINSKI_DELTA * n ** float(self.e) * math.log(inner)))
 
     def fold_range(self, n):
         """Integer fold degrees [lo, hi) inside [n^(1-e), 2 n^(1-e))."""
@@ -93,24 +92,6 @@ class KaminskiParams:
         if hi - lo < 1 or lo < 21 or k == 0:
             return Fraction(1)
         return Fraction(max(k - 1, 0), hi - lo)
-
-    def n_min(self):
-        """A threshold degree at which the per-round bound reaches 1/2; the
-        fallback gate in the verifiers tests the bound directly, so this is
-        advisory (the bound is not exactly monotone in n)."""
-        n = 2
-        while self.per_round_bound(n) > Fraction(1, 2):
-            n *= 2
-            if n > 2**80:
-                raise OverflowError("no practical n reaches the bound")
-        lo, hi = n // 2, n
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if self.per_round_bound(mid) > Fraction(1, 2):
-                lo = mid
-            else:
-                hi = mid
-        return hi
 
 
 def _rounds_for(eps, per_round):
@@ -445,36 +426,21 @@ def verify_product_kronecker(F, G, H, cfg=None, e=None):
 # sparse products
 
 
-@dataclass(frozen=True)
-class SparseVerifyParams:
-    """Error split for the sparse product verifier: eps1 steers the random
-    prime choice, eps2 the modular verification, constrained by
-    (10 eps1/3) + (1 - 10 eps1/3) eps2 <= eps."""
+# verify_sparse_product's split of epsilon: the fold prime is drawn at
+# eps1 = SPARSE_EPS1 * epsilon and the folded identity is checked at
+# eps2 = SPARSE_EPS2 * epsilon.  The fold loses a nonzero difference with
+# probability at most 10 eps1/3 = epsilon/2, and the check accepts a
+# surviving one with probability at most eps2 = epsilon/2, so a wrong H
+# passes with probability at most
+# (10 eps1/3) + (1 - 10 eps1/3) eps2 = epsilon - epsilon^2/4 <= epsilon.
+SPARSE_EPS1 = Fraction(3, 20)
+SPARSE_EPS2 = Fraction(1, 2)
 
-    epsilon: Fraction
-    eps1: Fraction
-    eps2: Fraction
 
-    @classmethod
-    def from_epsilon(cls, epsilon):
-        eps = Fraction(epsilon)
-        if not 0 < eps < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        eps1 = 3 * eps / 20
-        eps2 = eps / 2
-        return cls(eps, eps1, eps2)
-
-    def __post_init__(self):
-        head = Fraction(10, 3) * self.eps1
-        if not 0 < self.eps1 < Fraction(3, 10):
-            raise ValueError("eps1 must be in (0, 3/10)")
-        if not 0 < self.eps2 < 1:
-            raise ValueError("eps2 must be in (0, 1)")
-        if head + (1 - head) * self.eps2 > self.epsilon:
-            raise ValueError("error split exceeds the target epsilon")
-
-    def lam(self, t_products, n):
-        return max(21, math.ceil(Fraction(1, 1) / self.eps1 * t_products * ln_upper(n)))
+def _sparse_lam(eps, t_products, n):
+    """The lower end lam of the fold prime's range [lam, 2 lam] for a
+    check of t_products terms and degree n at error eps."""
+    return max(21, math.ceil(t_products * ln_upper(n) / (SPARSE_EPS1 * eps)))
 
 
 def _sparse_screen(F, G, H):
@@ -511,17 +477,16 @@ def verify_sparse_product(F, G, H, cfg=None):
         verdict, witness = screen
         return VerifyReport(verdict, 0.0, 0, [witness], "sparse", cfg.seed)
     n = H.degree()
-    params = SparseVerifyParams.from_epsilon(eps)
     rng = RngStream(cfg.seed)
     t_products = F.sparsity() * G.sparsity() + H.sparsity()
-    lam = params.lam(t_products, max(n, 2))
-    p = random_prime(lam, Fraction(5, 3) * params.eps1, rng)
+    lam = _sparse_lam(eps, t_products, max(n, 2))
+    p = random_prime(lam, Fraction(5, 3) * SPARSE_EPS1 * eps, rng)
     Fp = reduce_mod_binomial(F, p)
     Gp = reduce_mod_binomial(G, p)
     Hp = reduce_mod_binomial(H, p)
     ctx = F.ctx
     P = x_pow_minus_one(ctx, p)
-    inner_cfg = VerifyConfig(epsilon=params.eps2, seed=rng.bits(64))
+    inner_cfg = VerifyConfig(epsilon=SPARSE_EPS2 * eps, seed=rng.bits(64))
     verify = modverify.verify_mod_ff if isinstance(ctx, PrimeField) else modverify.verify_mod
     inner = verify(Fp, Gp, Hp, P, inner_cfg)
     witnesses = [{"p": p, "inner": inner.witnesses}]
@@ -565,9 +530,9 @@ def exact_route_costs(F, G, H, eps, P=None):
             return None
         # verify_sparse_product folds every exponent below a prime p >= lam
         # and checks the folded identity at eps2
-        params = SparseVerifyParams.from_epsilon(eps)
-        top = params.lam(F.sparsity() * G.sparsity() + H.sparsity(), max(H.degree(), 2))
-        eps = params.eps2
+        eps = Fraction(eps)
+        top = _sparse_lam(eps, F.sparsity() * G.sparsity() + H.sparsity(), max(H.degree(), 2))
+        eps = SPARSE_EPS2 * eps
         terms = F.sparsity() + G.sparsity() + H.sparsity()
     else:
         top = modverify.check_shapes(F, G, H, P) - 1

@@ -78,10 +78,6 @@ class RngStream:
         """Near-uniform value in [0, n) without rejection (64 guard bits)."""
         return self.bits(n.bit_length() + 64) % n
 
-    def spawn(self, index):
-        """Independent child stream; deterministic in (seed, index)."""
-        return RngStream(_splitmix64(self.seed ^ _splitmix64(index & _MASK64)))
-
 
 def ceil_log2(x):
     """Smallest k >= 0 with 2**k >= x, for a positive int or Fraction."""
@@ -119,8 +115,6 @@ def ln_upper(x):
 class IntegerRing:
     """Arbitrary-precision exact integers."""
 
-    name = "Z"
-
     def __repr__(self):
         return "Z"
 
@@ -153,11 +147,6 @@ class IntegerRing:
 
     def neg(self, a):
         return -a
-
-    def inv(self, a):
-        if a == 1 or a == -1:
-            return a
-        raise ZeroDivisionError(f"{a} is not a unit in Z")
 
     def pow(self, a, e):
         return a**e
@@ -194,10 +183,6 @@ class PrimeField:
     def __hash__(self):
         return hash(("PrimeField", self.q))
 
-    @property
-    def name(self):
-        return f"GF {self.q}"
-
     def size(self):
         return self.q
 
@@ -221,15 +206,6 @@ class PrimeField:
 
     def neg(self, a):
         return (-a) % self.q
-
-    def inv(self, a):
-        if a % self.q == 0:
-            raise ZeroDivisionError("inverse of zero")
-        r = pow(a, self.q - 2, self.q)
-        if (r * a) % self.q != 1:
-            # q was not actually prime; callers treat this as a resample signal
-            raise ZeroDivisionError(f"{a} is not invertible modulo {self.q}")
-        return r
 
     def pow(self, a, e):
         return pow(a, e, self.q)
@@ -275,7 +251,7 @@ class ExtField:
     degree d >= 1.
 
     A quotient ring in general: over GF(q) it is a field exactly when R is
-    irreducible, and no operation here except inv() requires that.  Elements
+    irreducible, and no operation here requires that.  Elements
     are tuples of d base elements (coefficient i of the representative).
     Over a prime field these are residues reduced with % q, and over GF(2)
     an element is one bit-packed int.  ``x`` is the class of X; mul_x
@@ -591,38 +567,13 @@ class ExtField:
     def from_int(self, k):
         return self.embed(self.base.from_int(k))
 
-    def inv(self, a):
-        """Inverse via extended Euclid; raises if a is not a unit (which can
-        happen when the modulus is secretly reducible)."""
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        q = self.base.q
-        r0 = list(self.modulus)
-        r1 = list(self.coeffs(a))
-        s0, s1 = [0], [1]
-        while any(c % q for c in r1):
-            r1 = [c % q for c in r1]
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            quo, rem = _list_divmod(r0, r1, q)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _list_sub(s0, _list_mul(quo, s1, q), q)
-        r0 = [c % q for c in r0]
-        while r0 and r0[-1] == 0:
-            r0.pop()
-        if len(r0) != 1:
-            raise ZeroDivisionError("element is not a unit (reducible modulus)")
-        c_inv = PrimeField(q).inv(r0[0])
-        out = [(c_inv * c) % q for c in s0]
-        return self.from_coeffs(out[: self.d])
-
     def sample(self, rng):
         return self.from_coeffs([self.base.sample(rng) for _ in range(self.d)])
 
 
 # ---------------------------------------------------------------------------
-# schoolbook polynomial helpers on coefficient lists over GF(q), for
-# ExtField.inv and the gcd of the irreducibility test over odd q
+# schoolbook polynomial helpers on coefficient lists over GF(q), for the
+# gcd of the irreducibility test over odd q
 
 
 def _list_trim(a):
@@ -631,53 +582,25 @@ def _list_trim(a):
     return a
 
 
-def _list_sub(a, b, q):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = (x - y) % q
-    return _list_trim(out)
-
-
-def _list_mul(a, b, q):
-    if not a or not b:
-        return []
-    POLY_MUL_OPS.bump()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _list_trim([c % q for c in out])
-
-
-def _list_divmod(a, b, q):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead_inv = PrimeField(q).inv(b[-1])
+def _list_mod(a, b, q):
+    """The remainder of a modulo a nonzero b."""
+    lead_inv = pow(b[-1], -1, q)
     rem = [c % q for c in a]
     db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], _list_trim(rem)
-    quo = [0] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i] % q
         if c:
             f = (c * lead_inv) % q
-            quo[i - db] = f
             for j in range(db + 1):
                 rem[i - db + j] = (rem[i - db + j] - f * b[j]) % q
-    return quo, _list_trim(rem)
+    return _list_trim(rem)
 
 
 def _list_gcd(a, b, q):
     a = _list_trim([c % q for c in list(a)])
     b = _list_trim([c % q for c in list(b)])
     while b:
-        _, r = _list_divmod(a, b, q)
-        a, b = b, r
+        a, b = b, _list_mod(a, b, q)
     return a
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import polycheck as pc
-from polycheck.oracle import poly_divmod
+from polycheck.oracle import oracle_mod_product, poly_divmod
 from polycheck.poly import (
     PolyFormatError,
     format_poly,
@@ -122,7 +122,49 @@ class TestKroneckerKernel:
             assert kronecker_pack(cs, w) == sum(c << (i * w) for i, c in enumerate(cs))
 
 
+@st.composite
+def reduction_instances(draw):
+    """(F, G, P): P monic of degree n <= 40 with up to 5 lower terms, the
+    highest at k <= n - 1 and often near it, and dense F, G of degree up
+    to 2n, so their product reaches 4n."""
+    ctx = draw(st.sampled_from((Z, pc.GF(2), pc.GF(3), pc.GF(2**61 - 1))))
+    coeff = st.integers(-9, 9) if ctx == Z else st.integers(0, ctx.q - 1)
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(max(0, n - 4), n - 1) | st.integers(0, n - 1))
+    low = set(draw(st.lists(st.integers(0, k), max_size=4))) | {k}
+    P = pc.SparsePoly(ctx, [(e, draw(coeff)) for e in sorted(low)] + [(n, 1)])
+    F, G = (pc.DensePoly(ctx, draw(st.lists(coeff, max_size=2 * n + 1))) for _ in "FG")
+    return F, G, P
+
+
 class TestModReduce:
+    @given(reduction_instances())
+    def test_matches_long_division_oracle(self, inst):
+        F, G, P = inst
+        want = oracle_mod_product(F, G, P)
+        Q = pc.mul_oracle(F, G)
+        assert pc.mod_reduce(Q, P) == want
+        assert pc.mod_reduce(Q.to_sparse(), P) == want.to_sparse()
+
+    def test_one_pass_cost(self):
+        # at k = n - 16, rewriting the whole high part n - k degrees at a
+        # time is quadratic; one pass costs (deg Q - n + 1)(#P - 1) products
+        class CountingField(pc.PrimeField):
+            __slots__ = ("muls",)
+
+            def mul(self, a, b):
+                self.muls += 1
+                return super().mul(a, b)
+
+        K = CountingField(2**61 - 1)
+        n = 2**9
+        P = pc.SparsePoly(K, [(0, 1), (n - 16, 1), (n, 1)])
+        Q = pc.DensePoly(K, range(1, 2 * n))
+        K.muls = 0
+        R = pc.mod_reduce(Q, P)
+        assert K.muls <= (Q.degree() - n + 1) * (P.sparsity() - 1)
+        assert R == poly_divmod(Q, P.to_dense())[1]
+
     def test_reduction_example_shape(self):
         R = pc.mod_reduce(EX22_Q, EX22_P)
         assert R.degree() == 79

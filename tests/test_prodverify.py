@@ -17,7 +17,6 @@ from polycheck.oracle import poly_divmod
 from polycheck.poly import write_poly_file
 from polycheck.prodverify import (
     KaminskiParams,
-    SparseVerifyParams,
     count_binomial_divisors,
     fold_mersenne,
     kaminski_k,
@@ -85,12 +84,6 @@ class TestKaminskiParams:
     def test_small_e_is_usable(self):
         p = KaminskiParams(e=E_SMALL)
         assert p.per_round_bound(4096) < Fraction(1, 64)
-
-    def test_n_min_boundary(self):
-        p = KaminskiParams(e=E_SMALL)
-        nm = p.n_min()
-        assert p.per_round_bound(nm) <= Fraction(1, 2)
-        assert p.per_round_bound(max(2, nm // 2)) > Fraction(1, 2)
 
     def test_no_bound_claimed_below_validity_floor(self):
         # at (n=5, e=1/10) the raw count formula would claim at most one
@@ -378,15 +371,9 @@ class TestKronecker:
 
 class TestSparseVerifyParams:
     def test_default_split_satisfies_inequality(self):
-        p = SparseVerifyParams.from_epsilon(QUARTER)
-        head = Fraction(10, 3) * p.eps1
-        assert head + (1 - head) * p.eps2 <= QUARTER
-
-    def test_bad_split_rejected(self):
-        with pytest.raises(ValueError):
-            SparseVerifyParams(Fraction(1, 4), Fraction(1, 3), Fraction(1, 8))
-        with pytest.raises(ValueError):
-            SparseVerifyParams(Fraction(1, 4), Fraction(1, 8), Fraction(1, 2))
+        for eps in (QUARTER, Fraction(1, 2**20), Fraction(99, 100)):
+            head = Fraction(10, 3) * prodverify.SPARSE_EPS1 * eps
+            assert head + (1 - head) * prodverify.SPARSE_EPS2 * eps <= eps
 
 
 class TestSparseProduct:
