@@ -1,8 +1,8 @@
 """Dense and sparse polynomial values.
 
 Reference-grade arithmetic (dense products over Z and GF(q) by Kronecker
-substitution, one big-integer multiply; schoolbook/Karatsuba over quotient
-rings; reduction modulo a monic sparse P, in one top-down pass when
+substitution, one big-integer multiply; all-pairs term products otherwise;
+reduction modulo a monic sparse P, in one top-down pass when
 dense), evaluation, the gap parameter of a monic sparse modulus, growth
 bounds for products and reductions, and the on-disk text format shared
 with the CLI.  Polynomials are immutable; the zero
@@ -15,7 +15,6 @@ from fractions import Fraction
 from .rings import ExtField, IntegerRing, PrimeField, POLY_MUL_OPS, ZZ, GF, is_prime
 
 EXPONENT_CAP = 2**63 - 1
-KARATSUBA_THRESHOLD = 32
 KRONECKER_LEAF = 32
 DENSIFY_CAP = 2**26
 WINDOW_BITS = 8  # power_table reads exponents a byte at a time
@@ -236,78 +235,36 @@ def _kronecker_ints(a, b):
     ]
 
 
-def _school_ctx(ctx, a, b):
-    zero = ctx.zero()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ctx.is_zero(ai):
-            for j, bj in enumerate(b):
-                out[i + j] = ctx.add(out[i + j], ctx.mul(ai, bj))
-    return out
-
-
-def _kara_ctx(ctx, a, b):
-    if not a or not b:
-        return []
-    if min(len(a), len(b)) <= KARATSUBA_THRESHOLD:
-        return _school_ctx(ctx, a, b)
-    m = max(len(a), len(b)) // 2
-    a0, a1 = a[:m], a[m:]
-    b0, b1 = b[:m], b[m:]
-    z0 = _kara_ctx(ctx, a0, b0)
-    z2 = _kara_ctx(ctx, a1, b1)
-
-    def padd(x, y):
-        if len(x) < len(y):
-            x, y = y, x
-        out = list(x)
-        for i, v in enumerate(y):
-            out[i] = ctx.add(out[i], v)
-        return out
-
-    z1 = _kara_ctx(ctx, padd(a0, a1), padd(b0, b1))
-    for i, v in enumerate(z0):
-        z1[i] = ctx.sub(z1[i], v)
-    for i, v in enumerate(z2):
-        z1[i] = ctx.sub(z1[i], v)
-    out = [ctx.zero()] * (len(a) + len(b) - 1)
-    for i, v in enumerate(z0):
-        out[i] = ctx.add(out[i], v)
-    for i, v in enumerate(z1):
-        out[i + m] = ctx.add(out[i + m], v)
-    for i, v in enumerate(z2):
-        out[i + 2 * m] = ctx.add(out[i + 2 * m], v)
-    return out
-
-
 def mul_oracle(F, G):
     """Reference product.
 
     Dense over Z or GF(q): Kronecker substitution, both factors packed at
     2^w and multiplied once by CPython's big-integer product, the product's
-    digits read back and reduced mod q.  Dense over a quotient ring:
-    schoolbook below the Karatsuba threshold, Karatsuba above.  Sparse:
-    generate all #F*#G monomials, merge equal exponents, drop zeros.
+    digits read back and reduced mod q.  Sparse, and dense over a quotient
+    ring: generate all #F*#G monomials, merge equal exponents, drop zeros;
+    a dense product is made dense again.
     """
     if F.ctx != G.ctx:
         raise ValueError("mixed coefficient contexts")
     POLY_MUL_OPS.bump()
     ctx = F.ctx
-    if isinstance(F, DensePoly) and isinstance(G, DensePoly):
+    dense = isinstance(F, DensePoly) and isinstance(G, DensePoly)
+    if dense and _int_ctx(ctx):
         if F.is_zero() or G.is_zero():
             return DensePoly.zero(ctx)
-        if _int_ctx(ctx):
-            return DensePoly(ctx, _kronecker_ints(F.coeffs, G.coeffs))
-        return DensePoly(ctx, _kara_ctx(ctx, list(F.coeffs), list(G.coeffs)))
-    if isinstance(F, SparsePoly) and isinstance(G, SparsePoly):
-        acc = {}
-        zero = ctx.zero()
-        for e1, c1 in F.terms:
-            for e2, c2 in G.terms:
-                e = e1 + e2
-                acc[e] = ctx.add(acc.get(e, zero), ctx.mul(c1, c2))
-        return SparsePoly.from_dict(ctx, acc)
-    raise TypeError("mul_oracle needs two dense or two sparse polynomials")
+        return DensePoly(ctx, _kronecker_ints(F.coeffs, G.coeffs))
+    if dense:
+        F, G = F.to_sparse(), G.to_sparse()
+    elif not (isinstance(F, SparsePoly) and isinstance(G, SparsePoly)):
+        raise TypeError("mul_oracle needs two dense or two sparse polynomials")
+    acc = {}
+    zero = ctx.zero()
+    for e1, c1 in F.terms:
+        for e2, c2 in G.terms:
+            e = e1 + e2
+            acc[e] = ctx.add(acc.get(e, zero), ctx.mul(c1, c2))
+    FG = SparsePoly.from_dict(ctx, acc)
+    return FG.to_dense() if dense else FG
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,27 @@
 
 Dense products go through folding modulo a random binomial X^i - 1 (after
 Kaminski), with a no-multiplication variant that replaces the folded product
-by a modular-product verification.  Integer products fold modulo random
-Mersenne-style moduli 2^i - 1; integer-coefficient dense products reduce to
-one big integer product by evaluating at a power of two (Kronecker
-substitution); sparse products fold exponents modulo a random prime p and
-verify modulo X^p - 1.
+by a modular-product verification.  Integer products a*b = c and
+integer-coefficient dense products share one check: H(2^w) = F(2^w) G(2^w)
+for constants at w = 0, or at the Kronecker point 2^w where it is equivalent
+to H = F*G; signs and sizes come from the top terms, and the identity is
+compared modulo random Mersenne-style moduli 2^i - 1 or one random prime m
+by evaluating F, G and H at 2^w mod m, so no value at 2^w is formed.  Sparse
+products fold exponents modulo a random prime p and verify modulo X^p - 1.
 
 Where Kaminski's fold bound has no force (at the default e = 9/20, every
 degree below about 10^13), no verifier recomputes the product: the
 polynomial check compares H(α) with F(α)G(α) once (Schwartz 1980, Zippel
 1979), at a random point of GF(q), at X modulo a screened irreducible R
 over a small GF(q), or at a random point of GF(p) for a random prime p over
-Z; the integer check compares A*B with C modulo one random prime.
+Z; the integer check compares F(2^w) G(2^w) with H(2^w) modulo one random
+prime.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import modverify
 from .modverify import VerifyConfig, VerifyReport, FieldTooSmallError
@@ -28,7 +32,6 @@ from .poly import (
     DensePoly,
     SparsePoly,
     evaluate,
-    kronecker_pack,
     mul_oracle,
     power_table,
     product_norm_bound,
@@ -36,6 +39,7 @@ from .poly import (
     x_pow_minus_one,
 )
 from .rings import (
+    ZZ,
     IntegerRing,
     PrimeField,
     RngStream,
@@ -300,71 +304,105 @@ def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
 # integer products
 
 
-def fold_mersenne(x, i):
-    """x mod (2^i - 1) by i-bit limb folding with end-around carries,
-    canonical in [0, 2^i - 1)."""
-    if i < 1:
-        raise ValueError("need i >= 1")
-    if x < 0:
-        raise ValueError("need x >= 0")
-    m = (1 << i) - 1
-    r = 0
-    while x:
-        r += x & m
-        x >>= i
-    while r > m:
-        r = (r & m) + (r >> i)
-    return 0 if r == m else r
+def _sign_and_bits(X, w):
+    """The sign (True for positive) and bit length of X(2^w) for a nonzero
+    integer polynomial X whose coefficients below the lead are less than
+    2^(w-1) in absolute value, read from its top two nonzero terms.  The
+    lower terms sum to less than 2^(w deg X - 1) in absolute value and carry
+    the sign of their top term, so X(2^w) has the sign of the lead and
+    w deg X + bitlen|lead| bits, one less when |lead| is a power of two and
+    the next nonzero term has the other sign."""
+    if isinstance(X, SparsePoly):
+        lead = X.terms[-1][1]
+        below = X.terms[-2][1] if len(X.terms) > 1 else 0
+    else:
+        lead = X.coeffs[-1]
+        below = next((c for c in islice(reversed(X.coeffs), 1, None) if c), 0)
+    size = abs(lead)
+    bits = w * X.degree() + size.bit_length()
+    if below and (below < 0) != (lead < 0) and size & (size - 1) == 0:
+        bits -= 1
+    return lead > 0, bits
 
 
-def verify_int_product(a, b, c, cfg=None, e=None):
-    """Decide a*b = c for integers by reducing modulo random 2^i - 1 with
-    i drawn from [s^(1-e), 2 s^(1-e)), s the operand bit size.  One-sided;
-    signs and sizes are screened first.
+def _value_mod_mersenne(X, w, i):
+    """X(2^w) modulo 2^i - 1 for an integer polynomial X.  There 2^i = 1,
+    so a term c X^e lands at bit (w e) mod i: the terms are placed there
+    with their signed coefficients and summed, and the sum is reduced
+    once."""
+    terms = X.terms if isinstance(X, SparsePoly) else enumerate(X.coeffs)
+    return sum(c << (w * e % i) for e, c in terms if c) % ((1 << i) - 1)
 
-    Where the per-round bound is vacuous (or i would be below 2), it checks
-    A*B = C modulo one random prime p in [λ, 2λ] instead, with
-    λ = modverify.prime_lambda(1, 2^(2s), ε), linear in s/ε (about 2^42 for
-    a 2^12-coefficient Kronecker pack at ε = 2^-20).  After the screens A, B
-    and C are positive and C, AB < 2^(2s), so a nonzero Δ = C - AB is below
-    2^(2s) in absolute value and has fewer than 2s/log2 λ prime factors
-    >= λ.  [λ, 2λ] holds at least 3λ/(5 ln λ) primes, so a uniform prime
-    there divides Δ with probability at most (5/3) 2s ln 2/λ <= ε/4, and
-    random_prime at ε/2 returns a composite with probability at most ε/2.
-    The report has rounds = 1 and the witness {"p": p}."""
-    cfg = cfg or VerifyConfig()
+
+def _check_at_power_of_two(F, G, H, w, cfg, e, method):
+    """Decide H(2^w) = F(2^w) G(2^w) for integer polynomials whose
+    coefficients below the lead are less than 2^(w-1) in absolute value,
+    without forming any of the three values.  One-sided.
+
+    The screens read signs and sizes from the top terms (_sign_and_bits):
+    a zero factor, a zero or wrongly signed H, and an H(2^w) of more than 2s
+    bits, s the larger bit size of F(2^w) and G(2^w), are certain
+    rejections.  After them A = F(2^w), B = G(2^w) and C = H(2^w) agree in
+    sign, so AB = C modulo m exactly when |A| |B| = |C| modulo m.
+
+    The moduli are 2^i - 1 with i drawn from [s^(1-e), 2 s^(1-e)) where
+    Kaminski's fold bound has force at s (KaminskiParams(e)).  Where it is
+    vacuous, or i would be below 2, the modulus is one random prime p in
+    [λ, 2λ] with λ = modverify.prime_lambda(1, 2^(2s), ε), linear in s/ε.
+    Then C and AB are below 2^(2s), so a nonzero Δ = C - AB has fewer than
+    2s/log2 λ prime factors >= λ.  [λ, 2λ] holds at least 3λ/(5 ln λ)
+    primes, so a uniform prime there divides Δ with probability at most
+    (5/3) 2s ln 2/λ <= ε/4, and random_prime at ε/2 returns a composite
+    with probability at most ε/2.  The report has rounds = 1 and the
+    witness {"p": p}, or one {"i": i} per fold round."""
     params = KaminskiParams(e=e if e is not None else Fraction(9, 20))
     eps = cfg.epsilon
-    if a == 0 or b == 0:
-        return VerifyReport(c == 0, 0.0, 0, [{"deterministic": "zero"}], "int-fold", cfg.seed)
-    if c == 0:
-        return VerifyReport(False, 0.0, 0, [{"deterministic": "sign"}], "int-fold", cfg.seed)
-    if ((a > 0) == (b > 0)) != (c > 0):
-        return VerifyReport(False, 0.0, 0, [{"deterministic": "sign"}], "int-fold", cfg.seed)
-    A, B, C = abs(a), abs(b), abs(c)
-    s = max(A.bit_length(), B.bit_length())
-    if C.bit_length() > 2 * s:
-        return VerifyReport(False, 0.0, 0, [{"deterministic": "size"}], "int-fold", cfg.seed)
+
+    def certain(verdict, reason):
+        return VerifyReport(verdict, 0.0, 0, [{"deterministic": reason}], method, cfg.seed)
+
+    if F.is_zero() or G.is_zero():
+        return certain(H.is_zero(), "zero")
+    if H.is_zero():
+        return certain(False, "sign")
+    (f_pos, f_bits), (g_pos, g_bits), (h_pos, h_bits) = (
+        _sign_and_bits(X, w) for X in (F, G, H)
+    )
+    if (f_pos == g_pos) != h_pos:
+        return certain(False, "sign")
+    s = max(f_bits, g_bits)
+    if h_bits > 2 * s:
+        return certain(False, "size")
     rho = params.per_round_bound(s)
     lo, hi = params.fold_range(s)
     rng = RngStream(cfg.seed)
     # 2^i - 1 is a useless modulus below i = 2, so tiny operands take a prime too
     if rho > Fraction(1, 2) or lo < 2:
         p = random_prime(modverify.prime_lambda(1, 1 << (2 * s), eps), eps / 2, rng)
-        verdict = (A % p) * (B % p) % p == C % p
-        return VerifyReport(verdict, float(eps), 1, [{"p": p}], "int-fold", cfg.seed)
+        ring = PrimeField(p)
+        alpha = pow(2, w, p)
+        pw = power_table(ring, alpha)
+        fa, ga, ha = (_value_mod_prime(X, alpha, ring, pw) for X in (F, G, H))
+        return VerifyReport(fa * ga % p == ha, float(eps), 1, [{"p": p}], method, cfg.seed)
     rounds = _rounds_for(eps, rho)
     witnesses = []
     for _ in range(rounds):
         i = rng.randint(lo, hi - 1)
         witnesses.append({"i": i})
-        m = (1 << i) - 1
-        ai = fold_mersenne(A, i)
-        bi = fold_mersenne(B, i)
-        ci = fold_mersenne(C, i)
-        if (ai * bi) % m != ci:
-            return VerifyReport(False, float(eps), rounds, witnesses, "int-fold", cfg.seed)
-    return VerifyReport(True, float(eps), rounds, witnesses, "int-fold", cfg.seed)
+        fa, ga, ha = (_value_mod_mersenne(X, w, i) for X in (F, G, H))
+        if fa * ga % ((1 << i) - 1) != ha:
+            return VerifyReport(False, float(eps), rounds, witnesses, method, cfg.seed)
+    return VerifyReport(True, float(eps), rounds, witnesses, method, cfg.seed)
+
+
+def verify_int_product(a, b, c, cfg=None, e=None):
+    """Decide a*b = c for integers: _check_at_power_of_two on the constant
+    polynomials a, b and c, so signs and sizes are screened first, then
+    a*b and c are compared modulo random 2^i - 1 with i drawn from
+    [s^(1-e), 2 s^(1-e)), s the operand bit size, or modulo one random
+    prime where that fold bound is vacuous.  One-sided."""
+    a, b, c = (DensePoly(ZZ, (x,)) for x in (a, b, c))
+    return _check_at_power_of_two(a, b, c, 0, cfg or VerifyConfig(), e, "int-fold")
 
 
 def kronecker_point(F, G, H):
@@ -376,42 +414,33 @@ def kronecker_point(F, G, H):
     return 1 << max(bound.bit_length(), 1)
 
 
-def _eval_power_of_two(F, w):
-    """F(2^w), the Kronecker substitution of F: poly.kronecker_pack for
-    dense F, a shifted sum of the terms for sparse F."""
-    if isinstance(F, SparsePoly):
-        acc = 0
-        for e, c in F.terms:
-            acc += c << (e * w)
-        return acc
-    return kronecker_pack(F.coeffs, w)
-
-
 def verify_product_kronecker(F, G, H, cfg=None, e=None):
-    """Decide H = F*G over Z by evaluating all three at a power of two beta
-    large enough that polynomial equality is equivalent to the integer
-    identity H(beta) = F(beta) G(beta), then verifying that integer product
-    with verify_int_product: by Mersenne folds where their bound has force,
-    otherwise modulo one random prime, so F(beta) G(beta) is never formed.
-    The report carries the inner error bound, rounds and witnesses."""
+    """Decide H = F*G over Z through the integer identity
+    H(beta) = F(beta) G(beta) at a power of two beta = 2^w large enough
+    (kronecker_point) that it is equivalent to polynomial equality.  The
+    identity is checked by _check_at_power_of_two, as verify_int_product
+    checks a*b = c: by Mersenne folds where their bound has force,
+    otherwise modulo one random prime, evaluating F, G and H at 2^w modulo
+    each modulus, so no value at beta is formed.  A nonzero product over Z
+    has degree deg F + deg G, so an H of lower degree than F or G is a
+    certain shape rejection, made before beta is computed.  The report
+    carries the inner error bound, rounds and witnesses."""
     cfg = cfg or VerifyConfig()
     if F.ctx != G.ctx or F.ctx != H.ctx:
         raise ValueError("mixed coefficient contexts")
     if not isinstance(F.ctx, IntegerRing):
         raise TypeError("Kronecker substitution needs integer polynomials")
     quick = _product_shape_reject(F, G, H)
+    if quick is None and max(F.degree(), G.degree()) > H.degree():
+        quick = False
     if quick is not None:
         return VerifyReport(
             quick, 0.0, 0, [{"deterministic": "shape"}], "kronecker", cfg.seed
         )
     if H.degree() >= DENSIFY_CAP:
         raise ValueError(f"degree {H.degree()} too large to densify")
-    beta = kronecker_point(F, G, H)
-    w = beta.bit_length() - 1
-    fb = _eval_power_of_two(F, w)
-    gb = _eval_power_of_two(G, w)
-    hb = _eval_power_of_two(H, w)
-    inner = verify_int_product(fb, gb, hb, cfg, e=e)
+    w = kronecker_point(F, G, H).bit_length() - 1
+    inner = _check_at_power_of_two(F, G, H, w, cfg, e, "kronecker")
     return VerifyReport(
         inner.verdict,
         inner.error_bound,

@@ -152,6 +152,25 @@ class TestVerifyProdInputs:
         assert code == 2 and out == ""
         assert err.startswith(f"error: degree {2**62} too large to densify")
 
+    def test_kronecker_h_below_a_factor_degree_is_a_shape_rejection(self, tmp_path):
+        # X^(2^40) * 1 != X: a certain rejection before anything of size
+        # 2^40 w is formed; the child's address space is capped at 1 GB so a
+        # regression fails with a MemoryError rather than exhausting the host
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        args = poly_args(tmp_path, "Z", F=f"sparse {2**40}:1", G="sparse 0:1", H="sparse 1:1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "polycheck.cli", "verify-prod", "--method", "kronecker", *args],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        )
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        report = json.loads(proc.stdout)
+        assert (report["verdict"], report["error_bound"], report["rounds"]) == (False, 0.0, 0)
+        assert report["witnesses"] == [{"deterministic": "shape"}]
+
 
 class TestVerifyModCommand:
     def test_constant_modulus_exits_two(self, tmp_path):

@@ -48,6 +48,18 @@ class TestMulOracle:
         with pytest.raises(ValueError):
             pc.mul_oracle(EX1_F, pc.SparsePoly(pc.GF(5), [(0, 1)]))
 
+    def test_dense_quotient_ring_matches_schoolbook_oracle(self, rng):
+        # dense GF(2^8) coefficients take the all-pairs loop and come back dense
+        from polycheck.oracle import _school_product_dense
+
+        ring = pc.ExtField(pc.GF(2), (1, 0, 1, 1, 1, 0, 0, 0, 1))
+        for deg_f, deg_g in ((-1, 3), (0, 0), (1, 40), (60, 33)):
+            F = rand_dense(ring, deg_f, rng)
+            G = rand_dense(ring, deg_g, rng)
+            FG = pc.mul_oracle(F, G)
+            assert isinstance(FG, pc.DensePoly)
+            assert FG == _school_product_dense(F, G)
+
     def test_sparse_equals_dense_after_densify(self, rng):
         for _ in range(60):
             ctx = (Z, pc.GF(7), pc.GF(65537))[rng.below(3)]

@@ -1,11 +1,12 @@
 import itertools
+import json
 import math
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import polycheck as pc
-from polycheck import prodverify
+from polycheck import cli, prodverify
 from polycheck.cli import main
 from polycheck.modverify import (
     FieldTooSmallError,
@@ -14,13 +15,13 @@ from polycheck.modverify import (
     prime_lambda,
 )
 from polycheck.oracle import poly_divmod
-from polycheck.poly import write_poly_file
+from polycheck.poly import power_table, write_poly_file
 from polycheck.prodverify import (
     KaminskiParams,
     count_binomial_divisors,
-    fold_mersenne,
     kaminski_k,
     kaminski_round,
+    kronecker_point,
     verify_int_product,
     verify_product_kaminski,
     verify_product_kaminski_nomul,
@@ -45,6 +46,13 @@ EX1_G = pc.SparsePoly(Z, [(0, 3), (8, 5), (13, 3)])
 EX1_H = pc.SparsePoly(Z, [(0, 2), (7, -2), (14, 1)])
 EX1_FG = pc.mul_oracle(EX1_F, EX1_G)
 EX1_FH = pc.SparsePoly(Z, [(0, 4), (28, 1)])
+
+
+def shifted_sum(X, w):
+    """X(2^w) as the plain sum of shifted terms: the oracle for every check
+    at a power of two."""
+    terms = X.terms if isinstance(X, pc.SparsePoly) else enumerate(X.coeffs)
+    return sum(c << (i * w) for i, c in terms)
 
 
 def example2(t):
@@ -125,6 +133,18 @@ class TestKaminski:
             assert r.verdict is True
             assert (r.rounds, r.error_bound, r.method) == (1, 0.25, "kaminski")
             assert r.witnesses == witnesses
+
+    def test_quotient_ring_coefficients_take_the_exact_product(self, rng):
+        # over GF(2^8) as coefficient ring no point is drawn: one exact
+        # product decides, with a certain verdict
+        ring = pc.ExtField(F2, (1, 0, 1, 1, 1, 0, 0, 0, 1))
+        F = rand_dense(ring, 30, rng)
+        G = rand_dense(ring, 17, rng)
+        H = pc.mul_oracle(F, G)
+        for X, verdict in ((H, True), (perturb_poly(H, rng), False)):
+            r = verify_product_kaminski(F, G, X, cfg(0))
+            assert (r.verdict, r.error_bound, r.rounds) == (verdict, 0.0, 0)
+            assert r.witnesses == [{"deterministic": "reference-product"}]
 
     def test_probabilistic_path_small_e(self, rng):
         params = KaminskiParams(e=E_SMALL)
@@ -290,12 +310,6 @@ class TestIntProduct:
                 accepted += 1
         assert accepted / trials <= 0.30
 
-    def test_fold_mersenne_exact(self, rng):
-        for _ in range(300):
-            i = 1 + rng.below(70)
-            x = rng.bits(1 + rng.below(400))
-            assert fold_mersenne(x, i) == x % ((1 << i) - 1)
-
 
 class TestKronecker:
     def test_example_triples(self):
@@ -336,32 +350,30 @@ class TestKronecker:
         assert accepted / trials <= 0.30
 
     def test_substitution_is_exact_with_exact_inner_check(self, rng):
-        # with the inner integer verification replaced by exact comparison,
-        # the verdict must match polynomial equality exactly
-        from polycheck.prodverify import kronecker_point, _eval_power_of_two
-
+        # with the inner integer verification replaced by exact comparison of
+        # the packed values, the verdict must match polynomial equality
         for _ in range(200):
             F = rand_dense(Z, rng.below(20), rng, hi=40)
             G = rand_dense(Z, rng.below(20), rng, hi=40)
             H = pc.mul_oracle(F, G)
             if rng.below(2):
                 H = perturb_poly(H, rng)
-            beta = kronecker_point(F, G, H)
-            w = beta.bit_length() - 1
-            same_int = _eval_power_of_two(F, w) * _eval_power_of_two(
-                G, w
-            ) == _eval_power_of_two(H, w)
-            assert same_int == (pc.mul_oracle(F, G) == H)
+            w = kronecker_point(F, G, H).bit_length() - 1
+            a, b, c = (shifted_sum(X, w) for X in (F, G, H))
+            assert (a * b == c) == (pc.mul_oracle(F, G) == H)
 
-    @pytest.mark.parametrize("w", [1, 2, 7, 8, 77])
-    def test_eval_power_of_two_is_the_shifted_sum(self, w, rng):
-        from polycheck.prodverify import _eval_power_of_two
-
-        for deg in (0, 1, 31, 32, 33, 200, 700):
-            F = rand_dense(Z, deg, rng, hi=2**40)
-            for X in (F, F.to_sparse()):
-                naive = sum(c << (i * w) for i, c in enumerate(F.coeffs))
-                assert _eval_power_of_two(X, w) == naive
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_h_below_a_factor_degree_is_a_certain_rejection(self, dense):
+        # a nonzero product over Z has degree deg F + deg G; the screen runs
+        # before any value at 2^w, which at deg F = 2^40 would not fit in memory
+        F = pc.SparsePoly(Z, [(2**40, 1)] if not dense else [(9, 1)])
+        G = pc.SparsePoly(Z, [(0, 1)])
+        H = pc.SparsePoly(Z, [(1, 1)])
+        if dense:
+            F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
+        r = verify_product_kronecker(F, G, H, cfg(0, STRICT))
+        assert (r.verdict, r.error_bound, r.rounds) == (False, 0.0, 0)
+        assert r.witnesses == [{"deterministic": "shape"}]
 
     def test_needs_integer_ring(self, rng):
         F = rand_dense(F2, 4, rng)
@@ -554,6 +566,100 @@ class TestOneSidedAndReplayable:
 
 
 STRICT = Fraction(1, 2**20)
+
+
+def _negated(X):
+    if isinstance(X, pc.SparsePoly):
+        return pc.SparsePoly(Z, [(i, -c) for i, c in X.terms])
+    return pc.DensePoly(Z, [-c for c in X.coeffs])
+
+
+@st.composite
+def top_heavy_polys(draw):
+    """(X, w): a nonzero integer polynomial, dense or sparse, whose terms
+    below the lead are less than 2^(w-1) in absolute value, as at the
+    Kronecker point, with w from 2 to 200.  The lead is any nonzero integer;
+    power-of-two leads and a next term of the other sign are drawn often."""
+    w = draw(st.integers(2, 200))
+    low = st.integers(-(2 ** (w - 1)) + 1, 2 ** (w - 1) - 1)
+    terms = draw(st.dictionaries(st.integers(0, 300), low, max_size=6))
+    n = max(terms, default=-1) + 1 + draw(st.integers(0, 3))
+    size = draw(st.one_of(st.integers(0, 300).map(lambda k: 1 << k), st.integers(1, 2**300)))
+    lead = draw(st.sampled_from((1, -1))) * size
+    if terms and draw(st.booleans()):
+        top = max(terms)
+        terms[top] = -abs(terms[top] or 1) if lead > 0 else abs(terms[top] or 1)
+    terms[n] = lead
+    X = pc.SparsePoly.from_dict(Z, terms)
+    return (X.to_dense() if draw(st.booleans()) else X), w
+
+
+class TestCheckAtPowerOfTwo:
+    """The integer product check on F(2^w), G(2^w) and H(2^w) that never
+    forms any of them, against the packed values."""
+
+    @given(top_heavy_polys())
+    def test_sign_and_bits_from_the_top_terms(self, inst):
+        X, w = inst
+        value = shifted_sum(X, w)
+        assert prodverify._sign_and_bits(X, w) == (value > 0, abs(value).bit_length())
+
+    @given(product_triples((Z,)), st.integers(0, 200), st.integers(2, 2**70))
+    def test_residues_at_two_to_the_w(self, inst, w, m):
+        # both residue maps against the packed values: the Horner and power
+        # table route at any modulus (its int loops never invert), the
+        # placed terms at 2^i - 1
+        F, G, H, _ = inst
+        i = 2 + m % 70
+        ring = pc.PrimeField(m)
+        alpha = pow(2, w, m)
+        pw = power_table(ring, alpha)
+        for X in (F, G, H):
+            value = shifted_sum(X, w)
+            assert prodverify._value_mod_prime(X, alpha, ring, pw) == value % m
+            assert prodverify._value_mod_mersenne(X, w, i) == value % ((1 << i) - 1)
+
+    def test_evaluates_at_two_to_the_w_modulo_the_reported_prime(self, rng):
+        # H + X - r with r = 2^w mod p is wrong, but its difference vanishes
+        # at 2^w modulo p, so the check that reported p accepts it: p and the
+        # point are exactly the ones the report names
+        F = rand_dense(Z, 40, rng, hi=2**60)
+        G = rand_dense(Z, 40, rng, hi=2**60)
+        H = pc.mul_oracle(F, G)
+        for seed in range(5):
+            inner = verify_product_kronecker(F, G, H, cfg(seed)).witnesses[0]
+            w, p = inner["beta_log2"], inner["inner"][0]["p"]
+            cs = list(H.coeffs)
+            cs[0] -= pow(2, w, p)
+            cs[1] += 1
+            wrong = pc.DensePoly(Z, cs)
+            assert kronecker_point(F, G, wrong) == 1 << w
+            r = verify_product_kronecker(F, G, wrong, cfg(seed))
+            assert r.verdict is True and r.witnesses[0]["inner"] == [{"p": p}]
+
+    @given(product_triples((Z,)), st.sampled_from(("true", "perturbed", "negated")),
+           st.sampled_from((None, Fraction(3, 10), E_SMALL)), st.sampled_from((QUARTER, STRICT)))
+    def test_kronecker_is_the_integer_check_on_packed_values(self, inst, variant, e, eps):
+        # byte for byte the report of verify_int_product on the packed values,
+        # inside the kronecker wrapper
+        F, G, H, seed = inst
+        if variant == "perturbed":
+            H = perturb_poly(H, RngStream(seed))
+        elif variant == "negated":
+            H = _negated(H)
+        c = cfg(seed, eps)
+        got = verify_product_kronecker(F, G, H, c, e=e).to_dict()
+        if "inner" not in got["witnesses"][0]:
+            assert got["witnesses"] == [{"deterministic": "shape"}]
+            return
+        w = got["witnesses"][0]["beta_log2"]
+        assert w == kronecker_point(F, G, H).bit_length() - 1
+        inner = verify_int_product(*(shifted_sum(X, w) for X in (F, G, H)), c, e=e).to_dict()
+        inner_witnesses = inner.pop("witnesses")
+        want = dict(inner, method="kronecker", witnesses=[{"beta_log2": w, "inner": inner_witnesses}])
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
 ENCODINGS = ("dense", "sparse", "mixed")
 
 
@@ -567,7 +673,9 @@ def _encode(encoding, F, G, H):
 
 class TestNoProductRecomputed:
     """The dense product checks decide true and perturbed H with the
-    reference product made to fail."""
+    reference product made to fail, in the library and through the CLI.
+    On all-sparse input the CLI's auto may compute the exact product
+    instead; every report that did says so."""
 
     @pytest.fixture(autouse=True)
     def _no_reference_product(self, monkeypatch):
@@ -575,6 +683,7 @@ class TestNoProductRecomputed:
             raise AssertionError("the reference product ran")
 
         monkeypatch.setattr(prodverify, "mul_oracle", refuse)
+        monkeypatch.setattr(cli, "mul_oracle", refuse)
 
     @staticmethod
     def _instances(ctx, encoding, rng):
@@ -604,15 +713,26 @@ class TestNoProductRecomputed:
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize("ctx", [Z, F2, pc.GF(7), pc.GF(65537)], ids=str)
-    def test_cli_auto(self, ctx, encoding, rng, tmp_path, capsys):
+    def test_cli_auto(self, ctx, encoding, rng, tmp_path, capsys, monkeypatch):
+        products = []
+        if encoding == "sparse":
+            monkeypatch.setattr(
+                cli, "mul_oracle", lambda F, G: products.append(1) or pc.mul_oracle(F, G)
+            )
         for F, G, H, Hbad in self._instances(ctx, encoding, rng):
             for X, code in ((H, 0), (Hbad, 1)):
                 args = ["verify-prod", "--method", "auto", "--seed", "3"]
                 for name, Y in zip("FGH", _encode(encoding, F, G, X)):
                     write_poly_file(tmp_path / f"{name}.poly", Y)
                     args += [f"--{name}", str(tmp_path / f"{name}.poly")]
+                ran = len(products)
                 assert main(args) == code
-        capsys.readouterr()
+                report = json.loads(capsys.readouterr().out)
+                if len(products) > ran:
+                    assert (report["method"], report["error_bound"]) == ("exact", 0.0)
+                else:
+                    assert report["method"] != "exact"
+        assert bool(products) == (encoding == "sparse")
 
 
 def _primes_upto(n):
