@@ -29,6 +29,10 @@ There are three kernels:
     times the packed -R mod q, and -v P(x) one more multiply-add.  The
     f-slots stay below 2d q^2 and the slots of a sum of m terms below
     2m d q^3; w is the bit length of that bound (ExtField.dense_scan).
+A fourth kernel, gf2_first_mismatch, runs the packed GF(2) scan for many
+moduli R of one degree d at once: each R's residue sits in its own
+(d+1)-bit lane of one int, and the first R at which H and the product
+disagree is the lowest nonzero lane of their difference.
 None of them multiplies polynomials or counts in POLY_MUL_OPS.
 """
 
@@ -228,6 +232,81 @@ def _dense_scan(f_alpha, alpha, p_alpha, V, gs, ring, ctx):
         if not zero(g):
             beta = ring.add(beta, ring.scalar_mul(g, f_alpha))
     return beta
+
+
+def gf2_first_mismatch(P, F, G, H, moduli, lc=None):
+    """The index of the first R in moduli at which H mod R differs from
+    ((F*G) mod P) mod R, or None if there is none: the comparison of
+    modverify._agree_at at the class of X in GF(2)[X]/(R), for every R at
+    once.  F, G and H are dense over GF(2); the moduli are monic coefficient
+    lists of one degree d >= 1, as random_monic draws them; lc, if given,
+    is leading_coefficients(P, F).
+
+    The residue modulo the j-th R sits in lane j, bits [j(d+1), (j+1)(d+1)),
+    of one int, so one int operation acts on every lane (SWAR).  With TOP
+    bit d of every lane and RS every lane's R, its X^d bit included, x times
+    every lane is f <<= 1; t = f & TOP; f ^= ((t << 1) - (t >> d)) & RS: the
+    difference sets every bit of exactly the lanes whose bit d is set.  One
+    Horner pass over 3m lanes (m = len(moduli)) gives H(x), F(x) and P(x)
+    in every lane, each index XORing one of 8 patterns of lane bits 0,
+    chosen by h_i | f_i << 1 | p_i << 2.  The scan is then the GF(2) step
+    of ExtField.dense_scan in every lane, and the first mismatch is the
+    lowest nonzero lane of H(x) ^ beta.  Shifts and XORs only: nothing
+    counts in POLY_MUL_OPS."""
+    n = _require_args(P, F, G)
+    if H.ctx != P.ctx or not isinstance(P.ctx, PrimeField) or P.ctx.q != 2:
+        raise ValueError("the lane kernel needs F, G, H and P over GF(2)")
+    if n >= DENSIFY_CAP:
+        raise ValueError(f"degree {n} too large to densify")
+    if not moduli:
+        return None
+    d = len(moduli[0]) - 1
+    if d < 1 or any(len(R) != d + 1 or R[-1] != 1 for R in moduli):
+        raise ValueError("the moduli must be monic of one degree d >= 1")
+    L = d + 1
+    m = len(moduli)
+    ones = sum(1 << (j * L) for j in range(m))  # bit 0 of every lane
+    top = ones << d
+    rs = sum(sum(c << i for i, c in enumerate(R)) << (j * L) for j, R in enumerate(moduli))
+    width = m * L
+    # H, F and P side by side: 3m lanes, one Horner pass
+    top3 = top | top << width | top << 2 * width
+    rs3 = rs | rs << width | rs << 2 * width
+    patterns = [
+        (ones if k & 1 else 0) | (ones << width if k & 2 else 0)
+        | (ones << 2 * width if k & 4 else 0)
+        for k in range(8)
+    ]
+    p_bits = sum(1 << (8 * e) for e, _ in P.terms)
+    codes = (
+        int.from_bytes(bytes(H.coeffs), "little")
+        | int.from_bytes(bytes(F.coeffs), "little") << 1
+        | p_bits << 2
+    ).to_bytes(n + 1, "little")
+    acc = 0
+    for c in reversed(codes):
+        acc <<= 1
+        t = acc & top3
+        acc ^= (((t << 1) - (t >> d)) & rs3) ^ patterns[c]
+    mask = (1 << width) - 1
+    h_x, f, p_x = acc & mask, (acc >> width) & mask, acc >> 2 * width
+    gs = G.coeffs
+    beta = 0
+    if gs and not F.is_zero():
+        V = leading_coefficients(P, F) if lc is None else lc
+        beta = f if gs[0] else 0
+        for v, g in zip(V, gs[1:]):
+            f <<= 1
+            t = f & top
+            f ^= ((t << 1) - (t >> d)) & rs
+            if v:
+                f ^= p_x
+            if g:
+                beta ^= f
+    diff = h_x ^ beta
+    if not diff:
+        return None
+    return ((diff & -diff).bit_length() - 1) // L
 
 
 def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):

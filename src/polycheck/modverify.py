@@ -31,6 +31,7 @@ from .rings import (
     IntegerRing,
     PrimeField,
     RngStream,
+    ln_pow2_upper,
     ln_upper,
     random_irreducible,
     random_monic,
@@ -221,10 +222,19 @@ def prime_lambda(n, norm, eps):
     5 ln(norm)/(3λ) <= eps/4.  A random point of GF(p) is a root of a
     nonzero Δ mod p with probability at most (n-1)/λ < eps/2.  A caller
     that asks random_prime for p at eps/4 keeps the total within eps."""
+    return _prime_lambda(n, ln_upper(max(norm, 1)), eps)
+
+
+def prime_lambda_pow2(n, k, eps):
+    """prime_lambda(n, 2^k, eps) without building 2^k."""
+    return _prime_lambda(n, ln_pow2_upper(k), eps)
+
+
+def _prime_lambda(n, ln_norm, eps):
     return max(
         21,
         -(-2 * n * eps.denominator // eps.numerator),
-        math.ceil(Fraction(20, 3) / eps * ln_upper(max(norm, 1))),
+        math.ceil(Fraction(20, 3) / eps * ln_norm),
     )
 
 
@@ -368,7 +378,12 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     not.  All-sparse inputs run the sparse scans, whose powers of X come
     from one power table per draw, each of its products counted in
     POLY_MUL_OPS; any other input is made dense and runs the dense scans,
-    which multiply no polynomials.
+    which multiply no polynomials.  The first draw runs alone.  If it
+    agrees, the rest are drawn at once; over GF(2) on dense input they run
+    as one lane-packed scan (modeval.gf2_first_mismatch), while odd q and
+    all-sparse input still scan draw by draw.  The draws take nothing from
+    the random stream but their R's, so the R's and the report are those of
+    the one-at-a-time loop.
 
     Soundness of the unscreened draws: let Δ = H - (F*G) mod P be nonzero,
     of degree < n; a draw accepts only if R divides Δ.  R is irreducible
@@ -397,19 +412,28 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     rng = RngStream(cfg.seed)
     d = _companion_degree(ctx.q, n)
     draws = _companion_draws(ctx.q, d, eps)
-    witnesses = []
-    verdict = True
-    for _ in range(draws):
-        R = random_monic(ctx, d, rng)
-        entry = {"modulus": R}
-        witnesses.append(entry)
+
+    def agrees(R):
         ring = ExtField(ctx, R)
-        if not _agree_at(F, G, H, P, ring.x, ring, lc):
-            entry["mismatch"] = True
-            verdict = False
-            break
+        return _agree_at(F, G, H, P, ring.x, ring, lc)
+
+    # The draws take nothing from rng but their R's, so drawing the rest up
+    # front once the first agrees gives the same R's as one at a time.
+    moduli = [random_monic(ctx, d, rng)]
+    if not agrees(moduli[0]):
+        bad = 0
+    else:
+        moduli += [random_monic(ctx, d, rng) for _ in range(draws - 1)]
+        if ctx.q == 2 and not sparse:
+            bad = modeval.gf2_first_mismatch(P, F, G, H, moduli[1:], lc)
+            bad = None if bad is None else bad + 1
+        else:
+            bad = next((i for i in range(1, draws) if not agrees(moduli[i])), None)
+    witnesses = [{"modulus": R} for R in moduli[: draws if bad is None else bad + 1]]
+    if bad is not None:
+        witnesses[-1]["mismatch"] = True
     method = "companion-sparse" if sparse else "companion-no-polymul"
-    return VerifyReport(verdict, float(eps), draws, witnesses, method, cfg.seed)
+    return VerifyReport(bad is None, float(eps), draws, witnesses, method, cfg.seed)
 
 
 def verify_mod_companion_sparse(F, G, H, P, cfg=None):

@@ -27,7 +27,6 @@ from itertools import islice
 from . import modverify
 from .modverify import VerifyConfig, VerifyReport, FieldTooSmallError
 from .poly import (
-    DENSIFY_CAP,
     EXPONENT_CAP,
     DensePoly,
     SparsePoly,
@@ -96,6 +95,12 @@ class KaminskiParams:
         if hi - lo < 1 or lo < 21 or k == 0:
             return Fraction(1)
         return Fraction(max(k - 1, 0), hi - lo)
+
+
+# The longest fold modulus 2^i - 1, in bits.  At the default e a dense
+# operand reaches it only past about 2^45 bits; beyond it
+# _check_at_power_of_two takes the prime.
+FOLD_BITS_CAP = 2**26
 
 
 def _rounds_for(eps, per_round):
@@ -347,8 +352,11 @@ def _check_at_power_of_two(F, G, H, w, cfg, e, method):
 
     The moduli are 2^i - 1 with i drawn from [s^(1-e), 2 s^(1-e)) where
     Kaminski's fold bound has force at s (KaminskiParams(e)).  Where it is
-    vacuous, or i would be below 2, the modulus is one random prime p in
-    [λ, 2λ] with λ = modverify.prime_lambda(1, 2^(2s), ε), linear in s/ε.
+    vacuous, or i would be below 2 or above FOLD_BITS_CAP (for a sparse X
+    of huge degree, whose folds would build ints far longer than X), the
+    modulus is one random prime p in [λ, 2λ] with
+    λ = modverify.prime_lambda(1, 2^(2s), ε), linear in s/ε and computed
+    without building 2^(2s) (prime_lambda_pow2).
     Then C and AB are below 2^(2s), so a nonzero Δ = C - AB has fewer than
     2s/log2 λ prime factors >= λ.  [λ, 2λ] holds at least 3λ/(5 ln λ)
     primes, so a uniform prime there divides Δ with probability at most
@@ -377,8 +385,8 @@ def _check_at_power_of_two(F, G, H, w, cfg, e, method):
     lo, hi = params.fold_range(s)
     rng = RngStream(cfg.seed)
     # 2^i - 1 is a useless modulus below i = 2, so tiny operands take a prime too
-    if rho > Fraction(1, 2) or lo < 2:
-        p = random_prime(modverify.prime_lambda(1, 1 << (2 * s), eps), eps / 2, rng)
+    if rho > Fraction(1, 2) or lo < 2 or hi > FOLD_BITS_CAP:
+        p = random_prime(modverify.prime_lambda_pow2(1, 2 * s, eps), eps / 2, rng)
         ring = PrimeField(p)
         alpha = pow(2, w, p)
         pw = power_table(ring, alpha)
@@ -437,8 +445,6 @@ def verify_product_kronecker(F, G, H, cfg=None, e=None):
         return VerifyReport(
             quick, 0.0, 0, [{"deterministic": "shape"}], "kronecker", cfg.seed
         )
-    if H.degree() >= DENSIFY_CAP:
-        raise ValueError(f"degree {H.degree()} too large to densify")
     w = kronecker_point(F, G, H).bit_length() - 1
     inner = _check_at_power_of_two(F, G, H, w, cfg, e, "kronecker")
     return VerifyReport(

@@ -97,6 +97,17 @@ def ln_upper(x):
     return Fraction(math.log(x)) * (1 + Fraction(1, 10**9))
 
 
+def ln_pow2_upper(k):
+    """ln_upper(2**k) without building 2**k.  math.log converts an int that
+    fits a float, as 2^k does below k = 1024, and otherwise takes
+    log(m) + e log(2) from its frexp m 2^e, here 0.5 * 2^(k+1); the same
+    float operations give the same bound."""
+    if k == 0:
+        return Fraction(0)
+    ln = math.log(math.ldexp(1.0, k)) if k < 1024 else math.log(0.5) + math.log(2.0) * (k + 1)
+    return Fraction(ln) * (1 + Fraction(1, 10**9))
+
+
 # ---------------------------------------------------------------------------
 # coefficient domains
 #

@@ -48,6 +48,17 @@ def is_irreducible_gf2_exhaustive(coeffs):
     return True
 
 
+def gf2_clmul(a, b):
+    """The GF(2)[X] product of bit-packed a and b."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
+
+
 def rand_coeff(ctx, rng, hi=9):
     if ctx == pc.ZZ:
         return rng.below(2 * hi + 1) - hi

@@ -469,6 +469,18 @@ def test_criterion_8_no_multiplication_paths():
         modverify.verify_mod_companion(Fd, Gd, Hd, P, cfg(seed, method="companion-no-polymul"))
         modverify.verify_mod_companion(Fd, Gd, Hbad, P, cfg(seed, method="companion-no-polymul"))
     assert POLY_MUL_OPS.count == snapshot
+    # a strict epsilon: at n = 2^11, d = 15 and 234 draws, so one scan of
+    # 233 lanes after the first draw
+    n = 2**11
+    P = pc.SparsePoly(F2, [(0, 1), (3, 1), (n, 1)])
+    Fd, Gd = rand_dense(F2, n - 1, rng), rand_dense(F2, n - 2, rng)
+    Hd = pc.mod_reduce(pc.mul_oracle(Fd, Gd), P)
+    snapshot = POLY_MUL_OPS.count
+    r = modverify.verify_mod_companion(
+        Fd, Gd, Hd, P, cfg(0, Fraction(1, 2**20), "companion-no-polymul")
+    )
+    assert r.verdict and r.rounds == len(r.witnesses) == 234
+    assert POLY_MUL_OPS.count == snapshot
     report("8 no-multiplication", "instrumented counter stayed at zero on both paths")
 
 

@@ -144,13 +144,33 @@ class TestVerifyProdInputs:
         assert got == code and "Traceback" not in err and err == ""
         assert json.loads(out)["verdict"] is (code == 0)
 
-    def test_kronecker_past_the_densify_cap_exits_two(self, tmp_path):
-        # X^(2^61) * X^(2^61) = X^(2^62) is a dense encoding of 2^62 digits
-        args = poly_args(tmp_path, "Z", F=f"sparse {2**61}:1", G=f"sparse {2**61}:1",
-                         H=f"sparse {2**62}:1")
-        code, out, err = run_cli(["verify-prod", "--method", "kronecker", *args], timeout=60)
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: degree {2**62} too large to densify")
+    def test_kronecker_past_the_densify_cap_is_decided(self, tmp_path):
+        # X^(2^26) * 1 = X^(2^26) is accepted and 2 X^(2^26) rejected, as by
+        # --method sparse; at X^(2^61) * X^(2^61) = X^(2^62) the fold modulus
+        # would pass FOLD_BITS_CAP, so the prime decides it.  The child's
+        # address space is capped at 1 GB, so a regression fails with a
+        # MemoryError rather than exhausting the host
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        cases = [
+            (f"sparse {2**26}:1", "sparse 0:1", f"sparse {2**26}:1", 0),
+            (f"sparse {2**26}:1", "sparse 0:1", f"sparse {2**26}:2", 1),
+            (f"sparse {2**61}:1", f"sparse {2**61}:1", f"sparse {2**62}:1", 0),
+            (f"sparse {2**61}:1", f"sparse {2**61}:1", f"sparse {2**62}:2", 1),
+        ]
+        for F, G, H, code in cases:
+            args = poly_args(tmp_path, "Z", F=F, G=G, H=H)
+            for method in ("kronecker", "sparse"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "polycheck.cli", "verify-prod", "--method", method,
+                     *args],
+                    capture_output=True, text=True, timeout=60, preexec_fn=cap,
+                )
+                assert (proc.returncode, proc.stderr) == (code, ""), (F, H, method)
+                assert json.loads(proc.stdout)["verdict"] is (code == 0)
 
     def test_kronecker_h_below_a_factor_degree_is_a_shape_rejection(self, tmp_path):
         # X^(2^40) * 1 != X: a certain rejection before anything of size

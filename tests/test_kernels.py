@@ -2,7 +2,9 @@
 generic ring-method loops that stay as their reference (poly._horner and
 modeval._dense_scan): ints in GF(q) at any point, packed GF(2)[X]/(R) and
 slot-packed GF(q)[X]/(R) at x, for reducible and irreducible R.  Z has no
-kernel; its instances check the generic loops against the oracle.
+kernel; its instances check the generic loops against the oracle.  The
+lane-packed GF(2) kernel of many moduli at once (gf2_first_mismatch) is
+checked against modverify._agree_at, one modulus at a time.
 
 These tests run under the "thorough" hypothesis profile in CI as well; see
 conftest.py.
@@ -15,12 +17,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 import polycheck as pc
-from polycheck.modeval import _dense_scan, eval_mod_p_dense, leading_coefficients
+from polycheck.modeval import (
+    _dense_scan,
+    eval_mod_p_dense,
+    gf2_first_mismatch,
+    leading_coefficients,
+)
+from polycheck.modverify import _agree_at
 from polycheck.oracle import oracle_mod_product
 from polycheck.poly import _horner, evaluate, fused
 from polycheck.rings import POLY_MUL_OPS, ExtField, RngStream, random_irreducible
+from conftest import gf2_clmul
 
 Z = pc.ZZ
+F2 = pc.GF(2)
 FIELDS = tuple(pc.GF(q) for q in (2, 3, 7, 65537, 2**61 - 1))
 BIG = 2**64
 
@@ -142,6 +152,81 @@ class TestKernelsMatchTheGenericLoops:
         assert ring.dense_scan(f, alpha, pa, V, gs) == _dense_scan(
             f, alpha, pa, V, gs, ring, ctx
         )
+
+
+def _bits(a):
+    return [(a >> i) & 1 for i in range(a.bit_length())]
+
+
+@st.composite
+def lane_instances(draw):
+    """(P, F, G, H, moduli) over GF(2): P monic of degree n in 1..200 with
+    its second degree anywhere below n; F, G and H of any length up to n,
+    zero included; 1..64 moduli of one degree d in 1..24, each uniform,
+    X^d or X^d + 1.  H is the true (F*G) mod P, a random polynomial, or the
+    true one plus S R_0 ... R_(k-1), which the first k moduli divide."""
+    n = draw(st.integers(1, 200))
+    k2 = draw(st.integers(0, n - 1))
+    low = draw(st.sets(st.integers(0, k2), max_size=3)) | {k2}
+    P = pc.SparsePoly.from_dict(F2, {**dict.fromkeys(low, 1), n: 1})
+    bits = st.integers(0, 1)
+
+    def poly():
+        length = draw(st.one_of(st.just(n), st.integers(0, n)))
+        return pc.DensePoly(F2, draw(st.lists(bits, min_size=length, max_size=length)))
+
+    F, G = poly(), poly()
+    d = draw(st.integers(1, 24))
+    tails = st.one_of(st.just(0), st.just(1), st.integers(0, (1 << d) - 1))
+    m = draw(st.integers(1, 64))
+    moduli = [_bits(t | 1 << d) for t in draw(st.lists(tails, min_size=m, max_size=m))]
+    true = oracle_mod_product(F, G, P)
+    h_kind = draw(st.sampled_from(("true", "random", "divisible")))
+    if h_kind == "random":
+        H = poly()
+    elif h_kind == "true":
+        H = true
+    else:
+        delta = draw(st.integers(1, 3))
+        for R in moduli[: draw(st.integers(1, len(moduli)))]:
+            r = sum(c << i for i, c in enumerate(R))
+            if gf2_clmul(delta, r).bit_length() > n:
+                break
+            delta = gf2_clmul(delta, r)
+        if delta.bit_length() > n:
+            delta = 1
+        h = sum(c << i for i, c in enumerate(true.coeffs)) ^ delta
+        H = pc.DensePoly(F2, _bits(h))
+    return P, F, G, H, moduli
+
+
+class TestLaneKernel:
+    @given(lane_instances())
+    def test_first_mismatch_matches_agree_at(self, inst):
+        P, F, G, H, moduli = inst
+        want = None
+        for j, R in enumerate(moduli):
+            ring = ExtField(F2, R)
+            if not _agree_at(F, G, H, P, ring.x, ring):
+                want = j
+                break
+        before = POLY_MUL_OPS.count
+        assert gf2_first_mismatch(P, F, G, H, moduli) == want
+        lc = leading_coefficients(P, F)
+        assert gf2_first_mismatch(P, F, G, H, moduli, lc) == want
+        assert POLY_MUL_OPS.count == before
+
+    def test_no_moduli_and_bad_moduli(self):
+        P = pc.x_pow_minus_one(F2, 5)
+        F = pc.DensePoly(F2, [1, 1])
+        assert gf2_first_mismatch(P, F, F, F, []) is None
+        for moduli in ([[1]], [[1, 1], [1, 0, 1]], [[1, 0]]):
+            with pytest.raises(ValueError, match="monic of one degree"):
+                gf2_first_mismatch(P, F, F, F, moduli)
+        P7 = pc.x_pow_minus_one(pc.GF(7), 5)
+        F7 = pc.DensePoly(pc.GF(7), [1, 1])
+        with pytest.raises(ValueError, match="over GF"):
+            gf2_first_mismatch(P7, F7, F7, F7, [[1, 1]])
 
 
 @pytest.mark.parametrize("q", [3, 65537, 2**61 - 1])

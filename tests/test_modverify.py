@@ -19,8 +19,14 @@ from polycheck.modverify import (
     verify_mod_over_Z,
 )
 from polycheck.oracle import oracle_mod_product, poly_divmod
-from polycheck.rings import POLY_MUL_OPS, RngStream, poly_list_is_irreducible
-from conftest import perturb_poly, rand_dense, rand_monic_sparse, rand_sparse
+from polycheck.rings import (
+    POLY_MUL_OPS,
+    ExtField,
+    RngStream,
+    poly_list_is_irreducible,
+    random_monic,
+)
+from conftest import gf2_clmul, perturb_poly, rand_dense, rand_monic_sparse, rand_sparse
 
 Z = pc.ZZ
 F2 = pc.GF(2)
@@ -296,6 +302,71 @@ class TestVerifyModCompanion:
                     delta = pc.DensePoly(K, list(cs))
                     divisors = sum(poly_divmod(delta, R)[1].is_zero() for R in irreducibles)
                     assert divisors <= Fraction(3, 4) * eps * len(irreducibles)
+
+
+def _batch_oracle_check(F, G, H, P, c):
+    """The report of the one-draw-at-a-time loop: the witnesses are the
+    first len(witnesses) random_monic draws of RngStream(seed), _agree_at
+    holds at each but the one marked "mismatch", which is the last, and
+    rounds is the draw count.  Returns the mismatching draw or None."""
+    r = verify_mod_companion(F, G, H, P, c)
+    n = P.degree()
+    d = modverify._companion_degree(2, n)
+    assert r.rounds == modverify._companion_draws(2, d, c.epsilon)
+    assert r.method == "companion-no-polymul"
+    stream = RngStream(c.seed)
+    bad = None
+    for j, entry in enumerate(r.witnesses):
+        R = random_monic(F2, d, stream)
+        assert entry["modulus"] == R
+        ring = ExtField(F2, R)
+        agrees = modverify._agree_at(F, G, H, P, ring.x, ring)
+        assert entry.get("mismatch", False) is (not agrees)
+        if not agrees:
+            bad = j
+    if bad is None:
+        assert r.verdict is True and len(r.witnesses) == r.rounds
+    else:
+        assert r.verdict is False and bad == len(r.witnesses) - 1
+    return bad
+
+
+class TestBatchedDrawsReport:
+    """companion-no-polymul over GF(2) on dense input checks the draws after
+    the first in one lane-packed scan; its reports are those of the
+    per-draw loop."""
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 2), QUARTER, Fraction(1, 2**20)])
+    def test_true_and_flipped(self, rng, eps):
+        for seed in range(6):
+            P, F, G, H = make_instance(F2, 40 + 37 * seed, 4, rng, sparse=False)
+            c = cfg(seed, eps, "companion-no-polymul")
+            assert _batch_oracle_check(F, G, H, P, c) is None
+            cs = list(H.coeffs) + [0] * (P.degree() - len(H.coeffs))
+            cs[rng.below(len(cs))] ^= 1
+            _batch_oracle_check(F, G, pc.DensePoly(F2, cs), P, c)
+
+    @pytest.mark.parametrize("eps", [QUARTER, Fraction(1, 2**20)])
+    def test_delta_divisible_by_drawn_moduli(self, rng, eps):
+        # Δ = R_0 ... R_(k-1) S: the first k draws agree and the mismatch,
+        # if any, lands inside the batch
+        deep = 0
+        for seed in range(12):
+            P, F, G, H = make_instance(F2, 300, 4, rng, sparse=False)
+            n = P.degree()
+            d = modverify._companion_degree(2, n)
+            stream = RngStream(seed)
+            moduli = [random_monic(F2, d, stream) for _ in range(1 + seed)]
+            delta = 1 + rng.below(7)
+            for R in moduli:
+                delta = gf2_clmul(delta, sum(b << i for i, b in enumerate(R)))
+            assert delta.bit_length() <= n
+            h = sum(b << i for i, b in enumerate(H.coeffs)) ^ delta
+            Hx = pc.DensePoly(F2, [(h >> i) & 1 for i in range(h.bit_length())])
+            bad = _batch_oracle_check(F, G, Hx, P, cfg(seed, eps, "companion-no-polymul"))
+            assert bad is None or bad >= len(moduli)
+            deep += bad is not None and bad > 1
+        assert deep >= 6
 
 
 class TestVerifyModCompanionSparse:

@@ -13,6 +13,7 @@ from polycheck.modverify import (
     VerifyConfig,
     extension_degree,
     prime_lambda,
+    prime_lambda_pow2,
 )
 from polycheck.oracle import poly_divmod
 from polycheck.poly import power_table, write_poly_file
@@ -379,6 +380,36 @@ class TestKronecker:
         F = rand_dense(F2, 4, rng)
         with pytest.raises(TypeError):
             verify_product_kronecker(F, F, F, cfg(0))
+
+    @pytest.mark.parametrize("degree", [2**26, 2**40])
+    def test_sparse_identity_past_the_densify_cap(self, degree):
+        # nothing of degree size is formed: the prime's λ comes from s
+        # without building 2^(2s)
+        F = pc.SparsePoly(Z, [(degree, 1)])
+        G = pc.SparsePoly(Z, [(0, 1)])
+        for seed in range(3):
+            r = verify_product_kronecker(F, G, F, cfg(seed, STRICT))
+            assert r.verdict is True and r.rounds == 1
+            assert list(r.witnesses[0]["inner"][0]) == ["p"]
+            wrong = pc.SparsePoly(Z, [(degree, 2)])
+            assert verify_product_kronecker(F, G, wrong, cfg(seed, STRICT)).verdict is False
+
+
+class TestPrimeLambdaFromBits:
+    EPS = (Fraction(1, 2), QUARTER, Fraction(3, 10), Fraction(1, 2**20))
+
+    def test_equals_the_built_norm_up_to_s_4096(self):
+        # the λ of _check_at_power_of_two, prime_lambda(1, 2^(2s), ε), for
+        # every s <= 2^12, so no golden kronecker report moves
+        for s in range(2**12 + 1):
+            for eps in self.EPS:
+                assert prime_lambda_pow2(1, 2 * s, eps) == prime_lambda(1, 1 << (2 * s), eps)
+
+    def test_equals_the_built_norm_at_random_s(self, rng):
+        for _ in range(60):
+            s = rng.randint(2**12, 2**20)
+            for eps in self.EPS:
+                assert prime_lambda_pow2(1, 2 * s, eps) == prime_lambda(1, 1 << (2 * s), eps)
 
 
 class TestSparseVerifyParams:

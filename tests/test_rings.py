@@ -10,6 +10,7 @@ from polycheck.rings import (
     RngStream,
     ceil_log2,
     is_probable_prime,
+    ln_pow2_upper,
     ln_upper,
     poly_list_is_irreducible,
     random_irreducible,
@@ -300,6 +301,10 @@ class TestNumericHelpers:
 
         for x in (2, 3, 10, 10**6, 2**200):
             assert float(ln_upper(x)) >= math.log(x)
+
+    def test_ln_pow2_upper_is_ln_upper_of_the_power(self):
+        for k in list(range(0, 2100)) + [2**20 + 1, 3 * 2**21]:
+            assert ln_pow2_upper(k) == ln_upper(1 << k)
 
     def test_random_monic_uniform_shape(self, rng):
         R = random_monic(pc.GF(7), 5, rng)
