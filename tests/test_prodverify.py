@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -6,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import polycheck as pc
-from polycheck import cli, prodverify
+from polycheck import cli, modverify, prodverify
 from polycheck.cli import main
 from polycheck.modverify import (
     FieldTooSmallError,
@@ -15,7 +16,7 @@ from polycheck.modverify import (
     prime_lambda,
     prime_lambda_pow2,
 )
-from polycheck.oracle import poly_divmod
+from polycheck.oracle import oracle_mod_product, poly_divmod
 from polycheck.poly import power_table, write_poly_file
 from polycheck.prodverify import (
     KaminskiParams,
@@ -836,3 +837,85 @@ class TestOnePointSoundness:
             if verify_product_kaminski(F, G, Hbad, cfg(seed)).verdict:
                 accepted += 1
         assert accepted / trials <= 0.30
+
+
+def _fold_path_reports():
+    """Reports of the fold paths, grouped by verifier: Kaminski's fold and
+    its multiplication-free variant at e = 1/10 (folding) and at the
+    default e, the integer check at e = 3/10 and the default, the sparse
+    exponent fold, and companion-no-polymul over GF(2) and GF(3), on dense,
+    all-sparse and mixed input, true and wrong H, fixed seeds."""
+    rng = RngStream(0x5EED)
+    groups = {}
+
+    def add(group, report):
+        groups.setdefault(group, []).append(report.to_dict())
+
+    def triples(ctx, deg, sparse_deg):
+        F, G = rand_dense(ctx, deg, rng), rand_dense(ctx, deg - 5, rng)
+        yield "dense", F, G, pc.mul_oracle(F, G)
+        Fs, Gs = (rand_sparse(ctx, sparse_deg, 6, rng) for _ in "FG")
+        yield "sparse", Fs, Gs, pc.mul_oracle(Fs, Gs)
+        yield "mixed", F, G.to_sparse(), pc.mul_oracle(F, G)
+
+    for ctx in (Z, F2, pc.GF(3), pc.GF(65537)):
+        for rep, F, G, H in triples(ctx, 70, 200):
+            for truth, X in (("true", H), ("wrong", perturb_poly(H, rng))):
+                for seed, params in ((0, KaminskiParams(e=E_SMALL)), (1, None)):
+                    for eps in (QUARTER, STRICT):
+                        c = cfg(seed, eps)
+                        add("kaminski", verify_product_kaminski(F, G, X, c, params))
+                        add("kaminski-nomul", verify_product_kaminski_nomul(F, G, X, c, params))
+    for rep, F, G, H in triples(Z, 60, 2**20):
+        for X in (H, perturb_poly(H, rng)):
+            for e in (Fraction(3, 10), None):
+                add("kronecker", verify_product_kronecker(F, G, X, cfg(2), e))
+    for bits in (8, 3000):
+        a, b = rng.bits(bits) | 1, rng.bits(bits) | 1
+        for c in (a * b, a * b + (1 << rng.below(bits)), -a * b):
+            for e in (Fraction(3, 10), None):
+                add("int", verify_int_product(a, b, c, cfg(3), e))
+    for ctx in (Z, F2, pc.GF(7), pc.GF(65537)):
+        F, G = (rand_sparse(ctx, 2**16, 6, rng) for _ in "FG")
+        H = pc.mul_oracle(F, G)
+        for seed, X in enumerate((H, perturb_poly(H, rng))):
+            for eps in (QUARTER, STRICT):
+                add("sparse", verify_sparse_product(F, G, X, cfg(seed, eps)))
+    for ctx in (F2, pc.GF(3)):
+        for n, deg, t in ((48, 46, None), (2048, None, 5)):
+            for P in (pc.x_pow_minus_one(ctx, n),
+                      pc.SparsePoly(ctx, [(0, 1), (1 + rng.below(n - 1), 1), (n, 1)])):
+                if t is None:
+                    F, G = rand_dense(ctx, deg, rng), rand_dense(ctx, deg - 3, rng)
+                else:
+                    F, G = (rand_sparse(ctx, n, t, rng) for _ in "FG")
+                H = oracle_mod_product(F, G, P)
+                for seed, X in enumerate((H, perturb_poly(H, rng))):
+                    for eps in (QUARTER, STRICT):
+                        c = VerifyConfig(epsilon=eps, method="companion-no-polymul", seed=seed)
+                        add("companion", modverify.verify_mod_companion(F, G, X, P, c))
+                        if t is not None:  # mixed input is made dense
+                            add("companion", modverify.verify_mod_companion(
+                                F.to_dense(), G, X, P, c))
+    return groups
+
+
+FOLD_PATH_GOLDEN = {
+    "kaminski": "a01bc7f9a2c784a3",
+    "kaminski-nomul": "c2266f60ade24796",
+    "kronecker": "5426503a1ffd3f47",
+    "int": "90e063409119c078",
+    "sparse": "63d9cad8f14148e4",
+    "companion": "85ee3ce0af1fc525",
+}
+
+
+def test_fold_path_reports_are_pinned():
+    """The fold paths' reports, sha256 of their sorted-key JSON (first 16
+    hex digits) per group: a change to any verdict, witness or random draw
+    of these paths changes a hash."""
+    got = {
+        group: hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()[:16]
+        for group, reports in _fold_path_reports().items()
+    }
+    assert got == FOLD_PATH_GOLDEN
