@@ -2,14 +2,15 @@
 
 Subcommands: verify-mod (modular products), verify-prod (plain products),
 gen (instance files, optionally adversarial), bench (CSV timing harness).
-Exit codes: 0 the identity verified, 1 it was rejected, 2 usage or parse
-error.  Verification reports are printed as one JSON object per line.
+Exit codes: 0 the identity verified, 1 it was rejected, 2 usage, parse or
+file error.  Verification reports are printed as one JSON object per line.
 """
 
 import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -21,6 +22,7 @@ from .poly import (
     DensePoly,
     PolyFormatError,
     SparsePoly,
+    all_sparse,
     mod_reduce,
     mul_oracle,
     read_poly_file,
@@ -63,11 +65,18 @@ def _seed_from(args):
     return 0
 
 
+def _file_error(path, exc):
+    """The CliError for a file that cannot be read or written."""
+    return CliError(f"{path}: {getattr(exc, 'strerror', None) or exc}")
+
+
 def _load(path):
     try:
         return read_poly_file(path)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _file_error(path, exc) from None
     except PolyFormatError as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -86,10 +95,6 @@ def _print_report(report, command):
     print(json.dumps(payload, sort_keys=True))
 
 
-def _all_sparse(*polys):
-    return all(isinstance(X, SparsePoly) for X in polys)
-
-
 def _exact_report(F, G, H, P, costs, seed):
     """The certain verdict of the exact route: (F*G) mod P, or F*G without P,
     computed and compared with H."""
@@ -103,9 +108,8 @@ def _exact_report(F, G, H, P, costs, seed):
 def _cmd_verify_mod(args):
     F, G, H, P = (_load(p) for p in (args.F, args.G, args.H, args.P))
     ctx = _same_ctx(F, G, H, P)
-    sparse = _all_sparse(F, G, H, P)
-    if not isinstance(P, SparsePoly):
-        P = P.to_sparse()
+    sparse = all_sparse(F, G, H, P)
+    P = P.to_sparse()
     cfg = VerifyConfig(
         epsilon=_parse_epsilon(args.epsilon), method=args.method, seed=_seed_from(args)
     )
@@ -131,7 +135,7 @@ def _pick_prod_method(args, F, G, H, ctx, eps):
     """The method to run and, for the exact route, its cost estimates."""
     if args.method != "auto":
         return args.method, None
-    if _all_sparse(F, G, H):
+    if all_sparse(F, G, H):
         costs = prodverify.exact_route_costs(F, G, H, eps)
         return ("exact", costs) if costs else ("sparse", None)
     return ("kronecker" if ctx == ZZ else "kaminski"), None
@@ -146,8 +150,9 @@ def _cmd_verify_prod(args):
         if method == "exact":
             report = _exact_report(F, G, H, None, costs, cfg.seed)
         elif method == "sparse":
-            FGH = [X if isinstance(X, SparsePoly) else X.to_sparse() for X in (F, G, H)]
-            report = prodverify.verify_sparse_product(*FGH, cfg)
+            report = prodverify.verify_sparse_product(
+                F.to_sparse(), G.to_sparse(), H.to_sparse(), cfg
+            )
         elif method == "kronecker":
             if ctx != ZZ:
                 raise CliError("kronecker needs ring Z inputs")
@@ -203,17 +208,12 @@ def _perturb(H, rng):
     ctx = H.ctx
     if isinstance(H, SparsePoly):
         terms = dict(H.terms)
-        e = H.degree() + 1 if not H.is_zero() else 1
-        bump = ctx.one()
         if H.terms:
             e, c = H.terms[rng.below(len(H.terms))]
-            bump = ctx.add(c, ctx.one())
-            terms[e] = bump
-            if ctx.is_zero(bump):
-                del terms[e]
+            terms[e] = ctx.add(c, ctx.one())
         else:
-            terms[e] = bump
-        return SparsePoly.from_dict(ctx, terms)
+            terms[1] = ctx.one()
+        return SparsePoly.from_dict(ctx, terms)  # drops a term bumped to zero
     cs = list(H.coeffs) or [ctx.zero()]
     i = rng.below(len(cs))
     cs[i] = ctx.add(cs[i], ctx.one())
@@ -228,7 +228,7 @@ def _lcm_adversarial(ctx, n, rng):
     i0 = lo + rng.below(max(hi - lo, 1))
     L = i0
     for cand in range(i0 + 1, hi):
-        nxt = L * cand // __import__("math").gcd(L, cand)
+        nxt = math.lcm(L, cand)
         if nxt <= 2 * n:
             L = nxt
     delta = {0: ctx.neg(ctx.one()), L: ctx.one()}
@@ -281,17 +281,10 @@ def _cmd_gen(args):
             true_product = False
         elif kind == "lcm-divisors":
             L, delta = _lcm_adversarial(ctx, max(args.n, 4), rng)
-            acc = dict(H.terms) if isinstance(H, SparsePoly) else None
-            if acc is None:
-                H = H.to_sparse()
-                acc = dict(H.terms)
+            acc = dict(H.to_sparse().terms)
             for e, c in delta.terms:
-                v = ctx.add(acc.get(e, ctx.zero()), c)
-                if ctx.is_zero(v):
-                    acc.pop(e, None)
-                else:
-                    acc[e] = v
-            H = SparsePoly.from_dict(ctx, acc)
+                acc[e] = ctx.add(acc.get(e, ctx.zero()), c)
+            H = SparsePoly.from_dict(ctx, acc)  # drops the terms that cancel
             if not sparse_mode:
                 H = H.to_dense()
             true_product = False
@@ -300,7 +293,10 @@ def _cmd_gen(args):
     paths = {}
     for name, P in (("F", F), ("G", G), ("H", H)):
         path = f"{args.out_prefix}_{name}.poly"
-        write_poly_file(path, P)
+        try:
+            write_poly_file(path, P)
+        except OSError as exc:
+            raise _file_error(path, exc) from None
         paths[name] = path
     manifest = {
         "ring": args.ring if args.ring == "Z" else f"GF {args.q}",
@@ -425,8 +421,11 @@ def _cmd_bench(args):
     out = run_bench(args.suite, sizes, args.trials, _seed_from(args))
     sys.stdout.write(out)
     if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(out)
+        try:
+            with open(args.csv, "w", encoding="ascii") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise _file_error(args.csv, exc) from None
     return 0
 
 

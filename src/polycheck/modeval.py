@@ -43,6 +43,7 @@ from .poly import (
     SparsePoly,
     _check_eval_ring,
     _horner,
+    _require_monic,
     evaluate,
     fused,
     gap_info,
@@ -52,37 +53,17 @@ from .poly import (
 from .rings import ExtField, IntegerRing, PrimeField
 
 
-class CompanionOperator:
-    """Multiplication by X modulo a monic R of degree k >= 1, as the
-    quotient ring ``ring`` = B[X]/(R); the companion matrix stays implicit."""
-
-    __slots__ = ("R", "k", "ring")
-
-    def __init__(self, R):
-        if R.is_zero() or R.degree() < 1:
-            raise ValueError("R must have degree >= 1")
-        self.R = R
-        self.k = R.degree()
-        self.ring = ExtField(R.ctx, R.coeffs)  # raises unless R is monic
-
-    @property
-    def ctx(self):
-        return self.R.ctx
-
-    def __repr__(self):
-        return f"CompanionOperator({self.R!r})"
+def CompanionOperator(R):
+    """Multiplication by X modulo a monic R of degree d >= 1: the quotient
+    ring B[X]/(R), whose x is the class of X; the companion matrix stays
+    implicit."""
+    return ExtField(R.ctx, R.to_dense().coeffs)  # raises unless R is monic
 
 
 def _require_args(P, F, G):
-    if not isinstance(P, SparsePoly):
-        raise TypeError("the modulus must be a SparsePoly")
+    _require_monic(P)
     if F.ctx != P.ctx or G.ctx != P.ctx:
         raise ValueError("mixed coefficient contexts")
-    if P.is_zero() or P.degree() < 1:
-        raise ValueError("modulus must have degree >= 1")
-    ctx = P.ctx
-    if not ctx.is_zero(ctx.sub(P.terms[-1][1], ctx.one())):
-        raise ValueError("modulus must be monic")
     n = P.degree()
     if not F.is_zero() and F.degree() >= n:
         raise ValueError("deg F must be < deg P")
@@ -136,11 +117,9 @@ def leading_coefficients(P, F):
     ctx = P.ctx
     g = gap_info(P)
     k2 = g.second_degree
-    cs = F.to_dense().coeffs if isinstance(F, SparsePoly) else F.coeffs
+    cs = F.to_dense().coeffs
     cs += (ctx.zero(),) * (n - len(cs))
     V = list(cs[:0:-1])  # V[j] = f_{n-1-j}
-    if n == 1:
-        return V
     updates = [(k, c) for k, c in P.terms[:-1] if k > 0]
     int_path = isinstance(ctx, (IntegerRing, PrimeField))
     q = ctx.q if isinstance(ctx, PrimeField) else None
@@ -350,13 +329,12 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
 
 
 def _columns(op, w):
-    """Coordinates of X^j * w mod R for j < k: the columns of W(C_R) when w
+    """Coordinates of X^j * w mod R for j < d: the columns of W(C_R) when w
     is the residue W mod R."""
-    ring = op.ring
     cols = []
-    for _ in range(op.k):
-        cols.append(ring.coeffs(w))
-        w = ring.mul_x(w)
+    for _ in range(op.d):
+        cols.append(op.coeffs(w))
+        w = op.mul_x(w)
     return cols
 
 
@@ -366,8 +344,8 @@ def _matrix(op, w):
 
 def _projection(op, u, w):
     """The row vector u * W(C_R) for the residue w = W mod R."""
-    ctx = op.ctx
-    if len(u) != op.k:
+    ctx = op.base
+    if len(u) != op.d:
         raise ValueError("vector length must equal deg R")
     uv = [ctx.from_int(x) for x in u]
     out = []
@@ -380,33 +358,31 @@ def _projection(op, u, w):
 
 
 def _same_ctx(X, op):
-    if X.ctx != op.ctx:
+    if X.ctx != op.base:
         raise ValueError("operator must live over the same ctx")
 
 
 def project_poly_companion(H, op, u):
     """The row vector u * H(C_R)."""
     _same_ctx(H, op)
-    return _projection(op, u, evaluate(H, op.ring.x, op.ring))
+    return _projection(op, u, evaluate(H, op.x, op))
 
 
 def project_modprod_companion(P, F, G, op, u, lc=None):
     """u * ((F*G) mod P)(C_R): the dense scan at X modulo R, projected."""
     _same_ctx(P, op)
-    Fd = F.to_dense() if isinstance(F, SparsePoly) else F
-    Gd = G.to_dense() if isinstance(G, SparsePoly) else G
-    w = eval_mod_p_dense(P, Fd, Gd, op.ring.x, op.ring, lc)
+    w = eval_mod_p_dense(P, F.to_dense(), G.to_dense(), op.x, op, lc)
     return _projection(op, u, w)
 
 
 def poly_at_companion(H, op):
     """The full matrix H(C_R)."""
     _same_ctx(H, op)
-    return _matrix(op, evaluate(H, op.ring.x, op.ring))
+    return _matrix(op, evaluate(H, op.x, op))
 
 
 def eval_modprod_companion_sparse(P, F, G, op):
     """The full matrix ((F*G) mod P)(C_R), from the sparse scan at X."""
     _same_ctx(P, op)
-    return _matrix(op, eval_mod_p_sparse(P, F, G, op.ring.x, op.ring))
+    return _matrix(op, eval_mod_p_sparse(P, F, G, op.x, op))
 

@@ -19,6 +19,7 @@ from . import modeval
 from .poly import (
     DensePoly,
     SparsePoly,
+    all_sparse,
     evaluate,
     gap_info,
     power_table,
@@ -94,10 +95,6 @@ def _describe(ctx, a):
     return a
 
 
-def _all_sparse(*polys):
-    return all(isinstance(p, SparsePoly) for p in polys)
-
-
 def reduced_product_terms(F, G, P, cap):
     """#F #G max(#P - 1, 1)^ceil(1/gamma), which bounds the terms of
     (F*G) mod P and, up to a small factor, the term operations of
@@ -120,10 +117,6 @@ def sparsity_precheck(F, G, H, P):
     if P.sparsity() < 2:
         return False
     return H.sparsity() > reduced_product_terms(F, G, P, H.sparsity())
-
-
-def _dense(X):
-    return X if isinstance(X, DensePoly) else X.to_dense()
 
 
 def check_shapes(F, G, H, P):
@@ -149,11 +142,11 @@ def _eval_mod_point(P, F, G, alpha, ring, lc=None, pw=None):
         and P.terms[0][0] == 0
         and ctx.is_zero(ctx.add(P.terms[0][1], ctx.one()))
     )
-    if _all_sparse(F, G):
+    if all_sparse(F, G):
         if binom:
             return modeval.eval_mod_binomial_sparse(F, G, n, alpha, ring, pw)
         return modeval.eval_mod_p_sparse(P, F, G, alpha, ring, pw)
-    F, G = _dense(F), _dense(G)
+    F, G = F.to_dense(), G.to_dense()
     if binom:
         return modeval.eval_mod_binomial_dense(F, G, n, alpha, ring, lc)
     return modeval.eval_mod_p_dense(P, F, G, alpha, ring, lc)
@@ -174,7 +167,7 @@ def verify_mod(F, G, H, P, cfg=None):
     if isinstance(ctx, IntegerRing):
         return verify_mod_over_Z(F, G, H, P, cfg)
     eps = cfg.epsilon
-    if _all_sparse(F, G, H) and sparsity_precheck(F, G, H, P):
+    if all_sparse(F, G, H) and sparsity_precheck(F, G, H, P):
         return VerifyReport(False, 0.0, 0, [], "direct-eval", cfg.seed)
     size = ctx.size()
     if size * eps < n - 1:
@@ -252,7 +245,7 @@ def verify_mod_over_Z(F, G, H, P, cfg=None):
     if not isinstance(P.ctx, IntegerRing):
         raise TypeError("verify_mod_over_Z needs integer polynomials")
     eps = cfg.epsilon
-    if _all_sparse(F, G, H) and sparsity_precheck(F, G, H, P):
+    if all_sparse(F, G, H) and sparsity_precheck(F, G, H, P):
         return VerifyReport(False, 0.0, 0, [], "direct-eval", cfg.seed)
     rng = RngStream(cfg.seed)
     lam = prime_lambda(n, delta_norm_bound(F, G, H, P), eps)
@@ -317,8 +310,8 @@ def _verify_at_irreducible(F, G, H, P, cfg, method):
     {"extension_degree": D, "modulus": R}.
     """
     eps = cfg.epsilon
-    if not _all_sparse(F, G, H):
-        F, G, H = _dense(F), _dense(G), _dense(H)
+    if not all_sparse(F, G, H):
+        F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
     elif sparsity_precheck(F, G, H, P):
         return VerifyReport(False, 0.0, 0, [], method, cfg.seed)
     ring, witness = screened_extension(P.ctx, P.degree() - 1, eps, RngStream(cfg.seed))
@@ -403,10 +396,10 @@ def verify_mod_companion(F, G, H, P, cfg=None):
         raise TypeError("companion verification needs GF(q) polynomials")
     if cfg.method != "companion-no-polymul":
         return _verify_at_irreducible(F, G, H, P, cfg, "companion-freivalds")
-    sparse = _all_sparse(F, G, H)
+    sparse = all_sparse(F, G, H)
     lc = None
     if not sparse:
-        F, G, H = _dense(F), _dense(G), _dense(H)
+        F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
         lc = modeval.leading_coefficients(P, F)  # one F for every draw
     eps = cfg.epsilon
     rng = RngStream(cfg.seed)
@@ -440,7 +433,7 @@ def verify_mod_companion_sparse(F, G, H, P, cfg=None):
     """verify_mod_companion with unscreened draws on sparse inputs, which
     run the sparse scans at X modulo R; the report's method is
     "companion-sparse"."""
-    if not _all_sparse(F, G, H):
+    if not all_sparse(F, G, H):
         raise TypeError("sparse companion verification needs sparse polynomials")
     cfg = replace(cfg or VerifyConfig(), method="companion-no-polymul")
     return verify_mod_companion(F, G, H, P, cfg)

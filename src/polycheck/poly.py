@@ -7,7 +7,8 @@ dense), evaluation, the gap parameter of a monic sparse modulus, growth
 bounds for products and reductions, and the on-disk text format shared
 with the CLI.  Polynomials are immutable; the zero
 polynomial is the empty coefficient vector / empty term list and has no
-degree.
+degree.  Both classes have to_dense() and to_sparse(); asked for the form
+it already has, a polynomial returns itself.
 """
 
 from fractions import Fraction
@@ -69,6 +70,9 @@ class DensePoly:
         if not isinstance(self.ctx, IntegerRing):
             raise TypeError("norm is defined over Z only")
         return max((abs(c) for c in self.coeffs), default=0)
+
+    def to_dense(self):
+        return self
 
     def to_sparse(self):
         z = self.ctx.is_zero
@@ -158,6 +162,9 @@ class SparsePoly:
             raise TypeError("norm is defined over Z only")
         return max((abs(c) for _, c in self.terms), default=0)
 
+    def to_sparse(self):
+        return self
+
     def to_dense(self):
         if not self.terms:
             return DensePoly.zero(self.ctx)
@@ -181,6 +188,12 @@ class SparsePoly:
 
     def __repr__(self):
         return f"SparsePoly({self.ctx!r}, {list(self.terms)!r})"
+
+
+def all_sparse(*polys):
+    """Whether every polynomial given is a SparsePoly: the verifiers run
+    their sparse paths on such input and make any other input dense."""
+    return all(isinstance(X, SparsePoly) for X in polys)
 
 
 def x_pow_minus_one(ctx, n):

@@ -20,7 +20,7 @@ prime.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 
@@ -30,6 +30,7 @@ from .poly import (
     EXPONENT_CAP,
     DensePoly,
     SparsePoly,
+    all_sparse,
     evaluate,
     mul_oracle,
     power_table,
@@ -115,6 +116,33 @@ def _rounds_for(eps, per_round):
     return max(r, 1)
 
 
+def _fold_rounds(cfg, rho, fold_range, rng, method, agree):
+    """The fold rounds of a check whose rounds each accept a wrong input
+    with probability at most rho: as many as rho^rounds <= epsilon needs,
+    each at a fold degree i drawn uniformly from fold_range = [lo, hi).
+    agree(i) returns the round's verdict and witness; the first rejecting
+    round ends the check."""
+    eps = cfg.epsilon
+    lo, hi = fold_range
+    rounds = _rounds_for(eps, rho)
+    witnesses = []
+    for _ in range(rounds):
+        ok, witness = agree(rng.randint(lo, hi - 1))
+        witnesses.append(witness)
+        if not ok:
+            return VerifyReport(False, float(eps), rounds, witnesses, method, cfg.seed)
+    return VerifyReport(True, float(eps), rounds, witnesses, method, cfg.seed)
+
+
+def _folded_check(F, G, H, i, eps, rng, check):
+    """check(F mod (X^i - 1), G mod (X^i - 1), H mod (X^i - 1), X^i - 1,
+    cfg) at error eps, with the seed of cfg drawn from rng: the modular
+    check of one fold at degree i."""
+    folded = [reduce_mod_binomial(X, i) for X in (F, G, H)]
+    cfg = VerifyConfig(epsilon=eps, seed=rng.bits(64))
+    return check(*folded, x_pow_minus_one(F.ctx, i), cfg)
+
+
 def kaminski_round(F, G, H, i):
     """One deterministic fold-and-compare at fold degree i: reduce F, G, H
     modulo X^i - 1, multiply the folded factors (mul_oracle) and compare."""
@@ -123,6 +151,12 @@ def kaminski_round(F, G, H, i):
     Hi = reduce_mod_binomial(H, i)
     Mi = reduce_mod_binomial(mul_oracle(Fi, Gi), i)
     return Mi == Hi
+
+
+def _certain(verdict, reason, method, cfg):
+    """The report of a verdict that no random choice made: error bound 0,
+    no rounds and the one witness {"deterministic": reason}."""
+    return VerifyReport(verdict, 0.0, 0, [{"deterministic": reason}], method, cfg.seed)
 
 
 def _product_shape_reject(F, G, H):
@@ -192,10 +226,7 @@ def _product_at_one_point(F, G, H, cfg, method):
         pw = power_table(ring, alpha)
         fa, ga, ha = (evaluate(X, alpha, ring, pw) for X in (F, G, H))
     else:
-        verdict = mul_oracle(F, G) == H
-        return VerifyReport(
-            verdict, 0.0, 0, [{"deterministic": "reference-product"}], method, cfg.seed
-        )
+        return _certain(mul_oracle(F, G) == H, "reference-product", method, cfg)
     verdict = ring.mul(fa, ga) == ha
     return VerifyReport(verdict, float(eps), 1, [witness], method, cfg.seed)
 
@@ -212,34 +243,28 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
     params = params or KaminskiParams()
     if F.ctx != G.ctx or F.ctx != H.ctx:
         raise ValueError("mixed coefficient contexts")
-    eps = cfg.epsilon
     quick = _product_shape_reject(F, G, H)
     if quick is not None:
-        return VerifyReport(quick, 0.0, 0, [{"deterministic": "shape"}], "kaminski", cfg.seed)
-    if not all(isinstance(X, SparsePoly) for X in (F, G, H)):
-        F, G, H = (X.to_dense() if isinstance(X, SparsePoly) else X for X in (F, G, H))
+        return _certain(quick, "shape", "kaminski", cfg)
+    if not all_sparse(F, G, H):
+        F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
     n = max(F.degree(), G.degree(), 1)
     rho = params.per_round_bound(n)
     if rho > Fraction(1, 2):
         return _product_at_one_point(F, G, H, cfg, "kaminski")
-    rng = RngStream(cfg.seed)
-    lo, hi = params.fold_range(n)
-    rounds = _rounds_for(eps, rho)
-    witnesses = []
-    for _ in range(rounds):
-        i = rng.randint(lo, hi - 1)
-        witnesses.append({"i": i})
-        if not kaminski_round(F, G, H, i):
-            return VerifyReport(False, float(eps), rounds, witnesses, "kaminski", cfg.seed)
-    return VerifyReport(True, float(eps), rounds, witnesses, "kaminski", cfg.seed)
+    return _fold_rounds(
+        cfg, rho, params.fold_range(n), RngStream(cfg.seed), "kaminski",
+        lambda i: (kaminski_round(F, G, H, i), {"i": i}),
+    )
 
 
-def _modular_check_no_mul(F, G, H, P, eps, seed):
-    """Verify H = (F*G) mod P without any polynomial multiplication, choosing
-    the path by coefficient domain and field size."""
+def _modular_check_no_mul(F, G, H, P, cfg):
+    """Verify H = (F*G) mod P at cfg's epsilon and seed without any
+    polynomial multiplication, choosing the path by coefficient domain and
+    field size."""
     ctx = F.ctx
     n = P.degree()
-    cfg = VerifyConfig(epsilon=eps, seed=seed)
+    eps = cfg.epsilon
     if isinstance(ctx, IntegerRing):
         return modverify.verify_mod_over_Z(F, G, H, P, cfg)
     size = ctx.size()
@@ -247,8 +272,8 @@ def _modular_check_no_mul(F, G, H, P, eps, seed):
         return modverify.verify_mod(F, G, H, P, cfg)
     if isinstance(ctx, PrimeField):
         # the dense scans at X multiply no polynomials; the sparse ones would
-        F, G, H = (X.to_dense() if isinstance(X, SparsePoly) else X for X in (F, G, H))
-        cfg = VerifyConfig(epsilon=eps, method="companion-no-polymul", seed=seed)
+        F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
+        cfg = replace(cfg, method="companion-no-polymul")
         return modverify.verify_mod_companion(F, G, H, P, cfg)
     raise FieldTooSmallError("small extension-field inputs are not supported here")
 
@@ -266,43 +291,24 @@ def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
     eps = cfg.epsilon
     quick = _product_shape_reject(F, G, H)
     if quick is not None:
-        return VerifyReport(
-            quick, 0.0, 0, [{"deterministic": "shape"}], "kaminski-nomul", cfg.seed
-        )
-    ctx = F.ctx
+        return _certain(quick, "shape", "kaminski-nomul", cfg)
     n = max(F.degree(), G.degree(), 1)
     rho = params.per_round_bound(n) + Fraction(1, n) if n > 1 else Fraction(1)
     if rho > Fraction(1, 2):
         D = max(H.degree(), F.degree() + G.degree())
-        P = x_pow_minus_one(ctx, D + 1)
-        inner = _modular_check_no_mul(F, G, H, P, eps, cfg.seed)
-        report = VerifyReport(
-            inner.verdict,
-            float(eps),
-            inner.rounds,
-            [{"full-degree-fold": D + 1, "inner": inner.witnesses}],
-            "kaminski-nomul",
-            cfg.seed,
+        P = x_pow_minus_one(F.ctx, D + 1)
+        inner = _modular_check_no_mul(F, G, H, P, VerifyConfig(epsilon=eps, seed=cfg.seed))
+        witness = {"full-degree-fold": D + 1, "inner": inner.witnesses}
+        return VerifyReport(
+            inner.verdict, float(eps), inner.rounds, [witness], "kaminski-nomul", cfg.seed
         )
-        return report
     rng = RngStream(cfg.seed)
-    lo, hi = params.fold_range(n)
-    rounds = _rounds_for(eps, rho)
-    inner_eps = Fraction(1, n)
-    witnesses = []
-    for rnd in range(rounds):
-        i = rng.randint(lo, hi - 1)
-        Fi = reduce_mod_binomial(F, i)
-        Gi = reduce_mod_binomial(G, i)
-        Hi = reduce_mod_binomial(H, i)
-        P = x_pow_minus_one(ctx, i)
-        inner = _modular_check_no_mul(Fi, Gi, Hi, P, inner_eps, rng.bits(64))
-        witnesses.append({"i": i, "inner": inner.witnesses})
-        if not inner.verdict:
-            return VerifyReport(
-                False, float(eps), rounds, witnesses, "kaminski-nomul", cfg.seed
-            )
-    return VerifyReport(True, float(eps), rounds, witnesses, "kaminski-nomul", cfg.seed)
+
+    def agree(i):
+        inner = _folded_check(F, G, H, i, Fraction(1, n), rng, _modular_check_no_mul)
+        return inner.verdict, {"i": i, "inner": inner.witnesses}
+
+    return _fold_rounds(cfg, rho, params.fold_range(n), rng, "kaminski-nomul", agree)
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +371,18 @@ def _check_at_power_of_two(F, G, H, w, cfg, e, method):
     witness {"p": p}, or one {"i": i} per fold round."""
     params = KaminskiParams(e=e if e is not None else Fraction(9, 20))
     eps = cfg.epsilon
-
-    def certain(verdict, reason):
-        return VerifyReport(verdict, 0.0, 0, [{"deterministic": reason}], method, cfg.seed)
-
     if F.is_zero() or G.is_zero():
-        return certain(H.is_zero(), "zero")
+        return _certain(H.is_zero(), "zero", method, cfg)
     if H.is_zero():
-        return certain(False, "sign")
+        return _certain(False, "sign", method, cfg)
     (f_pos, f_bits), (g_pos, g_bits), (h_pos, h_bits) = (
         _sign_and_bits(X, w) for X in (F, G, H)
     )
     if (f_pos == g_pos) != h_pos:
-        return certain(False, "sign")
+        return _certain(False, "sign", method, cfg)
     s = max(f_bits, g_bits)
     if h_bits > 2 * s:
-        return certain(False, "size")
+        return _certain(False, "size", method, cfg)
     rho = params.per_round_bound(s)
     lo, hi = params.fold_range(s)
     rng = RngStream(cfg.seed)
@@ -392,15 +394,12 @@ def _check_at_power_of_two(F, G, H, w, cfg, e, method):
         pw = power_table(ring, alpha)
         fa, ga, ha = (_value_mod_prime(X, alpha, ring, pw) for X in (F, G, H))
         return VerifyReport(fa * ga % p == ha, float(eps), 1, [{"p": p}], method, cfg.seed)
-    rounds = _rounds_for(eps, rho)
-    witnesses = []
-    for _ in range(rounds):
-        i = rng.randint(lo, hi - 1)
-        witnesses.append({"i": i})
+
+    def agree(i):
         fa, ga, ha = (_value_mod_mersenne(X, w, i) for X in (F, G, H))
-        if fa * ga % ((1 << i) - 1) != ha:
-            return VerifyReport(False, float(eps), rounds, witnesses, method, cfg.seed)
-    return VerifyReport(True, float(eps), rounds, witnesses, method, cfg.seed)
+        return fa * ga % ((1 << i) - 1) == ha, {"i": i}
+
+    return _fold_rounds(cfg, rho, (lo, hi), rng, method, agree)
 
 
 def verify_int_product(a, b, c, cfg=None, e=None):
@@ -442,18 +441,12 @@ def verify_product_kronecker(F, G, H, cfg=None, e=None):
     if quick is None and max(F.degree(), G.degree()) > H.degree():
         quick = False
     if quick is not None:
-        return VerifyReport(
-            quick, 0.0, 0, [{"deterministic": "shape"}], "kronecker", cfg.seed
-        )
+        return _certain(quick, "shape", "kronecker", cfg)
     w = kronecker_point(F, G, H).bit_length() - 1
     inner = _check_at_power_of_two(F, G, H, w, cfg, e, "kronecker")
+    witness = {"beta_log2": w, "inner": inner.witnesses}
     return VerifyReport(
-        inner.verdict,
-        inner.error_bound,
-        inner.rounds,
-        [{"beta_log2": w, "inner": inner.witnesses}],
-        "kronecker",
-        cfg.seed,
+        inner.verdict, inner.error_bound, inner.rounds, [witness], "kronecker", cfg.seed
     )
 
 
@@ -516,14 +509,8 @@ def verify_sparse_product(F, G, H, cfg=None):
     t_products = F.sparsity() * G.sparsity() + H.sparsity()
     lam = _sparse_lam(eps, t_products, max(n, 2))
     p = random_prime(lam, Fraction(5, 3) * SPARSE_EPS1 * eps, rng)
-    Fp = reduce_mod_binomial(F, p)
-    Gp = reduce_mod_binomial(G, p)
-    Hp = reduce_mod_binomial(H, p)
-    ctx = F.ctx
-    P = x_pow_minus_one(ctx, p)
-    inner_cfg = VerifyConfig(epsilon=SPARSE_EPS2 * eps, seed=rng.bits(64))
-    verify = modverify.verify_mod_ff if isinstance(ctx, PrimeField) else modverify.verify_mod
-    inner = verify(Fp, Gp, Hp, P, inner_cfg)
+    verify = modverify.verify_mod_ff if isinstance(F.ctx, PrimeField) else modverify.verify_mod
+    inner = _folded_check(F, G, H, p, SPARSE_EPS2 * eps, rng, verify)
     witnesses = [{"p": p, "inner": inner.witnesses}]
     return VerifyReport(inner.verdict, float(eps), 1, witnesses, "sparse", cfg.seed)
 

@@ -263,9 +263,10 @@ class ExtField:
 
     A quotient ring in general: over GF(q) it is a field exactly when R is
     irreducible, and no operation here requires that.  Elements
-    are tuples of d base elements (coefficient i of the representative).
-    Over a prime field these are residues reduced with % q, and over GF(2)
-    an element is one bit-packed int.  ``x`` is the class of X; mul_x
+    are tuples of d base elements (coefficient i of the representative),
+    added, negated and scaled by the base ring's methods; over an odd
+    GF(q) only mul and the fused kernels work on the ints directly.  Over
+    GF(2) an element is one bit-packed int.  ``x`` is the class of X; mul_x
     multiplies by it with one shift and subtract, which is not a polynomial
     product and is not counted in POLY_MUL_OPS, so scans run at x multiply
     no polynomials.
@@ -345,28 +346,19 @@ class ExtField:
     def add(self, a, b):
         if self._m2 is not None:
             return a ^ b
-        q = self._q
-        if q is None:
-            add = self.base.add
-            return tuple(add(x, y) for x, y in zip(a, b))
-        return tuple((x + y) % q for x, y in zip(a, b))
+        add = self.base.add
+        return tuple(add(x, y) for x, y in zip(a, b))
 
     def sub(self, a, b):
         if self._m2 is not None:
             return a ^ b
-        q = self._q
-        if q is None:
-            sub = self.base.sub
-            return tuple(sub(x, y) for x, y in zip(a, b))
-        return tuple((x - y) % q for x, y in zip(a, b))
+        sub = self.base.sub
+        return tuple(sub(x, y) for x, y in zip(a, b))
 
     def neg(self, a):
         if self._m2 is not None:
             return a
-        q = self._q
-        if q is None:
-            return tuple(self.base.neg(x) for x in a)
-        return tuple((-x) % q for x in a)
+        return tuple(self.base.neg(x) for x in a)
 
     def scalar_mul(self, c, a):
         """Multiply by a base scalar.  Over GF(q) a full extension element
@@ -375,14 +367,10 @@ class ExtField:
             if c <= 1:
                 return a if c else 0
             return self.mul(c, a)
-        q = self._q
-        if q is None:
-            mul = self.base.mul
-            return tuple(mul(c, x) for x in a)
-        if isinstance(c, tuple):
+        if self._q is not None and isinstance(c, tuple):
             return self.mul(c, a)
-        c %= q
-        return tuple((c * x) % q for x in a)
+        mul = self.base.mul
+        return tuple(mul(c, x) for x in a)
 
     def mul_x(self, a):
         """X * a: shift up one place and subtract the overflow times the
@@ -395,10 +383,7 @@ class ExtField:
         shifted = (base.zero(),) + a[:-1]
         if base.is_zero(top):
             return shifted
-        q = self._q
-        if q is None:
-            return tuple(base.sub(y, base.mul(top, m)) for y, m in zip(shifted, self.modulus))
-        return tuple((y - top * m) % q for y, m in zip(shifted, self.modulus))
+        return tuple(base.sub(y, base.mul(top, m)) for y, m in zip(shifted, self.modulus))
 
     # -- fused dense kernels at x (over GF(q) only) ----------------------
 

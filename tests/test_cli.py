@@ -481,3 +481,38 @@ class TestLibraryErrorsExitTwo:
         args = poly_args(tmp_path, "Z", F="sparse 0:1 5:1", G="sparse 0:1 5:1",
                          H="sparse 0:1 5:2 10:1")
         self._check(capsys, ["verify-prod", "--method", "sparse", *args], "no probable prime")
+
+
+class TestFileErrorsExitTwo:
+    """A file the CLI cannot read or write is an input error: exit 2, one
+    error line naming the path, no traceback, and no report."""
+
+    @staticmethod
+    def _argv(tmp_path, case):
+        """The command line of one case and the path its error names."""
+        args = poly_args(tmp_path, "GF 7", F="dense 1 1", G="dense 1 1", H="dense 1 2 1")
+        if case == "gen-dir":
+            prefix = tmp_path / "missing" / "x"
+            argv = ["gen", "--ring", "Z", "--n", "4", "--out-prefix", str(prefix)]
+            return argv, f"{prefix}_F.poly"
+        if case == "bench-csv":
+            return ["bench", "--suite", "prodverify", "--sizes", "64", "--trials", "1",
+                    "--csv", str(tmp_path)], tmp_path
+        bad = {"missing": tmp_path / "missing.poly", "directory": tmp_path,
+               "non-ascii": tmp_path / "F.poly"}[case]
+        if case == "non-ascii":
+            bad.write_bytes("ring GF 7\ndense 1 \u00e9\n".encode())
+        args[1] = str(bad)  # the --F file
+        return ["verify-prod", *args], bad
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "non-ascii", "gen-dir", "bench-csv"])
+    def test_file_error(self, tmp_path, case):
+        argv, bad = self._argv(tmp_path, case)
+        code, out, err = run_cli(argv, timeout=60)
+        assert code == 2 and "Traceback" not in err
+        if case == "missing":
+            assert err == f"error: no such file: {bad}\n"
+        else:
+            assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        if argv[0] != "bench":  # bench prints its table before writing the file
+            assert out == ""

@@ -418,10 +418,10 @@ class TestScanAtX:
         P, F, G, R = inst
         ctx = P.ctx
         op = CompanionOperator(R)
-        ring, x = op.ring, op.ring.x
+        ring, x = op, op.x
         H = oracle_mod_product(F, G, P)
         rem = poly_divmod(H, R)[1].coeffs
-        want = tuple(rem) + (ctx.zero(),) * (op.k - len(rem))
+        want = tuple(rem) + (ctx.zero(),) * (op.d - len(rem))
         Fs, Gs = F.to_sparse(), G.to_sparse()
         values = [eval_mod_p_dense(P, F, G, x, ring), eval_mod_p_sparse(P, Fs, Gs, x, ring)]
         n = P.degree()

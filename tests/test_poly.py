@@ -431,6 +431,12 @@ class TestRepresentations:
             F = rand_sparse(Z, 100, 1 + rng.below(12), rng)
             assert F.to_dense().to_sparse() == F
 
+    def test_own_form_is_the_same_object(self, rng):
+        for F in (rand_dense(Z, 9, rng), pc.DensePoly.zero(pc.GF(3))):
+            assert F.to_dense() is F
+        for F in (rand_sparse(Z, 100, 5, rng), pc.SparsePoly.zero(pc.GF(3))):
+            assert F.to_sparse() is F
+
     def test_zero_has_no_degree(self):
         with pytest.raises(ValueError):
             pc.DensePoly.zero(Z).degree()

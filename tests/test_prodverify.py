@@ -851,22 +851,22 @@ def _fold_path_reports():
     def add(group, report):
         groups.setdefault(group, []).append(report.to_dict())
 
-    def triples(ctx, deg, sparse_deg):
+    def triples(ctx, deg, sparse_deg):  # dense, all-sparse and mixed
         F, G = rand_dense(ctx, deg, rng), rand_dense(ctx, deg - 5, rng)
-        yield "dense", F, G, pc.mul_oracle(F, G)
+        yield F, G, pc.mul_oracle(F, G)
         Fs, Gs = (rand_sparse(ctx, sparse_deg, 6, rng) for _ in "FG")
-        yield "sparse", Fs, Gs, pc.mul_oracle(Fs, Gs)
-        yield "mixed", F, G.to_sparse(), pc.mul_oracle(F, G)
+        yield Fs, Gs, pc.mul_oracle(Fs, Gs)
+        yield F, G.to_sparse(), pc.mul_oracle(F, G)
 
     for ctx in (Z, F2, pc.GF(3), pc.GF(65537)):
-        for rep, F, G, H in triples(ctx, 70, 200):
-            for truth, X in (("true", H), ("wrong", perturb_poly(H, rng))):
+        for F, G, H in triples(ctx, 70, 200):
+            for X in (H, perturb_poly(H, rng)):
                 for seed, params in ((0, KaminskiParams(e=E_SMALL)), (1, None)):
                     for eps in (QUARTER, STRICT):
                         c = cfg(seed, eps)
                         add("kaminski", verify_product_kaminski(F, G, X, c, params))
                         add("kaminski-nomul", verify_product_kaminski_nomul(F, G, X, c, params))
-    for rep, F, G, H in triples(Z, 60, 2**20):
+    for F, G, H in triples(Z, 60, 2**20):
         for X in (H, perturb_poly(H, rng)):
             for e in (Fraction(3, 10), None):
                 add("kronecker", verify_product_kronecker(F, G, X, cfg(2), e))
