@@ -8,6 +8,7 @@ file error.  Verification reports are printed as one JSON object per line.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -388,7 +389,7 @@ BENCH_COLUMNS = [
 ]
 
 
-def run_bench(suite, sizes, trials, seed):
+def _check_bench_args(sizes, trials):
     # the modverify suite's P = X^n + aX + 1 needs n >= 2, and both suites
     # take the same sizes; zero trials gives a header-only table
     if trials < 0:
@@ -396,6 +397,10 @@ def run_bench(suite, sizes, trials, seed):
     for n in sizes:
         if n < 2:
             raise CliError(f"sizes must be >= 2, got {n}")
+
+
+def run_bench(suite, sizes, trials, seed):
+    _check_bench_args(sizes, trials)
     rng = RngStream(seed)
     rows = []
     for n in sizes:
@@ -418,14 +423,16 @@ def _cmd_bench(args):
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
         raise CliError(f"bad sizes {args.sizes!r}") from None
-    out = run_bench(args.suite, sizes, args.trials, _seed_from(args))
+    _check_bench_args(sizes, args.trials)
+    try:
+        # the CSV file is opened before the run: a path that cannot be
+        # written fails at once, not after the whole benchmark
+        with open(args.csv, "w", encoding="ascii") if args.csv else io.StringIO() as fh:
+            out = run_bench(args.suite, sizes, args.trials, _seed_from(args))
+            fh.write(out)
+    except OSError as exc:
+        raise _file_error(args.csv, exc) from None
     sys.stdout.write(out)
-    if args.csv:
-        try:
-            with open(args.csv, "w", encoding="ascii") as fh:
-                fh.write(out)
-        except OSError as exc:
-            raise _file_error(args.csv, exc) from None
     return 0
 
 
@@ -487,10 +494,16 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built once per process: building it costs more
+    than parsing a command line, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already
         return int(exc.code or 0)

@@ -12,6 +12,7 @@ it already has, a polynomial returns itself.
 """
 
 from fractions import Fraction
+from operator import itemgetter, lt
 
 from .rings import ExtField, IntegerRing, PrimeField, POLY_MUL_OPS, ZZ, GF, is_prime
 
@@ -132,7 +133,7 @@ class SparsePoly:
         F = cls.__new__(cls)
         F.ctx = ctx
         if _int_ctx(ctx):
-            F.terms = tuple(t for t in terms if t[1])
+            F.terms = tuple(filter(itemgetter(1), terms))
         else:
             z = ctx.is_zero
             F.terms = tuple(t for t in terms if not z(t[1]))
@@ -254,8 +255,11 @@ def mul_oracle(F, G):
     Dense over Z or GF(q): Kronecker substitution, both factors packed at
     2^w and multiplied once by CPython's big-integer product, the product's
     digits read back and reduced mod q.  Sparse, and dense over a quotient
-    ring: generate all #F*#G monomials, merge equal exponents, drop zeros;
-    a dense product is made dense again.
+    ring: one loop over all #F*#G term pairs on the ring's methods, merging
+    equal exponents in a dict; the largest exponent, deg F + deg G, is
+    checked against EXPONENT_CAP once, so the sorted merge is built with
+    SparsePoly.trusted, which only drops the zeros.  A dense product is
+    made dense again.
     """
     if F.ctx != G.ctx:
         raise ValueError("mixed coefficient contexts")
@@ -270,13 +274,18 @@ def mul_oracle(F, G):
         F, G = F.to_sparse(), G.to_sparse()
     elif not (isinstance(F, SparsePoly) and isinstance(G, SparsePoly)):
         raise TypeError("mul_oracle needs two dense or two sparse polynomials")
+    fs, gs = F.terms, G.terms
+    if fs and gs and fs[-1][0] + gs[-1][0] > EXPONENT_CAP:
+        raise ValueError("exponent exceeds 2^63 - 1")
     acc = {}
+    get = acc.get
+    add, mul = ctx.add, ctx.mul
     zero = ctx.zero()
-    for e1, c1 in F.terms:
-        for e2, c2 in G.terms:
+    for e1, c1 in fs:
+        for e2, c2 in gs:
             e = e1 + e2
-            acc[e] = ctx.add(acc.get(e, zero), ctx.mul(c1, c2))
-    FG = SparsePoly.from_dict(ctx, acc)
+            acc[e] = add(get(e, zero), mul(c1, c2))
+    FG = SparsePoly.trusted(ctx, sorted(acc.items()))
     return FG.to_dense() if dense else FG
 
 
@@ -319,6 +328,8 @@ def mod_reduce(Q, P):
         return DensePoly(ctx, cs[:n])
     if isinstance(Q, SparsePoly):
         acc = dict(Q.terms)
+        get, pop = acc.get, acc.pop
+        sub, mul, is_zero = ctx.sub, ctx.mul, ctx.is_zero
         zero = ctx.zero()
         while acc:
             high = [(e, c) for e, c in acc.items() if e >= n]
@@ -329,9 +340,9 @@ def mod_reduce(Q, P):
             for e, c in high:
                 for pe, pc in low_terms:
                     pos = e - n + pe
-                    v = ctx.sub(acc.get(pos, zero), ctx.mul(c, pc))
-                    if ctx.is_zero(v):
-                        acc.pop(pos, None)
+                    v = sub(get(pos, zero), mul(c, pc))
+                    if is_zero(v):
+                        pop(pos, None)
                     else:
                         acc[pos] = v
         return SparsePoly.trusted(ctx, sorted(acc.items()))
@@ -574,6 +585,10 @@ def format_poly(F):
 
 
 def parse_poly(text):
+    """The polynomial a .poly text holds.  Both bodies are read in bulk
+    (one split, one map(int, ...), C-level range checks); a body that fails
+    any check is read again token by token, so its PolyFormatError names
+    the first bad token."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 2:
         raise PolyFormatError("expected a ring line and a coefficient line")
@@ -594,16 +609,6 @@ def parse_poly(text):
     if not body:
         raise PolyFormatError("missing polynomial body")
     kind, items = body[0], body[1:]
-
-    def parse_coeff(tok):
-        try:
-            c = int(tok)
-        except ValueError:
-            raise PolyFormatError(f"bad coefficient {tok!r}") from None
-        if isinstance(ctx, PrimeField) and not 0 <= c < ctx.q:
-            raise PolyFormatError(f"coefficient {c} not reduced into [0, {ctx.q})")
-        return c
-
     if kind == "dense":
         try:
             cs = list(map(int, items))
@@ -613,30 +618,78 @@ def parse_poly(text):
             isinstance(ctx, PrimeField) and cs and (min(cs) < 0 or max(cs) >= ctx.q)
         ):
             for tok in items:  # raises the error of the first bad token
-                parse_coeff(tok)
+                _parse_coeff(ctx, tok)
         return _canonical_dense(ctx, cs)
     if kind == "sparse":
-        terms = []
-        last = -1
-        for tok in items:
-            if ":" not in tok:
-                raise PolyFormatError(f"bad term {tok!r}")
-            es, cs = tok.split(":", 1)
-            try:
-                e = int(es)
-            except ValueError:
-                raise PolyFormatError(f"bad exponent {es!r}") from None
-            if e < 0 or e > EXPONENT_CAP:
-                raise PolyFormatError(f"exponent {e} out of range")
-            if e <= last:
-                raise PolyFormatError("exponents must be strictly increasing")
-            last = e
-            c = parse_coeff(cs)
-            if c == 0:
-                raise PolyFormatError("zero coefficient in sparse term")
-            terms.append((e, c))
-        return SparsePoly(ctx, terms)
+        terms = _bulk_sparse_terms(ctx, items)
+        if terms is None:
+            terms = _sparse_terms(ctx, items)  # raises the error of the first bad token
+        return SparsePoly.trusted(ctx, terms)
     raise PolyFormatError(f"bad representation {kind!r}")
+
+
+def _parse_coeff(ctx, tok):
+    try:
+        c = int(tok)
+    except ValueError:
+        raise PolyFormatError(f"bad coefficient {tok!r}") from None
+    if isinstance(ctx, PrimeField) and not 0 <= c < ctx.q:
+        raise PolyFormatError(f"coefficient {c} not reduced into [0, {ctx.q})")
+    return c
+
+
+def _sparse_terms(ctx, items):
+    """The terms of the sparse body items, read and checked token by token;
+    raises the PolyFormatError of the first bad token."""
+    terms = []
+    last = -1
+    for tok in items:
+        if ":" not in tok:
+            raise PolyFormatError(f"bad term {tok!r}")
+        es, cs = tok.split(":", 1)
+        try:
+            e = int(es)
+        except ValueError:
+            raise PolyFormatError(f"bad exponent {es!r}") from None
+        if e < 0 or e > EXPONENT_CAP:
+            raise PolyFormatError(f"exponent {e} out of range")
+        if e <= last:
+            raise PolyFormatError("exponents must be strictly increasing")
+        last = e
+        c = _parse_coeff(ctx, cs)
+        if c == 0:
+            raise PolyFormatError("zero coefficient in sparse term")
+        terms.append((e, c))
+    return terms
+
+
+_NUMBER_CHARS = str.maketrans("", "", "0123456789+-_")
+
+
+def _bulk_sparse_terms(ctx, items):
+    """What _sparse_terms returns for a valid body, from C-level passes:
+    each token has exactly one ':' (without the digits, signs and
+    underscores of int literals the body is ": : ... :"), both halves are
+    ints, the exponents increase strictly within [0, EXPONENT_CAP], no
+    coefficient is zero and over GF(q) all lie in [0, q).  None when any
+    check fails."""
+    body = " ".join(items)
+    if body.translate(_NUMBER_CHARS) != (" :" * len(items))[1:]:
+        return None
+    try:
+        nums = list(map(int, body.replace(":", " ").split()))
+    except ValueError:
+        return None
+    if len(nums) != 2 * len(items):  # an empty half
+        return None
+    exps, cs = nums[::2], nums[1::2]
+    if exps and (exps[0] < 0 or exps[-1] > EXPONENT_CAP):
+        return None
+    if not all(map(lt, exps, exps[1:])) or 0 in cs:
+        return None
+    if isinstance(ctx, PrimeField) and cs and (min(cs) < 0 or max(cs) >= ctx.q):
+        return None
+    return zip(exps, cs)
 
 
 def _canonical_dense(ctx, cs):

@@ -334,12 +334,13 @@ class ExtField:
         return a
 
     def embed(self, c):
-        """Lift a base scalar.  Over GF(q) with q > 2 an element of the
-        extension passes through; over GF(2) the packed form of a canonical
-        base bit is the bit itself, so ints are already in place."""
+        """Lift a base scalar.  Over a base of ints (Z, GF(q) with q > 2) a
+        tuple is an element of the ring itself and passes through; over
+        GF(2) the packed form of a canonical base bit is the bit itself, so
+        ints are already in place."""
         if self._m2 is not None:
             return int(c)
-        if self._q is not None and isinstance(c, tuple):
+        if isinstance(c, tuple) and isinstance(self.base, (IntegerRing, PrimeField)):
             return c
         return self.from_coeffs([c])
 
@@ -361,13 +362,14 @@ class ExtField:
         return tuple(self.base.neg(x) for x in a)
 
     def scalar_mul(self, c, a):
-        """Multiply by a base scalar.  Over GF(q) a full extension element
-        as the scalar falls through to the ring product."""
+        """Multiply by a base scalar.  Over a base of ints (Z, GF(q)) an
+        element of the ring itself as the scalar falls through to the ring
+        product."""
         if self._m2 is not None:
             if c <= 1:
                 return a if c else 0
             return self.mul(c, a)
-        if self._q is not None and isinstance(c, tuple):
+        if isinstance(c, tuple) and isinstance(self.base, (IntegerRing, PrimeField)):
             return self.mul(c, a)
         mul = self.base.mul
         return tuple(mul(c, x) for x in a)
@@ -728,6 +730,8 @@ def random_monic(field, d, rng):
     if not isinstance(field, PrimeField):
         raise TypeError("random_monic needs a PrimeField")
     q = field.q
+    if q == 2:  # below(2) is one bits(1) draw; this skips its loop
+        return [rng.bits(1) for _ in range(d)] + [1]
     return [rng.below(q) for _ in range(d)] + [1]
 
 

@@ -420,6 +420,23 @@ class TestBenchCommand:
             assert cells[0] == "verify_sparse_product"
             assert float(cells[6]) > 0 and float(cells[7]) > 0
 
+    def test_unwritable_csv_fails_before_the_run(self, tmp_path):
+        # a run of many minutes: it ends at once if the CSV file cannot be opened
+        argv = ["bench", "--suite", "modverify", "--sizes", "65536", "--trials", "1000",
+                "--csv", str(tmp_path)]
+        code, out, err = run_cli(argv, timeout=60)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
+
+    def test_bad_arguments_leave_the_csv_file_alone(self, tmp_path):
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("kept\n")
+        for target in (old, new):
+            code, out, _ = run_cli(["bench", "--suite", "modverify", "--sizes", "1",
+                                    "--trials", "1", "--csv", str(target)])
+            assert code == 2 and out == ""
+        assert old.read_text() == "kept\n" and not new.exists()
+
     def test_csv_file_written(self, tmp_path):
         target = tmp_path / "rows.csv"
         code, out, _ = run_cli(["bench", "--suite", "prodverify", "--sizes", "128",
@@ -444,6 +461,34 @@ class TestInProcessMain:
                        f"--epsilon={eps}"])
             assert rc == 2
             assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestOneParserPerProcess:
+    """main builds its parser once per process; calls after it, a usage
+    error among them, print what a fresh process prints."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal
+        monkeypatch.delenv("POLYPROOF_SEED", raising=False)
+        prefix = str(tmp_path / "inst")
+        F, G, H = (f"{prefix}_{name}.poly" for name in "FGH")
+        P = tmp_path / "P.poly"
+        P.write_text("ring GF 7\nsparse 0:1 1:3 200:1\n")  # above deg F*G: H is (F*G) mod P
+        calls = [
+            ["verify-prod", "--F", F],
+            ["gen", "--ring", "GF", "--q", "7", "--n", "64", "--T", "8", "--seed", "3",
+             "--out-prefix", prefix],
+            ["verify-prod", "--F", F, "--G", G, "--H", H, "--seed", "5"],
+            ["verify-mod", "--F", F, "--G", G, "--H", H, "--P", str(P), "--seed", "5"],
+            ["verify-mod", "--F", F, "--G", G, "--H", H, "--P", str(P), "--method", "cubic"],
+        ]
+        codes = []
+        for argv in calls:
+            code = main(argv)
+            got = capsys.readouterr()
+            assert (code, got.out, got.err) == run_cli(argv)
+            codes.append(code)
+        assert codes == [2, 0, 0, 0, 2]
 
 
 class TestLibraryErrorsExitTwo:
@@ -514,5 +559,4 @@ class TestFileErrorsExitTwo:
             assert err == f"error: no such file: {bad}\n"
         else:
             assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
-        if argv[0] != "bench":  # bench prints its table before writing the file
-            assert out == ""
+        assert out == ""

@@ -3,9 +3,17 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import polycheck as pc
-from polycheck.oracle import oracle_mod_product, poly_divmod
+from polycheck.oracle import (
+    _pair_product_sparse,
+    _sparse_long_division_rem,
+    oracle_mod_product,
+    poly_divmod,
+)
 from polycheck.poly import (
+    EXPONENT_CAP,
     PolyFormatError,
+    _bulk_sparse_terms,
+    _sparse_terms,
     format_poly,
     kronecker_pack,
     parse_poly,
@@ -76,6 +84,58 @@ class TestMulOracle:
             F = rand_dense(ctx, 300, rng)
             G = rand_dense(ctx, 271, rng)
             assert pc.mul_oracle(F, G) == _school_product_dense(F, G)
+
+
+class TestSparseExactRoute:
+    """The sparse branches of mul_oracle and mod_reduce, the exact route of
+    the CLI's auto, against the oracle's term loops, which build every
+    result through the checking constructor."""
+
+    RINGS = (Z, pc.GF(2), pc.GF(7), pc.GF(65537))
+
+    @pytest.mark.parametrize("ctx", RINGS, ids=repr)
+    def test_match_the_oracle(self, ctx, rng):
+        for _ in range(40):
+            F = rand_sparse(ctx, 300, rng.below(12), rng, hi=3)
+            G = rand_sparse(ctx, 300, rng.below(12), rng, hi=3)
+            P = rand_monic_sparse(ctx, 1 + rng.below(200), 1 + rng.below(5), rng, hi=3)
+            FG = pc.mul_oracle(F, G)
+            assert FG == _pair_product_sparse(F, G)
+            assert pc.mod_reduce(FG, P) == _sparse_long_division_rem(FG, P)
+            assert pc.mod_reduce(F, P) == _sparse_long_division_rem(F, P)
+
+    @pytest.mark.parametrize("ctx", RINGS, ids=repr)
+    def test_zero_operands(self, ctx):
+        F = pc.SparsePoly(ctx, [(0, 1), (5, 1)])
+        zero = pc.SparsePoly.zero(ctx)
+        P = pc.SparsePoly(ctx, [(0, 1), (3, 1)])
+        for A, B in ((zero, F), (F, zero), (zero, zero)):
+            assert pc.mul_oracle(A, B) == zero == _pair_product_sparse(A, B)
+        assert pc.mod_reduce(zero, P) == zero
+
+    def test_cancellation_over_Z(self):
+        # (1 + X)(1 - X) = 1 - X^2: the X terms cancel and are dropped; P mod P is zero
+        F = pc.SparsePoly(Z, [(0, 1), (1, 1)])
+        G = pc.SparsePoly(Z, [(0, 1), (1, -1)])
+        want = pc.SparsePoly(Z, [(0, 1), (2, -1)])
+        assert pc.mul_oracle(F, G) == want == _pair_product_sparse(F, G)
+        P = pc.SparsePoly(Z, [(0, -4), (2, 3), (7, 1)])
+        assert pc.mod_reduce(P, P).is_zero()
+        assert pc.mod_reduce(pc.mul_oracle(P, F), P).is_zero()
+
+    def test_exponent_cap(self):
+        # the product's top exponent deg F + deg G is checked once, with the
+        # constructor's message, also where its coefficient vanishes
+        K = pc.ExtField(Z, [0, 0, 1])  # Z[X]/(X^2): x * x = 0
+        half = 2**62
+        for ctx, c in ((Z, 1), (pc.GF(7), 3), (K, K.x)):
+            F = pc.SparsePoly(ctx, [(0, c), (half, c)])
+            for exc_of in (lambda: pc.mul_oracle(F, F), lambda: _pair_product_sparse(F, F)):
+                with pytest.raises(ValueError, match=r"^exponent exceeds 2\^63 - 1$"):
+                    exc_of()
+        top = pc.SparsePoly(Z, [(EXPONENT_CAP, 2)])
+        one = pc.SparsePoly(Z, [(0, 1)])
+        assert pc.mul_oracle(top, one) == top == pc.mul_oracle(one, top)
 
 
 KRONECKER_RINGS = (Z, pc.GF(2), pc.GF(65537), pc.GF(2**61 - 1))
@@ -342,6 +402,14 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             pc.evaluate(F, 1, pc.GF(5))
 
+    def test_coefficients_in_a_quotient_ring_over_Z(self):
+        # over Z[X]/(X^2 + 1) a tuple coefficient is a ring element, not a
+        # base scalar: a + x at x is (1 + 2i) + i = 1 + 3i
+        K = pc.ExtField(Z, [1, 0, 1])
+        a = K.from_coeffs([1, 2])
+        assert pc.evaluate(pc.SparsePoly(K, [(0, a), (1, K.one())]), K.x, K) == (1, 3)
+        assert pc.evaluate(pc.DensePoly(K, [a, K.one()]), K.x, K) == (1, 3)
+
 
 class TestGapInfo:
     def test_reduction_example_gap(self):
@@ -505,6 +573,7 @@ class TestTextFormat:
             "ring GF 7\ndense 1 x 9\n": "bad coefficient 'x'",
             "ring GF 7\ndense 1 9 x\n": "coefficient 9 not reduced into [0, 7)",
             "ring GF 7\ndense 1 -1 9\n": "coefficient -1 not reduced into [0, 7)",
+            "ring GF 7\ndense 1 -1 2\n": "coefficient -1 not reduced into [0, 7)",
             "ring Z\ndense 1 2.5 x\n": "bad coefficient '2.5'",
         }
         for text, message in cases.items():
@@ -519,6 +588,98 @@ class TestTextFormat:
     def test_negative_over_Z_allowed(self):
         F = parse_poly("ring Z\nsparse 0:-4 28:1\n")
         assert F.terms == ((0, -4), (28, 1))
+
+
+def _per_token(ctx, text):
+    """What the per-token loop makes of a sparse body: the polynomial, or
+    the message of its PolyFormatError."""
+    items = text.splitlines()[1].split()[1:]
+    try:
+        return pc.SparsePoly(ctx, _sparse_terms(ctx, items))
+    except PolyFormatError as exc:
+        return str(exc)
+
+
+def _parsed(text):
+    try:
+        return parse_poly(text)
+    except PolyFormatError as exc:
+        return str(exc)
+
+
+# tokens of sparse bodies: int literals of every kind, and malformed ones
+_EXPONENT_TEXT = st.one_of(
+    st.integers(0, 2**64).map(str),
+    st.sampled_from(["-1", "+5", "1_0", "007", "", "x", "2.5", "9223372036854775807",
+                     "9223372036854775808"]),
+)
+_COEFF_TEXT = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["0", "-0", "+3", "1_000", "", "7", "6", "-1", "x", "1:2"]),
+)
+
+
+@st.composite
+def sparse_texts(draw):
+    """(ctx, .poly text) with a sparse body over Z, GF(2), GF(7) or
+    GF(65537): valid when a draw says so, otherwise built from the tokens
+    above, which may break any rule of the format."""
+    ctx = draw(st.sampled_from([Z, pc.GF(2), pc.GF(7), pc.GF(65537)]))
+    q = None if ctx == Z else ctx.q
+    if draw(st.booleans()):
+        exps = sorted(draw(st.sets(st.integers(0, EXPONENT_CAP), max_size=30)))
+        coeff = st.integers(1, q - 1) if q else st.integers(-(2**70), 2**70).filter(bool)
+        tokens = [f"{e}:{draw(coeff)}" for e in exps]
+    else:
+        token = st.one_of(
+            st.tuples(_EXPONENT_TEXT, _COEFF_TEXT).map(":".join),
+            st.sampled_from(["5", ":", "1:2:3", "::"]),
+        )
+        tokens = draw(st.lists(token, max_size=8))
+    seps = draw(st.lists(st.sampled_from([" ", "  ", "\t", " \t "]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    body = "sparse" + "".join(sep + tok for sep, tok in zip(seps, tokens))
+    return ctx, f"ring {'Z' if ctx == Z else f'GF {q}'}\n{body}\n"
+
+
+class TestSparseBulkParse:
+    """parse_poly reads a sparse body in bulk and, when any bulk check
+    fails, again token by token; both give what the per-token loop gives."""
+
+    @given(sparse_texts())
+    def test_bulk_matches_per_token(self, instance):
+        ctx, text = instance
+        want = _per_token(ctx, text)
+        assert _parsed(text) == want
+        bulk = _bulk_sparse_terms(ctx, text.splitlines()[1].split()[1:])
+        if bulk is not None:  # the bulk checks never pass a bad body
+            assert pc.SparsePoly(ctx, list(bulk)) == want
+
+    def test_pinned_bodies(self):
+        # the per-token loop's message, and so parse_poly's, over Z and GF(7)
+        both = {
+            "1:2:3 4": "bad coefficient '2:3'",
+            "5:": "bad coefficient ''",
+            ":3": "bad exponent ''",
+            "-1:2": "exponent -1 out of range",
+            "3:0": "zero coefficient in sparse term",
+            "1:1 1:2": "exponents must be strictly increasing",
+            "4:1 2:1": "exponents must be strictly increasing",
+            "9223372036854775808:1": "exponent 9223372036854775808 out of range",
+            "0:1 x": "bad term 'x'",
+        }
+        cases = [(ring, body, message) for body, message in both.items() for ring in ("Z", "GF 7")]
+        cases += [
+            ("GF 7", "0:7", "coefficient 7 not reduced into [0, 7)"),
+            ("GF 7", "0:-1", "coefficient -1 not reduced into [0, 7)"),
+        ]
+        for ring, body, message in cases:
+            with pytest.raises(PolyFormatError) as exc:
+                parse_poly(f"ring {ring}\nsparse {body}\n")
+            assert str(exc.value) == message
+        # int literals the per-token loop accepts, and any whitespace
+        assert parse_poly("ring Z\nsparse +5:1 1_0:3\n").terms == ((5, 1), (10, 3))
+        assert parse_poly("ring GF 7\nsparse 0:1\t2:3   9:6\n").terms == ((0, 1), (2, 3), (9, 6))
 
 
 class TestTrustedSparse:

@@ -310,3 +310,13 @@ class TestNumericHelpers:
         R = random_monic(pc.GF(7), 5, rng)
         assert len(R) == 6 and R[-1] == 1
         assert all(0 <= c < 7 for c in R)
+
+    def test_random_monic_over_gf2_draws_what_below_2_draws(self):
+        # GF(2) coefficients come from bits(1); below(2) is one bits(1) draw,
+        # so every R, and every draw after it, is the same as through below
+        for seed in range(200):
+            for d in (1, 2, 7, 41, 64):
+                fast, slow = RngStream(seed), RngStream(seed)
+                R = random_monic(pc.GF(2), d, fast)
+                assert R == [slow.below(2) for _ in range(d)] + [1]
+                assert fast.bits(64) == slow.bits(64)
