@@ -24,14 +24,12 @@ from .poly import (
     PolyFormatError,
     SparsePoly,
     all_sparse,
+    format_poly,
     mod_reduce,
     mul_oracle,
     read_poly_file,
-    write_poly_file,
 )
 from .rings import GF, PrimeGenerationError, RngStream, ZZ, is_prime
-
-DEFAULT_EPSILON = Fraction(1, 2**20)
 
 
 class CliError(Exception):
@@ -291,14 +289,19 @@ def _cmd_gen(args):
             true_product = False
         elif kind != "none":
             raise CliError(f"unknown adversarial kind {kind!r}")
-    paths = {}
-    for name, P in (("F", F), ("G", G), ("H", H)):
+    texts = {}  # all three, before any file is written
+    for name, X in (("F", F), ("G", G), ("H", H)):
         path = f"{args.out_prefix}_{name}.poly"
         try:
-            write_poly_file(path, P)
+            texts[path] = format_poly(X)
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from None
+    for path, text in texts.items():
+        try:
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(text)
         except OSError as exc:
             raise _file_error(path, exc) from None
-        paths[name] = path
     manifest = {
         "ring": args.ring if args.ring == "Z" else f"GF {args.q}",
         "n": args.n,
@@ -307,7 +310,7 @@ def _cmd_gen(args):
         "seed": _seed_from(args),
         "adversarial": kind,
         "true_product": true_product,
-        "files": paths,
+        "files": dict(zip("FGH", texts)),
     }
     print(json.dumps(manifest, sort_keys=True))
     return 0

@@ -42,7 +42,6 @@ from .poly import (
     DENSIFY_CAP,
     SparsePoly,
     _check_eval_ring,
-    _horner,
     _require_monic,
     evaluate,
     fused,
@@ -70,21 +69,6 @@ def _require_args(P, F, G):
     if not G.is_zero() and G.degree() >= n:
         raise ValueError("deg G must be < deg P")
     return n
-
-
-def _scan_value(S, alpha, ring):
-    """S(alpha) for a sparse S no longer than the calling O(n) scan.  At the
-    class of X its dense coefficient list goes through Horner, which
-    multiplies no polynomials there (see ExtField.mul); elsewhere this is
-    evaluate."""
-    if not (isinstance(ring, ExtField) and alpha is ring.x):
-        return evaluate(S, alpha, ring)
-    cs = [S.ctx.zero()] * (S.degree() + 1)
-    for e, c in S.terms:
-        cs[e] = c
-    if fused(ring, S.ctx, alpha):
-        return ring.horner(cs, alpha)
-    return _horner(cs, alpha, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +176,9 @@ def eval_mod_p_dense(P, F, G, alpha, ring=None, lc=None):
     if n >= DENSIFY_CAP:
         raise ValueError(f"degree {n} too large to densify")
     V = leading_coefficients(P, F) if lc is None else lc
-    p_alpha = _scan_value(P, alpha, ring)
+    # at the class of X, dense Horner multiplies no polynomials (ExtField.mul)
+    at_x = isinstance(ring, ExtField) and alpha is ring.x
+    p_alpha = evaluate(P.to_dense() if at_x else P, alpha, ring)
     f_alpha = evaluate(F, alpha, ring)
     if fused(ring, F.ctx, alpha):
         return ring.dense_scan(f_alpha, alpha, p_alpha, V, G.coeffs)

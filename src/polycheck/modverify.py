@@ -199,8 +199,7 @@ def delta_norm_bound(F, G, H, P):
     prod = product_norm_bound(F, G)
     if prod:
         prod = reduced_norm_bound(prod, P.sparsity(), P.norm(), g.n - 1, g)
-    h_norm = 0 if H.is_zero() else H.norm()
-    return h_norm + prod
+    return H.norm() + prod
 
 
 def prime_lambda(n, norm, eps):
@@ -259,9 +258,11 @@ def verify_mod_over_Z(F, G, H, P, cfg=None):
 
 
 def _map_to_field(X, fq):
+    """The integer polynomial X with its coefficients reduced into GF(q)."""
+    q = fq.q
     if isinstance(X, DensePoly):
-        return DensePoly(fq, [c % fq.q for c in X.coeffs])
-    return SparsePoly.trusted(fq, [(e, c % fq.q) for e, c in X.terms])
+        return DensePoly.trusted(fq, [c % q for c in X.coeffs])
+    return SparsePoly.trusted(fq, [(e, c % q) for e, c in X.terms])
 
 
 def minimal_extension_degree(q, bound):

@@ -17,7 +17,6 @@ from operator import itemgetter, lt
 from .rings import ExtField, IntegerRing, PrimeField, POLY_MUL_OPS, ZZ, GF, is_prime
 
 EXPONENT_CAP = 2**63 - 1
-KRONECKER_LEAF = 32
 DENSIFY_CAP = 2**26
 WINDOW_BITS = 8  # power_table reads exponents a byte at a time
 
@@ -36,8 +35,11 @@ class DensePoly:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs):
-        cs = [ctx.canon(c) for c in coeffs]
-        while cs and ctx.is_zero(cs[-1]):
+        self._take(ctx, [ctx.canon(c) for c in coeffs])
+
+    def _take(self, ctx, cs):
+        z = ctx.is_zero
+        while cs and z(cs[-1]):
             cs.pop()
         self.ctx = ctx
         self.coeffs = tuple(cs)
@@ -49,6 +51,15 @@ class DensePoly:
     @classmethod
     def one(cls, ctx):
         return cls(ctx, (ctx.one(),))
+
+    @classmethod
+    def trusted(cls, ctx, coeffs):
+        """A DensePoly from a list of coefficients the caller built canonical
+        in ctx.  Only trailing zeros are dropped, the constructor's canon is
+        skipped, and the list is taken over: it may be shortened in place."""
+        F = cls.__new__(cls)
+        F._take(ctx, coeffs)
+        return F
 
     def is_zero(self):
         return not self.coeffs
@@ -64,22 +75,18 @@ class DensePoly:
         return self.ctx.zero()
 
     def sparsity(self):
-        z = self.ctx.is_zero
-        return sum(1 for c in self.coeffs if not z(c))
+        return len(self.coeffs) - self.coeffs.count(self.ctx.zero())
 
     def norm(self):
         if not isinstance(self.ctx, IntegerRing):
             raise TypeError("norm is defined over Z only")
-        return max((abs(c) for c in self.coeffs), default=0)
+        return max(map(abs, self.coeffs), default=0)
 
     def to_dense(self):
         return self
 
     def to_sparse(self):
-        z = self.ctx.is_zero
-        return SparsePoly(
-            self.ctx, [(i, c) for i, c in enumerate(self.coeffs) if not z(c)]
-        )
+        return SparsePoly.trusted(self.ctx, enumerate(self.coeffs))
 
     def __eq__(self, other):
         return (
@@ -175,7 +182,7 @@ class SparsePoly:
         cs = [self.ctx.zero()] * (n + 1)
         for e, c in self.terms:
             cs[e] = c
-        return DensePoly(self.ctx, cs)
+        return DensePoly.trusted(self.ctx, cs)
 
     def __eq__(self, other):
         return (
@@ -208,41 +215,30 @@ def x_pow_minus_one(ctx, n):
 # reference multiplication
 
 
-def kronecker_pack(cs, w):
-    """sum cs[i] * 2^(i*w) for any integers cs[i], signed or not.
-
-    Kronecker substitution: the coefficient vector read as base-2^w digits.
-    The vector is split in halves and the high half's value shifted past
-    the low one, with a short Horner loop at the leaves, so the cost is
-    O(n w log n) bit operations instead of the quadratic n shifts of one
-    growing accumulator."""
-    n = len(cs)
-    if n <= KRONECKER_LEAF:
-        acc = 0
-        for c in reversed(cs):
-            acc = (acc << w) + c
-        return acc
-    m = n // 2
-    return kronecker_pack(cs[:m], w) + (kronecker_pack(cs[m:], w) << (m * w))
-
-
 def _kronecker_ints(a, b):
     """The integer convolution of a and b as one big-integer product.
 
-    Every product coefficient is below min(len) max|a| max|b| < 2^(w-1) in
-    absolute value, with w a multiple of 8.  Adding 2^(w-1) to every digit
-    of the packed product (the offset 2^(w-1) (2^(size w) - 1)/(2^w - 1),
-    built as repeated bytes) makes all digits nonnegative and below 2^w, so
-    they are read back whole, w/8 bytes each, and shifted down again."""
+    Every coefficient of a, b and their product is at most
+    min(len) max|a| max|b| < 2^(w-1) in absolute value, with w a multiple
+    of 8.  So every digit c + 2^(w-1) lies in [0, 2^w) and takes w/8 bytes:
+    a factor is packed as its digits' bytes read as one int, minus the
+    offset 2^(w-1) (2^(size w) - 1)/(2^w - 1) of that many digits, built as
+    repeated bytes; the product plus its offset is read back the same way,
+    w/8 bytes a digit, each shifted down again."""
     bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
     nb = bound.bit_length() // 8 + 1
-    w = 8 * nb
-    half = 1 << (w - 1)
+    half = 1 << (8 * nb - 1)
+    half_bytes = half.to_bytes(nb, "little")
+
+    def offset(size):
+        return int.from_bytes(half_bytes * size, "little")
+
+    def pack(cs):
+        digits = b"".join([(c + half).to_bytes(nb, "little") for c in cs])
+        return int.from_bytes(digits, "little") - offset(len(cs))
+
     size = len(a) + len(b) - 1
-    offset = int.from_bytes(half.to_bytes(nb, "little") * size, "little")
-    buf = (kronecker_pack(a, w) * kronecker_pack(b, w) + offset).to_bytes(
-        size * nb, "little"
-    )
+    buf = (pack(a) * pack(b) + offset(size)).to_bytes(size * nb, "little")
     return [
         int.from_bytes(buf[i : i + nb], "little") - half
         for i in range(0, size * nb, nb)
@@ -325,7 +321,7 @@ def mod_reduce(Q, P):
                 for e, pe in low_terms:
                     j = i - n + e
                     cs[j] = ctx.sub(cs[j], ctx.mul(c, pe))
-        return DensePoly(ctx, cs[:n])
+        return DensePoly.trusted(ctx, cs[:n])
     if isinstance(Q, SparsePoly):
         acc = dict(Q.terms)
         get, pop = acc.get, acc.pop
@@ -558,8 +554,6 @@ def reduced_norm_bound(q_norm, p_terms, p_norm, excess, gap):
 
 def product_norm_bound(F, G):
     """Upper bound min(#F, #G) ||F|| ||G|| on ||FG|| over Z."""
-    if F.is_zero() or G.is_zero():
-        return 0
     return min(F.sparsity(), G.sparsity()) * F.norm() * G.norm()
 
 
@@ -569,6 +563,8 @@ def product_norm_bound(F, G):
 
 
 def format_poly(F):
+    """F's text form, over Z or GF(q) only.  A coefficient past CPython's
+    int-to-str digit limit (4300 by default) raises its ValueError."""
     if isinstance(F.ctx, IntegerRing):
         head = "ring Z"
     elif isinstance(F.ctx, PrimeField):
@@ -619,7 +615,7 @@ def parse_poly(text):
         ):
             for tok in items:  # raises the error of the first bad token
                 _parse_coeff(ctx, tok)
-        return _canonical_dense(ctx, cs)
+        return DensePoly.trusted(ctx, cs)
     if kind == "sparse":
         terms = _bulk_sparse_terms(ctx, items)
         if terms is None:
@@ -692,22 +688,13 @@ def _bulk_sparse_terms(ctx, items):
     return zip(exps, cs)
 
 
-def _canonical_dense(ctx, cs):
-    """DensePoly(ctx, cs) for a list cs of ints already canonical in ctx (in
-    [0, q) over GF(q)), without the constructor's per-coefficient canon."""
-    while cs and cs[-1] == 0:
-        cs.pop()
-    F = DensePoly.__new__(DensePoly)
-    F.ctx = ctx
-    F.coeffs = tuple(cs)
-    return F
-
-
 def read_poly_file(path):
     with open(path, "r", encoding="ascii") as fh:
         return parse_poly(fh.read())
 
 
 def write_poly_file(path, F):
+    """Write F's text form to path, formatted first: F without one writes no file."""
+    text = format_poly(F)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_poly(F))
+        fh.write(text)

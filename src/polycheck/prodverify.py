@@ -178,7 +178,7 @@ def _value_mod_prime(X, alpha, fp, pw):
     powers from pw, the power_table(fp, alpha) of the check."""
     if isinstance(X, DensePoly):
         return fp.horner(X.coeffs, alpha)
-    return evaluate(SparsePoly(fp, X.terms), alpha, fp, pw)
+    return evaluate(modverify._map_to_field(X, fp), alpha, fp, pw)
 
 
 def _product_at_one_point(F, G, H, cfg, method):
@@ -415,9 +415,7 @@ def verify_int_product(a, b, c, cfg=None, e=None):
 def kronecker_point(F, G, H):
     """The evaluation base for the substitution: the smallest power of two
     whose half exceeds every coefficient the difference H - F*G could have."""
-    bound = 2 * (H.norm() if not H.is_zero() else 0)
-    if not F.is_zero() and not G.is_zero():
-        bound += 2 * min(F.sparsity(), G.sparsity()) * F.norm() * G.norm()
+    bound = 2 * (H.norm() + product_norm_bound(F, G))
     return 1 << max(bound.bit_length(), 1)
 
 

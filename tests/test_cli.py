@@ -342,12 +342,19 @@ class TestGenCommand:
         assert code == 2 and "not prime" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "sizes", [["--n", "-1", "--T", "2"], ["--n", "8", "--coeff-bits", "0"]]
+        "sizes",
+        [
+            ["--n", "-1", "--T", "2"],
+            ["--n", "8", "--coeff-bits", "0"],
+            # coefficients past the 4300-digit int-to-str limit have no text form
+            ["--n", "2", "--coeff-bits", "16000"],
+        ],
     )
     def test_bad_sizes_exit_two(self, tmp_path, capsys, sizes):
         code = main(["gen", "--ring", "Z", *sizes, "--out-prefix", str(tmp_path / "x")])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+        assert not list(tmp_path.glob("x_*.poly"))
 
     def test_gf_requires_q(self, tmp_path):
         code, _, _ = run_cli(

@@ -15,7 +15,6 @@ from polycheck.poly import (
     _bulk_sparse_terms,
     _sparse_terms,
     format_poly,
-    kronecker_pack,
     parse_poly,
     power_table,
     reduction_steps,
@@ -186,12 +185,6 @@ class TestKroneckerKernel:
         before = POLY_MUL_OPS.count
         pc.mul_oracle(F, F)
         assert POLY_MUL_OPS.count == before + 1
-
-    @pytest.mark.parametrize("w", [1, 2, 7, 8, 77])
-    def test_pack_is_the_shifted_sum(self, w, rng):
-        for n in (0, 1, 2, 31, 32, 33, 64, 300, 1000):
-            cs = [rng.below(2**20 + 1) - 2**19 for _ in range(n)]
-            assert kronecker_pack(cs, w) == sum(c << (i * w) for i, c in enumerate(cs))
 
 
 @st.composite
@@ -682,16 +675,51 @@ class TestSparseBulkParse:
         assert parse_poly("ring GF 7\nsparse 0:1\t2:3   9:6\n").terms == ((0, 1), (2, 3), (9, 6))
 
 
-class TestTrustedSparse:
-    """SparsePoly.trusted, the unchecked construction of the sparse
-    reductions, builds what the checking constructor builds."""
+TRUSTED_RINGS = (Z, pc.GF(2), pc.GF(7), pc.ExtField(pc.GF(2), [1, 1, 1]))
 
-    @pytest.mark.parametrize("ctx", [Z, pc.GF(2), pc.GF(7)], ids=repr)
+
+def _rebuilt(X, ctx=None):
+    """X through the checking constructor of its class, over ctx if given."""
+    if isinstance(X, pc.DensePoly):
+        return pc.DensePoly(ctx or X.ctx, X.coeffs)
+    return pc.SparsePoly(ctx or X.ctx, X.terms)
+
+
+class TestTrustedSparse:
+    """SparsePoly.trusted and DensePoly.trusted, the unchecked constructions
+    of the package's own canonical data, build what the checking
+    constructors build."""
+
+    @pytest.mark.parametrize("ctx", TRUSTED_RINGS, ids=repr)
     def test_drops_only_zero_coefficients(self, ctx):
-        terms = [(0, 0), (3, 1), (5, 0), (9, 2 % ctx.size() if ctx != Z else -4)]
+        top = 2 % ctx.size() if ctx != Z else -4
+        terms = [(0, 0), (3, 1), (5, 0), (9, top)]
         got = pc.SparsePoly.trusted(ctx, terms)
         assert got == pc.SparsePoly(ctx, terms)
         assert all(not ctx.is_zero(c) for _, c in got.terms)
+        # trailing zeros, all zeros and no coefficients at all
+        for cs in ([0, 1, 0, top, 0, 0], [0, 0, 0], []):
+            got = pc.DensePoly.trusted(ctx, list(cs))
+            assert got == pc.DensePoly(ctx, cs)
+            assert got.is_zero() or not ctx.is_zero(got.coeffs[-1])
+
+    @pytest.mark.parametrize("ctx", TRUSTED_RINGS, ids=repr)
+    def test_conversions_are_canonical(self, ctx, rng):
+        # to_dense and to_sparse, and sparsity() and norm() on both forms
+        # against their brute-force definitions
+        for _ in range(40):
+            if rng.below(2):
+                D = rand_dense(ctx, rng.below(30) - 1, rng)
+            else:
+                D = rand_sparse(ctx, 1 + rng.below(40), rng.below(12), rng).to_dense()
+            S = D.to_sparse()
+            for X in (D, S):
+                assert X == _rebuilt(X)
+            assert S.to_dense() == D
+            nonzero = [c for c in D.coeffs if not ctx.is_zero(c)]
+            assert D.sparsity() == S.sparsity() == len(nonzero)
+            if ctx == Z:
+                assert D.norm() == S.norm() == max([abs(c) for c in nonzero], default=0)
 
     def test_reductions_are_canonical(self, rng):
         # every result equals its rebuild through the checking constructor
@@ -700,5 +728,17 @@ class TestTrustedSparse:
             F = rand_sparse(ctx, 200, 1 + rng.below(12), rng)
             i = 1 + rng.below(20)
             P = rand_monic_sparse(ctx, 1 + rng.below(30), 1 + rng.below(4), rng)
-            for got in (pc.reduce_mod_binomial(F, i), pc.mod_reduce(F, P)):
-                assert got == pc.SparsePoly(got.ctx, got.terms)
+            dense = pc.mod_reduce(F.to_dense(), P)
+            assert dense == pc.mod_reduce(F, P).to_dense()
+            for got in (pc.reduce_mod_binomial(F, i), pc.mod_reduce(F, P), dense):
+                assert got == _rebuilt(got)
+
+    def test_map_to_field_is_canonical(self, rng):
+        from polycheck.modverify import _map_to_field
+
+        for _ in range(40):
+            F = rand_sparse(Z, 1 + rng.below(60), rng.below(10), rng, hi=10**6)
+            fq = pc.GF((2, 7, 65537)[rng.below(3)])
+            for X in (F, F.to_dense()):
+                got = _map_to_field(X, fq)
+                assert type(got) is type(X) and got == _rebuilt(X, fq)
