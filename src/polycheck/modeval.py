@@ -33,6 +33,12 @@ A fourth kernel, gf2_first_mismatch, runs the packed GF(2) scan for many
 moduli R of one degree d at once: each R's residue sits in its own
 (d+1)-bit lane of one int, and the first R at which H and the product
 disagree is the lowest nonzero lane of their difference.
+A fifth, PrimeField.sparse_sum, is the sparse evaluation of poly.evaluate
+in GF(q), and so gives the sparse scan its P(alpha) and F(alpha): for each
+byte position of the exponents, one C-level pass multiplies every term's
+value by its entry of that window of the shared power table.  Its
+reference is the per-term loop poly._sparse_sum, which every other ring
+runs.
 None of them multiplies polynomials or counts in POLY_MUL_OPS.
 """
 

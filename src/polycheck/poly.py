@@ -168,7 +168,7 @@ class SparsePoly:
     def norm(self):
         if not isinstance(self.ctx, IntegerRing):
             raise TypeError("norm is defined over Z only")
-        return max((abs(c) for _, c in self.terms), default=0)
+        return max(map(abs, map(itemgetter(1), self.terms)), default=0)
 
     def to_sparse(self):
         return self
@@ -250,12 +250,13 @@ def mul_oracle(F, G):
 
     Dense over Z or GF(q): Kronecker substitution, both factors packed at
     2^w and multiplied once by CPython's big-integer product, the product's
-    digits read back and reduced mod q.  Sparse, and dense over a quotient
-    ring: one loop over all #F*#G term pairs on the ring's methods, merging
-    equal exponents in a dict; the largest exponent, deg F + deg G, is
-    checked against EXPONENT_CAP once, so the sorted merge is built with
-    SparsePoly.trusted, which only drops the zeros.  A dense product is
-    made dense again.
+    digits read back, taken as they are over Z (DensePoly.trusted) and
+    reduced mod q by the checking constructor.  Sparse, and dense over a
+    quotient ring: one loop over all #F*#G term pairs on the ring's
+    methods, merging equal exponents in a dict; the largest exponent,
+    deg F + deg G, is checked against EXPONENT_CAP once, so the sorted
+    merge is built with SparsePoly.trusted, which only drops the zeros.  A
+    dense product is made dense again.
     """
     if F.ctx != G.ctx:
         raise ValueError("mixed coefficient contexts")
@@ -265,7 +266,8 @@ def mul_oracle(F, G):
     if dense and _int_ctx(ctx):
         if F.is_zero() or G.is_zero():
             return DensePoly.zero(ctx)
-        return DensePoly(ctx, _kronecker_ints(F.coeffs, G.coeffs))
+        cs = _kronecker_ints(F.coeffs, G.coeffs)
+        return DensePoly.trusted(ctx, cs) if ctx == ZZ else DensePoly(ctx, cs)
     if dense:
         F, G = F.to_sparse(), G.to_sparse()
     elif not (isinstance(F, SparsePoly) and isinstance(G, SparsePoly)):
@@ -346,14 +348,17 @@ def mod_reduce(Q, P):
 
 
 def reduce_mod_binomial(F, i):
-    """F mod (X^i - 1): fold every exponent e to e mod i and merge."""
+    """F mod (X^i - 1): fold every exponent e to e mod i and merge.  F
+    itself when F is zero or of degree below i, where nothing folds."""
     if i < 1:
         raise ValueError("binomial degree must be >= 1")
+    if not isinstance(F, (DensePoly, SparsePoly)):
+        raise TypeError("unsupported polynomial type")
+    if F.is_zero() or F.degree() < i:
+        return F
     ctx = F.ctx
     if isinstance(F, DensePoly):
-        cs = list(F.coeffs)
-        if len(cs) <= i:
-            return DensePoly(ctx, cs)
+        cs = F.coeffs
         if _int_ctx(ctx):
             out = [0] * i
             for start in range(0, len(cs), i):
@@ -365,14 +370,12 @@ def reduce_mod_binomial(F, i):
         for e, c in enumerate(cs):
             out[e % i] = ctx.add(out[e % i], c)
         return DensePoly(ctx, out)
-    if isinstance(F, SparsePoly):
-        acc = {}
-        zero = ctx.zero()
-        for e, c in F.terms:
-            pos = e % i
-            acc[pos] = ctx.add(acc.get(pos, zero), c)
-        return SparsePoly.trusted(ctx, sorted(acc.items()))
-    raise TypeError("unsupported polynomial type")
+    acc = {}
+    zero = ctx.zero()
+    for e, c in F.terms:
+        pos = e % i
+        acc[pos] = ctx.add(acc.get(pos, zero), c)
+    return SparsePoly.trusted(ctx, sorted(acc.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -394,21 +397,36 @@ def power_table(ring, alpha):
 
     In GF(q) and in an ExtField it is one fixed-base windowed table
     (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992): window i holds
-    alpha^(j 2^(8i)) for 0 < j < 256, and alpha^e is the product of one
-    entry per nonzero byte of e, so (nonzero bytes of e) - 1 products once
-    its entries exist.  Entries are filled lazily, one product each:
-    T[j] = T[j ^ low] T[low] with low the lowest set bit of j, and the
+    alpha^(j 2^(8i)) for 0 <= j < 256, entry 0 being 1, and alpha^e is the
+    product of one entry per nonzero byte of e, so (nonzero bytes of e) - 1
+    products once its entries exist.  Entries are filled lazily, one product
+    each: T[j] = T[j ^ low] T[low] with low the lowest set bit of j, and the
     power-of-two entries T[2^k] = alpha^(2^(8i+k)) come from the squares of
     alpha, one product per square, as far as the largest exponent asked
     for needs.  Every product is ring.mul, which an ExtField counts in
-    POLY_MUL_OPS.  Z keeps its builtin pow.  One table serves every term of
-    every polynomial evaluated at alpha in one check; it is local to that
+    POLY_MUL_OPS.  Z keeps its builtin pow.
+
+    Besides pw(e), the table gives bulk access to one window:
+    pw.window(i, digits) fills the entries of window i that the byte values
+    digits need, by the same lazy products, and returns the window, which
+    the fused sparse kernel PrimeField.sparse_sum indexes by byte.  One
+    table serves every term of every polynomial evaluated at alpha in one
+    check, through either access and in any order; it is local to that
     check."""
     if not isinstance(ring, (ExtField, PrimeField)):
         return lambda e: ring.pow(alpha, e)
     mul = ring.mul
     squares = [alpha]
     windows = []
+
+    def fill(i, digits=()):
+        while len(windows) <= i:
+            windows.append([ring.one()] + [None] * ((1 << WINDOW_BITS) - 1))
+        w = windows[i]
+        for j in set(digits):
+            if w[j] is None:
+                entry(w, i, j)
+        return w
 
     def entry(window, i, j):
         v = window[j]
@@ -427,8 +445,8 @@ def power_table(ring, alpha):
 
     def pw(e):
         digits = e.to_bytes((e.bit_length() + 7) >> 3, "little")
-        while len(windows) < len(digits):
-            windows.append([None] * (1 << WINDOW_BITS))
+        if len(windows) < len(digits):
+            fill(len(digits) - 1)
         acc = None
         for i, j in enumerate(digits):
             if j:
@@ -439,6 +457,7 @@ def power_table(ring, alpha):
                 acc = v if acc is None else mul(acc, v)
         return ring.one() if acc is None else acc
 
+    pw.window = fill
     return pw
 
 
@@ -463,13 +482,24 @@ def _horner(cs, alpha, ring):
     return acc
 
 
+def _sparse_sum(terms, pw, ring):
+    """The generic per-term loop on the ring interface, the reference for
+    PrimeField.sparse_sum."""
+    acc = ring.zero()
+    for e, c in terms:
+        acc = ring.add(acc, ring.scalar_mul(c, pw(e)))
+    return acc
+
+
 def evaluate(F, alpha, ring=None, pw=None):
     """F(alpha).  alpha may live in F.ctx or in an ExtField over it; dense
     polynomials use Horner, the ring's fused loop where it has one, sparse
     ones take every alpha^e from pw, a power_table(ring, alpha) that a
     check evaluating several polynomials at alpha builds once and shares,
-    or from a fresh one.  At the class of X in a quotient ring, F(X) is
-    F mod R, and dense Horner multiplies no polynomials (see ExtField.mul)."""
+    or from a fresh one: in GF(q) by the fused kernel sparse_sum, a byte of
+    every exponent at a time, elsewhere term by term.  At the class of X in
+    a quotient ring, F(X) is F mod R, and dense Horner multiplies no
+    polynomials (see ExtField.mul)."""
     ring = _check_eval_ring(F, ring)
     if isinstance(F, DensePoly):
         if fused(ring, F.ctx, alpha):
@@ -477,10 +507,9 @@ def evaluate(F, alpha, ring=None, pw=None):
         return _horner(F.coeffs, alpha, ring)
     if isinstance(F, SparsePoly):
         pw = pw or power_table(ring, alpha)
-        acc = ring.zero()
-        for e, c in F.terms:
-            acc = ring.add(acc, ring.scalar_mul(c, pw(e)))
-        return acc
+        if isinstance(ring, PrimeField):
+            return ring.sparse_sum(F.terms, pw)
+        return _sparse_sum(F.terms, pw, ring)
     raise TypeError("unsupported polynomial type")
 
 
@@ -624,13 +653,31 @@ def parse_poly(text):
     raise PolyFormatError(f"bad representation {kind!r}")
 
 
+TOKEN_SHOWN = 40  # the widest token an error message quotes in full
+
+
+def _quoted(tok):
+    """tok as an error message names it: its repr, or past TOKEN_SHOWN
+    characters a short prefix and its length, so that a bad token of
+    thousands of digits still makes a short message."""
+    if len(tok) <= TOKEN_SHOWN:
+        return repr(tok)
+    return f"{tok[:8] + '...'!r} ({len(tok)} characters)"
+
+
+def _shown(tok, value):
+    """The int value read from tok as an error message names it: the value
+    itself, or _quoted(tok) when tok is past TOKEN_SHOWN characters."""
+    return value if len(tok) <= TOKEN_SHOWN else _quoted(tok)
+
+
 def _parse_coeff(ctx, tok):
     try:
         c = int(tok)
     except ValueError:
-        raise PolyFormatError(f"bad coefficient {tok!r}") from None
+        raise PolyFormatError(f"bad coefficient {_quoted(tok)}") from None
     if isinstance(ctx, PrimeField) and not 0 <= c < ctx.q:
-        raise PolyFormatError(f"coefficient {c} not reduced into [0, {ctx.q})")
+        raise PolyFormatError(f"coefficient {_shown(tok, c)} not reduced into [0, {ctx.q})")
     return c
 
 
@@ -641,14 +688,14 @@ def _sparse_terms(ctx, items):
     last = -1
     for tok in items:
         if ":" not in tok:
-            raise PolyFormatError(f"bad term {tok!r}")
+            raise PolyFormatError(f"bad term {_quoted(tok)}")
         es, cs = tok.split(":", 1)
         try:
             e = int(es)
         except ValueError:
-            raise PolyFormatError(f"bad exponent {es!r}") from None
+            raise PolyFormatError(f"bad exponent {_quoted(es)}") from None
         if e < 0 or e > EXPONENT_CAP:
-            raise PolyFormatError(f"exponent {e} out of range")
+            raise PolyFormatError(f"exponent {_shown(es, e)} out of range")
         if e <= last:
             raise PolyFormatError("exponents must be strictly increasing")
         last = e

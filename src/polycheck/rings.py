@@ -11,8 +11,10 @@ draws.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
+from itertools import repeat
 
 _MASK64 = (1 << 64) - 1
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # GF(2) coefficients as binary digits
@@ -119,6 +121,12 @@ def ln_pow2_upper(k):
 #   horner(cs, alpha)                sum cs[i] alpha^i, cs in GF(q)
 #   dense_scan(f, alpha, pa, V, gs)  f_0 = f, f_i = alpha f_{i-1} - V[i-1] pa;
 #                                    returns sum gs[i] f_i over i < len(gs)
+#
+# PrimeField alone supplies the sparse loop of poly.evaluate, with the
+# contract of poly._sparse_sum:
+#
+#   sparse_sum(terms, pw)            sum c alpha^e over the (e, c) terms, the
+#                                    powers from the power_table pw at alpha
 #
 # The kernels multiply no polynomials and count nothing in POLY_MUL_OPS.
 
@@ -248,6 +256,24 @@ class PrimeField:
             if g:
                 beta += g * f
         return beta % q
+
+    def sparse_sum(self, terms, pw):
+        """Exponent byte i of every term at once: the exponents' bytes sit
+        side by side in one buffer, so window i's bytes are one slice, and
+        one C-level map multiplies every term's running value (its
+        coefficient at first) by its entry of window i, where byte 0 stands
+        for 1.  Only the sum is reduced: a value is a coefficient times at
+        most 8 entries, below q^9, and multiplying it by one more entry
+        costs less than reducing it first."""
+        if not terms:
+            return 0
+        exps, vals = zip(*terms)
+        nb = (max(exps).bit_length() + 7) >> 3
+        digits = b"".join(map(int.to_bytes, exps, repeat(nb), repeat("little")))
+        for i in range(nb):
+            col = digits[i::nb]
+            vals = map(operator.mul, vals, map(pw.window(i, col).__getitem__, col))
+        return sum(vals) % self.q
 
     embed = canon
     scalar_mul = mul

@@ -191,6 +191,17 @@ class TestVerifyProdInputs:
         assert (report["verdict"], report["error_bound"], report["rounds"]) == (False, 0.0, 0)
         assert report["witnesses"] == [{"deterministic": "shape"}]
 
+    @pytest.mark.parametrize("ring, body, named", [
+        ("Z", "dense 1 " + "9" * 4400, "bad coefficient '99999999...' (4400 characters)"),
+        ("GF 7", "sparse 0:" + "9" * 4000,
+         "coefficient '99999999...' (4000 characters) not reduced into [0, 7)"),
+    ])
+    def test_a_wide_bad_coefficient_is_named_short(self, tmp_path, ring, body, named):
+        args = poly_args(tmp_path, ring, F=body, G="dense 1", H="dense 1")
+        code, out, err = run_cli(["verify-prod", *args], timeout=60)
+        assert code == 2 and out == ""
+        assert err == f"error: {tmp_path / 'F.poly'}: {named}\n"
+
 
 class TestVerifyModCommand:
     def test_constant_modulus_exits_two(self, tmp_path):

@@ -1,10 +1,14 @@
-"""The fused dense kernels of every element representation against the
-generic ring-method loops that stay as their reference (poly._horner and
-modeval._dense_scan): ints in GF(q) at any point, packed GF(2)[X]/(R) and
-slot-packed GF(q)[X]/(R) at x, for reducible and irreducible R.  Z has no
-kernel; its instances check the generic loops against the oracle.  The
-lane-packed GF(2) kernel of many moduli at once (gf2_first_mismatch) is
-checked against modverify._agree_at, one modulus at a time.
+"""The fused kernels of every element representation against the generic
+ring-method loops that stay as their reference:
+  - dense Horner and the dense scan (poly._horner and modeval._dense_scan):
+    ints in GF(q) at any point, packed GF(2)[X]/(R) and slot-packed
+    GF(q)[X]/(R) at x, for reducible and irreducible R;
+  - the sparse sum in GF(q), a byte of every exponent at a time
+    (PrimeField.sparse_sum against poly._sparse_sum), on power tables that
+    several polynomials and single powers share;
+  - the lane-packed GF(2) scan of many moduli at once
+    (gf2_first_mismatch) against modverify._agree_at, one modulus at a time.
+Z has no kernel; its instances check the generic loops against the oracle.
 
 These tests run under the "thorough" hypothesis profile in CI as well; see
 conftest.py.
@@ -25,7 +29,7 @@ from polycheck.modeval import (
 )
 from polycheck.modverify import _agree_at
 from polycheck.oracle import oracle_mod_product
-from polycheck.poly import _horner, evaluate, fused
+from polycheck.poly import EXPONENT_CAP, _horner, _sparse_sum, evaluate, fused, power_table
 from polycheck.rings import POLY_MUL_OPS, ExtField, RngStream, random_irreducible
 from conftest import gf2_clmul
 
@@ -152,6 +156,66 @@ class TestKernelsMatchTheGenericLoops:
         assert ring.dense_scan(f, alpha, pa, V, gs) == _dense_scan(
             f, alpha, pa, V, gs, ring, ctx
         )
+
+
+# exponents anywhere in [0, 2^63 - 1], or byte by byte with many bytes 0 or
+# 255, so that zero bytes sit between nonzero ones and windows run full
+_BYTES = st.lists(st.one_of(st.sampled_from((0, 0, 1, 255)), st.integers(0, 255)),
+                  min_size=8, max_size=8)
+EXPONENTS = st.one_of(
+    st.integers(0, EXPONENT_CAP),
+    _BYTES.map(lambda bs: int.from_bytes(bytes(bs), "little") & EXPONENT_CAP),
+    st.integers(0, 300),
+)
+
+
+@st.composite
+def sparse_sum_instances(draw):
+    """(ctx, alpha, polys, probes): one to three sparse polynomials over one
+    GF(q) of FIELDS, each empty, a single term or up to 40 terms, with
+    coefficients all q - 1 or random; alpha any point, 0, 1 and q - 1
+    included; probes, exponents to ask the table for one at a time."""
+    ctx = draw(st.sampled_from(FIELDS))
+    q = ctx.q
+    alpha = draw(st.one_of(st.sampled_from((0, 1, q - 1)), st.integers(0, q - 1)))
+
+    def poly():
+        size = draw(st.one_of(st.sampled_from((0, 1)), st.integers(0, 40)))
+        exps = draw(st.lists(EXPONENTS, min_size=size, max_size=size, unique=True))
+        coeff = _coeff(ctx, draw(st.booleans()))
+        return pc.SparsePoly.from_dict(ctx, {e: draw(coeff) for e in exps})
+
+    polys = [poly() for _ in range(draw(st.integers(1, 3)))]
+    return ctx, alpha, polys, draw(st.lists(EXPONENTS, max_size=8))
+
+
+class TestSparseKernel:
+    @given(sparse_sum_instances())
+    def test_sparse_sum_matches_the_per_term_loop(self, inst):
+        """One table serves every polynomial, in both orders, and then the
+        single powers pw(e): the entries the kernel filled in bulk and those
+        pw(e) fills lazily agree with each other and with pow."""
+        ctx, alpha, polys, probes = inst
+        q = ctx.q
+        want = [_sparse_sum(X.terms, power_table(ctx, alpha), ctx) for X in polys]
+        for X, value in zip(polys, want):
+            assert value == sum(c * pow(alpha, e, q) for e, c in X.terms) % q
+        before = POLY_MUL_OPS.count
+        for order in (range(len(polys)), range(len(polys) - 1, -1, -1)):
+            pw = power_table(ctx, alpha)
+            for k in order:
+                assert ctx.sparse_sum(polys[k].terms, pw) == want[k]
+                assert evaluate(polys[k], alpha, ctx, pw) == want[k]
+            assert [pw(e) for e in probes] == [pow(alpha, e, q) for e in probes]
+        assert POLY_MUL_OPS.count == before
+
+    def test_single_powers_first_then_the_kernel(self):
+        ctx = pc.GF(65537)
+        terms = ((0, 5), (0x0100_0000_00FF, 65536), (EXPONENT_CAP, 1))
+        pw = power_table(ctx, 3)
+        assert pw(0x00FF_0000_0001) == pow(3, 0x00FF_0000_0001, 65537)
+        assert ctx.sparse_sum(terms, pw) == sum(c * pow(3, e, 65537) for e, c in terms) % 65537
+        assert ctx.sparse_sum((), pw) == 0
 
 
 def _bits(a):

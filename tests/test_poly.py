@@ -180,6 +180,17 @@ class TestKroneckerKernel:
                     G = pc.DensePoly(ctx, [sb * top] * lb)
                     assert pc.mul_oracle(F, G) == _school_product_dense(F, G)
 
+    @given(kronecker_factors())
+    def test_products_are_canonical(self, pair):
+        # over Z the digits are taken as they are, over GF(q) reduced: both
+        # are what the checking constructor makes of them
+        F, G = pair
+        FG = pc.mul_oracle(F, G)
+        assert FG == pc.DensePoly(F.ctx, FG.coeffs)
+        if F.ctx == Z:  # a product of nonzero leading coefficients
+            assert FG.degree() == F.degree() + G.degree()
+        assert all(type(c) is int for c in FG.coeffs)
+
     def test_counts_one_product(self):
         F = pc.DensePoly(pc.GF(65537), range(1, 200))
         before = POLY_MUL_OPS.count
@@ -304,6 +315,32 @@ class TestReduceModBinomial:
     def test_zero_i_rejected(self):
         with pytest.raises(ValueError):
             pc.reduce_mod_binomial(EX1_F, 0)
+
+    def test_nothing_to_fold_returns_f_itself(self, rng):
+        # below i the fold is F itself, in both forms; at and above i it is
+        # the exponent-by-exponent fold, built through the checking constructor
+        def fold(F, i):
+            acc = {}
+            for e, c in F.to_sparse().terms:
+                acc[e % i] = F.ctx.add(acc.get(e % i, F.ctx.zero()), c)
+            folded = pc.SparsePoly.from_dict(F.ctx, acc)
+            return folded if isinstance(F, pc.SparsePoly) else folded.to_dense()
+
+        for ctx in (Z, pc.GF(3)):
+            for F in (pc.SparsePoly.zero(ctx), pc.DensePoly.zero(ctx)):
+                assert pc.reduce_mod_binomial(F, 1) is F
+        for _ in range(60):
+            ctx = (Z, pc.GF(3))[rng.below(2)]
+            F = rand_sparse(ctx, 40, 1 + rng.below(8), rng)
+            if F.is_zero():
+                continue
+            n = F.degree()
+            for X in (F, F.to_dense()):
+                for i in (n + 1, n + 2 + rng.below(5)):
+                    assert pc.reduce_mod_binomial(X, i) is X
+                for i in range(1, n + 1):
+                    got = pc.reduce_mod_binomial(X, i)
+                    assert got == fold(X, i) and got is not X
 
 
 class TestEvaluate:
@@ -568,6 +605,25 @@ class TestTextFormat:
             "ring GF 7\ndense 1 -1 9\n": "coefficient -1 not reduced into [0, 7)",
             "ring GF 7\ndense 1 -1 2\n": "coefficient -1 not reduced into [0, 7)",
             "ring Z\ndense 1 2.5 x\n": "bad coefficient '2.5'",
+        }
+        for text, message in cases.items():
+            with pytest.raises(PolyFormatError) as exc:
+                parse_poly(text)
+            assert str(exc.value) == message
+
+    def test_long_tokens_are_named_by_prefix_and_length(self):
+        nines = "9" * 4400
+        cases = {
+            f"ring Z\ndense 1 {nines}\n": "bad coefficient '99999999...' (4400 characters)",
+            f"ring GF 7\ndense 1 {nines[:4000]}\n":
+                "coefficient '99999999...' (4000 characters) not reduced into [0, 7)",
+            f"ring GF 7\nsparse 0:{nines}\n": "bad coefficient '99999999...' (4400 characters)",
+            f"ring Z\nsparse {nines[:100]}:1\n": "exponent '99999999...' (100 characters) out of range",
+            f"ring Z\nsparse x{nines[:40]}:1\n": "bad exponent 'x9999999...' (41 characters)",
+            f"ring Z\nsparse 0:1 {nines[:41]}\n": "bad term '99999999...' (41 characters)",
+            # up to 40 characters a token is quoted in full
+            f"ring GF 7\ndense {nines[:40]}\n": f"coefficient {nines[:40]} not reduced into [0, 7)",
+            f"ring Z\ndense x{nines[:39]}\n": f"bad coefficient 'x{nines[:39]}'",
         }
         for text, message in cases.items():
             with pytest.raises(PolyFormatError) as exc:
