@@ -6,8 +6,9 @@ Every random choice made along the way is recorded in the report's witness
 list so a failing run can be replayed from its seed.
 
 A field with (n-1)/epsilon elements or more takes one evaluation at a random
-point, integers after a reduction modulo a random prime.  A smaller GF(q)
-takes one draw at X modulo one screened irreducible R of degree D; only
+point, integers at a random point of GF(q) for a random prime q, where H
+is evaluated as it is, never copied into GF(q).  A smaller GF(q) takes
+one draw at X modulo one screened irreducible R of degree D; only
 "companion-no-polymul" makes many unscreened draws instead.
 """
 
@@ -152,30 +153,47 @@ def _eval_mod_point(P, F, G, alpha, ring, lc=None, pw=None):
     return modeval.eval_mod_p_dense(P, F, G, alpha, ring, lc)
 
 
+def _finite_size(ctx):
+    """ctx.size(), or a TypeError for a coefficient ring with no size."""
+    size = ctx.size()
+    if size is None:
+        raise TypeError("coefficients must lie in Z, GF(q) or GF(q)[X]/(R)")
+    return size
+
+
 def verify_mod(F, G, H, P, cfg=None):
     """Decide H = (F*G) mod P by a single random evaluation over the
-    coefficient field (or an extension the caller already placed us in).
+    coefficient field (or an extension the caller already placed us in),
+    or, on integers, over GF(q) for a random prime q (verify_mod_over_Z).
 
     Needs the field to have at least (1/epsilon)(n-1) elements; smaller
-    fields must go through verify_mod_ff or the companion methods.  Integer
-    inputs are routed through verify_mod_over_Z, which controls coefficient
-    growth by reducing modulo a random prime.
+    fields must go through verify_mod_ff or the companion methods.  Over Z,
+    F, G and P are copied into GF(q) for the scan, which reads their
+    coefficients, and H is evaluated as it is (poly.evaluate).
     """
     cfg = cfg or VerifyConfig()
     n = check_shapes(F, G, H, P)
     ctx = P.ctx
-    if isinstance(ctx, IntegerRing):
-        return verify_mod_over_Z(F, G, H, P, cfg)
     eps = cfg.epsilon
     if all_sparse(F, G, H) and sparsity_precheck(F, G, H, P):
         return VerifyReport(False, 0.0, 0, [], "direct-eval", cfg.seed)
-    size = ctx.size()
-    if size * eps < n - 1:
-        raise FieldTooSmallError(
-            f"field of size {size} cannot reach epsilon={eps} at degree {n}"
-        )
     rng = RngStream(cfg.seed)
-    verdict, witnesses = _verify_mod_once(F, G, H, P, ctx, rng)
+    witnesses = []
+    if isinstance(ctx, IntegerRing):
+        q = random_prime(prime_lambda(n, delta_norm_bound(F, G, H, P), eps), eps / 4, rng)
+        ring = GF(q)
+        F, G, P = (_map_to_field(X, ring) for X in (F, G, P))
+        witnesses.append({"q": q})
+    else:
+        size = _finite_size(ctx)
+        if size * eps < n - 1:
+            raise FieldTooSmallError(
+                f"field of size {size} cannot reach epsilon={eps} at degree {n}"
+            )
+        ring = ctx
+    alpha = ring.sample(rng)
+    witnesses.append({"alpha": _describe(ring, alpha)})
+    verdict = _agree_at(F, G, H, P, alpha, ring)
     return VerifyReport(verdict, float(eps), 1, witnesses, "direct-eval", cfg.seed)
 
 
@@ -185,11 +203,6 @@ def _agree_at(F, G, H, P, alpha, ring, lc=None):
     power table at alpha serves every sparse polynomial of the check."""
     pw = power_table(ring, alpha)
     return evaluate(H, alpha, ring, pw) == _eval_mod_point(P, F, G, alpha, ring, lc, pw)
-
-
-def _verify_mod_once(F, G, H, P, ring, rng):
-    alpha = ring.sample(rng)
-    return _agree_at(F, G, H, P, alpha, ring), [{"alpha": _describe(ring, alpha)}]
 
 
 def delta_norm_bound(F, G, H, P):
@@ -233,28 +246,16 @@ def _prime_lambda(n, ln_norm, eps):
 def verify_mod_over_Z(F, G, H, P, cfg=None):
     """Integer-coefficient variant: bound the coefficients of the would-be
     difference, pick a random prime q that almost surely preserves a nonzero
-    difference, reduce everything modulo q and verify over GF(q).
+    difference, and verify its image over GF(q) (verify_mod).
 
     The error splits three ways (see prime_lambda): random_prime at ε/4
     returns a composite with probability at most ε/4, a prime q divides the
     nonzero coefficient of Δ with probability at most ε/4, and the random
     point is a root of Δ mod q with probability below ε/2."""
-    cfg = cfg or VerifyConfig()
-    n = check_shapes(F, G, H, P)
+    check_shapes(F, G, H, P)
     if not isinstance(P.ctx, IntegerRing):
         raise TypeError("verify_mod_over_Z needs integer polynomials")
-    eps = cfg.epsilon
-    if all_sparse(F, G, H) and sparsity_precheck(F, G, H, P):
-        return VerifyReport(False, 0.0, 0, [], "direct-eval", cfg.seed)
-    rng = RngStream(cfg.seed)
-    lam = prime_lambda(n, delta_norm_bound(F, G, H, P), eps)
-    q = random_prime(lam, eps / 4, rng)
-    fq = GF(q)
-    Fq, Gq, Hq, Pq = (_map_to_field(X, fq) for X in (F, G, H, P))
-    witnesses = [{"q": q}]
-    verdict, inner = _verify_mod_once(Fq, Gq, Hq, Pq, fq, rng)
-    witnesses.extend(inner)
-    return VerifyReport(verdict, float(eps), 1, witnesses, "direct-eval", cfg.seed)
+    return verify_mod(F, G, H, P, cfg)
 
 
 def _map_to_field(X, fq):

@@ -113,6 +113,8 @@ class SparsePoly:
         for e, c in terms:
             e = int(e)
             if e <= last:
+                if e < 0:
+                    raise ValueError(f"negative exponent {e}")
                 raise ValueError("exponents must be strictly increasing")
             if e > EXPONENT_CAP:
                 raise ValueError("exponent exceeds 2^63 - 1")
@@ -389,7 +391,9 @@ def _check_eval_ring(F, ring):
         return ring
     if isinstance(ring, ExtField) and ring.base == F.ctx:
         return ring
-    raise ValueError("evaluation point must live in the ctx or an extension of it")
+    if isinstance(ring, PrimeField) and isinstance(F.ctx, IntegerRing):
+        return ring
+    raise ValueError("evaluation point must lie in the ctx, an extension, or GF(p) over Z")
 
 
 def power_table(ring, alpha):
@@ -492,7 +496,8 @@ def _sparse_sum(terms, pw, ring):
 
 
 def evaluate(F, alpha, ring=None, pw=None):
-    """F(alpha).  alpha may live in F.ctx or in an ExtField over it; dense
+    """F(alpha).  alpha may live in F.ctx, in an ExtField over it or, for F
+    over Z, in GF(p), whose kernels reduce the integer coefficients.  Dense
     polynomials use Horner, the ring's fused loop where it has one, sparse
     ones take every alpha^e from pw, a power_table(ring, alpha) that a
     check evaluating several polynomials at alpha builds once and shares,

@@ -16,7 +16,8 @@ polynomial check compares H(α) with F(α)G(α) once (Schwartz 1980, Zippel
 1979), at a random point of GF(q), at X modulo a screened irreducible R
 over a small GF(q), or at a random point of GF(p) for a random prime p over
 Z; the integer check compares F(2^w) G(2^w) with H(2^w) modulo one random
-prime.
+prime.  Over Z the values mod p come from poly.evaluate at a point of GF(p),
+which reads the integer coefficients as they are.
 """
 
 import math
@@ -172,15 +173,6 @@ def _product_shape_reject(F, G, H):
     return None
 
 
-def _value_mod_prime(X, alpha, fp, pw):
-    """X(alpha) in GF(p) for an integer polynomial X: the int Horner kernel
-    reduces the signed coefficients as it goes; sparse terms take their
-    powers from pw, the power_table(fp, alpha) of the check."""
-    if isinstance(X, DensePoly):
-        return fp.horner(X.coeffs, alpha)
-    return evaluate(modverify._map_to_field(X, fp), alpha, fp, pw)
-
-
 def _product_at_one_point(F, G, H, cfg, method):
     """Decide H = F*G by comparing H(α) with F(α)G(α) once.  F, G and H are
     all dense or all sparse, none zero, and deg H <= deg F + deg G, so
@@ -212,21 +204,18 @@ def _product_at_one_point(F, G, H, cfg, method):
         p = random_prime(modverify.prime_lambda(m + 1, norm, eps), eps / 4, rng)
         ring = PrimeField(p)
         alpha = ring.sample(rng)
-        pw = power_table(ring, alpha)
-        fa, ga, ha = (_value_mod_prime(X, alpha, ring, pw) for X in (F, G, H))
         witness = {"p": p, "alpha": alpha}
+    elif isinstance(ctx, PrimeField) and ctx.q * eps >= m:
+        ring = ctx
+        alpha = ring.sample(rng)
+        witness = {"alpha": alpha}
     elif isinstance(ctx, PrimeField):
-        if ctx.q * eps >= m:
-            ring = ctx
-            alpha = ring.sample(rng)
-            witness = {"alpha": alpha}
-        else:
-            ring, witness = modverify.screened_extension(ctx, m, eps, rng)
-            alpha = ring.x
-        pw = power_table(ring, alpha)
-        fa, ga, ha = (evaluate(X, alpha, ring, pw) for X in (F, G, H))
+        ring, witness = modverify.screened_extension(ctx, m, eps, rng)
+        alpha = ring.x
     else:
         return _certain(mul_oracle(F, G) == H, "reference-product", method, cfg)
+    pw = power_table(ring, alpha)
+    fa, ga, ha = (evaluate(X, alpha, ring, pw) for X in (F, G, H))
     verdict = ring.mul(fa, ga) == ha
     return VerifyReport(verdict, float(eps), 1, [witness], method, cfg.seed)
 
@@ -267,7 +256,7 @@ def _modular_check_no_mul(F, G, H, P, cfg):
     eps = cfg.epsilon
     if isinstance(ctx, IntegerRing):
         return modverify.verify_mod_over_Z(F, G, H, P, cfg)
-    size = ctx.size()
+    size = modverify._finite_size(ctx)
     if size * eps >= max(n - 1, 0):
         return modverify.verify_mod(F, G, H, P, cfg)
     if isinstance(ctx, PrimeField):
@@ -392,7 +381,7 @@ def _check_at_power_of_two(F, G, H, w, cfg, e, method):
         ring = PrimeField(p)
         alpha = pow(2, w, p)
         pw = power_table(ring, alpha)
-        fa, ga, ha = (_value_mod_prime(X, alpha, ring, pw) for X in (F, G, H))
+        fa, ga, ha = (evaluate(X, alpha, ring, pw) for X in (F, G, H))
         return VerifyReport(fa * ga % p == ha, float(eps), 1, [{"p": p}], method, cfg.seed)
 
     def agree(i):

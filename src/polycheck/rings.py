@@ -128,6 +128,9 @@ def ln_pow2_upper(k):
 #   sparse_sum(terms, pw)            sum c alpha^e over the (e, c) terms, the
 #                                    powers from the power_table pw at alpha
 #
+# PrimeField's horner and sparse_sum also take integer coefficients of any
+# sign, for poly.evaluate of a polynomial over Z at a point of GF(p).
+#
 # The kernels multiply no polynomials and count nothing in POLY_MUL_OPS.
 
 
@@ -263,7 +266,7 @@ class PrimeField:
         one C-level map multiplies every term's running value (its
         coefficient at first) by its entry of window i, where byte 0 stands
         for 1.  Only the sum is reduced: a value is a coefficient times at
-        most 8 entries, below q^9, and multiplying it by one more entry
+        most 8 entries, below |c| q^8, and multiplying it by one more entry
         costs less than reducing it first."""
         if not terms:
             return 0

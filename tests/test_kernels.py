@@ -7,7 +7,10 @@ ring-method loops that stay as their reference:
     (PrimeField.sparse_sum against poly._sparse_sum), on power tables that
     several polynomials and single powers share;
   - the lane-packed GF(2) scan of many moduli at once
-    (gf2_first_mismatch) against modverify._agree_at, one modulus at a time.
+    (gf2_first_mismatch) against modverify._agree_at, one modulus at a time;
+  - integer polynomials at a point of GF(m), which the int kernels evaluate
+    without a copy, against the copy modverify._map_to_field reduces into
+    GF(m).
 Z has no kernel; its instances check the generic loops against the oracle.
 
 These tests run under the "thorough" hypothesis profile in CI as well; see
@@ -27,7 +30,7 @@ from polycheck.modeval import (
     gf2_first_mismatch,
     leading_coefficients,
 )
-from polycheck.modverify import _agree_at
+from polycheck.modverify import _agree_at, _map_to_field
 from polycheck.oracle import oracle_mod_product
 from polycheck.poly import EXPONENT_CAP, _horner, _sparse_sum, evaluate, fused, power_table
 from polycheck.rings import POLY_MUL_OPS, ExtField, RngStream, random_irreducible
@@ -216,6 +219,62 @@ class TestSparseKernel:
         assert pw(0x00FF_0000_0001) == pow(3, 0x00FF_0000_0001, 65537)
         assert ctx.sparse_sum(terms, pw) == sum(c * pow(3, e, 65537) for e, c in terms) % 65537
         assert ctx.sparse_sum((), pw) == 0
+
+
+# moduli of GF(m): primes, composites (the int kernels never invert) and
+# anything up to 2^70
+MODULI = st.one_of(
+    st.sampled_from((2, 3, 65537, 2**61 - 1, 4, 6, 91, 2**64, 3**40)),
+    st.integers(2, 2**70),
+)
+BIG_COEFF = st.one_of(st.sampled_from((-(2**200), 2**200, -1)), st.integers(-(2**200), 2**200))
+
+
+@st.composite
+def integer_instances(draw):
+    """(m, alpha, polys): a modulus m >= 2, a point of GF(m), 0, 1 and m - 1
+    included, and three polynomials F, G, H over Z with signed coefficients
+    up to 2^200 in absolute value, all dense (up to 40 coefficients) or all
+    sparse (up to 40 terms, exponents up to 2^63 - 1)."""
+    m = draw(MODULI)
+    alpha = draw(st.one_of(st.sampled_from((0, 1, m - 1)), st.integers(0, m - 1)))
+    dense = draw(st.booleans())
+
+    def poly():
+        if dense:
+            return pc.DensePoly(Z, draw(st.lists(BIG_COEFF, max_size=40)))
+        exps = draw(st.lists(EXPONENTS, max_size=40, unique=True))
+        return pc.SparsePoly.from_dict(Z, {e: draw(BIG_COEFF) for e in exps})
+
+    return m, alpha, [poly() for _ in "FGH"]
+
+
+class TestIntegersAtAPointOfGFm:
+    @given(integer_instances())
+    def test_evaluate_matches_the_reduced_copy(self, inst):
+        """evaluate at a point of GF(m) gives the value of the copy in
+        GF(m), with one table shared by F, G and H in either order."""
+        m, alpha, polys = inst
+        ring = pc.PrimeField(m)
+        want = [evaluate(_map_to_field(X, ring), alpha, ring) for X in polys]
+        for X, value in zip(polys, want):
+            terms = X.terms if isinstance(X, pc.SparsePoly) else enumerate(X.coeffs)
+            assert value == sum(c * pow(alpha, e, m) for e, c in terms) % m
+        for order in (range(3), range(2, -1, -1)):
+            pw = power_table(ring, alpha)
+            assert [evaluate(polys[k], alpha, ring, pw) for k in order] == [
+                want[k] for k in order
+            ]
+
+    def test_mismatched_rings_still_raise(self):
+        for make in (pc.DensePoly, lambda ctx, cs: pc.SparsePoly(ctx, enumerate(cs))):
+            with pytest.raises(ValueError, match="evaluation point"):
+                evaluate(make(pc.GF(7), [1, 1]), 1, pc.GF(5))
+            with pytest.raises(ValueError, match="evaluation point"):
+                evaluate(make(pc.GF(5), [1, 1]), 1, Z)
+            ring = ExtField(pc.GF(5), [2, 0, 1])
+            with pytest.raises(ValueError, match="evaluation point"):
+                evaluate(make(Z, [1, 1]), ring.x, ring)
 
 
 def _bits(a):

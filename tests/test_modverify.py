@@ -158,6 +158,34 @@ class TestVerifyModOverZ:
             verify_mod_over_Z(F, G, H, P, c)
         assert asked == [c.epsilon / 4 for c in configs]
 
+    def test_copies_F_G_and_P_but_not_H(self, rng, monkeypatch):
+        # the scan reads the coefficients of F, G and P in GF(q); H is
+        # evaluated at a point of GF(q) as it is
+        copied = []
+        to_field = modverify._map_to_field
+
+        def spy(X, fq):
+            copied.append(X)
+            return to_field(X, fq)
+
+        monkeypatch.setattr(modverify, "_map_to_field", spy)
+        for sparse in (True, False):
+            P, F, G, H = make_instance(Z, 25, 5, rng, sparse)
+            for check in (verify_mod, verify_mod_over_Z):
+                copied.clear()
+                assert check(F, G, H, P, cfg(0)).verdict is True
+                assert len(copied) == 3
+                assert all(got is want for got, want in zip(copied, (F, G, P)))
+
+    def test_coefficients_with_no_size_are_a_type_error(self):
+        # Z[X]/(X^2 + 1) has no size to weigh epsilon against
+        K = ExtField(Z, [1, 0, 1])
+        F = pc.SparsePoly(K, [(0, K.one()), (3, K.x)])
+        P = pc.x_pow_minus_one(K, 8)
+        H = pc.mod_reduce(pc.mul_oracle(F, F), P)
+        with pytest.raises(TypeError, match=r"Z, GF\(q\) or GF\(q\)\[X\]/\(R\)"):
+            verify_mod(F, F, H, P, cfg(0))
+
 
 class TestVerifyModFF:
     def test_extension_degree_fixture(self):

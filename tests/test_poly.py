@@ -428,7 +428,7 @@ class TestEvaluate:
         assert ext.coeffs(pc.evaluate(F, x, ext)) == (1, 1)
 
     def test_wrong_ring_rejected(self):
-        F = pc.DensePoly(Z, [1, 1])
+        F = pc.DensePoly(pc.GF(7), [1, 1])
         with pytest.raises(ValueError):
             pc.evaluate(F, 1, pc.GF(5))
 
@@ -555,6 +555,15 @@ class TestRepresentations:
     def test_exponent_cap_boundary(self):
         F = pc.SparsePoly(Z, [(2**63 - 1, 1)])
         assert F.degree() == 2**63 - 1
+
+    def test_negative_exponent_is_named(self):
+        # as the cap is named, not as an order violation; the parser keeps
+        # its own message
+        for terms in ([(-1, 1)], [(-5, 2), (3, 1)], [(2, 1), (-1, 1)]):
+            with pytest.raises(ValueError, match=r"^negative exponent -\d+$"):
+                pc.SparsePoly(Z, terms)
+        with pytest.raises(pc.PolyFormatError, match=r"^exponent -1 out of range$"):
+            pc.parse_poly("ring Z\nsparse -1:1\n")
 
 
 class TestTextFormat:

@@ -280,6 +280,37 @@ class TestKaminskiNoMul:
         assert accepted / trials <= 0.30
 
 
+class TestCoefficientsWithNoSize:
+    """Over Z[X]/(X^2 + 1), which has no size to weigh epsilon against, the
+    verifiers that need one raise a TypeError naming the rings they take;
+    verify_product_kaminski keeps its exact product."""
+
+    K = pc.ExtField(Z, [1, 0, 1])
+
+    def triple(self):
+        K = self.K
+        F = pc.SparsePoly(K, [(0, K.one()), (3, K.x)])
+        G = pc.SparsePoly(K, [(1, K.from_coeffs([2, -1])), (4, K.one())])
+        return F, G, pc.mul_oracle(F, G)
+
+    def test_the_two_verifiers_that_need_a_size_raise(self):
+        F, G, H = self.triple()
+        supported = r"Z, GF\(q\) or GF\(q\)\[X\]/\(R\)"
+        for verify in (verify_sparse_product, verify_product_kaminski_nomul):
+            with pytest.raises(TypeError, match=supported):
+                verify(F, G, H, cfg(0))
+
+    def test_kaminski_keeps_the_exact_product(self):
+        F, G, H = self.triple()
+        K = self.K
+        wrong = pc.mul_oracle(F, pc.SparsePoly(K, [(1, K.one()), (4, K.one())]))
+        for form in (lambda X: X, lambda X: X.to_dense()):
+            for X, verdict in ((H, True), (wrong, False)):
+                r = verify_product_kaminski(form(F), form(G), form(X), cfg(0))
+                assert r.verdict is verdict
+                assert r.witnesses == [{"deterministic": "reference-product"}]
+
+
 class TestIntProduct:
     def test_exact_products_always(self, rng):
         for seed in range(40):
@@ -648,7 +679,7 @@ class TestCheckAtPowerOfTwo:
         pw = power_table(ring, alpha)
         for X in (F, G, H):
             value = shifted_sum(X, w)
-            assert prodverify._value_mod_prime(X, alpha, ring, pw) == value % m
+            assert pc.evaluate(X, alpha, ring, pw) == value % m
             assert prodverify._value_mod_mersenne(X, w, i) == value % ((1 << i) - 1)
 
     def test_evaluates_at_two_to_the_w_modulo_the_reported_prime(self, rng):
