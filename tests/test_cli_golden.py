@@ -1,17 +1,18 @@
-"""Golden stdout of the default-method verify commands.
+"""Golden stdout of the verify commands, default and explicit methods.
 
-For a fixed seed the report a default-method ``verify-mod`` or
-``verify-prod`` prints is a stable output of the package: these cases pin
-the sha256 of its stdout (first 16 hex digits) on instances over Z, GF(2),
-GF(7) and GF(65537), dense and sparse, modulo X^n - 1 and a trinomial, true
-and wrong H, seeds 0-2, epsilon 2^-20 and 1/4.  A change that alters any of
+For a fixed seed the report a ``verify-mod`` or ``verify-prod`` prints
+is a stable output of the package: these cases pin the sha256 of its
+stdout (first 16 hex digits) on instances over Z, GF(2), GF(7) and
+GF(65537), dense and sparse, modulo X^n - 1 and a trinomial, true and
+wrong H, seeds 0-2, epsilon 2^-20 and 1/4.  A change that alters any of
 them changes what a user replaying a seed sees.
 
 On the random sparse instances ``auto`` computes the exact product (its
 estimate is far below the verifier's), so the ``example2`` cases pin the
 paper's sparse verifiers: the collapsing triple F = sum X^i,
 G = sum (X^(iT+1) - X^(iT)), F*G = X^(T^2) - 1 at T = 256, where
-verification is the cheaper route.
+verification is the cheaper route.  The explicit methods are pinned on
+the dense instances (EXPLICIT_GOLDEN).
 """
 
 import hashlib
@@ -174,3 +175,94 @@ def test_default_output_is_pinned(case, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == (0 if key[-1] == "true" else 1)
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN[case]
+
+
+# The explicit methods on the dense instances above, pinned the same way:
+# every modular method that runs the scans at X modulo R over GF(q), the
+# Kaminski verifiers over every ring, and Kronecker over Z.  Each case
+# reuses the instance and seed of its default-method case.
+EXPLICIT_GROUPS = (
+    itertools.product(
+        ("mod",), ("GF2", "GF7", "GF65537"), ("dense",), ("binomial", "trinomial"), TRUTHS,
+        ("extension", "companion-freivalds", "companion-no-polymul"),
+    ),
+    itertools.product(("prod",), RINGS, ("dense",), TRUTHS, ("kaminski", "kaminski-nomul")),
+    itertools.product(("prod",), ("Z",), ("dense",), TRUTHS, ("kronecker",)),
+)
+EXPLICIT_CASES = {"-".join(key): key for group in EXPLICIT_GROUPS for key in group}
+
+EXPLICIT_GOLDEN = {
+    "mod-GF2-dense-binomial-true-companion-freivalds": "4c3ed7056df82a9b",
+    "mod-GF2-dense-binomial-true-companion-no-polymul": "1c2e712605c9f966",
+    "mod-GF2-dense-binomial-true-extension": "0583d0c83a89908d",
+    "mod-GF2-dense-binomial-wrong-companion-freivalds": "ca19d93adb0af2a7",
+    "mod-GF2-dense-binomial-wrong-companion-no-polymul": "76eda8f1629d56d3",
+    "mod-GF2-dense-binomial-wrong-extension": "b584ac925c3857bc",
+    "mod-GF2-dense-trinomial-true-companion-freivalds": "43a724646add284b",
+    "mod-GF2-dense-trinomial-true-companion-no-polymul": "e39b3b9e7aa34dad",
+    "mod-GF2-dense-trinomial-true-extension": "104e718f275c64d4",
+    "mod-GF2-dense-trinomial-wrong-companion-freivalds": "c7aebde5f9042106",
+    "mod-GF2-dense-trinomial-wrong-companion-no-polymul": "42a4521a015b954c",
+    "mod-GF2-dense-trinomial-wrong-extension": "58e3321e9bc910ad",
+    "mod-GF65537-dense-binomial-true-companion-freivalds": "afa293e22ec3b2bc",
+    "mod-GF65537-dense-binomial-true-companion-no-polymul": "03aad25bf6b304f6",
+    "mod-GF65537-dense-binomial-true-extension": "faedfbe3181f0720",
+    "mod-GF65537-dense-binomial-wrong-companion-freivalds": "3c3d35f76bdf3a5a",
+    "mod-GF65537-dense-binomial-wrong-companion-no-polymul": "9ea00f7814e33bed",
+    "mod-GF65537-dense-binomial-wrong-extension": "7506203a9ef51939",
+    "mod-GF65537-dense-trinomial-true-companion-freivalds": "ba1c9c438c85e4ea",
+    "mod-GF65537-dense-trinomial-true-companion-no-polymul": "7d5b926fbd72d50a",
+    "mod-GF65537-dense-trinomial-true-extension": "09e7b462d9fd7751",
+    "mod-GF65537-dense-trinomial-wrong-companion-freivalds": "ea70279480713363",
+    "mod-GF65537-dense-trinomial-wrong-companion-no-polymul": "5b5db5df71a03064",
+    "mod-GF65537-dense-trinomial-wrong-extension": "1fd6ddae9864c91e",
+    "mod-GF7-dense-binomial-true-companion-freivalds": "ad0cb2b0275a00ae",
+    "mod-GF7-dense-binomial-true-companion-no-polymul": "d9d2fa07723d4a1c",
+    "mod-GF7-dense-binomial-true-extension": "1e8a1ffe2aaea85a",
+    "mod-GF7-dense-binomial-wrong-companion-freivalds": "d0296f4c0ae1e1b1",
+    "mod-GF7-dense-binomial-wrong-companion-no-polymul": "49db0f3c76bd50e7",
+    "mod-GF7-dense-binomial-wrong-extension": "9df26c75d24a97ec",
+    "mod-GF7-dense-trinomial-true-companion-freivalds": "36e1fbbb412f130b",
+    "mod-GF7-dense-trinomial-true-companion-no-polymul": "c1b949c08f0e7287",
+    "mod-GF7-dense-trinomial-true-extension": "6de08f7f2b154e15",
+    "mod-GF7-dense-trinomial-wrong-companion-freivalds": "93653cb497d1b131",
+    "mod-GF7-dense-trinomial-wrong-companion-no-polymul": "fbd19441cd026c9e",
+    "mod-GF7-dense-trinomial-wrong-extension": "f99d6cca7a76910c",
+    "prod-GF2-dense-true-kaminski": "20b1d8ed2bd82d7e",
+    "prod-GF2-dense-true-kaminski-nomul": "e94cc8d58cb16b8f",
+    "prod-GF2-dense-wrong-kaminski": "f5a7cfaf06fa05d8",
+    "prod-GF2-dense-wrong-kaminski-nomul": "b73d239b65cea263",
+    "prod-GF65537-dense-true-kaminski": "1c0adc3c99734d4f",
+    "prod-GF65537-dense-true-kaminski-nomul": "4f941d7c20c8a4d7",
+    "prod-GF65537-dense-wrong-kaminski": "019692f6016754da",
+    "prod-GF65537-dense-wrong-kaminski-nomul": "5c0bc052903d10b8",
+    "prod-GF7-dense-true-kaminski": "5cb8285a68be4ace",
+    "prod-GF7-dense-true-kaminski-nomul": "5184958e7bd66aec",
+    "prod-GF7-dense-wrong-kaminski": "c4421038d9cec2ed",
+    "prod-GF7-dense-wrong-kaminski-nomul": "240c7ecaaa53ecd0",
+    "prod-Z-dense-true-kaminski": "59dc2c24a555d596",
+    "prod-Z-dense-true-kaminski-nomul": "8c094a7d73a63eb7",
+    "prod-Z-dense-true-kronecker": "93f7258255f10b0b",
+    "prod-Z-dense-wrong-kaminski": "55141ad6a5dc66f6",
+    "prod-Z-dense-wrong-kaminski-nomul": "f1529dc0593a0a17",
+    "prod-Z-dense-wrong-kronecker": "edd3af01794bcade",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPLICIT_CASES))
+def test_explicit_method_output_is_pinned(case, tmp_path, capsys):
+    key = EXPLICIT_CASES[case]
+    default_key, method = key[:-1], key[-1]
+    seed = CASES["-".join(default_key)][1]
+    args = ["verify-mod" if key[0] == "mod" else "verify-prod", "--seed", str(seed)]
+    args += ["--method", method]
+    if seed == 2:
+        args += ["--epsilon", "1/4"]
+    for name, X in _instance(default_key).items():
+        path = tmp_path / f"{name}.poly"
+        write_poly_file(path, X)
+        args += [f"--{name}", str(path)]
+    code = main(args)
+    out = capsys.readouterr().out
+    assert code == (0 if key[-2] == "true" else 1)
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == EXPLICIT_GOLDEN[case]
