@@ -33,6 +33,7 @@ from .poly import (
 )
 from .modeval import (
     CompanionOperator,
+    eval_mod,
     eval_mod_binomial_dense,
     eval_mod_binomial_sparse,
     eval_mod_p_dense,

@@ -49,6 +49,7 @@ from .poly import (
     SparsePoly,
     _check_eval_ring,
     _require_monic,
+    all_sparse,
     evaluate,
     fused,
     gap_info,
@@ -81,11 +82,11 @@ def _require_args(P, F, G):
 # products modulo X^n - 1
 
 
-def eval_mod_binomial_dense(F, G, n, alpha, ring=None, lc=None):
+def eval_mod_binomial_dense(F, G, n, alpha, ring=None):
     """((F*G) mod X^n - 1)(alpha): eval_mod_p_dense at P = X^n - 1, whose
     leading coefficients need no updates, so the scan is the recurrence
     c_0 = F(alpha), c_{j+1} = alpha*c_j - (alpha^n - 1) f_{n-j-1}."""
-    return eval_mod_p_dense(x_pow_minus_one(F.ctx, n), F, G, alpha, ring, lc)
+    return eval_mod_p_dense(x_pow_minus_one(F.ctx, n), F, G, alpha, ring)
 
 
 def eval_mod_binomial_sparse(F, G, n, alpha, ring=None, pw=None):
@@ -169,19 +170,19 @@ def sparse_leading_coefficients(P, F):
 # products modulo a general monic sparse P
 
 
-def eval_mod_p_dense(P, F, G, alpha, ring=None, lc=None):
+def eval_mod_p_dense(P, F, G, alpha, ring=None):
     """((F*G) mod P)(alpha) without forming F*G: O(n #P) base-ring operations
-    plus O(n) operations where alpha lives.  lc, if given, is
-    leading_coefficients(P, F), for callers that scan one F at many points.
-    The scan is the ring's fused dense_scan where it has one (see
-    poly.fused), and _dense_scan otherwise."""
+    plus O(n) operations where alpha lives.  F and G may be dense or sparse;
+    the scan makes them dense.  It is the ring's fused dense_scan where it
+    has one (see poly.fused), and _dense_scan otherwise."""
     n = _require_args(P, F, G)
     ring = _check_eval_ring(F, ring)
     if G.is_zero() or F.is_zero():
         return ring.zero()
     if n >= DENSIFY_CAP:
         raise ValueError(f"degree {n} too large to densify")
-    V = leading_coefficients(P, F) if lc is None else lc
+    F, G = F.to_dense(), G.to_dense()
+    V = leading_coefficients(P, F)
     # at the class of X, dense Horner multiplies no polynomials (ExtField.mul)
     at_x = isinstance(ring, ExtField) and alpha is ring.x
     p_alpha = evaluate(P.to_dense() if at_x else P, alpha, ring)
@@ -205,13 +206,12 @@ def _dense_scan(f_alpha, alpha, p_alpha, V, gs, ring, ctx):
     return beta
 
 
-def gf2_first_mismatch(P, F, G, H, moduli, lc=None):
+def gf2_first_mismatch(P, F, G, H, moduli):
     """The index of the first R in moduli at which H mod R differs from
     ((F*G) mod P) mod R, or None if there is none: the comparison of
     modverify._agree_at at the class of X in GF(2)[X]/(R), for every R at
     once.  F, G and H are dense over GF(2); the moduli are monic coefficient
-    lists of one degree d >= 1, as random_monic draws them; lc, if given,
-    is leading_coefficients(P, F).
+    lists of one degree d >= 1, as random_monic draws them.
 
     The residue modulo the j-th R sits in lane j, bits [j(d+1), (j+1)(d+1)),
     of one int, so one int operation acts on every lane (SWAR).  With TOP
@@ -264,7 +264,7 @@ def gf2_first_mismatch(P, F, G, H, moduli, lc=None):
     gs = G.coeffs
     beta = 0
     if gs and not F.is_zero():
-        V = leading_coefficients(P, F) if lc is None else lc
+        V = leading_coefficients(P, F)
         beta = f if gs[0] else 0
         for v, g in zip(V, gs[1:]):
             f <<= 1
@@ -292,8 +292,7 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     ring = _check_eval_ring(F, ring)
     if G.is_zero() or F.is_zero():
         return ring.zero()
-    lc = sparse_leading_coefficients(P, F)
-    vals = dict(lc)
+    vals = dict(sparse_leading_coefficients(P, F))
     if 0 not in vals:
         vals[0] = F.ctx.zero()
     g = dict(G.terms)
@@ -314,6 +313,26 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
         if j in g:
             beta = ring.add(beta, ring.scalar_mul(g[j], value_j))
     return beta
+
+
+def eval_mod(P, F, G, alpha, ring=None, pw=None):
+    """((F*G) mod P)(alpha), the one entry into the scans: the sparse scan
+    when F and G are both sparse, with pw as in eval_mod_p_sparse, and the
+    dense scan otherwise; P = X^n - 1 runs the binomial variants."""
+    ctx = P.ctx
+    n = P.degree()
+    binom = (
+        P.sparsity() == 2
+        and P.terms[0][0] == 0
+        and ctx.is_zero(ctx.add(P.terms[0][1], ctx.one()))
+    )
+    if all_sparse(F, G):
+        if binom:
+            return eval_mod_binomial_sparse(F, G, n, alpha, ring, pw)
+        return eval_mod_p_sparse(P, F, G, alpha, ring, pw)
+    if binom:
+        return eval_mod_binomial_dense(F, G, n, alpha, ring)
+    return eval_mod_p_dense(P, F, G, alpha, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +379,10 @@ def project_poly_companion(H, op, u):
     return _projection(op, u, evaluate(H, op.x, op))
 
 
-def project_modprod_companion(P, F, G, op, u, lc=None):
+def project_modprod_companion(P, F, G, op, u):
     """u * ((F*G) mod P)(C_R): the dense scan at X modulo R, projected."""
     _same_ctx(P, op)
-    w = eval_mod_p_dense(P, F.to_dense(), G.to_dense(), op.x, op, lc)
-    return _projection(op, u, w)
+    return _projection(op, u, eval_mod_p_dense(P, F, G, op.x, op))
 
 
 def poly_at_companion(H, op):

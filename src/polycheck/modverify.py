@@ -132,27 +132,6 @@ def check_shapes(F, G, H, P):
     return n
 
 
-def _eval_mod_point(P, F, G, alpha, ring, lc=None, pw=None):
-    """Dispatch to the binomial fast path when P = X^n - 1; lc is the dense
-    scans' leading_coefficients(P, F) when the caller has it, pw the sparse
-    scans' power_table(ring, alpha)."""
-    ctx = P.ctx
-    n = P.degree()
-    binom = (
-        P.sparsity() == 2
-        and P.terms[0][0] == 0
-        and ctx.is_zero(ctx.add(P.terms[0][1], ctx.one()))
-    )
-    if all_sparse(F, G):
-        if binom:
-            return modeval.eval_mod_binomial_sparse(F, G, n, alpha, ring, pw)
-        return modeval.eval_mod_p_sparse(P, F, G, alpha, ring, pw)
-    F, G = F.to_dense(), G.to_dense()
-    if binom:
-        return modeval.eval_mod_binomial_dense(F, G, n, alpha, ring, lc)
-    return modeval.eval_mod_p_dense(P, F, G, alpha, ring, lc)
-
-
 def _finite_size(ctx):
     """ctx.size(), or a TypeError for a coefficient ring with no size."""
     size = ctx.size()
@@ -197,12 +176,12 @@ def verify_mod(F, G, H, P, cfg=None):
     return VerifyReport(verdict, float(eps), 1, witnesses, "direct-eval", cfg.seed)
 
 
-def _agree_at(F, G, H, P, alpha, ring, lc=None):
+def _agree_at(F, G, H, P, alpha, ring):
     """H(alpha) == ((F*G) mod P)(alpha): the check behind every verifier of
     this module, at a random point or at the class of X modulo R.  One
     power table at alpha serves every sparse polynomial of the check."""
     pw = power_table(ring, alpha)
-    return evaluate(H, alpha, ring, pw) == _eval_mod_point(P, F, G, alpha, ring, lc, pw)
+    return evaluate(H, alpha, ring, pw) == modeval.eval_mod(P, F, G, alpha, ring, pw)
 
 
 def delta_norm_bound(F, G, H, P):
@@ -399,10 +378,8 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     if cfg.method != "companion-no-polymul":
         return _verify_at_irreducible(F, G, H, P, cfg, "companion-freivalds")
     sparse = all_sparse(F, G, H)
-    lc = None
     if not sparse:
         F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
-        lc = modeval.leading_coefficients(P, F)  # one F for every draw
     eps = cfg.epsilon
     rng = RngStream(cfg.seed)
     d = _companion_degree(ctx.q, n)
@@ -410,7 +387,7 @@ def verify_mod_companion(F, G, H, P, cfg=None):
 
     def agrees(R):
         ring = ExtField(ctx, R)
-        return _agree_at(F, G, H, P, ring.x, ring, lc)
+        return _agree_at(F, G, H, P, ring.x, ring)
 
     # The draws take nothing from rng but their R's, so drawing the rest up
     # front once the first agrees gives the same R's as one at a time.
@@ -420,7 +397,7 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     else:
         moduli += [random_monic(ctx, d, rng) for _ in range(draws - 1)]
         if ctx.q == 2 and not sparse:
-            bad = modeval.gf2_first_mismatch(P, F, G, H, moduli[1:], lc)
+            bad = modeval.gf2_first_mismatch(P, F, G, H, moduli[1:])
             bad = None if bad is None else bad + 1
         else:
             bad = next((i for i in range(1, draws) if not agrees(moduli[i])), None)
