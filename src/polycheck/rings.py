@@ -781,7 +781,10 @@ def random_irreducible(field, d, epsilon, rng):
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError("epsilon must be in (0, 1)")
-    budget = max(1, math.ceil(2 * d * math.log(1 / float(eps)) + 1e-9))
+    # ln(1/eps) from its numerator and denominator: 1/float(eps) overflows
+    # from eps = 2^-1024 on, and float(eps) is 0.0 from 2^-1075 on
+    ln_inv = math.log(eps.denominator) - math.log(eps.numerator)
+    budget = max(1, math.ceil(2 * d * ln_inv + 1e-9))
     q = field.q
     cand = None
     for _ in range(budget):

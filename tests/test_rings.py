@@ -101,6 +101,12 @@ class TestRandomIrreducible:
             R = random_irreducible(pc.GF(2), 1, Fraction(1, 4), RngStream(seed))
             assert tuple(R.coeffs) in ((0, 1), (1, 1))
 
+    @pytest.mark.parametrize("k", [1024, 1100])
+    def test_epsilon_below_the_float_range(self, k):
+        # 1/float(2^-1024) overflows and float(2^-1100) is 0.0
+        R = random_irreducible(pc.GF(2), 1, Fraction(1, 2**k), RngStream(0))
+        assert tuple(R.coeffs) in ((0, 1), (1, 1))
+
     def test_degree_four_gf2_seed7(self):
         R = random_irreducible(pc.GF(2), 4, Fraction(1, 1024), RngStream(7))
         assert is_irreducible_gf2_exhaustive(list(R.coeffs))
