@@ -36,6 +36,11 @@ class CliError(Exception):
     pass
 
 
+# the least normal double: a report prints float(epsilon) as its error
+# bound, which loses precision below this floor and reads 0.0 from 2^-1075
+EPSILON_FLOOR = Fraction(1, 2**1022)
+
+
 def _parse_epsilon(text):
     try:
         if "^" in text:
@@ -49,6 +54,8 @@ def _parse_epsilon(text):
         raise CliError(f"bad epsilon {text!r}: {exc}") from None
     if not 0 < eps < 1:
         raise CliError("epsilon must be in (0, 1)")
+    if eps < EPSILON_FLOOR:
+        raise CliError("epsilon must be at least 2^-1022")
     return eps
 
 

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import polycheck as pc
-from polycheck.cli import main, run_bench
+from polycheck.cli import EPSILON_FLOOR, _parse_epsilon, main, run_bench
 from polycheck.oracle import oracle_mod_product
 from polycheck.poly import format_poly, parse_poly, write_poly_file
 from polycheck.rings import RngStream
@@ -479,6 +480,21 @@ class TestInProcessMain:
                        f"--epsilon={eps}"])
             assert rc == 2
             assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("command", ["verify-mod", "verify-prod"])
+    def test_epsilon_below_the_floor_exits_two(self, example1_files, capsys, command):
+        args = [command, "--F", example1_files["F"], "--G", example1_files["H"],
+                "--H", example1_files["FH"], "--epsilon", "2^-1100"]
+        if command == "verify-mod":
+            args += ["--P", example1_files["FH"]]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_epsilon_floor_itself_parses(self):
+        assert _parse_epsilon("2^-1022") == EPSILON_FLOOR == Fraction(1, 2**1022)
 
 
 class TestOneParserPerProcess:
