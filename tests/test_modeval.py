@@ -432,3 +432,44 @@ class TestScanAtX:
             assert ring.coeffs(value) == want
         assert poly_at_companion(H, op) == oracle_matrix_eval(H, R)
         assert poly_at_companion(H.to_sparse(), op) == oracle_matrix_eval(H, R)
+
+
+MIXES = [("dense", "dense"), ("dense", "sparse"), ("sparse", "dense"), ("sparse", "sparse")]
+
+
+def _as(rep, X):
+    return X.to_dense() if rep == "dense" else X.to_sparse()
+
+
+class TestScanEntry:
+    """eval_mod, the one entry into the scans, and the dense scan on every
+    mix of dense and sparse F and G, against the oracle's (F*G) mod P."""
+
+    @pytest.mark.parametrize("mix", MIXES)
+    @pytest.mark.parametrize("binomial", [True, False])
+    def test_gf7(self, mix, binomial, rng):
+        K = pc.GF(7)
+        P = pc.x_pow_minus_one(K, 8) if binomial else pc.SparsePoly(K, [(0, 1), (2, 3), (8, 1)])
+        for _ in range(6):
+            Fd, Gd = (rand_dense(K, rng.below(8), rng) for _ in "FG")
+            F, G = _as(mix[0], Fd), _as(mix[1], Gd)
+            for a in (0, 3, rng.below(7)):
+                want = oracle_eval(P, Fd, Gd, a)
+                assert modeval.eval_mod(P, F, G, a) == want
+                assert eval_mod_p_dense(P, F, G, a) == want
+
+    @pytest.mark.parametrize("mix", MIXES)
+    @pytest.mark.parametrize("binomial", [True, False])
+    def test_at_x_of_a_gf2_quotient_ring(self, mix, binomial, rng):
+        n = 20
+        P = (pc.x_pow_minus_one(F2, n) if binomial
+             else pc.SparsePoly(F2, [(0, 1), (3, 1), (n, 1)]))
+        ring = CompanionOperator(pc.DensePoly(F2, [1, 0, 1, 1, 0, 1]))
+        for _ in range(6):
+            Fd, Gd = (rand_dense(F2, rng.below(n), rng) for _ in "FG")
+            F, G = _as(mix[0], Fd), _as(mix[1], Gd)
+            want = pc.evaluate(oracle_mod_product(Fd, Gd, P).to_dense(), ring.x, ring)
+            before = POLY_MUL_OPS.count
+            assert eval_mod_p_dense(P, F, G, ring.x, ring) == want
+            assert POLY_MUL_OPS.count == before  # the dense scan multiplies none
+            assert modeval.eval_mod(P, F, G, ring.x, ring) == want
