@@ -8,6 +8,9 @@ of their indices, and bridge the gaps between them by powers of the point
 from one windowed power table (poly.power_table), which also serves
 P(alpha) and F(alpha) and which the calling check shares with its
 evaluation of H.  P = X^n - 1 is one such P, not a scan of its own.
+eval_mod is the one entry: the sparse scan when F and G are both sparse,
+the dense scan, which makes either form dense, otherwise.  Every scan
+computes its own leading coefficients; no caller hands it any.
 
 The companion matrix C_R of a monic R needs no scan of its own either:
 column 0 of H(C_R) is the coefficient vector of H mod R, which is H
