@@ -481,7 +481,6 @@ class TestInProcessMain:
             assert rc == 2
             assert capsys.readouterr().err.startswith("error: ")
 
-
     @pytest.mark.parametrize("command", ["verify-mod", "verify-prod"])
     def test_epsilon_below_the_floor_exits_two(self, example1_files, capsys, command):
         args = [command, "--F", example1_files["F"], "--G", example1_files["H"],
