@@ -26,6 +26,7 @@ from .poly import (
     all_sparse,
     format_poly,
     mod_reduce,
+    mul_mod_oracle,
     mul_oracle,
     read_poly_file,
 )
@@ -103,10 +104,8 @@ def _print_report(report, command):
 
 def _exact_report(F, G, H, P, costs, seed):
     """The certain verdict of the exact route: (F*G) mod P, or F*G without P,
-    computed and compared with H."""
-    FG = mul_oracle(F, G)
-    if P is not None:
-        FG = mod_reduce(FG, P)
+    computed and compared with H.  The route runs on sparse input only."""
+    FG = mul_oracle(F, G) if P is None else mul_mod_oracle(F, G, P)
     witness = {"deterministic": "reference-product", "cost": costs}
     return VerifyReport(FG == H, 0.0, 0, [witness], "exact", seed)
 

@@ -274,9 +274,18 @@ def mul_oracle(F, G):
         F, G = F.to_sparse(), G.to_sparse()
     elif not (isinstance(F, SparsePoly) and isinstance(G, SparsePoly)):
         raise TypeError("mul_oracle needs two dense or two sparse polynomials")
+    FG = SparsePoly.trusted(ctx, sorted(_sparse_product(F, G).items()))
+    return FG.to_dense() if dense else FG
+
+
+def _sparse_product(F, G):
+    """The merge dict, exponent -> coefficient (zeros included), of the
+    product of sparse F and G over all #F*#G term pairs, once deg F + deg G
+    is checked against EXPONENT_CAP."""
     fs, gs = F.terms, G.terms
     if fs and gs and fs[-1][0] + gs[-1][0] > EXPONENT_CAP:
         raise ValueError("exponent exceeds 2^63 - 1")
+    ctx = F.ctx
     acc = {}
     get = acc.get
     add, mul = ctx.add, ctx.mul
@@ -285,8 +294,7 @@ def mul_oracle(F, G):
         for e2, c2 in gs:
             e = e1 + e2
             acc[e] = add(get(e, zero), mul(c1, c2))
-    FG = SparsePoly.trusted(ctx, sorted(acc.items()))
-    return FG.to_dense() if dense else FG
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -327,26 +335,49 @@ def mod_reduce(Q, P):
                     cs[j] = ctx.sub(cs[j], ctx.mul(c, pe))
         return DensePoly.trusted(ctx, cs[:n])
     if isinstance(Q, SparsePoly):
-        acc = dict(Q.terms)
-        get, pop = acc.get, acc.pop
-        sub, mul, is_zero = ctx.sub, ctx.mul, ctx.is_zero
-        zero = ctx.zero()
-        while acc:
-            high = [(e, c) for e, c in acc.items() if e >= n]
-            if not high:
-                break
-            for e, c in high:
-                del acc[e]
-            for e, c in high:
-                for pe, pc in low_terms:
-                    pos = e - n + pe
-                    v = sub(get(pos, zero), mul(c, pc))
-                    if is_zero(v):
-                        pop(pos, None)
-                    else:
-                        acc[pos] = v
-        return SparsePoly.trusted(ctx, sorted(acc.items()))
+        return SparsePoly.trusted(ctx, sorted(_reduce_terms(dict(Q.terms), P).items()))
     raise TypeError("unsupported polynomial type")
+
+
+def mul_mod_oracle(F, G, P):
+    """Reference modular product of sparse F and G: mod_reduce(mul_oracle(F,
+    G), P), with the product's merge dict reduced in place, so it is
+    sorted once."""
+    if not all_sparse(F, G):
+        raise TypeError("mul_mod_oracle needs two sparse polynomials")
+    _require_monic(P)
+    if not F.ctx == G.ctx == P.ctx:
+        raise ValueError("mixed coefficient contexts")
+    POLY_MUL_OPS.bump()
+    acc = _reduce_terms(_sparse_product(F, G), P)
+    return SparsePoly.trusted(F.ctx, sorted(acc.items()))
+
+
+def _reduce_terms(acc, P):
+    """Reduce the dict acc, exponent -> coefficient, modulo the monic P of
+    degree n in place and return it: every monomial of degree >= n is
+    rewritten in rounds until none is left."""
+    ctx = P.ctx
+    n = P.degree()
+    low_terms = P.terms[:-1]
+    get, pop = acc.get, acc.pop
+    sub, mul, is_zero = ctx.sub, ctx.mul, ctx.is_zero
+    zero = ctx.zero()
+    while acc:
+        high = [(e, c) for e, c in acc.items() if e >= n]
+        if not high:
+            break
+        for e, c in high:
+            del acc[e]
+        for e, c in high:
+            for pe, pc in low_terms:
+                pos = e - n + pe
+                v = sub(get(pos, zero), mul(c, pc))
+                if is_zero(v):
+                    pop(pos, None)
+                else:
+                    acc[pos] = v
+    return acc
 
 
 def reduce_mod_binomial(F, i):

@@ -15,6 +15,7 @@ from polycheck.poly import (
     _bulk_sparse_terms,
     _sparse_terms,
     format_poly,
+    mul_mod_oracle,
     parse_poly,
     power_table,
     reduction_steps,
@@ -86,9 +87,10 @@ class TestMulOracle:
 
 
 class TestSparseExactRoute:
-    """The sparse branches of mul_oracle and mod_reduce, the exact route of
-    the CLI's auto, against the oracle's term loops, which build every
-    result through the checking constructor."""
+    """The sparse branches of mul_oracle and mod_reduce, and mul_mod_oracle,
+    which fuses them, the exact route of the CLI's auto, against the
+    oracle's term loops, which build every result through the checking
+    constructor."""
 
     RINGS = (Z, pc.GF(2), pc.GF(7), pc.GF(65537))
 
@@ -100,7 +102,11 @@ class TestSparseExactRoute:
             P = rand_monic_sparse(ctx, 1 + rng.below(200), 1 + rng.below(5), rng, hi=3)
             FG = pc.mul_oracle(F, G)
             assert FG == _pair_product_sparse(F, G)
-            assert pc.mod_reduce(FG, P) == _sparse_long_division_rem(FG, P)
+            want = _sparse_long_division_rem(FG, P)
+            assert pc.mod_reduce(FG, P) == want
+            before = POLY_MUL_OPS.count
+            assert mul_mod_oracle(F, G, P) == want
+            assert POLY_MUL_OPS.count == before + 1
             assert pc.mod_reduce(F, P) == _sparse_long_division_rem(F, P)
 
     @pytest.mark.parametrize("ctx", RINGS, ids=repr)
@@ -110,6 +116,7 @@ class TestSparseExactRoute:
         P = pc.SparsePoly(ctx, [(0, 1), (3, 1)])
         for A, B in ((zero, F), (F, zero), (zero, zero)):
             assert pc.mul_oracle(A, B) == zero == _pair_product_sparse(A, B)
+            assert mul_mod_oracle(A, B, P) == zero
         assert pc.mod_reduce(zero, P) == zero
 
     def test_cancellation_over_Z(self):
@@ -121,6 +128,12 @@ class TestSparseExactRoute:
         P = pc.SparsePoly(Z, [(0, -4), (2, 3), (7, 1)])
         assert pc.mod_reduce(P, P).is_zero()
         assert pc.mod_reduce(pc.mul_oracle(P, F), P).is_zero()
+        assert mul_mod_oracle(P, F, P).is_zero()
+        # merged zeros above deg P: X^8 (1 + X)(1 - X) = X^8 - X^10
+        X8 = pc.SparsePoly(Z, [(8, 1)])
+        assert mul_mod_oracle(pc.mul_oracle(X8, F), G, P) == pc.mod_reduce(
+            pc.SparsePoly(Z, [(8, 1), (10, -1)]), P
+        )
 
     def test_exponent_cap(self):
         # the product's top exponent deg F + deg G is checked once, with the
@@ -129,12 +142,27 @@ class TestSparseExactRoute:
         half = 2**62
         for ctx, c in ((Z, 1), (pc.GF(7), 3), (K, K.x)):
             F = pc.SparsePoly(ctx, [(0, c), (half, c)])
-            for exc_of in (lambda: pc.mul_oracle(F, F), lambda: _pair_product_sparse(F, F)):
+            P = pc.SparsePoly(ctx, [(0, c), (3, ctx.one())])
+            for exc_of in (
+                lambda: pc.mul_oracle(F, F),
+                lambda: _pair_product_sparse(F, F),
+                lambda: mul_mod_oracle(F, F, P),
+            ):
                 with pytest.raises(ValueError, match=r"^exponent exceeds 2\^63 - 1$"):
                     exc_of()
         top = pc.SparsePoly(Z, [(EXPONENT_CAP, 2)])
         one = pc.SparsePoly(Z, [(0, 1)])
         assert pc.mul_oracle(top, one) == top == pc.mul_oracle(one, top)
+
+    def test_fused_route_checks_its_input(self):
+        F = pc.SparsePoly(Z, [(0, 1), (5, 1)])
+        P = pc.SparsePoly(Z, [(0, 1), (3, 1)])
+        with pytest.raises(TypeError, match="two sparse"):
+            mul_mod_oracle(F.to_dense(), F, P)
+        with pytest.raises(ValueError, match="monic"):
+            mul_mod_oracle(F, F, pc.SparsePoly(Z, [(0, 1), (3, 2)]))
+        with pytest.raises(ValueError, match="mixed"):
+            mul_mod_oracle(F, F, pc.SparsePoly(pc.GF(7), [(0, 1), (3, 1)]))
 
 
 KRONECKER_RINGS = (Z, pc.GF(2), pc.GF(65537), pc.GF(2**61 - 1))
