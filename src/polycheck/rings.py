@@ -641,28 +641,49 @@ def _gf2_gcd(a, b):
     return a
 
 
+def _gf2_is_irreducible(m, d):
+    """Ben-Or's test on the bit-packed GF(2) polynomial m of degree d.
+    Step i = 1 is the screen f(0) = f(1) = 1, as x^2 - x = x (x - 1); from
+    i = 2 on, x^(2^i) mod m is the carry-less square of x^(2^(i-1)), its
+    binary digits interleaved with zeros, reduced a bit at a time.  Each
+    square is a ring product and is counted in POLY_MUL_OPS."""
+    if d < 2:
+        return True
+    if not m & 1 or not m.bit_count() & 1:
+        return False
+    h = 4 ^ m if d == 2 else 4  # x^2 mod m
+    for _ in range(2, d // 2 + 1):
+        POLY_MUL_OPS.bump()
+        h = int("0".join(format(h, "b")), 2)
+        while h.bit_length() > d:
+            h ^= m << (h.bit_length() - 1 - d)
+        if _gf2_gcd(m, h ^ 2).bit_length() > 1:
+            return False
+    return True
+
+
 def poly_list_is_irreducible(coeffs, q):
     """Exact irreducibility test for a monic polynomial over GF(q).
 
     Ben-Or's test: f of degree d is irreducible iff gcd(x^(q^i) - x, f) = 1
     for every i <= d/2, since a reducible f has an irreducible factor of
     degree i <= d/2, which divides x^(q^i) - x.  The powers x^(q^i) come by
-    successive q-th powers in ExtField(GF(q), f), so most reducible f stop
-    at a small i.  Over GF(2) the products and the gcd run on packed ints.
+    successive q-th powers, so most reducible f stop at a small i.  Over
+    GF(2) the whole test runs on one packed int (_gf2_is_irreducible); over
+    odd q the powers are taken in ExtField(GF(q), f) and the gcd on
+    coefficient lists.
     """
     f = [c % q for c in coeffs]
     d = len(f) - 1
     if d < 1 or f[-1] != 1:
         raise ValueError("need a monic polynomial of degree >= 1")
+    if q == 2:
+        return _gf2_is_irreducible(int(bytes(f[::-1]).translate(_BIT_DIGITS), 2), d)
     ring = ExtField(PrimeField(q), f)
     h = ring.x
     for _ in range(d // 2):
         h = ring.pow(h, q)
-        diff = ring.sub(h, ring.x)
-        if q == 2:
-            if _gf2_gcd(ring._m2, diff).bit_length() > 1:
-                return False
-        elif len(_list_gcd(list(diff), f, q)) > 1:
+        if len(_list_gcd(list(ring.sub(h, ring.x)), f, q)) > 1:
             return False
     return True
 

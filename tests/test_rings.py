@@ -8,6 +8,7 @@ from polycheck.rings import (
     ExtField,
     PrimeGenerationError,
     RngStream,
+    _list_gcd,
     ceil_log2,
     is_probable_prime,
     ln_pow2_upper,
@@ -17,7 +18,7 @@ from polycheck.rings import (
     random_monic,
     random_prime,
 )
-from conftest import is_prime_det64, is_irreducible_gf2_exhaustive, rand_coeff
+from conftest import gf2_clmul, is_prime_det64, is_irreducible_gf2_exhaustive, rand_coeff
 
 
 class TestRngStream:
@@ -130,7 +131,7 @@ class TestRandomIrreducible:
         assert bad / trials <= 0.30
 
     def test_rabin_test_exhaustive_gf2(self):
-        for d in range(1, 9):
+        for d in range(1, 13):
             from conftest import all_monics_gf2
 
             for cand in all_monics_gf2(d):
@@ -181,11 +182,56 @@ def small_monics(draw):
     return q, draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d)) + [1]
 
 
+def _ben_or_in_ext_field(f):
+    """Ben-Or's test over GF(2) by squaring in ExtField(GF(2), f), with the
+    gcd on coefficient lists: the form the packed test replaced."""
+    ring = ExtField(pc.GF(2), f)
+    h = ring.x
+    for _ in range((len(f) - 1) // 2):
+        h = ring.pow(h, 2)
+        if len(_list_gcd(ring.coeffs(ring.sub(h, ring.x)), f, 2)) > 1:
+            return False
+    return True
+
+
+@st.composite
+def gf2_monics(draw):
+    """Monic GF(2) polynomials of degree 1..64: uniform ones, mostly
+    reducible; screened irreducibles; and products of two of these, which
+    pass the screen and the early steps."""
+    def monic(d):
+        return draw(st.lists(st.integers(0, 1), min_size=d, max_size=d)) + [1]
+
+    def irreducible(d):
+        eps = Fraction(1, 2**40)
+        return list(random_irreducible(pc.GF(2), d, eps, RngStream(draw(st.integers(0, 99)))).coeffs)
+
+    kind = draw(st.sampled_from(("uniform", "irreducible", "product")))
+    if kind == "uniform":
+        return monic(draw(st.integers(1, 64)))
+    if kind == "irreducible":
+        return irreducible(draw(st.integers(1, 64)))
+    a, b = irreducible(draw(st.integers(1, 32))), irreducible(draw(st.integers(1, 32)))
+    packed = gf2_clmul(*(sum(c << i for i, c in enumerate(x)) for x in (a, b)))
+    return [(packed >> i) & 1 for i in range(packed.bit_length())]
+
+
 class TestIrreducibilityTest:
     @given(small_monics())
     def test_matches_trial_division(self, case):
         q, f = case
         assert poly_list_is_irreducible(f, q) == _irreducible_by_trial_division(f, q)
+
+    @given(gf2_monics())
+    def test_packed_gf2_test_matches_the_ext_field_loop(self, f):
+        """Same answer, and the same count of ring products in POLY_MUL_OPS:
+        the packed squares count as the ExtField ones did."""
+        before = POLY_MUL_OPS.count
+        want = _ben_or_in_ext_field(f)
+        ext_products = POLY_MUL_OPS.count - before
+        before = POLY_MUL_OPS.count
+        assert poly_list_is_irreducible(f, 2) == want
+        assert POLY_MUL_OPS.count - before == ext_products
 
 
 @st.composite
