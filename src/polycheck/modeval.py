@@ -19,9 +19,10 @@ X^j * (H mod R).  So the companion routines run the same scans at alpha = X
 in that ring, where "times alpha" is ExtField.mul_x, and only read the
 columns off the result.
 
-The dense scan (and the Horner loop of poly.evaluate) runs as one fused
-loop per element representation wherever poly.fused allows, and as the
-generic ring-method loop _dense_scan, their reference, everywhere else.
+The dense scan runs as one fused loop per element representation wherever
+poly.fused allows (as does dense Horner in poly.evaluate, a block of
+coefficients at a time; see rings), and as the generic ring-method loop
+_dense_scan, its reference, everywhere else.
 There are three kernels:
   - ints in GF(q) at any point (PrimeField.dense_scan): one multiply-add
     and one % q per index;

@@ -529,7 +529,7 @@ def _sparse_sum(terms, pw, ring):
 def evaluate(F, alpha, ring=None, pw=None):
     """F(alpha).  alpha may live in F.ctx, in an ExtField over it or, for F
     over Z, in GF(p), whose kernels reduce the integer coefficients.  Dense
-    polynomials use Horner, the ring's fused loop where it has one, sparse
+    polynomials use Horner, the ring's fused kernel where it has one, sparse
     ones take every alpha^e from pw, a power_table(ring, alpha) that a
     check evaluating several polynomials at alpha builds once and shares,
     or from a fresh one: in GF(q) by the fused kernel sparse_sum, a byte of

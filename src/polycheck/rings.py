@@ -128,6 +128,11 @@ def ln_pow2_upper(k):
 #   sparse_sum(terms, pw)            sum c alpha^e over the (e, c) terms, the
 #                                    powers from the power_table pw at alpha
 #
+# horner runs a block of coefficients at a time: one C-level dot product
+# per block with a table of alpha's powers, and Horner across the blocks
+# (baby steps, giant steps); dense_scan takes one step per index, as its
+# multiplier changes with i.
+#
 # PrimeField's horner and sparse_sum also take integer coefficients of any
 # sign, for poly.evaluate of a polynomial over Z at a point of GF(p).
 #
@@ -241,13 +246,25 @@ class PrimeField:
     def sample(self, rng):
         return rng.residue(self.q)
 
-    # -- fused dense kernels: plain int loops --------------------------
+    # -- fused kernels: plain int arithmetic ----------------------------
 
     def horner(self, cs, alpha):
+        """Baby steps, giant steps (Paterson and Stockmeyer, SIAM J.
+        Comput. 1973): with b = isqrt(len(cs)), the block of cs from index
+        k b on is one C-level dot product with the powers alpha^0 ..
+        alpha^(b-1), and Horner runs across the blocks in alpha^b, reducing
+        once per block: about 2 sqrt(n) steps in Python for the n
+        multiply-adds, b for the powers and n / b for the blocks."""
         q = self.q
+        alpha %= q
+        b = max(1, math.isqrt(len(cs)))
+        table = [1]
+        for _ in range(b - 1):
+            table.append(table[-1] * alpha % q)
+        giant = table[-1] * alpha % q
         acc = 0
-        for c in reversed(cs):
-            acc = (acc * alpha + c) % q
+        for start in range((len(cs) - 1) // b * b, -1, -b):
+            acc = (acc * giant + sum(map(operator.mul, cs[start : start + b], table))) % q
         return acc
 
     def dense_scan(self, f, alpha, pa, V, gs):
@@ -420,7 +437,19 @@ class ExtField:
 
     def horner(self, cs, alpha):
         """sum cs[i] x^i, that is the polynomial cs mod R, for coefficients
-        cs in GF(q); alpha must be x."""
+        cs in GF(q); alpha must be x.
+
+        Over GF(2) the bits of cs are reduced a byte at a time.  Over odd q
+        it is PrimeField.horner's blocked form on slot-packed elements: the
+        powers x^0 .. x^(b+d-1) mod R come from the dense scan's step
+        without reduction, so their slots stay below d q^2; a block of b
+        coefficients is one dot product with the first b of them, and
+        acc x^b is the linear map a_t -> sum a_t x^(b+t) through the next d,
+        after reducing acc's slots to a_t < q.  A slot then holds below
+        b q d q^2 + d q d q^2 = (b + d) d q^3 < 2^w, so no slot carries
+        into the next.  That map costs O(d) per block against the block's
+        O(b), so b = isqrt(n d) for n = len(cs), at most n: about
+        sqrt(n / d) blocks and b + d powers.  No ring product is made."""
         if alpha is not self.x:
             raise ValueError("the fused kernels run at x only")
         if self._m2 is not None:
@@ -436,11 +465,20 @@ class ExtField:
                 acc = (acc << 8) ^ byte
                 acc = (acc & low) ^ table[acc >> d]
             return acc
-        w, mask, sh, M = self._slots(2 * self.d * self._q**2)
-        q = self._q
-        acc = 0
-        for c in reversed(cs):
-            acc = ((acc & mask) << w) + (acc >> sh) % q * M + c
+        q, d, n = self._q, self.d, len(cs)
+        b = max(1, min(n, math.isqrt(n * d)))
+        w, mask, sh, M = self._slots((b + d) * d * q**3)
+        powers = [1]
+        for _ in range(b + d - 1 if n > b else b - 1):
+            p = powers[-1]
+            powers.append(((p & mask) << w) + (p >> sh) % q * M)
+        table, shifted = powers[:b], powers[b:]
+        top = (n - 1) // b * b
+        acc = sum(map(operator.mul, cs[top:], table))
+        for start in range(top - b, -1, -b):
+            acc = sum(map(operator.mul, self._unpack(acc, w), shifted)) + sum(
+                map(operator.mul, cs[start : start + b], table)
+            )
         return self._unpack(acc, w)
 
     def dense_scan(self, f, alpha, pa, V, gs):
@@ -455,8 +493,7 @@ class ExtField:
         inherits slot j-1, so every f-slot stays below 2d q^2 and every slot
         of the sum of len(gs) terms g f below 2 len(gs) d q^3 < 2^w: no slot
         carries into the next, and one reduction per slot at the end gives
-        the element.  (Horner adds one such term and a coefficient, so its
-        slots stay below 2d q^2.)"""
+        the element."""
         if alpha is not self.x:
             raise ValueError("the fused kernels run at x only")
         if self._m2 is not None:

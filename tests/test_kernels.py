@@ -3,6 +3,8 @@ ring-method loops that stay as their reference:
   - dense Horner and the dense scan (poly._horner and modeval._dense_scan):
     ints in GF(q) at any point, packed GF(2)[X]/(R) and slot-packed
     GF(q)[X]/(R) at x, for reducible and irreducible R;
+  - the blocked Horner kernels at full block size, on lengths up to 8193
+    and the largest coefficients and slot contents;
   - the sparse sum in GF(q), a byte of every exponent at a time
     (PrimeField.sparse_sum against poly._sparse_sum), on power tables that
     several polynomials and single powers share;
@@ -363,6 +365,48 @@ def test_packed_slots_at_their_largest(q, d):
     want = _dense_scan(f, ring.x, pa, V, gs, ring, ctx)
     assert ring.dense_scan(f, ring.x, pa, V, gs) == want
     assert ring.horner(gs, ring.x) == _horner(gs, ring.x, ring)
+
+
+# the blocked Horner kernels at the block sizes of real inputs: lengths
+# around squares and powers of two up to 8193, where b reaches 90
+FULL_BLOCK_LENGTHS = (0, 1, 2, 3, 4, 15, 16, 17, 4095, 4096, 4097, 8192, 8193)
+
+
+class TestHornerAtFullBlockSize:
+    @pytest.mark.parametrize("n", FULL_BLOCK_LENGTHS)
+    @pytest.mark.parametrize("q", [65537, 2**61 - 1])
+    def test_prime_field(self, q, n):
+        ctx, rng = pc.GF(q), RngStream(n)
+        cs = [rng.below(q) for _ in range(n)]
+        for alpha in (0, 1, q - 1, rng.below(q)):
+            assert ctx.horner(cs, alpha) == _horner(cs, alpha, ctx)
+
+    @pytest.mark.parametrize("n", FULL_BLOCK_LENGTHS)
+    def test_integers_at_a_point_of_gf_p(self, n):
+        """Coefficients of +-2^64 over Z, at a random point and at the
+        Kronecker point 2^w of a random prime and of a Mersenne modulus."""
+        rng = RngStream(n)
+        cs = [BIG if rng.bits(1) else -BIG for _ in range(n)]
+        p = pc.random_prime(2**64, Fraction(1, 2**20), rng)
+        for m, alpha in ((p, rng.below(p)), (p, pow(2, 80, p)), (2**61 - 1, pow(2, 80, 2**61 - 1))):
+            ring = pc.GF(m)
+            assert ring.horner(cs, alpha) == _horner(cs, alpha, ring)
+            assert evaluate(pc.DensePoly(Z, cs), alpha, ring) == _horner(cs, alpha, ring)
+
+    @pytest.mark.parametrize("n", FULL_BLOCK_LENGTHS)
+    @pytest.mark.parametrize("d", [1, 3, 40])
+    @pytest.mark.parametrize("q", [3, 65537, 2**61 - 1])
+    def test_quotient_ring_at_x_with_the_largest_slots(self, q, d, n):
+        """Every coefficient is q - 1.  R = (1, ..., 1) packs -R mod q =
+        q - 1 in every slot of M, the largest slot contents the powers can
+        reach; R = (q - 1, ..., q - 1, 1) packs 1."""
+        cs = [q - 1] * n
+        for R in ((1,) * (d + 1), (q - 1,) * d + (1,)):
+            ring = ExtField(pc.GF(q), R)
+            before = POLY_MUL_OPS.count
+            got = ring.horner(cs, ring.x)
+            assert POLY_MUL_OPS.count == before
+            assert got == _horner(cs, ring.x, ring)
 
 
 class TestDispatch:
