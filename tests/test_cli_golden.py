@@ -178,13 +178,19 @@ def test_default_output_is_pinned(case, tmp_path, capsys):
 
 
 # The explicit methods on the dense instances above, pinned the same way:
-# every modular method that runs the scans at X modulo R over GF(q), the
-# Kaminski verifiers over every ring, and Kronecker over Z.  Each case
-# reuses the instance and seed of its default-method case.
+# every modular method that runs the scans at X modulo R over GF(q),
+# direct-eval over GF(65537), the Kaminski verifiers over every ring, and
+# Kronecker over Z.  Each case reuses the instance and seed of its
+# default-method case.  direct-eval never extends the field: at degree 48
+# GF(65537) reaches epsilon 1/4 but not 2^-20, where the command is an
+# input error, exit 2 with an empty stdout.
 EXPLICIT_GROUPS = (
     itertools.product(
         ("mod",), ("GF2", "GF7", "GF65537"), ("dense",), ("binomial", "trinomial"), TRUTHS,
         ("extension", "companion-freivalds", "companion-no-polymul"),
+    ),
+    itertools.product(
+        ("mod",), ("GF65537",), ("dense",), ("binomial", "trinomial"), TRUTHS, ("direct-eval",)
     ),
     itertools.product(("prod",), RINGS, ("dense",), TRUTHS, ("kaminski", "kaminski-nomul")),
     itertools.product(("prod",), ("Z",), ("dense",), TRUTHS, ("kronecker",)),
@@ -206,15 +212,19 @@ EXPLICIT_GOLDEN = {
     "mod-GF2-dense-trinomial-wrong-extension": "58e3321e9bc910ad",
     "mod-GF65537-dense-binomial-true-companion-freivalds": "afa293e22ec3b2bc",
     "mod-GF65537-dense-binomial-true-companion-no-polymul": "03aad25bf6b304f6",
+    "mod-GF65537-dense-binomial-true-direct-eval": "e3b0c44298fc1c14",
     "mod-GF65537-dense-binomial-true-extension": "faedfbe3181f0720",
     "mod-GF65537-dense-binomial-wrong-companion-freivalds": "3c3d35f76bdf3a5a",
     "mod-GF65537-dense-binomial-wrong-companion-no-polymul": "9ea00f7814e33bed",
+    "mod-GF65537-dense-binomial-wrong-direct-eval": "e3b0c44298fc1c14",
     "mod-GF65537-dense-binomial-wrong-extension": "7506203a9ef51939",
     "mod-GF65537-dense-trinomial-true-companion-freivalds": "ba1c9c438c85e4ea",
     "mod-GF65537-dense-trinomial-true-companion-no-polymul": "7d5b926fbd72d50a",
+    "mod-GF65537-dense-trinomial-true-direct-eval": "d29bf9d4ffae989c",
     "mod-GF65537-dense-trinomial-true-extension": "09e7b462d9fd7751",
     "mod-GF65537-dense-trinomial-wrong-companion-freivalds": "ea70279480713363",
     "mod-GF65537-dense-trinomial-wrong-companion-no-polymul": "5b5db5df71a03064",
+    "mod-GF65537-dense-trinomial-wrong-direct-eval": "e3b0c44298fc1c14",
     "mod-GF65537-dense-trinomial-wrong-extension": "1fd6ddae9864c91e",
     "mod-GF7-dense-binomial-true-companion-freivalds": "ad0cb2b0275a00ae",
     "mod-GF7-dense-binomial-true-companion-no-polymul": "d9d2fa07723d4a1c",
@@ -264,5 +274,25 @@ def test_explicit_method_output_is_pinned(case, tmp_path, capsys):
         args += [f"--{name}", str(path)]
     code = main(args)
     out = capsys.readouterr().out
-    assert code == (0 if key[-2] == "true" else 1)
+    if method == "direct-eval" and seed != 2:
+        assert code == 2 and out == ""
+    else:
+        assert code == (0 if key[-2] == "true" else 1)
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == EXPLICIT_GOLDEN[case]
+
+
+@pytest.mark.parametrize("ring", ["GF2", "GF7"])
+def test_direct_eval_refuses_a_small_field(ring, tmp_path, capsys):
+    # direct-eval evaluates at a point of the coefficient field and never
+    # extends it: at epsilon 2^-20 GF(2) and GF(7) are input errors
+    key = ("mod", ring, "dense", "binomial", "true")
+    args = ["verify-mod", "--method", "direct-eval", "--seed", "0"]
+    for name, X in _instance(key).items():
+        path = tmp_path / f"{name}.poly"
+        write_poly_file(path, X)
+        args += [f"--{name}", str(path)]
+    code = main(args)
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert code == 2 and out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: field of size ")

@@ -74,6 +74,18 @@ class TestVerifyMod:
         with pytest.raises(FieldTooSmallError):
             verify_mod(F, G, H, P, cfg(0))
 
+    def test_term_count_screen_comes_before_the_field_size(self):
+        # GF(2) is too small for direct-eval at degree 50, but an H with
+        # more terms than #F #G (#P - 1) is a certain rejection first
+        P = pc.SparsePoly(F2, [(0, 1), (50, 1)])
+        F = pc.SparsePoly(F2, [(0, 1), (1, 1)])
+        G = pc.SparsePoly(F2, [(0, 1), (2, 1)])
+        H = pc.SparsePoly(F2, [(i, 1) for i in range(5)])
+        for verify in (verify_mod, verify_mod_ff):
+            report = verify(F, G, H, P, cfg(1, method="direct-eval"))
+            assert (report.verdict, report.rounds, report.witnesses) == (False, 0, [])
+            assert report.method == "direct-eval"
+
     def test_single_term_modulus_skips_sparsity_screen(self, rng):
         # mod X^n is plain truncation; the term-count screen needs #P >= 2
         K = pc.GF(65537)
