@@ -5,10 +5,10 @@ and a wrong one is accepted with probability at most the configured epsilon.
 Every random choice made along the way is recorded in the report's witness
 list so a failing run can be replayed from its seed.
 
-A field with (n-1)/epsilon elements or more takes one evaluation at a random
-point, integers at a random point of GF(q) for a random prime q, where H
-is evaluated as it is, never copied into GF(q).  A smaller GF(q) takes
-one draw at X modulo one screened irreducible R of degree D; only
+Every method but "companion-no-polymul" compares both sides once, at the
+point that point_kind picks and draw_point draws; that pair is the one
+point policy of the package, and prodverify's one-point checks ask it
+too.  Over Z, H is evaluated as it is, never copied into GF(q).  Only
 "companion-no-polymul" makes many unscreened draws instead.
 """
 
@@ -29,12 +29,12 @@ from .poly import (
 )
 from .rings import (
     ExtField,
-    GF,
     IntegerRing,
     PrimeField,
     RngStream,
     ln_pow2_upper,
     ln_upper,
+    poly_list_is_irreducible,
     random_irreducible,
     random_monic,
     random_prime,
@@ -50,8 +50,9 @@ METHODS = (
 
 
 class FieldTooSmallError(ValueError):
-    """The coefficient field has fewer elements than the target error bound
-    needs; use verify_mod_ff or a companion method instead."""
+    """The coefficient field is too small for a random point of it to reach
+    the error bound (point_kind), and the check may not extend it; use
+    verify_mod_ff or a companion method instead."""
 
 
 @dataclass(frozen=True)
@@ -132,48 +133,118 @@ def check_shapes(F, G, H, P):
     return n
 
 
-def _finite_size(ctx):
-    """ctx.size(), or a TypeError for a coefficient ring with no size."""
-    size = ctx.size()
-    if size is None:
-        raise TypeError("coefficients must lie in Z, GF(q) or GF(q)[X]/(R)")
-    return size
-
-
 def verify_mod(F, G, H, P, cfg=None):
-    """Decide H = (F*G) mod P by a single random evaluation over the
-    coefficient field (or an extension the caller already placed us in),
-    or, on integers, over GF(q) for a random prime q (verify_mod_over_Z).
+    """Decide H = (F*G) mod P at a random point of the coefficient field,
+    or over Z at a random point of GF(q) for a random prime q (point_kind).
+    It never extends the field: where the field is too small for the bound
+    it raises FieldTooSmallError.  Over Z, F, G and P are copied into GF(q)
+    for the scan, which reads their coefficients, and H is evaluated as it
+    is (poly.evaluate)."""
+    return _verify_at_point(F, G, H, P, cfg or VerifyConfig(), "direct-eval")
 
-    Needs the field to have at least (1/epsilon)(n-1) elements; smaller
-    fields must go through verify_mod_ff or the companion methods.  Over Z,
-    F, G and P are copied into GF(q) for the scan, which reads their
-    coefficients, and H is evaluated as it is (poly.evaluate).
-    """
-    cfg = cfg or VerifyConfig()
-    n = check_shapes(F, G, H, P)
-    ctx = P.ctx
-    eps = cfg.epsilon
-    if all_sparse(F, G, H) and sparsity_precheck(F, G, H, P):
-        return VerifyReport(False, 0.0, 0, [], "direct-eval", cfg.seed)
-    rng = RngStream(cfg.seed)
-    witnesses = []
+
+def point_kind(ctx, deg, eps, method="auto"):
+    """Where a one-point check over the coefficient ring ctx evaluates, so
+    that a nonzero Δ of degree at most deg passes with probability at most
+    eps:
+
+    - "prime" over Z: a random point of GF(p) for a random prime p
+      (prime_lambda);
+    - "field" over a field of at least deg/eps elements: a random point
+      of it, a root of Δ with probability at most deg/size <= eps (Schwartz
+      1980);
+    - "extension" over a smaller GF(q), and for the methods "extension"
+      and "companion-freivalds" on any GF(q): X modulo one screened
+      irreducible R (extension_degree);
+    - None where the field is too small and may not be extended:
+      "direct-eval" never extends, and only GF(q) has an extension here.
+
+    One random point bounds the miss chance only over a field, so the
+    coefficient ring must be Z, GF(q) or GF(q)[X]/(R) with R irreducible;
+    any other ring is a TypeError."""
     if isinstance(ctx, IntegerRing):
-        q = random_prime(prime_lambda(n, delta_norm_bound(F, G, H, P), eps), eps / 4, rng)
-        ring = GF(q)
+        return "prime"
+    if not (
+        isinstance(ctx, PrimeField)
+        or (
+            isinstance(ctx, ExtField)
+            and isinstance(ctx.base, PrimeField)
+            and poly_list_is_irreducible(ctx.modulus, ctx.base.q)
+        )
+    ):
+        raise TypeError("coefficients must lie in Z, GF(q) or GF(q)[X]/(R) with R irreducible")
+    size = ctx.size()
+    if method not in ("extension", "companion-freivalds") and size * eps >= deg:
+        return "field"
+    if method != "direct-eval" and isinstance(ctx, PrimeField):
+        return "extension"
+    return None
+
+
+def draw_point(kind, ctx, deg, eps, rng, norm):
+    """(ring, point, witness) for the point_kind kind of a check over ctx
+    of a Δ of degree at most deg at error eps, drawn from rng:
+
+    - "prime": GF(p) for a prime p of [λ, 2λ], λ = prime_lambda(deg + 1,
+      norm, eps) with norm a bound on the coefficients of Δ, drawn by
+      random_prime at eps/4, and a uniform α of it; witness {"p": p,
+      "alpha": α};
+    - "field": ctx and a uniform α of it; witness {"alpha": α};
+    - "extension": GF(q)[X]/(R) and the class of X, for an R of degree
+      D = extension_degree(q, deg, eps) drawn by random_irreducible at
+      eps/4; witness {"extension_degree": D, "modulus": R}.
+
+    None is a FieldTooSmallError."""
+    if kind == "prime":
+        ring = PrimeField(random_prime(prime_lambda(deg + 1, norm, eps), eps / 4, rng))
+        alpha = ring.sample(rng)
+        return ring, alpha, {"p": ring.q, "alpha": alpha}
+    if kind == "field":
+        alpha = ctx.sample(rng)
+        return ctx, alpha, {"alpha": _describe(ctx, alpha)}
+    if kind == "extension":
+        d = extension_degree(ctx.q, deg, eps)
+        R = list(random_irreducible(ctx, d, eps / 4, rng).coeffs)
+        ring = ExtField(ctx, R)
+        return ring, ring.x, {"extension_degree": d, "modulus": R}
+    raise FieldTooSmallError(
+        f"field of size {ctx.size()} cannot reach epsilon={eps} at degree {deg + 1}"
+    )
+
+
+def _verify_at_point(F, G, H, P, cfg, method):
+    """Decide H = (F*G) mod P by comparing H with ((F*G) mod P) once, at the
+    point that point_kind picks for method and draw_point draws, by the
+    evaluation scans.  Soundness: Δ = H - (F*G) mod P has degree < n =
+    deg P, and the point keeps a nonzero Δ nonzero with probability at
+    least 1 - ε (see point_kind).
+
+    All-sparse input is first screened by its term count
+    (sparsity_precheck), a certain rejection with rounds = 0 and no
+    witness; at X modulo R any other input is made dense, as the dense
+    scans at X multiply no polynomials.  The report has rounds = 1 and the
+    witness of draw_point, over Z as two entries {"q": q}, {"alpha": α}.
+    Its method is the one asked for; "auto" reads "extension" at X modulo
+    R and "direct-eval" at a random point."""
+    n = check_shapes(F, G, H, P)
+    ctx, eps = P.ctx, cfg.epsilon
+    kind = point_kind(ctx, n - 1, eps, method)
+    if method == "auto":
+        method = "extension" if kind == "extension" else "direct-eval"
+    if all_sparse(F, G, H):
+        if sparsity_precheck(F, G, H, P):
+            return VerifyReport(False, 0.0, 0, [], method, cfg.seed)
+    elif kind == "extension":
+        F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
+    norm = delta_norm_bound(F, G, H, P) if kind == "prime" else 0
+    ring, alpha, witness = draw_point(kind, ctx, n - 1, eps, RngStream(cfg.seed), norm)
+    witnesses = [witness]
+    if kind == "prime":
         F, G, P = (_map_to_field(X, ring) for X in (F, G, P))
-        witnesses.append({"q": q})
-    else:
-        size = _finite_size(ctx)
-        if size * eps < n - 1:
-            raise FieldTooSmallError(
-                f"field of size {size} cannot reach epsilon={eps} at degree {n}"
-            )
-        ring = ctx
-    alpha = ring.sample(rng)
-    witnesses.append({"alpha": _describe(ring, alpha)})
+        # schema 1 names a modular check's prime "q", in an entry of its own
+        witnesses = [{"q": ring.q}, {"alpha": alpha}]
     verdict = _agree_at(F, G, H, P, alpha, ring)
-    return VerifyReport(verdict, float(eps), 1, witnesses, "direct-eval", cfg.seed)
+    return VerifyReport(verdict, float(eps), 1, witnesses, method, cfg.seed)
 
 
 def _agree_at(F, G, H, P, alpha, ring):
@@ -223,14 +294,9 @@ def _prime_lambda(n, ln_norm, eps):
 
 
 def verify_mod_over_Z(F, G, H, P, cfg=None):
-    """Integer-coefficient variant: bound the coefficients of the would-be
-    difference, pick a random prime q that almost surely preserves a nonzero
-    difference, and verify its image over GF(q) (verify_mod).
-
-    The error splits three ways (see prime_lambda): random_prime at ε/4
-    returns a composite with probability at most ε/4, a prime q divides the
-    nonzero coefficient of Δ with probability at most ε/4, and the random
-    point is a root of Δ mod q with probability below ε/2."""
+    """verify_mod for integer polynomials only: one comparison at a random
+    point of GF(q) for a random prime q, whose error split prime_lambda
+    states."""
     check_shapes(F, G, H, P)
     if not isinstance(P.ctx, IntegerRing):
         raise TypeError("verify_mod_over_Z needs integer polynomials")
@@ -269,53 +335,20 @@ def extension_degree(q, deg, eps):
     return minimal_extension_degree(q, max(36, 2 * max(deg, 1) / eps))
 
 
-def screened_extension(ctx, deg, eps, rng):
-    """GF(q)[X]/(R) for one irreducible R of degree extension_degree(q,
-    deg, eps), screened by random_irreducible at eps/4, and its witness
-    {"extension_degree": D, "modulus": R}."""
-    d = extension_degree(ctx.q, deg, eps)
-    R = list(random_irreducible(ctx, d, eps / 4, rng).coeffs)
-    return ExtField(ctx, R), {"extension_degree": d, "modulus": R}
-
-
-def _verify_at_irreducible(F, G, H, P, cfg, method):
-    """One draw at X modulo one screened irreducible R: compare H mod R with
-    ((F*G) mod P) mod R, both from the evaluation scans at the class of X in
-    GF(q)[X]/(R) (Rabin 1980).  R has degree D = extension_degree(q, n-1,
-    eps).  All-sparse input keeps the sparsity precheck and runs the sparse
-    scans; any other input is made dense.
-
-    Soundness: a nonzero Δ = H - (F*G) mod P of degree < n passes only if R
-    divides it, which happens with probability at most ε (see
-    extension_degree).  The report has rounds = 1 and one witness
-    {"extension_degree": D, "modulus": R}.
-    """
-    eps = cfg.epsilon
-    if not all_sparse(F, G, H):
-        F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
-    elif sparsity_precheck(F, G, H, P):
-        return VerifyReport(False, 0.0, 0, [], method, cfg.seed)
-    ring, witness = screened_extension(P.ctx, P.degree() - 1, eps, RngStream(cfg.seed))
-    verdict = _agree_at(F, G, H, P, ring.x, ring)
-    return VerifyReport(verdict, float(eps), 1, [witness], method, cfg.seed)
-
-
 def verify_mod_ff(F, G, H, P, cfg=None):
-    """Finite-field front end.  "direct-eval", and "auto" when GF(q) has at
-    least (n-1)/epsilon elements, evaluate at a random point (verify_mod).
-    "auto" on a smaller field and "extension" make one draw at X modulo one
-    screened irreducible R of degree D (_verify_at_irreducible), reported
-    as "extension"; the companion methods go to verify_mod_companion."""
+    """Finite-field front end.  "companion-no-polymul" makes the unscreened
+    draws of verify_mod_companion; every other method compares both sides
+    once at the point of point_kind (_verify_at_point): "direct-eval" at a
+    random point of GF(q) or FieldTooSmallError, "extension" at X modulo
+    one screened irreducible R, and "auto" at whichever of the two the
+    field size allows."""
     cfg = cfg or VerifyConfig()
-    n = check_shapes(F, G, H, P)
-    ctx = P.ctx
-    if not isinstance(ctx, PrimeField):
+    check_shapes(F, G, H, P)
+    if not isinstance(P.ctx, PrimeField):
         raise TypeError("verify_mod_ff needs GF(q) polynomials")
-    if cfg.method in ("companion-freivalds", "companion-no-polymul"):
+    if cfg.method == "companion-no-polymul":
         return verify_mod_companion(F, G, H, P, cfg)
-    if cfg.method == "direct-eval" or (cfg.method == "auto" and ctx.q * cfg.epsilon >= n - 1):
-        return verify_mod(F, G, H, P, cfg)
-    return _verify_at_irreducible(F, G, H, P, cfg, "extension")
+    return _verify_at_point(F, G, H, P, cfg, cfg.method)
 
 
 def _companion_degree(q, n):
@@ -340,8 +373,9 @@ def _companion_draws(q, d, eps):
 def verify_mod_companion(F, G, H, P, cfg=None):
     """Small-field verification modulo random monic polynomials R.
 
-    Every method but "companion-no-polymul" makes the one screened draw of
-    _verify_at_irreducible, reported as "companion-freivalds".
+    Every method but "companion-no-polymul" compares both sides once at X
+    modulo one screened irreducible R (_verify_at_point), reported as
+    "companion-freivalds".
 
     "companion-no-polymul" skips the irreducibility screening, whose
     products it must avoid, and makes several unscreened draws instead.
@@ -376,7 +410,7 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     if not isinstance(ctx, PrimeField):
         raise TypeError("companion verification needs GF(q) polynomials")
     if cfg.method != "companion-no-polymul":
-        return _verify_at_irreducible(F, G, H, P, cfg, "companion-freivalds")
+        return _verify_at_point(F, G, H, P, cfg, "companion-freivalds")
     sparse = all_sparse(F, G, H)
     if not sparse:
         F, G, H = F.to_dense(), G.to_dense(), H.to_dense()

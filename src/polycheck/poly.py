@@ -574,10 +574,6 @@ class GapInfo:
         """ceil(1/gamma), exactly."""
         return -(-self.n // self.gap_width)
 
-    def inv_gamma_minus_one_ceil(self):
-        """ceil(1/gamma - 1), exactly."""
-        return -(-self.second_degree // self.gap_width)
-
     def __eq__(self, other):
         return (
             isinstance(other, GapInfo)

@@ -13,11 +13,11 @@ products fold exponents modulo a random prime p and verify modulo X^p - 1.
 Where Kaminski's fold bound has no force (at the default e = 9/20, every
 degree below about 10^13), no verifier recomputes the product: the
 polynomial check compares H(α) with F(α)G(α) once (Schwartz 1980, Zippel
-1979), at a random point of GF(q), at X modulo a screened irreducible R
-over a small GF(q), or at a random point of GF(p) for a random prime p over
-Z; the integer check compares F(2^w) G(2^w) with H(2^w) modulo one random
-prime.  Over Z the values mod p come from poly.evaluate at a point of GF(p),
-which reads the integer coefficients as they are.
+1979), at the point of the package's one point policy
+(modverify.point_kind); the integer check compares F(2^w) G(2^w) with
+H(2^w) modulo one random prime.  Over Z the values mod p come from
+poly.evaluate at a point of GF(p), which reads the integer coefficients as
+they are.
 """
 
 import math
@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import modverify
-from .modverify import VerifyConfig, VerifyReport, FieldTooSmallError
+from .modverify import VerifyConfig, VerifyReport
 from .poly import (
     EXPONENT_CAP,
     DensePoly,
@@ -176,44 +176,22 @@ def _product_shape_reject(F, G, H):
 def _product_at_one_point(F, G, H, cfg, method):
     """Decide H = F*G by comparing H(α) with F(α)G(α) once.  F, G and H are
     all dense or all sparse, none zero, and deg H <= deg F + deg G, so
-    Δ = H - F*G has degree at most m = deg F + deg G.
-
-    - GF(q) with q ε >= m: α is uniform in GF(q); a nonzero Δ has at most m
-      roots, so it passes with probability at most m/q <= ε.
-    - A smaller GF(q): α is the class of X modulo one screened irreducible
-      R of degree D = modverify.extension_degree(q, m, ε); a nonzero Δ
-      passes only if R divides it, with probability at most ε.
-    - Z: p is a random prime in [λ, 2λ], λ = modverify.prime_lambda(m + 1,
-      ||H|| + min(#F, #G) ||F|| ||G||, ε), and α is uniform in GF(p).  p
-      divides every coefficient of a nonzero Δ with probability at most
-      ε/4, α is a root of a nonzero Δ mod p with probability below ε/2,
-      and random_prime at ε/4 returns a composite with probability at most
-      ε/4.
-
-    Every ring operation is exact, so a true H always passes.  The report
-    has rounds = 1 and one witness: {"alpha": α}, {"extension_degree": D,
-    "modulus": R} or {"p": p, "alpha": α}.  Other coefficient rings (a
-    quotient ring as coefficients) keep one exact product, with rounds = 0
-    and the witness {"deterministic": "reference-product"}."""
+    Δ = H - F*G has degree at most m = deg F + deg G, and over Z its
+    coefficients are at most ||H|| + min(#F, #G) ||F|| ||G||.  Over Z and
+    GF(q) the point is the one of modverify.point_kind at m, which keeps a
+    nonzero Δ nonzero with probability at least 1 - ε; every ring operation
+    is exact, so a true H always passes.  The report has rounds = 1 and the
+    witness of modverify.draw_point.  Other coefficient rings keep one exact
+    product, with rounds = 0 and the witness {"deterministic":
+    "reference-product"}."""
     ctx = F.ctx
+    if not isinstance(ctx, (IntegerRing, PrimeField)):
+        return _certain(mul_oracle(F, G) == H, "reference-product", method, cfg)
     eps = cfg.epsilon
     m = F.degree() + G.degree()
-    rng = RngStream(cfg.seed)
-    if isinstance(ctx, IntegerRing):
-        norm = H.norm() + product_norm_bound(F, G)
-        p = random_prime(modverify.prime_lambda(m + 1, norm, eps), eps / 4, rng)
-        ring = PrimeField(p)
-        alpha = ring.sample(rng)
-        witness = {"p": p, "alpha": alpha}
-    elif isinstance(ctx, PrimeField) and ctx.q * eps >= m:
-        ring = ctx
-        alpha = ring.sample(rng)
-        witness = {"alpha": alpha}
-    elif isinstance(ctx, PrimeField):
-        ring, witness = modverify.screened_extension(ctx, m, eps, rng)
-        alpha = ring.x
-    else:
-        return _certain(mul_oracle(F, G) == H, "reference-product", method, cfg)
+    kind = modverify.point_kind(ctx, m, eps)
+    norm = H.norm() + product_norm_bound(F, G) if kind == "prime" else 0
+    ring, alpha, witness = modverify.draw_point(kind, ctx, m, eps, RngStream(cfg.seed), norm)
     pw = power_table(ring, alpha)
     fa, ga, ha = (evaluate(X, alpha, ring, pw) for X in (F, G, H))
     verdict = ring.mul(fa, ga) == ha
@@ -249,22 +227,16 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
 
 def _modular_check_no_mul(F, G, H, P, cfg):
     """Verify H = (F*G) mod P at cfg's epsilon and seed without any
-    polynomial multiplication, choosing the path by coefficient domain and
-    field size."""
-    ctx = F.ctx
-    n = P.degree()
-    eps = cfg.epsilon
-    if isinstance(ctx, IntegerRing):
-        return modverify.verify_mod_over_Z(F, G, H, P, cfg)
-    size = modverify._finite_size(ctx)
-    if size * eps >= max(n - 1, 0):
-        return modverify.verify_mod(F, G, H, P, cfg)
-    if isinstance(ctx, PrimeField):
+    polynomial multiplication: where modverify.point_kind picks X modulo an
+    irreducible R, whose screening multiplies, by the unscreened draws of
+    companion-no-polymul on dense input, and everywhere else by
+    modverify.verify_mod."""
+    if modverify.point_kind(F.ctx, P.degree() - 1, cfg.epsilon) == "extension":
         # the dense scans at X multiply no polynomials; the sparse ones would
         F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
         cfg = replace(cfg, method="companion-no-polymul")
         return modverify.verify_mod_companion(F, G, H, P, cfg)
-    raise FieldTooSmallError("small extension-field inputs are not supported here")
+    return modverify.verify_mod(F, G, H, P, cfg)
 
 
 def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
@@ -475,11 +447,10 @@ def verify_sparse_product(F, G, H, cfg=None):
     """Decide H = F*G for sparse polynomials: screen the trivial shape
     mistakes, fold all exponents modulo a random prime p that almost surely
     keeps a nonzero difference nonzero, and verify the folded identity
-    modulo X^p - 1: through verify_mod_ff over GF(q), which evaluates at a
-    random point of a large field or, on a small one, at X modulo one
-    screened irreducible R, and through verify_mod otherwise, which reduces
-    integers modulo a random prime and raises FieldTooSmallError on an
-    extension field too small for the bound."""
+    modulo X^p - 1 at the point of modverify.point_kind: through
+    verify_mod_ff over GF(q), which extends a small field, and through
+    verify_mod otherwise, which raises FieldTooSmallError on an extension
+    field too small for the bound."""
     cfg = cfg or VerifyConfig()
     if F.ctx != G.ctx or F.ctx != H.ctx:
         raise ValueError("mixed coefficient contexts")
@@ -528,9 +499,8 @@ def exact_route_costs(F, G, H, eps, P=None):
       byte count of the largest exponent the verifier evaluates (one
       power_table product per byte and term): deg P - 1, or for a plain
       product the lam of verify_sparse_product, below which it folds the
-      exponents; times EXTENSION_PRODUCT_COST over a GF(q) too small for
-      that exponent at the verifier's epsilon, where it evaluates in
-      GF(q)[X]/(R).
+      exponents; times EXTENSION_PRODUCT_COST where modverify.point_kind
+      evaluates at that degree and the verifier's epsilon in GF(q)[X]/(R).
 
     Returns {"product": ..., "verify": ...} when the product is cheaper and
     every exponent of F*G stays within EXPONENT_CAP, else None."""
@@ -551,8 +521,7 @@ def exact_route_costs(F, G, H, eps, P=None):
             return None
         terms = F.sparsity() + G.sparsity() + H.sparsity() + P.sparsity()
     verify = VERIFY_COST_PER_TERM_BYTE * terms * max(1, (top.bit_length() + 7) >> 3)
-    ctx = F.ctx
-    if isinstance(ctx, PrimeField) and ctx.q * eps < top:
+    if modverify.point_kind(F.ctx, top, eps) == "extension":
         verify *= EXTENSION_PRODUCT_COST
     if P is None:
         product = F.sparsity() * G.sparsity()
@@ -575,8 +544,3 @@ def count_binomial_divisors(delta, n, e=Fraction(9, 20)):
         if reduce_mod_binomial(delta, i).is_zero():
             count += 1
     return count
-
-
-def kaminski_k(n, e=Fraction(9, 20)):
-    """The divisor-count bound k = ceil(2 delta n^e ln ln n^(1-e))."""
-    return KaminskiParams(e=Fraction(e)).k(n)

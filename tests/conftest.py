@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 import polycheck as pc
+from polycheck.oracle import oracle_mod_product
 from polycheck.rings import RngStream, is_prime
 
 # "ci" is the default; POLYCHECK_HYPOTHESIS_PROFILE=thorough draws many more
@@ -131,6 +132,41 @@ def perturb_poly(H, rng):
         cs.append(ctx.one())
         out = pc.DensePoly(ctx, cs)
     return out
+
+
+def witness_point(ctx, entry):
+    """The ring and point a witness entry names, rebuilt from the entry
+    alone: {"modulus": R}, with or without "extension_degree", is the class
+    of X in ctx[X]/(R); {"p": p, "alpha": a} or {"q": p, "alpha": a} is the
+    point a of GF(p), for a check over Z; {"alpha": a} is the point a of
+    ctx."""
+    if "modulus" in entry:
+        ring = pc.ExtField(ctx, entry["modulus"])
+        return ring, ring.x
+    prime = entry.get("p", entry.get("q"))
+    ring = ctx if prime is None else pc.GF(prime)
+    alpha = entry["alpha"]
+    if isinstance(ring, pc.ExtField):
+        alpha = ring.from_coeffs(alpha)
+    return ring, alpha
+
+
+def agrees_at_witness(F, G, H, P, entry):
+    """Whether H agrees at the point of a witness entry with the true
+    (F*G) mod P (oracle_mod_product), or with F*G (mul_oracle) when P is
+    None."""
+    ring, alpha = witness_point(F.ctx, entry)
+    truth = pc.mul_oracle(F, G) if P is None else oracle_mod_product(F, G, P)
+    return pc.evaluate(H, alpha, ring) == pc.evaluate(truth, alpha, ring)
+
+
+def assert_witness_certifies(report, F, G, H, P=None):
+    """A one-point report is a certificate: its witness alone, without the
+    seed, rebuilds the point, and the comparison there is the verdict.  Over
+    Z verify_mod records the prime and the point as two entries."""
+    assert report.rounds == 1
+    entry = {k: v for part in report.witnesses for k, v in part.items()}
+    assert agrees_at_witness(F, G, H, P, entry) == report.verdict
 
 
 @pytest.fixture

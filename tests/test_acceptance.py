@@ -384,7 +384,7 @@ def test_criterion_6_binomial_divisor_bound():
     total = 0
     for n in (256, 1024, 4096):
         rng = RngStream(n)
-        k = prodverify.kaminski_k(n, e)
+        k = prodverify.KaminskiParams(e=e).k(n)
         assert k >= 1
         params = prodverify.KaminskiParams(e=e)
         lo, hi = params.fold_range(n)

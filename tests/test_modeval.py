@@ -142,7 +142,8 @@ class TestLeadingCoefficients:
             F = rand_sparse(Z, n, 1 + rng.below(6), rng)
             out = sparse_leading_coefficients(P, F)
             g = pc.gap_info(P)
-            assert len(out) <= F.sparsity() * P.sparsity() ** g.inv_gamma_minus_one_ceil()
+            # ceil(1/gamma - 1) = ceil(k / (n - k))
+            assert len(out) <= F.sparsity() * P.sparsity() ** -(-g.second_degree // g.gap_width)
 
     def test_binomial_modulus_length_bound(self, rng):
         P = pc.x_pow_minus_one(Z, 50)

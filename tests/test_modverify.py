@@ -19,6 +19,7 @@ from polycheck.modverify import (
     verify_mod_over_Z,
 )
 from polycheck.oracle import oracle_mod_product, poly_divmod
+from polycheck.prodverify import verify_product_kaminski
 from polycheck.rings import (
     POLY_MUL_OPS,
     ExtField,
@@ -26,7 +27,15 @@ from polycheck.rings import (
     poly_list_is_irreducible,
     random_monic,
 )
-from conftest import gf2_clmul, perturb_poly, rand_dense, rand_monic_sparse, rand_sparse
+from conftest import (
+    agrees_at_witness,
+    assert_witness_certifies,
+    gf2_clmul,
+    perturb_poly,
+    rand_dense,
+    rand_monic_sparse,
+    rand_sparse,
+)
 
 Z = pc.ZZ
 F2 = pc.GF(2)
@@ -258,8 +267,8 @@ class TestVerifyModCompanion:
 
     def test_witnesses_replay_moduli(self, rng):
         # the recorded moduli are monic of degree D (one screened irreducible
-        # draw) or d (unscreened draws), and comparing H mod R with the true
-        # product mod R on them reproduces the verdict
+        # draw) or d (unscreened draws), and comparing H with the true
+        # product at X modulo each of them reproduces the verdict
         P, F, G, H = make_instance(F2, 32, 4, rng, sparse=False)
         D = minimal_extension_degree(2, 2 * 31 / QUARTER)
         d = minimal_extension_degree(2, 16 * 32)
@@ -275,7 +284,7 @@ class TestVerifyModCompanion:
                 for entry in r.witnesses:
                     R = pc.DensePoly(F2, entry["modulus"])
                     assert R.degree() == degree and R.coeffs[-1] == 1
-                    agree.append(poly_divmod(Hx, R)[1] == poly_divmod(H, R)[1])
+                    agree.append(agrees_at_witness(F, G, Hx, P, entry))
                 assert r.verdict == all(agree)
                 if degree == D:
                     assert r.rounds == 1 and r.witnesses[0]["extension_degree"] == D
@@ -614,3 +623,42 @@ class TestCertainRejections:
         H = pc.SparsePoly(F2, [(i, 1) for i in range(40)])
         assert not modverify.sparsity_precheck(F, F, H, P)
         assert modverify.reduced_product_terms(F, F, P, 40) == 64
+
+
+class TestWitnessIsACertificate:
+    """Every one-point report's witness rebuilds its point without the
+    seed, and the comparison there is the verdict (assert_witness_certifies),
+    on true and perturbed H."""
+
+    @given(
+        st.sampled_from([Z, F2, pc.GF(7), pc.GF(65537)]),
+        st.integers(2, 40),
+        st.integers(0, 2**32),
+        st.sampled_from([QUARTER, Fraction(1, 2**20)]),
+        st.booleans(),
+    )
+    def test_one_point_reports(self, ctx, n, seed, eps, wrong):
+        rng = RngStream(seed)
+        P = rand_monic_sparse(ctx, n, 3, rng)
+        F, G = rand_dense(ctx, rng.below(n), rng), rand_dense(ctx, rng.below(n), rng)
+        H = oracle_mod_product(F, G, P).to_dense()
+        if wrong:
+            H = perturb_poly(H, rng)
+        try:
+            assert_witness_certifies(verify_mod(F, G, H, P, cfg(seed, eps)), F, G, H, P)
+        except FieldTooSmallError:
+            assert ctx.size() * eps < n - 1
+        if ctx != Z:
+            runs = ((verify_mod_ff, "auto"), (verify_mod_ff, "extension"),
+                    (verify_mod_companion, "companion-freivalds"))
+            for verify, method in runs:
+                r = verify(F, G, H, P, cfg(seed, eps, method))
+                assert_witness_certifies(r, F, G, H, P)
+        Hp = pc.mul_oracle(F, G)
+        if wrong:
+            Hp = perturb_poly(Hp, rng)
+        r = verify_product_kaminski(F, G, Hp, cfg(seed, eps))
+        if r.rounds:
+            assert_witness_certifies(r, F, G, Hp)
+        else:
+            assert r.witnesses == [{"deterministic": "shape"}]

@@ -21,7 +21,6 @@ from polycheck.poly import power_table, write_poly_file
 from polycheck.prodverify import (
     KaminskiParams,
     count_binomial_divisors,
-    kaminski_k,
     kaminski_round,
     kronecker_point,
     verify_int_product,
@@ -311,6 +310,36 @@ class TestCoefficientsWithNoSize:
                 assert r.witnesses == [{"deterministic": "reference-product"}]
 
 
+class TestCoefficientsNotAField:
+    """K = GF(2)[X]/(X^20) has 2^20 elements but is not a field: half of K
+    annihilates x^19, so Δ = x^19 Y vanishes at half of the points, and a
+    random point of K let a wrong H through about 176 times in 400 at
+    epsilon 2^-10.  The checks that evaluate at a point refuse K;
+    verify_product_kaminski keeps its exact product."""
+
+    K = pc.ExtField(F2, [0] * 20 + [1])
+
+    def wrong(self, H):
+        x19 = self.K.from_coeffs([0] * 19 + [1])
+        return pc.SparsePoly.from_dict(self.K, {**dict(H.terms), 1: self.K.add(H.coeff(1), x19)})
+
+    def test_point_checks_raise(self):
+        K = self.K
+        P = pc.SparsePoly(K, [(0, K.one()), (2, K.one())])
+        F = pc.SparsePoly(K, [(0, K.one()), (1, K.one())])
+        H = pc.mul_oracle(F, F)
+        supported = r"Z, GF\(q\) or GF\(q\)\[X\]/\(R\) with R irreducible"
+        c = cfg(0, Fraction(1, 2**10))
+        with pytest.raises(TypeError, match=supported):
+            modverify.verify_mod(F, F, self.wrong(pc.mod_reduce(H, P)), P, c)
+        for verify in (verify_sparse_product, verify_product_kaminski_nomul):
+            with pytest.raises(TypeError, match=supported):
+                verify(F, F, self.wrong(H), c)
+        r = verify_product_kaminski(F, F, self.wrong(H), c)
+        assert r.verdict is False
+        assert r.witnesses == [{"deterministic": "reference-product"}]
+
+
 class TestIntProduct:
     def test_exact_products_always(self, rng):
         for seed in range(40):
@@ -577,7 +606,7 @@ class TestBinomialDivisorCount:
 
     def test_random_counts_below_k(self, rng):
         n = 1024
-        k = kaminski_k(n)
+        k = KaminskiParams().k(n)
         for _ in range(30):
             delta = rand_dense(Z, rng.below(2 * n), rng)
             assert count_binomial_divisors(delta, n) < k
