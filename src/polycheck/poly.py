@@ -11,6 +11,7 @@ degree.  Both classes have to_dense() and to_sparse(); asked for the form
 it already has, a polynomial returns itself.
 """
 
+import json
 from fractions import Fraction
 from operator import itemgetter, lt
 
@@ -642,10 +643,11 @@ def format_poly(F):
 
 
 def parse_poly(text):
-    """The polynomial a .poly text holds.  Both bodies are read in bulk
-    (one split, one map(int, ...), C-level range checks); a body that fails
-    any check is read again token by token, so its PolyFormatError names
-    the first bad token."""
+    """The polynomial a .poly text holds.  A canonical body (plain decimal
+    tokens one space apart) is read by one C-level JSON scan (_bulk_ints)
+    and range-checked by C-level passes; any other body, and one that fails
+    a check, is read again token by token, which gives the same values or
+    the PolyFormatError that names the first bad token."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 2:
         raise PolyFormatError("expected a ring line and a coefficient line")
@@ -662,22 +664,19 @@ def parse_poly(text):
         ctx = GF(q)
     else:
         raise PolyFormatError(f"bad ring line {lines[0]!r}")
-    body = lines[1].split()
+    body = lines[1].split(None, 1)
     if not body:
         raise PolyFormatError("missing polynomial body")
-    kind, items = body[0], body[1:]
+    kind, rest = body[0], body[1] if len(body) > 1 else ""
     if kind == "dense":
-        try:
-            cs = list(map(int, items))
-        except ValueError:
-            cs = None
+        cs = _bulk_ints(rest)
         if cs is None or (
-            isinstance(ctx, PrimeField) and cs and (min(cs) < 0 or max(cs) >= ctx.q)
+            isinstance(ctx, PrimeField) and cs and ("-" in rest or max(cs) >= ctx.q)
         ):
-            for tok in items:  # raises the error of the first bad token
-                _parse_coeff(ctx, tok)
+            cs = [_parse_coeff(ctx, tok) for tok in rest.split()]
         return DensePoly.trusted(ctx, cs)
     if kind == "sparse":
+        items = rest.split()
         terms = _bulk_sparse_terms(ctx, items)
         if terms is None:
             terms = _sparse_terms(ctx, items)  # raises the error of the first bad token
@@ -738,24 +737,40 @@ def _sparse_terms(ctx, items):
     return terms
 
 
+_INT_CHARS = str.maketrans("", "", "0123456789- ")
+
+
+def _bulk_ints(text):
+    """The ints of text, a canonical body: plain decimal tokens without '+',
+    '_' or leading zeros, one space apart, none past CPython's int-to-str
+    digit limit.  One str.translate pass checks the characters and one
+    C-level JSON scan reads every number; JSON numbers made of these
+    characters are a subset of what int() reads, with the same values.
+    None for any other text, which the per-token readers then read."""
+    if text.translate(_INT_CHARS):
+        return None
+    try:
+        return json.loads("[" + text.replace(" ", ",") + "]")
+    except ValueError:
+        return None
+
+
 _NUMBER_CHARS = str.maketrans("", "", "0123456789+-_")
 
 
 def _bulk_sparse_terms(ctx, items):
     """What _sparse_terms returns for a valid body, from C-level passes:
     each token has exactly one ':' (without the digits, signs and
-    underscores of int literals the body is ": : ... :"), both halves are
-    ints, the exponents increase strictly within [0, EXPONENT_CAP], no
-    coefficient is zero and over GF(q) all lie in [0, q).  None when any
-    check fails."""
+    underscores of int literals the body is ": : ... :"), _bulk_ints reads
+    both halves of every term (so neither is empty), the exponents increase
+    strictly within [0, EXPONENT_CAP], no coefficient is zero and over GF(q)
+    all lie in [0, q).  None when any check fails, and for any body that
+    _bulk_ints does not read."""
     body = " ".join(items)
     if body.translate(_NUMBER_CHARS) != (" :" * len(items))[1:]:
         return None
-    try:
-        nums = list(map(int, body.replace(":", " ").split()))
-    except ValueError:
-        return None
-    if len(nums) != 2 * len(items):  # an empty half
+    nums = _bulk_ints(body.replace(":", " "))
+    if nums is None:
         return None
     exps, cs = nums[::2], nums[1::2]
     if exps and (exps[0] < 0 or exps[-1] > EXPONENT_CAP):

@@ -230,8 +230,13 @@ def _modular_check_no_mul(F, G, H, P, cfg):
     polynomial multiplication: where modverify.point_kind picks X modulo an
     irreducible R, whose screening multiplies, by the unscreened draws of
     companion-no-polymul on dense input, and everywhere else by
-    modverify.verify_mod."""
-    if modverify.point_kind(F.ctx, P.degree() - 1, cfg.epsilon) == "extension":
+    modverify.verify_mod.  Only GF(q) coefficients can get that point, so
+    point_kind is asked only there: over GF(q)[X]/(R) it would run Ben-Or's
+    test on R once more than verify_mod does."""
+    ctx = F.ctx
+    if isinstance(ctx, PrimeField) and (
+        modverify.point_kind(ctx, P.degree() - 1, cfg.epsilon) == "extension"
+    ):
         # the dense scans at X multiply no polynomials; the sparse ones would
         F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
         cfg = replace(cfg, method="companion-no-polymul")

@@ -35,6 +35,7 @@ from conftest import (
     rand_dense,
     rand_monic_sparse,
     rand_sparse,
+    witness_point,
 )
 
 Z = pc.ZZ
@@ -662,3 +663,51 @@ class TestWitnessIsACertificate:
             assert_witness_certifies(r, F, G, Hp)
         else:
             assert r.witnesses == [{"deterministic": "shape"}]
+
+    @given(
+        st.sampled_from([Z, F2, pc.GF(7), pc.GF(65537)]),
+        st.integers(2, 40),
+        st.integers(0, 2**32),
+        st.sampled_from([QUARTER, Fraction(1, 2**20)]),
+        st.booleans(),
+    )
+    def test_witness_names_the_drawn_point(self, ctx, n, seed, eps, wrong):
+        # every (ring, point, witness) draw_point returns rebuilds from the
+        # witness alone, and the report carries that witness
+        rng = RngStream(seed)
+        P = rand_monic_sparse(ctx, n, 3, rng)
+        F, G = rand_dense(ctx, rng.below(n), rng), rand_dense(ctx, rng.below(n), rng)
+        H = oracle_mod_product(F, G, P).to_dense()
+        Hp = pc.mul_oracle(F, G)
+        if wrong:
+            H, Hp = perturb_poly(H, rng), perturb_poly(Hp, rng)
+        runs = [(verify_mod, (F, G, H, P), "auto"), (verify_product_kaminski, (F, G, Hp), "auto")]
+        if ctx != Z:
+            runs += [(verify_mod_ff, (F, G, H, P), "auto"),
+                     (verify_mod_ff, (F, G, H, P), "extension"),
+                     (verify_mod_companion, (F, G, H, P), "companion-freivalds")]
+        drawn = []
+        draw_point = modverify.draw_point
+
+        def recorded(*args):
+            drawn.append(draw_point(*args))
+            return drawn[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modverify, "draw_point", recorded)
+            for verify, args, method in runs:
+                try:
+                    r = verify(*args, cfg(seed, eps, method))
+                except FieldTooSmallError:
+                    assert verify is verify_mod and not drawn
+                    continue
+                if r.rounds == 0:
+                    assert r.witnesses == [{"deterministic": "shape"}] and not drawn
+                    continue
+                (ring, point, witness), = drawn
+                drawn.clear()
+                assert witness_point(ctx, witness) == (ring, point)
+                entry = {k: v for part in r.witnesses for k, v in part.items()}
+                if "q" in entry:  # verify_mod's two entries over Z
+                    entry["p"] = entry.pop("q")
+                assert entry == witness

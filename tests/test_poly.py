@@ -12,7 +12,9 @@ from polycheck.oracle import (
 from polycheck.poly import (
     EXPONENT_CAP,
     PolyFormatError,
+    _bulk_ints,
     _bulk_sparse_terms,
+    _parse_coeff,
     _sparse_terms,
     format_poly,
     mul_mod_oracle,
@@ -766,6 +768,68 @@ class TestSparseBulkParse:
         # int literals the per-token loop accepts, and any whitespace
         assert parse_poly("ring Z\nsparse +5:1 1_0:3\n").terms == ((5, 1), (10, 3))
         assert parse_poly("ring GF 7\nsparse 0:1\t2:3   9:6\n").terms == ((0, 1), (2, 3), (9, 6))
+
+
+# dense tokens that JSON and int() read differently, or that neither reads
+_DENSE_ODD_TOKENS = ["+5", "007", "1_000", "-0", "-", "1-2", "2.5", "1e3", "1E3", "true",
+                     "false", "null", "NaN", "Infinity", "[1]", '"1"', "1,2", "9" * 4400]
+
+
+@st.composite
+def dense_texts(draw):
+    """(ctx, .poly text, tokens, canonical) with a dense body over Z, GF(2),
+    GF(7) or GF(65537): canonical ints of the ring when a draw says so,
+    otherwise also any int and the tokens above, one space apart or, when a
+    draw says so, one or two spaces or a tab apart with or without a
+    trailing space.  canonical says whether the body is one _bulk_ints must
+    read."""
+    ctx = draw(st.sampled_from([Z, pc.GF(2), pc.GF(7), pc.GF(65537)]))
+    q = None if ctx == Z else ctx.q
+    token = (st.integers(-(2**70), 2**70) if q is None else st.integers(0, q - 1)).map(str)
+    canonical = draw(st.booleans())
+    if not canonical:
+        token = st.one_of(token, st.integers(-(2**70), 2**70).map(str),
+                          st.sampled_from(_DENSE_ODD_TOKENS))
+    tokens = draw(st.lists(token, max_size=12))
+    seps, tail = [" "] * len(tokens), ""
+    if not canonical and draw(st.booleans()):
+        seps = draw(st.lists(st.sampled_from([" ", "  ", "\t"]),
+                             min_size=len(tokens), max_size=len(tokens)))
+        tail = draw(st.sampled_from(["", " "]))
+    body = "dense" + "".join(sep + tok for sep, tok in zip(seps, tokens)) + tail
+    return ctx, f"ring {'Z' if ctx == Z else f'GF {q}'}\n{body}\n", tokens, canonical
+
+
+class TestDenseBulkParse:
+    """parse_poly reads a canonical dense body by one JSON scan and any
+    other body token by token; both give what the per-token read gives."""
+
+    @given(dense_texts())
+    def test_bulk_matches_per_token(self, instance):
+        ctx, text, tokens, canonical = instance
+        try:
+            want = pc.DensePoly.trusted(ctx, [_parse_coeff(ctx, tok) for tok in tokens])
+        except PolyFormatError as exc:
+            want = str(exc)
+        assert _parsed(text) == want
+        bulk = _bulk_ints(" ".join(tokens))
+        assert bulk is not None or not canonical
+        if bulk is not None:  # JSON reads only what int() reads, to the same value
+            assert bulk == [int(tok) for tok in tokens]
+
+    def test_pinned_bodies(self):
+        cases = {
+            "ring Z\ndense 1 true 3": "bad coefficient 'true'",
+            "ring GF 7\ndense 1 1e0": "bad coefficient '1e0'",
+            "ring Z\ndense 1,2": "bad coefficient '1,2'",
+        }
+        for text, message in cases.items():
+            with pytest.raises(PolyFormatError) as exc:
+                parse_poly(text)
+            assert str(exc.value) == message
+        # int literals JSON refuses and the per-token read accepts, and any whitespace
+        assert parse_poly("ring Z\ndense +5 007\t1_000  -0 \n").coeffs == (5, 7, 1000)
+        assert parse_poly("ring GF 7\ndense 1 -0 6\n").coeffs == (1, 0, 6)
 
 
 TRUSTED_RINGS = (Z, pc.GF(2), pc.GF(7), pc.ExtField(pc.GF(2), [1, 1, 1]))

@@ -264,6 +264,31 @@ class TestKaminskiNoMul:
         Hbad = perturb_poly(H, rng)
         assert verify_product_kaminski_nomul(F, G, Hbad, cfg(0)).verdict is False
 
+    def test_extension_coefficients_test_R_once_per_check(self, monkeypatch):
+        # K = GF(2^8): only verify_mod's point_kind runs Ben-Or's test on R
+        K = pc.ExtField(F2, [1, 1, 0, 1, 1, 0, 0, 0, 1])
+        rng = RngStream(7)
+        F, G = (pc.DensePoly(K, [K.from_coeffs([rng.below(2) for _ in range(8)])
+                                 for _ in range(6)]) for _ in range(2))
+        H = pc.mul_oracle(F, G)
+        calls = {"check": 0, "irreducible": 0}
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(prodverify, "_modular_check_no_mul",
+                            counted("check", prodverify._modular_check_no_mul))
+        monkeypatch.setattr(modverify, "poly_list_is_irreducible",
+                            counted("irreducible", poly_list_is_irreducible))
+        for X, verdict in ((H, True), (perturb_poly(H, rng), False)):
+            r = verify_product_kaminski_nomul(F, G, X, cfg(1, Fraction(1, 8)))
+            assert r.verdict is verdict
+            assert r.witnesses[0]["full-degree-fold"] == 11
+        assert calls == {"check": 2, "irreducible": 2}
+
     def test_adversarial_quarter_gf2(self, rng):
         params = KaminskiParams(e=E_SMALL)
         n = 4096
