@@ -60,6 +60,16 @@ class RngStream:
     def bits(self, k):
         return self._gen.getrandbits(k) if k > 0 else 0
 
+    def bit_list(self, k):
+        """What k successive bits(1) calls return, from one draw: CPython
+        fills getrandbits(32 k) with k successive 32-bit outputs, least
+        significant first, and bits(1) is the top bit of one output, so it
+        is bit 7 of every fourth byte from the fourth on."""
+        if k <= 0:
+            return []
+        words = self._gen.getrandbits(32 * k).to_bytes(4 * k, "little")
+        return [byte >> 7 for byte in words[3::4]]
+
     def below(self, n):
         """Uniform integer in [0, n), unbiased (rejection sampling)."""
         if n <= 0:
@@ -754,8 +764,15 @@ def _strong_probable_prime(n, a):
 
 
 def is_probable_prime(n, rounds, rng=None):
-    """Miller-Rabin: True for every prime; a composite passes with
-    probability at most 4**-rounds."""
+    """Miller-Rabin with rounds random bases: True for every prime; a
+    composite passes with probability at most 4**-rounds.
+
+    When the first random base passes, n < _DET_LIMIT and more than
+    len(_DET_BASES) rounds remain, the fixed bases decide instead: if n
+    passes them all it is prime, so every remaining random base would pass
+    too, and those bases are drawn from rng and discarded.  Otherwise the
+    random rounds go on.  Either way the answer, and every draw taken from
+    rng, are those of the plain loop of random rounds."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if n < 2:
@@ -767,7 +784,15 @@ def is_probable_prime(n, rounds, rng=None):
             return False
     if rng is None:
         rng = RngStream(_splitmix64((n & _MASK64) ^ rounds))
-    return all(_strong_probable_prime(n, 2 + rng.below(n - 3)) for _ in range(rounds))
+    if not _strong_probable_prime(n, 2 + rng.below(n - 3)):
+        return False
+    rest = rounds - 1
+    if n < _DET_LIMIT and rest > len(_DET_BASES):
+        if all(_strong_probable_prime(n, a) for a in _DET_BASES):
+            for _ in range(rest):
+                rng.below(n - 3)
+            return True
+    return all(_strong_probable_prime(n, 2 + rng.below(n - 3)) for _ in range(rest))
 
 
 def is_prime(n):
@@ -817,8 +842,8 @@ def random_monic(field, d, rng):
     if not isinstance(field, PrimeField):
         raise TypeError("random_monic needs a PrimeField")
     q = field.q
-    if q == 2:  # below(2) is one bits(1) draw; this skips its loop
-        return [rng.bits(1) for _ in range(d)] + [1]
+    if q == 2:  # below(2) is one bits(1) draw
+        return rng.bit_list(d) + [1]
     return [rng.below(q) for _ in range(d)] + [1]
 
 

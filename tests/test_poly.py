@@ -1,8 +1,13 @@
-import pytest
+import decimal
+import sys
 from fractions import Fraction
+from unittest import mock
+
+import pytest
 from hypothesis import given, strategies as st
 
 import polycheck as pc
+from polycheck import poly
 from polycheck.oracle import (
     _pair_product_sparse,
     _sparse_long_division_rem,
@@ -226,6 +231,62 @@ class TestKroneckerKernel:
         before = POLY_MUL_OPS.count
         pc.mul_oracle(F, F)
         assert POLY_MUL_OPS.count == before + 1
+
+    @given(kronecker_factors())
+    def test_decimal_packing_matches_schoolbook_oracle(self, pair):
+        # these factors are small enough for the binary packing; a crossover
+        # of 0 sends them through the decimal one
+        from polycheck.oracle import _school_product_dense
+
+        F, G = pair
+        with mock.patch.object(poly, "_DECIMAL_MIN_DIGITS", 0):
+            assert pc.mul_oracle(F, G) == _school_product_dense(F, G)
+
+    def test_wide_coefficients_under_the_lowest_str_limit(self):
+        # 2^20000 has 6021 digits, far past the 640 that str() and int() can
+        # be held to; from 9 coefficients on the product packs in decimal,
+        # with every slot converted through Decimal
+        from polycheck.oracle import _school_product_dense
+
+        big = 2**20000
+        row = (big, -big, 1, big - 1, 0, -1)
+        decimal_products = mock.patch.object(
+            poly, "_kronecker_decimal", wraps=poly._kronecker_decimal
+        )
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with decimal_products as spy:
+                for la, lb in ((1, 1), (2, 5), (9, 9), (12, 9)):
+                    for sa, sb in ((1, 1), (-1, 1), (-1, -1)):
+                        fs = [sa * row[i % 6] for i in range(la - 1)] + [sa * big]
+                        gs = [sb * row[i % 5] for i in range(lb - 1)] + [sb * big]
+                        F, G = pc.DensePoly(Z, fs), pc.DensePoly(Z, gs)
+                        assert pc.mul_oracle(F, G) == _school_product_dense(F, G)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert spy.call_count == 2 * 3
+
+    def test_caller_decimal_context_neither_used_nor_changed(self):
+        from polycheck.oracle import _school_product_dense
+
+        big = 2**20000
+        gf = pc.GF(2**61 - 1)
+        pairs = [
+            (pc.DensePoly(Z, [big, -3, big] * 4), pc.DensePoly(Z, [-big, 5, 1] * 4)),
+            (pc.DensePoly(gf, range(1, 200)), pc.DensePoly(gf, range(7, 90))),
+        ]
+        expected = [_school_product_dense(F, G) for F, G in pairs]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 5
+            for signal in ctx.traps:
+                ctx.traps[signal] = True
+            ctx.clear_flags()
+            state = repr(ctx)
+            with mock.patch.object(poly, "_DECIMAL_MIN_DIGITS", 0):
+                products = [pc.mul_oracle(F, G) for F, G in pairs]
+            assert repr(ctx) == state
+        assert products == expected
 
 
 @st.composite
@@ -501,6 +562,12 @@ class TestBounds:
     def test_product_norm_bound_example(self):
         assert pc.product_norm_bound(EX1_F, EX1_G) == 30
         assert pc.mul_oracle(EX1_F, EX1_G).norm() == 10
+
+    @given(st.lists(st.integers(-(2**70), 2**70), max_size=12))
+    def test_norm_is_the_largest_absolute_value(self, cs):
+        F = pc.DensePoly(Z, cs)
+        expected = max(map(abs, cs), default=0)
+        assert F.norm() == F.to_sparse().norm() == expected
 
     def test_zero_excess(self):
         g = pc.gap_info(EX22_P)

@@ -38,8 +38,70 @@ class TestRngStream:
         for _ in range(100):
             assert 0 <= r.residue(65537) < 65537
 
+    def test_bit_list_is_successive_single_bits(self):
+        for k in range(1, 65):
+            for seed in (0, 1, k, 2**64 - 1):
+                a, b = RngStream(seed), RngStream(seed)
+                assert a.bit_list(k) == [b.bits(1) for _ in range(k)]
+                assert a.bits(64) == b.bits(64)  # the same draws were taken
+
+
+def _random_rounds_loop(n, rounds, rng):
+    """is_probable_prime as one Miller-Rabin round per random base, with no
+    fixed bases: the reference for its answer and its draws."""
+    from polycheck.rings import _SMALL_PRIMES, _strong_probable_prime
+
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    return all(_strong_probable_prime(n, 2 + rng.below(n - 3)) for _ in range(rounds))
+
+
+# the least strong pseudoprimes to the first 4, 5, 6, 8 and 11 prime bases
+STRONG_PSEUDOPRIMES = (
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+)
+
 
 class TestProbablePrime:
+    def _same_as_random_rounds(self, n, rounds, seed):
+        mine, ref = RngStream(seed), RngStream(seed)
+        assert is_probable_prime(n, rounds, mine) == _random_rounds_loop(n, rounds, ref)
+        assert mine.bits(64) == ref.bits(64)
+
+    def test_same_answer_and_draws_as_random_rounds(self):
+        for seed in range(1200):
+            pick = RngStream(seed)
+            n = pick.bits(20 + pick.below(60)) | 1
+            if seed % 2:  # half of the cases prime: the next one from n
+                while not is_prime_det64(n):
+                    n += 2
+            rounds = (1, 2, 13, 14, 15, 20, 23, 41, 64)[seed % 9]
+            self._same_as_random_rounds(n, rounds, seed)
+
+    def test_same_answer_and_draws_at_the_edges(self):
+        # 41 fails its own fixed base and falls back to random rounds; the
+        # rest straddle _DET_LIMIT (2^89 - 1 is prime, 2^89 + 1 is not)
+        for n in (41, 43, 1681, 2**61 - 1, 3317044064679887385961981, 2**89 - 1, 2**89 + 1):
+            for rounds in (1, 14, 30):
+                for seed in range(5):
+                    self._same_as_random_rounds(n, rounds, seed)
+
+    def test_strong_pseudoprimes(self):
+        for n in STRONG_PSEUDOPRIMES:
+            for rounds in (1, 13, 14, 20, 64):
+                for seed in range(40):
+                    self._same_as_random_rounds(n, rounds, seed)
+            assert not is_probable_prime(n, 20, RngStream(0))
+
     def test_smallest_prime(self):
         assert is_probable_prime(2, 10) is True
 
