@@ -7,7 +7,9 @@ where something happens, kept as a dict of pending values and a min-heap
 of their indices, and bridge the gaps between them by powers of the point
 from one windowed power table (poly.power_table), which also serves
 P(alpha) and F(alpha) and which the calling check shares with its
-evaluation of H.  P = X^n - 1 is one such P, not a scan of its own.
+evaluation of H.  Where deg F + deg G < deg P nothing wraps, and the
+sparse routine visits no index at all: it returns F(alpha) G(alpha) from
+that table.  P = X^n - 1 is one such P, not a scan of its own.
 eval_mod is the one entry: the sparse scan when F and G are both sparse,
 the dense scan, which makes either form dense, otherwise.  Every scan
 computes its own leading coefficients; no caller hands it any.
@@ -40,9 +42,11 @@ disagree is the lowest nonzero lane of their difference.
 A fifth, PrimeField.sparse_sum, is the sparse evaluation of poly.evaluate
 in GF(q), and so gives the sparse scan its P(alpha) and F(alpha): for each
 byte position of the exponents, one C-level pass multiplies every term's
-value by its entry of that window of the shared power table.  Its
-reference is the per-term loop poly._sparse_sum, which every other ring
-runs.
+value by its entry of that window of the shared power table, whose
+window grows in bulk (PrimeField.double_powers) where the request asks
+for enough of it, and runs of terms that share a top byte are summed
+before their one product.  Its reference is the per-term loop
+poly._sparse_sum, which every other ring runs.
 None of them multiplies polynomials or counts in POLY_MUL_OPS.
 """
 
@@ -289,18 +293,25 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     G has a term are visited; power gaps are bridged by alpha^gap.  P(alpha),
     F(alpha) and every gap power come from pw, the power_table(ring, alpha)
     of the calling check (a fresh one if not given), at about
-    (bits of the power)/8 - 1 products each."""
+    (bits of the power)/8 - 1 products each.
+
+    When deg F + deg G < deg P nothing wraps: (F*G) mod P is F*G, and the
+    result is F(alpha) G(alpha), both from pw, with no scan at all.  That
+    is every fold of verify_sparse_product whose prime exceeds the degree of
+    the product."""
     n = _require_args(P, F, G)
     if G.sparsity() < F.sparsity():
         F, G = G, F  # the product is symmetric and the cost follows #F
     ring = _check_eval_ring(F, ring)
     if G.is_zero() or F.is_zero():
         return ring.zero()
+    pw = pw or power_table(ring, alpha)
+    if F.degree() + G.degree() < n:
+        return ring.mul(evaluate(F, alpha, ring, pw), evaluate(G, alpha, ring, pw))
     vals = dict(sparse_leading_coefficients(P, F))
     if 0 not in vals:
         vals[0] = F.ctx.zero()
     g = dict(G.terms)
-    pw = pw or power_table(ring, alpha)
     p_alpha = evaluate(P, alpha, ring, pw)
     f_alpha = evaluate(F, alpha, ring, pw)
     beta = ring.scalar_mul(g[0], f_alpha) if 0 in g else ring.zero()

@@ -11,6 +11,7 @@ degree.  Both classes have to_dense() and to_sparse(); asked for the form
 it already has, a polynomial returns itself.
 """
 
+import functools
 import json
 from decimal import MAX_EMAX, Context, Inexact, InvalidOperation
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .rings import ExtField, IntegerRing, PrimeField, POLY_MUL_OPS, ZZ, GF, is_p
 EXPONENT_CAP = 2**63 - 1
 DENSIFY_CAP = 2**26
 WINDOW_BITS = 8  # power_table reads exponents a byte at a time
+BULK_GROWTH = 4  # power_table grows a GF(q) window in bulk from one byte asked per 4
 
 
 class PolyFormatError(ValueError):
@@ -232,9 +234,10 @@ def x_pow_minus_one(ctx, n):
 # 41k-49k digits and 0.56-0.90x from 61k digits on.
 _DECIMAL_MIN_DIGITS = 50_000
 # The lowest limit sys.set_int_max_str_digits accepts: decimal slots up to
-# this wide convert by str() and int(), wider ones through Decimal, which
-# has no limit.
+# this wide convert by str() and int(); wider ones are written through
+# Decimal, which has no limit, and read as int() of pieces this wide.
 _STR_SAFE_DIGITS = 640
+_STR_SAFE_SCALE = 10**_STR_SAFE_DIGITS
 
 
 def _kronecker_ints(a, b):
@@ -290,6 +293,9 @@ def _kronecker_decimal(a, b, s):
     Decimal, minus the offset 10^(s-1) (10^(size s) - 1)/(10^s - 1) of that
     many slots, written as repeated digits; the product plus its offset is
     written out and cut back into s-digit slots, each shifted down again.
+    A slot wider than _STR_SAFE_DIGITS is read as int of pieces of at most
+    that many digits, combined by powers of 10^_STR_SAFE_DIGITS: about 4x
+    faster than int(Decimal) at 1235 digits.
 
     Every Decimal is made and combined in one local context whose
     precision is the product's slot count times s, with Inexact trapped:
@@ -307,7 +313,11 @@ def _kronecker_decimal(a, b, s):
             return exact.to_sci_string(exact.create_decimal(c))
 
         def value(t):
-            return int(exact.create_decimal(t))
+            head = len(t) % _STR_SAFE_DIGITS or _STR_SAFE_DIGITS
+            v = int(t[:head])
+            for k in range(head, len(t), _STR_SAFE_DIGITS):
+                v = v * _STR_SAFE_SCALE + int(t[k : k + _STR_SAFE_DIGITS])
+            return v
 
     def pack(cs):
         text = "".join([digits(c + off).zfill(s) for c in reversed(cs)])
@@ -520,24 +530,51 @@ def power_table(ring, alpha):
 
     Besides pw(e), the table gives bulk access to one window:
     pw.window(i, digits) fills the entries of window i that the byte values
-    digits need, by the same lazy products, and returns the window, which
-    the fused sparse kernel PrimeField.sparse_sum indexes by byte.  One
-    table serves every term of every polynomial evaluated at alpha in one
-    check, through either access and in any order; it is local to that
+    digits need and returns the window, which the fused sparse kernel
+    PrimeField.sparse_sum indexes by byte.  In GF(q) such a request may
+    instead grow the window in bulk: with its entries below L = 2^t all
+    filled, PrimeField.double_powers doubles that prefix, one C-level pass
+    per doubling, until it covers the largest byte asked for.  It does so
+    when BULK_GROWTH times the number of nonzero bytes asked for reaches
+    the largest of them (and that byte lies past L); single lookups pw(e)
+    and smaller requests keep the lazy fill.  Measured on a fresh window
+    (CPython 3.11, 2-vCPU VM), a lazy entry costs about 0.65 us and a bulk
+    one 0.07 us at a 17-bit q and 0.24 us at a 61-bit q, where % q is a
+    long division; bulk growth up to byte 255 broke even at about 32
+    distinct bytes asked for at 17 bits and 56-64 at 61 and 127 bits, as
+    a lazy entry also fills the entries its product chain needs.  Both
+    fills give the same canonical values, so lazy entries and bulk growth
+    mix in one window.
+
+    One table serves every term of every polynomial evaluated at alpha in
+    one check, through either access and in any order; it is local to that
     check."""
     if not isinstance(ring, (ExtField, PrimeField)):
         return lambda e: ring.pow(alpha, e)
     mul = ring.mul
     squares = [alpha]
     windows = []
+    prefix = []  # window i holds every entry below prefix[i], a power of two
+    bulk = isinstance(ring, PrimeField)
 
     def fill(i, digits=()):
         while len(windows) <= i:
             windows.append([ring.one()] + [None] * ((1 << WINDOW_BITS) - 1))
+            prefix.append(1)
         w = windows[i]
-        for j in set(digits):
-            if w[j] is None:
-                entry(w, i, j)
+        asked = set(digits)
+        asked.discard(0)
+        top = max(asked) if asked else 0
+        if bulk and BULK_GROWTH * len(asked) >= top >= prefix[i]:
+            # doubling 2^t entries takes the step alpha^(2^t 2^(8i)), entry 2^t
+            size = prefix[i]
+            steps = [entry(w, i, 1 << t) for t in range(size.bit_length() - 1, top.bit_length())]
+            prefix[i] = size << len(steps)
+            w[: prefix[i]] = ring.double_powers(w[:size], steps)
+        else:
+            for j in asked:
+                if w[j] is None:
+                    entry(w, i, j)
         return w
 
     def entry(window, i, j):
@@ -718,6 +755,14 @@ def format_poly(F):
     return head + "\n" + body + "\n"
 
 
+@functools.lru_cache(maxsize=64)
+def _modulus_is_prime(q):
+    """is_prime(q) for the field modulus of a .poly text, asked once per
+    process and modulus: is_prime is deterministic (exact below 3.3 * 10^24,
+    seeded from q above), so the cache changes no answer."""
+    return is_prime(q)
+
+
 def parse_poly(text):
     """The polynomial a .poly text holds.  A canonical body (plain decimal
     tokens one space apart) is read by one C-level JSON scan (_bulk_ints)
@@ -735,7 +780,7 @@ def parse_poly(text):
             q = int(head[2])
         except ValueError:
             raise PolyFormatError(f"bad field modulus {head[2]!r}") from None
-        if not is_prime(q):
+        if not _modulus_is_prime(q):
             raise PolyFormatError(f"field modulus {q} is not prime")
         ctx = GF(q)
     else:

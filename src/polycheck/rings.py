@@ -13,11 +13,14 @@ draws.
 import math
 import operator
 import random
+import sys
+from array import array
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import repeat
 
 _MASK64 = (1 << 64) - 1
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # GF(2) coefficients as binary digits
+RUN_TERMS = 8  # PrimeField.sparse_sum sums runs of a top byte first from this many terms per value
 
 
 class PrimeGenerationError(RuntimeError):
@@ -135,8 +138,9 @@ def ln_pow2_upper(k):
 # PrimeField alone supplies the sparse loop of poly.evaluate, with the
 # contract of poly._sparse_sum:
 #
-#   sparse_sum(terms, pw)            sum c alpha^e over the (e, c) terms, the
-#                                    powers from the power_table pw at alpha
+#   sparse_sum(terms, pw)            sum c alpha^e over the (e, c) terms,
+#                                    ascending in e as a SparsePoly keeps them,
+#                                    the powers from the power_table pw at alpha
 #
 # horner runs a block of coefficients at a time: one C-level dot product
 # per block with a table of alpha's powers, and Horner across the blocks
@@ -288,22 +292,49 @@ class PrimeField:
         return beta % q
 
     def sparse_sum(self, terms, pw):
-        """Exponent byte i of every term at once: the exponents' bytes sit
-        side by side in one buffer, so window i's bytes are one slice, and
-        one C-level map multiplies every term's running value (its
-        coefficient at first) by its entry of window i, where byte 0 stands
-        for 1.  Only the sum is reduced: a value is a coefficient times at
-        most 8 entries, below |c| q^8, and multiplying it by one more entry
-        costs less than reducing it first."""
+        """Exponent byte i of every term at once: the exponents sit side by
+        side as the little-endian 64-bit words of one C-level array, so
+        window i's bytes are one slice, and one C-level map multiplies every
+        term's running value (its coefficient at first) by its entry of
+        window i, where byte 0 stands for 1.  Only the sum is reduced: a
+        value is a coefficient times at most 8 entries, below |c| q^8, and
+        multiplying it by one more entry costs less than reducing it first.
+
+        The terms ascend by exponent, as a SparsePoly keeps them, so the top
+        bytes ascend too and each of their values covers one run of terms.
+        Where the top byte spans at most one value per RUN_TERMS terms, each
+        run's values are summed first and multiplied by their top entry
+        once (bucket accumulation): one product per run, not per term."""
         if not terms:
             return 0
         exps, vals = zip(*terms)
-        nb = (max(exps).bit_length() + 7) >> 3
-        digits = b"".join(map(int.to_bytes, exps, repeat(nb), repeat("little")))
-        for i in range(nb):
-            col = digits[i::nb]
+        nb = max(1, (exps[-1].bit_length() + 7) >> 3)
+        digits = array("Q", exps)  # exponents below 2^63, so 8 bytes each
+        if sys.byteorder == "big":
+            digits.byteswap()
+        width, digits = digits.itemsize, digits.tobytes()
+        for i in range(nb - 1):
+            col = digits[i::width]
             vals = map(operator.mul, vals, map(pw.window(i, col).__getitem__, col))
-        return sum(vals) % self.q
+        col = digits[nb - 1 :: width]
+        window = pw.window(nb - 1, col)
+        lo, hi = col[0], col[-1]
+        if RUN_TERMS * (hi - lo + 1) > len(col):
+            return sum(map(operator.mul, vals, map(window.__getitem__, col))) % self.q
+        vals = list(vals)
+        cut = [bisect_left(col, b) for b in range(lo, hi + 2)]
+        runs = zip(range(lo, hi + 1), cut, cut[1:])
+        return sum([window[b] * sum(vals[s:e]) for b, s, e in runs if s < e]) % self.q
+
+    def double_powers(self, powers, steps):
+        """powers = [1, a, .., a^(L-1)] grown in place by doubling: for each
+        step s = a^L, a^(2L), .. in turn, one C-level pass appends s times
+        every power so far, each reduced.  The power-table windows of
+        poly.power_table grow this way in bulk."""
+        q = self.q
+        for s in steps:
+            powers += [v * s % q for v in powers]
+        return powers
 
     embed = canon
     scalar_mul = mul

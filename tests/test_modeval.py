@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -18,7 +20,7 @@ from polycheck.modeval import (
 )
 from polycheck.oracle import oracle_matrix_eval, oracle_mod_product, poly_divmod
 from polycheck.rings import POLY_MUL_OPS, RngStream
-from conftest import rand_dense, rand_monic_sparse, rand_sparse
+from conftest import rand_dense, rand_monic_sparse, rand_nonzero_coeff, rand_sparse
 
 Z = pc.ZZ
 F2 = pc.GF(2)
@@ -474,3 +476,43 @@ class TestScanEntry:
             assert eval_mod_p_dense(P, F, G, ring.x, ring) == want
             assert POLY_MUL_OPS.count == before  # the dense scan multiplies none
             assert modeval.eval_mod(P, F, G, ring.x, ring) == want
+
+
+def _sparse_of_degree(ctx, d, t, rng):
+    """A sparse polynomial of degree exactly d with at most t terms."""
+    lower = rand_sparse(ctx, d, t - 1, rng) if d else pc.SparsePoly.zero(ctx)
+    return pc.SparsePoly(ctx, list(lower.terms) + [(d, rand_nonzero_coeff(ctx, rng))])
+
+
+class TestSparseScanShortcut:
+    """eval_mod_p_sparse against the oracle on both sides of
+    deg F + deg G = deg P: below it (F*G) mod P is F*G and the result is
+    F(alpha) G(alpha) with no scan, from it on the scan runs."""
+
+    RINGS = ["Z at GF(p)", "GF(7)", "x in GF(2)[X]/(R)"]
+
+    @pytest.mark.parametrize("kind", RINGS)
+    @pytest.mark.parametrize("excess, scans", [(-2, False), (-1, False), (0, True), (1, True)])
+    def test_matches_the_oracle(self, kind, excess, scans, rng):
+        if kind == "Z at GF(p)":
+            ctx, ring = Z, pc.GF(2**61 - 1)
+        elif kind == "GF(7)":
+            ctx, ring = pc.GF(7), pc.GF(7)
+        else:
+            ctx, ring = F2, CompanionOperator(pc.DensePoly(F2, [1, 1, 0, 0, 0, 1, 1]))
+        spy = mock.patch.object(
+            modeval, "sparse_leading_coefficients", wraps=sparse_leading_coefficients
+        )
+        for n in (3, 4, 9, 40, 1000, 2**40):
+            for _ in range(4):
+                s = n + excess  # deg F + deg G, each below n
+                lo, hi = max(0, s - n + 1), min(n - 1, s)
+                d = lo + rng.below(hi - lo + 1)
+                F = _sparse_of_degree(ctx, d, 1 + rng.below(5), rng)
+                G = _sparse_of_degree(ctx, s - d, 1 + rng.below(5), rng)
+                P = rand_monic_sparse(ctx, n, 1 + rng.below(4), rng)
+                alpha = ring.x if ctx == F2 else ring.sample(rng)
+                want = pc.evaluate(oracle_mod_product(F, G, P), alpha, ring)
+                with spy as leading:
+                    assert eval_mod_p_sparse(P, F, G, alpha, ring) == want
+                assert leading.called == scans

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import polycheck as pc
-from polycheck import poly
+from polycheck import poly, rings
 from polycheck.oracle import (
     _pair_product_sparse,
     _sparse_long_division_rem,
@@ -31,6 +31,7 @@ from polycheck.rings import POLY_MUL_OPS, RngStream
 from conftest import rand_dense, rand_monic_sparse, rand_sparse
 
 Z = pc.ZZ
+PRIME_127 = 2**127 - 1  # a Mersenne prime
 
 # the running three-term example triple
 EX1_F = pc.SparsePoly(Z, [(0, 2), (7, 2), (14, 1)])
@@ -288,6 +289,40 @@ class TestKroneckerKernel:
             assert repr(ctx) == state
         assert products == expected
 
+    @pytest.mark.parametrize("bits", [2048, 8192])
+    @pytest.mark.parametrize("limit", [640, None], ids=["limit640", "default"])
+    def test_wide_slots_read_in_pieces(self, bits, limit, rng):
+        # product slots of about 1235 and 4935 digits, read as int of pieces
+        # of at most 640 digits whatever the int-to-str limit
+        from polycheck.oracle import _school_product_dense
+
+        top = 1 << bits
+        row = [top - 1, -(top - 1), 1, 0] + [rng.bits(bits) - rng.bits(bits) for _ in range(8)]
+        F = pc.DensePoly(Z, row + [top - 1])
+        G = pc.DensePoly(Z, [-c for c in reversed(row)] + [1 - top])
+        decimal_products = mock.patch.object(
+            poly, "_kronecker_decimal", wraps=poly._kronecker_decimal
+        )
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit or saved)
+        try:
+            with decimal_products as spy, mock.patch.object(poly, "_DECIMAL_MIN_DIGITS", 0):
+                assert pc.mul_oracle(F, G) == _school_product_dense(F, G)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert spy.call_count == 1
+
+    @pytest.mark.parametrize("s", [641, 1279, 1280, 1281, 1921, 5000])
+    def test_slot_widths_past_one_piece(self, s):
+        # a slot of s digits is one piece of s mod 640 digits (or 640) and
+        # then whole 640-digit pieces; each width meets the piece edges
+        a = [10 ** (s - 2) - 1, -(10 ** (s - 2)) + 7, 3]
+        b = [1, -1]
+        assert poly._kronecker_decimal(a, b, s) == [
+            sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(len(a) + len(b) - 1)
+        ]
+
 
 @st.composite
 def reduction_instances(draw):
@@ -497,6 +532,82 @@ class TestEvaluate:
         assert [pw(e) for e in exps] == want
         assert [pw(e) for e in reversed(exps)] == want[::-1]
 
+    @given(st.data())
+    def test_prime_field_windows_lazy_and_bulk_match_ring_pow(self, data):
+        # single lookups, small window requests (lazy entries) and large ones
+        # (bulk growth) in any order on one table, so both kinds of fill meet
+        # in one window; and sparse_sum of Z coefficients at a GF(p) point
+        q = data.draw(st.sampled_from((2, 3, 65537, 2**61 - 1, PRIME_127)))
+        ring = pc.GF(q)
+        alpha = data.draw(st.sampled_from((0, 1, q - 1)) | st.integers(0, q - 1))
+        edges = [2 ** (8 * i) + k for i in range(8) for k in (-1, 1)] + [2**63 - 1]
+        exponent = st.sampled_from(edges) | st.integers(0, 2**63 - 1)
+        small = st.binary(min_size=1, max_size=4)
+        bulk = st.binary(min_size=64, max_size=128) | st.integers(1, 256).map(
+            lambda k: bytes(range(k))
+        )
+        request = st.tuples(st.just("pw"), exponent) | st.tuples(
+            st.integers(0, 7), small | bulk
+        )
+        pw = power_table(ring, alpha)
+        for kind, arg in data.draw(st.lists(request, min_size=1, max_size=12)):
+            if kind == "pw":
+                assert pw(arg) == ring.pow(alpha, arg)
+            else:
+                window = pw.window(kind, arg)
+                unit = ring.pow(alpha, 1 << (8 * kind))  # window entries are its powers
+                for j in set(arg):
+                    assert window[j] == ring.pow(unit, j)
+        terms = data.draw(
+            st.dictionaries(exponent, st.integers(-(2**70), 2**70).filter(bool), max_size=40)
+        )
+        F = pc.SparsePoly(Z, sorted(terms.items()))
+        want = sum(c * ring.pow(alpha, e) for e, c in F.terms) % q
+        assert ring.sparse_sum(F.terms, pw) == want
+        assert pc.evaluate(F, alpha, ring) == want
+
+    @given(st.data())
+    def test_sparse_sum_by_runs_of_the_top_byte(self, data):
+        # the top bytes of ascending exponents come in runs; summing a run
+        # before its one product gives the per-term sum, with runs forced,
+        # at the default threshold and never
+        q = data.draw(st.sampled_from((2, 3, 65537, 2**61 - 1, PRIME_127)))
+        ring = pc.GF(q)
+        alpha = data.draw(st.integers(0, q - 1))
+        shift = 8 * data.draw(st.integers(0, 7))
+        top = 255 if shift < 56 else 127  # exponents stay below 2^63
+        first = data.draw(st.integers(0, top))
+        high = st.integers(first, min(top, first + data.draw(st.integers(0, 40))))
+        exponent = st.builds(lambda h, l: h << shift | l, high, st.integers(0, (1 << shift) - 1))
+        terms = data.draw(
+            st.dictionaries(exponent, st.integers(-(2**70), 2**70), min_size=1, max_size=300)
+        )
+        F = pc.SparsePoly(Z, sorted(terms.items()))
+        want = sum(c * ring.pow(alpha, e) for e, c in F.terms) % q
+        for run_terms in (0, rings.RUN_TERMS, 10**9):
+            with mock.patch.object(rings, "RUN_TERMS", run_terms):
+                assert ring.sparse_sum(F.terms, power_table(ring, alpha)) == want
+
+    def test_prime_field_window_grows_in_bulk_only_where_it_pays(self):
+        # a request for every byte grows the window by one doubling per bit;
+        # byte 220 asked for alone, and so one byte in 220, is filled lazily
+        grown = []
+
+        class GrowthSpy(pc.PrimeField):
+            def double_powers(self, powers, steps):
+                grown.append(len(steps))
+                return super().double_powers(powers, steps)
+
+        ring = GrowthSpy(65537)
+        pw = power_table(ring, 3)
+        assert pw.window(0, bytes([220]))[220] == pow(3, 220, 65537)
+        assert grown == []
+        window = pw.window(0, bytes(range(256)))
+        assert grown == [8]
+        assert window == [pow(3, j, 65537) for j in range(256)]
+        assert pw.window(1, bytes(range(0, 64, 2)))[62] == pow(3, 62 << 8, 65537)
+        assert grown == [8, 6]
+
     def test_power_table_costs_one_product_per_extra_byte(self):
         # on a filled table alpha^e is one entry per nonzero byte of e;
         # square-and-multiply would take about 1.5 log2(e) products
@@ -679,6 +790,18 @@ class TestTextFormat:
             parse_poly("ring GF 7\ndense 1 9\n")
         with pytest.raises(PolyFormatError):
             parse_poly("ring GF 7\nsparse 0:-1\n")
+
+    def test_field_modulus_checked_once_per_process(self):
+        # a composite modulus is refused alike on every read; a prime one
+        # reaches is_prime once, however many files name it
+        poly._modulus_is_prime.cache_clear()
+        with mock.patch.object(poly, "is_prime", wraps=poly.is_prime) as spy:
+            for _ in range(3):
+                with pytest.raises(PolyFormatError, match="^field modulus 65535 is not prime$"):
+                    parse_poly("ring GF 65535\ndense 1 2\n")
+                assert parse_poly("ring GF 65537\nsparse 0:1 9:2\n").ctx == pc.GF(65537)
+                assert parse_poly("ring GF 65537\ndense 1 2\n").ctx == pc.GF(65537)
+        assert sorted(call.args for call in spy.call_args_list) == [(65535,), (65537,)]
 
     def test_rejects_bad_exponent_order(self):
         with pytest.raises(PolyFormatError):
