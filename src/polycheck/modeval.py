@@ -12,7 +12,10 @@ sparse routine visits no index at all: it returns F(alpha) G(alpha) from
 that table.  P = X^n - 1 is one such P, not a scan of its own.
 eval_mod is the one entry: the sparse scan when F and G are both sparse,
 the dense scan, which makes either form dense, otherwise.  Every scan
-computes its own leading coefficients; no caller hands it any.
+computes its own leading coefficients, in the ring it evaluates in; no
+caller hands it any.  For F, G and P over Z at a point of GF(p) that is
+GF(p): the scans read the signed integers as they are and reduce them as
+they go, and nothing is copied into GF(p).
 
 The companion matrix C_R of a monic R needs no scan of its own either:
 column 0 of H(C_R) is the coefficient vector of H mod R, which is H
@@ -26,8 +29,8 @@ poly.fused allows (as does dense Horner in poly.evaluate, a block of
 coefficients at a time; see rings), and as the generic ring-method loop
 _dense_scan, its reference, everywhere else.
 There are three kernels:
-  - ints in GF(q) at any point (PrimeField.dense_scan): one multiply-add
-    and one % q per index;
+  - ints in GF(q), or signed integers, at any point of GF(q)
+    (PrimeField.dense_scan): one multiply-add and one % q per index;
   - packed GF(2)[X]/(R) at x: a shift, a conditional XOR with R, one with
     P(x) and one into the sum;
   - GF(q)[X]/(R) at x for odd q: the d coordinates sit unreduced in w-bit
@@ -107,23 +110,35 @@ def eval_mod_binomial_sparse(F, G, n, alpha, ring=None, pw=None):
 # leading coefficients of the shifted residues (X^i * F) mod P
 
 
-def leading_coefficients(P, F):
+def _coefficient_ring(P, ring):
+    """The ring a scan that evaluates in ring computes P's leading
+    coefficients in: GF(p) for P over Z at a point of GF(p), where every
+    update is reduced mod p and no value grows, and P's own ring otherwise,
+    ring = None included."""
+    ring = _check_eval_ring(P, ring)
+    return ring if isinstance(ring, PrimeField) else P.ctx
+
+
+def leading_coefficients(P, F, ring=None):
     """Dense vector [v_0, ..., v_{n-2}] where v_i is the degree-(n-1)
-    coefficient of (X^i * F) mod P, in O(n #P) ring operations."""
+    coefficient of (X^i * F) mod P, in O(n #P) operations of the
+    coefficient ring of ring, the ring a scan evaluates in (see
+    _coefficient_ring).  For P and F over Z and ring a GF(p), v_i is given
+    modulo p, and the entries no update reaches are F's integer
+    coefficients as they are, which the scans reduce as they read them."""
     n = _require_args(P, F, SparsePoly.zero(P.ctx))
     if n >= DENSIFY_CAP:
         raise ValueError(f"degree {n} too large to densify")
-    ctx = P.ctx
-    g = gap_info(P)
-    k2 = g.second_degree
+    ctx = _coefficient_ring(P, ring)
+    k2 = gap_info(P).second_degree
     cs = F.to_dense().coeffs
     cs += (ctx.zero(),) * (n - len(cs))
     V = list(cs[:0:-1])  # V[j] = f_{n-1-j}
-    updates = [(k, c) for k, c in P.terms[:-1] if k > 0]
+    updates = [(k, ctx.canon(c)) for k, c in P.terms[:-1] if k > 0]
     int_path = isinstance(ctx, (IntegerRing, PrimeField))
     q = ctx.q if isinstance(ctx, PrimeField) else None
     for i in range(min(n - 1, max(k2 - 1, 0))):
-        v = V[i]
+        v = V[i] if q is None else V[i] % q
         if ctx.is_zero(v):
             continue
         if int_path:
@@ -139,23 +154,21 @@ def leading_coefficients(P, F):
     return V
 
 
-def sparse_leading_coefficients(P, F):
+def sparse_leading_coefficients(P, F, ring=None):
     """The nonzero pairs (i, v_i) of leading_coefficients, ascending in i,
-    computed without touching silent indices.  Output length is at most
-    #F * #P^ceil(1/gamma - 1)."""
+    computed without touching silent indices, in the same ring.  Output
+    length is at most #F * #P^ceil(1/gamma - 1)."""
     n = _require_args(P, F, SparsePoly.zero(P.ctx))
-    ctx = P.ctx
-    if F.is_zero():
-        return []
-    pending = {n - 1 - t: c for t, c in F.terms if t > 0}  # index -> v_i
+    ctx = _coefficient_ring(P, ring)
+    pending = {n - 1 - t: ctx.canon(c) for t, c in F.terms if t > 0}  # index -> v_i
     heap = sorted(pending)
-    updates = [(k, c) for k, c in P.terms[:-1] if k > 0]
+    updates = [(k, ctx.canon(c)) for k, c in P.terms[:-1] if k > 0]
     out = []
     while heap:
         i = heapq.heappop(heap)
         v = pending.pop(i, None)
-        if v is None:
-            continue  # cancelled to zero after it was pushed
+        if v is None or ctx.is_zero(v):
+            continue  # cancelled to zero after it was pushed, or 0 mod p
         out.append((i, v))
         for k, pk in updates:
             if k > i + 1:
@@ -190,7 +203,7 @@ def eval_mod_p_dense(P, F, G, alpha, ring=None):
     if n >= DENSIFY_CAP:
         raise ValueError(f"degree {n} too large to densify")
     F, G = F.to_dense(), G.to_dense()
-    V = leading_coefficients(P, F)
+    V = leading_coefficients(P, F, ring)
     # at the class of X, dense Horner multiplies no polynomials (ExtField.mul)
     at_x = isinstance(ring, ExtField) and alpha is ring.x
     p_alpha = evaluate(P.to_dense() if at_x else P, alpha, ring)
@@ -308,7 +321,7 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     pw = pw or power_table(ring, alpha)
     if F.degree() + G.degree() < n:
         return ring.mul(evaluate(F, alpha, ring, pw), evaluate(G, alpha, ring, pw))
-    vals = dict(sparse_leading_coefficients(P, F))
+    vals = dict(sparse_leading_coefficients(P, F, ring))
     if 0 not in vals:
         vals[0] = F.ctx.zero()
     g = dict(G.terms)

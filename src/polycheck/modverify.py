@@ -8,8 +8,10 @@ list so a failing run can be replayed from its seed.
 Every method but "companion-no-polymul" compares both sides once, at the
 point that point_kind picks and draw_point draws; that pair is the one
 point policy of the package, and prodverify's one-point checks ask it
-too.  Over Z, H is evaluated as it is, never copied into GF(q).  Only
-"companion-no-polymul" makes many unscreened draws instead.
+too.  Over Z, F, G, H and P are read as they are at a point of GF(q),
+never copied into GF(q): the evaluation kernels and the scans reduce the
+integers as they read them.  Only "companion-no-polymul" makes many
+unscreened draws instead.
 """
 
 import math
@@ -18,8 +20,6 @@ from fractions import Fraction
 
 from . import modeval
 from .poly import (
-    DensePoly,
-    SparsePoly,
     all_sparse,
     evaluate,
     gap_info,
@@ -137,10 +137,22 @@ def verify_mod(F, G, H, P, cfg=None):
     """Decide H = (F*G) mod P at a random point of the coefficient field,
     or over Z at a random point of GF(q) for a random prime q (point_kind).
     It never extends the field: where the field is too small for the bound
-    it raises FieldTooSmallError.  Over Z, F, G and P are copied into GF(q)
-    for the scan, which reads their coefficients, and H is evaluated as it
-    is (poly.evaluate)."""
+    it raises FieldTooSmallError.  Over Z nothing is copied into GF(q): H
+    is evaluated as it is (poly.evaluate), and the scan reads F, G and P
+    as they are, computing P's leading coefficients in GF(q)."""
     return _verify_at_point(F, G, H, P, cfg or VerifyConfig(), "direct-eval")
+
+
+def point_policy_accepts(ctx):
+    """Whether the one point policy serves coefficients in ctx: Z, GF(q) or
+    GF(q)[X]/(R) with R irreducible (Ben-Or's test), rings without zero
+    divisors, where a product of nonzero polynomials is nonzero and of
+    degree deg F + deg G."""
+    return isinstance(ctx, (IntegerRing, PrimeField)) or (
+        isinstance(ctx, ExtField)
+        and isinstance(ctx.base, PrimeField)
+        and poly_list_is_irreducible(ctx.modulus, ctx.base.q)
+    )
 
 
 def point_kind(ctx, deg, eps, method="auto"):
@@ -160,19 +172,12 @@ def point_kind(ctx, deg, eps, method="auto"):
       "direct-eval" never extends, and only GF(q) has an extension here.
 
     One random point bounds the miss chance only over a field, so the
-    coefficient ring must be Z, GF(q) or GF(q)[X]/(R) with R irreducible;
-    any other ring is a TypeError."""
+    coefficient ring must be one point_policy_accepts; any other ring is a
+    TypeError."""
+    if not point_policy_accepts(ctx):
+        raise TypeError("coefficients must lie in Z, GF(q) or GF(q)[X]/(R) with R irreducible")
     if isinstance(ctx, IntegerRing):
         return "prime"
-    if not (
-        isinstance(ctx, PrimeField)
-        or (
-            isinstance(ctx, ExtField)
-            and isinstance(ctx.base, PrimeField)
-            and poly_list_is_irreducible(ctx.modulus, ctx.base.q)
-        )
-    ):
-        raise TypeError("coefficients must lie in Z, GF(q) or GF(q)[X]/(R) with R irreducible")
     size = ctx.size()
     if method not in ("extension", "companion-freivalds") and size * eps >= deg:
         return "field"
@@ -222,8 +227,10 @@ def _verify_at_point(F, G, H, P, cfg, method):
     All-sparse input is first screened by its term count
     (sparsity_precheck), a certain rejection with rounds = 0 and no
     witness; at X modulo R any other input is made dense, as the dense
-    scans at X multiply no polynomials.  The report has rounds = 1 and the
-    witness of draw_point, over Z as two entries {"q": q}, {"alpha": α}.
+    scans at X multiply no polynomials.  Over Z the scans read F, G, H and
+    P as they are at the point of GF(q), with no copy.  The report has
+    rounds = 1 and the witness of draw_point, over Z as two entries
+    {"q": q}, {"alpha": α}.
     Its method is the one asked for; "auto" reads "extension" at X modulo
     R and "direct-eval" at a random point."""
     n = check_shapes(F, G, H, P)
@@ -238,11 +245,8 @@ def _verify_at_point(F, G, H, P, cfg, method):
         F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
     norm = delta_norm_bound(F, G, H, P) if kind == "prime" else 0
     ring, alpha, witness = draw_point(kind, ctx, n - 1, eps, RngStream(cfg.seed), norm)
-    witnesses = [witness]
-    if kind == "prime":
-        F, G, P = (_map_to_field(X, ring) for X in (F, G, P))
-        # schema 1 names a modular check's prime "q", in an entry of its own
-        witnesses = [{"q": ring.q}, {"alpha": alpha}]
+    # schema 1 names a modular check's prime "q", in an entry of its own
+    witnesses = [{"q": ring.q}, {"alpha": alpha}] if kind == "prime" else [witness]
     verdict = _agree_at(F, G, H, P, alpha, ring)
     return VerifyReport(verdict, float(eps), 1, witnesses, method, cfg.seed)
 
@@ -301,14 +305,6 @@ def verify_mod_over_Z(F, G, H, P, cfg=None):
     if not isinstance(P.ctx, IntegerRing):
         raise TypeError("verify_mod_over_Z needs integer polynomials")
     return verify_mod(F, G, H, P, cfg)
-
-
-def _map_to_field(X, fq):
-    """The integer polynomial X with its coefficients reduced into GF(q)."""
-    q = fq.q
-    if isinstance(X, DensePoly):
-        return DensePoly.trusted(fq, [c % q for c in X.coeffs])
-    return SparsePoly.trusted(fq, [(e, c % q) for e, c in X.terms])
 
 
 def minimal_extension_degree(q, bound):

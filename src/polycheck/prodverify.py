@@ -163,11 +163,13 @@ def _certain(verdict, reason, method, cfg):
 def _product_shape_reject(F, G, H):
     """Degree screens shared by the dense product verifiers.  Returns a
     verdict for the trivial cases, or None when the probabilistic phase must
-    run."""
+    run.  A zero H is a certain rejection only where F*G cannot be zero,
+    over a ring the point policy accepts (modverify.point_policy_accepts),
+    which is asked only then."""
     if F.is_zero() or G.is_zero():
         return H.is_zero()
     if H.is_zero():
-        return False
+        return False if modverify.point_policy_accepts(F.ctx) else None
     if H.degree() > F.degree() + G.degree():
         return False
     return None
@@ -249,7 +251,15 @@ def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
     replaced by a modular-product verification, so the whole path performs no
     polynomial multiplication.  Small degrees, where the fold range is
     useless, are handled by verifying H = F*G modulo X^(D+1) - 1 directly
-    (an equivalence, since deg of both sides stays below D+1)."""
+    (an equivalence, since deg of both sides stays below D+1).
+
+    Having neither a product nor an extension of a quotient ring, it
+    refuses where the point policy finds GF(q)[X]/(R) too small: over
+    GF(2^8) with degree-20 factors it raises FieldTooSmallError on a true
+    product at epsilon = 1/8 (the check at X^41 - 1 needs 256 epsilon >=
+    40) and answers at epsilon = 1/2; kaminski answers both by its exact
+    product.  Over GF(q) it makes unscreened draws at X modulo R instead
+    (_modular_check_no_mul)."""
     cfg = cfg or VerifyConfig()
     params = params or KaminskiParams()
     if F.ctx != G.ctx or F.ctx != H.ctx:
@@ -261,7 +271,7 @@ def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
     n = max(F.degree(), G.degree(), 1)
     rho = params.per_round_bound(n) + Fraction(1, n) if n > 1 else Fraction(1)
     if rho > Fraction(1, 2):
-        D = max(H.degree(), F.degree() + G.degree())
+        D = F.degree() + G.degree()  # the screen rejected any H of higher degree
         P = x_pow_minus_one(F.ctx, D + 1)
         inner = _modular_check_no_mul(F, G, H, P, VerifyConfig(epsilon=eps, seed=cfg.seed))
         witness = {"full-degree-fold": D + 1, "inner": inner.witnesses}
@@ -335,7 +345,7 @@ def _check_at_power_of_two(F, G, H, w, cfg, e, method):
     (5/3) 2s ln 2/λ <= ε/4, and random_prime at ε/2 returns a composite
     with probability at most ε/2.  The report has rounds = 1 and the
     witness {"p": p}, or one {"i": i} per fold round."""
-    params = KaminskiParams(e=e if e is not None else Fraction(9, 20))
+    params = KaminskiParams() if e is None else KaminskiParams(e=e)
     eps = cfg.epsilon
     if F.is_zero() or G.is_zero():
         return _certain(H.is_zero(), "zero", method, cfg)
@@ -438,13 +448,17 @@ def _sparse_lam(eps, t_products, n):
 def _sparse_screen(F, G, H):
     """The O(1) screens of verify_sparse_product: (verdict, witness) when
     the shapes alone decide H = F*G, else None.  Every such verdict is
-    certain."""
+    certain.  F*G has #F #G terms at most and degree deg F + deg G at most,
+    exactly that degree only over a ring the point policy accepts
+    (modverify.point_policy_accepts), which is asked only where a zero H or
+    an H of lower degree would be rejected."""
     if F.is_zero() or G.is_zero():
         return H.is_zero(), {"deterministic": "zero"}
-    if H.is_zero():
-        return False, {"deterministic": "shape"}
-    if H.sparsity() > F.sparsity() * G.sparsity() or H.degree() != F.degree() + G.degree():
+    m = F.degree() + G.degree()
+    if not H.is_zero() and (H.sparsity() > F.sparsity() * G.sparsity() or H.degree() > m):
         return False, {"rejected": "shape"}
+    if (H.is_zero() or H.degree() < m) and modverify.point_policy_accepts(F.ctx):
+        return False, {"deterministic": "shape"} if H.is_zero() else {"rejected": "shape"}
     return None
 
 
@@ -467,7 +481,7 @@ def verify_sparse_product(F, G, H, cfg=None):
     if screen is not None:
         verdict, witness = screen
         return VerifyReport(verdict, 0.0, 0, [witness], "sparse", cfg.seed)
-    n = H.degree()
+    n = F.degree() + G.degree()  # deg H, where the screen passed H over Z or a field
     rng = RngStream(cfg.seed)
     t_products = F.sparsity() * G.sparsity() + H.sparsity()
     lam = _sparse_lam(eps, t_products, max(n, 2))
@@ -515,7 +529,8 @@ def exact_route_costs(F, G, H, eps, P=None):
         # verify_sparse_product folds every exponent below a prime p >= lam
         # and checks the folded identity at eps2
         eps = Fraction(eps)
-        top = _sparse_lam(eps, F.sparsity() * G.sparsity() + H.sparsity(), max(H.degree(), 2))
+        t_products = F.sparsity() * G.sparsity() + H.sparsity()
+        top = _sparse_lam(eps, t_products, max(F.degree() + G.degree(), 2))
         eps = SPARSE_EPS2 * eps
         terms = F.sparsity() + G.sparsity() + H.sparsity()
     else:
@@ -537,7 +552,7 @@ def exact_route_costs(F, G, H, eps, P=None):
     return {"product": product, "verify": verify}
 
 
-def count_binomial_divisors(delta, n, e=Fraction(9, 20)):
+def count_binomial_divisors(delta, n, e=KaminskiParams.e):
     """Exact count of fold degrees i in [n^(1-e), 2 n^(1-e)) with
     (X^i - 1) dividing delta; brute force, for harness use."""
     if delta.is_zero():

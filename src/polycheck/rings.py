@@ -147,8 +147,10 @@ def ln_pow2_upper(k):
 # (baby steps, giant steps).  dense_scan takes one step per index: its
 # closed form as prefix sums through alpha^-1 measured slower.
 #
-# PrimeField's horner and sparse_sum also take integer coefficients of any
-# sign, for poly.evaluate of a polynomial over Z at a point of GF(p).
+# PrimeField's horner, dense_scan and sparse_sum also take integer
+# coefficients of any sign (dense_scan in V and gs as well), for a
+# polynomial over Z at a point of GF(p): poly.evaluate and the scans of
+# modeval read them as they are.
 #
 # The kernels multiply no polynomials and count nothing in POLY_MUL_OPS.
 

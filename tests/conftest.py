@@ -49,6 +49,14 @@ def is_irreducible_gf2_exhaustive(coeffs):
     return True
 
 
+def rebuilt(X, ctx=None):
+    """X through the checking constructor of its class, over ctx if given:
+    over GF(p), an integer polynomial's canonical copy there."""
+    if isinstance(X, pc.DensePoly):
+        return pc.DensePoly(ctx or X.ctx, X.coeffs)
+    return pc.SparsePoly(ctx or X.ctx, X.terms)
+
+
 def gf2_clmul(a, b):
     """The GF(2)[X] product of bit-packed a and b."""
     r = 0

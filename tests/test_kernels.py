@@ -10,9 +10,9 @@ ring-method loops that stay as their reference:
     several polynomials and single powers share;
   - the lane-packed GF(2) scan of many moduli at once
     (gf2_first_mismatch) against modverify._agree_at, one modulus at a time;
-  - integer polynomials at a point of GF(m), which the int kernels evaluate
-    without a copy, against the copy modverify._map_to_field reduces into
-    GF(m).
+  - integer polynomials at a point of GF(m), which the int kernels
+    evaluate as they are, with no copy, against their canonical copies in
+    GF(m) built by the checking constructors.
 Z has no kernel; its instances check the generic loops against the oracle.
 
 These tests run under the "thorough" hypothesis profile in CI as well; see
@@ -32,11 +32,11 @@ from polycheck.modeval import (
     gf2_first_mismatch,
     leading_coefficients,
 )
-from polycheck.modverify import _agree_at, _map_to_field
+from polycheck.modverify import _agree_at
 from polycheck.oracle import oracle_mod_product
 from polycheck.poly import EXPONENT_CAP, _horner, _sparse_sum, evaluate, fused, power_table
 from polycheck.rings import POLY_MUL_OPS, ExtField, RngStream, random_irreducible
-from conftest import gf2_clmul
+from conftest import gf2_clmul, rebuilt
 
 Z = pc.ZZ
 F2 = pc.GF(2)
@@ -254,11 +254,12 @@ def integer_instances(draw):
 class TestIntegersAtAPointOfGFm:
     @given(integer_instances())
     def test_evaluate_matches_the_reduced_copy(self, inst):
-        """evaluate at a point of GF(m) gives the value of the copy in
-        GF(m), with one table shared by F, G and H in either order."""
+        """evaluate at a point of GF(m) gives the value of the canonical
+        copy in GF(m), with one table shared by F, G and H in either
+        order."""
         m, alpha, polys = inst
         ring = pc.PrimeField(m)
-        want = [evaluate(_map_to_field(X, ring), alpha, ring) for X in polys]
+        want = [evaluate(rebuilt(X, ring), alpha, ring) for X in polys]
         for X, value in zip(polys, want):
             terms = X.terms if isinstance(X, pc.SparsePoly) else enumerate(X.coeffs)
             assert value == sum(c * pow(alpha, e, m) for e, c in terms) % m

@@ -5,11 +5,12 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import polycheck as pc
-from polycheck import modverify
+from polycheck import modeval, modverify
 from polycheck.modverify import (
     FieldTooSmallError,
     VerifyConfig,
     VerifyReport,
+    _agree_at,
     delta_norm_bound,
     minimal_extension_degree,
     verify_mod,
@@ -19,6 +20,7 @@ from polycheck.modverify import (
     verify_mod_over_Z,
 )
 from polycheck.oracle import oracle_mod_product, poly_divmod
+from polycheck.poly import evaluate
 from polycheck.prodverify import verify_product_kaminski
 from polycheck.rings import (
     POLY_MUL_OPS,
@@ -35,6 +37,7 @@ from conftest import (
     rand_dense,
     rand_monic_sparse,
     rand_sparse,
+    rebuilt,
     witness_point,
 )
 
@@ -136,6 +139,59 @@ class TestVerifyMod:
         assert rejected >= 30
 
 
+WIDE = 2**2048
+MOD_PRIMES = (2, 3, 65537, 2**61 - 1)
+
+
+def _z_coeffs(p):
+    """Integer coefficients for a check at a point of GF(p): small and
+    2048-bit ones of either sign, and multiples of p, which are 0 there."""
+    return st.one_of(
+        st.integers(-3, 3),
+        st.integers(-WIDE, WIDE),
+        st.sampled_from((-WIDE, WIDE - 1)),
+        st.integers(-(2**64), 2**64).map(lambda k: k * p),
+    )
+
+
+@st.composite
+def integer_mod_instances(draw):
+    """(P, F, G, H, p, alpha) over Z for a check at a point alpha of GF(p):
+    P monic of degree n in 2..40 whose second degree k is at least n/2, so
+    the leading-coefficient updates run, with a coefficient at X^k that is
+    often 0 mod p, where P mod p has a lower second degree; F, G and H all
+    dense or all sparse, of degree < n.  H is the true (F*G) mod P in
+    GF(p), each coefficient lifted to Z by a multiple of p, or arbitrary."""
+    p = draw(st.sampled_from(MOD_PRIMES))
+    alpha = draw(st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1)))
+    coeff = _z_coeffs(p)
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers((n + 1) // 2, n - 1))
+    middle = draw(st.one_of(st.sampled_from((p, -p * WIDE)), coeff.filter(bool)))
+    low = draw(st.dictionaries(st.integers(0, k - 1), coeff, max_size=3))
+    P = pc.SparsePoly.from_dict(Z, {**low, k: middle, n: 1})
+    dense = draw(st.booleans())
+
+    def poly():
+        if dense:
+            return pc.DensePoly(Z, draw(st.lists(coeff, max_size=n)))
+        exps = draw(st.sets(st.integers(0, n - 1), max_size=6))
+        if draw(st.booleans()):
+            exps.add(n - 1)  # the product wraps
+        return pc.SparsePoly.from_dict(Z, {e: draw(coeff) for e in exps})
+
+    F, G = poly(), poly()
+    if draw(st.booleans()):
+        ring = pc.PrimeField(p)
+        true = oracle_mod_product(*(rebuilt(X, ring) for X in (F, G, P))).to_sparse()
+        lift = st.integers(-WIDE, WIDE).map(lambda j: j * p)
+        H = pc.SparsePoly(Z, [(e, c + draw(lift)) for e, c in true.terms])
+        H = H.to_dense() if dense else H
+    else:
+        H = poly()
+    return P, F, G, H, p, alpha
+
+
 class TestVerifyModOverZ:
     def test_one_sided(self, rng):
         for seed in range(30):
@@ -180,24 +236,43 @@ class TestVerifyModOverZ:
             verify_mod_over_Z(F, G, H, P, c)
         assert asked == [c.epsilon / 4 for c in configs]
 
-    def test_copies_F_G_and_P_but_not_H(self, rng, monkeypatch):
-        # the scan reads the coefficients of F, G and P in GF(q); H is
-        # evaluated at a point of GF(q) as it is
-        copied = []
-        to_field = modverify._map_to_field
+    @given(integer_mod_instances())
+    def test_agree_at_a_point_of_GFp_matches_the_reduced_copies(self, inst):
+        # the scans read F, G and P over Z as they are and compute the
+        # leading coefficients in GF(p): the same values as on the copies
+        # reduced into GF(p), whose P may have a lower second degree
+        P, F, G, H, p, alpha = inst
+        ring = pc.PrimeField(p)
+        Fp, Gp, Hp, Pp = (rebuilt(X, ring) for X in (F, G, H, P))
+        assert [v % p for v in modeval.leading_coefficients(P, F, ring)] == (
+            modeval.leading_coefficients(Pp, Fp)
+        )
+        assert modeval.sparse_leading_coefficients(P, F.to_sparse(), ring) == (
+            modeval.sparse_leading_coefficients(Pp, Fp.to_sparse())
+        )
+        want = evaluate(oracle_mod_product(Fp, Gp, Pp), alpha, ring)
+        assert modeval.eval_mod(P, F, G, alpha, ring) == want
+        assert _agree_at(F, G, H, P, alpha, ring) == (evaluate(Hp, alpha, ring) == want)
 
-        def spy(X, fq):
-            copied.append(X)
-            return to_field(X, fq)
+    def test_scans_read_the_callers_F_G_and_P(self, rng, monkeypatch):
+        # nothing is copied into GF(q): the scan gets the caller's own
+        # integer polynomials and reduces them as it reads them
+        seen = []
+        eval_mod = modeval.eval_mod
 
-        monkeypatch.setattr(modverify, "_map_to_field", spy)
+        def spy(P, F, G, alpha, ring, pw=None):
+            seen.append((P, F, G, ring))
+            return eval_mod(P, F, G, alpha, ring, pw)
+
+        monkeypatch.setattr(modeval, "eval_mod", spy)
         for sparse in (True, False):
             P, F, G, H = make_instance(Z, 25, 5, rng, sparse)
             for check in (verify_mod, verify_mod_over_Z):
-                copied.clear()
+                seen.clear()
                 assert check(F, G, H, P, cfg(0)).verdict is True
-                assert len(copied) == 3
-                assert all(got is want for got, want in zip(copied, (F, G, P)))
+                [(got_P, got_F, got_G, ring)] = seen
+                assert got_P is P and got_F is F and got_G is G
+                assert isinstance(ring, pc.PrimeField)
 
     def test_coefficients_with_no_size_are_a_type_error(self):
         # Z[X]/(X^2 + 1) has no size to weigh epsilon against

@@ -28,7 +28,7 @@ from polycheck.poly import (
     reduction_steps,
 )
 from polycheck.rings import POLY_MUL_OPS, RngStream
-from conftest import rand_dense, rand_monic_sparse, rand_sparse
+from conftest import rand_dense, rand_monic_sparse, rand_sparse, rebuilt
 
 Z = pc.ZZ
 PRIME_127 = 2**127 - 1  # a Mersenne prime
@@ -1025,13 +1025,6 @@ class TestDenseBulkParse:
 TRUSTED_RINGS = (Z, pc.GF(2), pc.GF(7), pc.ExtField(pc.GF(2), [1, 1, 1]))
 
 
-def _rebuilt(X, ctx=None):
-    """X through the checking constructor of its class, over ctx if given."""
-    if isinstance(X, pc.DensePoly):
-        return pc.DensePoly(ctx or X.ctx, X.coeffs)
-    return pc.SparsePoly(ctx or X.ctx, X.terms)
-
-
 class TestTrustedSparse:
     """SparsePoly.trusted and DensePoly.trusted, the unchecked constructions
     of the package's own canonical data, build what the checking
@@ -1061,7 +1054,7 @@ class TestTrustedSparse:
                 D = rand_sparse(ctx, 1 + rng.below(40), rng.below(12), rng).to_dense()
             S = D.to_sparse()
             for X in (D, S):
-                assert X == _rebuilt(X)
+                assert X == rebuilt(X)
             assert S.to_dense() == D
             nonzero = [c for c in D.coeffs if not ctx.is_zero(c)]
             assert D.sparsity() == S.sparsity() == len(nonzero)
@@ -1078,14 +1071,4 @@ class TestTrustedSparse:
             dense = pc.mod_reduce(F.to_dense(), P)
             assert dense == pc.mod_reduce(F, P).to_dense()
             for got in (pc.reduce_mod_binomial(F, i), pc.mod_reduce(F, P), dense):
-                assert got == _rebuilt(got)
-
-    def test_map_to_field_is_canonical(self, rng):
-        from polycheck.modverify import _map_to_field
-
-        for _ in range(40):
-            F = rand_sparse(Z, 1 + rng.below(60), rng.below(10), rng, hi=10**6)
-            fq = pc.GF((2, 7, 65537)[rng.below(3)])
-            for X in (F, F.to_dense()):
-                got = _map_to_field(X, fq)
-                assert type(got) is type(X) and got == _rebuilt(X, fq)
+                assert got == rebuilt(got)

@@ -289,6 +289,25 @@ class TestKaminskiNoMul:
             assert r.witnesses[0]["full-degree-fold"] == 11
         assert calls == {"check": 2, "irreducible": 2}
 
+    def test_small_quotient_ring_field_is_refused_below_its_size(self):
+        # K = GF(2^8): the check at X^41 - 1 needs 256 epsilon >= 40, and
+        # kaminski-nomul may neither multiply nor extend K; kaminski answers
+        # by its exact product
+        K = pc.ExtField(F2, [1, 1, 0, 1, 1, 0, 0, 0, 1])
+        rng = RngStream(3)
+        F, G = (pc.DensePoly(K, [K.from_coeffs([rng.below(2) for _ in range(8)])
+                                 for _ in range(20)] + [K.one()]) for _ in range(2))
+        H = pc.mul_oracle(F, G)
+        for eps in (Fraction(1, 8), Fraction(1, 2**20)):
+            with pytest.raises(FieldTooSmallError, match="size 256"):
+                verify_product_kaminski_nomul(F, G, H, cfg(0, eps))
+            r = verify_product_kaminski(F, G, H, cfg(0, eps))
+            assert r.verdict is True
+            assert r.witnesses == [{"deterministic": "reference-product"}]
+        r = verify_product_kaminski_nomul(F, G, H, cfg(0, Fraction(1, 2)))
+        assert r.verdict is True
+        assert r.witnesses[0]["full-degree-fold"] == 41
+
     def test_adversarial_quarter_gf2(self, rng):
         params = KaminskiParams(e=E_SMALL)
         n = 4096
@@ -363,6 +382,42 @@ class TestCoefficientsNotAField:
         r = verify_product_kaminski(F, F, self.wrong(H), c)
         assert r.verdict is False
         assert r.witnesses == [{"deterministic": "reference-product"}]
+
+
+@pytest.mark.parametrize("base", [F2, Z], ids=["GF2", "Z"])
+class TestCoefficientsWithZeroDivisors:
+    """Over K = B[X]/(X^2), B = GF(2) or Z, x = X mod X^2 is a zero divisor:
+    (x + x Y^3)(x Y) = 0 and (1 + x Y^3)(1 + x Y) = 1 + x Y + x Y^3 has
+    degree 3 < 4.  Neither shape is a certain rejection there: kaminski
+    decides both by its exact product, and the checks that evaluate at a
+    point refuse K."""
+
+    def triples(self, base):
+        K = pc.ExtField(base, [0, 0, 1])
+        one, x = K.one(), K.x
+        for F, G in (
+            ([(1, x), (3, x)], [(1, x)]),
+            ([(0, one), (3, x)], [(0, one), (1, x)]),
+        ):
+            F, G = pc.SparsePoly(K, F), pc.SparsePoly(K, G)
+            H = pc.mul_oracle(F, G)
+            wrong = pc.SparsePoly.from_dict(K, {**dict(H.terms), 2: one})
+            yield F, G, H, wrong
+
+    def test_kaminski_takes_the_exact_product(self, base):
+        for F, G, H, wrong in self.triples(base):
+            for form in (lambda X: X, lambda X: X.to_dense()):
+                for X, verdict in ((H, True), (wrong, False)):
+                    r = verify_product_kaminski(form(F), form(G), form(X), cfg(0))
+                    assert r.verdict is verdict
+                    assert r.witnesses == [{"deterministic": "reference-product"}]
+
+    def test_the_point_checks_raise(self, base):
+        supported = r"Z, GF\(q\) or GF\(q\)\[X\]/\(R\)"
+        for F, G, H, _ in self.triples(base):
+            for verify in (verify_sparse_product, verify_product_kaminski_nomul):
+                with pytest.raises(TypeError, match=supported):
+                    verify(F, G, H, cfg(0))
 
 
 class TestIntProduct:
