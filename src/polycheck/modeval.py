@@ -7,9 +7,12 @@ where something happens, kept as a dict of pending values and a min-heap
 of their indices, and bridge the gaps between them by powers of the point
 from one windowed power table (poly.power_table), which also serves
 P(alpha) and F(alpha) and which the calling check shares with its
-evaluation of H.  Where deg F + deg G < deg P nothing wraps, and the
-sparse routine visits no index at all: it returns F(alpha) G(alpha) from
-that table.  P = X^n - 1 is one such P, not a scan of its own.
+evaluation of H.  Where deg F + deg G < deg P nothing wraps, and
+neither form scans at all: the result is F(alpha) G(alpha), the sparse
+routine's from that table (_nothing_wraps).  The one exception is dense
+input at the class of X in a quotient ring, where that product would be a
+counted polynomial multiplication and the dense scan keeps its walk.
+P = X^n - 1 is one such P, not a scan of its own.
 eval_mod is the one entry: the sparse scan when F and G are both sparse,
 the dense scan, which makes either form dense, otherwise.  Every scan
 computes its own leading coefficients, in the ring it evaluates in; no
@@ -191,21 +194,40 @@ def sparse_leading_coefficients(P, F, ring=None):
 # products modulo a general monic sparse P
 
 
+def _nothing_wraps(n, F, G):
+    """Whether deg F + deg G < n = deg P for nonzero F and G: then nothing
+    wraps, (F*G) mod P is F*G, and its value at any point is
+    F(alpha) G(alpha), with no scan."""
+    return F.degree() + G.degree() < n
+
+
 def eval_mod_p_dense(P, F, G, alpha, ring=None):
-    """((F*G) mod P)(alpha) without forming F*G: O(n #P) base-ring operations
-    plus O(n) operations where alpha lives.  F and G may be dense or sparse;
-    the scan makes them dense.  It is the ring's fused dense_scan where it
-    has one (see poly.fused), and _dense_scan otherwise."""
+    """((F*G) mod P)(alpha) without forming F*G.  Where something wraps, by
+    the scan: O(n #P) base-ring operations plus O(n) operations where alpha
+    lives.  F and G may be dense or sparse; the scan makes them dense.  It
+    is the ring's fused dense_scan where it has one (see poly.fused), and
+    _dense_scan otherwise.
+
+    Where nothing wraps (_nothing_wraps) the result is F(alpha) G(alpha):
+    O(n) operations where alpha lives for the two evaluations and one
+    product, with no leading coefficients, no P(alpha) and no scan.  That
+    is every full-degree check of verify_product_kaminski_nomul at a point
+    of the field.  At the class of X in a quotient ring the scan stays,
+    since there the product of F(x) and G(x) would be a counted polynomial
+    multiplication."""
     n = _require_args(P, F, G)
     ring = _check_eval_ring(F, ring)
     if G.is_zero() or F.is_zero():
         return ring.zero()
     if n >= DENSIFY_CAP:
         raise ValueError(f"degree {n} too large to densify")
+    # at the class of X, dense Horner multiplies no polynomials, but
+    # F(x) G(x) would (ExtField.mul)
+    at_x = isinstance(ring, ExtField) and alpha is ring.x
+    if not at_x and _nothing_wraps(n, F, G):
+        return ring.mul(evaluate(F, alpha, ring), evaluate(G, alpha, ring))
     F, G = F.to_dense(), G.to_dense()
     V = leading_coefficients(P, F, ring)
-    # at the class of X, dense Horner multiplies no polynomials (ExtField.mul)
-    at_x = isinstance(ring, ExtField) and alpha is ring.x
     p_alpha = evaluate(P.to_dense() if at_x else P, alpha, ring)
     f_alpha = evaluate(F, alpha, ring)
     if fused(ring, F.ctx, alpha):
@@ -308,10 +330,10 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     of the calling check (a fresh one if not given), at about
     (bits of the power)/8 - 1 products each.
 
-    When deg F + deg G < deg P nothing wraps: (F*G) mod P is F*G, and the
-    result is F(alpha) G(alpha), both from pw, with no scan at all.  That
-    is every fold of verify_sparse_product whose prime exceeds the degree of
-    the product."""
+    When nothing wraps (_nothing_wraps, the rule of eval_mod_p_dense too)
+    the result is F(alpha) G(alpha), both from pw, with no scan at all, at
+    every point, the class of X included.  That is every fold of
+    verify_sparse_product whose prime exceeds the degree of the product."""
     n = _require_args(P, F, G)
     if G.sparsity() < F.sparsity():
         F, G = G, F  # the product is symmetric and the cost follows #F
@@ -319,7 +341,7 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     if G.is_zero() or F.is_zero():
         return ring.zero()
     pw = pw or power_table(ring, alpha)
-    if F.degree() + G.degree() < n:
+    if _nothing_wraps(n, F, G):
         return ring.mul(evaluate(F, alpha, ring, pw), evaluate(G, alpha, ring, pw))
     vals = dict(sparse_leading_coefficients(P, F, ring))
     if 0 not in vals:

@@ -251,7 +251,10 @@ def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
     replaced by a modular-product verification, so the whole path performs no
     polynomial multiplication.  Small degrees, where the fold range is
     useless, are handled by verifying H = F*G modulo X^(D+1) - 1 directly
-    (an equivalence, since deg of both sides stays below D+1).
+    (an equivalence, since deg of both sides stays below D+1).  Nothing
+    wraps there, so at a point of the field that check is H(alpha) =
+    F(alpha) G(alpha) with no scan (modeval.eval_mod_p_dense); only at X
+    modulo R do the dense scans walk.
 
     Having neither a product nor an extension of a quotient ring, it
     refuses where the point policy finds GF(q)[X]/(R) too small: over

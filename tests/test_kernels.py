@@ -12,7 +12,9 @@ ring-method loops that stay as their reference:
     (gf2_first_mismatch) against modverify._agree_at, one modulus at a time;
   - integer polynomials at a point of GF(m), which the int kernels
     evaluate as they are, with no copy, against their canonical copies in
-    GF(m) built by the checking constructors.
+    GF(m) built by the checking constructors;
+  - the dense scan's exit where nothing wraps (F(alpha) G(alpha)) against
+    the scan and the oracle, on both sides of deg F + deg G = deg P.
 Z has no kernel; its instances check the generic loops against the oracle.
 
 These tests run under the "thorough" hypothesis profile in CI as well; see
@@ -21,11 +23,13 @@ conftest.py.
 
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 import polycheck as pc
+from polycheck import modeval
 from polycheck.modeval import (
     _dense_scan,
     eval_mod_p_dense,
@@ -161,6 +165,78 @@ class TestKernelsMatchTheGenericLoops:
         assert ring.dense_scan(f, alpha, pa, V, gs) == _dense_scan(
             f, alpha, pa, V, gs, ring, ctx
         )
+
+
+NO_WRAP_PRIMES = (2, 7, 65537, 2**61 - 1)
+
+
+@st.composite
+def boundary_instances(draw):
+    """(P, F, G, ring, alpha) with deg F + deg G = deg P - 1, where nothing
+    wraps, or = deg P, the first wrap; deg P from 1 to 60 (2 to 60 for a
+    wrap).  F and G are both dense, or one dense and one sparse of up to 5
+    terms.  The point is a random one of GF(q) for q in 2, 7, 65537 and
+    2^61 - 1, or of GF(q)[X]/(R) for R random monic of degree 1 to 6, or
+    one of GF(p) for the same primes over Z, whose coefficients are signed,
+    up to 2048 bits, and often multiples of p."""
+    q = draw(st.sampled_from(NO_WRAP_PRIMES))
+    if draw(st.booleans()):
+        ctx, ring = Z, pc.GF(q)
+        coeff = st.one_of(st.integers(-(2**2048), 2**2048),
+                          st.integers(-(2**40), 2**40).map(lambda c: c * q))
+        alpha = draw(st.integers(0, q - 1))
+    else:
+        ctx = pc.GF(q)
+        coeff = st.integers(0, q - 1)
+        if draw(st.booleans()):
+            ring, alpha = ctx, draw(coeff)
+        else:
+            d = draw(st.integers(1, 6))
+            ring = ExtField(ctx, draw(st.lists(coeff, min_size=d, max_size=d)) + [1])
+            alpha = ring.from_coeffs(draw(st.lists(coeff, min_size=d, max_size=d)))
+    wrap = draw(st.booleans())
+    n = draw(st.integers(1 + wrap, 60))
+    total = n - 1 + wrap
+    deg_f = draw(st.integers(max(0, total - n + 1), min(n - 1, total)))
+    low = st.integers(-3, 3) if ctx == Z else coeff
+    if draw(st.booleans()):
+        P = pc.x_pow_minus_one(ctx, n)
+    else:
+        P = pc.SparsePoly.from_dict(
+            ctx, {**draw(st.dictionaries(st.integers(0, n - 1), low, max_size=4)), n: 1})
+
+    def factor(deg, sparse):
+        lead = draw(coeff.filter(bool))
+        if sparse:
+            terms = draw(st.dictionaries(st.integers(0, deg), coeff, max_size=4))
+            return pc.SparsePoly.from_dict(ctx, {**terms, deg: lead})
+        return pc.DensePoly(ctx, draw(st.lists(coeff, min_size=deg, max_size=deg)) + [lead])
+
+    sparse = draw(st.sampled_from((None, "F", "G")))
+    F, G = factor(deg_f, sparse == "F"), factor(total - deg_f, sparse == "G")
+    return P, F, G, ring, alpha
+
+
+class TestNothingWraps:
+    @given(boundary_instances())
+    def test_exit_matches_the_scan_and_the_oracle(self, inst):
+        """Where nothing wraps the dense scan's value, F(alpha) G(alpha),
+        equals _dense_scan and the oracle, and the leading coefficients
+        are never computed; from the first wrap on, they are, as at the
+        class of X."""
+        P, F, G, ring, alpha = inst
+        wraps = F.degree() + G.degree() >= P.degree()
+        at_x = isinstance(ring, ExtField) and alpha is ring.x
+        with mock.patch.object(modeval, "leading_coefficients",
+                               wraps=leading_coefficients) as spy:
+            got = eval_mod_p_dense(P, F, G, alpha, ring)
+        assert spy.called is (wraps or at_x)
+        Fd, Gd = F.to_dense(), G.to_dense()
+        V = leading_coefficients(P, Fd, ring)
+        p_alpha = _horner(P.to_dense().coeffs, alpha, ring)
+        f_alpha = _horner(Fd.coeffs, alpha, ring)
+        assert got == _dense_scan(f_alpha, alpha, p_alpha, V, Gd.coeffs, ring, F.ctx)
+        assert got == _horner(oracle_mod_product(Fd, Gd, P).coeffs, alpha, ring)
 
 
 # exponents anywhere in [0, 2^63 - 1], or byte by byte with many bytes 0 or

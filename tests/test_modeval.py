@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -18,9 +19,17 @@ from polycheck.modeval import (
     project_poly_companion,
     sparse_leading_coefficients,
 )
+from polycheck.modverify import VerifyConfig
 from polycheck.oracle import oracle_matrix_eval, oracle_mod_product, poly_divmod
+from polycheck.prodverify import verify_product_kaminski_nomul
 from polycheck.rings import POLY_MUL_OPS, RngStream
-from conftest import rand_dense, rand_monic_sparse, rand_nonzero_coeff, rand_sparse
+from conftest import (
+    perturb_poly,
+    rand_dense,
+    rand_monic_sparse,
+    rand_nonzero_coeff,
+    rand_sparse,
+)
 
 Z = pc.ZZ
 F2 = pc.GF(2)
@@ -516,3 +525,83 @@ class TestSparseScanShortcut:
                 with spy as leading:
                     assert eval_mod_p_sparse(P, F, G, alpha, ring) == want
                 assert leading.called == scans
+
+
+class TestDenseScanShortcut:
+    """The dense scan where nothing wraps is F(alpha) G(alpha): it computes
+    no leading coefficients and runs no ring.dense_scan at a point of the
+    field, called directly or through kaminski-nomul's full-degree check.
+    At the class of X, where that product would be a counted polynomial
+    multiplication, and on a P that wraps, both run; at X nothing counts in
+    POLY_MUL_OPS."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"leading": 0, "scan": 0}
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(modeval, "leading_coefficients",
+                            counted("leading", leading_coefficients))
+        for cls in (pc.PrimeField, pc.ExtField):
+            monkeypatch.setattr(cls, "dense_scan", counted("scan", cls.dense_scan))
+        return calls
+
+    @staticmethod
+    def _instance(ctx, ring, n, rng, P=None):
+        """Dense F and G of degree n and n - 1 over ctx (32-bit over Z),
+        P = X^(2n) - 1 unless given, a random point of ring and the
+        oracle's value there."""
+        hi = 2**31 - 1 if ctx == Z else 9
+        F, G = rand_dense(ctx, n, rng, hi), rand_dense(ctx, n - 1, rng, hi)
+        P = P or pc.x_pow_minus_one(ctx, 2 * n)
+        alpha = ring.sample(rng)
+        return P, F, G, alpha, pc.evaluate(oracle_mod_product(F, G, P), alpha, ring)
+
+    @pytest.mark.parametrize("ctx, ring", [(Z, pc.GF(2**61 - 1)), (pc.GF(65537),) * 2],
+                             ids=["Z at GF(p)", "GF(65537)"])
+    def test_no_wrap_at_a_point_skips_the_scan(self, ctx, ring, calls, rng):
+        for P in (None, rand_monic_sparse(ctx, 200, 4, rng)):
+            P, F, G, alpha, want = self._instance(ctx, ring, 99, rng, P)
+            assert eval_mod_p_dense(P, F, G, alpha, ring) == want
+            assert modeval.eval_mod(P, F, G, alpha, ring) == want
+        assert calls == {"leading": 0, "scan": 0}
+
+    @pytest.mark.parametrize("ctx", [Z, pc.GF(65537)], ids=str)
+    def test_full_degree_check_skips_the_scan(self, ctx, calls, rng):
+        F, G = rand_dense(ctx, 200, rng), rand_dense(ctx, 190, rng)
+        H = pc.mul_oracle(F, G)
+        for X, verdict in ((H, True), (perturb_poly(H, rng), False)):
+            cfg = VerifyConfig(epsilon=Fraction(1, 4), seed=3)
+            r = verify_product_kaminski_nomul(F, G, X, cfg)
+            assert r.verdict is verdict
+            assert r.witnesses[0]["full-degree-fold"] == 391
+            assert "alpha" in r.witnesses[0]["inner"][-1]  # a point of the field
+        assert calls == {"leading": 0, "scan": 0}
+
+    def test_at_x_the_scan_stays_and_multiplies_nothing(self, calls, rng):
+        K = pc.GF(7)
+        ring = CompanionOperator(pc.DensePoly(K, [3, 1, 0, 5, 1]))
+        F, G = rand_dense(K, 40, rng), rand_dense(K, 39, rng)
+        P = pc.x_pow_minus_one(K, 80)
+        want = pc.evaluate(oracle_mod_product(F, G, P), ring.x, ring)
+        H = pc.mul_oracle(F, G)
+        before = POLY_MUL_OPS.count
+        assert eval_mod_p_dense(P, F, G, ring.x, ring) == want
+        assert POLY_MUL_OPS.count == before
+        assert calls["leading"] >= 1 and calls["scan"] >= 1
+        calls.update(leading=0, scan=0)
+        r = verify_product_kaminski_nomul(F, G, H, VerifyConfig(seed=1))
+        assert POLY_MUL_OPS.count == before
+        assert r.verdict is True and "modulus" in r.witnesses[0]["inner"][0]
+        assert calls["leading"] >= 1 and calls["scan"] >= 1
+
+    def test_a_wrapping_p_scans(self, calls, rng):
+        ring = pc.GF(2**61 - 1)
+        P, F, G, alpha, want = self._instance(Z, ring, 99, rng, rand_monic_sparse(Z, 150, 4, rng))
+        assert eval_mod_p_dense(P, F, G, alpha, ring) == want
+        assert calls["leading"] >= 1 and calls["scan"] >= 1

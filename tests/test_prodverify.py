@@ -1059,3 +1059,39 @@ def test_fold_path_reports_are_pinned():
         for group, reports in _fold_path_reports().items()
     }
     assert got == FOLD_PATH_GOLDEN
+
+
+def _full_degree_reports():
+    """Reports of kaminski-nomul's full-degree check (the modular check at
+    X^(D+1) - 1, D = deg F + deg G, where nothing wraps) at a point of the
+    field: over Z at a point of GF(p), n = 4096 with 32-bit coefficients at
+    epsilon = 1/4 and 2^-20; over GF(2^61 - 1), n = 1024 at 2^-20; over
+    GF(65537), n = 512 at 1/4, where 65537 epsilon >= 1022 gives a field
+    point.  True H and H with one coefficient raised by one, seeds 0-2."""
+    rng = RngStream(0xF0D)
+    reports = []
+    for ctx, n, hi, epsilons in (
+        (Z, 4096, 2**31 - 1, (QUARTER, STRICT)),
+        (pc.GF(2**61 - 1), 1024, 9, (STRICT,)),
+        (pc.GF(65537), 512, 9, (QUARTER,)),
+    ):
+        F, G = rand_dense(ctx, n - 1, rng, hi), rand_dense(ctx, n - 1, rng, hi)
+        H = pc.mul_oracle(F, G)
+        for X in (H, perturb_poly(H, rng)):
+            for seed in range(3):
+                for eps in epsilons:
+                    r = verify_product_kaminski_nomul(F, G, X, cfg(seed, eps))
+                    assert "full-degree-fold" in r.witnesses[0]
+                    assert r.verdict is (X is H)
+                    reports.append(r.to_dict())
+    return reports
+
+
+def test_full_degree_reports_are_pinned():
+    """sha256 (first 16 hex digits) of the sorted-key JSON of the
+    full-degree reports: a change to any verdict, witness or random draw of
+    the check at a point of the field changes it."""
+    got = hashlib.sha256(
+        json.dumps(_full_degree_reports(), sort_keys=True).encode()
+    ).hexdigest()[:16]
+    assert got == "145769f9834f1c07"
