@@ -50,7 +50,9 @@ def _parse_epsilon(text):
         elif "/" in text:
             eps = Fraction(text)
         else:
-            eps = Fraction(float(text))
+            # the exact value where the float underflows to 0.0, so a
+            # positive epsilon such as 1e-400 meets the floor's message
+            eps = Fraction(float(text)) or Fraction(text)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise CliError(f"bad epsilon {text!r}: {exc}") from None
     if not 0 < eps < 1:

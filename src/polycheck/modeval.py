@@ -33,9 +33,14 @@ coefficients at a time; see rings), and as the generic ring-method loop
 _dense_scan, its reference, everywhere else.
 There are three kernels:
   - ints in GF(q), or signed integers, at any point of GF(q)
-    (PrimeField.dense_scan): one multiply-add and one % q per index;
-  - packed GF(2)[X]/(R) at x: a shift, a conditional XOR with R, one with
-    P(x) and one into the sum;
+    (PrimeField.dense_scan): the scan transposed, sum g_i f_i =
+    F(alpha) G(alpha) - P(alpha) sum v_j s_j with s_j = g_(j+1) + alpha
+    s_(j+1), one multiply-add and one % q per index and one C-level dot
+    product with V;
+  - packed GF(2)[X]/(R) at x, eight indices per step (ExtField.dense_scan):
+    f <- (f x^8 mod R) + T[v-byte], two table lookups, with G's bytes as
+    256 buckets of f and the pairs inside a byte as 28 popcounts of ANDed
+    bit-vectors;
   - GF(q)[X]/(R) at x for odd q: the d coordinates sit unreduced in w-bit
     slots of one int, so x * f is a mask and shift plus (top slot % q)
     times the packed -R mod q, and -v P(x) one more multiply-add.  The
@@ -263,8 +268,9 @@ def gf2_first_mismatch(P, F, G, H, moduli):
     difference sets every bit of exactly the lanes whose bit d is set.  One
     Horner pass over 3m lanes (m = len(moduli)) gives H(x), F(x) and P(x)
     in every lane, each index XORing one of 8 patterns of lane bits 0,
-    chosen by h_i | f_i << 1 | p_i << 2.  The scan is then the GF(2) step
-    of ExtField.dense_scan in every lane, and the first mismatch is the
+    chosen by h_i | f_i << 1 | p_i << 2.  The scan then runs one index per
+    step in every lane: each lane has its own R, so no one table serves
+    them as in ExtField.dense_scan's byte step.  The first mismatch is the
     lowest nonzero lane of H(x) ^ beta.  Shifts and XORs only: nothing
     counts in POLY_MUL_OPS."""
     n = _require_args(P, F, G)

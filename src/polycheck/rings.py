@@ -17,6 +17,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from fractions import Fraction
+from functools import reduce
 
 _MASK64 = (1 << 64) - 1
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # GF(2) coefficients as binary digits
@@ -144,11 +145,23 @@ def ln_pow2_upper(k):
 #
 # horner runs a block of coefficients at a time: one C-level dot product
 # per block with a table of alpha's powers, and Horner across the blocks
-# (baby steps, giant steps).  dense_scan takes one step per index: its
-# closed form as prefix sums through alpha^-1 measured slower, and so did
-# that closed form in baby-step giant-step blocks (CPython 3.11 on one
-# Xeon core, n = 2^13: 4.7 against 4.0 ms at 61 bits, 2.9 against 1.8 ms
-# at 17 bits).
+# (baby steps, giant steps).  dense_scan takes one Python step per index in
+# GF(q) (transposed: a Horner step down gs, then one C-level dot product
+# with V), eight per step over GF(2) at x (lookups, XORs and bit-vector
+# inner products) and one per step in the odd-q slots.  Measured and left
+# out, on CPython 3.11 on one Xeon core at n = 2^13:
+#   - the closed form as prefix sums through alpha^-1, and that form in
+#     baby-step giant-step blocks: 4.7 against 4.0 ms at 61 bits, 2.9
+#     against 1.8 ms at 17 bits;
+#   - in GF(q), the untransposed scan two indices per % q (f_(i+1) left
+#     unreduced): 3.1 against 2.7 ms for the transposed scan at 61 bits,
+#     and 36 against 20 ms with 2048-bit V and gs over Z, where
+#     g_(i+1) f_(i+1) has two wide factors;
+#   - the odd-q slot scan two steps per iteration: 4.47 against 4.48 ms;
+#   - GF(2) Horner on 16-bit and 32-bit words: 441 against 480 us and 503
+#     against 501 us;
+#   - a C-level sparse product and reduction: slower than the dict loop;
+#   - a fold by shifts for Mersenne q only: 3%, not worth the branch.
 #
 # PrimeField's horner, dense_scan and sparse_sum also take integer
 # coefficients of any sign (dense_scan in V and gs as well), for a
@@ -287,14 +300,23 @@ class PrimeField:
         return acc
 
     def dense_scan(self, f, alpha, pa, V, gs):
-        """f is reduced at every step, the sum only once at the end."""
+        """The scan transposed.  With m = min(len(V), len(gs) - 1) steps,
+        f_i = alpha^i f - pa sum_(j<i) v_j alpha^(i-1-j), so
+
+            sum_(i<=m) g_i f_i = f G(alpha) - pa sum_(j<m) v_j s_j,
+
+        where s_j = sum_(i>j) g_i alpha^(i-1-j) runs down from s_(m-1) = g_m
+        as s_j = g_(j+1) + alpha s_(j+1), and G(alpha) = g_0 + alpha s_0.
+        So a step is one multiply-add and one % q, and the sum over V is one
+        C-level dot product with the s_j, each below q.  Every value is
+        reduced or exact, so V and gs may hold signed integers of any
+        width, and a product never has two wide factors."""
         q = self.q
-        beta = gs[0] * f
-        for v, g in zip(V, gs[1:]):
-            f = (alpha * f - v * pa) % q
-            if g:
-                beta += g * f
-        return beta % q
+        m = min(len(V), len(gs) - 1)
+        s = 0
+        S = [s := (g + alpha * s) % q for g in gs[m:0:-1]]  # s_(m-1) down to s_0
+        S.reverse()
+        return (f * (gs[0] + alpha * s) - pa * sum(map(operator.mul, V, S))) % q
 
     def sparse_sum(self, terms, pw):
         """Exponent byte i of every term at once: the exponents sit side by
@@ -530,8 +552,7 @@ class ExtField:
     def dense_scan(self, f, alpha, pa, V, gs):
         """The dense scan at alpha = x for V and gs in GF(q).
 
-        Over GF(2) a step is a shift, a conditional XOR with R, a
-        conditional XOR with pa and a conditional XOR into the sum.  Over
+        Over GF(2) it runs eight indices per step (_dense_scan2).  Over
         odd q the d coordinates sit unreduced in w-bit slots of one int, and
         a step is f <- (f without its top slot) << w + (top % q) M + v NP,
         where M packs -R mod q and NP packs -pa mod q.  A step adds two
@@ -543,17 +564,7 @@ class ExtField:
         if alpha is not self.x:
             raise ValueError("the fused kernels run at x only")
         if self._m2 is not None:
-            m2, d = self._m2, self.d
-            beta = f if gs[0] else 0
-            for v, g in zip(V, gs[1:]):
-                f <<= 1
-                if f >> d:
-                    f ^= m2
-                if v:
-                    f ^= pa
-                if g:
-                    beta ^= f
-            return beta
+            return self._dense_scan2(f, pa, V, gs)
         q = self._q
         w, mask, sh, M = self._slots(2 * len(gs) * self.d * q**3)
         NP = self._pack([(-c) % q for c in pa], w)
@@ -564,6 +575,57 @@ class ExtField:
             if g:
                 beta += g * f
         return self._unpack(beta, w)
+
+    def _dense_scan2(self, f, pa, V, gs):
+        """The GF(2) scan eight indices per step (the Four Russians method
+        of Arlazarov, Dinic, Kronrod and Faradzev, 1970).  From f_i at the
+        start of a block, f_(i+k) = x^k f_i + pa sum_(j<k) v_(i+j) x^(k-1-j),
+        so with w = sum_(j<8) v_(i+j) x^(7-j),
+
+            f_(i+8) = (x^8 f_i mod R) + T[w],   T[w] = pa w mod R:
+
+        one lookup in fold table 0 for the part of f x^8 past degree d, and
+        one in T, a table of 256 entries built by 8 doublings.  The sum over
+        a block is g(x) f_i + pa U_B, with g(x) = sum_k g_(i+k) x^k and
+        U_B = sum_(j<k<8) g_(i+k) v_(i+j) x^(k-1-j).  f_i is XORed into the
+        bucket of its block's g, one of 256, and at the end sum_g g(x) A[g]
+        is sum_k x^k (XOR of the A[g] whose g has g_(i+k) set).  pa is the
+        same in every block, so sum_B pa U_B = pa U = T[U], and
+        coefficient k-1-j of U is the parity of the pairs g_(i+k) v_(i+j)
+        over all blocks: a popcount of ANDed bit-vectors.  Lookups, XORs,
+        shifts and bit-vector inner products only: no polynomial is
+        multiplied."""
+        m = min(len(V) + 1, len(gs))
+        nb = (m + 7) >> 3
+        # bit 8 nb - 1 - i of gb and vb is g_i and v_i, so the block of
+        # indices 8B to 8B + 7 is big-endian byte B, index 8B + k at bit
+        # 7 - k (bytearray reads a tuple or list of ints faster than bytes)
+        gb = int((bytearray(gs[:m]) + bytes(8 * nb - m)).translate(_BIT_DIGITS), 2)
+        vb = int((bytearray(V[: m - 1]) + bytes(8 * nb - m + 1)).translate(_BIT_DIGITS), 2)
+        table = self._byte_multiples(pa)[0]
+        fold = (self._fold or self._fold_tables())[0]
+        d = self.d
+        low = (1 << d) - 1
+        buckets = [0] * 256
+        for g, v in zip(gb.to_bytes(nb, "big"), vb.to_bytes(nb, "big")):
+            buckets[g] ^= f
+            f <<= 8
+            f = (f & low) ^ fold[f >> d] ^ table[v]
+        # bit 7 - k of a bucket's index stands for x^k: halve the buckets
+        # by their low bit, x^7 first, and run Horner from there
+        beta = 0
+        while len(buckets) > 1:
+            odd = buckets[1::2]
+            beta = self.mul_x(beta) ^ reduce(operator.xor, odd)
+            buckets = list(map(operator.xor, buckets[::2], odd))
+        ones = int.from_bytes(b"\1" * nb, "big")  # bit 0 of every block
+        gk = [(gb >> (7 - k)) & ones for k in range(8)]
+        vk = [(vb >> (7 - k)) & ones for k in range(8)]
+        u = 0
+        for t in range(7):
+            pairs = reduce(operator.xor, [gk[j + 1 + t] & vk[j] for j in range(7 - t)])
+            u |= (pairs.bit_count() & 1) << t
+        return beta ^ table[u]
 
     def _slots(self, bound):
         """For a slot bound: the width w with 2^w > bound, the mask of the
@@ -642,20 +704,26 @@ class ExtField:
         return r
 
     def _fold_tables(self):
-        """Table k maps a byte c to (c * X^(d+8k)) mod R, XORed together
-        from its 8 basis values by doubling the table once per bit; a
-        product's high part has < d bits, and horner reads table 0 even at
-        d = 1."""
+        """Table k maps a byte c to (c * X^(d+8k)) mod R; a product's high
+        part has < d bits, and horner and the dense scan read table 0 even
+        at d = 1."""
         tables = []
         v = self._m2 ^ (1 << self.d)  # X^d mod R
         for _ in range(max(1, (self.d + 6) // 8)):
-            table = [0]
-            for _ in range(8):
-                table += [t ^ v for t in table]
-                v = self.mul_x(v)
+            table, v = self._byte_multiples(v)
             tables.append(table)
         self._fold = tables
         return tables
+
+    def _byte_multiples(self, v):
+        """Over GF(2): the 256 products c v mod R for the bytes c, bit t of
+        c standing for x^t, XORed together from the 8 values v x^t by
+        doubling the table once per bit; and v x^8 mod R."""
+        table = [0]
+        for _ in range(8):
+            table += [t ^ v for t in table]
+            v = self.mul_x(v)
+        return table, v
 
     def pow(self, a, e):
         """a^e, left to right from the top set bit of e: bit_length(e) - 1
@@ -718,8 +786,10 @@ def _gf2_gcd(a, b):
     """gcd of two bit-packed GF(2) polynomials, by XOR Euclid."""
     while b:
         db = b.bit_length()
-        while a.bit_length() >= db:
-            a ^= b << (a.bit_length() - db)
+        da = a.bit_length()
+        while da >= db:
+            a ^= b << (da - db)
+            da = a.bit_length()
         a, b = b, a
     return a
 
@@ -738,8 +808,10 @@ def _gf2_is_irreducible(m, d):
     for _ in range(2, d // 2 + 1):
         POLY_MUL_OPS.bump()
         h = int("0".join(format(h, "b")), 2)
-        while h.bit_length() > d:
-            h ^= m << (h.bit_length() - 1 - d)
+        top = h.bit_length() - 1
+        while top >= d:
+            h ^= m << (top - d)
+            top = h.bit_length() - 1
         if _gf2_gcd(m, h ^ 2).bit_length() > 1:
             return False
     return True

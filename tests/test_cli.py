@@ -492,6 +492,23 @@ class TestInProcessMain:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["verify-mod", "verify-prod"])
+    @pytest.mark.parametrize("eps", ["1e-400", "1e-320", "0.0"])
+    def test_decimal_epsilon_below_the_floor_exits_two(self, example1_files, capsys,
+                                                       command, eps):
+        """A positive decimal whose float underflows to 0.0 (1e-400) or is
+        subnormal (1e-320) is refused for the floor, not as out of (0, 1);
+        an exact zero is out of (0, 1)."""
+        args = [command, "--F", example1_files["F"], "--G", example1_files["H"],
+                "--H", example1_files["FH"], "--epsilon", eps]
+        if command == "verify-mod":
+            args += ["--P", example1_files["FH"]]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        reason = "in (0, 1)" if eps == "0.0" else "at least 2^-1022"
+        assert err == f"error: epsilon must be {reason}\n"
+
     def test_epsilon_floor_itself_parses(self):
         assert _parse_epsilon("2^-1022") == EPSILON_FLOOR == Fraction(1, 2**1022)
 

@@ -5,6 +5,12 @@ ring-method loops that stay as their reference:
     GF(q)[X]/(R) at x, for reducible and irreducible R;
   - the blocked Horner kernels at full block size, on lengths up to 8193
     and the largest coefficients and slot contents;
+  - the scan kernels at their step boundaries: the GF(2) scan at x, eight
+    indices per step, and the transposed scan in GF(q), on lengths 1 to 17
+    and 8191 to 8193 with len(gs) = len(V) + 1 and shorter, R of degree 1
+    to 64, all-zero, all-one and all-(q - 1) V and gs, f = 0 and
+    P(alpha) = 0, and signed 2048-bit V and gs over Z at a point of GF(p);
+    and one true instance at n = 2^13, the size of the benchmark;
   - the sparse sum in GF(q), a byte of every exponent at a time
     (PrimeField.sparse_sum against poly._sparse_sum), on power tables that
     several polynomials and single powers share;
@@ -442,6 +448,109 @@ def test_packed_slots_at_their_largest(q, d):
     want = _dense_scan(f, ring.x, pa, V, gs, ring, ctx)
     assert ring.dense_scan(f, ring.x, pa, V, gs) == want
     assert ring.horner(gs, ring.x) == _horner(gs, ring.x, ring)
+
+
+# the scan kernels at their step boundaries: lengths around one and two
+# bytes of the GF(2) step and around 2^13, the size of the benchmark
+SCAN_LENGTHS = tuple(range(1, 18)) + (8191, 8192, 8193)
+
+
+def _fill(kind, k, rng, top):
+    """k values: all 0, all 1, all top, or random in [0, top]."""
+    if kind == "random":
+        return [rng.randint(0, top) for _ in range(k)]
+    return [{"zero": 0, "one": 1, "top": top}[kind]] * k
+
+
+# (V, gs) kinds, the elements f and pa each random or 0; V has length
+# m - 1 + extra for each of EXTRA: len(gs) = len(V) + 1, len(gs) <
+# len(V) + 1, and len(gs) > len(V) + 1, where the reference's zip stops at
+# the end of V
+SCAN_KINDS = (
+    ("random", "random", True, True),
+    ("random", "random", False, True),
+    ("random", "random", True, False),
+    ("zero", "one", True, True),
+    ("one", "zero", True, True),
+    ("one", "one", True, True),
+    ("top", "top", True, True),
+)
+EXTRA = (0, 3, -2)
+
+
+class TestScanKernelEdges:
+    @pytest.mark.parametrize("m", SCAN_LENGTHS)
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 34, 64])
+    def test_gf2_at_x(self, d, m):
+        """The byte step against the one-index reference: lengths that end
+        inside, at and past a byte, R of degree below, at and above 8."""
+        rng = RngStream(100 * d + m)
+        ring = ExtField(F2, rng.bit_list(d) + [1])
+        for v_kind, g_kind, with_f, with_pa in SCAN_KINDS:
+            f = rng.bits(d) if with_f else 0
+            pa = rng.bits(d) if with_pa else 0
+            for extra in EXTRA:
+                V = _fill(v_kind, m - 1 + extra, rng, 1)
+                gs = _fill(g_kind, m, rng, 1)
+                want = _dense_scan(f, ring.x, pa, V, gs, ring, F2)
+                before = POLY_MUL_OPS.count
+                assert ring.dense_scan(f, ring.x, pa, V, gs) == want
+                assert POLY_MUL_OPS.count == before
+
+    @pytest.mark.parametrize("m", SCAN_LENGTHS)
+    @pytest.mark.parametrize("q", [2, 3, 65537, 2**61 - 1])
+    def test_prime_field(self, q, m):
+        """In GF(q) at a random point, 0 and 1; "top" is q - 1 everywhere."""
+        ctx, rng = pc.GF(q), RngStream(m)
+        for v_kind, g_kind, with_f, with_pa in SCAN_KINDS:
+            f = rng.below(q) if with_f else 0
+            pa = rng.below(q) if with_pa else 0
+            for extra, alpha in ((0, rng.below(q)), (3, 0), (-2, 1)):
+                V = _fill(v_kind, m - 1 + extra, rng, q - 1)
+                gs = _fill(g_kind, m, rng, q - 1)
+                assert ctx.dense_scan(f, alpha, pa, V, gs) == _dense_scan(
+                    f, alpha, pa, V, gs, ctx, ctx)
+
+    @pytest.mark.parametrize("m", SCAN_LENGTHS)
+    @pytest.mark.parametrize("q", [2, 65537, 2**61 - 1])
+    def test_integers_at_a_point_of_gf_p(self, q, m):
+        """Signed 2048-bit V and gs over Z, multiples of p among them, read
+        as they are at a point of GF(p)."""
+        ring, rng = pc.GF(q), RngStream(m)
+
+        def wide(k):
+            return [rng.randint(-(2**2048), 2**2048) if rng.bits(1)
+                    else q * rng.randint(-(2**40), 2**40) for _ in range(k)]
+
+        for extra in EXTRA:
+            f, pa, alpha = rng.below(q), rng.below(q), rng.below(q)
+            V, gs = wide(m - 1 + extra), wide(m)
+            assert ring.dense_scan(f, alpha, pa, V, gs) == _dense_scan(
+                f, alpha, pa, V, gs, ring, Z)
+
+
+@pytest.mark.parametrize("q", [2, 2**61 - 1])
+def test_scan_at_the_size_of_the_benchmark(q):
+    """A true instance at n = 2^13 with P = X^8192 + X^3 + 1: over GF(2)
+    at x of GF(2)[X]/(R) for R irreducible of degree 34, with no counted
+    product, and over GF(2^61 - 1) at a random point."""
+    ctx, rng, n = pc.GF(q), RngStream(q), 8192
+    P = pc.SparsePoly.from_dict(ctx, {0: 1, 3: 1, n: 1})
+    F, G = (pc.DensePoly(ctx, [rng.below(q) for _ in range(n)]) for _ in "FG")
+    H = pc.mod_reduce(pc.mul_oracle(F, G), P).to_dense()
+    if q == 2:
+        ring = ExtField(ctx, _irreducible(2, 34, 0))
+        alpha = ring.x
+    else:
+        ring, alpha = ctx, rng.below(q)
+    before = POLY_MUL_OPS.count
+    got = eval_mod_p_dense(P, F, G, alpha, ring)
+    assert POLY_MUL_OPS.count == before
+    V = leading_coefficients(P, F, ring)
+    p_alpha = _horner(P.to_dense().coeffs, alpha, ring)
+    f_alpha = _horner(F.coeffs, alpha, ring)
+    assert got == _dense_scan(f_alpha, alpha, p_alpha, V, G.coeffs, ring, ctx)
+    assert got == _horner(H.coeffs, alpha, ring)
 
 
 # the blocked Horner kernels at the block sizes of real inputs: lengths
