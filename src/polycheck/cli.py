@@ -37,8 +37,8 @@ class CliError(Exception):
     pass
 
 
-# the least normal double: a report prints float(epsilon) as its error
-# bound, which loses precision below this floor and reads 0.0 from 2^-1075
+# the least normal double: below it the error bound a report prints, the
+# least double >= epsilon, is a subnormal coarser than epsilon
 EPSILON_FLOOR = Fraction(1, 2**1022)
 
 

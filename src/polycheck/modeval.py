@@ -14,11 +14,13 @@ input at the class of X in a quotient ring, where that product would be a
 counted polynomial multiplication and the dense scan keeps its walk.
 P = X^n - 1 is one such P, not a scan of its own.
 eval_mod is the one entry: the sparse scan when F and G are both sparse,
-the dense scan, which makes either form dense, otherwise.  Every scan
-computes its own leading coefficients, in the ring it evaluates in; no
-caller hands it any.  For F, G and P over Z at a point of GF(p) that is
-GF(p): the scans read the signed integers as they are and reduce them as
-they go, and nothing is copied into GF(p).
+the dense scan, which makes either form dense, otherwise.  check_shapes is
+the one shape check of every scan and of every modular verifier, and runs
+before anything reads P's terms.  Every scan computes its own leading
+coefficients, in the ring it evaluates in; no caller hands it any.  For F,
+G and P over Z at a point of GF(p) that is GF(p): the scans read the
+signed integers as they are and reduce them as they go, and nothing is
+copied into GF(p).
 
 The companion matrix C_R of a monic R needs no scan of its own either:
 column 0 of H(C_R) is the coefficient vector of H mod R, which is H
@@ -65,7 +67,6 @@ import heapq
 
 from .poly import (
     DENSIFY_CAP,
-    SparsePoly,
     _check_eval_ring,
     _require_monic,
     all_sparse,
@@ -85,15 +86,21 @@ def CompanionOperator(R):
     return ExtField(R.ctx, R.to_dense().coeffs)  # raises unless R is monic
 
 
-def _require_args(P, F, G):
-    _require_monic(P)
-    if F.ctx != P.ctx or G.ctx != P.ctx:
-        raise ValueError("mixed coefficient contexts")
+def check_shapes(P, *polys):
+    """The shape of a modular check of polys modulo P, the one check of
+    every scan and modular verifier: every polynomial over P's ring,
+    deg P >= 1, every other polynomial of degree < deg P, and P a monic
+    SparsePoly.  Returns n = deg P."""
+    for X in polys:
+        if X.ctx != P.ctx:
+            raise ValueError("mixed coefficient contexts")
+    if P.is_zero() or P.degree() < 1:
+        raise ValueError("modulus must have degree >= 1")
     n = P.degree()
-    if not F.is_zero() and F.degree() >= n:
-        raise ValueError("deg F must be < deg P")
-    if not G.is_zero() and G.degree() >= n:
-        raise ValueError("deg G must be < deg P")
+    for X in polys:
+        if not X.is_zero() and X.degree() >= n:
+            raise ValueError("inputs must have degree < deg P")
+    _require_monic(P)
     return n
 
 
@@ -134,7 +141,7 @@ def leading_coefficients(P, F, ring=None):
     _coefficient_ring).  For P and F over Z and ring a GF(p), v_i is given
     modulo p, and the entries no update reaches are F's integer
     coefficients as they are, which the scans reduce as they read them."""
-    n = _require_args(P, F, SparsePoly.zero(P.ctx))
+    n = check_shapes(P, F)
     if n >= DENSIFY_CAP:
         raise ValueError(f"degree {n} too large to densify")
     ctx = _coefficient_ring(P, ring)
@@ -166,7 +173,7 @@ def sparse_leading_coefficients(P, F, ring=None):
     """The nonzero pairs (i, v_i) of leading_coefficients, ascending in i,
     computed without touching silent indices, in the same ring.  Output
     length is at most #F * #P^ceil(1/gamma - 1)."""
-    n = _require_args(P, F, SparsePoly.zero(P.ctx))
+    n = check_shapes(P, F)
     ctx = _coefficient_ring(P, ring)
     pending = {n - 1 - t: ctx.canon(c) for t, c in F.terms if t > 0}  # index -> v_i
     heap = sorted(pending)
@@ -220,7 +227,7 @@ def eval_mod_p_dense(P, F, G, alpha, ring=None):
     of the field.  At the class of X in a quotient ring the scan stays,
     since there the product of F(x) and G(x) would be a counted polynomial
     multiplication."""
-    n = _require_args(P, F, G)
+    n = check_shapes(P, F, G)
     ring = _check_eval_ring(F, ring)
     if G.is_zero() or F.is_zero():
         return ring.zero()
@@ -273,8 +280,8 @@ def gf2_first_mismatch(P, F, G, H, moduli):
     them as in ExtField.dense_scan's byte step.  The first mismatch is the
     lowest nonzero lane of H(x) ^ beta.  Shifts and XORs only: nothing
     counts in POLY_MUL_OPS."""
-    n = _require_args(P, F, G)
-    if H.ctx != P.ctx or not isinstance(P.ctx, PrimeField) or P.ctx.q != 2:
+    n = check_shapes(P, F, G, H)
+    if not isinstance(P.ctx, PrimeField) or P.ctx.q != 2:
         raise ValueError("the lane kernel needs F, G, H and P over GF(2)")
     if n >= DENSIFY_CAP:
         raise ValueError(f"degree {n} too large to densify")
@@ -340,7 +347,7 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     the result is F(alpha) G(alpha), both from pw, with no scan at all, at
     every point, the class of X included.  That is every fold of
     verify_sparse_product whose prime exceeds the degree of the product."""
-    n = _require_args(P, F, G)
+    n = check_shapes(P, F, G)
     if G.sparsity() < F.sparsity():
         F, G = G, F  # the product is symmetric and the cost follows #F
     ring = _check_eval_ring(F, ring)
@@ -375,8 +382,8 @@ def eval_mod(P, F, G, alpha, ring=None, pw=None):
     """((F*G) mod P)(alpha), the one entry into the scans: the sparse scan
     when F and G are both sparse, with pw as in eval_mod_p_sparse, and the
     dense scan otherwise; P = X^n - 1 runs the binomial variants."""
+    n = check_shapes(P, F, G)
     ctx = P.ctx
-    n = P.degree()
     binom = (
         P.sparsity() == 2
         and P.terms[0][0] == 0

@@ -91,6 +91,14 @@ class VerifyReport:
         }
 
 
+def bound_above(eps):
+    """The error_bound a report of a check at eps states: the least double
+    >= eps, as float(eps) rounds to nearest and underflows to 0.0 below
+    2^-1074."""
+    b = float(eps)
+    return b if Fraction(b) >= eps else math.nextafter(b, math.inf)
+
+
 def _describe(ctx, a):
     if isinstance(ctx, ExtField):
         return list(ctx.coeffs(a))
@@ -119,18 +127,6 @@ def sparsity_precheck(F, G, H, P):
     if P.sparsity() < 2:
         return False
     return H.sparsity() > reduced_product_terms(F, G, P, H.sparsity())
-
-
-def check_shapes(F, G, H, P):
-    if not (F.ctx == G.ctx == H.ctx == P.ctx):
-        raise ValueError("mixed coefficient contexts")
-    if P.is_zero() or P.degree() < 1:
-        raise ValueError("modulus must have degree >= 1")
-    n = P.degree()
-    for X in (F, G, H):
-        if not X.is_zero() and X.degree() >= n:
-            raise ValueError("inputs must have degree < deg P")
-    return n
 
 
 def verify_mod(F, G, H, P, cfg=None):
@@ -233,7 +229,7 @@ def _verify_at_point(F, G, H, P, cfg, method):
     {"q": q}, {"alpha": α}.
     Its method is the one asked for; "auto" reads "extension" at X modulo
     R and "direct-eval" at a random point."""
-    n = check_shapes(F, G, H, P)
+    n = modeval.check_shapes(P, F, G, H)
     ctx, eps = P.ctx, cfg.epsilon
     kind = point_kind(ctx, n - 1, eps, method)
     if method == "auto":
@@ -248,7 +244,7 @@ def _verify_at_point(F, G, H, P, cfg, method):
     # schema 1 names a modular check's prime "q", in an entry of its own
     witnesses = [{"q": ring.q}, {"alpha": alpha}] if kind == "prime" else [witness]
     verdict = _agree_at(F, G, H, P, alpha, ring)
-    return VerifyReport(verdict, float(eps), 1, witnesses, method, cfg.seed)
+    return VerifyReport(verdict, bound_above(eps), 1, witnesses, method, cfg.seed)
 
 
 def _agree_at(F, G, H, P, alpha, ring):
@@ -301,19 +297,27 @@ def verify_mod_over_Z(F, G, H, P, cfg=None):
     """verify_mod for integer polynomials only: one comparison at a random
     point of GF(q) for a random prime q, whose error split prime_lambda
     states."""
-    check_shapes(F, G, H, P)
+    modeval.check_shapes(P, F, G, H)
     if not isinstance(P.ctx, IntegerRing):
         raise TypeError("verify_mod_over_Z needs integer polynomials")
     return verify_mod(F, G, H, P, cfg)
 
 
+def _ln(x):
+    """ln x for a Fraction x > 1, from its numerator and denominator, or
+    near 1 from x - 1, so neither overflows a float nor cancels."""
+    return math.log1p(float(x - 1)) if x < 2 else math.log(x.numerator) - math.log(x.denominator)
+
+
 def minimal_extension_degree(q, bound):
-    """Smallest d with q**d >= bound."""
-    bound = Fraction(bound)
-    d = 1
-    power = Fraction(q)
-    while power < bound:
-        power *= q
+    """The least d >= 1 with q**d >= bound, for a rational q > 1: a float
+    estimate from the logarithms, corrected both ways in exact
+    arithmetic."""
+    q, bound = Fraction(q), Fraction(bound)
+    d = 1 if bound <= q else math.ceil(_ln(bound) / _ln(q))
+    while d > 1 and q ** (d - 1) >= bound:
+        d -= 1
+    while q**d < bound:
         d += 1
     return d
 
@@ -339,7 +343,7 @@ def verify_mod_ff(F, G, H, P, cfg=None):
     one screened irreducible R, and "auto" at whichever of the two the
     field size allows."""
     cfg = cfg or VerifyConfig()
-    check_shapes(F, G, H, P)
+    modeval.check_shapes(P, F, G, H)
     if not isinstance(P.ctx, PrimeField):
         raise TypeError("verify_mod_ff needs GF(q) polynomials")
     if cfg.method == "companion-no-polymul":
@@ -359,11 +363,7 @@ def _companion_draws(q, d, eps):
     passes a wrong H; q^(d/2) is bounded below by isqrt(q^d 4^64) / 2^64."""
     root_lo = Fraction(math.isqrt(q**d << 128), 1 << 64)
     rho = 1 - Fraction(7, 8 * d) * (1 - 2 / root_lo)
-    log_eps = math.log(eps.numerator) - math.log(eps.denominator)
-    m = max(1, math.ceil(log_eps / math.log(rho)) - 1)
-    while rho**m > eps:
-        m += 1
-    return m
+    return minimal_extension_degree(1 / rho, 1 / eps)
 
 
 def verify_mod_companion(F, G, H, P, cfg=None):
@@ -401,7 +401,7 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     "companion-sparse" on the sparse scans.
     """
     cfg = cfg or VerifyConfig()
-    n = check_shapes(F, G, H, P)
+    n = modeval.check_shapes(P, F, G, H)
     ctx = P.ctx
     if not isinstance(ctx, PrimeField):
         raise TypeError("companion verification needs GF(q) polynomials")
@@ -435,7 +435,7 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     if bad is not None:
         witnesses[-1]["mismatch"] = True
     method = "companion-sparse" if sparse else "companion-no-polymul"
-    return VerifyReport(bad is None, float(eps), draws, witnesses, method, cfg.seed)
+    return VerifyReport(bad is None, bound_above(eps), draws, witnesses, method, cfg.seed)
 
 
 def verify_mod_companion_sparse(F, G, H, P, cfg=None):

@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 
-from . import modverify
-from .modverify import VerifyConfig, VerifyReport
+from . import modeval, modverify
+from .modverify import VerifyConfig, VerifyReport, bound_above
 from .poly import (
     EXPONENT_CAP,
     DensePoly,
@@ -106,15 +106,15 @@ FOLD_BITS_CAP = 2**26
 
 
 def _rounds_for(eps, per_round):
-    """Smallest r with per_round**r <= eps (requires per_round <= 1/2)."""
-    r = 0
-    acc = Fraction(1)
-    while acc > eps:
-        acc *= per_round
-        r += 1
-        if r > 4096:
-            raise ValueError("per-round bound too weak to amplify")
-    return max(r, 1)
+    """Smallest r >= 1 with per_round**r <= eps (requires per_round <=
+    1/2): 1 where per_round is 0, else modverify.minimal_extension_degree
+    at base 1/per_round."""
+    if not per_round:
+        return 1
+    r = modverify.minimal_extension_degree(1 / per_round, 1 / eps)
+    if r > 4096:
+        raise ValueError("per-round bound too weak to amplify")
+    return r
 
 
 def _fold_rounds(cfg, rho, fold_range, rng, method, agree):
@@ -131,8 +131,8 @@ def _fold_rounds(cfg, rho, fold_range, rng, method, agree):
         ok, witness = agree(rng.randint(lo, hi - 1))
         witnesses.append(witness)
         if not ok:
-            return VerifyReport(False, float(eps), rounds, witnesses, method, cfg.seed)
-    return VerifyReport(True, float(eps), rounds, witnesses, method, cfg.seed)
+            break
+    return VerifyReport(ok, bound_above(eps), rounds, witnesses, method, cfg.seed)
 
 
 def _folded_check(F, G, H, i, eps, rng, check):
@@ -175,29 +175,38 @@ def _product_shape_reject(F, G, H):
     return None
 
 
+def _product_agrees_at(F, G, H, alpha, ring):
+    """F(α) G(α) == H(α) in ring, every value from one power table at α:
+    the comparison of every one-point product check."""
+    pw = power_table(ring, alpha)
+    fa, ga, ha = (evaluate(X, alpha, ring, pw) for X in (F, G, H))
+    return ring.mul(fa, ga) == ha
+
+
 def _product_at_one_point(F, G, H, cfg, method):
     """Decide H = F*G by comparing H(α) with F(α)G(α) once.  F, G and H are
     all dense or all sparse, none zero, and deg H <= deg F + deg G, so
     Δ = H - F*G has degree at most m = deg F + deg G, and over Z its
-    coefficients are at most ||H|| + min(#F, #G) ||F|| ||G||.  Over Z and
-    GF(q) the point is the one of modverify.point_kind at m, which keeps a
-    nonzero Δ nonzero with probability at least 1 - ε; every ring operation
-    is exact, so a true H always passes.  The report has rounds = 1 and the
-    witness of modverify.draw_point.  Other coefficient rings keep one exact
-    product, with rounds = 0 and the witness {"deterministic":
-    "reference-product"}."""
-    ctx = F.ctx
-    if not isinstance(ctx, (IntegerRing, PrimeField)):
-        return _certain(mul_oracle(F, G) == H, "reference-product", method, cfg)
-    eps = cfg.epsilon
+    coefficients are at most ||H|| + min(#F, #G) ||F|| ||G||.  The point is
+    the one of modverify.point_kind at m, which keeps a nonzero Δ nonzero
+    with probability at least 1 - ε; every ring operation is exact, so a
+    true H always passes.  The report has rounds = 1 and the witness of
+    modverify.draw_point.  Where the point policy cannot serve, a ring it
+    refuses (modverify.point_policy_accepts) or a GF(q)[X]/(R) too small
+    for ε, one exact product decides, with rounds = 0 and the witness
+    {"deterministic": "reference-product"}."""
+    ctx, eps = F.ctx, cfg.epsilon
     m = F.degree() + G.degree()
-    kind = modverify.point_kind(ctx, m, eps)
+    try:
+        kind = modverify.point_kind(ctx, m, eps)
+    except TypeError:  # a ring the point policy refuses
+        kind = None
+    if kind is None:
+        return _certain(mul_oracle(F, G) == H, "reference-product", method, cfg)
     norm = H.norm() + product_norm_bound(F, G) if kind == "prime" else 0
     ring, alpha, witness = modverify.draw_point(kind, ctx, m, eps, RngStream(cfg.seed), norm)
-    pw = power_table(ring, alpha)
-    fa, ga, ha = (evaluate(X, alpha, ring, pw) for X in (F, G, H))
-    verdict = ring.mul(fa, ga) == ha
-    return VerifyReport(verdict, float(eps), 1, [witness], method, cfg.seed)
+    verdict = _product_agrees_at(F, G, H, alpha, ring)
+    return VerifyReport(verdict, bound_above(eps), 1, [witness], method, cfg.seed)
 
 
 def verify_product_kaminski(F, G, H, cfg=None, params=None):
@@ -205,9 +214,9 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
     X^i - 1 and comparing folded products.  One-sided.  When the per-round
     bound at this degree is vacuous, which at the default e holds for every
     degree below about 10^13, it compares H and F*G at one point instead
-    (_product_at_one_point) and never multiplies F by G.  A triple that is
-    not all sparse is made dense first, so every comparison meets one
-    representation."""
+    (_product_at_one_point), and multiplies F by G only where the point
+    policy cannot serve.  A triple that is not all sparse is made dense
+    first, so every comparison meets one representation."""
     cfg = cfg or VerifyConfig()
     params = params or KaminskiParams()
     if F.ctx != G.ctx or F.ctx != H.ctx:
@@ -260,8 +269,9 @@ def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
     refuses where the point policy finds GF(q)[X]/(R) too small: over
     GF(2^8) with degree-20 factors it raises FieldTooSmallError on a true
     product at epsilon = 1/8 (the check at X^41 - 1 needs 256 epsilon >=
-    40) and answers at epsilon = 1/2; kaminski answers both by its exact
-    product.  Over GF(q) it makes unscreened draws at X modulo R instead
+    40) and answers at epsilon = 1/2; kaminski answers the first by its
+    exact product and the second at a random point of GF(2^8).  Over GF(q)
+    it makes unscreened draws at X modulo R instead
     (_modular_check_no_mul)."""
     cfg = cfg or VerifyConfig()
     params = params or KaminskiParams()
@@ -279,7 +289,7 @@ def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
         inner = _modular_check_no_mul(F, G, H, P, VerifyConfig(epsilon=eps, seed=cfg.seed))
         witness = {"full-degree-fold": D + 1, "inner": inner.witnesses}
         return VerifyReport(
-            inner.verdict, float(eps), inner.rounds, [witness], "kaminski-nomul", cfg.seed
+            inner.verdict, bound_above(eps), inner.rounds, [witness], "kaminski-nomul", cfg.seed
         )
     rng = RngStream(cfg.seed)
 
@@ -368,11 +378,8 @@ def _check_at_power_of_two(F, G, H, w, cfg, e, method):
     # 2^i - 1 is a useless modulus below i = 2, so tiny operands take a prime too
     if rho > Fraction(1, 2) or lo < 2 or hi > FOLD_BITS_CAP:
         p = random_prime(modverify.prime_lambda_pow2(1, 2 * s, eps), eps / 2, rng)
-        ring = PrimeField(p)
-        alpha = pow(2, w, p)
-        pw = power_table(ring, alpha)
-        fa, ga, ha = (evaluate(X, alpha, ring, pw) for X in (F, G, H))
-        return VerifyReport(fa * ga % p == ha, float(eps), 1, [{"p": p}], method, cfg.seed)
+        verdict = _product_agrees_at(F, G, H, pow(2, w, p), PrimeField(p))
+        return VerifyReport(verdict, bound_above(eps), 1, [{"p": p}], method, cfg.seed)
 
     def agree(i):
         fa, ga, ha = (_value_mod_mersenne(X, w, i) for X in (F, G, H))
@@ -492,7 +499,7 @@ def verify_sparse_product(F, G, H, cfg=None):
     verify = modverify.verify_mod_ff if isinstance(F.ctx, PrimeField) else modverify.verify_mod
     inner = _folded_check(F, G, H, p, SPARSE_EPS2 * eps, rng, verify)
     witnesses = [{"p": p, "inner": inner.witnesses}]
-    return VerifyReport(inner.verdict, float(eps), 1, witnesses, "sparse", cfg.seed)
+    return VerifyReport(inner.verdict, bound_above(eps), 1, witnesses, "sparse", cfg.seed)
 
 
 # The cost model behind exact_route_costs, fitted to timings of both paths
@@ -509,10 +516,9 @@ def exact_route_costs(F, G, H, eps, P=None):
     with H instead of running the paper's verifier.
 
     The input checks of the verifiers run first and raise as they do: for a
-    modular check, the degree checks of modverify.check_shapes and the
-    monic check of P.  Then the verifier's O(1) screens (_sparse_screen, or
-    modverify.sparsity_precheck): where one decides, the verifier's certain
-    answer is the cheapest, and this returns None.  Otherwise both costs
+    modular check, modeval.check_shapes.  Then the verifier's O(1) screens
+    (_sparse_screen, or modverify.sparsity_precheck): where one decides, the
+    verifier's certain answer is the cheapest, and this returns None.  Otherwise both costs
     are estimated in term operations:
 
     - product: #F #G, and modulo P the bound
@@ -537,7 +543,7 @@ def exact_route_costs(F, G, H, eps, P=None):
         eps = SPARSE_EPS2 * eps
         terms = F.sparsity() + G.sparsity() + H.sparsity()
     else:
-        top = modverify.check_shapes(F, G, H, P) - 1
+        top = modeval.check_shapes(P, F, G, H) - 1
         if modverify.sparsity_precheck(F, G, H, P):
             return None
         if not (F.is_zero() or G.is_zero()) and F.degree() + G.degree() > EXPONENT_CAP:

@@ -24,6 +24,12 @@ _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # GF(2) coefficients as binar
 RUN_TERMS = 8  # PrimeField.sparse_sum sums runs of a top byte first from this many terms per value
 
 
+def _gf2_bits(cs):
+    """The int sum cs[i] 2^i of nonempty GF(2) coefficients cs: their bytes
+    as binary digits, read from the top."""
+    return int(bytearray(cs).translate(_BIT_DIGITS)[::-1], 2)
+
+
 class PrimeGenerationError(RuntimeError):
     """The random-prime trial budget was exhausted (RNG or parameter pathology)."""
 
@@ -527,7 +533,7 @@ class ExtField:
             table = (self._fold or self._fold_tables())[0]
             d = self.d
             low = (1 << d) - 1
-            bits = int(bytes(cs[::-1]).translate(_BIT_DIGITS), 2)
+            bits = _gf2_bits(cs)
             acc = 0
             for byte in bits.to_bytes((len(cs) + 7) // 8, "big"):
                 acc = (acc << 8) ^ byte
@@ -833,7 +839,7 @@ def poly_list_is_irreducible(coeffs, q):
     if d < 1 or f[-1] != 1:
         raise ValueError("need a monic polynomial of degree >= 1")
     if q == 2:
-        return _gf2_is_irreducible(int(bytes(f[::-1]).translate(_BIT_DIGITS), 2), d)
+        return _gf2_is_irreducible(_gf2_bits(f), d)
     ring = ExtField(PrimeField(q), f)
     h = ring.x
     for _ in range(d // 2):
@@ -972,8 +978,8 @@ def random_irreducible(field, d, epsilon, rng):
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError("epsilon must be in (0, 1)")
-    # ln(1/eps) from its numerator and denominator: 1/float(eps) overflows
-    # from eps = 2^-1024 on, and float(eps) is 0.0 from 2^-1075 on
+    # ln(1/eps) from its numerator and denominator: as floats, 1/eps
+    # overflows from eps = 2^-1024 on, and eps is 0.0 from 2^-1075 on
     ln_inv = math.log(eps.denominator) - math.log(eps.numerator)
     budget = max(1, math.ceil(2 * d * ln_inv + 1e-9))
     q = field.q

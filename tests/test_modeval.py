@@ -19,7 +19,7 @@ from polycheck.modeval import (
     project_poly_companion,
     sparse_leading_coefficients,
 )
-from polycheck.modverify import VerifyConfig
+from polycheck.modverify import VerifyConfig, verify_mod, verify_mod_ff
 from polycheck.oracle import oracle_matrix_eval, oracle_mod_product, poly_divmod
 from polycheck.prodverify import verify_product_kaminski_nomul
 from polycheck.rings import POLY_MUL_OPS, RngStream
@@ -605,3 +605,36 @@ class TestDenseScanShortcut:
         P, F, G, alpha, want = self._instance(Z, ring, 99, rng, rand_monic_sparse(Z, 150, 4, rng))
         assert eval_mod_p_dense(P, F, G, alpha, ring) == want
         assert calls["leading"] >= 1 and calls["scan"] >= 1
+
+
+class TestOneShapeCheck:
+    """check_shapes is the one shape check of every scan and modular
+    verifier, in one order: rings, deg P, input degrees, then a monic
+    SparsePoly P."""
+
+    def test_dense_binomial_modulus_is_a_type_error_everywhere(self):
+        K = pc.GF(7)
+        P = pc.x_pow_minus_one(K, 5).to_dense()
+        F = pc.DensePoly(K, [1, 2, 3])
+        for run in (
+            lambda: modeval.eval_mod(P, F, F, 3),
+            lambda: modeval.eval_mod(P, F.to_sparse(), F.to_sparse(), 3),
+            lambda: verify_mod(F, F, F, P),
+            lambda: verify_mod_ff(F, F, F, P),
+        ):
+            with pytest.raises(TypeError, match="^modulus must be a SparsePoly$"):
+                run()
+
+    def test_order_of_the_messages(self):
+        K = pc.GF(7)
+        P = pc.SparsePoly(K, [(0, 1), (3, 2)])  # not monic
+        F = pc.DensePoly(K, [1, 1])
+        with pytest.raises(ValueError, match="mixed coefficient contexts"):
+            modeval.check_shapes(P, F, pc.DensePoly(Z, [1]))
+        with pytest.raises(ValueError, match="modulus must have degree >= 1"):
+            modeval.check_shapes(pc.SparsePoly(K, [(0, 1)]), F)
+        with pytest.raises(ValueError, match="inputs must have degree < deg P"):
+            modeval.check_shapes(P, F, pc.DensePoly(K, [0, 0, 0, 1]))
+        with pytest.raises(ValueError, match="modulus must be monic"):
+            modeval.check_shapes(P, F, F)
+        assert modeval.check_shapes(pc.x_pow_minus_one(K, 3), F, pc.DensePoly.zero(K)) == 3

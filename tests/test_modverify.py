@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from fractions import Fraction
@@ -21,7 +22,7 @@ from polycheck.modverify import (
 )
 from polycheck.oracle import oracle_mod_product, poly_divmod
 from polycheck.poly import evaluate
-from polycheck.prodverify import verify_product_kaminski
+from polycheck.prodverify import KaminskiParams, _rounds_for, verify_product_kaminski
 from polycheck.rings import (
     POLY_MUL_OPS,
     ExtField,
@@ -786,3 +787,102 @@ class TestWitnessIsACertificate:
                 if "q" in entry:  # verify_mod's two entries over Z
                     entry["p"] = entry.pop("q")
                 assert entry == witness
+
+
+def _old_minimal_extension_degree(q, bound):
+    """The search loop minimal_extension_degree replaced."""
+    bound = Fraction(bound)
+    d, power = 1, Fraction(q)
+    while power < bound:
+        power *= q
+        d += 1
+    return d
+
+
+def _old_companion_draws(q, d, eps):
+    """The float estimate and loop _companion_draws replaced."""
+    root_lo = Fraction(math.isqrt(q**d << 128), 1 << 64)
+    rho = 1 - Fraction(7, 8 * d) * (1 - 2 / root_lo)
+    log_eps = math.log(eps.numerator) - math.log(eps.denominator)
+    m = max(1, math.ceil(log_eps / math.log(rho)) - 1)
+    while rho**m > eps:
+        m += 1
+    return m
+
+
+def _old_rounds_for(eps, per_round):
+    """The loop prodverify._rounds_for replaced."""
+    r, acc = 0, Fraction(1)
+    while acc > eps:
+        acc *= per_round
+        r += 1
+        if r > 4096:
+            raise ValueError("per-round bound too weak to amplify")
+    return max(r, 1)
+
+
+EPS_GRID = [Fraction(1, 2), Fraction(1, 3), QUARTER, Fraction(2, 7), Fraction(1, 2**20),
+            Fraction(3, 10**9), Fraction(1, 2**100) + Fraction(1, 2**300)]
+
+
+class TestOneLeastExponentSearch:
+    """minimal_extension_degree is the one search for the least k with
+    b^k >= B, which _companion_draws and prodverify._rounds_for call: the
+    same answers as the three loops it replaced."""
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 65537, 2**61 - 1, Fraction(3, 2),
+                                   Fraction(1001, 1000), Fraction(10**30 + 1, 10**30)])
+    def test_minimal_extension_degree(self, q):
+        bounds = [Fraction(1, 2), 1]
+        bounds += [Fraction(q) ** k + s for k in (1, 2, 5, 17)
+                   for s in (-Fraction(1, 10**70), 0, Fraction(1, 10**70))]
+        if q > 1.01:  # the old loop takes about ln(bound)/ln(q) steps
+            bounds += [2, 36, Fraction(7, 3), 10**6, 2**64, 2**64 + 1, Fraction(2**200 + 1, 3)]
+        for bound in bounds:
+            got = minimal_extension_degree(q, bound)
+            assert got == _old_minimal_extension_degree(q, bound)
+            assert Fraction(q) ** got >= bound
+            assert got == 1 or Fraction(q) ** (got - 1) < bound
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 65537])
+    def test_companion_draws(self, q):
+        for n in (2, 5, 16, 2**11, 2**30):
+            d = modverify._companion_degree(q, n)
+            for eps in EPS_GRID:
+                assert modverify._companion_draws(q, d, eps) == _old_companion_draws(q, d, eps)
+
+    def test_rounds_for(self):
+        rhos = [Fraction(0), Fraction(1, 2), Fraction(3, 7), QUARTER, Fraction(1, 1000),
+                Fraction(1, 2**64)] + [KaminskiParams(e=Fraction(1, 10)).per_round_bound(n)
+                                      for n in (4096, 10**5, 10**7)]
+        for rho in rhos:
+            for eps in EPS_GRID:
+                assert _rounds_for(eps, rho) == _old_rounds_for(eps, rho)
+        for run in (_rounds_for, _old_rounds_for):
+            with pytest.raises(ValueError, match="too weak to amplify"):
+                run(Fraction(1, 2**5000), Fraction(1, 2))
+
+
+class TestPrintedBound:
+    """A report states the least double >= epsilon as its error_bound."""
+
+    @given(st.fractions(min_value=Fraction(1, 2**1100), max_value=1).filter(lambda e: 0 < e < 1)
+           | st.integers(2, 2**1100).map(lambda k: Fraction(1, k))
+           | st.integers(1, 1100).map(lambda k: Fraction(1, 3 * 2**k)))
+    def test_least_double_at_or_above(self, eps):
+        b = modverify.bound_above(eps)
+        assert Fraction(b) >= eps
+        if Fraction(float(eps)) >= eps:
+            assert b == float(eps)
+        else:
+            assert math.nextafter(b, 0) < eps
+
+    def test_through_the_verifiers(self, rng):
+        P = pc.SparsePoly(F2, [(0, 1), (1, 1), (4, 1)])
+        F, G = rand_dense(F2, 3, rng), rand_dense(F2, 2, rng)
+        H = oracle_mod_product(F, G, P)
+        r = verify_mod_companion(F, G, H, P, cfg(1, Fraction(1, 2**1100), "companion-no-polymul"))
+        assert r.verdict is True and r.error_bound == math.nextafter(0.0, 1.0)
+        r = verify_mod_ff(F, G, H, P, cfg(1, Fraction(1, 3)))
+        assert r.verdict is True and Fraction(r.error_bound) >= Fraction(1, 3)
+        assert verify_mod_ff(F, G, H, P, cfg(1, Fraction(1, 2**20))).error_bound == 2**-20

@@ -438,6 +438,16 @@ class TestReduceModBinomial:
                 Fd, pc.x_pow_minus_one(ctx, i)
             )
 
+    def test_dense_fold_over_a_quotient_ring(self, rng):
+        # the generic dense fold, over GF(2)[X]/(R), against the sparse fold
+        K = pc.ExtField(pc.GF(2), (1, 1, 0, 1, 1, 0, 0, 0, 1))
+        F = pc.DensePoly(K, [K.from_coeffs([rng.below(2) for _ in range(8)])
+                             for _ in range(40)] + [K.one()])
+        for i in (1, 2, 7, 40):
+            got = pc.reduce_mod_binomial(F, i)
+            assert isinstance(got, pc.DensePoly) and got.degree() < i
+            assert got == pc.reduce_mod_binomial(F.to_sparse(), i).to_dense()
+
     def test_zero_i_rejected(self):
         with pytest.raises(ValueError):
             pc.reduce_mod_binomial(EX1_F, 0)

@@ -136,16 +136,21 @@ class TestKaminski:
             assert r.witnesses == witnesses
 
     def test_quotient_ring_coefficients_take_the_exact_product(self, rng):
-        # over GF(2^8) as coefficient ring no point is drawn: one exact
-        # product decides, with a certain verdict
+        # over GF(2^8) as coefficient ring, degrees 29 and 16: at 2^-20 the
+        # field is too small for a point (256 2^-20 < 45), so one exact
+        # product decides, with a certain verdict; at 1/4 it is large
+        # enough (256/4 >= 45), and one random point of it decides
         ring = pc.ExtField(F2, (1, 0, 1, 1, 1, 0, 0, 0, 1))
         F = rand_dense(ring, 30, rng)
         G = rand_dense(ring, 17, rng)
         H = pc.mul_oracle(F, G)
         for X, verdict in ((H, True), (perturb_poly(H, rng), False)):
-            r = verify_product_kaminski(F, G, X, cfg(0))
+            r = verify_product_kaminski(F, G, X, cfg(0, Fraction(1, 2**20)))
             assert (r.verdict, r.error_bound, r.rounds) == (verdict, 0.0, 0)
             assert r.witnesses == [{"deterministic": "reference-product"}]
+            r = verify_product_kaminski(F, G, X, cfg(0))
+            assert (r.verdict, r.error_bound, r.rounds) == (verdict, 0.25, 1)
+            assert list(r.witnesses[0]) == ["alpha"] and len(r.witnesses[0]["alpha"]) == 8
 
     def test_probabilistic_path_small_e(self, rng):
         params = KaminskiParams(e=E_SMALL)
@@ -308,6 +313,15 @@ class TestKaminskiNoMul:
         assert r.verdict is True
         assert r.witnesses[0]["full-degree-fold"] == 41
 
+    @pytest.mark.parametrize("ctx", [Z, pc.GF(7)], ids=str)
+    def test_shape_screens_are_pinned(self, ctx, rng):
+        F, G = rand_dense(ctx, 6, rng), rand_dense(ctx, 4, rng)
+        for H in (pc.DensePoly.zero(ctx), rand_dense(ctx, 11, rng)):
+            r = verify_product_kaminski_nomul(F, G, H, cfg(0))
+            assert (r.verdict, r.error_bound, r.rounds) == (False, 0.0, 0)
+            assert r.witnesses == [{"deterministic": "shape"}]
+            assert r.method == "kaminski-nomul"
+
     def test_adversarial_quarter_gf2(self, rng):
         params = KaminskiParams(e=E_SMALL)
         n = 4096
@@ -431,6 +445,12 @@ class TestIntProduct:
     def test_one_times_one_is_not_two(self):
         for seed in range(10):
             assert verify_int_product(1, 1, 2, cfg(seed)).verdict is False
+
+    def test_certain_screens_are_pinned(self):
+        for c, reason in ((0, "sign"), (-15, "sign"), (2**100, "size")):
+            r = verify_int_product(3, 5, c, cfg(0))
+            assert (r.verdict, r.error_bound, r.rounds) == (False, 0.0, 0)
+            assert r.witnesses == [{"deterministic": reason}]
 
     def test_sign_screens(self):
         assert verify_int_product(-3, 5, 15, cfg(0)).verdict is False
@@ -906,6 +926,21 @@ class TestNoProductRecomputed:
                     assert report["method"] != "exact"
         assert bool(products) == (encoding == "sparse")
 
+    def test_kaminski_over_a_large_quotient_ring_field(self):
+        # GF(2)[X]/(R), R irreducible of degree 64, is large enough for one
+        # random point at 2^-20 with degree-99 factors
+        rng = RngStream(11)
+        R = pc.random_irreducible(F2, 64, Fraction(1, 2**40), rng)
+        assert poly_list_is_irreducible(list(R.coeffs), 2)
+        K = pc.ExtField(F2, R.coeffs)
+        F, G = (pc.DensePoly(K, [K.sample(rng) for _ in range(99)] + [K.one()])
+                for _ in "FG")
+        H = pc.mul_oracle(F, G)
+        for X, verdict in ((H, True), (perturb_poly(H, rng), False)):
+            r = verify_product_kaminski(F, G, X, cfg(5, STRICT))
+            assert (r.verdict, r.rounds, r.error_bound) == (verdict, 1, 2**-20)
+            assert list(r.witnesses[0]) == ["alpha"] and len(r.witnesses[0]["alpha"]) == 64
+
 
 def _primes_upto(n):
     sieve = bytearray([1]) * (n + 1)
@@ -964,6 +999,30 @@ class TestOnePointSoundness:
                     delta = pc.DensePoly(K, list(cs))
                     divisors = sum(poly_divmod(delta, R)[1].is_zero() for R in irreducibles)
                     assert divisors <= Fraction(3, 4) * eps * len(irreducibles)
+
+    @pytest.mark.parametrize("modulus, m_max", [((1, 1, 1), 3), ((1, 1, 0, 1), 2)])
+    @pytest.mark.parametrize("eps", [QUARTER, Fraction(1, 2)])
+    def test_quotient_ring_field_point_finds_few_roots(self, modulus, m_max, eps):
+        # the point of verify_product_kaminski over K = GF(2)[X]/(R) with R
+        # irreducible, exhaustively: every nonzero Δ of degree <= m over K
+        # has at most deg Δ roots in K, an ε share of K at most where
+        # |K| ε >= m and the check draws a random point of K
+        K = pc.ExtField(F2, modulus)
+        elements = [K.from_coeffs(cs) for cs in itertools.product(range(2), repeat=K.d)]
+        for m in range(1, m_max + 1):
+            F = pc.SparsePoly(K, [(m // 2, K.one())]).to_dense()
+            G = pc.SparsePoly(K, [(m - m // 2, K.one())]).to_dense()
+            r = verify_product_kaminski(F, G, pc.mul_oracle(F, G), cfg(0, eps))
+            if len(elements) * eps < m:
+                assert r.witnesses == [{"deterministic": "reference-product"}]
+                continue
+            assert list(r.witnesses[0]) == ["alpha"]
+            for cs in itertools.product(elements, repeat=m + 1):
+                if any(not K.is_zero(c) for c in cs):
+                    delta = pc.DensePoly(K, list(cs))
+                    roots = sum(K.is_zero(pc.evaluate(delta, a, K)) for a in elements)
+                    assert roots <= delta.degree() <= m
+                    assert roots <= eps * len(elements)
 
     @pytest.mark.parametrize("ctx", [pc.GF(7), Z], ids=str)
     def test_perturbed_product_acceptance_rate(self, ctx, rng):
