@@ -52,15 +52,20 @@ A fourth kernel, gf2_first_mismatch, runs the packed GF(2) scan for many
 moduli R of one degree d at once: each R's residue sits in its own
 (d+1)-bit lane of one int, and the first R at which H and the product
 disagree is the lowest nonzero lane of their difference.
-A fifth, PrimeField.sparse_sum, is the sparse evaluation of poly.evaluate
-in GF(q), and so gives the sparse scan its P(alpha) and F(alpha): for each
-byte position of the exponents, one C-level pass multiplies every term's
-value by its entry of that window of the shared power table, whose
-window grows in bulk (PrimeField.double_powers) where the request asks
-for enough of it, and runs of terms that share a top byte are summed
-before their one product.  Its reference is the per-term loop
-poly._sparse_sum, which every other ring runs.
-None of them multiplies polynomials or counts in POLY_MUL_OPS.
+A fifth, sparse_sum, is the sparse evaluation of poly.evaluate, and so
+gives the sparse scan its P(alpha) and F(alpha).  In GF(q)
+(PrimeField.sparse_sum), for each byte position of the exponents, one
+C-level pass multiplies every term's value by its entry of that window of
+the shared power table, whose window grows in bulk
+(PrimeField.double_powers) where the request asks for enough of it, and
+runs of terms that share a top byte are summed before their one product.
+In GF(2)[X]/(R), for coefficients in GF(2) (ExtField.sparse_sum), it is the
+XOR of the table's bit-sliced powers, unsliced once.  Its reference is the
+per-term loop poly._sparse_sum, which every other ring runs
+(poly.sums_sparse says which).
+None of them multiplies polynomials or counts in POLY_MUL_OPS, save the
+GF(2) sparse_sum, whose powers are the table's products, counted as
+every product of GF(2)[X]/(R) is.
 """
 
 import heapq

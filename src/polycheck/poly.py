@@ -23,6 +23,7 @@ EXPONENT_CAP = 2**63 - 1
 DENSIFY_CAP = 2**26
 WINDOW_BITS = 8  # power_table reads exponents a byte at a time
 BULK_GROWTH = 4  # power_table grows a GF(q) window in bulk from one byte asked per 4
+_GF2 = GF(2)
 
 
 class PolyFormatError(ValueError):
@@ -525,8 +526,17 @@ def power_table(ring, alpha):
     each: T[j] = T[j ^ low] T[low] with low the lowest set bit of j, and the
     power-of-two entries T[2^k] = alpha^(2^(8i+k)) come from the squares of
     alpha, one product per square, as far as the largest exponent asked
-    for needs.  Every product is ring.mul, which an ExtField counts in
-    POLY_MUL_OPS.  Z keeps its builtin pow.
+    for needs.  Z keeps its builtin pow.
+
+    The squares and entries are kept in the ring's product form, with its
+    product (ring.product_form): the element itself and ring.mul, but
+    bit-sliced in GF(2)[X]/(R), where a product is three integer
+    multiplications (see rings.ExtField._mul_sliced).  pw(e) leaves the
+    form once, and pw.form(e) is alpha^e in the form, which
+    ExtField.sparse_sum XORs.  alpha enters the form with the first entry
+    made, so a table nothing reads costs nothing.  A product in the form is
+    counted in POLY_MUL_OPS where ring.mul is: every ExtField product but
+    one with x.
 
     Besides pw(e), the table gives bulk access to one window:
     pw.window(i, digits) fills the entries of window i that the byte values
@@ -547,19 +557,19 @@ def power_table(ring, alpha):
     mix in one window.
 
     One table serves every term of every polynomial evaluated at alpha in
-    one check, through either access and in any order; it is local to that
+    one check, through any access and in any order; it is local to that
     check."""
     if not isinstance(ring, (ExtField, PrimeField)):
         return lambda e: ring.pow(alpha, e)
-    mul = ring.mul
-    squares = [alpha]
+    into, mul, out = ring.product_form()
+    squares = []
     windows = []
     prefix = []  # window i holds every entry below prefix[i], a power of two
     bulk = isinstance(ring, PrimeField)
 
     def fill(i, digits=()):
         while len(windows) <= i:
-            windows.append([ring.one()] + [None] * ((1 << WINDOW_BITS) - 1))
+            windows.append([into(ring.one())] + [None] * ((1 << WINDOW_BITS) - 1))
             prefix.append(1)
         w = windows[i]
         asked = set(digits)
@@ -583,6 +593,8 @@ def power_table(ring, alpha):
             low = j & -j
             if low == j:
                 k = WINDOW_BITS * i + j.bit_length() - 1
+                if not squares:
+                    squares.append(into(alpha))
                 while len(squares) <= k:
                     s = squares[-1]
                     squares.append(mul(s, s))
@@ -592,7 +604,7 @@ def power_table(ring, alpha):
             window[j] = v
         return v
 
-    def pw(e):
+    def form(e):
         digits = e.to_bytes((e.bit_length() + 7) >> 3, "little")
         if len(windows) < len(digits):
             fill(len(digits) - 1)
@@ -604,8 +616,12 @@ def power_table(ring, alpha):
                 if v is None:
                     v = entry(window, i, j)
                 acc = v if acc is None else mul(acc, v)
-        return ring.one() if acc is None else acc
+        return into(ring.one()) if acc is None else acc
 
+    def pw(e):
+        return out(form(e))
+
+    pw.form = form
     pw.window = fill
     return pw
 
@@ -631,9 +647,18 @@ def _horner(cs, alpha, ring):
     return acc
 
 
+def sums_sparse(ring, ctx):
+    """Whether ring.sparse_sum serves coefficients in ctx: in GF(q), and in
+    GF(2)[X]/(R) for coefficients in GF(2).  Every other ring, and a
+    quotient ring with coefficients in itself, takes the generic loop."""
+    if isinstance(ring, ExtField):
+        return ring.base == ctx == _GF2
+    return isinstance(ring, PrimeField)
+
+
 def _sparse_sum(terms, pw, ring):
     """The generic per-term loop on the ring interface, the reference for
-    PrimeField.sparse_sum."""
+    every ring.sparse_sum."""
     acc = ring.zero()
     for e, c in terms:
         acc = ring.add(acc, ring.scalar_mul(c, pw(e)))
@@ -646,8 +671,9 @@ def evaluate(F, alpha, ring=None, pw=None):
     polynomials use Horner, the ring's fused kernel where it has one, sparse
     ones take every alpha^e from pw, a power_table(ring, alpha) that a
     check evaluating several polynomials at alpha builds once and shares,
-    or from a fresh one: in GF(q) by the fused kernel sparse_sum, a byte of
-    every exponent at a time, elsewhere term by term.  At the class of X in
+    or from a fresh one: by the fused kernel sparse_sum where sums_sparse
+    allows, in GF(q) a byte of every exponent at a time and in GF(2)[X]/(R)
+    one XOR of bit-sliced powers, elsewhere term by term.  At the class of X in
     a quotient ring, F(X) is F mod R, and dense Horner multiplies no
     polynomials (see ExtField.mul)."""
     ring = _check_eval_ring(F, ring)
@@ -657,7 +683,7 @@ def evaluate(F, alpha, ring=None, pw=None):
         return _horner(F.coeffs, alpha, ring)
     if isinstance(F, SparsePoly):
         pw = pw or power_table(ring, alpha)
-        if isinstance(ring, PrimeField):
+        if sums_sparse(ring, F.ctx):
             return ring.sparse_sum(F.terms, pw)
         return _sparse_sum(F.terms, pw, ring)
     raise TypeError("unsupported polynomial type")

@@ -21,6 +21,7 @@ from functools import reduce
 
 _MASK64 = (1 << 64) - 1
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # GF(2) coefficients as binary digits
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")  # and back
 RUN_TERMS = 8  # PrimeField.sparse_sum sums runs of a top byte first from this many terms per value
 
 
@@ -28,6 +29,22 @@ def _gf2_bits(cs):
     """The int sum cs[i] 2^i of nonempty GF(2) coefficients cs: their bytes
     as binary digits, read from the top."""
     return int(bytearray(cs).translate(_BIT_DIGITS)[::-1], 2)
+
+
+def _gf2_slice(a, k):
+    """The GF(2) coefficients of the int a, coefficient i in bit 0 of
+    k-byte slot i of one int: a's binary digits as bytes, each the last of
+    its slot."""
+    digits = format(a, "b").encode().translate(_DIGIT_BITS)  # top coefficient first
+    if k > 1:
+        spread = bytearray(len(digits) * k)
+        spread[k - 1 :: k] = digits
+        digits = spread
+    return int.from_bytes(digits, "big")
+
+
+def _same(a):
+    return a
 
 
 class PrimeGenerationError(RuntimeError):
@@ -142,12 +159,19 @@ def ln_pow2_upper(k):
 #   dense_scan(f, alpha, pa, V, gs)  f_0 = f, f_i = alpha f_{i-1} - V[i-1] pa;
 #                                    returns sum gs[i] f_i over i < len(gs)
 #
-# PrimeField alone supplies the sparse loop of poly.evaluate, with the
-# contract of poly._sparse_sum:
+# PrimeField supplies the sparse loop of poly.evaluate, and so does
+# GF(2)[X]/(R) for coefficients in GF(2) (poly.sums_sparse says where), with
+# the contract of poly._sparse_sum:
 #
 #   sparse_sum(terms, pw)            sum c alpha^e over the (e, c) terms,
 #                                    ascending in e as a SparsePoly keeps them,
 #                                    the powers from the power_table pw at alpha
+#
+# The power table keeps its entries in the ring's product form
+# (product_form): the element itself and mul, but over GF(2) the bit-sliced
+# form of ExtField._slice, where a product is three integer
+# multiplications.  GF(2)'s sparse_sum XORs the sliced powers, so the sum
+# is unsliced once.
 #
 # horner runs a block of coefficients at a time: one C-level dot product
 # per block with a table of alpha's powers, and Horner across the blocks
@@ -167,14 +191,20 @@ def ln_pow2_upper(k):
 #   - GF(2) Horner on 16-bit and 32-bit words: 441 against 480 us and 503
 #     against 501 us;
 #   - a C-level sparse product and reduction: slower than the dict loop;
-#   - a fold by shifts for Mersenne q only: 3%, not worth the branch.
+#   - a fold by shifts for Mersenne q only: 3%, not worth the branch;
+#   - the sliced GF(2) product in ExtField.mul itself, slicing its factors
+#     and unslicing the result: 2.4 against 1.75 us for the 4-bit comb at
+#     d = 23 (0.7 us sliced throughout), so only the power table, which
+#     keeps its entries sliced, takes it.
 #
 # PrimeField's horner, dense_scan and sparse_sum also take integer
 # coefficients of any sign (dense_scan in V and gs as well), for a
 # polynomial over Z at a point of GF(p): poly.evaluate and the scans of
 # modeval read them as they are.
 #
-# The kernels multiply no polynomials and count nothing in POLY_MUL_OPS.
+# The kernels multiply no polynomials and count nothing in POLY_MUL_OPS,
+# save that GF(2)'s sparse_sum takes its powers from the table, whose
+# products count as every ExtField product does.
 
 
 class IntegerRing:
@@ -359,6 +389,10 @@ class PrimeField:
         runs = zip(range(lo, hi + 1), cut, cut[1:])
         return sum([window[b] * sum(vals[s:e]) for b, s, e in runs if s < e]) % self.q
 
+    def product_form(self):
+        """(into, mul, out) for poly.power_table: the element itself."""
+        return _same, self.mul, _same
+
     def double_powers(self, powers, steps):
         """powers = [1, a, .., a^(L-1)] grown in place by doubling: for each
         step s = a^L, a^(2L), .. in turn, one C-level pass appends s times
@@ -386,13 +420,14 @@ class ExtField:
     are tuples of d base elements (coefficient i of the representative),
     added, negated and scaled by the base ring's methods; over an odd
     GF(q) only mul and the fused kernels work on the ints directly.  Over
-    GF(2) an element is one bit-packed int.  ``x`` is the class of X; mul_x
+    GF(2) an element is one bit-packed int, and poly.power_table keeps its
+    entries bit-sliced (_slice).  ``x`` is the class of X; mul_x
     multiplies by it with one shift and subtract, which is not a polynomial
     product and is not counted in POLY_MUL_OPS, so scans run at x multiply
     no polynomials.
     """
 
-    __slots__ = ("base", "modulus", "d", "x", "_q", "_m2", "_fold")
+    __slots__ = ("base", "modulus", "d", "x", "_q", "_m2", "_fold", "_sliced")
 
     def __init__(self, base, modulus):
         mod = tuple(base.canon(c) for c in modulus)
@@ -404,6 +439,7 @@ class ExtField:
         self._q = base.q if isinstance(base, PrimeField) else None
         self._m2 = sum(c << i for i, c in enumerate(mod)) if self._q == 2 else None
         self._fold = None  # GF(2) reduction tables, built by the first _mul2
+        self._sliced = None  # GF(2) sliced-form constants, built by the first _slicing
         self.x = self.mul_x(self.one())
 
     def __repr__(self):
@@ -731,6 +767,77 @@ class ExtField:
             v = self.mul_x(v)
         return table, v
 
+    # -- the bit-sliced product form over GF(2) ------------------------------
+
+    def product_form(self):
+        """(into, mul, out) for poly.power_table: over GF(2) the bit-sliced
+        form, its product and the way back; over every other base the
+        element itself and mul."""
+        if self._m2 is None:
+            return _same, self.mul, _same
+        return self._slice, self._mul_sliced, self._unslice
+
+    def sparse_sum(self, terms, pw):
+        """Over GF(2), for coefficients in GF(2): the XOR of the sliced
+        alpha^e of the terms, pw.form(e), unsliced once."""
+        form = pw.form
+        return self._unslice(reduce(operator.xor, [form(e) for e, c in terms if c], 0))
+
+    def _slicing(self):
+        """The constants of the sliced form, built on first use: the slot
+        width w, the least of 8, 16 and 32 with 2^w > d; the shifts d w and
+        max(d - 2, 0) w; and sliced, the ones of the low d slots and of the
+        d - 1 slots above them, mu = floor(X^(2d-2) / R), R - X^d, R and
+        x."""
+        d, m = self.d, self._m2
+        w = next(w for w in (8, 16, 32) if d < 1 << w)
+        k = w >> 3
+        mu, rem = 0, 1 << (2 * d - 2)
+        while rem.bit_length() > d:
+            shift = rem.bit_length() - 1 - d
+            mu |= 1 << shift
+            rem ^= m << shift
+        ones = (1 << d) - 1
+        self._sliced = (w, d * w, max(d - 2, 0) * w) + tuple(
+            _gf2_slice(a, k) for a in (ones, ones >> 1, mu, m ^ (1 << d), m, self.x)
+        )
+        return self._sliced
+
+    def _slice(self, a):
+        """A packed GF(2) element in the bit-sliced form: coefficient i in
+        bit 0 of slot i, bits i w to i w + w - 1 of one int."""
+        return _gf2_slice(a, (self._sliced or self._slicing())[0] >> 3)
+
+    def _unslice(self, a):
+        """The packed element of a sliced one."""
+        k = (self._sliced or self._slicing())[0] >> 3
+        return int(a.to_bytes(self.d * k, "big")[k - 1 :: k].translate(_BIT_DIGITS), 2)
+
+    def _mul_sliced(self, a, b):
+        """The product of sliced elements, reduced by Barrett's method
+        (CRYPTO 1986) on polynomials, where it is exact.  Slot k of the
+        integer a b counts the pairs i + j = k of set coefficients, at most
+        d < 2^w, so no slot carries and its bit 0 is the coefficient of the
+        carry-less product t.  With t = t1 X^d + t0, the quotient t div R
+        is (t1 mu) div X^(d-2): the two differ by t1 rho / (R X^(d-2)) with
+        X^(2d-2) = mu R + rho, of negative degree.  Its slots count at most
+        d - 1 pairs, and so do those of the quotient times R - X^d, which
+        gives the low d coefficients of t - (t div R) R.  Three integer
+        multiplications, counted in POLY_MUL_OPS as one.  A factor equal to
+        x (which in packed GF(2) is exactly when ExtField.mul sees x
+        itself, CPython keeping one object per small int) is a slot shift
+        and one conditional XOR with R, and is not counted."""
+        w, dw, sw, low, high, mu, r0, r, x = self._sliced or self._slicing()
+        if a == x:
+            a, b = b, a
+        if b == x:
+            a <<= w
+            return a ^ r if a >> dw else a
+        POLY_MUL_OPS.bump()
+        t = a * b
+        quotient = ((t >> dw & high) * mu >> sw) & high
+        return (t ^ quotient * r0) & low
+
     def pow(self, a, e):
         """a^e, left to right from the top set bit of e: bit_length(e) - 1
         squarings and popcount(e) - 1 products by a."""
@@ -858,6 +965,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # least strong pseudoprime to all of them (Sorenson and Webster, 2015).
 _DET_BASES = _SMALL_PRIMES + (41,)
 _DET_LIMIT = 3317044064679887385961981
+# Below 2^64 seven bases do, each reduced mod n and skipped where that is 0
+# (Sinclair's set, 2011; see _fixed_bases).
+_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def _strong_probable_prime(n, a):
@@ -877,12 +987,21 @@ def _strong_probable_prime(n, a):
     return False
 
 
+def _fixed_bases(n):
+    """The bases that decide an odd n < _DET_LIMIT with no factor in
+    _SMALL_PRIMES: Sinclair's seven reduced mod n below 2^64, with those
+    that n divides left out, and the 13 of _DET_BASES above."""
+    if n >> 64:
+        return _DET_BASES
+    return [a % n for a in _BASES_64 if a % n]
+
+
 def is_probable_prime(n, rounds, rng=None):
     """Miller-Rabin with rounds random bases: True for every prime; a
     composite passes with probability at most 4**-rounds.
 
-    When the first random base passes, n < _DET_LIMIT and more than
-    len(_DET_BASES) rounds remain, the fixed bases decide instead: if n
+    When the first random base passes, n < _DET_LIMIT and more rounds
+    remain than it has fixed bases (_fixed_bases), those decide instead: if n
     passes them all it is prime, so every remaining random base would pass
     too, and those bases are drawn from rng and discarded.  Otherwise the
     random rounds go on.  Either way the answer, and every draw taken from
@@ -901,8 +1020,9 @@ def is_probable_prime(n, rounds, rng=None):
     if not _strong_probable_prime(n, 2 + rng.below(n - 3)):
         return False
     rest = rounds - 1
-    if n < _DET_LIMIT and rest > len(_DET_BASES):
-        if all(_strong_probable_prime(n, a) for a in _DET_BASES):
+    if n < _DET_LIMIT:
+        bases = _fixed_bases(n)
+        if rest > len(bases) and all(_strong_probable_prime(n, a) for a in bases):
             for _ in range(rest):
                 rng.below(n - 3)
             return True
@@ -920,7 +1040,7 @@ def is_prime(n):
     for p in _DET_BASES:
         if n % p == 0:
             return n == p
-    return all(_strong_probable_prime(n, a) for a in _DET_BASES)
+    return all(_strong_probable_prime(n, a) for a in _fixed_bases(n))
 
 
 def random_prime(lam, epsilon, rng):

@@ -14,6 +14,9 @@ ring-method loops that stay as their reference:
   - the sparse sum in GF(q), a byte of every exponent at a time
     (PrimeField.sparse_sum against poly._sparse_sum), on power tables that
     several polynomials and single powers share;
+  - the sparse sum in GF(2)[X]/(R), an XOR of bit-sliced powers
+    (ExtField.sparse_sum against poly._sparse_sum), with the same products
+    counted;
   - the lane-packed GF(2) scan of many moduli at once
     (gf2_first_mismatch) against modverify._agree_at, one modulus at a time;
   - integer polynomials at a point of GF(m), which the int kernels
@@ -44,7 +47,15 @@ from polycheck.modeval import (
 )
 from polycheck.modverify import _agree_at
 from polycheck.oracle import oracle_mod_product
-from polycheck.poly import EXPONENT_CAP, _horner, _sparse_sum, evaluate, fused, power_table
+from polycheck.poly import (
+    EXPONENT_CAP,
+    _horner,
+    _sparse_sum,
+    evaluate,
+    fused,
+    power_table,
+    sums_sparse,
+)
 from polycheck.rings import POLY_MUL_OPS, ExtField, RngStream, random_irreducible
 from conftest import gf2_clmul, rebuilt
 
@@ -303,6 +314,57 @@ class TestSparseKernel:
         assert pw(0x00FF_0000_0001) == pow(3, 0x00FF_0000_0001, 65537)
         assert ctx.sparse_sum(terms, pw) == sum(c * pow(3, e, 65537) for e, c in terms) % 65537
         assert ctx.sparse_sum((), pw) == 0
+
+
+@st.composite
+def gf2_sparse_sum_instances(draw):
+    """(ring, alpha, polys): GF(2)[X]/(R) for a random R of degree 1 to 70,
+    or 255 and 256 at the edge of the 8-bit slots; alpha x, 0, 1 or any
+    point; one to three sparse polynomials over GF(2), each empty, a single
+    term or up to 40 terms."""
+    d = draw(st.sampled_from((1, 2, 3, 8, 9, 23, 64, 255, 256)) | st.integers(1, 70))
+    ring = ExtField(F2, draw(st.lists(st.integers(0, 1), min_size=d, max_size=d)) + [1])
+    alpha = draw(st.sampled_from((ring.x, 0, 1)) | st.integers(0, 2**d - 1))
+
+    def poly():
+        size = draw(st.one_of(st.sampled_from((0, 1)), st.integers(0, 40)))
+        exps = draw(st.lists(EXPONENTS, min_size=size, max_size=size, unique=True))
+        return pc.SparsePoly(F2, [(e, 1) for e in sorted(exps)])
+
+    return ring, alpha, [poly() for _ in range(draw(st.integers(1, 3)))]
+
+
+class TestGF2SparseKernel:
+    @given(gf2_sparse_sum_instances())
+    def test_sparse_sum_matches_the_per_term_loop(self, inst):
+        """The XOR of the sliced powers against the per-term loop, on one
+        table for every polynomial in both orders, with the products that
+        loop counts."""
+        ring, alpha, polys = inst
+        for order in (range(len(polys)), range(len(polys) - 1, -1, -1)):
+            before = POLY_MUL_OPS.count
+            pw = power_table(ring, alpha)
+            want = [_sparse_sum(polys[k].terms, pw, ring) for k in order]
+            counted = POLY_MUL_OPS.count - before
+            pw = power_table(ring, alpha)
+            assert [ring.sparse_sum(polys[k].terms, pw) for k in order] == want
+            assert POLY_MUL_OPS.count - before == 2 * counted
+            assert [evaluate(polys[k], alpha, ring, pw) for k in order] == want
+
+    def test_zero_coefficients_and_no_terms(self):
+        ring = ExtField(F2, [1, 1, 0, 1])
+        pw = power_table(ring, ring.x)
+        assert ring.sparse_sum((), pw) == 0
+        assert ring.sparse_sum(((0, 1), (3, 0), (5, 1)), pw) == ring.add(1, ring.pow(ring.x, 5))
+
+    def test_which_rings_sum_sparse_terms(self):
+        gf2 = ExtField(F2, [1, 1, 1])
+        assert sums_sparse(gf2, F2)
+        assert not sums_sparse(gf2, gf2)  # coefficients in the ring itself
+        assert not sums_sparse(ExtField(pc.GF(3), [1, 0, 1]), pc.GF(3))
+        assert not sums_sparse(ExtField(Z, [1, 0, 1]), Z)
+        assert sums_sparse(pc.GF(7), pc.GF(7)) and sums_sparse(pc.GF(7), Z)
+        assert not sums_sparse(Z, Z)
 
 
 # moduli of GF(m): primes, composites (the int kernels never invert) and

@@ -334,6 +334,23 @@ class TestVerifyModFF:
                 assert r3.rounds == 1
 
 
+    def test_sparse_gf2_companion_check_counts_what_it_counted(self):
+        # one all-sparse GF(2) check at degree 2^20, its power table bit-sliced:
+        # every product counts once and none by x, the counts of the packed
+        # table (Ben-Or's squarings included)
+        n = 2**20
+        rng = RngStream(2029)
+        F, G = rand_sparse(F2, n, 8, rng), rand_sparse(F2, n, 8, rng)
+        P = pc.SparsePoly(F2, [(0, 1), (17, 1), (n, 1)])
+        H = oracle_mod_product(F, G, P)
+        for eps, d, count in ((QUARTER, 23, 523), (Fraction(1, 2**20), 41, 574)):
+            before = POLY_MUL_OPS.count
+            report = verify_mod_ff(F, G, H, P, cfg(7, eps, "companion-freivalds"))
+            assert POLY_MUL_OPS.count - before == count
+            assert report.verdict is True
+            assert report.witnesses[0]["extension_degree"] == d
+
+
 class TestVerifyModCompanion:
     def test_one_sided_both_modes(self, rng):
         for seed in range(10):

@@ -543,6 +543,25 @@ class TestEvaluate:
         assert [pw(e) for e in reversed(exps)] == want[::-1]
 
     @given(st.data())
+    def test_gf2_power_table_matches_ring_pow_to_degree_300(self, data):
+        # the bit-sliced table of GF(2)[X]/(R) at slot widths 8 and 16, at
+        # x, 0, 1 and random points, through pw(e) and pw.form(e)
+        d = data.draw(st.sampled_from((1, 2, 255, 256, 300)) | st.integers(1, 300))
+        dense = st.integers(0, 2**32).map(lambda seed: RngStream(seed).bits(d))
+        low = data.draw(dense)
+        ring = pc.ExtField(pc.GF(2), [(low >> i) & 1 for i in range(d)] + [1])
+        points = st.sampled_from((ring.x, ring.zero(), ring.one()))
+        alpha = data.draw(points | st.integers(0, 2**d - 1) | dense)
+        edges = [2 ** (8 * i) + k for i in range(8) for k in (-1, 0, 1)]
+        exps = data.draw(
+            st.lists(st.sampled_from(edges) | st.integers(0, 2**64), min_size=1, max_size=6)
+        )
+        pw = power_table(ring, alpha)
+        want = [ring.pow(alpha, e) for e in exps]
+        assert [pw(e) for e in exps] == want
+        assert [pw.form(e) for e in reversed(exps)] == [ring._slice(v) for v in reversed(want)]
+
+    @given(st.data())
     def test_prime_field_windows_lazy_and_bulk_match_ring_pow(self, data):
         # single lookups, small window requests (lazy entries) and large ones
         # (bulk growth) in any order on one table, so both kinds of fill meet

@@ -8,8 +8,11 @@ from polycheck.rings import (
     ExtField,
     PrimeGenerationError,
     RngStream,
+    _DET_BASES,
     _list_gcd,
+    _strong_probable_prime,
     ceil_log2,
+    is_prime,
     is_probable_prime,
     ln_pow2_upper,
     ln_upper,
@@ -61,6 +64,16 @@ def _random_rounds_loop(n, rounds, rng):
     return all(_strong_probable_prime(n, 2 + rng.below(n - 3)) for _ in range(rounds))
 
 
+def _thirteen_bases(n):
+    """is_prime below _DET_LIMIT by the 13 prime bases alone."""
+    if n < 2:
+        return False
+    for p in _DET_BASES:
+        if n % p == 0:
+            return n == p
+    return all(_strong_probable_prime(n, a) for a in _DET_BASES)
+
+
 # the least strong pseudoprimes to the first 4, 5, 6, 8 and 11 prime bases
 STRONG_PSEUDOPRIMES = (
     3215031751,
@@ -101,6 +114,24 @@ class TestProbablePrime:
                 for seed in range(40):
                     self._same_as_random_rounds(n, rounds, seed)
             assert not is_probable_prime(n, 20, RngStream(0))
+
+    def test_seven_bases_below_2_64_decide_as_the_13_do(self):
+        # the strong pseudoprimes above, the primes that divide one of
+        # Sinclair's bases (each skipped there) and a product of two of
+        # them, and a seeded sample of odd n < 2^64, half of them prime
+        pick = RngStream(64)
+        sample = []
+        for k in range(1500):
+            n = pick.bits(1 + pick.below(64)) | 1
+            while k % 2 and n < 2**64 and not _thirteen_bases(n):
+                n += 2
+            sample.append(n)
+        divisors = (73, 193, 73 * 193, 407521, 299210837)
+        for n in STRONG_PSEUDOPRIMES + divisors + tuple(s for s in sample if s < 2**64):
+            assert is_prime(n) == _thirteen_bases(n), n
+        for n in STRONG_PSEUDOPRIMES + divisors + tuple(sample[:200]):
+            for rounds in (7, 8, 9, 15):
+                self._same_as_random_rounds(n, rounds, n % 1000 + rounds)
 
     def test_smallest_prime(self):
         assert is_probable_prime(2, 10) is True
@@ -379,6 +410,29 @@ class TestExtField:
             if want >> i & 1:
                 want ^= m << (i - d)
         assert K.mul(a, b) == want
+
+    @given(st.data())
+    def test_sliced_gf2_product_matches_the_packed_one(self, data):
+        # slot k of the integer product counts up to d pairs, which all-ones
+        # factors reach, at slot widths 8, 16 and 32 and both edges of each;
+        # R is random or X^d + 1; a factor x is a shift, counted by neither
+        d = data.draw(st.sampled_from((1, 2, 3, 7, 8, 9, 23, 34, 64, 254, 255, 256, 257)))
+        ones = (1 << d) - 1
+        dense = st.integers(0, 2**32).map(lambda seed: RngStream(seed).bits(d))
+        low = data.draw(st.sampled_from((1, ones)) | dense)
+        K = ExtField(pc.GF(2), [(low >> i) & 1 for i in range(d)] + [1])
+        element = st.sampled_from((0, 1, ones, K.x)) | st.integers(0, ones) | dense
+        a, b = data.draw(element), data.draw(element)
+        assert K._unslice(K._slice(a)) == a
+        for a, b in ((a, b), (ones, ones), (ones, a)):
+            before = POLY_MUL_OPS.count
+            want = K.mul(a, b)
+            counted = POLY_MUL_OPS.count - before
+            assert counted == (K.x not in (a, b))
+            got = K._mul_sliced(K._slice(a), K._slice(b))
+            assert POLY_MUL_OPS.count - before == 2 * counted
+            assert got == K._slice(want)
+            assert want == K._mul2(a, b)
 
     @pytest.mark.parametrize("q, d", [(2, 41), (3, 6), (65537, 3)])
     def test_pow_counts_squarings_and_products(self, q, d, rng):
