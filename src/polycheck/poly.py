@@ -13,6 +13,7 @@ it already has, a polynomial returns itself.
 
 import functools
 import json
+from bisect import bisect_left
 from decimal import MAX_EMAX, Context, Inexact, InvalidOperation
 from fractions import Fraction
 from operator import itemgetter, lt
@@ -342,46 +343,161 @@ def mul_oracle(F, G):
     taken as they are over Z (DensePoly.trusted) and reduced mod q by the
     checking constructor.  The product is exact at any coefficient width,
     whatever the caller's decimal context or int string limit.  Sparse,
-    and dense over a quotient ring: one loop over all #F*#G term pairs on
-    the ring's methods, merging equal exponents in a dict; the largest
-    exponent, deg F + deg G, is checked against EXPONENT_CAP once, so the
-    sorted merge is built with SparsePoly.trusted, which only drops the
-    zeros.  A dense product is made dense again.
+    and dense over a quotient ring: the terms product_terms gives, sorted
+    by exponent.  A dense product is made dense again.
     """
     if F.ctx != G.ctx:
         raise ValueError("mixed coefficient contexts")
-    POLY_MUL_OPS.bump()
     ctx = F.ctx
     dense = isinstance(F, DensePoly) and isinstance(G, DensePoly)
     if dense and _int_ctx(ctx):
+        POLY_MUL_OPS.bump()
         if F.is_zero() or G.is_zero():
             return DensePoly.zero(ctx)
         cs = _kronecker_ints(F.coeffs, G.coeffs)
         return DensePoly.trusted(ctx, cs) if ctx == ZZ else DensePoly(ctx, cs)
     if dense:
         F, G = F.to_sparse(), G.to_sparse()
-    elif not (isinstance(F, SparsePoly) and isinstance(G, SparsePoly)):
+    elif not all_sparse(F, G):
         raise TypeError("mul_oracle needs two dense or two sparse polynomials")
-    FG = SparsePoly.trusted(ctx, sorted(_sparse_product(F, G).items()))
+    FG = _sorted_poly(ctx, product_terms(F, G))
     return FG.to_dense() if dense else FG
 
 
-def _sparse_product(F, G):
-    """The merge dict, exponent -> coefficient (zeros included), of the
-    product of sparse F and G over all #F*#G term pairs, once deg F + deg G
-    is checked against EXPONENT_CAP."""
-    fs, gs = F.terms, G.terms
-    if fs and gs and fs[-1][0] + gs[-1][0] > EXPONENT_CAP:
-        raise ValueError("exponent exceeds 2^63 - 1")
+def product_terms(F, G, P=None):
+    """F*G, or (F*G) mod P for a monic sparse P, of sparse F and G as the
+    dict {exponent: coefficient} of its nonzero terms, coefficients
+    canonical: the reference product of mul_oracle and mul_mod_oracle, and
+    what the CLI's exact route compares with H.  Counts one product in
+    POLY_MUL_OPS; deg F + deg G is checked against EXPONENT_CAP once.
+
+    Each term c1 X^e1 of the shorter factor gives one row, the other
+    factor's terms times it: one list of exponents, ascending, and one of
+    coefficients, each made by one comprehension.  Modulo P the rows are
+    reduced (_reduced_rows) and then all rows are merged (_merged_rows), so
+    no Python step is taken per term pair unless exponents repeat (after
+    Johnson, SIGSAM Bull. 1974, which builds a sparse product from the
+    rows of its smaller factor)."""
+    if not all_sparse(F, G):
+        raise TypeError("product_terms needs two sparse polynomials")
+    if P is not None:
+        _require_monic(P)
     ctx = F.ctx
+    if G.ctx != ctx or (P is not None and P.ctx != ctx):
+        raise ValueError("mixed coefficient contexts")
+    POLY_MUL_OPS.bump()
+    fs, gs = F.terms, G.terms
+    if len(fs) > len(gs):
+        fs, gs = gs, fs
+    if not fs:
+        return {}
+    if fs[-1][0] + gs[-1][0] > EXPONENT_CAP:
+        raise ValueError("exponent exceeds 2^63 - 1")
+    ges = [e for e, _ in gs]
+    gcs = [c for _, c in gs]
+    q = _int_modulus(ctx)
+    rows = [([e1 + e for e in ges], _scaled(gcs, c1, q, ctx.mul)) for e1, c1 in fs]
+    if P is not None:
+        rows = _reduced_rows(rows, P, q)
+    return _merged_rows(rows, ctx, q)
+
+
+def _int_modulus(ctx):
+    """q over GF(q), 0 over Z, where coefficients are plain ints; None over
+    any other ring, whose coefficients take the ring's methods."""
+    if isinstance(ctx, PrimeField):
+        return ctx.q
+    return 0 if isinstance(ctx, IntegerRing) else None
+
+
+def _scaled(cs, c, q, mul):
+    """[c * x for x in cs], canonical: mod q over GF(q) (q > 0), as they
+    are over Z (q = 0), by mul over any other ring (q None).  cs itself
+    when c is the int 1."""
+    if q is None:
+        return [mul(c, x) for x in cs]
+    if c == 1:
+        return cs
+    if q:
+        return [c * x % q for x in cs]
+    return [c * x for x in cs]
+
+
+def _sorted_poly(ctx, terms):
+    """The SparsePoly of the dict terms, exponent -> canonical nonzero
+    coefficient, sorted by its int keys."""
+    es = sorted(terms)
+    return SparsePoly.trusted(ctx, zip(es, map(terms.__getitem__, es)))
+
+
+def _reduced_rows(rows, P, q):
+    """The rows, (exponents ascending, coefficients), rewritten modulo the
+    monic P of degree n into rows below X^n: each row is split at n by
+    bisect, its high part is rewritten once per low term p_e X^e of P as
+    X^(e'-n+e) with coefficient -p_e c, ascending again, and this repeats
+    until no row reaches n.  Rows rewritten from rewritten rows have their
+    high parts merged first, which bounds every later round by the
+    distinct exponents left, as merging does in long division; over a ring
+    other than Z and GF(q) so are the first ones, whose products are
+    method calls, so that each distinct exponent is multiplied once."""
+    ctx = P.ctx
+    n = P.degree()
+    factors = [(e - n, ctx.neg(pe)) for e, pe in P.terms[:-1]]
+    done = []
+    rewritten = False
+    while rows:
+        high = []
+        for es, cs in rows:
+            i = bisect_left(es, n)
+            if i == len(es):
+                done.append((es, cs))
+                continue
+            if i:
+                done.append((es[:i], cs[:i]))
+            high.append((es[i:], cs[i:]))
+        if (rewritten or q is None) and len(high) > 1:
+            merged = _merged_rows(high, ctx, q)
+            es = sorted(merged)
+            high = [(es, list(map(merged.__getitem__, es)))]
+        rows = [
+            ([e + shift for e in es], _scaled(cs, c, q, ctx.mul))
+            for es, cs in high
+            for shift, c in factors
+        ]
+        rewritten = True
+    return done
+
+
+def _merged_rows(rows, ctx, q):
+    """The dict {exponent: canonical nonzero coefficient} of the sum of the
+    rows.  With ints (q not None) each row's coefficients are canonical and
+    nonzero and its exponents distinct, so a row that shares no exponent
+    with the rows before it is added by one dict.update; only a row that
+    does takes a Python step per term, and zeros are dropped only if one
+    did.  Over any other ring, where a single product can be zero, one loop
+    accumulates every term and drops the zeros."""
     acc = {}
     get = acc.get
-    add, mul = ctx.add, ctx.mul
-    zero = ctx.zero()
-    for e1, c1 in fs:
-        for e2, c2 in gs:
-            e = e1 + e2
-            acc[e] = add(get(e, zero), mul(c1, c2))
+    if q is None:
+        add, zero, is_zero = ctx.add, ctx.zero(), ctx.is_zero
+        for es, cs in rows:
+            for e, c in zip(es, cs):
+                acc[e] = add(get(e, zero), c)
+        return {e: c for e, c in acc.items() if not is_zero(c)}
+    repeats = False
+    for es, cs in rows:
+        if acc.keys().isdisjoint(es):
+            acc.update(zip(es, cs))
+            continue
+        repeats = True
+        if q:
+            for e, c in zip(es, cs):
+                acc[e] = (get(e, 0) + c) % q
+        else:
+            for e, c in zip(es, cs):
+                acc[e] = get(e, 0) + c
+    if repeats and 0 in acc.values():
+        return {e: c for e, c in acc.items() if c}
     return acc
 
 
@@ -404,17 +520,34 @@ def mod_reduce(Q, P):
     of X^i, i >= n, adds -c p_e to the coefficient of X^(i-n+e) for every
     lower term p_e X^e of P; those indices are below i, so every
     coefficient is final when the pass reaches it, and the cost is
-    (deg Q - n + 1)(#P - 1) ring products.  Sparse Q: every monomial of
-    degree >= n is rewritten in rounds until none is left, at a cost that
-    follows the term count."""
+    (deg Q - n + 1)(#P - 1) ring products.  Over Z and GF(q) the pass
+    cuts blocks of n - k indices, k the second degree of P, off the top,
+    one list comprehension per low term of P and block: every index a
+    block writes lies below the block, so its values are final when it is
+    cut.  Sparse Q: its terms as one row of _reduced_rows, merged."""
     _require_monic(P)
     if Q.ctx != P.ctx:
         raise ValueError("mixed coefficient contexts")
     ctx = Q.ctx
     n = P.degree()
     low_terms = P.terms[:-1]  # X^n - P = -(low part of P)
+    q = _int_modulus(ctx)
     if isinstance(Q, DensePoly):
         cs = list(Q.coeffs)
+        if q is not None:
+            width = n - (low_terms[-1][0] if low_terms else 0)
+            while len(cs) > n:
+                lo = max(n, len(cs) - width)
+                block = cs[lo:]
+                del cs[lo:]
+                for e, pe in low_terms:
+                    s, npe = lo - n + e, -pe
+                    t = s + len(block)
+                    if q:
+                        cs[s:t] = [(x + npe * c) % q for x, c in zip(cs[s:t], block)]
+                    else:
+                        cs[s:t] = [x + npe * c for x, c in zip(cs[s:t], block)]
+            return DensePoly.trusted(ctx, cs)
         for i in range(len(cs) - 1, n - 1, -1):
             c = cs[i]
             if not ctx.is_zero(c):
@@ -423,49 +556,16 @@ def mod_reduce(Q, P):
                     cs[j] = ctx.sub(cs[j], ctx.mul(c, pe))
         return DensePoly.trusted(ctx, cs[:n])
     if isinstance(Q, SparsePoly):
-        return SparsePoly.trusted(ctx, sorted(_reduce_terms(dict(Q.terms), P).items()))
+        row = ([e for e, _ in Q.terms], [c for _, c in Q.terms])
+        return _sorted_poly(ctx, _merged_rows(_reduced_rows([row], P, q), ctx, q))
     raise TypeError("unsupported polynomial type")
 
 
 def mul_mod_oracle(F, G, P):
-    """Reference modular product of sparse F and G: mod_reduce(mul_oracle(F,
-    G), P), with the product's merge dict reduced in place, so it is
-    sorted once."""
-    if not all_sparse(F, G):
-        raise TypeError("mul_mod_oracle needs two sparse polynomials")
-    _require_monic(P)
-    if not F.ctx == G.ctx == P.ctx:
-        raise ValueError("mixed coefficient contexts")
-    POLY_MUL_OPS.bump()
-    acc = _reduce_terms(_sparse_product(F, G), P)
-    return SparsePoly.trusted(F.ctx, sorted(acc.items()))
-
-
-def _reduce_terms(acc, P):
-    """Reduce the dict acc, exponent -> coefficient, modulo the monic P of
-    degree n in place and return it: every monomial of degree >= n is
-    rewritten in rounds until none is left."""
-    ctx = P.ctx
-    n = P.degree()
-    low_terms = P.terms[:-1]
-    get, pop = acc.get, acc.pop
-    sub, mul, is_zero = ctx.sub, ctx.mul, ctx.is_zero
-    zero = ctx.zero()
-    while acc:
-        high = [(e, c) for e, c in acc.items() if e >= n]
-        if not high:
-            break
-        for e, c in high:
-            del acc[e]
-        for e, c in high:
-            for pe, pc in low_terms:
-                pos = e - n + pe
-                v = sub(get(pos, zero), mul(c, pc))
-                if is_zero(v):
-                    pop(pos, None)
-                else:
-                    acc[pos] = v
-    return acc
+    """Reference modular product of sparse F and G, mod_reduce(mul_oracle(F,
+    G), P) as one product_terms call, sorted once."""
+    terms = product_terms(F, G, P)
+    return _sorted_poly(F.ctx, terms)
 
 
 def reduce_mod_binomial(F, i):
@@ -791,8 +891,8 @@ def _modulus_is_prime(q):
 
 def parse_poly(text):
     """The polynomial a .poly text holds.  A canonical body (plain decimal
-    tokens one space apart) is read by one C-level JSON scan (_bulk_ints)
-    and range-checked by C-level passes; any other body, and one that fails
+    tokens one space apart) is read by one C-level JSON scan (_bulk_ints,
+    _bulk_sparse_terms) and range-checked by C-level passes; any other body, and one that fails
     a check, is read again token by token, which gives the same values or
     the PolyFormatError that names the first bad token."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -823,10 +923,9 @@ def parse_poly(text):
             cs = [_parse_coeff(ctx, tok) for tok in rest.split()]
         return DensePoly.trusted(ctx, cs)
     if kind == "sparse":
-        items = rest.split()
-        terms = _bulk_sparse_terms(ctx, items)
+        terms = _bulk_sparse_terms(ctx, rest)
         if terms is None:
-            terms = _sparse_terms(ctx, items)  # raises the error of the first bad token
+            terms = _sparse_terms(ctx, rest.split())  # raises the error of the first bad token
         return SparsePoly.trusted(ctx, terms)
     raise PolyFormatError(f"bad representation {kind!r}")
 
@@ -902,22 +1001,26 @@ def _bulk_ints(text):
         return None
 
 
-_NUMBER_CHARS = str.maketrans("", "", "0123456789+-_")
+_NUMBER_BYTES = b"0123456789+-_"
 
 
-def _bulk_sparse_terms(ctx, items):
-    """What _sparse_terms returns for a valid body, from C-level passes:
-    each token has exactly one ':' (without the digits, signs and
-    underscores of int literals the body is ": : ... :"), _bulk_ints reads
-    both halves of every term (so neither is empty), the exponents increase
-    strictly within [0, EXPONENT_CAP], no coefficient is zero and over GF(q)
-    all lie in [0, q).  None when any check fails, and for any body that
-    _bulk_ints does not read."""
-    body = " ".join(items)
-    if body.translate(_NUMBER_CHARS) != (" :" * len(items))[1:]:
+def _bulk_sparse_terms(ctx, text):
+    """What _sparse_terms returns for text, a valid sparse body, from
+    C-level passes: without the digits, signs and underscores of int
+    literals its bytes are ": : ... :", one ':' per space-separated token,
+    so the tokens are one space apart and each has exactly one ':'; one
+    json.loads of the bytes with every ' ' and ':' made a ',' reads both
+    halves of every term (so neither is empty, and JSON refuses '+', '_'
+    and leading zeros); the exponents increase strictly
+    within [0, EXPONENT_CAP], no coefficient is zero and over GF(q) all lie
+    in [0, q).  None when any check fails."""
+    body = text.encode()
+    tokens = body.count(b" ") + 1 if body else 0
+    if body.translate(None, _NUMBER_BYTES) != (b" :" * tokens)[1:]:
         return None
-    nums = _bulk_ints(body.replace(":", " "))
-    if nums is None:
+    try:
+        nums = json.loads(b"[" + body.replace(b" ", b",").replace(b":", b",") + b"]")
+    except ValueError:
         return None
     exps, cs = nums[::2], nums[1::2]
     if exps and (exps[0] < 0 or exps[-1] > EXPONENT_CAP):

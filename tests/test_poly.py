@@ -28,7 +28,7 @@ from polycheck.poly import (
     reduction_steps,
 )
 from polycheck.rings import POLY_MUL_OPS, RngStream
-from conftest import rand_dense, rand_monic_sparse, rand_sparse, rebuilt
+from conftest import rand_dense, rand_monic_sparse, rand_nonzero_coeff, rand_sparse, rebuilt
 
 Z = pc.ZZ
 PRIME_127 = 2**127 - 1  # a Mersenne prime
@@ -171,6 +171,137 @@ class TestSparseExactRoute:
             mul_mod_oracle(F, F, pc.SparsePoly(Z, [(0, 1), (3, 2)]))
         with pytest.raises(ValueError, match="mixed"):
             mul_mod_oracle(F, F, pc.SparsePoly(pc.GF(7), [(0, 1), (3, 1)]))
+
+
+# GF(2)[X]/(X^2 + 1), X^2 + 1 = (X + 1)^2: the class of X + 1 squares to 0
+ZERO_DIVISORS = pc.ExtField(pc.GF(2), (1, 0, 1))
+PRODUCT_RINGS = {
+    "Z": (Z, st.integers(-3, 3).filter(bool)),
+    "Z 2048-bit": (Z, st.integers(-(2**2048), 2**2048).filter(bool)),
+    "GF(2)": (pc.GF(2), st.just(1)),
+    "GF(7)": (pc.GF(7), st.integers(1, 6)),
+    "GF(2^61-1)": (pc.GF(2**61 - 1), st.integers(1, 2**61 - 2)),
+    "GF(2)[X]/(X^2+1)": (ZERO_DIVISORS, st.integers(1, 3)),
+}
+
+
+@st.composite
+def product_instances(draw):
+    """(F, G, P) over a ring of PRODUCT_RINGS: P monic of degree n <= 24,
+    random, with its second degree n - 1 (a round per degree of excess) or
+    X^n - 1; F and G with up to 16 terms of degree below 3n, so exponents
+    collide often, and terms land on X^n."""
+    ctx, coeff = PRODUCT_RINGS[draw(st.sampled_from(sorted(PRODUCT_RINGS)))]
+    n = draw(st.integers(1, 24))
+    one = ctx.one()
+    shape = draw(st.sampled_from(["random", "second degree n - 1", "X^n - 1"]))
+    if shape == "X^n - 1":
+        P = pc.x_pow_minus_one(ctx, n)
+    else:
+        low = set(draw(st.lists(st.integers(0, n - 1), max_size=4)))
+        if shape != "random":
+            low.add(n - 1)
+        P = pc.SparsePoly(ctx, [(e, draw(coeff)) for e in sorted(low)] + [(n, one)])
+
+    def factor():
+        exps = draw(st.sets(st.integers(0, 3 * n), max_size=16))
+        return pc.SparsePoly(ctx, [(e, draw(coeff)) for e in sorted(exps)])
+
+    return factor(), factor(), P
+
+
+def _oracle_terms(F, G, P=None):
+    FG = _pair_product_sparse(F, G)
+    return dict((FG if P is None else _sparse_long_division_rem(FG, P)).terms)
+
+
+class TestProductTerms:
+    """product_terms, the row-wise core of the sparse reference products,
+    against the oracle's loops over term pairs and its long division."""
+
+    @given(product_instances())
+    def test_matches_the_pair_loop_and_long_division(self, inst):
+        F, G, P = inst
+        ints = F.ctx != ZERO_DIVISORS
+        before = POLY_MUL_OPS.count
+        want = _oracle_terms(F, G)
+        oracle_ops = POLY_MUL_OPS.count - before
+        before = POLY_MUL_OPS.count
+        assert poly.product_terms(F, G) == want
+        # one product over ints; over the quotient ring one more per term pair
+        assert POLY_MUL_OPS.count - before == (1 if ints else oracle_ops)
+        want = _oracle_terms(F, G, P)
+        before = POLY_MUL_OPS.count
+        pc.mod_reduce(pc.mul_oracle(F, G), P)
+        two_calls = POLY_MUL_OPS.count - before
+        before = POLY_MUL_OPS.count
+        assert poly.product_terms(F, G, P) == want
+        # over the quotient ring the reduction multiplies the merged terms,
+        # as mod_reduce does
+        assert POLY_MUL_OPS.count - before == (1 if ints else two_calls)
+        assert dict(pc.mod_reduce(F, P).terms) == dict(_sparse_long_division_rem(F, P).terms)
+
+    @given(st.sampled_from(sorted(PRODUCT_RINGS)), st.integers(0, 2**40), st.data())
+    def test_wide_exponents(self, ring, shift, data):
+        ctx, coeff = PRODUCT_RINGS[ring]
+        exps = st.sets(st.integers(0, 2**40), max_size=12)
+        F, G = (
+            pc.SparsePoly(ctx, [(e + shift, data.draw(coeff)) for e in sorted(data.draw(exps))])
+            for _ in "FG"
+        )
+        assert poly.product_terms(F, G) == _oracle_terms(F, G)
+
+    @pytest.mark.parametrize("ring", ["Z", "GF(2)", "GF(7)", "GF(2)[X]/(X^2+1)"])
+    def test_example2_cancels_to_a_binomial(self, ring):
+        ctx = PRODUCT_RINGS[ring][0]
+        t = 24
+        one, minus_one = ctx.one(), ctx.neg(ctx.one())
+        F = pc.SparsePoly(ctx, [(i, one) for i in range(t)])
+        G = pc.SparsePoly.from_dict(
+            ctx, {e: c for i in range(t) for e, c in ((i * t, minus_one), (i * t + 1, one))}
+        )
+        assert poly.product_terms(F, G) == {0: minus_one, t * t: one} == _oracle_terms(F, G)
+        P = pc.x_pow_minus_one(ctx, t * t)
+        assert poly.product_terms(F, G, P) == {} == _oracle_terms(F, G, P)
+
+    def test_full_cancellation(self):
+        # P times anything is 0 mod P; (X + 1)^2 = 0 in the quotient ring
+        for ctx in (Z, pc.GF(7)):
+            P = pc.SparsePoly(ctx, [(0, 3), (4, 2), (5, 1), (9, 1)])
+            F = pc.SparsePoly(ctx, [(0, 1), (6, 2), (30, 5)])
+            assert poly.product_terms(P, F, P) == {}
+        K = ZERO_DIVISORS
+        F = pc.SparsePoly(K, [(0, 3), (7, 3)])  # (x + 1)(1 + X^7)
+        assert poly.product_terms(F, F) == {} == _oracle_terms(F, F)
+
+    def test_many_rounds(self):
+        # X^200 modulo X^8 + X^7 + 1 rewrites one degree per round
+        for ctx in (Z, pc.GF(2), pc.GF(7)):
+            P = pc.SparsePoly(ctx, [(0, 1), (7, 1), (8, 1)])
+            F = pc.SparsePoly(ctx, [(100, 1), (150, 3)])
+            assert poly.product_terms(F, F, P) == _oracle_terms(F, F, P)
+
+    def test_empty_factors_and_the_exponent_cap(self):
+        for ring in sorted(PRODUCT_RINGS):
+            ctx = PRODUCT_RINGS[ring][0]
+            zero = pc.SparsePoly.zero(ctx)
+            F = pc.SparsePoly(ctx, [(0, ctx.one()), (2**62, ctx.one())])
+            P = pc.x_pow_minus_one(ctx, 5)
+            for A, B in ((zero, F), (F, zero), (zero, zero)):
+                before = POLY_MUL_OPS.count
+                assert poly.product_terms(A, B) == {} == poly.product_terms(A, B, P)
+                assert POLY_MUL_OPS.count == before + 2
+            for Q in (None, P):
+                with pytest.raises(ValueError, match=r"^exponent exceeds 2\^63 - 1$"):
+                    poly.product_terms(F, F, Q)
+
+    def test_rows_reach_exactly_deg_P(self):
+        # (X^4 + X^5) X^6 = X^10 + X^11 modulo X^10 + X^3 + 1
+        for ctx in (Z, pc.GF(2), pc.GF(7)):
+            P = pc.SparsePoly(ctx, [(0, 1), (3, 1), (10, 1)])
+            F = pc.SparsePoly(ctx, [(4, 1), (5, 1)])
+            G = pc.SparsePoly(ctx, [(6, 1)])
+            assert poly.product_terms(F, G, P) == _oracle_terms(F, G, P)
 
 
 KRONECKER_RINGS = (Z, pc.GF(2), pc.GF(65537), pc.GF(2**61 - 1))
@@ -366,6 +497,19 @@ class TestModReduce:
         R = pc.mod_reduce(Q, P)
         assert K.muls <= (Q.degree() - n + 1) * (P.sparsity() - 1)
         assert R == poly_divmod(Q, P.to_dense())[1]
+
+    @pytest.mark.parametrize("ctx", [Z, pc.GF(2), pc.GF(7), pc.GF(2**61 - 1)], ids=repr)
+    def test_blocks_of_n_minus_k_indices(self, ctx, rng):
+        # the second degree k sets the block width n - k of the dense pass
+        n = 64
+        for k in (0, 1, n // 2, n - 1):
+            for deg in (n - 2, n, n + 1, 3 * n + 5):
+                low = {k} | {rng.below(k + 1) for _ in range(3)}
+                P = pc.SparsePoly(
+                    ctx, [(e, rand_nonzero_coeff(ctx, rng, 2**70)) for e in sorted(low)] + [(n, 1)]
+                )
+                Q = rand_dense(ctx, deg, rng, 2**70)
+                assert pc.mod_reduce(Q, P) == poly_divmod(Q, P.to_dense())[1]
 
     def test_reduction_example_shape(self):
         R = pc.mod_reduce(EX22_Q, EX22_P)
@@ -958,7 +1102,7 @@ class TestSparseBulkParse:
         ctx, text = instance
         want = _per_token(ctx, text)
         assert _parsed(text) == want
-        bulk = _bulk_sparse_terms(ctx, text.splitlines()[1].split()[1:])
+        bulk = _bulk_sparse_terms(ctx, (text.splitlines()[1].split(None, 1) + [""])[1])
         if bulk is not None:  # the bulk checks never pass a bad body
             assert pc.SparsePoly(ctx, list(bulk)) == want
 

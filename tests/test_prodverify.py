@@ -17,7 +17,7 @@ from polycheck.modverify import (
     prime_lambda_pow2,
 )
 from polycheck.oracle import oracle_mod_product, poly_divmod
-from polycheck.poly import power_table, write_poly_file
+from polycheck.poly import power_table, product_terms, write_poly_file
 from polycheck.prodverify import (
     KaminskiParams,
     count_binomial_divisors,
@@ -876,6 +876,7 @@ class TestNoProductRecomputed:
 
         monkeypatch.setattr(prodverify, "mul_oracle", refuse)
         monkeypatch.setattr(cli, "mul_oracle", refuse)
+        monkeypatch.setattr(cli, "product_terms", refuse)
 
     @staticmethod
     def _instances(ctx, encoding, rng):
@@ -909,7 +910,7 @@ class TestNoProductRecomputed:
         products = []
         if encoding == "sparse":
             monkeypatch.setattr(
-                cli, "mul_oracle", lambda F, G: products.append(1) or pc.mul_oracle(F, G)
+                cli, "product_terms", lambda *args: products.append(1) or product_terms(*args)
             )
         for F, G, H, Hbad in self._instances(ctx, encoding, rng):
             for X, code in ((H, 0), (Hbad, 1)):

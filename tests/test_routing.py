@@ -90,6 +90,25 @@ class TestExactRoute:
                 {"deterministic": "reference-product", "cost": costs}
             ]
 
+    @pytest.mark.parametrize("ctx", [Z, GF2, pc.GF(7)], ids=repr)
+    @pytest.mark.parametrize(
+        "command, build", [("verify-prod", random_prod), ("verify-mod", random_mod)]
+    )
+    def test_exact_verdicts(self, ctx, command, build, capsys, tmp_path):
+        # the true H, H with a coefficient bumped and H without its first term
+        polys = build(ctx, RngStream(13))
+        H = polys["H"]
+        for X, truth in (
+            (H, True),
+            (bumped(H, RngStream(14)), False),
+            (pc.SparsePoly(ctx, H.terms[1:]), False),
+        ):
+            polys["H"] = X
+            code, report, err = run(capsys, tmp_path, command, polys, "--seed", "2")
+            assert (code, err) == (0 if truth else 1, "")
+            assert report["verdict"] is truth and report["method"] == "exact"
+            assert report["error_bound"] == 0.0
+
     def test_product_past_the_exponent_cap_runs_the_verifier(self, capsys, tmp_path):
         # X^(2^62) X^(2^62) = X^(2^63) has no term within EXPONENT_CAP, so
         # the exact product cannot be formed though its estimate is tiny
