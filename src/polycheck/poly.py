@@ -377,7 +377,10 @@ def product_terms(F, G, P=None):
     reduced (_reduced_rows) and then all rows are merged (_merged_rows), so
     no Python step is taken per term pair unless exponents repeat (after
     Johnson, SIGSAM Bull. 1974, which builds a sparse product from the
-    rows of its smaller factor)."""
+    rows of its smaller factor).  Over a ring other than Z and GF(q) the
+    rows are summed before the reduction, zero sums kept, so that every
+    exponent of the pairs that reaches deg P costs #P - 1 ring products in
+    the first round."""
     if not all_sparse(F, G):
         raise TypeError("product_terms needs two sparse polynomials")
     if P is not None:
@@ -397,9 +400,11 @@ def product_terms(F, G, P=None):
     gcs = [c for _, c in gs]
     q = _int_modulus(ctx)
     rows = [([e1 + e for e in ges], _scaled(gcs, c1, q, ctx.mul)) for e1, c1 in fs]
-    if P is not None:
-        rows = _reduced_rows(rows, P, q)
-    return _merged_rows(rows, ctx, q)
+    if P is None:
+        return _merged_rows(rows, ctx, q)
+    if q is None:
+        rows = [_row(_ring_sum(rows, ctx))]
+    return _merged_rows(_reduced_rows(rows, P, q), ctx, q)
 
 
 def _int_modulus(ctx):
@@ -423,81 +428,105 @@ def _scaled(cs, c, q, mul):
     return [c * x for x in cs]
 
 
+def _row(terms):
+    """The dict terms, exponent -> coefficient, as a row: its exponents
+    sorted and their coefficients."""
+    es = sorted(terms)
+    return es, list(map(terms.__getitem__, es))
+
+
 def _sorted_poly(ctx, terms):
     """The SparsePoly of the dict terms, exponent -> canonical nonzero
-    coefficient, sorted by its int keys."""
-    es = sorted(terms)
-    return SparsePoly.trusted(ctx, zip(es, map(terms.__getitem__, es)))
+    coefficient."""
+    return SparsePoly.trusted(ctx, zip(*_row(terms)))
 
 
 def _reduced_rows(rows, P, q):
     """The rows, (exponents ascending, coefficients), rewritten modulo the
-    monic P of degree n into rows below X^n: each row is split at n by
-    bisect, its high part is rewritten once per low term p_e X^e of P as
-    X^(e'-n+e) with coefficient -p_e c, ascending again, and this repeats
-    until no row reaches n.  Rows rewritten from rewritten rows have their
-    high parts merged first, which bounds every later round by the
-    distinct exponents left, as merging does in long division; over a ring
-    other than Z and GF(q) so are the first ones, whose products are
-    method calls, so that each distinct exponent is multiplied once."""
+    monic P of degree n into rows below X^n.  Each round splits every row
+    at n by bisect and rewrites the high parts once per low term p_e X^e
+    of P as X^(e'-n+e) with coefficient -p_e c, ascending again; rounds
+    repeat until no row reaches n.  From the second round on the high
+    parts are merged into one row first, which bounds the round by the
+    distinct exponents left, as merging does in long division; the first
+    round's rows are the caller's, whose exponents rarely meet, while
+    rewritten rows meet whenever two exponents differ by a difference of
+    the degrees of P."""
     ctx = P.ctx
     n = P.degree()
-    factors = [(e - n, ctx.neg(pe)) for e, pe in P.terms[:-1]]
+    low = [(e - n, pe) for e, pe in P.terms[:-1]]
     done = []
-    rewritten = False
-    while rows:
-        high = []
-        for es, cs in rows:
-            i = bisect_left(es, n)
-            if i == len(es):
-                done.append((es, cs))
-                continue
-            if i:
-                done.append((es[:i], cs[:i]))
-            high.append((es[i:], cs[i:]))
-        if (rewritten or q is None) and len(high) > 1:
-            merged = _merged_rows(high, ctx, q)
-            es = sorted(merged)
-            high = [(es, list(map(merged.__getitem__, es)))]
+    high = _split_rows(rows, n, done)
+    while high:
         rows = [
-            ([e + shift for e in es], _scaled(cs, c, q, ctx.mul))
+            ([e + shift for e in es], _times_minus(cs, pe, q, ctx))
             for es, cs in high
-            for shift, c in factors
+            for shift, pe in low
         ]
-        rewritten = True
+        high = _split_rows(rows, n, done)
+        if high:
+            high = [_row(_merged_rows(high, ctx, q))]
     return done
+
+
+def _split_rows(rows, n, done):
+    """The parts of the rows at or above n, split off by bisect; the parts
+    below n are appended to done."""
+    high = []
+    for es, cs in rows:
+        i = bisect_left(es, n)
+        if i == len(es):
+            done.append((es, cs))
+            continue
+        if i:
+            done.append((es[:i], cs[:i]))
+        high.append((es[i:], cs[i:]))
+    return high
+
+
+def _times_minus(cs, pe, q, ctx):
+    """[-pe * c for c in cs], canonical; over a ring other than Z and GF(q)
+    each the negated ring product c * pe."""
+    if q is not None:
+        return _scaled(cs, ctx.neg(pe), q, None)
+    neg, mul = ctx.neg, ctx.mul
+    return [neg(mul(c, pe)) for c in cs]
 
 
 def _merged_rows(rows, ctx, q):
     """The dict {exponent: canonical nonzero coefficient} of the sum of the
     rows.  With ints (q not None) each row's coefficients are canonical and
-    nonzero and its exponents distinct, so a row that shares no exponent
-    with the rows before it is added by one dict.update; only a row that
-    does takes a Python step per term, and zeros are dropped only if one
-    did.  Over any other ring, where a single product can be zero, one loop
-    accumulates every term and drops the zeros."""
+    its exponents distinct, so a row that shares no exponent with the rows
+    before it is added by one dict.update; only a row that does takes a
+    Python step per term, and one C-level scan finds any zero to drop.
+    Over any other ring every term is added by the ring's methods."""
+    if q is None:
+        is_zero = ctx.is_zero
+        return {e: c for e, c in _ring_sum(rows, ctx).items() if not is_zero(c)}
     acc = {}
     get = acc.get
-    if q is None:
-        add, zero, is_zero = ctx.add, ctx.zero(), ctx.is_zero
-        for es, cs in rows:
-            for e, c in zip(es, cs):
-                acc[e] = add(get(e, zero), c)
-        return {e: c for e, c in acc.items() if not is_zero(c)}
-    repeats = False
     for es, cs in rows:
         if acc.keys().isdisjoint(es):
             acc.update(zip(es, cs))
-            continue
-        repeats = True
-        if q:
+        elif q:
             for e, c in zip(es, cs):
                 acc[e] = (get(e, 0) + c) % q
         else:
             for e, c in zip(es, cs):
                 acc[e] = get(e, 0) + c
-    if repeats and 0 in acc.values():
+    if 0 in acc.values():
         return {e: c for e, c in acc.items() if c}
+    return acc
+
+
+def _ring_sum(rows, ctx):
+    """The dict {exponent: sum of its coefficients} of the rows, by the
+    ring's methods, zero sums kept."""
+    acc = {}
+    get, add, zero = acc.get, ctx.add, ctx.zero()
+    for es, cs in rows:
+        for e, c in zip(es, cs):
+            acc[e] = add(get(e, zero), c)
     return acc
 
 
@@ -522,7 +551,7 @@ def mod_reduce(Q, P):
     coefficient is final when the pass reaches it, and the cost is
     (deg Q - n + 1)(#P - 1) ring products.  Over Z and GF(q) the pass
     cuts blocks of n - k indices, k the second degree of P, off the top,
-    one list comprehension per low term of P and block: every index a
+    one _plus_multiple per low term of P and block: every index a
     block writes lies below the block, so its values are final when it is
     cut.  Sparse Q: its terms as one row of _reduced_rows, merged."""
     _require_monic(P)
@@ -541,12 +570,9 @@ def mod_reduce(Q, P):
                 block = cs[lo:]
                 del cs[lo:]
                 for e, pe in low_terms:
-                    s, npe = lo - n + e, -pe
+                    s = lo - n + e
                     t = s + len(block)
-                    if q:
-                        cs[s:t] = [(x + npe * c) % q for x, c in zip(cs[s:t], block)]
-                    else:
-                        cs[s:t] = [x + npe * c for x, c in zip(cs[s:t], block)]
+                    cs[s:t] = _plus_multiple(cs[s:t], -pe, block, q)
             return DensePoly.trusted(ctx, cs)
         for i in range(len(cs) - 1, n - 1, -1):
             c = cs[i]
@@ -559,6 +585,13 @@ def mod_reduce(Q, P):
         row = ([e for e, _ in Q.terms], [c for _, c in Q.terms])
         return _sorted_poly(ctx, _merged_rows(_reduced_rows([row], P, q), ctx, q))
     raise TypeError("unsupported polynomial type")
+
+
+def _plus_multiple(xs, c, ys, q):
+    """[x + c*y for x, y in zip(xs, ys)], mod q over GF(q) (q > 0)."""
+    if q:
+        return [(x + c * y) % q for x, y in zip(xs, ys)]
+    return [x + c * y for x, y in zip(xs, ys)]
 
 
 def mul_mod_oracle(F, G, P):

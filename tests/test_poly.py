@@ -215,6 +215,33 @@ def _oracle_terms(F, G, P=None):
     return dict((FG if P is None else _sparse_long_division_rem(FG, P)).terms)
 
 
+def _rounds(F, G, P):
+    """(F*G) mod P as a dict, and the ring products taken, by a reduction in
+    rounds over the dict of all term pairs: each round rewrites every entry
+    at or above deg P, a zero sum of pairs included, once per low term of
+    P, dropping the sums that cancel as it goes."""
+    ctx = F.ctx
+    n = P.degree()
+    zero = ctx.zero()
+    before = POLY_MUL_OPS.count
+    acc = {}
+    for e1, c1 in F.terms:
+        for e2, c2 in G.terms:
+            acc[e1 + e2] = ctx.add(acc.get(e1 + e2, zero), ctx.mul(c1, c2))
+    while high := [(e, c) for e, c in acc.items() if e >= n]:
+        for e, _ in high:
+            del acc[e]
+        for e, c in high:
+            for pe, p in P.terms[:-1]:
+                pos = e - n + pe
+                v = ctx.sub(acc.get(pos, zero), ctx.mul(c, p))
+                if ctx.is_zero(v):
+                    acc.pop(pos, None)
+                else:
+                    acc[pos] = v
+    return {e: c for e, c in acc.items() if not ctx.is_zero(c)}, POLY_MUL_OPS.count - before
+
+
 class TestProductTerms:
     """product_terms, the row-wise core of the sparse reference products,
     against the oracle's loops over term pairs and its long division."""
@@ -231,14 +258,13 @@ class TestProductTerms:
         # one product over ints; over the quotient ring one more per term pair
         assert POLY_MUL_OPS.count - before == (1 if ints else oracle_ops)
         want = _oracle_terms(F, G, P)
-        before = POLY_MUL_OPS.count
-        pc.mod_reduce(pc.mul_oracle(F, G), P)
-        two_calls = POLY_MUL_OPS.count - before
+        rounds, rounds_ops = _rounds(F, G, P)
+        assert rounds == want
         before = POLY_MUL_OPS.count
         assert poly.product_terms(F, G, P) == want
-        # over the quotient ring the reduction multiplies the merged terms,
-        # as mod_reduce does
-        assert POLY_MUL_OPS.count - before == (1 if ints else two_calls)
+        # one product, and over the quotient ring one more per term pair
+        # and per exponent each round leaves at or above deg P and low term
+        assert POLY_MUL_OPS.count - before == 1 + (0 if ints else rounds_ops)
         assert dict(pc.mod_reduce(F, P).terms) == dict(_sparse_long_division_rem(F, P).terms)
 
     @given(st.sampled_from(sorted(PRODUCT_RINGS)), st.integers(0, 2**40), st.data())
@@ -294,6 +320,31 @@ class TestProductTerms:
             for Q in (None, P):
                 with pytest.raises(ValueError, match=r"^exponent exceeds 2\^63 - 1$"):
                     poly.product_terms(F, F, Q)
+
+    def test_quotient_ring_rounds(self):
+        # X^4 + (X + 1) over GF(2)[X]/(X^2 + 1): (X + 1) c is 0 for c = X + 1,
+        # so rewritten terms vanish one at a time as well as by cancelling
+        K = ZERO_DIVISORS
+        P = pc.SparsePoly(K, [(0, 3), (4, 1)])
+        F = pc.SparsePoly(K, [(0, 1), (3, 3), (5, 2), (9, 3), (11, 1)])
+        G = pc.SparsePoly(K, [(1, 3), (2, 1), (6, 3), (10, 2)])
+        for A, B, Q in ((F, G, P), (F, F, P), (F, G, pc.SparsePoly(K, [(0, 3), (1, 1), (4, 1)]))):
+            want, ops = _rounds(A, B, Q)
+            assert want == _oracle_terms(A, B, Q)
+            before = POLY_MUL_OPS.count
+            assert poly.product_terms(A, B, Q) == want
+            assert POLY_MUL_OPS.count - before == 1 + ops
+
+    def test_composite_modulus_drops_zero_products(self):
+        # PrimeField takes any q >= 2; mod 6, 2 * 3 is 0 with no sum cancelling
+        K = pc.PrimeField(6)
+        F = pc.SparsePoly(K, [(0, 2), (1, 2), (5, 3)])
+        G = pc.SparsePoly(K, [(0, 3), (2, 3), (7, 4)])
+        P = pc.SparsePoly(K, [(0, 1), (3, 1), (6, 1)])
+        for Q in (None, P):
+            terms = poly.product_terms(F, G, Q)
+            assert terms == _oracle_terms(F, G, Q)
+            assert 0 not in terms.values()
 
     def test_rows_reach_exactly_deg_P(self):
         # (X^4 + X^5) X^6 = X^10 + X^11 modulo X^10 + X^3 + 1
@@ -494,8 +545,36 @@ class TestModReduce:
         P = pc.SparsePoly(K, [(0, 1), (n - 16, 1), (n, 1)])
         Q = pc.DensePoly(K, range(1, 2 * n))
         K.muls = 0
-        R = pc.mod_reduce(Q, P)
+        with mock.patch.object(poly, "_plus_multiple", wraps=poly._plus_multiple) as spy:
+            R = pc.mod_reduce(Q, P)
         assert K.muls <= (Q.degree() - n + 1) * (P.sparsity() - 1)
+        # over GF(q) the products are int products in blocks of n - k = 16
+        # indices, one comprehension per block and low term of P
+        assert K.muls == 0
+        assert R == poly_divmod(Q, P.to_dense())[1]
+        high, low = Q.degree() - n + 1, P.sparsity() - 1
+        widths = [len(call.args[2]) for call in spy.call_args_list]
+        assert len(widths) == -(-high // 16) * low
+        assert max(widths) <= 16
+        assert sum(widths) == high * low
+
+    def test_one_pass_cost_over_a_quotient_ring(self):
+        # the loop over ring products, in which the pass is one product per
+        # index at or above n and low term of P
+        class CountingExt(pc.ExtField):
+            __slots__ = ("muls",)
+
+            def mul(self, a, b):
+                self.muls += 1
+                return super().mul(a, b)
+
+        K = CountingExt(pc.GF(2), (1, 1, 0, 1))
+        n = 64
+        P = pc.SparsePoly(K, [(0, 3), (n - 4, 5), (n, 1)])
+        Q = pc.DensePoly(K, [i % 8 for i in range(1, 2 * n)])
+        K.muls = 0
+        R = pc.mod_reduce(Q, P)
+        assert 0 < K.muls <= (Q.degree() - n + 1) * (P.sparsity() - 1)
         assert R == poly_divmod(Q, P.to_dense())[1]
 
     @pytest.mark.parametrize("ctx", [Z, pc.GF(2), pc.GF(7), pc.GF(2**61 - 1)], ids=repr)
