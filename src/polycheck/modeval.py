@@ -17,10 +17,13 @@ eval_mod is the one entry: the sparse scan when F and G are both sparse,
 the dense scan, which makes either form dense, otherwise.  check_shapes is
 the one shape check of every scan and of every modular verifier, and runs
 before anything reads P's terms.  Every scan computes its own leading
-coefficients, in the ring it evaluates in; no caller hands it any.  For F,
-G and P over Z at a point of GF(p) that is GF(p): the scans read the
-signed integers as they are and reduce them as they go, and nothing is
-copied into GF(p).
+coefficients, in the ring it evaluates in; no caller hands it any.  They
+are the quotient of X^(n-1) F by P, reversed: the dense ones come from
+poly.divide_in_place, the long division whose remainder is
+poly.mod_reduce's, and the sparse ones from a heap walk of the same
+division.  For F, G and P over Z at a point of GF(p) that ring is GF(p):
+the scans read the signed integers as they are and reduce them as they
+go, and nothing is copied into GF(p).
 
 The companion matrix C_R of a monic R needs no scan of its own either:
 column 0 of H(C_R) is the coefficient vector of H mod R, which is H
@@ -75,13 +78,13 @@ from .poly import (
     _check_eval_ring,
     _require_monic,
     all_sparse,
+    divide_in_place,
     evaluate,
     fused,
-    gap_info,
     power_table,
     x_pow_minus_one,
 )
-from .rings import ExtField, IntegerRing, PrimeField
+from .rings import ExtField, PrimeField
 
 
 def CompanionOperator(R):
@@ -141,36 +144,26 @@ def _coefficient_ring(P, ring):
 
 def leading_coefficients(P, F, ring=None):
     """Dense vector [v_0, ..., v_{n-2}] where v_i is the degree-(n-1)
-    coefficient of (X^i * F) mod P, in O(n #P) operations of the
-    coefficient ring of ring, the ring a scan evaluates in (see
-    _coefficient_ring).  For P and F over Z and ring a GF(p), v_i is given
-    modulo p, and the entries no update reaches are F's integer
-    coefficients as they are, which the scans reduce as they read them."""
+    coefficient of (X^i * F) mod P: v_i is the coefficient of X^(n-2-i)
+    of the quotient of X^(n-1) F by P, read off poly.divide_in_place run
+    on F's coefficients 1..n-1, which stand for X^n..X^(2n-2), and
+    reversed.  It runs in the coefficient ring of ring, the ring a scan
+    evaluates in (see _coefficient_ring), at one product per nonzero
+    source i < k - 1 and lower term X^k' of P with k' > i + 1, k the
+    second degree of P; over Z and GF(q) those are int products, zero
+    sources included, in blocks of n - k sources.  For P and F over Z and
+    ring a GF(p), v_i is given modulo p where a write of the division
+    reaches it, and is F's integer coefficient as it is elsewhere, which
+    the scans reduce as they read."""
     n = check_shapes(P, F)
     if n >= DENSIFY_CAP:
         raise ValueError(f"degree {n} too large to densify")
     ctx = _coefficient_ring(P, ring)
-    k2 = gap_info(P).second_degree
-    cs = F.to_dense().coeffs
-    cs += (ctx.zero(),) * (n - len(cs))
-    V = list(cs[:0:-1])  # V[j] = f_{n-1-j}
-    updates = [(k, ctx.canon(c)) for k, c in P.terms[:-1] if k > 0]
-    int_path = isinstance(ctx, (IntegerRing, PrimeField))
-    q = ctx.q if isinstance(ctx, PrimeField) else None
-    for i in range(min(n - 1, max(k2 - 1, 0))):
-        v = V[i] if q is None else V[i] % q
-        if ctx.is_zero(v):
-            continue
-        if int_path:
-            for k, pk in updates:
-                if k > i + 1:
-                    j = i + n - k
-                    V[j] = V[j] - pk * v if q is None else (V[j] - pk * v) % q
-        else:
-            for k, pk in updates:
-                if k > i + 1:
-                    j = i + n - k
-                    V[j] = ctx.sub(V[j], ctx.mul(pk, v))
+    V = list(F.to_dense().coeffs)
+    del V[:1]  # V[i] stands for X^(n+i), coefficient i + 1 of F
+    divide_in_place(V, P, n, ctx)
+    V += [ctx.zero()] * (n - 1 - len(V))
+    V.reverse()
     return V
 
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import modeval
 from .poly import (
+    DENSIFY_CAP,
     all_sparse,
     evaluate,
     gap_info,
@@ -220,11 +221,13 @@ def _verify_at_point(F, G, H, P, cfg, method):
     deg P, and the point keeps a nonzero Δ nonzero with probability at
     least 1 - ε (see point_kind).
 
-    All-sparse input is first screened by its term count
+    The scans read the inputs in the forms of _scan_forms: at X modulo R
+    input that is not all sparse is made dense, as the dense scans at X
+    multiply no polynomials, and past DENSIFY_CAP every input is made
+    sparse.  All-sparse input is first screened by its term count
     (sparsity_precheck), a certain rejection with rounds = 0 and no
-    witness; at X modulo R any other input is made dense, as the dense
-    scans at X multiply no polynomials.  Over Z the scans read F, G, H and
-    P as they are at the point of GF(q), with no copy.  The report has
+    witness.  Over Z the scans read F, G, H and P as they are at the
+    point of GF(q), with no copy into GF(q).  The report has
     rounds = 1 and the witness of draw_point, over Z as two entries
     {"q": q}, {"alpha": α}.
     Its method is the one asked for; "auto" reads "extension" at X modulo
@@ -234,17 +237,31 @@ def _verify_at_point(F, G, H, P, cfg, method):
     kind = point_kind(ctx, n - 1, eps, method)
     if method == "auto":
         method = "extension" if kind == "extension" else "direct-eval"
-    if all_sparse(F, G, H):
-        if sparsity_precheck(F, G, H, P):
-            return VerifyReport(False, 0.0, 0, [], method, cfg.seed)
-    elif kind == "extension":
-        F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
+    F, G, H, sparse = _scan_forms(F, G, H, n, kind == "extension")
+    if sparse and sparsity_precheck(F, G, H, P):
+        return VerifyReport(False, 0.0, 0, [], method, cfg.seed)
     norm = delta_norm_bound(F, G, H, P) if kind == "prime" else 0
     ring, alpha, witness = draw_point(kind, ctx, n - 1, eps, RngStream(cfg.seed), norm)
     # schema 1 names a modular check's prime "q", in an entry of its own
     witnesses = [{"q": ring.q}, {"alpha": alpha}] if kind == "prime" else [witness]
     verdict = _agree_at(F, G, H, P, alpha, ring)
     return VerifyReport(verdict, bound_above(eps), 1, witnesses, method, cfg.seed)
+
+
+def _scan_forms(F, G, H, n, dense):
+    """(F, G, H, sparse): the forms the scans of a check modulo a P of
+    degree n read the inputs in, and whether those are all sparse.
+    All-sparse input stays as it is.  From n = DENSIFY_CAP on, where no
+    dense scan runs, any other input runs the sparse scans on to_sparse()
+    copies, so the check is the one of the all-sparse triple.  Below it,
+    other input is made dense where dense is asked for (at X modulo R, where
+    the dense scans multiply no polynomials) and stays as it is otherwise."""
+    if n >= DENSIFY_CAP:
+        F, G, H = F.to_sparse(), G.to_sparse(), H.to_sparse()
+    sparse = all_sparse(F, G, H)
+    if dense and not sparse:
+        F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
+    return F, G, H, sparse
 
 
 def _agree_at(F, G, H, P, alpha, ring):
@@ -382,7 +399,8 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     not.  All-sparse inputs run the sparse scans, whose powers of X come
     from one power table per draw, each of its products counted in
     POLY_MUL_OPS; any other input is made dense and runs the dense scans,
-    which multiply no polynomials.  The first draw runs alone.  If it
+    which multiply no polynomials, save past DENSIFY_CAP, where it is made
+    sparse (_scan_forms).  The first draw runs alone.  If it
     agrees, the rest are drawn at once; over GF(2) on dense input they run
     as one lane-packed scan (modeval.gf2_first_mismatch), while odd q and
     all-sparse input still scan draw by draw.  The draws take nothing from
@@ -407,9 +425,7 @@ def verify_mod_companion(F, G, H, P, cfg=None):
         raise TypeError("companion verification needs GF(q) polynomials")
     if cfg.method != "companion-no-polymul":
         return _verify_at_point(F, G, H, P, cfg, "companion-freivalds")
-    sparse = all_sparse(F, G, H)
-    if not sparse:
-        F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
+    F, G, H, sparse = _scan_forms(F, G, H, n, True)
     eps = cfg.epsilon
     rng = RngStream(cfg.seed)
     d = _companion_degree(ctx.q, n)

@@ -2,13 +2,15 @@
 
 Reference-grade arithmetic (dense products over Z and GF(q) by Kronecker
 substitution, one big-number multiply, binary or decimal; all-pairs term
-products otherwise; reduction modulo a monic sparse P, in one top-down
-pass when dense), evaluation, the gap parameter of a monic sparse
-modulus, growth bounds for products and reductions, and the on-disk text
-format shared with the CLI.  Polynomials are immutable; the zero
-polynomial is the empty coefficient vector / empty term list and has no
-degree.  Both classes have to_dense() and to_sparse(); asked for the form
-it already has, a polynomial returns itself.
+products otherwise; reduction modulo a monic sparse P, by one top-down
+long division when dense, divide_in_place, which also gives modeval's
+scans their leading coefficients as the quotient of X^(n-1) F by P),
+evaluation, the gap parameter of a monic sparse modulus, growth bounds for
+products and reductions, and the on-disk text format shared with the CLI.
+Polynomials are immutable; the zero polynomial is the empty coefficient
+vector / empty term list and has no degree.  Both classes have to_dense()
+and to_sparse(); asked for the form it already has, a polynomial returns
+itself.
 """
 
 import functools
@@ -545,46 +547,67 @@ def _require_monic(P):
 
 def mod_reduce(Q, P):
     """Remainder of Q modulo a monic sparse P of degree n, rewriting X^n
-    as X^n - P.  Dense Q: one top-down pass, in which the coefficient c
-    of X^i, i >= n, adds -c p_e to the coefficient of X^(i-n+e) for every
-    lower term p_e X^e of P; those indices are below i, so every
-    coefficient is final when the pass reaches it, and the cost is
-    (deg Q - n + 1)(#P - 1) ring products.  Over Z and GF(q) the pass
-    cuts blocks of n - k indices, k the second degree of P, off the top,
-    one _plus_multiple per low term of P and block: every index a
-    block writes lies below the block, so its values are final when it is
-    cut.  Sparse Q: its terms as one row of _reduced_rows, merged."""
+    as X^n - P.  Dense Q: the long division divide_in_place, whose entries
+    below X^n are the remainder.  Sparse Q: its terms as one row of
+    _reduced_rows, merged."""
     _require_monic(P)
     if Q.ctx != P.ctx:
         raise ValueError("mixed coefficient contexts")
     ctx = Q.ctx
-    n = P.degree()
-    low_terms = P.terms[:-1]  # X^n - P = -(low part of P)
-    q = _int_modulus(ctx)
     if isinstance(Q, DensePoly):
         cs = list(Q.coeffs)
-        if q is not None:
-            width = n - (low_terms[-1][0] if low_terms else 0)
-            while len(cs) > n:
-                lo = max(n, len(cs) - width)
-                block = cs[lo:]
-                del cs[lo:]
-                for e, pe in low_terms:
-                    s = lo - n + e
-                    t = s + len(block)
-                    cs[s:t] = _plus_multiple(cs[s:t], -pe, block, q)
-            return DensePoly.trusted(ctx, cs)
-        for i in range(len(cs) - 1, n - 1, -1):
-            c = cs[i]
-            if not ctx.is_zero(c):
-                for e, pe in low_terms:
-                    j = i - n + e
-                    cs[j] = ctx.sub(cs[j], ctx.mul(c, pe))
-        return DensePoly.trusted(ctx, cs[:n])
+        divide_in_place(cs, P)
+        del cs[P.degree() :]
+        return DensePoly.trusted(ctx, cs)
     if isinstance(Q, SparsePoly):
+        q = _int_modulus(ctx)
         row = ([e for e, _ in Q.terms], [c for _, c in Q.terms])
         return _sorted_poly(ctx, _merged_rows(_reduced_rows([row], P, q), ctx, q))
     raise TypeError("unsupported polynomial type")
+
+
+def divide_in_place(cs, P, start=0, ctx=None):
+    """Long division of the coefficient list cs by the monic sparse P of
+    degree n, in place and top-down, where cs[i] stands for X^(start + i)
+    and writes below X^start are dropped.  Afterwards an entry at X^m is
+    the coefficient of X^(m - n) of the quotient where m >= n, and of the
+    remainder where m < n.  The arithmetic runs in ctx, P's ring by
+    default, into which P's coefficients are taken by canon; entries that
+    no write reaches stay as they are.  For P over Z and ctx a GF(p) they
+    may be any integers, and each block is reduced once as it is read,
+    into a copy.
+
+    The entry c at X^m, m >= n, adds -c p_e at X^(m - n + e) for every
+    lower term p_e X^e of P, an index below m, so every entry is final when
+    the pass reaches it, and the cost is one product per index at or above
+    n and lower term whose write is kept.  Over Z and GF(q) the pass cuts
+    blocks of n - k indices, k the second degree of P, off the top, one
+    _plus_multiple per block and lower term: every index a block writes
+    lies below the block, so its values are final when it is cut.  Over
+    any other ring it takes one index at a time and skips the zero ones."""
+    ctx = ctx or P.ctx
+    n = P.degree()
+    width = gap_info(P).gap_width
+    low = [(n - e, ctx.canon(pe)) for e, pe in P.terms[:-1]]  # cs[i] writes at i - (n - e)
+    q = _int_modulus(ctx)
+    top = len(cs)
+    floor = max(n - start, width)  # the lowest quotient entry with a write kept
+    if q is None:
+        for i in range(top - 1, floor - 1, -1):
+            c = cs[i]
+            if not ctx.is_zero(c):
+                for g, pe in low:
+                    if i >= g:
+                        cs[i - g] = ctx.sub(cs[i - g], ctx.mul(c, pe))
+        return
+    while top > floor:
+        lo = max(floor, top - width)
+        ys = cs[lo:top] if ctx == P.ctx else [y % q for y in cs[lo:top]]
+        for g, pe in low:
+            if g < top:
+                a = max(lo, g)
+                cs[a - g : top - g] = _plus_multiple(cs[a - g : top - g], -pe, ys[a - lo :], q)
+        top = lo
 
 
 def _plus_multiple(xs, c, ys, q):

@@ -216,13 +216,44 @@ class TestVerifyModCommand:
     @pytest.mark.parametrize(
         "method", ["auto", "extension", "companion-freivalds", "companion-no-polymul"]
     )
-    def test_dense_scan_past_the_densify_cap_exits_two(self, tmp_path, method):
+    @pytest.mark.parametrize("H, code", [("dense 1 0 1", 0), ("dense 1 1 1", 1)])
+    def test_dense_input_past_the_densify_cap_runs_the_sparse_scans(
+        self, tmp_path, method, H, code
+    ):
+        # (1 + X)^2 = 1 + X^2 modulo X^n + 1 over GF(2): past the cap no
+        # dense scan runs, and the dense files are checked as sparse ones
         n = 2**63 - 1
-        args = poly_args(tmp_path, "GF 2", F="dense 1 1", G="dense 1 1", H="dense 1 0 1",
+        args = poly_args(tmp_path, "GF 2", F="dense 1 1", G="dense 1 1", H=H,
                          P=f"sparse 0:1 {n}:1")
-        code, out, err = run_cli(["verify-mod", "--method", method, *args], timeout=60)
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: degree {n} too large to densify")
+        got, out, err = run_cli(["verify-mod", "--method", method, *args], timeout=60)
+        assert (got, err) == (code, "")
+        report = json.loads(out)
+        assert report["verdict"] is (code == 0)
+        sparse = {"companion-no-polymul": "companion-sparse", "auto": "extension"}
+        assert report["method"] == sparse.get(method, method)
+
+    @pytest.mark.parametrize("ring, methods", [
+        ("GF 65537", ("auto", "extension", "companion-no-polymul")),
+        ("Z", ("auto",)),
+    ])
+    def test_mixed_triple_past_the_densify_cap(self, tmp_path, ring, methods):
+        # F dense, G and H sparse, deg P = 2^30: decided as the all-sparse
+        # triple is by the same method, the true H accepted, a perturbed one
+        # rejected
+        P = f"sparse 0:1 {2**30}:1"
+        true, wrong = "sparse 0:1 1:2 2:3 5:1 6:2 7:3", "sparse 0:1 1:2 2:3 5:1 6:2 7:4"
+        for method in methods:
+            for H, code in ((true, 0), (wrong, 1)):
+                reports = []
+                for F in ("dense 1 2 3", "sparse 0:1 1:2 2:3"):
+                    args = poly_args(tmp_path, ring, F=F, G="sparse 0:1 5:1", H=H, P=P)
+                    got, out, err = run_cli(
+                        ["verify-mod", "--method", method, *args], timeout=60
+                    )
+                    assert (got, err) == (code, ""), (ring, method, F, H)
+                    reports.append(json.loads(out))
+                if method != "auto":  # auto on all-sparse files may take the exact route
+                    assert reports[0] == reports[1]
 
     def test_true_instance_exits_zero(self, mod_instance_files):
         code, out, _ = run_cli(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import polycheck as pc
-from polycheck import modeval
+from polycheck import modeval, poly
 from polycheck.modeval import (
     CompanionOperator,
     eval_mod_binomial_dense,
@@ -29,6 +29,7 @@ from conftest import (
     rand_monic_sparse,
     rand_nonzero_coeff,
     rand_sparse,
+    rebuilt,
 )
 
 Z = pc.ZZ
@@ -102,6 +103,37 @@ def leading_instances(draw):
     return P, F
 
 
+@st.composite
+def quotient_instances(draw):
+    """(P, F, ring, p): P monic of degree n in 2..48 with second degree k in
+    {1, 2, n/2, n - 1} and up to 4 lower terms, F dense of full degree
+    n - 1 or of degree below n/2.  Over GF(2), GF(7) and GF(2^61 - 1) ring
+    is None and p is q; over Z the coefficients are small, signed 2048-bit
+    and multiples of p, and ring is GF(p)."""
+    q = draw(st.sampled_from((2, 7, 2**61 - 1, None)))
+    n = draw(st.integers(2, 48))
+    k = draw(st.sampled_from(sorted({1, 2, n // 2, n - 1} & set(range(1, n)))))
+    if q is None:
+        p = draw(st.sampled_from((2, 3, 65537, 2**61 - 1)))
+        ctx, ring = Z, pc.PrimeField(p)
+        coeff = st.one_of(
+            st.integers(-3, 3),
+            st.integers(-(2**2048), 2**2048),
+            st.integers(-3, 3).map(lambda j: j * p),
+        )
+    else:
+        p, ctx, ring = q, pc.GF(q), None
+        coeff = st.integers(0, q - 1)
+    nonzero = coeff.filter(bool)
+    low = draw(st.dictionaries(st.integers(0, k - 1), nonzero, max_size=4))
+    P = pc.SparsePoly.from_dict(ctx, {**low, k: draw(nonzero), n: 1})
+    if draw(st.booleans()):
+        cs = draw(st.lists(coeff, min_size=n - 1, max_size=n - 1)) + [draw(nonzero)]
+    else:
+        cs = draw(st.lists(coeff, max_size=n // 2))
+    return P, pc.DensePoly(ctx, cs), ring, p
+
+
 class TestLeadingCoefficients:
     def test_binomial_gives_reversed_tail(self, rng):
         n = 12
@@ -135,6 +167,80 @@ class TestLeadingCoefficients:
                 shifted = pc.DensePoly(ctx, [ctx.zero()] * i + list(F.coeffs))
                 _, rem = poly_divmod(shifted, Pd)
                 assert V[i] == rem.coeff(n - 1), (i, P.terms, F.coeffs)
+
+    @given(quotient_instances())
+    def test_the_reversed_quotient_of_long_division(self, inst):
+        # v_i is the coefficient of X^(n-2-i) of the quotient of X^(n-1) F
+        # by P; over Z at a point of GF(p), modulo p, and an entry i < n - k
+        # lies above every write, so it is F's integer as it is
+        P, F, ring, p = inst
+        n = P.degree()
+        V = leading_coefficients(P, F, ring)
+        K = pc.GF(p)
+        shifted = pc.DensePoly(K, [0] * (n - 1) + list(rebuilt(F, K).coeffs))
+        quo, _ = poly_divmod(shifted, rebuilt(P, K).to_dense())
+        want = [quo.coeff(n - 2 - i) for i in range(n - 1)]
+        if ring is None:
+            assert V == want
+            return
+        assert [v % p for v in V] == want
+        k = pc.gap_info(P).second_degree
+        assert V[: n - k] == [F.coeff(n - 1 - i) for i in range(min(n - k, n - 1))]
+        assert all(v == F.coeff(n - 1 - i) or 0 <= v < p for i, v in enumerate(V))
+
+    def test_quotient_ring_products_follow_the_nonzero_sources(self):
+        # the ring-method loop: one product per nonzero source i < k - 1
+        # and lower term X^k' of P with k' > i + 1
+        class CountingExt(pc.ExtField):
+            __slots__ = ("muls",)
+
+            def mul(self, a, b):
+                self.muls += 1
+                return super().mul(a, b)
+
+        K = CountingExt(pc.GF(2), (1, 1, 0, 1))
+        n, k = 64, 40
+        P = pc.SparsePoly(K, [(0, 3), (1, 7), (5, 1), (k - 9, 6), (k, 5), (n, 1)])
+        rng = RngStream(7)
+        F = pc.DensePoly(K, [rng.below(8) if rng.below(3) else 0 for _ in range(n)])
+        K.muls = 0
+        V = leading_coefficients(P, F)
+        lows = [e for e, _ in P.terms[:-1]]
+        sources = [i for i in range(k - 1) if not K.is_zero(V[i])]
+        assert len(sources) < k - 1
+        assert K.muls == sum(e > i + 1 for i in sources for e in lows)
+        shifted = pc.DensePoly(K, [0] * (n - 1) + list(F.coeffs))
+        quo, _ = poly_divmod(shifted, P.to_dense())
+        assert V == [quo.coeff(n - 2 - i) for i in range(n - 1)]
+
+    def test_blocks_of_the_gap_over_gf_q(self):
+        # over GF(q) the products are int products in blocks of n - k
+        # sources, one _plus_multiple per block and lower term whose writes
+        # land at or above X^n; the ring's mul is never called
+        class CountingField(pc.PrimeField):
+            __slots__ = ("muls",)
+
+            def mul(self, a, b):
+                self.muls += 1
+                return super().mul(a, b)
+
+        K = CountingField(2**61 - 1)
+        n = 2**9
+        k = 3 * n // 4
+        lows = (0, 1, 100, 200, k)
+        P = pc.SparsePoly(K, [(e, e + 2) for e in lows] + [(n, 1)])
+        F = pc.DensePoly(K, range(1, n + 1))
+        K.muls = 0
+        with mock.patch.object(poly, "_plus_multiple", wraps=poly._plus_multiple) as spy:
+            V = leading_coefficients(P, F)
+        assert K.muls == 0
+        widths = [len(call.args[2]) for call in spy.call_args_list]
+        assert max(widths) == n - k
+        assert len(widths) == sum(-(-(e - 1) // (n - k)) for e in lows if e > 1)
+        assert sum(widths) == sum(e - 1 for e in lows if e > 1)
+        shifted = pc.DensePoly(K, [0] * (n - 1) + list(F.coeffs))
+        quo, _ = poly_divmod(shifted, P.to_dense())
+        assert V == [quo.coeff(n - 2 - i) for i in range(n - 1)]
 
     def test_sparse_matches_dense(self, rng):
         for _ in range(80):

@@ -21,7 +21,7 @@ from polycheck.modverify import (
     verify_mod_over_Z,
 )
 from polycheck.oracle import oracle_mod_product, poly_divmod
-from polycheck.poly import evaluate
+from polycheck.poly import DENSIFY_CAP, evaluate
 from polycheck.prodverify import KaminskiParams, _rounds_for, verify_product_kaminski
 from polycheck.rings import (
     POLY_MUL_OPS,
@@ -717,6 +717,40 @@ class TestCertainRejections:
         H = pc.SparsePoly(F2, [(i, 1) for i in range(40)])
         assert not modverify.sparsity_precheck(F, F, H, P)
         assert modverify.reduced_product_terms(F, F, P, 40) == 64
+
+
+class TestPastTheDensifyCap:
+    """From deg P = DENSIFY_CAP on no dense scan runs: input that is not all
+    sparse is checked as its to_sparse() copies are, with the same report,
+    method included, so a true identity is accepted."""
+
+    def instance(self, ctx):
+        P = pc.SparsePoly(ctx, [(0, 1), (DENSIFY_CAP, 1)])
+        F = pc.DensePoly(ctx, [1, 2, 3])
+        G = pc.SparsePoly(ctx, [(0, 1), (5, 1)])
+        H = oracle_mod_product(F.to_sparse(), G, P)
+        return F, G, H, P
+
+    @pytest.mark.parametrize(
+        "verifier, ctx, method",
+        [
+            (verify_mod_over_Z, Z, "auto"),
+            (verify_mod, pc.GF(2**61 - 1), "direct-eval"),
+            (verify_mod_ff, pc.GF(65537), "auto"),
+            (verify_mod_ff, pc.GF(65537), "extension"),
+            (verify_mod_companion, pc.GF(65537), "companion-freivalds"),
+            (verify_mod_companion, pc.GF(65537), "companion-no-polymul"),
+            (verify_mod_companion, F2, "companion-no-polymul"),
+        ],
+    )
+    def test_as_the_all_sparse_triple(self, verifier, ctx, method, rng):
+        F, G, true, P = self.instance(ctx)
+        for H in (true, perturb_poly(true, rng)):
+            want = verifier(F.to_sparse(), G, H, P, cfg(4, Fraction(1, 2**20), method))
+            assert want.verdict is (H == true)
+            for forms in ((F, G, H), (F, G.to_dense(), H), (F, G, H.to_dense())):
+                got = verifier(*forms, P, cfg(4, Fraction(1, 2**20), method))
+                assert got.to_dict() == want.to_dict()
 
 
 class TestWitnessIsACertificate:
