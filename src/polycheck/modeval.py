@@ -32,40 +32,42 @@ X^j * (H mod R).  So the companion routines run the same scans at alpha = X
 in that ring, where "times alpha" is ExtField.mul_x, and only read the
 columns off the result.
 
-The dense scan runs as one fused loop per element representation wherever
-poly.fused allows (as does dense Horner in poly.evaluate, a block of
-coefficients at a time; see rings), and as the generic ring-method loop
-_dense_scan, its reference, everywhere else.
-There are three kernels:
+The dense scan runs as the fused kernel ring.dense_scan wherever the ring
+says it serves (ring.serves_dense(ctx, alpha), as dense Horner does in
+poly.evaluate, a block of coefficients at a time; see rings), and as the
+generic ring-method loop _dense_scan, its reference, everywhere else: Z,
+quotient rings over Z or over another quotient ring, coefficients in the
+quotient ring itself, and any point of a quotient ring but its x.
+There are three kernels, one per element representation:
   - ints in GF(q), or signed integers, at any point of GF(q)
     (PrimeField.dense_scan): the scan transposed, sum g_i f_i =
     F(alpha) G(alpha) - P(alpha) sum v_j s_j with s_j = g_(j+1) + alpha
     s_(j+1), one multiply-add and one % q per index and one C-level dot
     product with V;
-  - packed GF(2)[X]/(R) at x, eight indices per step (ExtField.dense_scan):
+  - packed GF(2)[X]/(R) at x, eight indices per step (GF2Ext.dense_scan):
     f <- (f x^8 mod R) + T[v-byte], two table lookups, with G's bytes as
     256 buckets of f and the pairs inside a byte as 28 popcounts of ANDed
     bit-vectors;
-  - GF(q)[X]/(R) at x for odd q: the d coordinates sit unreduced in w-bit
-    slots of one int, so x * f is a mask and shift plus (top slot % q)
-    times the packed -R mod q, and -v P(x) one more multiply-add.  The
-    f-slots stay below 2d q^2 and the slots of a sum of m terms below
-    2m d q^3; w is the bit length of that bound (ExtField.dense_scan).
+  - GF(q)[X]/(R) at x for odd q (GFqExt.dense_scan): the d coordinates sit
+    unreduced in w-bit slots of one int, so x * f is a mask and shift plus
+    (top slot % q) times the packed -R mod q, and -v P(x) one more
+    multiply-add.  The f-slots stay below 2d q^2 and the slots of a sum of
+    m terms below 2m d q^3; w is the bit length of that bound.
 A fourth kernel, gf2_first_mismatch, runs the packed GF(2) scan for many
 moduli R of one degree d at once: each R's residue sits in its own
 (d+1)-bit lane of one int, and the first R at which H and the product
 disagree is the lowest nonzero lane of their difference.
 A fifth, sparse_sum, is the sparse evaluation of poly.evaluate, and so
-gives the sparse scan its P(alpha) and F(alpha).  In GF(q)
-(PrimeField.sparse_sum), for each byte position of the exponents, one
-C-level pass multiplies every term's value by its entry of that window of
-the shared power table, whose window grows in bulk
-(PrimeField.double_powers) where the request asks for enough of it, and
-runs of terms that share a top byte are summed before their one product.
-In GF(2)[X]/(R), for coefficients in GF(2) (ExtField.sparse_sum), it is the
-XOR of the table's bit-sliced powers, unsliced once.  Its reference is the
-per-term loop poly._sparse_sum, which every other ring runs
-(poly.sums_sparse says which).
+gives the sparse scan its P(alpha) and F(alpha), wherever the ring says it
+serves (ring.serves_sparse(ctx)).  In GF(q) (PrimeField.sparse_sum), for
+each byte position of the exponents, one C-level pass multiplies every
+term's value by its entry of that window of the shared power table, whose
+window grows in bulk (PrimeField.double_powers) where the request asks for
+enough of it, and runs of terms that share a top byte are summed before
+their one product.  In GF(2)[X]/(R), for coefficients in GF(2)
+(GF2Ext.sparse_sum), it is the XOR of the table's bit-sliced powers,
+unsliced once.  Its reference is the per-term loop poly._sparse_sum, which
+every other ring runs.
 None of them multiplies polynomials or counts in POLY_MUL_OPS, save the
 GF(2) sparse_sum, whose powers are the table's products, counted as
 every product of GF(2)[X]/(R) is.
@@ -80,11 +82,10 @@ from .poly import (
     all_sparse,
     divide_in_place,
     evaluate,
-    fused,
     power_table,
     x_pow_minus_one,
 )
-from .rings import ExtField, PrimeField
+from .rings import ExtField
 
 
 def CompanionOperator(R):
@@ -139,7 +140,7 @@ def _coefficient_ring(P, ring):
     update is reduced mod p and no value grows, and P's own ring otherwise,
     ring = None included."""
     ring = _check_eval_ring(P, ring)
-    return ring if isinstance(ring, PrimeField) else P.ctx
+    return ring if ring.int_modulus else P.ctx
 
 
 def leading_coefficients(P, F, ring=None):
@@ -215,8 +216,8 @@ def eval_mod_p_dense(P, F, G, alpha, ring=None):
     """((F*G) mod P)(alpha) without forming F*G.  Where something wraps, by
     the scan: O(n #P) base-ring operations plus O(n) operations where alpha
     lives.  F and G may be dense or sparse; the scan makes them dense.  It
-    is the ring's fused dense_scan where it has one (see poly.fused), and
-    _dense_scan otherwise.
+    is the ring's fused dense_scan where the ring serves coefficients in
+    F's ring at alpha (ring.serves_dense), and _dense_scan otherwise.
 
     Where nothing wraps (_nothing_wraps) the result is F(alpha) G(alpha):
     O(n) operations where alpha lives for the two evaluations and one
@@ -231,16 +232,16 @@ def eval_mod_p_dense(P, F, G, alpha, ring=None):
         return ring.zero()
     if n >= DENSIFY_CAP:
         raise ValueError(f"degree {n} too large to densify")
-    # at the class of X, dense Horner multiplies no polynomials, but
-    # F(x) G(x) would (ExtField.mul)
-    at_x = isinstance(ring, ExtField) and alpha is ring.x
+    # at the class of X (ring.x, None in Z and GF(q)), dense Horner
+    # multiplies no polynomials, but F(x) G(x) would (ExtField.mul)
+    at_x = alpha is ring.x
     if not at_x and _nothing_wraps(n, F, G):
         return ring.mul(evaluate(F, alpha, ring), evaluate(G, alpha, ring))
     F, G = F.to_dense(), G.to_dense()
     V = leading_coefficients(P, F, ring)
     p_alpha = evaluate(P.to_dense() if at_x else P, alpha, ring)
     f_alpha = evaluate(F, alpha, ring)
-    if fused(ring, F.ctx, alpha):
+    if ring.serves_dense(F.ctx, alpha):
         return ring.dense_scan(f_alpha, alpha, p_alpha, V, G.coeffs)
     return _dense_scan(f_alpha, alpha, p_alpha, V, G.coeffs, ring, G.ctx)
 
@@ -275,11 +276,11 @@ def gf2_first_mismatch(P, F, G, H, moduli):
     in every lane, each index XORing one of 8 patterns of lane bits 0,
     chosen by h_i | f_i << 1 | p_i << 2.  The scan then runs one index per
     step in every lane: each lane has its own R, so no one table serves
-    them as in ExtField.dense_scan's byte step.  The first mismatch is the
+    them as in GF2Ext.dense_scan's byte step.  The first mismatch is the
     lowest nonzero lane of H(x) ^ beta.  Shifts and XORs only: nothing
     counts in POLY_MUL_OPS."""
     n = check_shapes(P, F, G, H)
-    if not isinstance(P.ctx, PrimeField) or P.ctx.q != 2:
+    if P.ctx.int_modulus != 2:
         raise ValueError("the lane kernel needs F, G, H and P over GF(2)")
     if n >= DENSIFY_CAP:
         raise ValueError(f"degree {n} too large to densify")

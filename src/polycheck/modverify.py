@@ -29,13 +29,12 @@ from .poly import (
     reduced_norm_bound,
 )
 from .rings import (
+    ZZ,
     ExtField,
-    IntegerRing,
     PrimeField,
     RngStream,
     ln_pow2_upper,
     ln_upper,
-    poly_list_is_irreducible,
     random_irreducible,
     random_monic,
     random_prime,
@@ -100,12 +99,6 @@ def bound_above(eps):
     return b if Fraction(b) >= eps else math.nextafter(b, math.inf)
 
 
-def _describe(ctx, a):
-    if isinstance(ctx, ExtField):
-        return list(ctx.coeffs(a))
-    return a
-
-
 def reduced_product_terms(F, G, P, cap):
     """#F #G max(#P - 1, 1)^ceil(1/gamma), which bounds the terms of
     (F*G) mod P and, up to a small factor, the term operations of
@@ -140,18 +133,6 @@ def verify_mod(F, G, H, P, cfg=None):
     return _verify_at_point(F, G, H, P, cfg or VerifyConfig(), "direct-eval")
 
 
-def point_policy_accepts(ctx):
-    """Whether the one point policy serves coefficients in ctx: Z, GF(q) or
-    GF(q)[X]/(R) with R irreducible (Ben-Or's test), rings without zero
-    divisors, where a product of nonzero polynomials is nonzero and of
-    degree deg F + deg G."""
-    return isinstance(ctx, (IntegerRing, PrimeField)) or (
-        isinstance(ctx, ExtField)
-        and isinstance(ctx.base, PrimeField)
-        and poly_list_is_irreducible(ctx.modulus, ctx.base.q)
-    )
-
-
 def point_kind(ctx, deg, eps, method="auto"):
     """Where a one-point check over the coefficient ring ctx evaluates, so
     that a nonzero Δ of degree at most deg passes with probability at most
@@ -168,17 +149,19 @@ def point_kind(ctx, deg, eps, method="auto"):
     - None where the field is too small and may not be extended:
       "direct-eval" never extends, and only GF(q) has an extension here.
 
-    One random point bounds the miss chance only over a field, so the
-    coefficient ring must be one point_policy_accepts; any other ring is a
-    TypeError."""
-    if not point_policy_accepts(ctx):
+    One random point bounds the miss chance only in a ring without zero
+    divisors, where a product of nonzero polynomials is nonzero and of
+    degree deg F + deg G, so ctx must be one the policy serves
+    (ctx.serves_point_policy(): Z, GF(q), or GF(q)[X]/(R) with R
+    irreducible by Ben-Or's test, which the ring runs once and keeps); any
+    other ring is a TypeError."""
+    if not ctx.serves_point_policy():
         raise TypeError("coefficients must lie in Z, GF(q) or GF(q)[X]/(R) with R irreducible")
-    if isinstance(ctx, IntegerRing):
+    if ctx.int_modulus == 0:
         return "prime"
-    size = ctx.size()
-    if method not in ("extension", "companion-freivalds") and size * eps >= deg:
+    if method not in ("extension", "companion-freivalds") and ctx.size() * eps >= deg:
         return "field"
-    if method != "direct-eval" and isinstance(ctx, PrimeField):
+    if method != "direct-eval" and ctx.int_modulus:
         return "extension"
     return None
 
@@ -202,8 +185,8 @@ def draw_point(kind, ctx, deg, eps, rng, norm):
         alpha = ring.sample(rng)
         return ring, alpha, {"p": ring.q, "alpha": alpha}
     if kind == "field":
-        alpha = ctx.sample(rng)
-        return ctx, alpha, {"alpha": _describe(ctx, alpha)}
+        alpha = ctx.sample(rng)  # in GF(q), or in GF(q)[X]/(R) as its coefficients
+        return ctx, alpha, {"alpha": alpha if ctx.int_modulus else list(ctx.coeffs(alpha))}
     if kind == "extension":
         d = extension_degree(ctx.q, deg, eps)
         R = list(random_irreducible(ctx, d, eps / 4, rng).coeffs)
@@ -315,7 +298,7 @@ def verify_mod_over_Z(F, G, H, P, cfg=None):
     point of GF(q) for a random prime q, whose error split prime_lambda
     states."""
     modeval.check_shapes(P, F, G, H)
-    if not isinstance(P.ctx, IntegerRing):
+    if P.ctx != ZZ:
         raise TypeError("verify_mod_over_Z needs integer polynomials")
     return verify_mod(F, G, H, P, cfg)
 

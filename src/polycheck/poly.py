@@ -20,21 +20,16 @@ from decimal import MAX_EMAX, Context, Inexact, InvalidOperation
 from fractions import Fraction
 from operator import itemgetter, lt
 
-from .rings import ExtField, IntegerRing, PrimeField, POLY_MUL_OPS, ZZ, GF, is_prime
+from .rings import PrimeField, POLY_MUL_OPS, ZZ, GF, is_prime
 
 EXPONENT_CAP = 2**63 - 1
 DENSIFY_CAP = 2**26
 WINDOW_BITS = 8  # power_table reads exponents a byte at a time
 BULK_GROWTH = 4  # power_table grows a GF(q) window in bulk from one byte asked per 4
-_GF2 = GF(2)
 
 
 class PolyFormatError(ValueError):
     """Malformed polynomial text."""
-
-
-def _int_ctx(ctx):
-    return isinstance(ctx, (IntegerRing, PrimeField))
 
 
 def _abs_max(cs):
@@ -91,7 +86,7 @@ class DensePoly:
         return len(self.coeffs) - self.coeffs.count(self.ctx.zero())
 
     def norm(self):
-        if not isinstance(self.ctx, IntegerRing):
+        if self.ctx != ZZ:
             raise TypeError("norm is defined over Z only")
         return _abs_max(self.coeffs) if self.coeffs else 0
 
@@ -154,7 +149,7 @@ class SparsePoly:
         constructor are skipped."""
         F = cls.__new__(cls)
         F.ctx = ctx
-        if _int_ctx(ctx):
+        if ctx.int_modulus is not None:
             F.terms = tuple(filter(itemgetter(1), terms))
         else:
             z = ctx.is_zero
@@ -181,7 +176,7 @@ class SparsePoly:
         return len(self.terms)
 
     def norm(self):
-        if not isinstance(self.ctx, IntegerRing):
+        if self.ctx != ZZ:
             raise TypeError("norm is defined over Z only")
         return _abs_max(list(map(itemgetter(1), self.terms))) if self.terms else 0
 
@@ -352,7 +347,7 @@ def mul_oracle(F, G):
         raise ValueError("mixed coefficient contexts")
     ctx = F.ctx
     dense = isinstance(F, DensePoly) and isinstance(G, DensePoly)
-    if dense and _int_ctx(ctx):
+    if dense and ctx.int_modulus is not None:
         POLY_MUL_OPS.bump()
         if F.is_zero() or G.is_zero():
             return DensePoly.zero(ctx)
@@ -400,21 +395,13 @@ def product_terms(F, G, P=None):
         raise ValueError("exponent exceeds 2^63 - 1")
     ges = [e for e, _ in gs]
     gcs = [c for _, c in gs]
-    q = _int_modulus(ctx)
+    q = ctx.int_modulus
     rows = [([e1 + e for e in ges], _scaled(gcs, c1, q, ctx.mul)) for e1, c1 in fs]
     if P is None:
         return _merged_rows(rows, ctx, q)
     if q is None:
         rows = [_row(_ring_sum(rows, ctx))]
     return _merged_rows(_reduced_rows(rows, P, q), ctx, q)
-
-
-def _int_modulus(ctx):
-    """q over GF(q), 0 over Z, where coefficients are plain ints; None over
-    any other ring, whose coefficients take the ring's methods."""
-    if isinstance(ctx, PrimeField):
-        return ctx.q
-    return 0 if isinstance(ctx, IntegerRing) else None
 
 
 def _scaled(cs, c, q, mul):
@@ -560,7 +547,7 @@ def mod_reduce(Q, P):
         del cs[P.degree() :]
         return DensePoly.trusted(ctx, cs)
     if isinstance(Q, SparsePoly):
-        q = _int_modulus(ctx)
+        q = ctx.int_modulus
         row = ([e for e, _ in Q.terms], [c for _, c in Q.terms])
         return _sorted_poly(ctx, _merged_rows(_reduced_rows([row], P, q), ctx, q))
     raise TypeError("unsupported polynomial type")
@@ -589,7 +576,7 @@ def divide_in_place(cs, P, start=0, ctx=None):
     n = P.degree()
     width = gap_info(P).gap_width
     low = [(n - e, ctx.canon(pe)) for e, pe in P.terms[:-1]]  # cs[i] writes at i - (n - e)
-    q = _int_modulus(ctx)
+    q = ctx.int_modulus
     top = len(cs)
     floor = max(n - start, width)  # the lowest quotient entry with a write kept
     if q is None:
@@ -636,7 +623,7 @@ def reduce_mod_binomial(F, i):
     ctx = F.ctx
     if isinstance(F, DensePoly):
         cs = F.coeffs
-        if _int_ctx(ctx):
+        if ctx.int_modulus is not None:
             out = [0] * i
             for start in range(0, len(cs), i):
                 block = cs[start : start + i]
@@ -660,13 +647,12 @@ def reduce_mod_binomial(F, i):
 
 
 def _check_eval_ring(F, ring):
+    """ring, where a polynomial over F.ctx evaluates: F.ctx itself, a
+    quotient ring over it or, for F over Z, GF(p); F.ctx for None."""
+    ctx = F.ctx
     if ring is None:
-        return F.ctx
-    if ring == F.ctx:
-        return ring
-    if isinstance(ring, ExtField) and ring.base == F.ctx:
-        return ring
-    if isinstance(ring, PrimeField) and isinstance(F.ctx, IntegerRing):
+        return ctx
+    if ring == ctx or ring.x is not None and ring.base == ctx or ring.int_modulus and ctx == ZZ:
         return ring
     raise ValueError("evaluation point must lie in the ctx, an extension, or GF(p) over Z")
 
@@ -674,7 +660,7 @@ def _check_eval_ring(F, ring):
 def power_table(ring, alpha):
     """The map e -> alpha^e for many exponents at one point.
 
-    In GF(q) and in an ExtField it is one fixed-base windowed table
+    In GF(q) and in a quotient ring it is one fixed-base windowed table
     (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992): window i holds
     alpha^(j 2^(8i)) for 0 <= j < 256, entry 0 being 1, and alpha^e is the
     product of one entry per nonzero byte of e, so (nonzero bytes of e) - 1
@@ -682,14 +668,14 @@ def power_table(ring, alpha):
     each: T[j] = T[j ^ low] T[low] with low the lowest set bit of j, and the
     power-of-two entries T[2^k] = alpha^(2^(8i+k)) come from the squares of
     alpha, one product per square, as far as the largest exponent asked
-    for needs.  Z keeps its builtin pow.
+    for needs.  Z (int_modulus 0) keeps its builtin pow.
 
-    The squares and entries are kept in the ring's product form, with its
+    The squares and entries are kept in the form the ring names with its
     product (ring.product_form): the element itself and ring.mul, but
     bit-sliced in GF(2)[X]/(R), where a product is three integer
-    multiplications (see rings.ExtField._mul_sliced).  pw(e) leaves the
+    multiplications (see rings.GF2Ext._mul_sliced).  pw(e) leaves the
     form once, and pw.form(e) is alpha^e in the form, which
-    ExtField.sparse_sum XORs.  alpha enters the form with the first entry
+    GF2Ext.sparse_sum XORs.  alpha enters the form with the first entry
     made, so a table nothing reads costs nothing.  A product in the form is
     counted in POLY_MUL_OPS where ring.mul is: every ExtField product but
     one with x.
@@ -697,7 +683,8 @@ def power_table(ring, alpha):
     Besides pw(e), the table gives bulk access to one window:
     pw.window(i, digits) fills the entries of window i that the byte values
     digits need and returns the window, which the fused sparse kernel
-    PrimeField.sparse_sum indexes by byte.  In GF(q) such a request may
+    PrimeField.sparse_sum indexes by byte.  In GF(q) (a ring whose
+    int_modulus is a q > 0) such a request may
     instead grow the window in bulk: with its entries below L = 2^t all
     filled, PrimeField.double_powers doubles that prefix, one C-level pass
     per doubling, until it covers the largest byte asked for.  It does so
@@ -715,13 +702,13 @@ def power_table(ring, alpha):
     One table serves every term of every polynomial evaluated at alpha in
     one check, through any access and in any order; it is local to that
     check."""
-    if not isinstance(ring, (ExtField, PrimeField)):
+    if ring.int_modulus == 0:
         return lambda e: ring.pow(alpha, e)
     into, mul, out = ring.product_form()
     squares = []
     windows = []
     prefix = []  # window i holds every entry below prefix[i], a power of two
-    bulk = isinstance(ring, PrimeField)
+    bulk = bool(ring.int_modulus)
 
     def fill(i, digits=()):
         while len(windows) <= i:
@@ -782,18 +769,6 @@ def power_table(ring, alpha):
     return pw
 
 
-def fused(ring, ctx, alpha):
-    """Whether ring's fused kernels (horner, dense_scan; see rings) serve
-    coefficients in ctx at alpha: in GF(q) at any point, and in
-    GF(q)[X]/(R) only at its own x with coefficients in GF(q).  Z, a
-    quotient ring over anything else, coefficients in the ring itself
-    (where 2 is x of GF(2^d)) and other points of the ring take the
-    generic loops."""
-    if isinstance(ring, ExtField):
-        return alpha is ring.x and ring.base == ctx and isinstance(ctx, PrimeField)
-    return isinstance(ring, PrimeField)
-
-
 def _horner(cs, alpha, ring):
     """The generic Horner loop on the ring interface, the reference for
     every ring.horner."""
@@ -801,15 +776,6 @@ def _horner(cs, alpha, ring):
     for c in reversed(cs):
         acc = ring.add(ring.mul(acc, alpha), ring.embed(c))
     return acc
-
-
-def sums_sparse(ring, ctx):
-    """Whether ring.sparse_sum serves coefficients in ctx: in GF(q), and in
-    GF(2)[X]/(R) for coefficients in GF(2).  Every other ring, and a
-    quotient ring with coefficients in itself, takes the generic loop."""
-    if isinstance(ring, ExtField):
-        return ring.base == ctx == _GF2
-    return isinstance(ring, PrimeField)
 
 
 def _sparse_sum(terms, pw, ring):
@@ -822,24 +788,27 @@ def _sparse_sum(terms, pw, ring):
 
 
 def evaluate(F, alpha, ring=None, pw=None):
-    """F(alpha).  alpha may live in F.ctx, in an ExtField over it or, for F
-    over Z, in GF(p), whose kernels reduce the integer coefficients.  Dense
-    polynomials use Horner, the ring's fused kernel where it has one, sparse
-    ones take every alpha^e from pw, a power_table(ring, alpha) that a
-    check evaluating several polynomials at alpha builds once and shares,
-    or from a fresh one: by the fused kernel sparse_sum where sums_sparse
-    allows, in GF(q) a byte of every exponent at a time and in GF(2)[X]/(R)
-    one XOR of bit-sliced powers, elsewhere term by term.  At the class of X in
-    a quotient ring, F(X) is F mod R, and dense Horner multiplies no
-    polynomials (see ExtField.mul)."""
+    """F(alpha).  alpha may live in F.ctx, in a quotient ring over it or,
+    for F over Z, in GF(p), whose kernels reduce the integer
+    coefficients.  The ring says which kernel serves.  Dense polynomials
+    use Horner: the ring's fused horner where ring.serves_dense(F.ctx,
+    alpha), that is in GF(q) and at x of GF(q)[X]/(R), else the generic
+    loop _horner.  Sparse ones take every alpha^e from pw, a
+    power_table(ring, alpha) that a check evaluating several polynomials at
+    alpha builds once and shares, or from a fresh one: by the fused
+    sparse_sum where ring.serves_sparse(F.ctx), in GF(q) a byte of every
+    exponent at a time and in GF(2)[X]/(R) one XOR of bit-sliced powers,
+    elsewhere term by term (_sparse_sum).  At the class of X in a quotient
+    ring, F(X) is F mod R, and dense Horner multiplies no polynomials (see
+    ExtField.mul)."""
     ring = _check_eval_ring(F, ring)
     if isinstance(F, DensePoly):
-        if fused(ring, F.ctx, alpha):
+        if ring.serves_dense(F.ctx, alpha):
             return ring.horner(F.coeffs, alpha)
         return _horner(F.coeffs, alpha, ring)
     if isinstance(F, SparsePoly):
         pw = pw or power_table(ring, alpha)
-        if sums_sparse(ring, F.ctx):
+        if ring.serves_sparse(F.ctx):
             return ring.sparse_sum(F.terms, pw)
         return _sparse_sum(F.terms, pw, ring)
     raise TypeError("unsupported polynomial type")
@@ -922,12 +891,10 @@ def product_norm_bound(F, G):
 def format_poly(F):
     """F's text form, over Z or GF(q) only.  A coefficient past CPython's
     int-to-str digit limit (4300 by default) raises its ValueError."""
-    if isinstance(F.ctx, IntegerRing):
-        head = "ring Z"
-    elif isinstance(F.ctx, PrimeField):
-        head = f"ring GF {F.ctx.q}"
-    else:
+    q = F.ctx.int_modulus
+    if q is None:
         raise TypeError("only Z and GF(q) polynomials have a file form")
+    head = f"ring GF {q}" if q else "ring Z"
     if isinstance(F, DensePoly):
         body = " ".join(["dense"] + [str(c) for c in F.coeffs])
     elif isinstance(F, SparsePoly):

@@ -41,7 +41,6 @@ from .poly import (
 )
 from .rings import (
     ZZ,
-    IntegerRing,
     PrimeField,
     RngStream,
     ln_upper,
@@ -164,12 +163,12 @@ def _product_shape_reject(F, G, H):
     """Degree screens shared by the dense product verifiers.  Returns a
     verdict for the trivial cases, or None when the probabilistic phase must
     run.  A zero H is a certain rejection only where F*G cannot be zero,
-    over a ring the point policy accepts (modverify.point_policy_accepts),
-    which is asked only then."""
+    over a ring the point policy serves (serves_point_policy), which is
+    asked only then."""
     if F.is_zero() or G.is_zero():
         return H.is_zero()
     if H.is_zero():
-        return False if modverify.point_policy_accepts(F.ctx) else None
+        return False if F.ctx.serves_point_policy() else None
     if H.degree() > F.degree() + G.degree():
         return False
     return None
@@ -192,15 +191,12 @@ def _product_at_one_point(F, G, H, cfg, method):
     with probability at least 1 - ε; every ring operation is exact, so a
     true H always passes.  The report has rounds = 1 and the witness of
     modverify.draw_point.  Where the point policy cannot serve, a ring it
-    refuses (modverify.point_policy_accepts) or a GF(q)[X]/(R) too small
-    for ε, one exact product decides, with rounds = 0 and the witness
+    refuses (serves_point_policy) or a GF(q)[X]/(R) too small for ε, one
+    exact product decides, with rounds = 0 and the witness
     {"deterministic": "reference-product"}."""
     ctx, eps = F.ctx, cfg.epsilon
     m = F.degree() + G.degree()
-    try:
-        kind = modverify.point_kind(ctx, m, eps)
-    except TypeError:  # a ring the point policy refuses
-        kind = None
+    kind = modverify.point_kind(ctx, m, eps) if ctx.serves_point_policy() else None
     if kind is None:
         return _certain(mul_oracle(F, G) == H, "reference-product", method, cfg)
     norm = H.norm() + product_norm_bound(F, G) if kind == "prime" else 0
@@ -241,13 +237,9 @@ def _modular_check_no_mul(F, G, H, P, cfg):
     polynomial multiplication: where modverify.point_kind picks X modulo an
     irreducible R, whose screening multiplies, by the unscreened draws of
     companion-no-polymul on dense input, and everywhere else by
-    modverify.verify_mod.  Only GF(q) coefficients can get that point, so
-    point_kind is asked only there: over GF(q)[X]/(R) it would run Ben-Or's
-    test on R once more than verify_mod does."""
-    ctx = F.ctx
-    if isinstance(ctx, PrimeField) and (
-        modverify.point_kind(ctx, P.degree() - 1, cfg.epsilon) == "extension"
-    ):
+    modverify.verify_mod, which raises point_kind's TypeError on a ring the
+    policy refuses."""
+    if modverify.point_kind(F.ctx, P.degree() - 1, cfg.epsilon) == "extension":
         # the dense scans at X multiply no polynomials; the sparse ones would
         F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
         cfg = replace(cfg, method="companion-no-polymul")
@@ -419,7 +411,7 @@ def verify_product_kronecker(F, G, H, cfg=None, e=None):
     cfg = cfg or VerifyConfig()
     if F.ctx != G.ctx or F.ctx != H.ctx:
         raise ValueError("mixed coefficient contexts")
-    if not isinstance(F.ctx, IntegerRing):
+    if F.ctx != ZZ:
         raise TypeError("Kronecker substitution needs integer polynomials")
     quick = _product_shape_reject(F, G, H)
     if quick is None and max(F.degree(), G.degree()) > H.degree():
@@ -459,15 +451,15 @@ def _sparse_screen(F, G, H):
     """The O(1) screens of verify_sparse_product: (verdict, witness) when
     the shapes alone decide H = F*G, else None.  Every such verdict is
     certain.  F*G has #F #G terms at most and degree deg F + deg G at most,
-    exactly that degree only over a ring the point policy accepts
-    (modverify.point_policy_accepts), which is asked only where a zero H or
-    an H of lower degree would be rejected."""
+    exactly that degree only over a ring the point policy serves
+    (serves_point_policy), which is asked only where a zero H or an H of
+    lower degree would be rejected."""
     if F.is_zero() or G.is_zero():
         return H.is_zero(), {"deterministic": "zero"}
     m = F.degree() + G.degree()
     if not H.is_zero() and (H.sparsity() > F.sparsity() * G.sparsity() or H.degree() > m):
         return False, {"rejected": "shape"}
-    if (H.is_zero() or H.degree() < m) and modverify.point_policy_accepts(F.ctx):
+    if (H.is_zero() or H.degree() < m) and F.ctx.serves_point_policy():
         return False, {"deterministic": "shape"} if H.is_zero() else {"rejected": "shape"}
     return None
 
@@ -496,7 +488,7 @@ def verify_sparse_product(F, G, H, cfg=None):
     t_products = F.sparsity() * G.sparsity() + H.sparsity()
     lam = _sparse_lam(eps, t_products, max(n, 2))
     p = random_prime(lam, Fraction(5, 3) * SPARSE_EPS1 * eps, rng)
-    verify = modverify.verify_mod_ff if isinstance(F.ctx, PrimeField) else modverify.verify_mod
+    verify = modverify.verify_mod_ff if F.ctx.int_modulus else modverify.verify_mod
     inner = _folded_check(F, G, H, p, SPARSE_EPS2 * eps, rng, verify)
     witnesses = [{"p": p, "inner": inner.witnesses}]
     return VerifyReport(inner.verdict, bound_above(eps), 1, witnesses, "sparse", cfg.seed)

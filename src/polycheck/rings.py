@@ -47,6 +47,17 @@ def _same(a):
     return a
 
 
+# the answers of a ring's serves_* questions where they hold whatever is asked
+
+
+def _always(*_):
+    return True
+
+
+def _never(*_):
+    return False
+
+
 class PrimeGenerationError(RuntimeError):
     """The random-prime trial budget was exhausted (RNG or parameter pathology)."""
 
@@ -150,35 +161,61 @@ def ln_pow2_upper(k):
 # ---------------------------------------------------------------------------
 # coefficient domains
 #
-# PrimeField and ExtField over GF(q) also supply the two dense loops of
-# poly.evaluate and modeval.eval_mod_p_dense as fused kernels with the
-# contract of the generic loops poly._horner and modeval._dense_scan, their
-# reference (poly.fused says where they apply):
+# Z (IntegerRing), GF(q) (PrimeField) and the quotient rings B[X]/(R)
+# (ExtField, one class per element representation) share the ring
+# interface, and each ring answers the questions the rest of the package
+# would otherwise answer by testing its class:
 #
-#   horner(cs, alpha)                sum cs[i] alpha^i, cs in GF(q)
+#   int_modulus                q in GF(q) and 0 in Z, whose elements are
+#                              plain ints (reduced mod q where q > 0);
+#                              None in a quotient ring, whose elements take
+#                              its methods
+#   x                          the class of X in a quotient ring (which
+#                              also has its base B); None in Z and GF(q)
+#   serves_dense(ctx, alpha)   whether horner and dense_scan serve
+#                              coefficients in ctx at alpha: GF(q) at any
+#                              point, GF(q)[X]/(R) only at its own x (by
+#                              identity) with coefficients in GF(q); never Z
+#                              or a quotient ring over another ring
+#   serves_sparse(ctx)         whether sparse_sum serves coefficients in ctx:
+#                              GF(q), and GF(2)[X]/(R) for coefficients in
+#                              GF(2)
+#   serves_point_policy()      whether one random point bounds a miss
+#                              (modverify.point_kind): Z, GF(q), and
+#                              GF(q)[X]/(R) for R irreducible, which Ben-Or's
+#                              test decides once per ring, on first asking
+#
+# Coefficients in a quotient ring itself (where 2 is x of GF(2^d)) and any
+# point of it but x take the generic loops.  Where a ring serves, its
+# kernels have the contract of the generic loops poly._horner,
+# modeval._dense_scan and poly._sparse_sum, their reference:
+#
+#   horner(cs, alpha)                sum cs[i] alpha^i
 #   dense_scan(f, alpha, pa, V, gs)  f_0 = f, f_i = alpha f_{i-1} - V[i-1] pa;
 #                                    returns sum gs[i] f_i over i < len(gs)
-#
-# PrimeField supplies the sparse loop of poly.evaluate, and so does
-# GF(2)[X]/(R) for coefficients in GF(2) (poly.sums_sparse says where), with
-# the contract of poly._sparse_sum:
-#
 #   sparse_sum(terms, pw)            sum c alpha^e over the (e, c) terms,
 #                                    ascending in e as a SparsePoly keeps them,
 #                                    the powers from the power_table pw at alpha
 #
+# The quotient-ring classes are GF2Ext (GF(2)[X]/(R), one bit-packed int
+# per element), GFqExt (odd GF(q), tuples of ints that the kernels pack
+# into slots of one int) and ExtField itself (tuples over Z or a quotient
+# ring, no kernel).  A new element class gets the fused kernels by
+# defining them and answering serves_dense and serves_sparse for the
+# coefficients and points where their contract holds; poly.evaluate and
+# modeval.eval_mod_p_dense ask nothing else.
+#
 # The power table keeps its entries in the ring's product form
-# (product_form): the element itself and mul, but over GF(2) the bit-sliced
-# form of ExtField._slice, where a product is three integer
-# multiplications.  GF(2)'s sparse_sum XORs the sliced powers, so the sum
-# is unsliced once.
+# (product_form): the element itself and mul, but in GF2Ext the bit-sliced
+# form of GF2Ext._slice, where a product is three integer multiplications.
+# GF2Ext's sparse_sum XORs the sliced powers, so the sum is unsliced once.
 #
 # horner runs a block of coefficients at a time: one C-level dot product
 # per block with a table of alpha's powers, and Horner across the blocks
 # (baby steps, giant steps).  dense_scan takes one Python step per index in
 # GF(q) (transposed: a Horner step down gs, then one C-level dot product
-# with V), eight per step over GF(2) at x (lookups, XORs and bit-vector
-# inner products) and one per step in the odd-q slots.  Measured and left
+# with V), eight per step in GF2Ext at x (lookups, XORs and bit-vector
+# inner products) and one per step in GFqExt's slots.  Measured and left
 # out, on CPython 3.11 on one Xeon core at n = 2^13:
 #   - the closed form as prefix sums through alpha^-1, and that form in
 #     baby-step giant-step blocks: 4.7 against 4.0 ms at 61 bits, 2.9
@@ -192,7 +229,7 @@ def ln_pow2_upper(k):
 #     against 501 us;
 #   - a C-level sparse product and reduction: slower than the dict loop;
 #   - a fold by shifts for Mersenne q only: 3%, not worth the branch;
-#   - the sliced GF(2) product in ExtField.mul itself, slicing its factors
+#   - the sliced GF(2) product in GF2Ext.mul itself, slicing its factors
 #     and unslicing the result: 2.4 against 1.75 us for the 4-bit comb at
 #     d = 23 (0.7 us sliced throughout), so only the power table, which
 #     keeps its entries sliced, takes it.
@@ -203,12 +240,16 @@ def ln_pow2_upper(k):
 # modeval read them as they are.
 #
 # The kernels multiply no polynomials and count nothing in POLY_MUL_OPS,
-# save that GF(2)'s sparse_sum takes its powers from the table, whose
-# products count as every ExtField product does.
+# save that GF2Ext's sparse_sum takes its powers from the table, whose
+# products count as every quotient-ring product does.
 
 
 class IntegerRing:
     """Arbitrary-precision exact integers."""
+
+    __slots__ = ()
+    int_modulus = 0
+    x = None
 
     def __repr__(self):
         return "Z"
@@ -254,6 +295,8 @@ class IntegerRing:
 
     embed = canon
     scalar_mul = mul
+    serves_dense = serves_sparse = _never
+    serves_point_policy = _always
 
 
 ZZ = IntegerRing()
@@ -262,12 +305,13 @@ ZZ = IntegerRing()
 class PrimeField:
     """GF(q) for a (probable) prime q; elements are ints in [0, q)."""
 
-    __slots__ = ("q",)
+    __slots__ = ("q", "int_modulus")
+    x = None
 
     def __init__(self, q):
         if q < 2:
             raise ValueError("field modulus must be >= 2")
-        self.q = int(q)
+        self.q = self.int_modulus = int(q)
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -313,6 +357,8 @@ class PrimeField:
 
     def sample(self, rng):
         return rng.residue(self.q)
+
+    serves_dense = serves_sparse = serves_point_policy = _always
 
     # -- fused kernels: plain int arithmetic ----------------------------
 
@@ -416,18 +462,31 @@ class ExtField:
     degree d >= 1.
 
     A quotient ring in general: over GF(q) it is a field exactly when R is
-    irreducible, and no operation here requires that.  Elements
-    are tuples of d base elements (coefficient i of the representative),
-    added, negated and scaled by the base ring's methods; over an odd
-    GF(q) only mul and the fused kernels work on the ints directly.  Over
-    GF(2) an element is one bit-packed int, and poly.power_table keeps its
-    entries bit-sliced (_slice).  ``x`` is the class of X; mul_x
-    multiplies by it with one shift and subtract, which is not a polynomial
-    product and is not counted in POLY_MUL_OPS, so scans run at x multiply
-    no polynomials.
+    irreducible, and no operation here requires that.  ExtField(B, R)
+    makes a ring of the class for B's elements: GF2Ext over GF(2), one
+    bit-packed int per element; GFqExt over an odd GF(q), tuples of d ints
+    whose kernels pack them into slots; and ExtField itself over any other
+    ring (Z, a quotient ring), tuples of d base elements with no fused
+    kernel.  Tuples are added, negated and scaled by the base ring's
+    methods.  Rings of one B and one R are equal and of one class; a
+    subclass of one of the three is made as it is asked for.  ``x`` is the
+    class of X; mul_x multiplies by it with one shift and subtract, which
+    is not a polynomial product and is not counted in POLY_MUL_OPS, so
+    scans run at x multiply no polynomials.
     """
 
-    __slots__ = ("base", "modulus", "d", "x", "_q", "_m2", "_fold", "_sliced")
+    __slots__ = ("base", "modulus", "d", "x")
+    int_modulus = None
+
+    def __new__(cls, base, modulus):
+        if cls is ExtField:
+            q = base.int_modulus
+            cls = GF2Ext if q == 2 else GFqExt if q else ExtField
+        return object.__new__(cls)
+
+    def __getnewargs__(self):
+        """The arguments copy and pickle make a ring of this class from."""
+        return self.base, self.modulus
 
     def __init__(self, base, modulus):
         mod = tuple(base.canon(c) for c in modulus)
@@ -436,15 +495,13 @@ class ExtField:
         self.base = base
         self.modulus = mod
         self.d = len(mod) - 1
-        self._q = base.q if isinstance(base, PrimeField) else None
-        self._m2 = sum(c << i for i, c in enumerate(mod)) if self._q == 2 else None
-        self._fold = None  # GF(2) reduction tables, built by the first _mul2
-        self._sliced = None  # GF(2) sliced-form constants, built by the first _slicing
+        self._start()
         self.x = self.mul_x(self.one())
 
+    def _start(self):
+        """Set the representation's own state, which making x may read."""
+
     def __repr__(self):
-        if self._q is not None:
-            return f"GF({self._q}^{self.d})"
         return f"{self.base!r}[X]/{self.modulus}"
 
     def __eq__(self, other):
@@ -461,6 +518,8 @@ class ExtField:
         s = self.base.size()
         return None if s is None else s**self.d
 
+    serves_dense = serves_sparse = serves_point_policy = _never
+
     # -- representation helpers ------------------------------------------
 
     def from_coeffs(self, coeffs):
@@ -468,20 +527,15 @@ class ExtField:
         cs = [base.canon(c) for c in coeffs]
         if len(cs) > self.d:
             raise ValueError("representative degree too large")
-        cs += [base.zero()] * (self.d - len(cs))
-        if self._m2 is not None:
-            return sum(c << i for i, c in enumerate(cs))
-        return tuple(cs)
+        return tuple(cs + [base.zero()] * (self.d - len(cs)))
 
     def coeffs(self, a):
-        if self._m2 is not None:
-            return tuple((a >> i) & 1 for i in range(self.d))
         return a
 
     # -- ring operations ---------------------------------------------------
 
     def zero(self):
-        return 0 if self._m2 is not None else (self.base.zero(),) * self.d
+        return (self.base.zero(),) * self.d
 
     def one(self):
         return self.from_coeffs([self.base.one()])
@@ -491,41 +545,27 @@ class ExtField:
 
     def embed(self, c):
         """Lift a base scalar.  Over a base of ints (Z, GF(q) with q > 2) a
-        tuple is an element of the ring itself and passes through; over
-        GF(2) the packed form of a canonical base bit is the bit itself, so
-        ints are already in place."""
-        if self._m2 is not None:
-            return int(c)
-        if isinstance(c, tuple) and isinstance(self.base, (IntegerRing, PrimeField)):
+        tuple is an element of the ring itself and passes through."""
+        if isinstance(c, tuple) and self.base.int_modulus is not None:
             return c
         return self.from_coeffs([c])
 
     def add(self, a, b):
-        if self._m2 is not None:
-            return a ^ b
         add = self.base.add
         return tuple(add(x, y) for x, y in zip(a, b))
 
     def sub(self, a, b):
-        if self._m2 is not None:
-            return a ^ b
         sub = self.base.sub
         return tuple(sub(x, y) for x, y in zip(a, b))
 
     def neg(self, a):
-        if self._m2 is not None:
-            return a
         return tuple(self.base.neg(x) for x in a)
 
     def scalar_mul(self, c, a):
         """Multiply by a base scalar.  Over a base of ints (Z, GF(q)) an
         element of the ring itself as the scalar falls through to the ring
         product."""
-        if self._m2 is not None:
-            if c <= 1:
-                return a if c else 0
-            return self.mul(c, a)
-        if isinstance(c, tuple) and isinstance(self.base, (IntegerRing, PrimeField)):
+        if isinstance(c, tuple) and self.base.int_modulus is not None:
             return self.mul(c, a)
         mul = self.base.mul
         return tuple(mul(c, x) for x in a)
@@ -533,9 +573,6 @@ class ExtField:
     def mul_x(self, a):
         """X * a: shift up one place and subtract the overflow times the
         modulus, O(d) base operations."""
-        if self._m2 is not None:
-            a <<= 1
-            return a ^ self._m2 if a >> self.d else a
         base = self.base
         top = a[-1]
         shifted = (base.zero(),) + a[:-1]
@@ -543,14 +580,111 @@ class ExtField:
             return shifted
         return tuple(base.sub(y, base.mul(top, m)) for y, m in zip(shifted, self.modulus))
 
-    # -- fused dense kernels at x (over GF(q) only) ----------------------
+    def mul(self, a, b):
+        """The ring product, counted in POLY_MUL_OPS.  A factor that is
+        ``x`` itself (by identity) makes it mul_x, which is not counted."""
+        if a is self.x:
+            return self.mul_x(b)
+        if b is self.x:
+            return self.mul_x(a)
+        POLY_MUL_OPS.bump()
+        return self._product(a, b)
+
+    def _product(self, a, b):
+        """Horner over the coefficients of b."""
+        acc = self.zero()
+        for c in reversed(b):
+            acc = self.add(self.mul_x(acc), self.scalar_mul(c, a))
+        return acc
+
+    def product_form(self):
+        """(into, mul, out) for poly.power_table: the element itself and
+        mul (GF2Ext keeps its own form)."""
+        return _same, self.mul, _same
+
+    def pow(self, a, e):
+        """a^e, left to right from the top set bit of e: bit_length(e) - 1
+        squarings and popcount(e) - 1 products by a."""
+        if e < 0:
+            raise ValueError("negative exponent")
+        if e == 0:
+            return self.one()
+        acc = a
+        for i in range(e.bit_length() - 2, -1, -1):
+            acc = self.mul(acc, acc)
+            if (e >> i) & 1:
+                acc = self.mul(acc, a)
+        return acc
+
+    def is_zero(self, a):
+        return a == self.zero()
+
+    def from_int(self, k):
+        return self.embed(self.base.from_int(k))
+
+    def sample(self, rng):
+        return self.from_coeffs([self.base.sample(rng) for _ in range(self.d)])
+
+
+class _FiniteExt(ExtField):
+    """GF(q)[X]/(R): what the two classes over GF(q) share, the fused
+    dense kernels at x and the cached answer of Ben-Or's test."""
+
+    __slots__ = ("_field",)
+
+    def _start(self):
+        self._field = None  # R irreducible? asked on first use
+
+    def __repr__(self):
+        return f"GF({self.base.q}^{self.d})"
+
+    def serves_dense(self, ctx, alpha):
+        return alpha is self.x and self.base == ctx
+
+    def serves_point_policy(self):
+        """Whether R is irreducible, so that the ring is a field: Ben-Or's
+        test, run on the first call and cached.  Never run when the ring is
+        made, since companion-no-polymul makes one per unscreened draw and
+        asks nothing."""
+        if self._field is None:
+            self._field = poly_list_is_irreducible(self.modulus, self.base.q)
+        return self._field
+
+    def _require_x(self, alpha):
+        if alpha is not self.x:
+            raise ValueError("the fused kernels run at x only")
+
+
+class GFqExt(_FiniteExt):
+    """GF(q)[X]/(R) for odd q: tuples of d ints in [0, q).  The product is
+    the schoolbook one on ints, reduced once; horner and dense_scan keep the
+    d coordinates unreduced in w-bit slots of one int (_slots, _pack,
+    _unpack)."""
+
+    __slots__ = ()
+
+    def _product(self, a, b):
+        q, d = self.base.q, self.d
+        res = [0] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    res[i + j] += ai * bj
+        mod = self.modulus
+        for i in range(2 * d - 2, d - 1, -1):
+            c = res[i] % q
+            if c:
+                for j in range(d):
+                    if mod[j]:
+                        res[i - d + j] -= c * mod[j]
+            res[i] = 0
+        return tuple(x % q for x in res[:d])
 
     def horner(self, cs, alpha):
         """sum cs[i] x^i, that is the polynomial cs mod R, for coefficients
         cs in GF(q); alpha must be x.
 
-        Over GF(2) the bits of cs are reduced a byte at a time.  Over odd q
-        it is PrimeField.horner's blocked form on slot-packed elements: the
+        PrimeField.horner's blocked form on slot-packed elements: the
         powers x^0 .. x^(b+d-1) mod R come from the dense scan's step
         without reduction, so their slots stay below d q^2; a block of b
         coefficients is one dot product with the first b of them, and
@@ -560,22 +694,8 @@ class ExtField:
         into the next.  That map costs O(d) per block against the block's
         O(b), so b = isqrt(n d) for n = len(cs), at most n: about
         sqrt(n / d) blocks and b + d powers.  No ring product is made."""
-        if alpha is not self.x:
-            raise ValueError("the fused kernels run at x only")
-        if self._m2 is not None:
-            if not cs:
-                return 0
-            # the bits of cs as one int, reduced a byte at a time
-            table = (self._fold or self._fold_tables())[0]
-            d = self.d
-            low = (1 << d) - 1
-            bits = _gf2_bits(cs)
-            acc = 0
-            for byte in bits.to_bytes((len(cs) + 7) // 8, "big"):
-                acc = (acc << 8) ^ byte
-                acc = (acc & low) ^ table[acc >> d]
-            return acc
-        q, d, n = self._q, self.d, len(cs)
+        self._require_x(alpha)
+        q, d, n = self.base.q, self.d, len(cs)
         b = max(1, min(n, math.isqrt(n * d)))
         w, mask, sh, M = self._slots((b + d) * d * q**3)
         powers = [1]
@@ -592,22 +712,17 @@ class ExtField:
         return self._unpack(acc, w)
 
     def dense_scan(self, f, alpha, pa, V, gs):
-        """The dense scan at alpha = x for V and gs in GF(q).
-
-        Over GF(2) it runs eight indices per step (_dense_scan2).  Over
-        odd q the d coordinates sit unreduced in w-bit slots of one int, and
-        a step is f <- (f without its top slot) << w + (top % q) M + v NP,
-        where M packs -R mod q and NP packs -pa mod q.  A step adds two
-        nonnegative terms of at most (q-1)^2 to every slot, and slot j
-        inherits slot j-1, so every f-slot stays below 2d q^2 and every slot
-        of the sum of len(gs) terms g f below 2 len(gs) d q^3 < 2^w: no slot
-        carries into the next, and one reduction per slot at the end gives
-        the element."""
-        if alpha is not self.x:
-            raise ValueError("the fused kernels run at x only")
-        if self._m2 is not None:
-            return self._dense_scan2(f, pa, V, gs)
-        q = self._q
+        """The dense scan at alpha = x for V and gs in GF(q).  The d
+        coordinates sit unreduced in w-bit slots of one int, and a step is
+        f <- (f without its top slot) << w + (top % q) M + v NP, where M
+        packs -R mod q and NP packs -pa mod q.  A step adds two nonnegative
+        terms of at most (q-1)^2 to every slot, and slot j inherits slot
+        j-1, so every f-slot stays below 2d q^2 and every slot of the sum of
+        len(gs) terms g f below 2 len(gs) d q^3 < 2^w: no slot carries into
+        the next, and one reduction per slot at the end gives the
+        element."""
+        self._require_x(alpha)
+        q = self.base.q
         w, mask, sh, M = self._slots(2 * len(gs) * self.d * q**3)
         NP = self._pack([(-c) % q for c in pa], w)
         f = self._pack(f, w)
@@ -618,11 +733,94 @@ class ExtField:
                 beta += g * f
         return self._unpack(beta, w)
 
-    def _dense_scan2(self, f, pa, V, gs):
-        """The GF(2) scan eight indices per step (the Four Russians method
-        of Arlazarov, Dinic, Kronrod and Faradzev, 1970).  From f_i at the
-        start of a block, f_(i+k) = x^k f_i + pa sum_(j<k) v_(i+j) x^(k-1-j),
-        so with w = sum_(j<8) v_(i+j) x^(7-j),
+    def _slots(self, bound):
+        """For a slot bound: the width w with 2^w > bound, the mask of the
+        low d-1 slots, the shift of the top slot and M, the packed -R."""
+        w = bound.bit_length()
+        sh = (self.d - 1) * w
+        M = self._pack([(-c) % self.base.q for c in self.modulus[:-1]], w)
+        return w, (1 << sh) - 1, sh, M
+
+    @staticmethod
+    def _pack(cs, w):
+        return sum(c << (j * w) for j, c in enumerate(cs))
+
+    def _unpack(self, a, w):
+        q, slot = self.base.q, (1 << w) - 1
+        return tuple(((a >> (j * w)) & slot) % q for j in range(self.d))
+
+
+class GF2Ext(_FiniteExt):
+    """GF(2)[X]/(R): an element is one int, coefficient i in bit i, so
+    addition is XOR and mul_x a shift and a conditional XOR with R.  The
+    product is a 4-bit comb reduced through fold tables (_mul2), and
+    poly.power_table keeps its entries bit-sliced (_slice), where a
+    product is three integer multiplications (_mul_sliced)."""
+
+    __slots__ = ("_r", "_fold", "_sliced")
+
+    def _start(self):
+        super()._start()
+        self._r = _gf2_bits(self.modulus)  # R, its X^d bit included
+        self._fold = None  # reduction tables, built by the first _mul2
+        self._sliced = None  # sliced-form constants, built by the first _slicing
+
+    def from_coeffs(self, coeffs):
+        return _gf2_bits(ExtField.from_coeffs(self, coeffs))
+
+    def coeffs(self, a):
+        return tuple((a >> i) & 1 for i in range(self.d))
+
+    def zero(self):
+        return 0
+
+    def embed(self, c):
+        """The packed form of a canonical base bit is the bit itself."""
+        return int(c)
+
+    def add(self, a, b):
+        return a ^ b
+
+    sub = add
+
+    def neg(self, a):
+        return a
+
+    def scalar_mul(self, c, a):
+        """c a for a bit c, or for c in the ring itself the ring product."""
+        if c <= 1:
+            return a if c else 0
+        return self.mul(c, a)
+
+    def mul_x(self, a):
+        a <<= 1
+        return a ^ self._r if a >> self.d else a
+
+    def serves_sparse(self, ctx):
+        return self.base == ctx
+
+    def horner(self, cs, alpha):
+        """sum cs[i] x^i, that is the polynomial cs mod R, for coefficients
+        cs in GF(2); alpha must be x.  The bits of cs as one int, reduced a
+        byte at a time."""
+        self._require_x(alpha)
+        if not cs:
+            return 0
+        table = (self._fold or self._fold_tables())[0]
+        d = self.d
+        low = (1 << d) - 1
+        acc = 0
+        for byte in _gf2_bits(cs).to_bytes((len(cs) + 7) // 8, "big"):
+            acc = (acc << 8) ^ byte
+            acc = (acc & low) ^ table[acc >> d]
+        return acc
+
+    def dense_scan(self, f, alpha, pa, V, gs):
+        """The dense scan at alpha = x for V and gs in GF(2), eight indices
+        per step (the Four Russians method of Arlazarov, Dinic, Kronrod and
+        Faradzev, 1970).  From f_i at the start of a block,
+        f_(i+k) = x^k f_i + pa sum_(j<k) v_(i+j) x^(k-1-j), so with
+        w = sum_(j<8) v_(i+j) x^(7-j),
 
             f_(i+8) = (x^8 f_i mod R) + T[w],   T[w] = pa w mod R:
 
@@ -637,6 +835,7 @@ class ExtField:
         over all blocks: a popcount of ANDed bit-vectors.  Lookups, XORs,
         shifts and bit-vector inner products only: no polynomial is
         multiplied."""
+        self._require_x(alpha)
         m = min(len(V) + 1, len(gs))
         nb = (m + 7) >> 3
         # bit 8 nb - 1 - i of gb and vb is g_i and v_i, so the block of
@@ -669,55 +868,6 @@ class ExtField:
             u |= (pairs.bit_count() & 1) << t
         return beta ^ table[u]
 
-    def _slots(self, bound):
-        """For a slot bound: the width w with 2^w > bound, the mask of the
-        low d-1 slots, the shift of the top slot and M, the packed -R."""
-        w = bound.bit_length()
-        sh = (self.d - 1) * w
-        M = self._pack([(-c) % self._q for c in self.modulus[:-1]], w)
-        return w, (1 << sh) - 1, sh, M
-
-    @staticmethod
-    def _pack(cs, w):
-        return sum(c << (j * w) for j, c in enumerate(cs))
-
-    def _unpack(self, a, w):
-        q, slot = self._q, (1 << w) - 1
-        return tuple(((a >> (j * w)) & slot) % q for j in range(self.d))
-
-    def mul(self, a, b):
-        """The ring product, counted in POLY_MUL_OPS.  A factor that is
-        ``x`` itself (by identity) makes it mul_x, which is not counted."""
-        if a is self.x:
-            return self.mul_x(b)
-        if b is self.x:
-            return self.mul_x(a)
-        POLY_MUL_OPS.bump()
-        if self._m2 is not None:
-            return self._mul2(a, b)
-        q = self._q
-        if q is None:
-            # Horner over the coefficients of b
-            acc = self.zero()
-            for c in reversed(b):
-                acc = self.add(self.mul_x(acc), self.scalar_mul(c, a))
-            return acc
-        d = self.d
-        res = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    res[i + j] += ai * bj
-        mod = self.modulus
-        for i in range(2 * d - 2, d - 1, -1):
-            c = res[i] % q
-            if c:
-                for j in range(d):
-                    if mod[j]:
-                        res[i - d + j] -= c * mod[j]
-            res[i] = 0
-        return tuple(x % q for x in res[:d])
-
     def _mul2(self, a, b):
         """GF(2) product of packed elements: the carry-less product by a
         4-bit comb (the 16 multiples a*j, then one shift and XOR per nibble
@@ -745,12 +895,14 @@ class ExtField:
                 break
         return r
 
+    _product = _mul2
+
     def _fold_tables(self):
         """Table k maps a byte c to (c * X^(d+8k)) mod R; a product's high
         part has < d bits, and horner and the dense scan read table 0 even
         at d = 1."""
         tables = []
-        v = self._m2 ^ (1 << self.d)  # X^d mod R
+        v = self._r ^ (1 << self.d)  # X^d mod R
         for _ in range(max(1, (self.d + 6) // 8)):
             table, v = self._byte_multiples(v)
             tables.append(table)
@@ -758,28 +910,25 @@ class ExtField:
         return tables
 
     def _byte_multiples(self, v):
-        """Over GF(2): the 256 products c v mod R for the bytes c, bit t of
-        c standing for x^t, XORed together from the 8 values v x^t by
-        doubling the table once per bit; and v x^8 mod R."""
+        """The 256 products c v mod R for the bytes c, bit t of c standing
+        for x^t, XORed together from the 8 values v x^t by doubling the
+        table once per bit; and v x^8 mod R."""
         table = [0]
         for _ in range(8):
             table += [t ^ v for t in table]
             v = self.mul_x(v)
         return table, v
 
-    # -- the bit-sliced product form over GF(2) ------------------------------
+    # -- the bit-sliced product form ---------------------------------------
 
     def product_form(self):
-        """(into, mul, out) for poly.power_table: over GF(2) the bit-sliced
-        form, its product and the way back; over every other base the
-        element itself and mul."""
-        if self._m2 is None:
-            return _same, self.mul, _same
+        """(into, mul, out) for poly.power_table: the bit-sliced form, its
+        product and the way back."""
         return self._slice, self._mul_sliced, self._unslice
 
     def sparse_sum(self, terms, pw):
-        """Over GF(2), for coefficients in GF(2): the XOR of the sliced
-        alpha^e of the terms, pw.form(e), unsliced once."""
+        """For coefficients in GF(2): the XOR of the sliced alpha^e of the
+        terms, pw.form(e), unsliced once."""
         form = pw.form
         return self._unslice(reduce(operator.xor, [form(e) for e, c in terms if c], 0))
 
@@ -789,7 +938,7 @@ class ExtField:
         max(d - 2, 0) w; and sliced, the ones of the low d slots and of the
         d - 1 slots above them, mu = floor(X^(2d-2) / R), R - X^d, R and
         x."""
-        d, m = self.d, self._m2
+        d, m = self.d, self._r
         w = next(w for w in (8, 16, 32) if d < 1 << w)
         k = w >> 3
         mu, rem = 0, 1 << (2 * d - 2)
@@ -804,8 +953,8 @@ class ExtField:
         return self._sliced
 
     def _slice(self, a):
-        """A packed GF(2) element in the bit-sliced form: coefficient i in
-        bit 0 of slot i, bits i w to i w + w - 1 of one int."""
+        """A packed element in the bit-sliced form: coefficient i in bit 0
+        of slot i, bits i w to i w + w - 1 of one int."""
         return _gf2_slice(a, (self._sliced or self._slicing())[0] >> 3)
 
     def _unslice(self, a):
@@ -824,9 +973,9 @@ class ExtField:
         d - 1 pairs, and so do those of the quotient times R - X^d, which
         gives the low d coefficients of t - (t div R) R.  Three integer
         multiplications, counted in POLY_MUL_OPS as one.  A factor equal to
-        x (which in packed GF(2) is exactly when ExtField.mul sees x
-        itself, CPython keeping one object per small int) is a slot shift
-        and one conditional XOR with R, and is not counted."""
+        x (which in the packed form is exactly when mul sees x itself,
+        CPython keeping one object per small int) is a slot shift and one
+        conditional XOR with R, and is not counted."""
         w, dw, sw, low, high, mu, r0, r, x = self._sliced or self._slicing()
         if a == x:
             a, b = b, a
@@ -837,29 +986,6 @@ class ExtField:
         t = a * b
         quotient = ((t >> dw & high) * mu >> sw) & high
         return (t ^ quotient * r0) & low
-
-    def pow(self, a, e):
-        """a^e, left to right from the top set bit of e: bit_length(e) - 1
-        squarings and popcount(e) - 1 products by a."""
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e == 0:
-            return self.one()
-        acc = a
-        for i in range(e.bit_length() - 2, -1, -1):
-            acc = self.mul(acc, acc)
-            if (e >> i) & 1:
-                acc = self.mul(acc, a)
-        return acc
-
-    def is_zero(self, a):
-        return a == self.zero()
-
-    def from_int(self, k):
-        return self.embed(self.base.from_int(k))
-
-    def sample(self, rng):
-        return self.from_coeffs([self.base.sample(rng) for _ in range(self.d)])
 
 
 # ---------------------------------------------------------------------------

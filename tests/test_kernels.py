@@ -15,7 +15,7 @@ ring-method loops that stay as their reference:
     (PrimeField.sparse_sum against poly._sparse_sum), on power tables that
     several polynomials and single powers share;
   - the sparse sum in GF(2)[X]/(R), an XOR of bit-sliced powers
-    (ExtField.sparse_sum against poly._sparse_sum), with the same products
+    (GF2Ext.sparse_sum against poly._sparse_sum), with the same products
     counted;
   - the lane-packed GF(2) scan of many moduli at once
     (gf2_first_mismatch) against modverify._agree_at, one modulus at a time;
@@ -52,9 +52,7 @@ from polycheck.poly import (
     _horner,
     _sparse_sum,
     evaluate,
-    fused,
     power_table,
-    sums_sparse,
 )
 from polycheck.rings import POLY_MUL_OPS, ExtField, RngStream, random_irreducible
 from conftest import gf2_clmul, rebuilt
@@ -149,7 +147,7 @@ class TestKernelsMatchTheGenericLoops:
     @given(scan_instances())
     def test_horner(self, inst):
         P, F, G, ring, alpha = inst
-        kernel = fused(ring, F.ctx, alpha)
+        kernel = ring.serves_dense(F.ctx, alpha)
         assert kernel is (F.ctx != Z)
         before = POLY_MUL_OPS.count
         for X in (F, G, P.to_dense()):
@@ -359,12 +357,12 @@ class TestGF2SparseKernel:
 
     def test_which_rings_sum_sparse_terms(self):
         gf2 = ExtField(F2, [1, 1, 1])
-        assert sums_sparse(gf2, F2)
-        assert not sums_sparse(gf2, gf2)  # coefficients in the ring itself
-        assert not sums_sparse(ExtField(pc.GF(3), [1, 0, 1]), pc.GF(3))
-        assert not sums_sparse(ExtField(Z, [1, 0, 1]), Z)
-        assert sums_sparse(pc.GF(7), pc.GF(7)) and sums_sparse(pc.GF(7), Z)
-        assert not sums_sparse(Z, Z)
+        assert gf2.serves_sparse(F2)
+        assert not gf2.serves_sparse(gf2)  # coefficients in the ring itself
+        assert not ExtField(pc.GF(3), [1, 0, 1]).serves_sparse(pc.GF(3))
+        assert not ExtField(Z, [1, 0, 1]).serves_sparse(Z)
+        assert pc.GF(7).serves_sparse(pc.GF(7)) and pc.GF(7).serves_sparse(Z)
+        assert not Z.serves_sparse(Z)
 
 
 # moduli of GF(m): primes, composites (the int kernels never invert) and
@@ -661,7 +659,7 @@ class TestDispatch:
     def test_coefficients_in_the_ring_itself_take_the_generic_loop(self):
         # 2 is both the cached small int and x of GF(2^8)
         gf2_8 = ExtField(pc.GF(2), [1, 0, 1, 1, 1, 0, 0, 0, 1])
-        assert gf2_8.x == 2 and not fused(gf2_8, gf2_8, 2)
+        assert gf2_8.x == 2 and not gf2_8.serves_dense(gf2_8, 2)
         F = pc.DensePoly(gf2_8, [3, 0, 7, 1])
         want = gf2_8.add(gf2_8.add(3, gf2_8.mul(7, gf2_8.mul(2, 2))),
                          gf2_8.mul(2, gf2_8.mul(2, 2)))
@@ -669,9 +667,9 @@ class TestDispatch:
 
     def test_other_points_and_rings_take_the_generic_loop(self):
         ring = ExtField(pc.GF(7), [3, 1, 1])
-        assert fused(ring, pc.GF(7), ring.x)
-        assert not fused(ring, pc.GF(7), ring.from_coeffs([0, 1]))  # equal to x, not x
-        assert not fused(ExtField(Z, [1, 0, 1]), Z, ExtField(Z, [1, 0, 1]).x)
+        assert ring.serves_dense(pc.GF(7), ring.x)
+        assert not ring.serves_dense(pc.GF(7), ring.from_coeffs([0, 1]))  # equal to x, not x
+        assert not ExtField(Z, [1, 0, 1]).serves_dense(Z, ExtField(Z, [1, 0, 1]).x)
         with pytest.raises(ValueError, match="at x only"):
             ring.horner([1, 2], ring.from_coeffs([2, 1]))
 

@@ -22,7 +22,7 @@ from polycheck.modeval import (
 from polycheck.modverify import VerifyConfig, verify_mod, verify_mod_ff
 from polycheck.oracle import oracle_matrix_eval, oracle_mod_product, poly_divmod
 from polycheck.prodverify import verify_product_kaminski_nomul
-from polycheck.rings import POLY_MUL_OPS, RngStream
+from polycheck.rings import POLY_MUL_OPS, GF2Ext, GFqExt, RngStream
 from conftest import (
     perturb_poly,
     rand_dense,
@@ -191,7 +191,7 @@ class TestLeadingCoefficients:
     def test_quotient_ring_products_follow_the_nonzero_sources(self):
         # the ring-method loop: one product per nonzero source i < k - 1
         # and lower term X^k' of P with k' > i + 1
-        class CountingExt(pc.ExtField):
+        class CountingExt(GF2Ext):
             __slots__ = ("muls",)
 
             def mul(self, a, b):
@@ -653,7 +653,7 @@ class TestDenseScanShortcut:
 
         monkeypatch.setattr(modeval, "leading_coefficients",
                             counted("leading", leading_coefficients))
-        for cls in (pc.PrimeField, pc.ExtField):
+        for cls in (pc.PrimeField, GFqExt, GF2Ext):
             monkeypatch.setattr(cls, "dense_scan", counted("scan", cls.dense_scan))
         return calls
 

@@ -18,6 +18,7 @@ from polycheck.poly import (
     EXPONENT_CAP,
     PolyFormatError,
     _bulk_ints,
+    _check_eval_ring,
     _bulk_sparse_terms,
     _parse_coeff,
     _sparse_terms,
@@ -27,7 +28,7 @@ from polycheck.poly import (
     power_table,
     reduction_steps,
 )
-from polycheck.rings import POLY_MUL_OPS, RngStream
+from polycheck.rings import POLY_MUL_OPS, GF2Ext, RngStream
 from conftest import rand_dense, rand_monic_sparse, rand_nonzero_coeff, rand_sparse, rebuilt
 
 Z = pc.ZZ
@@ -561,7 +562,7 @@ class TestModReduce:
     def test_one_pass_cost_over_a_quotient_ring(self):
         # the loop over ring products, in which the pass is one product per
         # index at or above n and low term of P
-        class CountingExt(pc.ExtField):
+        class CountingExt(GF2Ext):
             __slots__ = ("muls",)
 
             def mul(self, a, b):
@@ -703,6 +704,16 @@ class TestReduceModBinomial:
 
 
 class TestEvaluate:
+    def test_where_a_polynomial_evaluates(self):
+        # in its own ring, in a quotient ring over it and, over Z, in GF(p)
+        F7 = pc.GF(7)
+        K, KZ = pc.ExtField(F7, [1, 0, 1]), pc.ExtField(Z, [1, 0, 1])
+        for ring, ctx in ((Z, Z), (F7, F7), (F7, Z), (K, K), (K, F7)):
+            assert _check_eval_ring(pc.DensePoly(ctx, [1]), ring) is ring
+        for ring, ctx in ((Z, F7), (F7, pc.GF(5)), (F7, K), (K, Z), (KZ, F7)):
+            with pytest.raises(ValueError, match="evaluation point must lie"):
+                _check_eval_ring(pc.DensePoly(ctx, [1]), ring)
+
     def test_quadratic_at_two(self):
         F = pc.DensePoly(Z, [1, 0, 1])
         assert pc.evaluate(F, 2) == 5

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import polycheck as pc
-from polycheck import cli, modverify, prodverify
+from polycheck import cli, modverify, prodverify, rings
 from polycheck.cli import main
 from polycheck.modverify import (
     FieldTooSmallError,
@@ -269,8 +269,9 @@ class TestKaminskiNoMul:
         Hbad = perturb_poly(H, rng)
         assert verify_product_kaminski_nomul(F, G, Hbad, cfg(0)).verdict is False
 
-    def test_extension_coefficients_test_R_once_per_check(self, monkeypatch):
-        # K = GF(2^8): only verify_mod's point_kind runs Ben-Or's test on R
+    def test_extension_coefficients_test_R_once_per_ring(self, monkeypatch):
+        # K = GF(2^8): K runs Ben-Or's test on R the first time a check asks
+        # it and keeps the answer for every later check
         K = pc.ExtField(F2, [1, 1, 0, 1, 1, 0, 0, 0, 1])
         rng = RngStream(7)
         F, G = (pc.DensePoly(K, [K.from_coeffs([rng.below(2) for _ in range(8)])
@@ -286,13 +287,13 @@ class TestKaminskiNoMul:
 
         monkeypatch.setattr(prodverify, "_modular_check_no_mul",
                             counted("check", prodverify._modular_check_no_mul))
-        monkeypatch.setattr(modverify, "poly_list_is_irreducible",
+        monkeypatch.setattr(rings, "poly_list_is_irreducible",
                             counted("irreducible", poly_list_is_irreducible))
         for X, verdict in ((H, True), (perturb_poly(H, rng), False)):
             r = verify_product_kaminski_nomul(F, G, X, cfg(1, Fraction(1, 8)))
             assert r.verdict is verdict
             assert r.witnesses[0]["full-degree-fold"] == 11
-        assert calls == {"check": 2, "irreducible": 2}
+        assert calls == {"check": 2, "irreducible": 1}
 
     def test_small_quotient_ring_field_is_refused_below_its_size(self):
         # K = GF(2^8): the check at X^41 - 1 needs 256 epsilon >= 40, and
@@ -396,6 +397,57 @@ class TestCoefficientsNotAField:
         r = verify_product_kaminski(F, F, self.wrong(H), c)
         assert r.verdict is False
         assert r.witnesses == [{"deterministic": "reference-product"}]
+
+
+class TestBenOrOncePerRing:
+    """A quotient ring over GF(q) runs Ben-Or's test on R the first time
+    the point policy asks it and keeps the answer: every later check over
+    the same ring object reads it."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+
+        def counted(coeffs, q):
+            calls.append((tuple(coeffs), q))
+            return poly_list_is_irreducible(coeffs, q)
+
+        monkeypatch.setattr(rings, "poly_list_is_irreducible", counted)
+        return calls
+
+    def test_two_checks_run_one_test(self, monkeypatch):
+        K = pc.ExtField(F2, [1, 1, 0, 1, 1, 0, 0, 0, 1])  # X^8 + X^4 + X^3 + X + 1
+        rng = RngStream(11)
+        F, G = (pc.DensePoly(K, [K.from_coeffs([rng.below(2) for _ in range(8)])
+                                 for _ in range(6)] + [K.one()]) for _ in "FG")
+        H = pc.mul_oracle(F, G)
+        calls = self._counted(monkeypatch)
+        for seed in (1, 2):
+            r = verify_product_kaminski(F, G, H, cfg(seed, Fraction(1, 8)))
+            assert r.verdict is True and "alpha" in r.witnesses[0]
+        assert calls == [(K.modulus, 2)]
+        assert K.serves_point_policy() is True and len(calls) == 1
+
+    def test_a_reducible_modulus_is_still_refused(self, monkeypatch):
+        K = pc.ExtField(F2, [1, 0, 0, 0, 0, 0, 0, 0, 1])  # X^8 + 1 = (X + 1)^8
+        F = pc.DensePoly(K, [K.one(), K.x])
+        H = pc.mul_oracle(F, F)
+        calls = self._counted(monkeypatch)
+        message = r"^coefficients must lie in Z, GF\(q\) or GF\(q\)\[X\]/\(R\) with R irreducible$"
+        for _ in range(2):
+            with pytest.raises(TypeError, match=message):
+                modverify.point_kind(K, 2, Fraction(1, 8))
+            with pytest.raises(TypeError, match=message):
+                verify_product_kaminski_nomul(F, F, H, cfg(0, Fraction(1, 8)))
+            r = verify_product_kaminski(F, F, H, cfg(0, Fraction(1, 8)))
+            assert r.witnesses == [{"deterministic": "reference-product"}]
+        assert calls == [(K.modulus, 2)]
+
+    def test_making_a_ring_runs_no_test(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        for q, R in ((2, [1, 1, 1]), (7, [1, 0, 1]), (2, [1, 0, 1])):
+            pc.ExtField(pc.GF(q), R)
+        assert calls == []
 
 
 @pytest.mark.parametrize("base", [F2, Z], ids=["GF2", "Z"])

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
@@ -359,6 +361,70 @@ class TestRingAxioms:
 
     def test_integers_exact(self):
         assert pc.ZZ.mul(2**64, 2**64) == 2**128
+
+
+def _ring_table():
+    """(ring maker, int_modulus, dense, sparse, policy, is an ExtField,
+    repr) per ring.  dense lists (ctx, point, served) for horner and
+    dense_scan, with the point "x", "equal to x" (a new object equal to x)
+    or a plain value; sparse lists (ctx, served) for sparse_sum; "self"
+    stands for the ring itself.  In GF(2)[X]/(R) x is the small int 2, one
+    object in CPython, so nothing equal to x is another object there."""
+    Z, F2, F7, M61 = pc.ZZ, pc.GF(2), pc.GF(7), pc.GF(2**61 - 1)
+    aes = [1, 1, 0, 1, 1, 0, 0, 0, 1]  # X^8 + X^4 + X^3 + X + 1, irreducible
+    return {
+        "Z": (lambda: Z, 0, [(Z, 3, False)], [(Z, False)], True, False, "Z"),
+        "GF(2)": (lambda: pc.GF(2), 2, [(F2, 1, True), (Z, 1, True)],
+                  [(F2, True), (Z, True)], True, False, "GF(2)"),
+        "GF(7)": (lambda: pc.GF(7), 7, [(F7, 3, True), (Z, 3, True)],
+                  [(F7, True), (Z, True)], True, False, "GF(7)"),
+        "GF(2^61-1)": (lambda: pc.GF(2**61 - 1), 2**61 - 1, [(M61, 5, True), (Z, 5, True)],
+                       [(M61, True), (Z, True)], True, False, "GF(2305843009213693951)"),
+        "GF(2)[X]/(R)": (lambda: ExtField(F2, aes), None,
+                         [(F2, "x", True), (F2, 3, False), ("self", "x", False)],
+                         [(F2, True), ("self", False)], True, True, "GF(2^8)"),
+        "GF(7)[X]/(R)": (lambda: ExtField(F7, [1, 0, 1]), None,
+                         [(F7, "x", True), (F7, "equal to x", False), ("self", "x", False)],
+                         [(F7, False), ("self", False)], True, True, "GF(7^2)"),
+        "Z[X]/(R)": (lambda: ExtField(Z, [1, 0, 1]), None,
+                     [(Z, "x", False), (Z, "equal to x", False), ("self", "x", False)],
+                     [(Z, False), ("self", False)], False, True, "Z[X]/(1, 0, 1)"),
+        "GF(2^8)[Y]/(S)": (lambda: ExtField(ExtField(F2, aes), [2, 0, 0, 1]), None,
+                           [(ExtField(F2, aes), "x", False), ("self", "x", False),
+                            ("self", "equal to x", False)],
+                           [(ExtField(F2, aes), False), ("self", False)],
+                           False, True, "GF(2^8)[X]/(2, 0, 0, 1)"),
+    }
+
+
+RING_TABLE = _ring_table()
+
+
+@pytest.mark.parametrize("name", list(RING_TABLE))
+def test_capability_table(name):
+    """What each ring answers for itself: its integer modulus, which kernels
+    serve which coefficients at which point, whether the point policy takes
+    it, and the class facts that stay as they were."""
+    make, int_modulus, dense, sparse, policy, is_ext, text = RING_TABLE[name]
+    ring = make()
+    assert ring.int_modulus == int_modulus and type(ring.int_modulus) is type(int_modulus)
+    for ctx, point, served in dense:
+        ctx = ring if ctx == "self" else ctx
+        if point == "x":
+            point = ring.x
+        elif point == "equal to x":
+            point = ring.from_coeffs(ring.coeffs(ring.x))
+            assert point == ring.x and point is not ring.x
+        assert ring.serves_dense(ctx, point) is served
+    for ctx, served in sparse:
+        assert ring.serves_sparse(ring if ctx == "self" else ctx) is served
+    assert ring.serves_point_policy() is policy
+    assert isinstance(ring, ExtField) is is_ext
+    for again in (make(), copy.deepcopy(ring), pickle.loads(pickle.dumps(ring))):
+        assert again == ring and hash(again) == hash(ring) and type(again) is type(ring)
+    assert repr(ring) == text
+    assert not hasattr(ring, "__dict__")
+    assert (ring.x is None) is not is_ext
 
 
 class TestExtField:
