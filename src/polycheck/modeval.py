@@ -7,7 +7,11 @@ where something happens, kept as a dict of pending values and a min-heap
 of their indices, and bridge the gaps between them by powers of the point
 from one windowed power table (poly.power_table), which also serves
 P(alpha) and F(alpha) and which the calling check shares with its
-evaluation of H.  Where deg F + deg G < deg P nothing wraps, and
+evaluation of H.  The sparse scan keeps its values in the ring's product
+form (ring.product_form), bit-sliced in GF(2)[X]/(R) and the element
+itself elsewhere, so its gap products are made as the table makes its
+own, and only the result leaves the form.  Where deg F + deg G < deg P
+nothing wraps, and
 neither form scans at all: the result is F(alpha) G(alpha), the sparse
 routine's from that table (_nothing_wraps).  The one exception is dense
 input at the class of X in a quotient ring, where that product would be a
@@ -250,13 +254,16 @@ def _dense_scan(f_alpha, alpha, p_alpha, V, gs, ring, ctx):
     """The generic scan on the ring interface, the reference for every
     ring.dense_scan: f_0 = F(alpha), f_i = alpha f_{i-1} - V[i-1] P(alpha)
     is ((X^i F) mod P)(alpha), and the result is sum gs[i] f_i, with gs
-    and V in ctx.  Past the last entry of gs the f_i matter no more."""
-    beta = ring.scalar_mul(gs[0], f_alpha)
+    and V in ctx, which scale by ring.scalar_mul from a base and by
+    ring.mul in the ring itself.  Past the last entry of gs the f_i matter
+    no more."""
+    scale = ring.mul if ctx == ring else ring.scalar_mul
+    beta = scale(gs[0], f_alpha)
     zero = ctx.is_zero
     for v, g in zip(V, gs[1:]):
-        f_alpha = ring.sub(ring.mul(alpha, f_alpha), ring.scalar_mul(v, p_alpha))
+        f_alpha = ring.sub(ring.mul(alpha, f_alpha), scale(v, p_alpha))
         if not zero(g):
-            beta = ring.add(beta, ring.scalar_mul(g, f_alpha))
+            beta = ring.add(beta, scale(g, f_alpha))
     return beta
 
 
@@ -342,6 +349,14 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     of the calling check (a fresh one if not given), at about
     (bits of the power)/8 - 1 products each.
 
+    The scan runs in the ring's product form (ring.product_form), the
+    bit-sliced one in GF(2)[X]/(R) and the element itself elsewhere:
+    alpha, P(alpha) and F(alpha) enter it once, the gap powers are the
+    table's pw.form, and the result leaves it once.  Coefficients in a
+    base are added and scaled by the ring's add, sub and scalar_mul on
+    form values, as the form is linear over the base; coefficients in the
+    ring itself enter the form and scale by its product.
+
     When nothing wraps (_nothing_wraps, the rule of eval_mod_p_dense too)
     the result is F(alpha) G(alpha), both from pw, with no scan at all, at
     every point, the class of X included.  That is every fold of
@@ -359,22 +374,31 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     if 0 not in vals:
         vals[0] = F.ctx.zero()
     g = dict(G.terms)
-    p_alpha = evaluate(P, alpha, ring, pw)
-    f_alpha = evaluate(F, alpha, ring, pw)
-    beta = ring.scalar_mul(g[0], f_alpha) if 0 in g else ring.zero()
+    into, mul, out = ring.product_form()
+    if F.ctx == ring:
+        scale = mul
+        vals = {i: into(v) for i, v in vals.items()}
+        g = {e: into(c) for e, c in g.items()}
+    else:
+        scale = ring.scalar_mul
+    gap = pw.form
+    a = into(alpha)
+    p_alpha = into(evaluate(P, alpha, ring, pw))
+    f_alpha = into(evaluate(F, alpha, ring, pw))
+    beta = scale(g[0], f_alpha) if 0 in g else into(ring.zero())
     i = 0
     for j in sorted(set(vals) | set(g)):
         if j == 0:
             continue
         # advancing past index i applies its stored correction exactly once
-        step = ring.sub(ring.mul(alpha, f_alpha), ring.scalar_mul(vals[i], p_alpha))
-        value_j = ring.mul(pw(j - i - 1), step)
+        step = ring.sub(mul(a, f_alpha), scale(vals[i], p_alpha))
+        value_j = mul(gap(j - i - 1), step)
         if j in vals:
             f_alpha = value_j
             i = j
         if j in g:
-            beta = ring.add(beta, ring.scalar_mul(g[j], value_j))
-    return beta
+            beta = ring.add(beta, scale(g[j], value_j))
+    return out(beta)
 
 
 def eval_mod(P, F, G, alpha, ring=None, pw=None):
@@ -420,7 +444,7 @@ def _projection(op, u, w):
     ctx = op.base
     if len(u) != op.d:
         raise ValueError("vector length must equal deg R")
-    uv = [ctx.from_int(x) for x in u]
+    uv = [ctx.canon(x) for x in u]
     out = []
     for col in _columns(op, w):
         s = ctx.zero()

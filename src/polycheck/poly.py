@@ -668,14 +668,16 @@ def power_table(ring, alpha):
     each: T[j] = T[j ^ low] T[low] with low the lowest set bit of j, and the
     power-of-two entries T[2^k] = alpha^(2^(8i+k)) come from the squares of
     alpha, one product per square, as far as the largest exponent asked
-    for needs.  Z (int_modulus 0) keeps its builtin pow.
+    for needs.  Z (int_modulus 0) keeps its builtin pow, and its form is
+    the element itself: there pw.form is pw.
 
     The squares and entries are kept in the form the ring names with its
     product (ring.product_form): the element itself and ring.mul, but
     bit-sliced in GF(2)[X]/(R), where a product is three integer
-    multiplications (see rings.GF2Ext._mul_sliced).  pw(e) leaves the
+    multiplications (see rings.GF2Ext._sliced_product).  pw(e) leaves the
     form once, and pw.form(e) is alpha^e in the form, which
-    GF2Ext.sparse_sum XORs.  alpha enters the form with the first entry
+    GF2Ext.sparse_sum XORs and the sparse scan of modeval multiplies by
+    the form's product.  alpha enters the form with the first entry
     made, so a table nothing reads costs nothing.  A product in the form is
     counted in POLY_MUL_OPS where ring.mul is: every ExtField product but
     one with x.
@@ -703,7 +705,11 @@ def power_table(ring, alpha):
     one check, through any access and in any order; it is local to that
     check."""
     if ring.int_modulus == 0:
-        return lambda e: ring.pow(alpha, e)
+        def pw(e):
+            return ring.pow(alpha, e)
+
+        pw.form = pw
+        return pw
     into, mul, out = ring.product_form()
     squares = []
     windows = []
@@ -769,21 +775,26 @@ def power_table(ring, alpha):
     return pw
 
 
-def _horner(cs, alpha, ring):
+def _horner(cs, alpha, ring, ctx):
     """The generic Horner loop on the ring interface, the reference for
-    every ring.horner."""
+    every ring.horner, for coefficients cs in ctx: lifted by ring.embed
+    from a base, taken as they are (ring.canon) in the ring itself."""
+    lift = ring.canon if ctx == ring else ring.embed
     acc = ring.zero()
     for c in reversed(cs):
-        acc = ring.add(ring.mul(acc, alpha), ring.embed(c))
+        acc = ring.add(ring.mul(acc, alpha), lift(c))
     return acc
 
 
-def _sparse_sum(terms, pw, ring):
+def _sparse_sum(terms, pw, ring, ctx):
     """The generic per-term loop on the ring interface, the reference for
-    every ring.sparse_sum."""
+    every ring.sparse_sum, for coefficients in ctx: scaled by
+    ring.scalar_mul from a base, multiplied by ring.mul in the ring
+    itself."""
+    scale = ring.mul if ctx == ring else ring.scalar_mul
     acc = ring.zero()
     for e, c in terms:
-        acc = ring.add(acc, ring.scalar_mul(c, pw(e)))
+        acc = ring.add(acc, scale(c, pw(e)))
     return acc
 
 
@@ -805,12 +816,12 @@ def evaluate(F, alpha, ring=None, pw=None):
     if isinstance(F, DensePoly):
         if ring.serves_dense(F.ctx, alpha):
             return ring.horner(F.coeffs, alpha)
-        return _horner(F.coeffs, alpha, ring)
+        return _horner(F.coeffs, alpha, ring, F.ctx)
     if isinstance(F, SparsePoly):
         pw = pw or power_table(ring, alpha)
         if ring.serves_sparse(F.ctx):
             return ring.sparse_sum(F.terms, pw)
-        return _sparse_sum(F.terms, pw, ring)
+        return _sparse_sum(F.terms, pw, ring, F.ctx)
     raise TypeError("unsupported polynomial type")
 
 

@@ -186,8 +186,11 @@ def ln_pow2_upper(k):
 #                              test decides once per ring, on first asking
 #
 # Coefficients in a quotient ring itself (where 2 is x of GF(2^d)) and any
-# point of it but x take the generic loops.  Where a ring serves, its
-# kernels have the contract of the generic loops poly._horner,
+# point of it but x take the generic loops.  Those decide from the
+# coefficient ring, never from a value: coefficients in a base enter by
+# embed and scalar_mul, which take base scalars only, and coefficients in
+# the ring itself are elements and multiply by mul.  Where a ring serves,
+# its kernels have the contract of the generic loops poly._horner,
 # modeval._dense_scan and poly._sparse_sum, their reference:
 #
 #   horner(cs, alpha)                sum cs[i] alpha^i
@@ -205,10 +208,21 @@ def ln_pow2_upper(k):
 # coefficients and points where their contract holds; poly.evaluate and
 # modeval.eval_mod_p_dense ask nothing else.
 #
-# The power table keeps its entries in the ring's product form
-# (product_form): the element itself and mul, but in GF2Ext the bit-sliced
-# form of GF2Ext._slice, where a product is three integer multiplications.
-# GF2Ext's sparse_sum XORs the sliced powers, so the sum is unsliced once.
+# The power table and the sparse scan of modeval keep their values in the
+# ring's product form (product_form): the element itself and mul, but in
+# GF2Ext the bit-sliced form of GF2Ext._slice, where a product is three
+# integer multiplications.  The form is linear over the base: into and out
+# commute with add, sub and scalar_mul by a base scalar, which the sparse
+# scan applies to form values.  GF2Ext's sparse_sum XORs the sliced
+# powers, so the sum is unsliced once.
+#
+# GF2Ext has that one product: mul slices its factors and unslices the
+# result, which costs more than the 4-bit comb it replaced at small d.
+# Best of 5 x 20000 calls of mul, comb against sliced with slice and
+# unslice: 1.07 against 1.80 us at d = 8, 1.81 against 2.11 us at d = 23,
+# 3.70 against 3.34 us at d = 64.  On the benchmark's workloads no such
+# standalone product is left: every GF(2)[X]/(R) product there is made in
+# the form, by the power table or the sparse scan.
 #
 # horner runs a block of coefficients at a time: one C-level dot product
 # per block with a table of alpha's powers, and Horner across the blocks
@@ -228,11 +242,7 @@ def ln_pow2_upper(k):
 #   - GF(2) Horner on 16-bit and 32-bit words: 441 against 480 us and 503
 #     against 501 us;
 #   - a C-level sparse product and reduction: slower than the dict loop;
-#   - a fold by shifts for Mersenne q only: 3%, not worth the branch;
-#   - the sliced GF(2) product in GF2Ext.mul itself, slicing its factors
-#     and unslicing the result: 2.4 against 1.75 us for the 4-bit comb at
-#     d = 23 (0.7 us sliced throughout), so only the power table, which
-#     keeps its entries sliced, takes it.
+#   - a fold by shifts for Mersenne q only: 3%, not worth the branch.
 #
 # PrimeField's horner, dense_scan and sparse_sum also take integer
 # coefficients of any sign (dense_scan in V and gs as well), for a
@@ -290,8 +300,9 @@ class IntegerRing:
     def is_zero(self, a):
         return a == 0
 
-    def from_int(self, k):
-        return int(k)
+    def product_form(self):
+        """(into, mul, out) as ExtField.product_form: the element itself."""
+        return _same, self.mul, _same
 
     embed = canon
     scalar_mul = mul
@@ -351,9 +362,6 @@ class PrimeField:
 
     def is_zero(self, a):
         return a == 0
-
-    def from_int(self, k):
-        return int(k) % self.q
 
     def sample(self, rng):
         return rng.residue(self.q)
@@ -436,7 +444,7 @@ class PrimeField:
         return sum([window[b] * sum(vals[s:e]) for b, s, e in runs if s < e]) % self.q
 
     def product_form(self):
-        """(into, mul, out) for poly.power_table: the element itself."""
+        """(into, mul, out) as ExtField.product_form: the element itself."""
         return _same, self.mul, _same
 
     def double_powers(self, powers, steps):
@@ -544,10 +552,7 @@ class ExtField:
         return a
 
     def embed(self, c):
-        """Lift a base scalar.  Over a base of ints (Z, GF(q) with q > 2) a
-        tuple is an element of the ring itself and passes through."""
-        if isinstance(c, tuple) and self.base.int_modulus is not None:
-            return c
+        """Lift a base scalar."""
         return self.from_coeffs([c])
 
     def add(self, a, b):
@@ -562,11 +567,7 @@ class ExtField:
         return tuple(self.base.neg(x) for x in a)
 
     def scalar_mul(self, c, a):
-        """Multiply by a base scalar.  Over a base of ints (Z, GF(q)) an
-        element of the ring itself as the scalar falls through to the ring
-        product."""
-        if isinstance(c, tuple) and self.base.int_modulus is not None:
-            return self.mul(c, a)
+        """Multiply by a base scalar."""
         mul = self.base.mul
         return tuple(mul(c, x) for x in a)
 
@@ -598,8 +599,11 @@ class ExtField:
         return acc
 
     def product_form(self):
-        """(into, mul, out) for poly.power_table: the element itself and
-        mul (GF2Ext keeps its own form)."""
+        """(into, mul, out): the form poly.power_table and the sparse scan
+        of modeval keep values in, its product and the way back, here the
+        element itself and mul (GF2Ext keeps its own form).  A form is
+        linear over the base: into and out commute with add, sub and
+        scalar_mul by a base scalar, on which the sparse scan relies."""
         return _same, self.mul, _same
 
     def pow(self, a, e):
@@ -618,9 +622,6 @@ class ExtField:
 
     def is_zero(self, a):
         return a == self.zero()
-
-    def from_int(self, k):
-        return self.embed(self.base.from_int(k))
 
     def sample(self, rng):
         return self.from_coeffs([self.base.sample(rng) for _ in range(self.d)])
@@ -753,16 +754,18 @@ class GFqExt(_FiniteExt):
 class GF2Ext(_FiniteExt):
     """GF(2)[X]/(R): an element is one int, coefficient i in bit i, so
     addition is XOR and mul_x a shift and a conditional XOR with R.  The
-    product is a 4-bit comb reduced through fold tables (_mul2), and
-    poly.power_table keeps its entries bit-sliced (_slice), where a
-    product is three integer multiplications (_mul_sliced)."""
+    one product is bit-sliced (_slice): coefficient i in bit 0 of slot i
+    of one int, where a product is three integer multiplications
+    (_sliced_product).  mul slices its factors and unslices the result;
+    poly.power_table and the sparse scan of modeval keep their values in
+    that form (product_form), so they slice and unslice once."""
 
     __slots__ = ("_r", "_fold", "_sliced")
 
     def _start(self):
         super()._start()
         self._r = _gf2_bits(self.modulus)  # R, its X^d bit included
-        self._fold = None  # reduction tables, built by the first _mul2
+        self._fold = None  # the fold table, built by the first _fold_table
         self._sliced = None  # sliced-form constants, built by the first _slicing
 
     def from_coeffs(self, coeffs):
@@ -787,10 +790,8 @@ class GF2Ext(_FiniteExt):
         return a
 
     def scalar_mul(self, c, a):
-        """c a for a bit c, or for c in the ring itself the ring product."""
-        if c <= 1:
-            return a if c else 0
-        return self.mul(c, a)
+        """c a for a bit c."""
+        return a if c else 0
 
     def mul_x(self, a):
         a <<= 1
@@ -806,7 +807,7 @@ class GF2Ext(_FiniteExt):
         self._require_x(alpha)
         if not cs:
             return 0
-        table = (self._fold or self._fold_tables())[0]
+        table = self._fold_table()
         d = self.d
         low = (1 << d) - 1
         acc = 0
@@ -824,7 +825,7 @@ class GF2Ext(_FiniteExt):
 
             f_(i+8) = (x^8 f_i mod R) + T[w],   T[w] = pa w mod R:
 
-        one lookup in fold table 0 for the part of f x^8 past degree d, and
+        one lookup in the fold table for the part of f x^8 past degree d, and
         one in T, a table of 256 entries built by 8 doublings.  The sum over
         a block is g(x) f_i + pa U_B, with g(x) = sum_k g_(i+k) x^k and
         U_B = sum_(j<k<8) g_(i+k) v_(i+j) x^(k-1-j).  f_i is XORed into the
@@ -843,8 +844,8 @@ class GF2Ext(_FiniteExt):
         # 7 - k (bytearray reads a tuple or list of ints faster than bytes)
         gb = int((bytearray(gs[:m]) + bytes(8 * nb - m)).translate(_BIT_DIGITS), 2)
         vb = int((bytearray(V[: m - 1]) + bytes(8 * nb - m + 1)).translate(_BIT_DIGITS), 2)
-        table = self._byte_multiples(pa)[0]
-        fold = (self._fold or self._fold_tables())[0]
+        table = self._byte_multiples(pa)
+        fold = self._fold_table()
         d = self.d
         low = (1 << d) - 1
         buckets = [0] * 256
@@ -868,62 +869,36 @@ class GF2Ext(_FiniteExt):
             u |= (pairs.bit_count() & 1) << t
         return beta ^ table[u]
 
-    def _mul2(self, a, b):
-        """GF(2) product of packed elements: the carry-less product by a
-        4-bit comb (the 16 multiples a*j, then one shift and XOR per nibble
-        of b), then the high part reduced a byte at a time through the
-        tables of (byte * X^(d+8k)) mod R."""
-        a2 = a << 1
-        a4 = a << 2
-        a8 = a << 3
-        a3 = a2 ^ a
-        a6 = a4 ^ a2
-        comb = (0, a, a2, a3, a4, a4 ^ a, a6, a6 ^ a,
-                a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a4 ^ a, a8 ^ a6, a8 ^ a6 ^ a)
-        r = 0
-        for s in range((b.bit_length() - 1) & ~3, -1, -4):
-            r = (r << 4) ^ comb[(b >> s) & 15]
-        d = self.d
-        high = r >> d
-        if not high:
-            return r
-        r ^= high << d
-        for table in self._fold or self._fold_tables():
-            r ^= table[high & 255]
-            high >>= 8
-            if not high:
-                break
-        return r
+    def _product(self, a, b):
+        """The sliced product of packed elements: both factors sliced, one
+        _sliced_product, the result unsliced."""
+        return self._unslice(self._sliced_product(self._slice(a), self._slice(b)))
 
-    _product = _mul2
-
-    def _fold_tables(self):
-        """Table k maps a byte c to (c * X^(d+8k)) mod R; a product's high
-        part has < d bits, and horner and the dense scan read table 0 even
-        at d = 1."""
-        tables = []
-        v = self._r ^ (1 << self.d)  # X^d mod R
-        for _ in range(max(1, (self.d + 6) // 8)):
-            table, v = self._byte_multiples(v)
-            tables.append(table)
-        self._fold = tables
-        return tables
+    def _fold_table(self):
+        """c X^d mod R for the 256 bytes c, built on first use: horner and
+        the dense scan fold the part of a value past degree d, below 2^8,
+        back in one lookup."""
+        if self._fold is None:
+            self._fold = self._byte_multiples(self._r ^ (1 << self.d))
+        return self._fold
 
     def _byte_multiples(self, v):
         """The 256 products c v mod R for the bytes c, bit t of c standing
         for x^t, XORed together from the 8 values v x^t by doubling the
-        table once per bit; and v x^8 mod R."""
+        table once per bit."""
         table = [0]
         for _ in range(8):
             table += [t ^ v for t in table]
             v = self.mul_x(v)
-        return table, v
+        return table
 
     # -- the bit-sliced product form ---------------------------------------
 
     def product_form(self):
-        """(into, mul, out) for poly.power_table: the bit-sliced form, its
-        product and the way back."""
+        """(into, mul, out) as ExtField.product_form: the bit-sliced form,
+        its product and the way back.  Slicing moves each coefficient bit
+        to its own slot, so XOR and scaling by a bit act alike on both
+        forms."""
         return self._slice, self._mul_sliced, self._unslice
 
     def sparse_sum(self, terms, pw):
@@ -963,26 +938,32 @@ class GF2Ext(_FiniteExt):
         return int(a.to_bytes(self.d * k, "big")[k - 1 :: k].translate(_BIT_DIGITS), 2)
 
     def _mul_sliced(self, a, b):
-        """The product of sliced elements, reduced by Barrett's method
-        (CRYPTO 1986) on polynomials, where it is exact.  Slot k of the
-        integer a b counts the pairs i + j = k of set coefficients, at most
-        d < 2^w, so no slot carries and its bit 0 is the coefficient of the
-        carry-less product t.  With t = t1 X^d + t0, the quotient t div R
-        is (t1 mu) div X^(d-2): the two differ by t1 rho / (R X^(d-2)) with
-        X^(2d-2) = mu R + rho, of negative degree.  Its slots count at most
-        d - 1 pairs, and so do those of the quotient times R - X^d, which
-        gives the low d coefficients of t - (t div R) R.  Three integer
-        multiplications, counted in POLY_MUL_OPS as one.  A factor equal to
-        x (which in the packed form is exactly when mul sees x itself,
-        CPython keeping one object per small int) is a slot shift and one
-        conditional XOR with R, and is not counted."""
-        w, dw, sw, low, high, mu, r0, r, x = self._sliced or self._slicing()
+        """The product of sliced elements, counted in POLY_MUL_OPS as mul
+        counts it.  A factor equal to x (which in the packed form is
+        exactly when mul sees x itself, CPython keeping one object per
+        small int) is a slot shift and one conditional XOR with R, and is
+        not counted."""
+        w, dw, _, _, _, _, _, r, x = self._sliced or self._slicing()
         if a == x:
             a, b = b, a
         if b == x:
             a <<= w
             return a ^ r if a >> dw else a
         POLY_MUL_OPS.bump()
+        return self._sliced_product(a, b)
+
+    def _sliced_product(self, a, b):
+        """The product of sliced elements, reduced by Barrett's method
+        (CRYPTO 1986) on polynomials, where it is exact, and not counted.
+        Slot k of the integer a b counts the pairs i + j = k of set
+        coefficients, at most d < 2^w, so no slot carries and its bit 0 is
+        the coefficient of the carry-less product t.  With
+        t = t1 X^d + t0, the quotient t div R is (t1 mu) div X^(d-2): the
+        two differ by t1 rho / (R X^(d-2)) with X^(2d-2) = mu R + rho, of
+        negative degree.  Its slots count at most d - 1 pairs, and so do
+        those of the quotient times R - X^d, which gives the low d
+        coefficients of t - (t div R) R.  Three integer multiplications."""
+        _, dw, sw, low, high, mu, r0, _, _ = self._sliced or self._slicing()
         t = a * b
         quotient = ((t >> dw & high) * mu >> sw) & high
         return (t ^ quotient * r0) & low

@@ -151,7 +151,7 @@ class TestKernelsMatchTheGenericLoops:
         assert kernel is (F.ctx != Z)
         before = POLY_MUL_OPS.count
         for X in (F, G, P.to_dense()):
-            want = _horner(X.coeffs, alpha, ring)
+            want = _horner(X.coeffs, alpha, ring, X.ctx)
             if kernel:
                 assert ring.horner(X.coeffs, alpha) == want
             assert evaluate(X, alpha, ring) == want
@@ -169,10 +169,10 @@ class TestKernelsMatchTheGenericLoops:
             assert got == ring.zero()
             return
         V = leading_coefficients(P, F)
-        p_alpha = _horner(P.to_dense().coeffs, alpha, ring)
-        f_alpha = _horner(F.coeffs, alpha, ring)
+        p_alpha = _horner(P.to_dense().coeffs, alpha, ring, F.ctx)
+        f_alpha = _horner(F.coeffs, alpha, ring, F.ctx)
         assert got == _dense_scan(f_alpha, alpha, p_alpha, V, G.coeffs, ring, F.ctx)
-        assert got == _horner(oracle_mod_product(F, G, P).coeffs, alpha, ring)
+        assert got == _horner(oracle_mod_product(F, G, P).coeffs, alpha, ring, F.ctx)
 
     @given(raw_scans())
     def test_dense_scan_on_arbitrary_inputs(self, inst):
@@ -248,10 +248,10 @@ class TestNothingWraps:
         assert spy.called is (wraps or at_x)
         Fd, Gd = F.to_dense(), G.to_dense()
         V = leading_coefficients(P, Fd, ring)
-        p_alpha = _horner(P.to_dense().coeffs, alpha, ring)
-        f_alpha = _horner(Fd.coeffs, alpha, ring)
+        p_alpha = _horner(P.to_dense().coeffs, alpha, ring, F.ctx)
+        f_alpha = _horner(Fd.coeffs, alpha, ring, F.ctx)
         assert got == _dense_scan(f_alpha, alpha, p_alpha, V, Gd.coeffs, ring, F.ctx)
-        assert got == _horner(oracle_mod_product(Fd, Gd, P).coeffs, alpha, ring)
+        assert got == _horner(oracle_mod_product(Fd, Gd, P).coeffs, alpha, ring, F.ctx)
 
 
 # exponents anywhere in [0, 2^63 - 1], or byte by byte with many bytes 0 or
@@ -293,7 +293,7 @@ class TestSparseKernel:
         pw(e) fills lazily agree with each other and with pow."""
         ctx, alpha, polys, probes = inst
         q = ctx.q
-        want = [_sparse_sum(X.terms, power_table(ctx, alpha), ctx) for X in polys]
+        want = [_sparse_sum(X.terms, power_table(ctx, alpha), ctx, ctx) for X in polys]
         for X, value in zip(polys, want):
             assert value == sum(c * pow(alpha, e, q) for e, c in X.terms) % q
         before = POLY_MUL_OPS.count
@@ -342,7 +342,7 @@ class TestGF2SparseKernel:
         for order in (range(len(polys)), range(len(polys) - 1, -1, -1)):
             before = POLY_MUL_OPS.count
             pw = power_table(ring, alpha)
-            want = [_sparse_sum(polys[k].terms, pw, ring) for k in order]
+            want = [_sparse_sum(polys[k].terms, pw, ring, F2) for k in order]
             counted = POLY_MUL_OPS.count - before
             pw = power_table(ring, alpha)
             assert [ring.sparse_sum(polys[k].terms, pw) for k in order] == want
@@ -507,7 +507,7 @@ def test_packed_slots_at_their_largest(q, d):
     V, gs = [q - 1] * 299, [q - 1] * 300
     want = _dense_scan(f, ring.x, pa, V, gs, ring, ctx)
     assert ring.dense_scan(f, ring.x, pa, V, gs) == want
-    assert ring.horner(gs, ring.x) == _horner(gs, ring.x, ring)
+    assert ring.horner(gs, ring.x) == _horner(gs, ring.x, ring, ctx)
 
 
 # the scan kernels at their step boundaries: lengths around one and two
@@ -607,10 +607,10 @@ def test_scan_at_the_size_of_the_benchmark(q):
     got = eval_mod_p_dense(P, F, G, alpha, ring)
     assert POLY_MUL_OPS.count == before
     V = leading_coefficients(P, F, ring)
-    p_alpha = _horner(P.to_dense().coeffs, alpha, ring)
-    f_alpha = _horner(F.coeffs, alpha, ring)
+    p_alpha = _horner(P.to_dense().coeffs, alpha, ring, ctx)
+    f_alpha = _horner(F.coeffs, alpha, ring, ctx)
     assert got == _dense_scan(f_alpha, alpha, p_alpha, V, G.coeffs, ring, ctx)
-    assert got == _horner(H.coeffs, alpha, ring)
+    assert got == _horner(H.coeffs, alpha, ring, ctx)
 
 
 # the blocked Horner kernels at the block sizes of real inputs: lengths
@@ -625,7 +625,7 @@ class TestHornerAtFullBlockSize:
         ctx, rng = pc.GF(q), RngStream(n)
         cs = [rng.below(q) for _ in range(n)]
         for alpha in (0, 1, q - 1, rng.below(q)):
-            assert ctx.horner(cs, alpha) == _horner(cs, alpha, ctx)
+            assert ctx.horner(cs, alpha) == _horner(cs, alpha, ctx, ctx)
 
     @pytest.mark.parametrize("n", FULL_BLOCK_LENGTHS)
     def test_integers_at_a_point_of_gf_p(self, n):
@@ -636,8 +636,8 @@ class TestHornerAtFullBlockSize:
         p = pc.random_prime(2**64, Fraction(1, 2**20), rng)
         for m, alpha in ((p, rng.below(p)), (p, pow(2, 80, p)), (2**61 - 1, pow(2, 80, 2**61 - 1))):
             ring = pc.GF(m)
-            assert ring.horner(cs, alpha) == _horner(cs, alpha, ring)
-            assert evaluate(pc.DensePoly(Z, cs), alpha, ring) == _horner(cs, alpha, ring)
+            assert ring.horner(cs, alpha) == _horner(cs, alpha, ring, Z)
+            assert evaluate(pc.DensePoly(Z, cs), alpha, ring) == _horner(cs, alpha, ring, Z)
 
     @pytest.mark.parametrize("n", FULL_BLOCK_LENGTHS)
     @pytest.mark.parametrize("d", [1, 3, 40])
@@ -652,7 +652,7 @@ class TestHornerAtFullBlockSize:
             before = POLY_MUL_OPS.count
             got = ring.horner(cs, ring.x)
             assert POLY_MUL_OPS.count == before
-            assert got == _horner(cs, ring.x, ring)
+            assert got == _horner(cs, ring.x, ring, ring.base)
 
 
 class TestDispatch:

@@ -713,6 +713,54 @@ class TestDenseScanShortcut:
         assert calls["leading"] >= 1 and calls["scan"] >= 1
 
 
+def _towers():
+    """GF(2^8)[Y]/(Y^3 + x) and GF(7^2)[Y]/(Y^2 + x), x the class of X in
+    the base: quotient rings over a quotient ring, one of each base class."""
+    gf2_8 = pc.ExtField(F2, [1, 1, 0, 1, 1, 0, 0, 0, 1])
+    gf7_2 = pc.ExtField(pc.GF(7), [1, 0, 1])
+    return [pc.ExtField(B, [B.x] + [B.zero()] * (k - 1) + [B.one()])
+            for B, k in ((gf2_8, 3), (gf7_2, 2))]
+
+
+def _tower_poly(T, n, t, rng):
+    """A sparse polynomial over T with random coefficients at t random
+    exponents below n - 1 and at n - 1, so that a product of two wraps
+    modulo a P of degree n."""
+    return pc.SparsePoly.from_dict(T, {rng.below(n): T.sample(rng) for _ in range(t)}
+                                   | {n - 1: T.x})
+
+
+def _oracle_value(X, alpha, T):
+    """X(alpha) as sum c alpha^e, by T's pow, mul and add."""
+    acc = T.zero()
+    for e, c in X.terms:
+        acc = T.add(acc, T.mul(c, T.pow(alpha, e)))
+    return acc
+
+
+class TestCoefficientsInTheRingItself:
+    @pytest.mark.parametrize("T", _towers(), ids=repr)
+    def test_towers(self, T, rng):
+        """Polynomials over a tower T, evaluated in T itself, dense and
+        sparse, and the dense and sparse scans of (F*G) mod P, at T.x and
+        at a random point of T, against the oracle."""
+        lin = pc.DensePoly(T, [T.one(), T.x])
+        assert pc.evaluate(lin, T.x, T) == T.add(T.one(), T.mul(T.x, T.x))
+        n = 12
+        P = pc.SparsePoly(T, [(0, T.sample(rng)), (5, T.x), (n, T.one())])
+        for _ in range(3):
+            F, G = (_tower_poly(T, n, 4, rng) for _ in "FG")
+            H = oracle_mod_product(F, G, P)
+            for alpha in (T.x, T.sample(rng)):
+                for X in (F, G, H):
+                    want = _oracle_value(X, alpha, T)
+                    assert pc.evaluate(X, alpha, T) == want
+                    assert pc.evaluate(X.to_dense(), alpha, T) == want
+                want = _oracle_value(H, alpha, T)
+                assert eval_mod_p_sparse(P, F, G, alpha, T) == want
+                assert eval_mod_p_dense(P, F.to_dense(), G.to_dense(), alpha, T) == want
+
+
 class TestOneShapeCheck:
     """check_shapes is the one shape check of every scan and modular
     verifier, in one order: rings, deg P, input degrees, then a monic
