@@ -229,20 +229,23 @@ def eval_mod_p_dense(P, F, G, alpha, ring=None):
     is every full-degree check of verify_product_kaminski_nomul at a point
     of the field.  At the class of X in a quotient ring the scan stays,
     since there the product of F(x) and G(x) would be a counted polynomial
-    multiplication."""
+    multiplication.
+
+    That product has no degree cap: past DENSIFY_CAP it is made from F and
+    G as they are.  The scan does have one, as it builds the n - 1 leading
+    coefficients: leading_coefficients refuses n >= DENSIFY_CAP before
+    anything is made dense."""
     n = check_shapes(P, F, G)
     ring = _check_eval_ring(F, ring)
     if G.is_zero() or F.is_zero():
         return ring.zero()
-    if n >= DENSIFY_CAP:
-        raise ValueError(f"degree {n} too large to densify")
     # at the class of X (ring.x, None in Z and GF(q)), dense Horner
     # multiplies no polynomials, but F(x) G(x) would (ExtField.mul)
     at_x = alpha is ring.x
     if not at_x and _nothing_wraps(n, F, G):
         return ring.mul(evaluate(F, alpha, ring), evaluate(G, alpha, ring))
-    F, G = F.to_dense(), G.to_dense()
     V = leading_coefficients(P, F, ring)
+    F, G = F.to_dense(), G.to_dense()
     p_alpha = evaluate(P.to_dense() if at_x else P, alpha, ring)
     f_alpha = evaluate(F, alpha, ring)
     if ring.serves_dense(F.ctx, alpha):
@@ -255,13 +258,15 @@ def _dense_scan(f_alpha, alpha, p_alpha, V, gs, ring, ctx):
     ring.dense_scan: f_0 = F(alpha), f_i = alpha f_{i-1} - V[i-1] P(alpha)
     is ((X^i F) mod P)(alpha), and the result is sum gs[i] f_i, with gs
     and V in ctx, which scale by ring.scalar_mul from a base and by
-    ring.mul in the ring itself.  Past the last entry of gs the f_i matter
-    no more."""
+    ring.mul in the ring itself.  A zero v or g is skipped, as its product
+    adds nothing.  Past the last entry of gs the f_i matter no more."""
     scale = ring.mul if ctx == ring else ring.scalar_mul
     beta = scale(gs[0], f_alpha)
     zero = ctx.is_zero
     for v, g in zip(V, gs[1:]):
-        f_alpha = ring.sub(ring.mul(alpha, f_alpha), scale(v, p_alpha))
+        f_alpha = ring.mul(alpha, f_alpha)
+        if not zero(v):
+            f_alpha = ring.sub(f_alpha, scale(v, p_alpha))
         if not zero(g):
             beta = ring.add(beta, scale(g, f_alpha))
     return beta
@@ -370,9 +375,7 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     pw = pw or power_table(ring, alpha)
     if _nothing_wraps(n, F, G):
         return ring.mul(evaluate(F, alpha, ring, pw), evaluate(G, alpha, ring, pw))
-    vals = dict(sparse_leading_coefficients(P, F, ring))
-    if 0 not in vals:
-        vals[0] = F.ctx.zero()
+    vals = dict(sparse_leading_coefficients(P, F, ring))  # no zero among them
     g = dict(G.terms)
     into, mul, out = ring.product_form()
     if F.ctx == ring:
@@ -391,7 +394,9 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
         if j == 0:
             continue
         # advancing past index i applies its stored correction exactly once
-        step = ring.sub(mul(a, f_alpha), scale(vals[i], p_alpha))
+        step = mul(a, f_alpha)
+        if i in vals:
+            step = ring.sub(step, scale(vals[i], p_alpha))
         value_j = mul(gap(j - i - 1), step)
         if j in vals:
             f_alpha = value_j

@@ -204,7 +204,7 @@ def _verify_at_point(F, G, H, P, cfg, method):
     deg P, and the point keeps a nonzero Δ nonzero with probability at
     least 1 - ε (see point_kind).
 
-    The scans read the inputs in the forms of _scan_forms: at X modulo R
+    The scans read the inputs in the forms of triple_forms: at X modulo R
     input that is not all sparse is made dense, as the dense scans at X
     multiply no polynomials, and past DENSIFY_CAP every input is made
     sparse.  All-sparse input is first screened by its term count
@@ -220,7 +220,8 @@ def _verify_at_point(F, G, H, P, cfg, method):
     kind = point_kind(ctx, n - 1, eps, method)
     if method == "auto":
         method = "extension" if kind == "extension" else "direct-eval"
-    F, G, H, sparse = _scan_forms(F, G, H, n, kind == "extension")
+    dense = kind == "extension" and not all_sparse(F, G, H)
+    F, G, H, sparse = triple_forms(F, G, H, n, dense)
     if sparse and sparsity_precheck(F, G, H, P):
         return VerifyReport(False, 0.0, 0, [], method, cfg.seed)
     norm = delta_norm_bound(F, G, H, P) if kind == "prime" else 0
@@ -231,20 +232,20 @@ def _verify_at_point(F, G, H, P, cfg, method):
     return VerifyReport(verdict, bound_above(eps), 1, witnesses, method, cfg.seed)
 
 
-def _scan_forms(F, G, H, n, dense):
-    """(F, G, H, sparse): the forms the scans of a check modulo a P of
-    degree n read the inputs in, and whether those are all sparse.
-    All-sparse input stays as it is.  From n = DENSIFY_CAP on, where no
-    dense scan runs, any other input runs the sparse scans on to_sparse()
-    copies, so the check is the one of the all-sparse triple.  Below it,
-    other input is made dense where dense is asked for (at X modulo R, where
-    the dense scans multiply no polynomials) and stays as it is otherwise."""
+def triple_forms(F, G, H, n, dense):
+    """(F, G, H, sparse): the forms a check of F, G and H, each of degree
+    below n, reads them in, and whether those are all sparse.  This is the
+    one rule of every verifier that meets more than one form.  From
+    n = DENSIFY_CAP on, where no vector of n coefficients is built, all
+    three are read as to_sparse() copies, so the check is the one of the
+    all-sparse triple.  Below it, all three are made dense where dense is
+    asked for (at X modulo R, where the dense scans multiply no
+    polynomials) and stay as they are otherwise."""
     if n >= DENSIFY_CAP:
         F, G, H = F.to_sparse(), G.to_sparse(), H.to_sparse()
-    sparse = all_sparse(F, G, H)
-    if dense and not sparse:
+    elif dense:
         F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
-    return F, G, H, sparse
+    return F, G, H, all_sparse(F, G, H)
 
 
 def _agree_at(F, G, H, P, alpha, ring):
@@ -383,7 +384,7 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     from one power table per draw, each of its products counted in
     POLY_MUL_OPS; any other input is made dense and runs the dense scans,
     which multiply no polynomials, save past DENSIFY_CAP, where it is made
-    sparse (_scan_forms).  The first draw runs alone.  If it
+    sparse (triple_forms).  The first draw runs alone.  If it
     agrees, the rest are drawn at once; over GF(2) on dense input they run
     as one lane-packed scan (modeval.gf2_first_mismatch), while odd q and
     all-sparse input still scan draw by draw.  The draws take nothing from
@@ -408,7 +409,7 @@ def verify_mod_companion(F, G, H, P, cfg=None):
         raise TypeError("companion verification needs GF(q) polynomials")
     if cfg.method != "companion-no-polymul":
         return _verify_at_point(F, G, H, P, cfg, "companion-freivalds")
-    F, G, H, sparse = _scan_forms(F, G, H, n, True)
+    F, G, H, sparse = triple_forms(F, G, H, n, not all_sparse(F, G, H))
     eps = cfg.epsilon
     rng = RngStream(cfg.seed)
     d = _companion_degree(ctx.q, n)

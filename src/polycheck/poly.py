@@ -209,8 +209,8 @@ class SparsePoly:
 
 
 def all_sparse(*polys):
-    """Whether every polynomial given is a SparsePoly: the verifiers run
-    their sparse paths on such input and make any other input dense."""
+    """Whether every polynomial given is a SparsePoly: with the degree, what
+    modverify.triple_forms decides a check's forms by."""
     return all(isinstance(X, SparsePoly) for X in polys)
 
 

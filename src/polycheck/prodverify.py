@@ -211,8 +211,11 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
     bound at this degree is vacuous, which at the default e holds for every
     degree below about 10^13, it compares H and F*G at one point instead
     (_product_at_one_point), and multiplies F by G only where the point
-    policy cannot serve.  A triple that is not all sparse is made dense
-    first, so every comparison meets one representation."""
+    policy cannot serve.  Every comparison meets one form, the one
+    modverify.triple_forms picks for degrees below one more than the
+    largest of F, G and H: a triple that is not all sparse is made dense
+    below DENSIFY_CAP, and past it all three are read sparse, so no degree
+    up to EXPONENT_CAP is refused."""
     cfg = cfg or VerifyConfig()
     params = params or KaminskiParams()
     if F.ctx != G.ctx or F.ctx != H.ctx:
@@ -220,8 +223,8 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
     quick = _product_shape_reject(F, G, H)
     if quick is not None:
         return _certain(quick, "shape", "kaminski", cfg)
-    if not all_sparse(F, G, H):
-        F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
+    top = max(X.degree() for X in (F, G, H) if not X.is_zero())
+    F, G, H, _ = modverify.triple_forms(F, G, H, top + 1, not all_sparse(F, G, H))
     n = max(F.degree(), G.degree(), 1)
     rho = params.per_round_bound(n)
     if rho > Fraction(1, 2):
@@ -236,12 +239,15 @@ def _modular_check_no_mul(F, G, H, P, cfg):
     """Verify H = (F*G) mod P at cfg's epsilon and seed without any
     polynomial multiplication: where modverify.point_kind picks X modulo an
     irreducible R, whose screening multiplies, by the unscreened draws of
-    companion-no-polymul on dense input, and everywhere else by
-    modverify.verify_mod, which raises point_kind's TypeError on a ring the
-    policy refuses."""
-    if modverify.point_kind(F.ctx, P.degree() - 1, cfg.epsilon) == "extension":
-        # the dense scans at X multiply no polynomials; the sparse ones would
-        F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
+    companion-no-polymul, and everywhere else by modverify.verify_mod,
+    which raises point_kind's TypeError on a ring the policy refuses.  The
+    draws at X read the triple dense whatever its forms, as the dense scans
+    at X multiply no polynomials, wherever modverify.triple_forms can:
+    below DENSIFY_CAP.  Past it they run the sparse scans, whose power
+    table products count in POLY_MUL_OPS."""
+    n = P.degree()
+    if modverify.point_kind(F.ctx, n - 1, cfg.epsilon) == "extension":
+        F, G, H, _ = modverify.triple_forms(F, G, H, n, True)
         cfg = replace(cfg, method="companion-no-polymul")
         return modverify.verify_mod_companion(F, G, H, P, cfg)
     return modverify.verify_mod(F, G, H, P, cfg)
@@ -249,13 +255,17 @@ def _modular_check_no_mul(F, G, H, P, cfg):
 
 def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
     """Fold-based product verification with the folded-product comparison
-    replaced by a modular-product verification, so the whole path performs no
-    polynomial multiplication.  Small degrees, where the fold range is
-    useless, are handled by verifying H = F*G modulo X^(D+1) - 1 directly
-    (an equivalence, since deg of both sides stays below D+1).  Nothing
-    wraps there, so at a point of the field that check is H(alpha) =
-    F(alpha) G(alpha) with no scan (modeval.eval_mod_p_dense); only at X
-    modulo R do the dense scans walk.
+    replaced by a modular-product verification, so below DENSIFY_CAP the
+    whole path performs no polynomial multiplication.  Small degrees, where
+    the fold range is useless, are handled by verifying H = F*G modulo
+    X^(D+1) - 1 directly (an equivalence, since deg of both sides stays
+    below D+1).  Nothing wraps there, so at a point of the field that check
+    is H(alpha) = F(alpha) G(alpha) with no scan (modeval.eval_mod_p_dense);
+    only at X modulo R do the scans walk.  F, G and H may have any forms
+    and any degree up to EXPONENT_CAP: the modular check reads them in the
+    forms of modverify.triple_forms (_modular_check_no_mul), dense at X
+    below DENSIFY_CAP and sparse past it, where the sparse scans' power
+    tables multiply, each product counted in POLY_MUL_OPS.
 
     Having neither a product nor an extension of a quotient ring, it
     refuses where the point policy finds GF(q)[X]/(R) too small: over
@@ -465,19 +475,17 @@ def _sparse_screen(F, G, H):
 
 
 def verify_sparse_product(F, G, H, cfg=None):
-    """Decide H = F*G for sparse polynomials: screen the trivial shape
-    mistakes, fold all exponents modulo a random prime p that almost surely
-    keeps a nonzero difference nonzero, and verify the folded identity
-    modulo X^p - 1 at the point of modverify.point_kind: through
-    verify_mod_ff over GF(q), which extends a small field, and through
-    verify_mod otherwise, which raises FieldTooSmallError on an extension
-    field too small for the bound."""
+    """Decide H = F*G, reading F, G and H sparse whatever their forms
+    (to_sparse()): screen the trivial shape mistakes, fold all exponents
+    modulo a random prime p that almost surely keeps a nonzero difference
+    nonzero, and verify the folded identity modulo X^p - 1 at the point of
+    modverify.point_kind: through verify_mod_ff over GF(q), which extends a
+    small field, and through verify_mod otherwise, which raises
+    FieldTooSmallError on an extension field too small for the bound."""
     cfg = cfg or VerifyConfig()
     if F.ctx != G.ctx or F.ctx != H.ctx:
         raise ValueError("mixed coefficient contexts")
-    for X in (F, G, H):
-        if not isinstance(X, SparsePoly):
-            raise TypeError("verify_sparse_product needs sparse polynomials")
+    F, G, H = F.to_sparse(), G.to_sparse(), H.to_sparse()
     eps = cfg.epsilon
     screen = _sparse_screen(F, G, H)
     if screen is not None:

@@ -242,7 +242,16 @@ def ln_pow2_upper(k):
 #   - GF(2) Horner on 16-bit and 32-bit words: 441 against 480 us and 503
 #     against 501 us;
 #   - a C-level sparse product and reduction: slower than the dict loop;
-#   - a fold by shifts for Mersenne q only: 3%, not worth the branch.
+#   - a fold by shifts for Mersenne q only: 3%, not worth the branch;
+#   - Ben-Or over GF(2) in one body with odd q, squaring by ring.pow in
+#     GF2Ext(f) with the same gcds: the same answers and POLY_MUL_OPS
+#     counts on 500 random candidates per d in {8, 17, 34, 41, 61} (200
+#     each at d = 8 and 17 over GF(7) and GF(65537)), but
+#     random_irreducible(GF(2), d, 2^-22) went from 0.37-0.38 to
+#     0.92-1.00 ms at d = 34 and from 1.32-1.33 to 2.60-2.66 ms at d = 61
+#     (medians over 40 seeds, two runs, 2-vCPU Xeon), since a ring and its
+#     sliced constants are made per candidate; so _gf2_is_irreducible
+#     keeps its packed squaring.
 #
 # PrimeField's horner, dense_scan and sparse_sum also take integer
 # coefficients of any sign (dense_scan in V and gs as well), for a

@@ -145,6 +145,20 @@ class TestVerifyProdInputs:
         assert got == code and "Traceback" not in err and err == ""
         assert json.loads(out)["verdict"] is (code == 0)
 
+    @pytest.mark.parametrize("ring", ["GF 2", "GF 65537", "Z"])
+    def test_mixed_triple_past_the_densify_cap(self, tmp_path, ring):
+        # (1 + X^(2^27))(1 + X) with F and H sparse, G dense: no form rule
+        # densifies it, so every method accepts the true H and rejects it
+        # with its top term removed
+        n = 2**27
+        true = f"sparse 0:1 1:1 {n}:1 {n + 1}:1"
+        for method in ("auto", "kaminski", "kaminski-nomul"):
+            for H, code in ((true, 0), (f"sparse 0:1 1:1 {n}:1", 1)):
+                args = poly_args(tmp_path, ring, F=f"sparse 0:1 {n}:1", G="dense 1 1", H=H)
+                got, out, err = run_cli(["verify-prod", "--method", method, *args], timeout=60)
+                assert (got, err) == (code, ""), (ring, method, H)
+                assert json.loads(out)["verdict"] is (code == 0)
+
     def test_kronecker_past_the_densify_cap_is_decided(self, tmp_path):
         # X^(2^26) * 1 = X^(2^26) is accepted and 2 X^(2^26) rejected, as by
         # --method sparse; at X^(2^61) * X^(2^61) = X^(2^62) the fold modulus

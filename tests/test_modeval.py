@@ -761,6 +761,94 @@ class TestCoefficientsInTheRingItself:
                 assert eval_mod_p_dense(P, F.to_dense(), G.to_dense(), alpha, T) == want
 
 
+def _gf256_instances(rng, count):
+    """(P, F, G) over GF(2^8): P monic of degree 50 with three terms, F and
+    G with 3 or 4 terms each and degree at most 49, so the product wraps."""
+    K, n = pc.ExtField(F2, [1, 1, 0, 1, 1, 0, 0, 0, 1]), 50
+
+    def poly(t, top):
+        d = {rng.below(top): K.sample(rng) for _ in range(t - 1)}
+        d[top] = K.sample(rng) or K.one()
+        return pc.SparsePoly.from_dict(K, d)
+
+    for k in range(count):
+        P = pc.SparsePoly.from_dict(
+            K, {0: K.sample(rng) or K.one(), rng.randint(1, n - 1): K.sample(rng), n: K.one()}
+        )
+        yield K, P, poly(3 + k % 2, n - 1 - rng.below(5)), poly(4 - k % 2, n - 1 - rng.below(5))
+
+
+class TestZeroCostsNothing:
+    """The generic scans skip a zero leading coefficient: with coefficients
+    in the quotient ring itself, where each scaling is a counted product,
+    the dense scan makes one product per nonzero v, not per index, and the
+    sparse scan stores no 0 at index 0.  Values are the oracle's."""
+
+    # (dense at x, sparse at x, dense at x + 1, sparse at x + 1) products
+    # per instance; 55, 38, 164, 51 / 56, 58, 164, 85 / 52, 35, 159, 56 /
+    # 56, 46, 162, 64 / 51, 36, 156, 50 when every zero was scaled
+    COUNTS = [(10, 37, 119, 50), (19, 57, 127, 84), (13, 35, 120, 56),
+              (14, 46, 120, 64), (9, 35, 114, 49)]
+
+    def test_counts_in_the_ring_itself(self):
+        got = []
+        for K, P, F, G in _gf256_instances(RngStream(11), 5):
+            want = oracle_mod_product(F, G, P)
+            row = []
+            for alpha in (K.x, K.add(K.x, K.one())):
+                value = pc.evaluate(want, alpha, K)
+                for scan, X, Y in ((eval_mod_p_dense, F.to_dense(), G.to_dense()),
+                                   (eval_mod_p_sparse, F, G)):
+                    before = POLY_MUL_OPS.count
+                    got_value = scan(P, X, Y, alpha, K)
+                    row.append(POLY_MUL_OPS.count - before)
+                    assert got_value == value
+            got.append(tuple(row))
+        assert got == self.COUNTS
+
+    def test_base_coefficients_count_as_before(self):
+        # GF(7) coefficients scale by scalar_mul, which counts nothing, so
+        # the zero skip leaves these counts (the scans' products of ring
+        # elements and power-table entries) as they were
+        rng = RngStream(5)
+        K, ring = pc.GF(7), pc.ExtField(pc.GF(7), [3, 1, 0, 5, 1])
+        P = pc.SparsePoly(K, [(0, 1), (7, 1), (30, 1)])
+        F, G = rand_sparse(K, 30, 3, rng), rand_sparse(K, 30, 4, rng)
+        got = []
+        for alpha in (ring.x, ring.add(ring.x, ring.one())):
+            value = oracle_eval(P, F, G, alpha, ring)
+            for scan, X, Y in ((eval_mod_p_dense, F.to_dense(), G.to_dense()),
+                               (eval_mod_p_sparse, F, G)):
+                before = POLY_MUL_OPS.count
+                got_value = scan(P, X, Y, alpha, ring)
+                got.append(POLY_MUL_OPS.count - before)
+                assert got_value == value
+        assert got == [0, 17, 62, 32]
+
+
+class TestDenseScanPastTheCap:
+    """eval_mod_p_dense has no degree cap of its own: past DENSIFY_CAP it
+    returns F(alpha) G(alpha) where nothing wraps, and the scan's
+    leading_coefficients refuses where something does, before anything is
+    made dense."""
+
+    def test_nothing_wraps(self, rng):
+        K, n = pc.GF(65537), poly.DENSIFY_CAP
+        P = pc.SparsePoly(K, [(0, 1), (3 * n, 1)])
+        F = pc.SparsePoly(K, [(0, 2), (n, 5)])
+        for G in (pc.SparsePoly(K, [(1, 3), (n + 7, 1)]), pc.DensePoly(K, [1, 1])):
+            alpha = K.sample(rng)
+            want = K.mul(pc.evaluate(F, alpha, K), pc.evaluate(G, alpha, K))
+            assert eval_mod_p_dense(P, F, G, alpha, K) == want
+
+    def test_a_wrap_is_refused(self):
+        K, n = pc.GF(65537), poly.DENSIFY_CAP
+        P = pc.SparsePoly(K, [(0, 1), (n, 1)])
+        F = pc.SparsePoly(K, [(0, 1), (n // 2 + 1, 1)])  # dense, it would fit
+        with pytest.raises(ValueError, match=f"^degree {n} too large to densify$"):
+            eval_mod_p_dense(P, F, F, 3, K)
+
+
 class TestOneShapeCheck:
     """check_shapes is the one shape check of every scan and modular
     verifier, in one order: rings, deg P, input degrees, then a monic

@@ -712,6 +712,69 @@ class TestSparseProduct:
         assert verify_sparse_product(G, G, Zp, cfg(0)).verdict is False
 
 
+def past_cap_triple(ctx):
+    """F = 1 + X^(2^27) sparse, G = 1 + X dense, H = F*G sparse, and H with
+    its top term removed: a mixed triple whose degree no dense vector
+    reaches (DENSIFY_CAP = 2^26)."""
+    n = 2**27
+    F = pc.SparsePoly(ctx, [(0, 1), (n, 1)])
+    G = pc.DensePoly(ctx, [1, 1])
+    H = pc.SparsePoly(ctx, [(0, 1), (1, 1), (n, 1), (n + 1, 1)])
+    return F, G, H, pc.SparsePoly(ctx, H.terms[:-1])
+
+
+class TestOneFormRule:
+    """modverify.triple_forms decides the forms every product check reads:
+    mixed input is made dense below DENSIFY_CAP and read sparse past it,
+    so no verifier refuses a true triple for its degree."""
+
+    @pytest.mark.parametrize("ctx", [F2, pc.GF(65537), Z], ids=str)
+    @pytest.mark.parametrize("eps", [QUARTER, Fraction(1, 2**20)], ids=["1/4", "2^-20"])
+    @pytest.mark.parametrize("verify", [verify_product_kaminski, verify_product_kaminski_nomul],
+                             ids=["kaminski", "kaminski-nomul"])
+    def test_mixed_triple_past_the_cap(self, verify, ctx, eps):
+        F, G, H, wrong = past_cap_triple(ctx)
+        for X, verdict in ((H, True), (wrong, False)):
+            r = verify(F, G, X, cfg(3, eps))
+            assert r.verdict is verdict
+            # read as the all-sparse triple is
+            assert r == verify(F, G.to_sparse(), X, cfg(3, eps))
+
+    @pytest.mark.parametrize("ctx", [F2, pc.GF(65537)], ids=str)
+    def test_nomul_multiplies_only_past_the_cap(self, ctx):
+        # below the cap the mixed triple is made dense and the dense scans
+        # at X multiply nothing; past it the sparse scans' power tables do
+        for n, counted in ((2**12, False), (2**27, True)):
+            F = pc.SparsePoly(ctx, [(0, 1), (n, 1)])
+            G = pc.DensePoly(ctx, [1, 1])
+            H = pc.SparsePoly(ctx, [(0, 1), (1, 1), (n, 1), (n + 1, 1)])
+            before = POLY_MUL_OPS.count
+            r = verify_product_kaminski_nomul(F, G, H, cfg(1, Fraction(1, 2**20)))
+            assert r.verdict is True
+            assert "modulus" in r.witnesses[0]["inner"][0]  # draws at X modulo R
+            assert (POLY_MUL_OPS.count > before) is counted
+
+    @pytest.mark.parametrize("ctx", [F2, pc.GF(65537), Z], ids=str)
+    def test_sparse_verifier_reads_any_form(self, ctx, rng):
+        F, G = rand_sparse(ctx, 300, 5, rng), rand_sparse(ctx, 200, 4, rng)
+        H = pc.mul_oracle(F, G)
+        for X in (H, perturb_poly(H, rng)):
+            want = verify_sparse_product(F, G, X, cfg(5))
+            for forms in ((F.to_dense(), G.to_dense(), X.to_dense()), (F.to_dense(), G, X)):
+                assert verify_sparse_product(*forms, cfg(5)) == want
+
+    def test_the_rule(self):
+        K = pc.GF(7)
+        F, G, H = pc.DensePoly(K, [1, 2]), pc.SparsePoly(K, [(1, 1)]), pc.DensePoly(K, [0, 1, 2])
+        cap = pc.poly.DENSIFY_CAP
+        assert modverify.triple_forms(F, G, H, 3, False) == (F, G, H, False)
+        assert modverify.triple_forms(F, G, H, 3, True) == (F, G.to_dense(), H, False)
+        for dense in (False, True):
+            assert modverify.triple_forms(F, G, H, cap, dense) == (
+                F.to_sparse(), G, H.to_sparse(), True
+            )
+
+
 class TestReportDeterminism:
     def test_byte_for_byte_reports(self, rng):
         import json
