@@ -115,22 +115,18 @@ def _exact_report(F, G, H, P, costs, seed):
 
 def _cmd_verify_mod(args):
     F, G, H, P = (_load(p) for p in (args.F, args.G, args.H, args.P))
-    ctx = _same_ctx(F, G, H, P)
+    _same_ctx(F, G, H, P)
     sparse = all_sparse(F, G, H, P)
     P = P.to_sparse()
     cfg = VerifyConfig(
         epsilon=_parse_epsilon(args.epsilon), method=args.method, seed=_seed_from(args)
     )
     try:
-        if ctx == ZZ and args.method not in ("auto", "direct-eval"):
-            raise CliError(f"method {args.method!r} needs GF(q) inputs")
         costs = None
         if sparse and args.method == "auto":
             costs = prodverify.exact_route_costs(F, G, H, cfg.epsilon, P)
         if costs:
             report = _exact_report(F, G, H, P, costs, cfg.seed)
-        elif ctx == ZZ:
-            report = modverify.verify_mod_over_Z(F, G, H, P, cfg)
         else:
             report = modverify.verify_mod_ff(F, G, H, P, cfg)
     except (ValueError, TypeError, PrimeGenerationError) as exc:
@@ -160,8 +156,6 @@ def _cmd_verify_prod(args):
         elif method == "sparse":
             report = prodverify.verify_sparse_product(F, G, H, cfg)
         elif method == "kronecker":
-            if ctx != ZZ:
-                raise CliError("kronecker needs ring Z inputs")
             report = prodverify.verify_product_kronecker(F, G, H, cfg)
         elif method == "kaminski":
             report = prodverify.verify_product_kaminski(F, G, H, cfg)

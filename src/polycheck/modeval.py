@@ -17,8 +17,10 @@ routine's from that table (_nothing_wraps).  The one exception is dense
 input at the class of X in a quotient ring, where that product would be a
 counted polynomial multiplication and the dense scan keeps its walk.
 P = X^n - 1 is one such P, not a scan of its own.
-eval_mod is the one entry: the sparse scan when F and G are both sparse,
-the dense scan, which makes either form dense, otherwise.  check_shapes is
+eval_mod is the one entry: it reads F and G in the forms of triple_forms,
+the one form rule of every check, and runs the sparse scan when both are
+sparse, the dense scan, which makes either form dense, otherwise; the
+sparse scans read either form sparse.  check_shapes is
 the one shape check of every scan and of every modular verifier, and runs
 before anything reads P's terms.  Every scan computes its own leading
 coefficients, in the ring it evaluates in; no caller hands it any.  They
@@ -117,6 +119,23 @@ def check_shapes(P, *polys):
     return n
 
 
+def triple_forms(*polys, n, dense):
+    """(*polys, sparse): the forms a check of polys, each of degree below n,
+    reads them in, and whether those are all sparse.  This is the one form
+    rule of every check that meets more than one form: of the verifiers on
+    their triple F, G, H, and of eval_mod on its F and G.  From
+    n = DENSIFY_CAP on, where no vector of n coefficients is built, every
+    one is read as its to_sparse() copy, so the check is the one of the
+    all-sparse input.  Below it, all are made dense where dense is asked
+    for (at X modulo R, where the dense scans multiply no polynomials) and
+    stay as they are otherwise."""
+    if n >= DENSIFY_CAP:
+        polys = [X.to_sparse() for X in polys]
+    elif dense:
+        polys = [X.to_dense() for X in polys]
+    return (*polys, all_sparse(*polys))
+
+
 # ---------------------------------------------------------------------------
 # products modulo X^n - 1
 
@@ -174,11 +193,12 @@ def leading_coefficients(P, F, ring=None):
 
 def sparse_leading_coefficients(P, F, ring=None):
     """The nonzero pairs (i, v_i) of leading_coefficients, ascending in i,
-    computed without touching silent indices, in the same ring.  Output
-    length is at most #F * #P^ceil(1/gamma - 1)."""
+    computed without touching silent indices, in the same ring, from F in
+    either form read sparse.  Output length is at most
+    #F * #P^ceil(1/gamma - 1)."""
     n = check_shapes(P, F)
     ctx = _coefficient_ring(P, ring)
-    pending = {n - 1 - t: ctx.canon(c) for t, c in F.terms if t > 0}  # index -> v_i
+    pending = {n - 1 - t: ctx.canon(c) for t, c in F.to_sparse().terms if t > 0}  # index -> v_i
     heap = sorted(pending)
     updates = [(k, ctx.canon(c)) for k, c in P.terms[:-1] if k > 0]
     out = []
@@ -348,8 +368,9 @@ def gf2_first_mismatch(P, F, G, H, moduli):
 
 
 def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
-    """Sparse variant: only indices where a leading coefficient is nonzero or
-    G has a term are visited; power gaps are bridged by alpha^gap.  P(alpha),
+    """Sparse variant: F and G, in either form, are read sparse, and only
+    indices where a leading coefficient is nonzero or G has a term are
+    visited; power gaps are bridged by alpha^gap.  P(alpha),
     F(alpha) and every gap power come from pw, the power_table(ring, alpha)
     of the calling check (a fresh one if not given), at about
     (bits of the power)/8 - 1 products each.
@@ -367,6 +388,7 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     every point, the class of X included.  That is every fold of
     verify_sparse_product whose prime exceeds the degree of the product."""
     n = check_shapes(P, F, G)
+    F, G = F.to_sparse(), G.to_sparse()
     if G.sparsity() < F.sparsity():
         F, G = G, F  # the product is symmetric and the cost follows #F
     ring = _check_eval_ring(F, ring)
@@ -407,17 +429,20 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
 
 
 def eval_mod(P, F, G, alpha, ring=None, pw=None):
-    """((F*G) mod P)(alpha), the one entry into the scans: the sparse scan
-    when F and G are both sparse, with pw as in eval_mod_p_sparse, and the
-    dense scan otherwise; P = X^n - 1 runs the binomial variants."""
+    """((F*G) mod P)(alpha), the one entry into the scans: F and G are read
+    in the forms of triple_forms (as they are, or both sparse from
+    DENSIFY_CAP on), then the sparse scan runs when both are sparse, with
+    pw as in eval_mod_p_sparse, and the dense scan otherwise; P = X^n - 1
+    runs the binomial variants."""
     n = check_shapes(P, F, G)
+    F, G, sparse = triple_forms(F, G, n=n, dense=False)
     ctx = P.ctx
     binom = (
         P.sparsity() == 2
         and P.terms[0][0] == 0
         and ctx.is_zero(ctx.add(P.terms[0][1], ctx.one()))
     )
-    if all_sparse(F, G):
+    if sparse:
         if binom:
             return eval_mod_binomial_sparse(F, G, n, alpha, ring, pw)
         return eval_mod_p_sparse(P, F, G, alpha, ring, pw)

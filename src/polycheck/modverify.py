@@ -11,7 +11,9 @@ point policy of the package, and prodverify's one-point checks ask it
 too.  Over Z, F, G, H and P are read as they are at a point of GF(q),
 never copied into GF(q): the evaluation kernels and the scans reduce the
 integers as they read them.  Only "companion-no-polymul" makes many
-unscreened draws instead.
+unscreened draws instead.  verify_mod_ff runs every method on every ring
+the policy serves, and _check_method, which point_kind asks, is the one
+rule of which ring may run which method.
 """
 
 import math
@@ -19,8 +21,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import modeval
+from .modeval import triple_forms
 from .poly import (
-    DENSIFY_CAP,
     all_sparse,
     evaluate,
     gap_info,
@@ -149,14 +151,17 @@ def point_kind(ctx, deg, eps, method="auto"):
     - None where the field is too small and may not be extended:
       "direct-eval" never extends, and only GF(q) has an extension here.
 
-    One random point bounds the miss chance only in a ring without zero
-    divisors, where a product of nonzero polynomials is nonzero and of
-    degree deg F + deg G, so ctx must be one the policy serves
+    Every method but "auto" and "direct-eval" runs on GF(q) alone
+    (_check_method), and is a TypeError naming it on Z and on
+    GF(q)[X]/(R).  One random point bounds the miss chance only in a ring
+    without zero divisors, where a product of nonzero polynomials is
+    nonzero and of degree deg F + deg G, so ctx must be one the policy serves
     (ctx.serves_point_policy(): Z, GF(q), or GF(q)[X]/(R) with R
     irreducible by Ben-Or's test, which the ring runs once and keeps); any
     other ring is a TypeError."""
     if not ctx.serves_point_policy():
         raise TypeError("coefficients must lie in Z, GF(q) or GF(q)[X]/(R) with R irreducible")
+    _check_method(ctx, method)
     if ctx.int_modulus == 0:
         return "prime"
     if method not in ("extension", "companion-freivalds") and ctx.size() * eps >= deg:
@@ -164,6 +169,16 @@ def point_kind(ctx, deg, eps, method="auto"):
     if method != "direct-eval" and ctx.int_modulus:
         return "extension"
     return None
+
+
+def _check_method(ctx, method):
+    """The one rule of which ring may run which modular method: "auto" and
+    "direct-eval" run on every ring the point policy serves, and every
+    other method, which evaluates at X modulo a polynomial R over the
+    coefficient field, needs ctx = GF(q).  Over Z a check evaluates in
+    GF(p) for a random prime p, and GF(q)[X]/(R) has no extension here."""
+    if method not in ("auto", "direct-eval") and not ctx.int_modulus:
+        raise TypeError(f"method {method!r} needs GF(q) inputs")
 
 
 def draw_point(kind, ctx, deg, eps, rng, norm):
@@ -221,7 +236,7 @@ def _verify_at_point(F, G, H, P, cfg, method):
     if method == "auto":
         method = "extension" if kind == "extension" else "direct-eval"
     dense = kind == "extension" and not all_sparse(F, G, H)
-    F, G, H, sparse = triple_forms(F, G, H, n, dense)
+    F, G, H, sparse = triple_forms(F, G, H, n=n, dense=dense)
     if sparse and sparsity_precheck(F, G, H, P):
         return VerifyReport(False, 0.0, 0, [], method, cfg.seed)
     norm = delta_norm_bound(F, G, H, P) if kind == "prime" else 0
@@ -230,22 +245,6 @@ def _verify_at_point(F, G, H, P, cfg, method):
     witnesses = [{"q": ring.q}, {"alpha": alpha}] if kind == "prime" else [witness]
     verdict = _agree_at(F, G, H, P, alpha, ring)
     return VerifyReport(verdict, bound_above(eps), 1, witnesses, method, cfg.seed)
-
-
-def triple_forms(F, G, H, n, dense):
-    """(F, G, H, sparse): the forms a check of F, G and H, each of degree
-    below n, reads them in, and whether those are all sparse.  This is the
-    one rule of every verifier that meets more than one form.  From
-    n = DENSIFY_CAP on, where no vector of n coefficients is built, all
-    three are read as to_sparse() copies, so the check is the one of the
-    all-sparse triple.  Below it, all three are made dense where dense is
-    asked for (at X modulo R, where the dense scans multiply no
-    polynomials) and stay as they are otherwise."""
-    if n >= DENSIFY_CAP:
-        F, G, H = F.to_sparse(), G.to_sparse(), H.to_sparse()
-    elif dense:
-        F, G, H = F.to_dense(), G.to_dense(), H.to_dense()
-    return F, G, H, all_sparse(F, G, H)
 
 
 def _agree_at(F, G, H, P, alpha, ring):
@@ -337,16 +336,19 @@ def extension_degree(q, deg, eps):
 
 
 def verify_mod_ff(F, G, H, P, cfg=None):
-    """Finite-field front end.  "companion-no-polymul" makes the unscreened
-    draws of verify_mod_companion; every other method compares both sides
-    once at the point of point_kind (_verify_at_point): "direct-eval" at a
-    random point of GF(q) or FieldTooSmallError, "extension" at X modulo
-    one screened irreducible R, and "auto" at whichever of the two the
-    field size allows."""
+    """The modular front end of every ring the point policy serves: Z,
+    GF(q) and a GF(q)[X]/(R) field.  "companion-no-polymul" makes the
+    unscreened draws of verify_mod_companion; every other method compares
+    both sides once at the point of point_kind (_verify_at_point):
+    "direct-eval" at a random point of the field, or of GF(p) over Z, or
+    FieldTooSmallError, "extension" at X modulo one screened irreducible
+    R, and "auto" at whichever of the two the field size allows.  A method
+    the ring cannot run is point_kind's TypeError (_check_method): Z and
+    GF(q)[X]/(R) run "auto" and "direct-eval" only, which there give the
+    report of verify_mod.  The name fits every ring, as every check it runs
+    evaluates in a finite field: GF(p), GF(q), GF(q)[X]/(R) with R
+    irreducible, or the field given."""
     cfg = cfg or VerifyConfig()
-    modeval.check_shapes(P, F, G, H)
-    if not isinstance(P.ctx, PrimeField):
-        raise TypeError("verify_mod_ff needs GF(q) polynomials")
     if cfg.method == "companion-no-polymul":
         return verify_mod_companion(F, G, H, P, cfg)
     return _verify_at_point(F, G, H, P, cfg, cfg.method)
@@ -372,7 +374,8 @@ def verify_mod_companion(F, G, H, P, cfg=None):
 
     Every method but "companion-no-polymul" compares both sides once at X
     modulo one screened irreducible R (_verify_at_point), reported as
-    "companion-freivalds".
+    "companion-freivalds".  Both run on GF(q) coefficients only
+    (_check_method).
 
     "companion-no-polymul" skips the irreducibility screening, whose
     products it must avoid, and makes several unscreened draws instead.
@@ -403,13 +406,12 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     "companion-sparse" on the sparse scans.
     """
     cfg = cfg or VerifyConfig()
-    n = modeval.check_shapes(P, F, G, H)
-    ctx = P.ctx
-    if not isinstance(ctx, PrimeField):
-        raise TypeError("companion verification needs GF(q) polynomials")
     if cfg.method != "companion-no-polymul":
         return _verify_at_point(F, G, H, P, cfg, "companion-freivalds")
-    F, G, H, sparse = triple_forms(F, G, H, n, not all_sparse(F, G, H))
+    n = modeval.check_shapes(P, F, G, H)
+    ctx = P.ctx
+    _check_method(ctx, cfg.method)
+    F, G, H, sparse = triple_forms(F, G, H, n=n, dense=not all_sparse(F, G, H))
     eps = cfg.epsilon
     rng = RngStream(cfg.seed)
     d = _companion_degree(ctx.q, n)

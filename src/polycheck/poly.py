@@ -210,7 +210,7 @@ class SparsePoly:
 
 def all_sparse(*polys):
     """Whether every polynomial given is a SparsePoly: with the degree, what
-    modverify.triple_forms decides a check's forms by."""
+    modeval.triple_forms decides a check's forms by."""
     return all(isinstance(X, SparsePoly) for X in polys)
 
 

@@ -212,7 +212,7 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
     degree below about 10^13, it compares H and F*G at one point instead
     (_product_at_one_point), and multiplies F by G only where the point
     policy cannot serve.  Every comparison meets one form, the one
-    modverify.triple_forms picks for degrees below one more than the
+    modeval.triple_forms picks for degrees below one more than the
     largest of F, G and H: a triple that is not all sparse is made dense
     below DENSIFY_CAP, and past it all three are read sparse, so no degree
     up to EXPONENT_CAP is refused."""
@@ -224,7 +224,7 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
     if quick is not None:
         return _certain(quick, "shape", "kaminski", cfg)
     top = max(X.degree() for X in (F, G, H) if not X.is_zero())
-    F, G, H, _ = modverify.triple_forms(F, G, H, top + 1, not all_sparse(F, G, H))
+    F, G, H, _ = modeval.triple_forms(F, G, H, n=top + 1, dense=not all_sparse(F, G, H))
     n = max(F.degree(), G.degree(), 1)
     rho = params.per_round_bound(n)
     if rho > Fraction(1, 2):
@@ -237,20 +237,20 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
 
 def _modular_check_no_mul(F, G, H, P, cfg):
     """Verify H = (F*G) mod P at cfg's epsilon and seed without any
-    polynomial multiplication: where modverify.point_kind picks X modulo an
-    irreducible R, whose screening multiplies, by the unscreened draws of
-    companion-no-polymul, and everywhere else by modverify.verify_mod,
-    which raises point_kind's TypeError on a ring the policy refuses.  The
-    draws at X read the triple dense whatever its forms, as the dense scans
-    at X multiply no polynomials, wherever modverify.triple_forms can:
-    below DENSIFY_CAP.  Past it they run the sparse scans, whose power
-    table products count in POLY_MUL_OPS."""
+    polynomial multiplication, through modverify.verify_mod_ff on every
+    ring: where modverify.point_kind picks X modulo an irreducible R, whose
+    screening multiplies, with the method companion-no-polymul, its
+    unscreened draws, and everywhere else with cfg's "auto", one
+    comparison at a random point, or point_kind's TypeError on a ring the
+    policy refuses.  The draws at X read the triple dense whatever its
+    forms, as the dense scans at X multiply no polynomials, wherever
+    modeval.triple_forms can: below DENSIFY_CAP.  Past it they run the
+    sparse scans, whose power table products count in POLY_MUL_OPS."""
     n = P.degree()
     if modverify.point_kind(F.ctx, n - 1, cfg.epsilon) == "extension":
-        F, G, H, _ = modverify.triple_forms(F, G, H, n, True)
+        F, G, H, _ = modeval.triple_forms(F, G, H, n=n, dense=True)
         cfg = replace(cfg, method="companion-no-polymul")
-        return modverify.verify_mod_companion(F, G, H, P, cfg)
-    return modverify.verify_mod(F, G, H, P, cfg)
+    return modverify.verify_mod_ff(F, G, H, P, cfg)
 
 
 def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
@@ -263,7 +263,7 @@ def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
     is H(alpha) = F(alpha) G(alpha) with no scan (modeval.eval_mod_p_dense);
     only at X modulo R do the scans walk.  F, G and H may have any forms
     and any degree up to EXPONENT_CAP: the modular check reads them in the
-    forms of modverify.triple_forms (_modular_check_no_mul), dense at X
+    forms of modeval.triple_forms (_modular_check_no_mul), dense at X
     below DENSIFY_CAP and sparse past it, where the sparse scans' power
     tables multiply, each product counted in POLY_MUL_OPS.
 
@@ -422,7 +422,7 @@ def verify_product_kronecker(F, G, H, cfg=None, e=None):
     if F.ctx != G.ctx or F.ctx != H.ctx:
         raise ValueError("mixed coefficient contexts")
     if F.ctx != ZZ:
-        raise TypeError("Kronecker substitution needs integer polynomials")
+        raise TypeError("kronecker needs ring Z inputs")
     quick = _product_shape_reject(F, G, H)
     if quick is None and max(F.degree(), G.degree()) > H.degree():
         quick = False
@@ -479,9 +479,9 @@ def verify_sparse_product(F, G, H, cfg=None):
     (to_sparse()): screen the trivial shape mistakes, fold all exponents
     modulo a random prime p that almost surely keeps a nonzero difference
     nonzero, and verify the folded identity modulo X^p - 1 at the point of
-    modverify.point_kind: through verify_mod_ff over GF(q), which extends a
-    small field, and through verify_mod otherwise, which raises
-    FieldTooSmallError on an extension field too small for the bound."""
+    modverify.point_kind, through modverify.verify_mod_ff on every ring:
+    over GF(q) it extends a small field, and it raises FieldTooSmallError
+    on a GF(q)[X]/(R) too small for the bound."""
     cfg = cfg or VerifyConfig()
     if F.ctx != G.ctx or F.ctx != H.ctx:
         raise ValueError("mixed coefficient contexts")
@@ -496,8 +496,7 @@ def verify_sparse_product(F, G, H, cfg=None):
     t_products = F.sparsity() * G.sparsity() + H.sparsity()
     lam = _sparse_lam(eps, t_products, max(n, 2))
     p = random_prime(lam, Fraction(5, 3) * SPARSE_EPS1 * eps, rng)
-    verify = modverify.verify_mod_ff if F.ctx.int_modulus else modverify.verify_mod
-    inner = _folded_check(F, G, H, p, SPARSE_EPS2 * eps, rng, verify)
+    inner = _folded_check(F, G, H, p, SPARSE_EPS2 * eps, rng, modverify.verify_mod_ff)
     witnesses = [{"p": p, "inner": inner.witnesses}]
     return VerifyReport(inner.verdict, bound_above(eps), 1, witnesses, "sparse", cfg.seed)
 

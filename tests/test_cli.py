@@ -622,6 +622,20 @@ class TestLibraryErrorsExitTwo:
                          H="sparse 0:1 5:2 10:1")
         self._check(capsys, ["verify-prod", "--method", "sparse", *args], "no probable prime")
 
+    # a method the ring of the files cannot run is the library's TypeError,
+    # from point_kind's one rule or from verify_product_kronecker
+    @pytest.mark.parametrize("method", ["extension", "companion-freivalds", "companion-no-polymul"])
+    def test_verify_mod_method_over_Z(self, tmp_path, capsys, method):
+        args = poly_args(tmp_path, "Z", F="dense 1 1", G="dense 1 1", H="dense 1 2 1",
+                         P="sparse 0:1 3:1")
+        self._check(capsys, ["verify-mod", "--method", method, *args],
+                    f"method '{method}' needs GF(q) inputs")
+
+    def test_kronecker_over_GF(self, tmp_path, capsys):
+        args = poly_args(tmp_path, "GF 7", F="dense 1 1", G="dense 1 1", H="dense 1 2 1")
+        self._check(capsys, ["verify-prod", "--method", "kronecker", *args],
+                    "kronecker needs ring Z inputs")
+
 
 class TestFileErrorsExitTwo:
     """A file the CLI cannot read or write is an input error: exit 2, one

@@ -849,6 +849,63 @@ class TestDenseScanPastTheCap:
             eval_mod_p_dense(P, F, F, 3, K)
 
 
+class TestEvalModFollowsTheFormRule:
+    """eval_mod reads F and G in the forms of triple_forms: past
+    DENSIFY_CAP a mixed pair is read sparse, so it gives the value of the
+    all-sparse pair instead of refusing the degree."""
+
+    def test_mixed_pair_at_x_past_the_cap(self):
+        n = 2**27
+        P = pc.x_pow_minus_one(F2, n)  # X^n + 1
+        ring = CompanionOperator(pc.DensePoly(F2, [1, 0, 1, 0, 0, 1]))  # degree 5
+        F, G = pc.DensePoly(F2, [1, 1]), pc.SparsePoly(F2, [(0, 1), (5, 1)])
+        want = pc.evaluate(pc.mul_oracle(F, G.to_dense()), ring.x, ring)  # nothing wraps
+        assert modeval.eval_mod(P, F.to_sparse(), G, ring.x, ring) == want
+        assert modeval.eval_mod(P, F, G, ring.x, ring) == want
+        assert modeval.eval_mod(P, G, F, ring.x, ring) == want
+
+    def test_mixed_pair_that_wraps_past_the_cap(self):
+        K, n = pc.GF(7), 2**27
+        P = pc.SparsePoly(K, [(0, 1), (1, 1), (n, 1)])
+        F, G = pc.DensePoly(K, [1, 1]), pc.SparsePoly(K, [(0, 2), (n - 1, 3)])
+        want = pc.mod_reduce(pc.mul_oracle(F.to_sparse(), G), P)
+        for a in (0, 3, 5):
+            assert modeval.eval_mod(P, F, G, a) == pc.evaluate(want, a, K)
+
+
+class TestSparseScansReadAnyForm:
+    """The public sparse scans read F and G sparse whatever their forms:
+    dense and mixed input give the all-sparse value and the dense scan's."""
+
+    def test_the_gf7_example(self):
+        K = pc.GF(7)
+        P = pc.SparsePoly(K, [(0, 1), (2, 1), (8, 1)])
+        F = pc.SparsePoly(K, [(0, 1), (6, 1)])
+        G = pc.DensePoly(K, [1, 1, 3, 0, 0, 2, 1])
+        assert eval_mod_p_dense(P, F, G, 3) == 3
+        for f, g in ((F, G), (G, F), (F.to_dense(), G), (F, G.to_sparse())):
+            assert eval_mod_p_sparse(P, f, g, 3) == 3
+        assert sparse_leading_coefficients(P, G) == sparse_leading_coefficients(P, G.to_sparse())
+
+    @pytest.mark.parametrize("mix", MIXES)
+    @pytest.mark.parametrize("ctx", [pc.GF(7), Z], ids=str)
+    def test_every_mix(self, mix, ctx, rng):
+        for binomial in (True, False):
+            P = (pc.x_pow_minus_one(ctx, 12) if binomial
+                 else pc.SparsePoly(ctx, [(0, 1), (5, 2), (12, 1)]))
+            for _ in range(4):
+                Fd, Gd = (rand_dense(ctx, rng.below(12), rng) for _ in "FG")
+                F, G = _as(mix[0], Fd), _as(mix[1], Gd)
+                want = sparse_leading_coefficients(P, Fd.to_sparse())
+                assert sparse_leading_coefficients(P, F) == want
+                for a in (0, 2, rng.below(7)):
+                    value = eval_mod_p_dense(P, Fd, Gd, a)
+                    assert eval_mod_p_sparse(P, F, G, a) == value
+                    assert eval_mod_p_sparse(P, Fd.to_sparse(), Gd.to_sparse(), a) == value
+                    if binomial:
+                        assert eval_mod_binomial_sparse(F, G, 12, a) == value
+
+
 class TestOneShapeCheck:
     """check_shapes is the one shape check of every scan and modular
     verifier, in one order: rings, deg P, input degrees, then a monic

@@ -353,6 +353,57 @@ class TestVerifyModFF:
             assert report.witnesses[0]["extension_degree"] == d
 
 
+GF256 = ExtField(F2, [1, 1, 0, 1, 1, 0, 0, 0, 1])  # X^8 + X^4 + X^3 + X + 1
+
+
+class TestOneFrontEnd:
+    """verify_mod_ff is the modular front end of every ring the point
+    policy serves, and one rule in point_kind refuses a method a ring
+    cannot run: every method but auto and direct-eval needs GF(q)."""
+
+    @pytest.mark.parametrize("method", ["extension", "companion-freivalds"])
+    def test_point_kind_refuses_over_Z(self, method):
+        with pytest.raises(TypeError, match=rf"^method '{method}' needs GF\(q\) inputs$"):
+            modverify.point_kind(Z, 10, QUARTER, method)
+
+    @pytest.mark.parametrize("method", ["auto", "direct-eval"])
+    def test_integers_give_the_report_of_verify_mod_over_Z(self, method, rng):
+        for sparse in (True, False):
+            P, F, G, H = make_instance(Z, 30, 4, rng, sparse)
+            for X in (H, perturb_poly(H, rng)):
+                for seed in range(3):
+                    c = cfg(seed, method=method)
+                    assert verify_mod_ff(F, G, X, P, c) == verify_mod_over_Z(F, G, X, P, c)
+
+    @pytest.mark.parametrize("method", ["auto", "direct-eval"])
+    @pytest.mark.parametrize("eps", [QUARTER, Fraction(1, 2**20)], ids=["1/4", "2^-20"])
+    def test_gf256_gives_the_report_of_verify_mod(self, method, eps, rng):
+        # at 1/4 degree 24 fits GF(2^8) and degree 200 does not; at 2^-20 neither
+        for n in (24, 200):
+            P, F, G, H = make_instance(GF256, n, 4, rng)
+            for X in (H, perturb_poly(H, rng)):
+                c = cfg(3, eps, method)
+                try:
+                    want = verify_mod(F, G, X, P, c)
+                except FieldTooSmallError as exc:
+                    with pytest.raises(FieldTooSmallError) as raised:
+                        verify_mod_ff(F, G, X, P, c)
+                    assert str(raised.value) == str(exc)
+                else:
+                    assert verify_mod_ff(F, G, X, P, c) == want
+
+    @pytest.mark.parametrize("method", ["extension", "companion-freivalds", "companion-no-polymul"])
+    @pytest.mark.parametrize("ctx", [Z, GF256], ids=["Z", "GF256"])
+    def test_gf_q_methods_are_refused_elsewhere(self, method, ctx, rng):
+        P, F, G, H = make_instance(ctx, 20, 3, rng)
+        message = rf"^method '{method}' needs GF\(q\) inputs$"
+        with pytest.raises(TypeError, match=message):
+            verify_mod_ff(F, G, H, P, cfg(0, method=method))
+        if method != "extension":
+            with pytest.raises(TypeError, match=message):
+                verify_mod_companion(F, G, H, P, cfg(0, method=method))
+
+
 class TestVerifyModCompanion:
     def test_one_sided_both_modes(self, rng):
         for seed in range(10):

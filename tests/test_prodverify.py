@@ -767,12 +767,39 @@ class TestOneFormRule:
         K = pc.GF(7)
         F, G, H = pc.DensePoly(K, [1, 2]), pc.SparsePoly(K, [(1, 1)]), pc.DensePoly(K, [0, 1, 2])
         cap = pc.poly.DENSIFY_CAP
-        assert modverify.triple_forms(F, G, H, 3, False) == (F, G, H, False)
-        assert modverify.triple_forms(F, G, H, 3, True) == (F, G.to_dense(), H, False)
+        assert modverify.triple_forms(F, G, H, n=3, dense=False) == (F, G, H, False)
+        assert modverify.triple_forms(F, G, H, n=3, dense=True) == (F, G.to_dense(), H, False)
         for dense in (False, True):
-            assert modverify.triple_forms(F, G, H, cap, dense) == (
+            assert modverify.triple_forms(F, G, H, n=cap, dense=dense) == (
                 F.to_sparse(), G, H.to_sparse(), True
             )
+
+
+class TestInputChecks:
+    """The input checks no other test reaches: every product verifier
+    refuses polynomials over two rings, and the sparse companion check
+    refuses input that is not all sparse."""
+
+    @pytest.mark.parametrize("odd", range(3), ids=["F", "G", "H"])
+    @pytest.mark.parametrize(
+        "verify",
+        [verify_product_kaminski, verify_product_kaminski_nomul, verify_product_kronecker,
+         verify_sparse_product, modverify.verify_mod_companion_sparse],
+        ids=lambda f: f.__name__,
+    )
+    def test_refused(self, verify, odd):
+        K = pc.GF(7)
+        X = pc.SparsePoly(K, [(0, 1), (1, 1)])
+        polys = [X, X, pc.mul_oracle(X, X)]
+        if verify is modverify.verify_mod_companion_sparse:
+            polys[odd] = polys[odd].to_dense()
+            P = pc.SparsePoly(K, [(0, 1), (5, 1)])
+            with pytest.raises(TypeError, match="^sparse companion verification needs sparse"):
+                verify(*polys, P)
+        else:
+            polys[odd] = pc.SparsePoly(Z, polys[odd].terms)
+            with pytest.raises(ValueError, match="^mixed coefficient contexts$"):
+                verify(*polys)
 
 
 class TestReportDeterminism:
