@@ -58,6 +58,7 @@ from .prodverify import (
     KaminskiParams,
     count_binomial_divisors,
     verify_int_product,
+    verify_product,
     verify_product_kaminski,
     verify_product_kaminski_nomul,
     verify_product_kronecker,

@@ -18,16 +18,14 @@ import time
 from fractions import Fraction
 
 from . import modverify, prodverify
-from .modverify import VerifyConfig, VerifyReport
+from .modverify import PRODUCT_METHODS, VerifyConfig
 from .poly import (
     DensePoly,
     PolyFormatError,
     SparsePoly,
-    all_sparse,
     format_poly,
     mod_reduce,
     mul_oracle,
-    product_terms,
     read_poly_file,
 )
 from .rings import GF, PrimeGenerationError, RngStream, ZZ, is_prime
@@ -95,7 +93,6 @@ def _same_ctx(*polys):
     for p in polys[1:]:
         if p.ctx != ctx:
             raise CliError("input polynomials live in different rings")
-    return ctx
 
 
 def _print_report(report, command):
@@ -104,67 +101,31 @@ def _print_report(report, command):
     print(json.dumps(payload, sort_keys=True))
 
 
-def _exact_report(F, G, H, P, costs, seed):
-    """The certain verdict of the exact route: the terms of (F*G) mod P, or
-    of F*G without P, computed and compared with H's, unsorted.  The route
-    runs on sparse input only."""
-    verdict = product_terms(F, G, P) == dict(H.terms)
-    witness = {"deterministic": "reference-product", "cost": costs}
-    return VerifyReport(verdict, 0.0, 0, [witness], "exact", seed)
-
-
-def _cmd_verify_mod(args):
-    F, G, H, P = (_load(p) for p in (args.F, args.G, args.H, args.P))
-    _same_ctx(F, G, H, P)
-    sparse = all_sparse(F, G, H, P)
-    P = P.to_sparse()
+def _verify(command, args, paths):
+    """The verify commands: the polynomials of the files F, G, H (and P),
+    in one ring, checked by prodverify.verify_product at the method,
+    epsilon and seed of the command line; the report is printed and its
+    verdict is the exit code."""
+    polys = [_load(p) for p in paths]
+    _same_ctx(*polys)
     cfg = VerifyConfig(
         epsilon=_parse_epsilon(args.epsilon), method=args.method, seed=_seed_from(args)
     )
+    F, G, H, *P = polys
     try:
-        costs = None
-        if sparse and args.method == "auto":
-            costs = prodverify.exact_route_costs(F, G, H, cfg.epsilon, P)
-        if costs:
-            report = _exact_report(F, G, H, P, costs, cfg.seed)
-        else:
-            report = modverify.verify_mod_ff(F, G, H, P, cfg)
+        report = prodverify.verify_product(F, G, H, cfg, *P)
     except (ValueError, TypeError, PrimeGenerationError) as exc:
         raise CliError(str(exc)) from None
-    _print_report(report, "verify-mod")
+    _print_report(report, command)
     return 0 if report.verdict else 1
 
 
-def _pick_prod_method(args, F, G, H, ctx, eps):
-    """The method to run and, for the exact route, its cost estimates."""
-    if args.method != "auto":
-        return args.method, None
-    if all_sparse(F, G, H):
-        costs = prodverify.exact_route_costs(F, G, H, eps)
-        return ("exact", costs) if costs else ("sparse", None)
-    return ("kronecker" if ctx == ZZ else "kaminski"), None
+def _cmd_verify_mod(args):
+    return _verify("verify-mod", args, (args.F, args.G, args.H, args.P))
 
 
 def _cmd_verify_prod(args):
-    F, G, H = (_load(p) for p in (args.F, args.G, args.H))
-    ctx = _same_ctx(F, G, H)
-    cfg = VerifyConfig(epsilon=_parse_epsilon(args.epsilon), seed=_seed_from(args))
-    try:
-        method, costs = _pick_prod_method(args, F, G, H, ctx, cfg.epsilon)
-        if method == "exact":
-            report = _exact_report(F, G, H, None, costs, cfg.seed)
-        elif method == "sparse":
-            report = prodverify.verify_sparse_product(F, G, H, cfg)
-        elif method == "kronecker":
-            report = prodverify.verify_product_kronecker(F, G, H, cfg)
-        elif method == "kaminski":
-            report = prodverify.verify_product_kaminski(F, G, H, cfg)
-        else:
-            report = prodverify.verify_product_kaminski_nomul(F, G, H, cfg)
-    except (ValueError, TypeError, PrimeGenerationError) as exc:
-        raise CliError(str(exc)) from None
-    _print_report(report, "verify-prod")
-    return 0 if report.verdict else 1
+    return _verify("verify-prod", args, (args.F, args.G, args.H))
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +422,7 @@ def build_parser():
     vp.add_argument("--G", required=True)
     vp.add_argument("--H", required=True)
     vp.add_argument("--epsilon", default="2^-20")
-    vp.add_argument(
-        "--method",
-        default="auto",
-        choices=["auto", "kaminski", "kaminski-nomul", "kronecker", "sparse"],
-    )
+    vp.add_argument("--method", default="auto", choices=list(PRODUCT_METHODS))
     vp.add_argument("--seed", type=int, default=None)
     vp.set_defaults(fn=_cmd_verify_prod)
 

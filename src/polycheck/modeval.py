@@ -70,13 +70,9 @@ each byte position of the exponents, one C-level pass multiplies every
 term's value by its entry of that window of the shared power table, whose
 window grows in bulk (PrimeField.double_powers) where the request asks for
 enough of it, and runs of terms that share a top byte are summed before
-their one product.  In GF(2)[X]/(R), for coefficients in GF(2)
-(GF2Ext.sparse_sum), it is the XOR of the table's bit-sliced powers,
-unsliced once.  Its reference is the per-term loop poly._sparse_sum, which
-every other ring runs.
-None of them multiplies polynomials or counts in POLY_MUL_OPS, save the
-GF(2) sparse_sum, whose powers are the table's products, counted as
-every product of GF(2)[X]/(R) is.
+their one product.  Its reference is the per-term loop poly._sparse_sum,
+which every other ring runs.
+None of them multiplies polynomials or counts in POLY_MUL_OPS.
 """
 
 import heapq

@@ -49,6 +49,9 @@ METHODS = (
     "companion-freivalds",
     "companion-no-polymul",
 )
+# the methods of prodverify.verify_product's plain check, in the order the
+# CLI lists them
+PRODUCT_METHODS = ("auto", "kaminski", "kaminski-nomul", "kronecker", "sparse")
 
 
 class FieldTooSmallError(ValueError):
@@ -67,7 +70,7 @@ class VerifyConfig:
         eps = Fraction(self.epsilon)
         if not 0 < eps < 1:
             raise ValueError("epsilon must be in (0, 1)")
-        if self.method not in METHODS:
+        if self.method not in METHODS + PRODUCT_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         object.__setattr__(self, "epsilon", eps)
 
@@ -172,11 +175,14 @@ def point_kind(ctx, deg, eps, method="auto"):
 
 
 def _check_method(ctx, method):
-    """The one rule of which ring may run which modular method: "auto" and
-    "direct-eval" run on every ring the point policy serves, and every
-    other method, which evaluates at X modulo a polynomial R over the
-    coefficient field, needs ctx = GF(q).  Over Z a check evaluates in
-    GF(p) for a random prime p, and GF(q)[X]/(R) has no extension here."""
+    """The one rule of which ring may run which modular method: a name
+    outside METHODS is a ValueError, "auto" and "direct-eval" run on every
+    ring the point policy serves, and every other method, which evaluates
+    at X modulo a polynomial R over the coefficient field, needs
+    ctx = GF(q).  Over Z a check evaluates in GF(p) for a random prime p,
+    and GF(q)[X]/(R) has no extension here."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if method not in ("auto", "direct-eval") and not ctx.int_modulus:
         raise TypeError(f"method {method!r} needs GF(q) inputs")
 

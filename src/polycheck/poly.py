@@ -365,8 +365,9 @@ def product_terms(F, G, P=None):
     """F*G, or (F*G) mod P for a monic sparse P, of sparse F and G as the
     dict {exponent: coefficient} of its nonzero terms, coefficients
     canonical: the reference product of mul_oracle and mul_mod_oracle, and
-    what the CLI's exact route compares with H.  Counts one product in
-    POLY_MUL_OPS; deg F + deg G is checked against EXPONENT_CAP once.
+    what the exact route of prodverify.verify_product compares with H.
+    Counts one product in POLY_MUL_OPS; deg F + deg G is checked against
+    EXPONENT_CAP once.
 
     Each term c1 X^e1 of the shorter factor gives one row, the other
     factor's terms times it: one list of exponents, ascending, and one of
@@ -675,12 +676,11 @@ def power_table(ring, alpha):
     product (ring.product_form): the element itself and ring.mul, but
     bit-sliced in GF(2)[X]/(R), where a product is three integer
     multiplications (see rings.GF2Ext._sliced_product).  pw(e) leaves the
-    form once, and pw.form(e) is alpha^e in the form, which
-    GF2Ext.sparse_sum XORs and the sparse scan of modeval multiplies by
-    the form's product.  alpha enters the form with the first entry
-    made, so a table nothing reads costs nothing.  A product in the form is
-    counted in POLY_MUL_OPS where ring.mul is: every ExtField product but
-    one with x.
+    form once, and pw.form(e) is alpha^e in the form, which the sparse
+    scan of modeval multiplies by the form's product.  alpha enters the
+    form with the first entry made, so a table nothing reads costs
+    nothing.  A product in the form is counted in POLY_MUL_OPS where
+    ring.mul is: every ExtField product but one with x.
 
     Besides pw(e), the table gives bulk access to one window:
     pw.window(i, digits) fills the entries of window i that the byte values
@@ -808,8 +808,7 @@ def evaluate(F, alpha, ring=None, pw=None):
     power_table(ring, alpha) that a check evaluating several polynomials at
     alpha builds once and shares, or from a fresh one: by the fused
     sparse_sum where ring.serves_sparse(F.ctx), in GF(q) a byte of every
-    exponent at a time and in GF(2)[X]/(R) one XOR of bit-sliced powers,
-    elsewhere term by term (_sparse_sum).  At the class of X in a quotient
+    exponent at a time, elsewhere term by term (_sparse_sum).  At the class of X in a quotient
     ring, F(X) is F mod R, and dense Horner multiplies no polynomials (see
     ExtField.mul)."""
     ring = _check_eval_ring(F, ring)

@@ -36,6 +36,7 @@ from .poly import (
     mul_oracle,
     power_table,
     product_norm_bound,
+    product_terms,
     reduce_mod_binomial,
     x_pow_minus_one,
 )
@@ -153,6 +154,12 @@ def kaminski_round(F, G, H, i):
     return Mi == Hi
 
 
+def _same_ctx(*polys):
+    """Refuse polynomials over different coefficient rings."""
+    if any(X.ctx != polys[0].ctx for X in polys[1:]):
+        raise ValueError("mixed coefficient contexts")
+
+
 def _certain(verdict, reason, method, cfg):
     """The report of a verdict that no random choice made: error bound 0,
     no rounds and the one witness {"deterministic": reason}."""
@@ -218,8 +225,7 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
     up to EXPONENT_CAP is refused."""
     cfg = cfg or VerifyConfig()
     params = params or KaminskiParams()
-    if F.ctx != G.ctx or F.ctx != H.ctx:
-        raise ValueError("mixed coefficient contexts")
+    _same_ctx(F, G, H)
     quick = _product_shape_reject(F, G, H)
     if quick is not None:
         return _certain(quick, "shape", "kaminski", cfg)
@@ -277,8 +283,7 @@ def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
     (_modular_check_no_mul)."""
     cfg = cfg or VerifyConfig()
     params = params or KaminskiParams()
-    if F.ctx != G.ctx or F.ctx != H.ctx:
-        raise ValueError("mixed coefficient contexts")
+    _same_ctx(F, G, H)
     eps = cfg.epsilon
     quick = _product_shape_reject(F, G, H)
     if quick is not None:
@@ -419,8 +424,7 @@ def verify_product_kronecker(F, G, H, cfg=None, e=None):
     certain shape rejection, made before beta is computed.  The report
     carries the inner error bound, rounds and witnesses."""
     cfg = cfg or VerifyConfig()
-    if F.ctx != G.ctx or F.ctx != H.ctx:
-        raise ValueError("mixed coefficient contexts")
+    _same_ctx(F, G, H)
     if F.ctx != ZZ:
         raise TypeError("kronecker needs ring Z inputs")
     quick = _product_shape_reject(F, G, H)
@@ -483,8 +487,7 @@ def verify_sparse_product(F, G, H, cfg=None):
     over GF(q) it extends a small field, and it raises FieldTooSmallError
     on a GF(q)[X]/(R) too small for the bound."""
     cfg = cfg or VerifyConfig()
-    if F.ctx != G.ctx or F.ctx != H.ctx:
-        raise ValueError("mixed coefficient contexts")
+    _same_ctx(F, G, H)
     F, G, H = F.to_sparse(), G.to_sparse(), H.to_sparse()
     eps = cfg.epsilon
     screen = _sparse_screen(F, G, H)
@@ -510,9 +513,9 @@ EXTENSION_PRODUCT_COST = 8
 
 
 def exact_route_costs(F, G, H, eps, P=None):
-    """Whether the CLI's auto method should compute the exact product of
-    all-sparse F and G (reduced modulo P for a modular check) and compare it
-    with H instead of running the paper's verifier.
+    """Whether verify_product's auto method should compute the exact
+    product of all-sparse F and G (reduced modulo P for a modular check)
+    and compare it with H instead of running the paper's verifier.
 
     The input checks of the verifiers run first and raise as they do: for a
     modular check, modeval.check_shapes.  Then the verifier's O(1) screens
@@ -558,6 +561,54 @@ def exact_route_costs(F, G, H, eps, P=None):
     if product >= verify:
         return None
     return {"product": product, "verify": verify}
+
+
+def verify_product(F, G, H, cfg=None, P=None):
+    """Decide H = F*G, or H = (F*G) mod P where P is given: the one front
+    end of both checks, which the CLI calls.  cfg.method names the check.
+
+    Under "auto", all-sparse F, G, H (and P) whose product is cheaper than
+    the paper's verifier (exact_route_costs) are decided by computing the
+    terms of F*G, reduced modulo P, and comparing them with H's: a certain
+    verdict with method "exact", error bound 0, no rounds and the witness
+    {"deterministic": "reference-product", "cost": the estimates}.
+    Otherwise a modular check runs modverify.verify_mod_ff on P read
+    sparse, and a plain one runs verify_sparse_product on all-sparse input,
+    verify_product_kronecker over Z and verify_product_kaminski elsewhere.
+
+    An explicit method runs its verifier: with P, verify_mod_ff under any
+    of modverify.METHODS, and without P the verifier of one of
+    modverify.PRODUCT_METHODS; any other name is a ValueError.
+
+    Only this front end takes the exact route.  verify_mod_ff and the
+    per-method verifiers stay free of it: the checks inside them (the
+    folded check of verify_sparse_product, kaminski-nomul's check at
+    X^(D+1) - 1) run at "auto" on all-sparse input, where the estimate
+    would pick the product that the verifier exists to avoid."""
+    cfg = cfg or VerifyConfig()
+    polys = (F, G, H) if P is None else (F, G, H, P)
+    _same_ctx(*polys)
+    method = cfg.method
+    if method == "auto" and all_sparse(*polys):
+        costs = exact_route_costs(F, G, H, cfg.epsilon, P)
+        if costs:
+            verdict = product_terms(F, G, P) == dict(H.terms)
+            witness = {"deterministic": "reference-product", "cost": costs}
+            return VerifyReport(verdict, 0.0, 0, [witness], "exact", cfg.seed)
+        method = "sparse"
+    if P is not None:
+        return modverify.verify_mod_ff(F, G, H, P.to_sparse(), cfg)
+    if method == "auto":
+        method = "kronecker" if F.ctx == ZZ else "kaminski"
+    if method == "sparse":
+        return verify_sparse_product(F, G, H, cfg)
+    if method == "kronecker":
+        return verify_product_kronecker(F, G, H, cfg)
+    if method == "kaminski":
+        return verify_product_kaminski(F, G, H, cfg)
+    if method == "kaminski-nomul":
+        return verify_product_kaminski_nomul(F, G, H, cfg)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def count_binomial_divisors(delta, n, e=KaminskiParams.e):

@@ -178,8 +178,7 @@ def ln_pow2_upper(k):
 #                              identity) with coefficients in GF(q); never Z
 #                              or a quotient ring over another ring
 #   serves_sparse(ctx)         whether sparse_sum serves coefficients in ctx:
-#                              GF(q), and GF(2)[X]/(R) for coefficients in
-#                              GF(2)
+#                              GF(q) only
 #   serves_point_policy()      whether one random point bounds a miss
 #                              (modverify.point_kind): Z, GF(q), and
 #                              GF(q)[X]/(R) for R irreducible, which Ben-Or's
@@ -213,8 +212,10 @@ def ln_pow2_upper(k):
 # GF2Ext the bit-sliced form of GF2Ext._slice, where a product is three
 # integer multiplications.  The form is linear over the base: into and out
 # commute with add, sub and scalar_mul by a base scalar, which the sparse
-# scan applies to form values.  GF2Ext's sparse_sum XORs the sliced
-# powers, so the sum is unsliced once.
+# scan applies to form values.  GF2Ext has no sparse_sum: the generic
+# loop reads the same sliced table, and an XOR of the sliced powers,
+# unsliced once, measured no faster (1.54 against 1.58 ms for
+# companion-freivalds at T = 8).
 #
 # GF2Ext has that one product: mul slices its factors and unslices the
 # result, which costs more than the 4-bit comb it replaced at small d.
@@ -258,9 +259,7 @@ def ln_pow2_upper(k):
 # polynomial over Z at a point of GF(p): poly.evaluate and the scans of
 # modeval read them as they are.
 #
-# The kernels multiply no polynomials and count nothing in POLY_MUL_OPS,
-# save that GF2Ext's sparse_sum takes its powers from the table, whose
-# products count as every quotient-ring product does.
+# The kernels multiply no polynomials and count nothing in POLY_MUL_OPS.
 
 
 class IntegerRing:
@@ -806,9 +805,6 @@ class GF2Ext(_FiniteExt):
         a <<= 1
         return a ^ self._r if a >> self.d else a
 
-    def serves_sparse(self, ctx):
-        return self.base == ctx
-
     def horner(self, cs, alpha):
         """sum cs[i] x^i, that is the polynomial cs mod R, for coefficients
         cs in GF(2); alpha must be x.  The bits of cs as one int, reduced a
@@ -909,12 +905,6 @@ class GF2Ext(_FiniteExt):
         to its own slot, so XOR and scaling by a bit act alike on both
         forms."""
         return self._slice, self._mul_sliced, self._unslice
-
-    def sparse_sum(self, terms, pw):
-        """For coefficients in GF(2): the XOR of the sliced alpha^e of the
-        terms, pw.form(e), unsliced once."""
-        form = pw.form
-        return self._unslice(reduce(operator.xor, [form(e) for e, c in terms if c], 0))
 
     def _slicing(self):
         """The constants of the sliced form, built on first use: the slot

@@ -1018,7 +1018,7 @@ class TestNoProductRecomputed:
 
         monkeypatch.setattr(prodverify, "mul_oracle", refuse)
         monkeypatch.setattr(cli, "mul_oracle", refuse)
-        monkeypatch.setattr(cli, "product_terms", refuse)
+        monkeypatch.setattr(prodverify, "product_terms", refuse)
 
     @staticmethod
     def _instances(ctx, encoding, rng):
@@ -1052,7 +1052,7 @@ class TestNoProductRecomputed:
         products = []
         if encoding == "sparse":
             monkeypatch.setattr(
-                cli, "product_terms", lambda *args: products.append(1) or product_terms(*args)
+                prodverify, "product_terms", lambda *args: products.append(1) or product_terms(*args)
             )
         for F, G, H, Hbad in self._instances(ctx, encoding, rng):
             for X, code in ((H, 0), (Hbad, 1)):

@@ -382,7 +382,7 @@ def _ring_table():
                        [(M61, True), (Z, True)], True, False, "GF(2305843009213693951)"),
         "GF(2)[X]/(R)": (lambda: ExtField(F2, aes), None,
                          [(F2, "x", True), (F2, 3, False), ("self", "x", False)],
-                         [(F2, True), ("self", False)], True, True, "GF(2^8)"),
+                         [(F2, False), ("self", False)], True, True, "GF(2^8)"),
         "GF(7)[X]/(R)": (lambda: ExtField(F7, [1, 0, 1]), None,
                          [(F7, "x", True), (F7, "equal to x", False), ("self", "x", False)],
                          [(F7, False), ("self", False)], True, True, "GF(7^2)"),
