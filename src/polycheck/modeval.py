@@ -85,6 +85,7 @@ from .poly import (
     divide_in_place,
     evaluate,
     power_table,
+    same_ctx,
     x_pow_minus_one,
 )
 from .rings import ExtField
@@ -102,9 +103,7 @@ def check_shapes(P, *polys):
     every scan and modular verifier: every polynomial over P's ring,
     deg P >= 1, every other polynomial of degree < deg P, and P a monic
     SparsePoly.  Returns n = deg P."""
-    for X in polys:
-        if X.ctx != P.ctx:
-            raise ValueError("mixed coefficient contexts")
+    same_ctx(P, *polys)
     if P.is_zero() or P.degree() < 1:
         raise ValueError("modulus must have degree >= 1")
     n = P.degree()

@@ -380,8 +380,8 @@ def verify_mod_companion(F, G, H, P, cfg=None):
 
     Every method but "companion-no-polymul" compares both sides once at X
     modulo one screened irreducible R (_verify_at_point), reported as
-    "companion-freivalds".  Both run on GF(q) coefficients only
-    (_check_method).
+    "companion-freivalds".  Both run on GF(q) coefficients only, and a
+    name outside METHODS is refused before either runs (_check_method).
 
     "companion-no-polymul" skips the irreducibility screening, whose
     products it must avoid, and makes several unscreened draws instead.
@@ -412,11 +412,11 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     "companion-sparse" on the sparse scans.
     """
     cfg = cfg or VerifyConfig()
-    if cfg.method != "companion-no-polymul":
-        return _verify_at_point(F, G, H, P, cfg, "companion-freivalds")
     n = modeval.check_shapes(P, F, G, H)
     ctx = P.ctx
     _check_method(ctx, cfg.method)
+    if cfg.method != "companion-no-polymul":
+        return _verify_at_point(F, G, H, P, cfg, "companion-freivalds")
     F, G, H, sparse = triple_forms(F, G, H, n=n, dense=not all_sparse(F, G, H))
     eps = cfg.epsilon
     rng = RngStream(cfg.seed)

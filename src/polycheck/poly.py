@@ -214,6 +214,13 @@ def all_sparse(*polys):
     return all(isinstance(X, SparsePoly) for X in polys)
 
 
+def same_ctx(*polys):
+    """Refuse polynomials over different coefficient rings: the one ring
+    check of the products, the reductions and the verifiers."""
+    if any(X.ctx != polys[0].ctx for X in polys[1:]):
+        raise ValueError("mixed coefficient contexts")
+
+
 def x_pow_minus_one(ctx, n):
     """The binomial X^n - 1."""
     if n < 1:
@@ -343,8 +350,7 @@ def mul_oracle(F, G):
     and dense over a quotient ring: the terms product_terms gives, sorted
     by exponent.  A dense product is made dense again.
     """
-    if F.ctx != G.ctx:
-        raise ValueError("mixed coefficient contexts")
+    same_ctx(F, G)
     ctx = F.ctx
     dense = isinstance(F, DensePoly) and isinstance(G, DensePoly)
     if dense and ctx.int_modulus is not None:
@@ -383,9 +389,8 @@ def product_terms(F, G, P=None):
         raise TypeError("product_terms needs two sparse polynomials")
     if P is not None:
         _require_monic(P)
+    same_ctx(*(X for X in (F, G, P) if X is not None))
     ctx = F.ctx
-    if G.ctx != ctx or (P is not None and P.ctx != ctx):
-        raise ValueError("mixed coefficient contexts")
     POLY_MUL_OPS.bump()
     fs, gs = F.terms, G.terms
     if len(fs) > len(gs):
@@ -539,8 +544,7 @@ def mod_reduce(Q, P):
     below X^n are the remainder.  Sparse Q: its terms as one row of
     _reduced_rows, merged."""
     _require_monic(P)
-    if Q.ctx != P.ctx:
-        raise ValueError("mixed coefficient contexts")
+    same_ctx(Q, P)
     ctx = Q.ctx
     if isinstance(Q, DensePoly):
         cs = list(Q.coeffs)
@@ -614,7 +618,10 @@ def mul_mod_oracle(F, G, P):
 
 def reduce_mod_binomial(F, i):
     """F mod (X^i - 1): fold every exponent e to e mod i and merge.  F
-    itself when F is zero or of degree below i, where nothing folds."""
+    itself when F is zero or of degree below i, where nothing folds.  A
+    dense F over Z or GF(q) is the long division of mod_reduce at X^i - 1,
+    which there adds the blocks of i coefficients; any other F folds term
+    by term, a dense one over a quotient ring through its sparse form."""
     if i < 1:
         raise ValueError("binomial degree must be >= 1")
     if not isinstance(F, (DensePoly, SparsePoly)):
@@ -622,25 +629,16 @@ def reduce_mod_binomial(F, i):
     if F.is_zero() or F.degree() < i:
         return F
     ctx = F.ctx
-    if isinstance(F, DensePoly):
-        cs = F.coeffs
-        if ctx.int_modulus is not None:
-            out = [0] * i
-            for start in range(0, len(cs), i):
-                block = cs[start : start + i]
-                for j in range(len(block)):
-                    out[j] += block[j]
-            return DensePoly(ctx, out)
-        out = [ctx.zero()] * i
-        for e, c in enumerate(cs):
-            out[e % i] = ctx.add(out[e % i], c)
-        return DensePoly(ctx, out)
+    dense = isinstance(F, DensePoly)
+    if dense and ctx.int_modulus is not None:
+        return mod_reduce(F, x_pow_minus_one(ctx, i))
     acc = {}
     zero = ctx.zero()
-    for e, c in F.terms:
+    for e, c in F.to_sparse().terms:
         pos = e % i
         acc[pos] = ctx.add(acc.get(pos, zero), c)
-    return SparsePoly.trusted(ctx, sorted(acc.items()))
+    folded = SparsePoly.trusted(ctx, sorted(acc.items()))
+    return folded.to_dense() if dense else folded
 
 
 # ---------------------------------------------------------------------------

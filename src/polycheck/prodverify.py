@@ -38,6 +38,7 @@ from .poly import (
     product_norm_bound,
     product_terms,
     reduce_mod_binomial,
+    same_ctx,
     x_pow_minus_one,
 )
 from .rings import (
@@ -154,10 +155,11 @@ def kaminski_round(F, G, H, i):
     return Mi == Hi
 
 
-def _same_ctx(*polys):
-    """Refuse polynomials over different coefficient rings."""
-    if any(X.ctx != polys[0].ctx for X in polys[1:]):
-        raise ValueError("mixed coefficient contexts")
+def _own_method(cfg, name):
+    """Refuse a cfg.method other than "auto" and name, the method of the
+    product verifier that asks: the one method rule of those verifiers."""
+    if cfg.method not in ("auto", name):
+        raise ValueError(f"the {name} verifier cannot run method {cfg.method!r}")
 
 
 def _certain(verdict, reason, method, cfg):
@@ -225,7 +227,8 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
     up to EXPONENT_CAP is refused."""
     cfg = cfg or VerifyConfig()
     params = params or KaminskiParams()
-    _same_ctx(F, G, H)
+    same_ctx(F, G, H)
+    _own_method(cfg, "kaminski")
     quick = _product_shape_reject(F, G, H)
     if quick is not None:
         return _certain(quick, "shape", "kaminski", cfg)
@@ -283,7 +286,8 @@ def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
     (_modular_check_no_mul)."""
     cfg = cfg or VerifyConfig()
     params = params or KaminskiParams()
-    _same_ctx(F, G, H)
+    same_ctx(F, G, H)
+    _own_method(cfg, "kaminski-nomul")
     eps = cfg.epsilon
     quick = _product_shape_reject(F, G, H)
     if quick is not None:
@@ -424,7 +428,8 @@ def verify_product_kronecker(F, G, H, cfg=None, e=None):
     certain shape rejection, made before beta is computed.  The report
     carries the inner error bound, rounds and witnesses."""
     cfg = cfg or VerifyConfig()
-    _same_ctx(F, G, H)
+    same_ctx(F, G, H)
+    _own_method(cfg, "kronecker")
     if F.ctx != ZZ:
         raise TypeError("kronecker needs ring Z inputs")
     quick = _product_shape_reject(F, G, H)
@@ -455,9 +460,14 @@ SPARSE_EPS1 = Fraction(3, 20)
 SPARSE_EPS2 = Fraction(1, 2)
 
 
-def _sparse_lam(eps, t_products, n):
+def _sparse_lam(F, G, H, eps):
     """The lower end lam of the fold prime's range [lam, 2 lam] for a
-    check of t_products terms and degree n at error eps."""
+    check of H = F*G at error eps: the #F #G + #H terms of H - F*G, of
+    degree at most n = max(deg F + deg G, 2), stay apart modulo a uniform
+    prime of that range with probability at least 1 - 10 SPARSE_EPS1 eps/3
+    (verify_sparse_product)."""
+    t_products = F.sparsity() * G.sparsity() + H.sparsity()
+    n = max(F.degree() + G.degree(), 2)
     return max(21, math.ceil(t_products * ln_upper(n) / (SPARSE_EPS1 * eps)))
 
 
@@ -487,18 +497,16 @@ def verify_sparse_product(F, G, H, cfg=None):
     over GF(q) it extends a small field, and it raises FieldTooSmallError
     on a GF(q)[X]/(R) too small for the bound."""
     cfg = cfg or VerifyConfig()
-    _same_ctx(F, G, H)
+    same_ctx(F, G, H)
+    _own_method(cfg, "sparse")
     F, G, H = F.to_sparse(), G.to_sparse(), H.to_sparse()
     eps = cfg.epsilon
     screen = _sparse_screen(F, G, H)
     if screen is not None:
         verdict, witness = screen
         return VerifyReport(verdict, 0.0, 0, [witness], "sparse", cfg.seed)
-    n = F.degree() + G.degree()  # deg H, where the screen passed H over Z or a field
     rng = RngStream(cfg.seed)
-    t_products = F.sparsity() * G.sparsity() + H.sparsity()
-    lam = _sparse_lam(eps, t_products, max(n, 2))
-    p = random_prime(lam, Fraction(5, 3) * SPARSE_EPS1 * eps, rng)
+    p = random_prime(_sparse_lam(F, G, H, eps), Fraction(5, 3) * SPARSE_EPS1 * eps, rng)
     inner = _folded_check(F, G, H, p, SPARSE_EPS2 * eps, rng, modverify.verify_mod_ff)
     witnesses = [{"p": p, "inner": inner.witnesses}]
     return VerifyReport(inner.verdict, bound_above(eps), 1, witnesses, "sparse", cfg.seed)
@@ -540,8 +548,7 @@ def exact_route_costs(F, G, H, eps, P=None):
         # verify_sparse_product folds every exponent below a prime p >= lam
         # and checks the folded identity at eps2
         eps = Fraction(eps)
-        t_products = F.sparsity() * G.sparsity() + H.sparsity()
-        top = _sparse_lam(eps, t_products, max(F.degree() + G.degree(), 2))
+        top = _sparse_lam(F, G, H, eps)
         eps = SPARSE_EPS2 * eps
         terms = F.sparsity() + G.sparsity() + H.sparsity()
     else:
@@ -587,7 +594,7 @@ def verify_product(F, G, H, cfg=None, P=None):
     would pick the product that the verifier exists to avoid."""
     cfg = cfg or VerifyConfig()
     polys = (F, G, H) if P is None else (F, G, H, P)
-    _same_ctx(*polys)
+    same_ctx(*polys)
     method = cfg.method
     if method == "auto" and all_sparse(*polys):
         costs = exact_route_costs(F, G, H, cfg.epsilon, P)

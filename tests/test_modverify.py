@@ -403,6 +403,21 @@ class TestOneFrontEnd:
             with pytest.raises(TypeError, match=message):
                 verify_mod_companion(F, G, H, P, cfg(0, method=method))
 
+    def test_companion_asks_the_method_rule_first(self, rng):
+        # a name outside METHODS is refused as verify_mod_ff refuses it,
+        # and every name of METHODS gives the report it gave before
+        P, F, G, H = make_instance(pc.GF(7), 20, 3, rng)
+        for method in ("kaminski", "kaminski-nomul", "kronecker", "sparse"):
+            with pytest.raises(ValueError, match=f"^unknown method '{method}'$"):
+                verify_mod_companion(F, G, H, P, cfg(0, method=method))
+        for X in (H, perturb_poly(H, rng)):
+            want = verify_mod_ff(F, G, X, P, cfg(4, method="companion-freivalds"))
+            assert want.method == "companion-freivalds"
+            for method in ("auto", "direct-eval", "extension", "companion-freivalds"):
+                assert verify_mod_companion(F, G, X, P, cfg(4, method=method)) == want
+            got = verify_mod_companion(F, G, X, P, cfg(4, method="companion-no-polymul"))
+            assert got.method == "companion-sparse" and got.verdict is (X == H)
+
 
 class TestVerifyModCompanion:
     def test_one_sided_both_modes(self, rng):

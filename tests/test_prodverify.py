@@ -802,6 +802,29 @@ class TestInputChecks:
                 verify(*polys)
 
 
+class TestMethodRule:
+    """Each product verifier runs under "auto" and its own name, with the
+    same report, and refuses every other name, product or modular."""
+
+    @pytest.mark.parametrize("verify, name", [
+        (verify_product_kaminski, "kaminski"),
+        (verify_product_kaminski_nomul, "kaminski-nomul"),
+        (verify_product_kronecker, "kronecker"),
+        (verify_sparse_product, "sparse"),
+    ], ids=lambda x: getattr(x, "__name__", x))
+    def test_own_name_or_auto(self, verify, name):
+        F, G = EX1_F.to_dense(), EX1_G.to_dense()
+        for H in (EX1_FG.to_dense(), EX1_H.to_dense()):
+            want = verify(F, G, H, VerifyConfig(seed=3))
+            assert verify(F, G, H, VerifyConfig(method=name, seed=3)) == want
+        for method in modverify.PRODUCT_METHODS + modverify.METHODS:
+            if method in ("auto", name):
+                continue
+            message = f"^the {name} verifier cannot run method '{method}'$"
+            with pytest.raises(ValueError, match=message):
+                verify(F, G, EX1_FG.to_dense(), VerifyConfig(method=method))
+
+
 class TestReportDeterminism:
     def test_byte_for_byte_reports(self, rng):
         import json
