@@ -8,9 +8,10 @@ of their indices, and bridge the gaps between them by powers of the point
 from one windowed power table (poly.power_table), which also serves
 P(alpha) and F(alpha) and which the calling check shares with its
 evaluation of H.  The sparse scan keeps its values in the ring's product
-form (ring.product_form), bit-sliced in GF(2)[X]/(R) and the element
-itself elsewhere, so its gap products are made as the table makes its
-own, and only the result leaves the form.  Where deg F + deg G < deg P
+form (ring.product_form), bit-sliced in GF(2)[X]/(R), slot-packed in
+GF(q)[X]/(R) for odd q from degree 2 on, and the element itself
+elsewhere, so its gap products are made as the table makes its own, and
+only the result leaves the form.  Where deg F + deg G < deg P
 nothing wraps, and
 neither form scans at all: the result is F(alpha) G(alpha), the sparse
 routine's from that table (_nothing_wraps).  The one exception is dense
@@ -55,10 +56,11 @@ There are three kernels, one per element representation:
     256 buckets of f and the pairs inside a byte as 28 popcounts of ANDed
     bit-vectors;
   - GF(q)[X]/(R) at x for odd q (GFqExt.dense_scan): the d coordinates sit
-    unreduced in w-bit slots of one int, so x * f is a mask and shift plus
-    (top slot % q) times the packed -R mod q, and -v P(x) one more
-    multiply-add.  The f-slots stay below 2d q^2 and the slots of a sum of
-    m terms below 2m d q^3; w is the bit length of that bound.
+    unreduced in w-bit slots of one int, the top coordinate in the low
+    slot, so x * f is one shift plus (low slot % q) times the packed -R
+    mod q, and -v P(x) one more multiply-add.  The f-slots stay below
+    2d q^2 and the slots of a sum of m terms below 2m d q^3; w is the bit
+    length of that bound.
 A fourth kernel, gf2_first_mismatch, runs the packed GF(2) scan for many
 moduli R of one degree d at once: each R's residue sits in its own
 (d+1)-bit lane of one int, and the first R at which H and the product
@@ -371,7 +373,8 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     (bits of the power)/8 - 1 products each.
 
     The scan runs in the ring's product form (ring.product_form), the
-    bit-sliced one in GF(2)[X]/(R) and the element itself elsewhere:
+    bit-sliced one in GF(2)[X]/(R), the slot-packed one in GF(q)[X]/(R)
+    for odd q from degree 2 on, and the element itself elsewhere:
     alpha, P(alpha) and F(alpha) enter it once, the gap powers are the
     table's pw.form, and the result leaves it once.  Coefficients in a
     base are added and scaled by the ring's add, sub and scalar_mul on

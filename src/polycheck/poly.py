@@ -673,12 +673,13 @@ def power_table(ring, alpha):
     The squares and entries are kept in the form the ring names with its
     product (ring.product_form): the element itself and ring.mul, but
     bit-sliced in GF(2)[X]/(R), where a product is three integer
-    multiplications (see rings.GF2Ext._sliced_product).  pw(e) leaves the
-    form once, and pw.form(e) is alpha^e in the form, which the sparse
-    scan of modeval multiplies by the form's product.  alpha enters the
-    form with the first entry made, so a table nothing reads costs
-    nothing.  A product in the form is counted in POLY_MUL_OPS where
-    ring.mul is: every ExtField product but one with x.
+    multiplications (see rings.GF2Ext._sliced_product), and slot-packed in
+    GF(q)[X]/(R) for odd q from degree 2 on (see rings.GFqExt._packing).
+    pw(e) leaves the form once, and pw.form(e) is alpha^e in the form,
+    which the sparse scan of modeval multiplies by the form's product.
+    alpha enters the form with the first entry made, so a table nothing
+    reads costs nothing.  A product in the form is counted in POLY_MUL_OPS
+    where ring.mul is: every ExtField product but one with x.
 
     Besides pw(e), the table gives bulk access to one window:
     pw.window(i, digits) fills the entries of window i that the byte values

@@ -18,6 +18,7 @@ from array import array
 from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 
 _MASK64 = (1 << 64) - 1
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # GF(2) coefficients as binary digits
@@ -210,12 +211,15 @@ def ln_pow2_upper(k):
 # The power table and the sparse scan of modeval keep their values in the
 # ring's product form (product_form): the element itself and mul, but in
 # GF2Ext the bit-sliced form of GF2Ext._slice, where a product is three
-# integer multiplications.  The form is linear over the base: into and out
+# integer multiplications, and in GFqExt from d = 2 on the slot-packed
+# form of GFqExt._into, where a product is one integer product and its
+# reduction in the slots.  The form is linear over the base: into and out
 # commute with add, sub and scalar_mul by a base scalar, which the sparse
-# scan applies to form values.  GF2Ext has no sparse_sum: the generic
-# loop reads the same sliced table, and an XOR of the sliced powers,
-# unsliced once, measured no faster (1.54 against 1.58 ms for
-# companion-freivalds at T = 8).
+# scan applies to form values (GFqExt's take packed values as well as
+# elements).  GF2Ext has no sparse_sum: the generic loop reads the same
+# sliced table, and an XOR of the sliced powers, unsliced once, measured
+# no faster (1.54 against 1.58 ms for companion-freivalds at T = 8).
+# GFqExt has none either: the generic loop unpacks each term's power.
 #
 # GF2Ext has that one product: mul slices its factors and unslices the
 # result, which costs more than the 4-bit comb it replaced at small d.
@@ -239,7 +243,18 @@ def ln_pow2_upper(k):
 #     unreduced): 3.1 against 2.7 ms for the transposed scan at 61 bits,
 #     and 36 against 20 ms with 2048-bit V and gs over Z, where
 #     g_(i+1) f_(i+1) has two wide factors;
-#   - the odd-q slot scan two steps per iteration: 4.47 against 4.48 ms;
+#   - the odd-q slot scan two steps per iteration, in the layout with the
+#     top coordinate in the low slot: 4.74 against 4.62 ms (best of 25 at
+#     q = 65537, d = 3), and with v NP made for every index ahead of the
+#     loop by a C-level map: 4.83 against 4.23 ms;
+#   - GFqExt's product with one slot reduction at the end instead of
+#     three, in slots of 2 bit_length((d-1)^3 p^4 + d p^2) + 1 bits: a
+#     square in the slots took 0.84 against 1.16 us at q = 65537, d = 3,
+#     but 9.8 against 3.4 us at q = 7, d = 34, where its ints are twice
+#     as wide; and a fold of the d - 1 high slots one at a time through
+#     the packed x^(d+i) mod R in place of Barrett's step: about as fast
+#     at d <= 4, 4.6-5.2 against 2.4-2.6 us at q = 7, d = 22 and 8.3-8.6
+#     against 3.6-6.3 us at d = 34 (best of 9 x 20000 squares);
 #   - GF(2) Horner on 16-bit and 32-bit words: 441 against 480 us and 503
 #     against 501 us;
 #   - a C-level sparse product and reduction: slower than the dict loop;
@@ -665,29 +680,157 @@ class _FiniteExt(ExtField):
 
 
 class GFqExt(_FiniteExt):
-    """GF(q)[X]/(R) for odd q: tuples of d ints in [0, q).  The product is
-    the schoolbook one on ints, reduced once; horner and dense_scan keep the
-    d coordinates unreduced in w-bit slots of one int (_slots, _pack,
-    _unpack)."""
+    """GF(q)[X]/(R) for odd q: tuples of d ints in [0, q).  The one product
+    packs both factors into slots of one int, coordinate j in slot j, and
+    is one integer product reduced by Barrett's method, in two more
+    multiplications and three reductions mod q of every slot at once
+    (_packing, _reduced).  pow packs once, squares and multiplies in the
+    slots and unpacks once, and from d = 2 on the power table and the
+    sparse scan of modeval keep their values packed (product_form), so
+    they pack and unpack once.  horner and dense_scan keep the d coordinates
+    unreduced in w-bit slots of their own width, coordinate j in slot
+    d - 1 - j (_slots, _pack, _unpack)."""
 
-    __slots__ = ()
+    __slots__ = ("_packed",)
+
+    def _start(self):
+        super()._start()
+        self._packed = None  # the packed product's constants, built by the first _packing
+
+    def _packing(self):
+        """The constants of the packed product, built on first use: the
+        slot shifts, the slot mask, x packed, q in every slot, and those
+        _reduced reads.
+
+        Coordinates up to p = q - 1 sit in w-bit slots, and the integer
+        product t of two packed elements has 2d - 1 slots, each a sum of
+        at most d products: at most d p^2.  Reducing mod q commutes with
+        adding, multiplying and shifting whole slots, so Barrett's method
+        (CRYPTO 1986) runs on packed slots as on polynomials, where it is
+        exact (see GF2Ext._sliced_product): with t = t1 X^d + t0 and
+        mu = floor(X^(2d-2) / R) mod q, the quotient is (t1 mu) div
+        X^(d-2), and t mod R = t0 + quotient (-R mod q).  With t1 and the
+        quotient reduced mod q, every slot on the way is at most
+        B = (2d - 1) p^2 < 2^s.  One multiplication reduces every slot v
+        mod q at once (_mod_slots): with k = s + bit_length(q) and
+        m = ceil(2^k / q), floor(v m / 2^k) = floor(v / q), since v m / 2^k
+        exceeds v / q by less than 2^(s-k) < 1 / q; v m < 2^(2s+1) = 2^w,
+        so the slots of t m never carry, and after the shift by k each
+        slot's quotient sits in its low w - k bits, under the mask quot."""
+        q, d = self.base.q, self.d
+        p = q - 1
+        s = ((2 * d - 1) * p * p).bit_length()
+        k = s + q.bit_length()
+        w = 2 * s + 1
+        shifts = [j * w for j in range(d)]
+        r = self.modulus[-2::-1]  # R's coefficients below X^d, from the top
+        top = [1]  # mu's coefficients from the top: R mu has none at X^(2d-3) .. X^(d-1)
+        for j in range(1, d - 1):
+            top.append(-sum(map(operator.mul, r[:j], reversed(top))) % q)
+        pack = self._pack
+        self._packed = (
+            shifts, (1 << w) - 1, pack(self.x, shifts), pack([q] * d, shifts),
+            d * w, max(d - 2, 0) * w, (1 << ((d - 1) * w)) - 1, (1 << (d * w)) - 1,
+            pack(top[::-1], shifts) if d > 1 else 0,  # mu
+            pack([(-c) % q for c in self.modulus[:-1]], shifts),  # -R mod q
+            k, -(-(1 << k) // q), pack([(1 << (w - k)) - 1] * d, shifts), q,  # m, quot
+        )
+        return self._packed
+
+    def _mod_slots(self, t):
+        """Every slot of t, each at most 2^s - 1, reduced mod q."""
+        k, m, quot, q = self._packed[-4:]
+        return t - ((t * m >> k) & quot) * q
+
+    def _reduced(self, t):
+        """The integer product t of two packed elements, taken mod R with
+        every slot reduced mod q (_packing): _mod_slots written out three
+        times, on t1, on the quotient and on the remainder."""
+        dw, sw, high, low, mu, N, k, m, quot, q = self._packed[4:]
+        t1 = t >> dw
+        t1 -= ((t1 * m >> k) & quot) * q
+        quotient = (t1 * mu >> sw) & high
+        quotient -= ((quotient * m >> k) & quot) * q
+        t = (t & low) + (quotient * N & low)
+        return t - ((t * m >> k) & quot) * q
+
+    def _into(self, a):
+        """a in the packed form, coordinate j in slot j.  x itself packs
+        to the one packed x and _out takes that back to x itself, so that
+        identity marks x in the form and out of it, as mul reads it."""
+        shifts, _, x = (self._packed or self._packing())[:3]
+        return x if a is self.x else self._pack(a, shifts)
+
+    def _out(self, a):
+        """The element of a value of the packed form."""
+        shifts, slot, x = (self._packed or self._packing())[:3]
+        return self.x if a is x else tuple([(a >> j) & slot for j in shifts])
 
     def _product(self, a, b):
-        q, d = self.base.q, self.d
-        res = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    res[i + j] += ai * bj
-        mod = self.modulus
-        for i in range(2 * d - 2, d - 1, -1):
-            c = res[i] % q
-            if c:
-                for j in range(d):
-                    if mod[j]:
-                        res[i - d + j] -= c * mod[j]
-            res[i] = 0
-        return tuple(x % q for x in res[:d])
+        shifts, slot = (self._packed or self._packing())[:2]
+        t = self._reduced(self._pack(a, shifts) * self._pack(b, shifts))
+        return self._unpack(t, shifts, slot)
+
+    def _mul_packed(self, a, b):
+        """The product of packed elements, counted in POLY_MUL_OPS as mul
+        counts it: not where a factor is the packed x itself."""
+        x = self._packed[2]
+        if a is not x and b is not x:
+            POLY_MUL_OPS.bump()
+        return self._reduced(a * b)
+
+    def product_form(self):
+        """(into, mul, out) as ExtField.product_form: from d = 2 on the
+        packed form, its product and the way back.  Packed values are
+        added, subtracted and scaled by a base scalar exactly, by add, sub
+        and scalar_mul, on which the sparse scan relies.  At d = 1 the
+        packed x is a value below q, which CPython may keep as one object
+        with every equal int, so identity could not mark it: the element
+        itself stays the form there."""
+        if self.d == 1:
+            return ExtField.product_form(self)
+        return self._into, self._mul_packed, self._out
+
+    def add(self, a, b):
+        """a + b, of elements or of values of the packed form."""
+        if a.__class__ is int:
+            return self._mod_slots(a + b)
+        return tuple(map(operator.mod, map(operator.add, a, b), repeat(self.base.q)))
+
+    def sub(self, a, b):
+        """a - b, of elements or of values of the packed form."""
+        if a.__class__ is int:
+            return self._mod_slots(a + self._packed[3] - b)
+        return tuple(map(operator.mod, map(operator.sub, a, b), repeat(self.base.q)))
+
+    def scalar_mul(self, c, a):
+        """c a for a base scalar c, of an element or a value of the packed
+        form."""
+        if a.__class__ is int:
+            return self._mod_slots(c * a)
+        q = self.base.q
+        return tuple([c * y % q for y in a])
+
+    def pow(self, a, e):
+        """a^e as ExtField.pow takes it, left to right from the top set bit
+        of e, and counted as it counts: bit_length(e) - 1 squarings and
+        popcount(e) - 1 products by a, where a that is x itself (by
+        identity) makes the first squaring and every product by a
+        uncounted.  a is packed once, every square and product stays in
+        the slots (_reduced), and the result is unpacked once."""
+        if e < 0:
+            raise ValueError("negative exponent")
+        if e < 2:
+            return a if e else self.one()
+        POLY_MUL_OPS.bump(e.bit_length() - 2 + (0 if a is self.x else e.bit_count()))
+        shifts, slot = (self._packed or self._packing())[:2]
+        acc = pa = self._pack(a, shifts)
+        reduced = self._reduced
+        for i in range(e.bit_length() - 2, -1, -1):
+            acc = reduced(acc * acc)
+            if (e >> i) & 1:
+                acc = reduced(acc * pa)
+        return self._unpack(acc, shifts, slot)
 
     def horner(self, cs, alpha):
         """sum cs[i] x^i, that is the polynomial cs mod R, for coefficients
@@ -702,61 +845,70 @@ class GFqExt(_FiniteExt):
         b q d q^2 + d q d q^2 = (b + d) d q^3 < 2^w, so no slot carries
         into the next.  That map costs O(d) per block against the block's
         O(b), so b = isqrt(n d) for n = len(cs), at most n: about
-        sqrt(n / d) blocks and b + d powers.  No ring product is made."""
+        sqrt(n / d) blocks and b + d powers.  A block whose coefficients
+        are all zero costs its map alone, so a sparse polynomial made dense,
+        such as P = X^n + 5X + 1, pays its blocks' any() and giant steps and
+        no dot product.  No ring product is made."""
         self._require_x(alpha)
         q, d, n = self.base.q, self.d, len(cs)
         b = max(1, min(n, math.isqrt(n * d)))
-        w, mask, sh, M = self._slots((b + d) * d * q**3)
-        powers = [1]
+        w, slot, shifts, M = self._slots((b + d) * d * q**3)
+        powers = [1 << (d - 1) * w]
         for _ in range(b + d - 1 if n > b else b - 1):
             p = powers[-1]
-            powers.append(((p & mask) << w) + (p >> sh) % q * M)
+            powers.append((p >> w) + (p & slot) % q * M)
         table, shifted = powers[:b], powers[b:]
         top = (n - 1) // b * b
         acc = sum(map(operator.mul, cs[top:], table))
         for start in range(top - b, -1, -b):
-            acc = sum(map(operator.mul, self._unpack(acc, w), shifted)) + sum(
-                map(operator.mul, cs[start : start + b], table)
-            )
-        return self._unpack(acc, w)
+            acc = sum(map(operator.mul, self._unpack(acc, shifts, slot), shifted))
+            block = cs[start : start + b]
+            if any(block):
+                acc += sum(map(operator.mul, block, table))
+        return self._unpack(acc, shifts, slot)
 
     def dense_scan(self, f, alpha, pa, V, gs):
         """The dense scan at alpha = x for V and gs in GF(q).  The d
-        coordinates sit unreduced in w-bit slots of one int, and a step is
-        f <- (f without its top slot) << w + (top % q) M + v NP, where M
-        packs -R mod q and NP packs -pa mod q.  A step adds two nonnegative
-        terms of at most (q-1)^2 to every slot, and slot j inherits slot
-        j-1, so every f-slot stays below 2d q^2 and every slot of the sum of
-        len(gs) terms g f below 2 len(gs) d q^3 < 2^w: no slot carries into
-        the next, and one reduction per slot at the end gives the
-        element."""
+        coordinates sit unreduced in w-bit slots of one int, coordinate j
+        in slot d - 1 - j, so the top coordinate is the low slot, and a
+        step is f <- f >> w + (low slot % q) M + v NP, where M packs -R mod
+        q and NP packs -pa mod q.  A step adds two nonnegative terms of at
+        most (q-1)^2 to every slot, and coordinate j inherits coordinate
+        j-1 from the slot above, so coordinate j stays below 2(j+1) q^2,
+        every f-slot below 2d q^2, and every slot of the sum of len(gs)
+        terms g f below 2 len(gs) d q^3 < 2^w: no slot carries into the
+        next, and one reduction per slot at the end gives the element."""
         self._require_x(alpha)
         q = self.base.q
-        w, mask, sh, M = self._slots(2 * len(gs) * self.d * q**3)
-        NP = self._pack([(-c) % q for c in pa], w)
-        f = self._pack(f, w)
+        w, slot, shifts, M = self._slots(2 * len(gs) * self.d * q**3)
+        NP = self._pack([(-c) % q for c in pa], shifts)
+        f = self._pack(f, shifts)
         beta = gs[0] * f
         for v, g in zip(V, gs[1:]):
-            f = ((f & mask) << w) + (f >> sh) % q * M + v * NP
+            f = (f >> w) + (f & slot) % q * M + v * NP
             if g:
                 beta += g * f
-        return self._unpack(beta, w)
+        return self._unpack(beta, shifts, slot)
 
     def _slots(self, bound):
-        """For a slot bound: the width w with 2^w > bound, the mask of the
-        low d-1 slots, the shift of the top slot and M, the packed -R."""
+        """For a slot bound: the width w with 2^w > bound, the mask of one
+        slot, the shifts of coordinates 0 .. d-1 (slots d-1 .. 0) and M,
+        the packed -R."""
         w = bound.bit_length()
-        sh = (self.d - 1) * w
-        M = self._pack([(-c) % self.base.q for c in self.modulus[:-1]], w)
-        return w, (1 << sh) - 1, sh, M
+        shifts = [j * w for j in range(self.d - 1, -1, -1)]
+        M = self._pack([(-c) % self.base.q for c in self.modulus[:-1]], shifts)
+        return w, (1 << w) - 1, shifts, M
 
     @staticmethod
-    def _pack(cs, w):
-        return sum(c << (j * w) for j, c in enumerate(cs))
+    def _pack(cs, shifts):
+        """The coordinates cs, coordinate j at bit shifts[j] of one int."""
+        return sum(map(operator.lshift, cs, shifts))
 
-    def _unpack(self, a, w):
-        q, slot = self.base.q, (1 << w) - 1
-        return tuple(((a >> (j * w)) & slot) % q for j in range(self.d))
+    def _unpack(self, a, shifts, slot):
+        """The element whose coordinate j is the slot of a at shifts[j],
+        reduced mod q."""
+        q = self.base.q
+        return tuple([((a >> j) & slot) % q for j in shifts])
 
 
 class GF2Ext(_FiniteExt):

@@ -20,13 +20,21 @@ ring-method loops that stay as their reference:
     evaluate as they are, with no copy, against their canonical copies in
     GF(m) built by the checking constructors;
   - the dense scan's exit where nothing wraps (F(alpha) G(alpha)) against
-    the scan and the oracle, on both sides of deg F + deg G = deg P.
+    the scan and the oracle, on both sides of deg F + deg G = deg P;
+  - the packed arithmetic of GF(q)[X]/(R) for odd q (the product, pow in
+    the slots, the packed product form and its slot reduction) against
+    ExtField's generic product and pow, with their POLY_MUL_OPS counts,
+    and Horner at x on zero blocks; and pins of what that arithmetic
+    must not move: Ben-Or's draws and the odd-q extension reports.
 Z has no kernel; its instances check the generic loops against the oracle.
 
 These tests run under the "thorough" hypothesis profile in CI as well; see
 conftest.py.
 """
 
+import hashlib
+import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
@@ -42,7 +50,7 @@ from polycheck.modeval import (
     gf2_first_mismatch,
     leading_coefficients,
 )
-from polycheck.modverify import _agree_at
+from polycheck.modverify import VerifyConfig, _agree_at, verify_mod_ff
 from polycheck.oracle import oracle_mod_product
 from polycheck.poly import (
     EXPONENT_CAP,
@@ -51,8 +59,9 @@ from polycheck.poly import (
     evaluate,
     power_table,
 )
+from polycheck.prodverify import verify_sparse_product
 from polycheck.rings import POLY_MUL_OPS, ExtField, RngStream, random_irreducible
-from conftest import gf2_clmul, rebuilt
+from conftest import gf2_clmul, perturb_poly, rand_dense, rand_sparse, rebuilt
 
 Z = pc.ZZ
 F2 = pc.GF(2)
@@ -638,3 +647,249 @@ class TestDispatch:
         assert leading_coefficients(P, F) == [0, 0, 3, 2]
         assert leading_coefficients(P, F.to_sparse()) == [0, 0, 3, 2]
         assert leading_coefficients(pc.x_pow_minus_one(ctx, 1), pc.DensePoly(ctx, [4])) == []
+
+
+# ---------------------------------------------------------------------------
+# the packed arithmetic of GF(q)[X]/(R) for odd q against the generic loops
+
+ODD_FIELDS = tuple(pc.GF(q) for q in (3, 7, 65537, 2**61 - 1))
+
+
+@st.composite
+def odd_q_elements(draw):
+    """(ring, a, b): GF(q)[X]/(R) for q in 3, 7, 65537 and 2^61 - 1 with R
+    drawn as points draws it (degree 1..40, random, all ones, all q - 1
+    below X^d, or irreducible), and two elements, each x itself, 0, 1, all
+    q - 1 or random."""
+    ctx = draw(st.sampled_from(ODD_FIELDS))
+    ring, _ = draw(points(ctx).filter(lambda point: point[0] is not ctx))
+    q, d = ctx.q, ring.d
+    coords = st.lists(st.integers(0, q - 1), min_size=d, max_size=d).map(ring.from_coeffs)
+    element = st.sampled_from((ring.x, ring.zero(), ring.one(), ring.from_coeffs([q - 1] * d)))
+    return ring, draw(element | coords), draw(element | coords)
+
+
+def _generic(ring):
+    """ring's products made by ExtField's Horner loop, for the references."""
+    return mock.patch.object(type(ring), "_product", ExtField._product)
+
+
+class TestPackedOddQArithmetic:
+    @given(odd_q_elements())
+    def test_product_matches_the_generic_loop(self, inst):
+        ring, a, b = inst
+        before = POLY_MUL_OPS.count
+        got = ring._product(a, b)
+        assert POLY_MUL_OPS.count == before
+        assert got == ExtField._product(ring, a, b)
+        before = POLY_MUL_OPS.count
+        got = ring.mul(a, b)
+        ops = POLY_MUL_OPS.count - before
+        with _generic(ring):
+            before = POLY_MUL_OPS.count
+            assert got == ring.mul(a, b)
+            assert POLY_MUL_OPS.count - before == ops == (a is not ring.x and b is not ring.x)
+
+    @given(odd_q_elements(), st.data())
+    def test_pow_matches_the_generic_loop(self, inst, data):
+        """Exponents 0, 1, 2, q and random, on x itself and on other
+        elements: the same value and the same POLY_MUL_OPS delta as
+        ExtField.pow with the generic product."""
+        ring, a, _ = inst
+        q = ring.base.q
+        e = data.draw(st.sampled_from((0, 1, 2, q, q + 1, q * q)) | st.integers(0, 2**70))
+        before = POLY_MUL_OPS.count
+        got = ring.pow(a, e)
+        ops = POLY_MUL_OPS.count - before
+        with _generic(ring):
+            before = POLY_MUL_OPS.count
+            assert got == ExtField.pow(ring, a, e)
+            assert POLY_MUL_OPS.count - before == ops
+
+    @given(odd_q_elements(), st.data())
+    def test_product_form_is_exact(self, inst, data):
+        """From d = 2 on the form is packed: into and out are inverse, add,
+        sub and scalar_mul act on packed values as on elements, and the
+        form's product is mul, counted alike, x itself included."""
+        ring, a, b = inst
+        into, mul, out = ring.product_form()
+        c = data.draw(st.integers(0, ring.base.q - 1))
+        A, B, X = into(a), into(b), into(ring.x)
+        assert isinstance(A, int) is (ring.d > 1)
+        assert out(A) == a and out(B) == b and X is into(ring.x)
+        assert out(ring.add(A, B)) == ring.add(a, b) == ExtField.add(ring, a, b)
+        assert out(ring.sub(A, B)) == ring.sub(a, b) == ExtField.sub(ring, a, b)
+        assert out(ring.scalar_mul(c, A)) == ring.scalar_mul(c, a) == ExtField.scalar_mul(ring, c, a)
+        for u, v, U, V in ((a, b, A, B), (ring.x, b, X, B), (a, ring.x, A, X)):
+            before = POLY_MUL_OPS.count
+            got = out(mul(U, V))
+            ops = POLY_MUL_OPS.count - before
+            before = POLY_MUL_OPS.count
+            assert got == ring.mul(u, v)
+            assert POLY_MUL_OPS.count - before == ops
+
+    @given(odd_q_elements(), st.data())
+    def test_packed_form_moves_no_value_or_count(self, inst, data):
+        """Sparse evaluation and the sparse scan, with coefficients in GF(q)
+        or in the ring itself, at x or at another point, and exponents 0
+        and 1 among the terms: the values and POLY_MUL_OPS deltas of the
+        element form, x itself included wherever it enters or leaves the
+        packed form."""
+        ring, a, b = inst
+        q = ring.base.q
+        ctx = data.draw(st.sampled_from((ring.base, ring)))
+        alpha = data.draw(st.sampled_from((ring.x, a)))
+        n = data.draw(st.integers(2, 300))
+
+        def coeff():
+            if ctx is ring:
+                return data.draw(st.sampled_from((ring.x, a, b, ring.one())))
+            return data.draw(st.integers(1, q - 1))
+
+        def sparse():
+            exps = {0, 1, n - 1} | set(data.draw(st.lists(st.integers(0, n - 1), max_size=5)))
+            return pc.SparsePoly.from_dict(ctx, {e: coeff() for e in exps})
+
+        P = pc.SparsePoly.from_dict(ctx, {0: coeff(), n: ctx.one()})
+        F, G = sparse(), sparse()
+
+        def run():
+            before = POLY_MUL_OPS.count
+            values = evaluate(F, alpha, ring), modeval.eval_mod_p_sparse(P, F, G, alpha, ring)
+            return values, POLY_MUL_OPS.count - before
+
+        got = run()
+        with mock.patch.object(type(ring), "product_form", ExtField.product_form):
+            assert run() == got
+
+
+@pytest.mark.parametrize("q", [3, 7, 65537, 2**61 - 1])
+@pytest.mark.parametrize("d", [1, 2, 3, 22, 40])
+def test_slot_reduction_at_its_bound(q, d):
+    """Every slot reduced mod q at once, on slots up to B = (2d - 1)(q - 1)^2,
+    the most the packed product puts in one, and up to 2^s - 1 for the s
+    with 2^s > B, the most the reduction is built for."""
+    ring = ExtField(pc.GF(q), [1] * (d + 1))
+    shifts = ring._packing()[0]
+    B = (2 * d - 1) * (q - 1) ** 2
+    for v in (B, (1 << B.bit_length()) - 1, B - 1, q, q - 1, 0):
+        slots = [v] * d
+        slots[0] = (v + q) % (B + 1)
+        assert ring._out(ring._mod_slots(ring._pack(slots, shifts))) == tuple(c % q for c in slots)
+
+
+def _with_zero_runs(n, b, aligned, rng, q):
+    """n coefficients in [0, q) with runs of zeros: whole blocks of b when
+    aligned, anywhere otherwise, and the rest random."""
+    cs = [rng.below(q) for _ in range(n)]
+    for _ in range(1 + rng.below(4)):
+        start = rng.below(n)
+        length = 1 + rng.below(n - start)
+        if aligned:
+            start, length = start // b * b, max(1, length // b) * b
+        cs[start : start + length] = [0] * len(cs[start : start + length])
+    return cs
+
+
+class TestHornerOnZeroBlocks:
+    @given(st.data())
+    def test_zero_runs_match_the_generic_loop(self, data):
+        """Vectors of up to 2^12 coefficients with runs of zero blocks and
+        zeros that cut blocks, all zero and all but the top zero."""
+        ctx = data.draw(st.sampled_from(ODD_FIELDS))
+        ring, alpha = data.draw(points(ctx).filter(lambda point: point[0] is not ctx))
+        n = data.draw(st.sampled_from((1, 2, 4096)) | st.integers(1, 4096))
+        b = max(1, min(n, math.isqrt(n * ring.d)))
+        rng = RngStream(data.draw(st.integers(0, 2**32)))
+        kind = data.draw(st.sampled_from(("aligned", "cut", "zero", "top")))
+        if kind in ("zero", "top"):
+            cs = [0] * (n - 1) + [1 if kind == "top" else 0]
+        else:
+            cs = _with_zero_runs(n, b, kind == "aligned", rng, ctx.q)
+        before = POLY_MUL_OPS.count
+        got = ring.horner(cs, alpha)
+        assert POLY_MUL_OPS.count == before
+        assert got == _horner(cs, alpha, ring, ctx)
+
+    @pytest.mark.parametrize("q, d", [(3, 40), (7, 22), (65537, 3), (2**61 - 1, 2)])
+    @pytest.mark.parametrize("n, k", [(2**12, 1), (2**12, 700), (2**12, 2**12 - 1), (1000, 999), (97, 3)])
+    def test_sparse_modulus_made_dense(self, q, d, n, k):
+        """P = X^n + c X^k + 1 made dense, as the dense scan evaluates it at
+        x, against the generic loop and against the sparse evaluation."""
+        ctx = pc.GF(q)
+        rng = RngStream(n + k + q)
+        ring = ExtField(ctx, [rng.below(q) for _ in range(d)] + [1])
+        P = pc.SparsePoly.from_dict(ctx, {0: 1, k: 1 + rng.below(q - 1), n: 1})
+        cs = P.to_dense().coeffs
+        got = ring.horner(cs, ring.x)
+        assert got == _horner(cs, ring.x, ring, ctx) == evaluate(P, ring.x, ring)
+
+
+# ---------------------------------------------------------------------------
+# what the odd-q extension arithmetic must not move
+
+
+def _counted(call):
+    before = POLY_MUL_OPS.count
+    value = call()
+    return value, POLY_MUL_OPS.count - before
+
+
+def _odd_q_irreducible_record():
+    """random_irreducible over GF(7) at d = 5, 22, 34 and over GF(65537) at
+    d = 3, 4, 8, seeds 0-4, epsilon 2^-20: each R, the draw that follows
+    and the POLY_MUL_OPS delta of Ben-Or's squarings."""
+    record = []
+    for q, degrees in ((7, (5, 22, 34)), (65537, (3, 4, 8))):
+        for d in degrees:
+            for seed in range(5):
+                rng = RngStream(seed)
+                R, ops = _counted(
+                    lambda: random_irreducible(pc.GF(q), d, Fraction(1, 2**20), rng))
+                record.append([q, d, seed, list(R.coeffs), rng.bits(32), ops])
+    return record
+
+
+def _odd_q_report_record():
+    """Reports and POLY_MUL_OPS deltas over GF(7) and GF(65537) at epsilon
+    2^-20: verify_sparse_product on two 32-term factors of degree below
+    2^20 (extension degrees 22 and 4), with the true H and H with one
+    coefficient changed; and verify_mod_ff's "companion-no-polymul" and
+    "extension" on dense F and G of degree 299 with P = X^300 + X^101 + 1,
+    true and perturbed."""
+    record = []
+    rng = RngStream(0x0DD)
+    eps = Fraction(1, 2**20)
+    for q in (7, 65537):
+        ctx = pc.GF(q)
+        F, G = (rand_sparse(ctx, 2**20, 32, rng) for _ in "FG")
+        H = pc.mul_oracle(F, G)
+        terms = dict(H.terms)
+        e = H.terms[rng.below(len(terms))][0]
+        terms[e] = terms[e] % (q - 1) + 1  # another nonzero coefficient
+        for X in (H, pc.SparsePoly.from_dict(ctx, terms)):
+            r, ops = _counted(lambda: verify_sparse_product(F, G, X, VerifyConfig(eps, "sparse", 3)))
+            assert r.verdict is (X is H)
+            record.append([r.to_dict(), ops])
+        n = 300
+        P = pc.SparsePoly.from_dict(ctx, {0: 1, 101: 1, n: 1})
+        F, G = (rand_dense(ctx, n - 1, rng) for _ in "FG")
+        H = oracle_mod_product(F, G, P)
+        for X in (H, perturb_poly(H, rng)):
+            for method in ("companion-no-polymul", "extension"):
+                r, ops = _counted(lambda: verify_mod_ff(F, G, X, P, VerifyConfig(eps, method, 5)))
+                assert r.verdict is (X is H)
+                record.append([r.to_dict(), ops])
+    return record
+
+
+@pytest.mark.parametrize("record, digest", [
+    (_odd_q_irreducible_record, "be5408e01c7cde9a"),
+    (_odd_q_report_record, "1b84558c3a7810d6"),
+])
+def test_odd_q_extension_is_pinned(record, digest):
+    """sha256 (first 16 hex digits) of the sorted-key JSON of each record,
+    taken before GF(q)[X]/(R) for odd q had its packed product: a change to
+    any verdict, witness, random draw or product count changes it."""
+    got = hashlib.sha256(json.dumps(record(), sort_keys=True).encode()).hexdigest()[:16]
+    assert got == digest
