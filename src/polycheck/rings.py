@@ -208,8 +208,8 @@ def ln_pow2_upper(k):
 # coefficients and points where their contract holds; poly.evaluate and
 # modeval.eval_mod_p_dense ask nothing else.
 #
-# The power table and the sparse scan of modeval keep their values in the
-# ring's product form (product_form): the element itself and mul, but in
+# pow, the power table and the sparse scan of modeval keep their values in
+# the ring's product form (product_form): the element itself and mul, but in
 # GF2Ext the bit-sliced form of GF2Ext._slice, where a product is three
 # integer multiplications, and in GFqExt from d = 2 on the slot-packed
 # form of GFqExt._into, where a product is one integer product and its
@@ -622,26 +622,29 @@ class ExtField:
         return acc
 
     def product_form(self):
-        """(into, mul, out): the form poly.power_table and the sparse scan
-        of modeval keep values in, its product and the way back, here the
-        element itself and mul (GF2Ext keeps its own form).  A form is
-        linear over the base: into and out commute with add, sub and
-        scalar_mul by a base scalar, on which the sparse scan relies."""
+        """(into, mul, out): the form pow, poly.power_table and the sparse
+        scan of modeval keep values in, its product and the way back, here
+        the element itself and mul (GF2Ext and GFqExt keep their own
+        forms).  A form is linear over the base: into and out commute with
+        add, sub and scalar_mul by a base scalar, on which the sparse scan
+        relies."""
         return _same, self.mul, _same
 
     def pow(self, a, e):
         """a^e, left to right from the top set bit of e: bit_length(e) - 1
-        squarings and popcount(e) - 1 products by a."""
+        squarings and popcount(e) - 1 products by a, made in the product
+        form, which a enters and the result leaves once."""
         if e < 0:
             raise ValueError("negative exponent")
         if e == 0:
             return self.one()
-        acc = a
+        into, mul, out = self.product_form()
+        acc = fa = into(a)
         for i in range(e.bit_length() - 2, -1, -1):
-            acc = self.mul(acc, acc)
+            acc = mul(acc, acc)
             if (e >> i) & 1:
-                acc = self.mul(acc, a)
-        return acc
+                acc = mul(acc, fa)
+        return out(acc)
 
     def is_zero(self, a):
         return a == self.zero()
@@ -680,21 +683,25 @@ class _FiniteExt(ExtField):
 
 
 class GFqExt(_FiniteExt):
-    """GF(q)[X]/(R) for odd q: tuples of d ints in [0, q).  The one product
-    packs both factors into slots of one int, coordinate j in slot j, and
-    is one integer product reduced by Barrett's method, in two more
+    """GF(q)[X]/(R) for odd q: tuples of d ints in [0, q).  Every kernel
+    packs the d coordinates into w-bit slots of one int in one layout,
+    coordinate j in slot d - 1 - j, so that the top coordinate is the low
+    slot (_shifts, _pack, _unpack).  The one product packs both factors
+    and is one integer product reduced by Barrett's method, in two more
     multiplications and three reductions mod q of every slot at once
-    (_packing, _reduced).  pow packs once, squares and multiplies in the
-    slots and unpacks once, and from d = 2 on the power table and the
+    (_packing, _reduced).  From d = 2 on pow, the power table and the
     sparse scan of modeval keep their values packed (product_form), so
-    they pack and unpack once.  horner and dense_scan keep the d coordinates
-    unreduced in w-bit slots of their own width, coordinate j in slot
-    d - 1 - j (_slots, _pack, _unpack)."""
+    they pack and unpack once.  horner and dense_scan keep the
+    coordinates unreduced in slots of a width of their own, where x f is
+    a shift down one slot plus (low slot % q) times -R mod q packed
+    (_slots)."""
 
-    __slots__ = ("_packed",)
+    __slots__ = ("_neg_r", "_packed")
 
     def _start(self):
         super()._start()
+        q = self.base.q
+        self._neg_r = [(-c) % q for c in self.modulus[:-1]]  # -R mod q below X^d
         self._packed = None  # the packed product's constants, built by the first _packing
 
     def _packing(self):
@@ -704,25 +711,31 @@ class GFqExt(_FiniteExt):
 
         Coordinates up to p = q - 1 sit in w-bit slots, and the integer
         product t of two packed elements has 2d - 1 slots, each a sum of
-        at most d products: at most d p^2.  Reducing mod q commutes with
-        adding, multiplying and shifting whole slots, so Barrett's method
-        (CRYPTO 1986) runs on packed slots as on polynomials, where it is
-        exact (see GF2Ext._sliced_product): with t = t1 X^d + t0 and
-        mu = floor(X^(2d-2) / R) mod q, the quotient is (t1 mu) div
-        X^(d-2), and t mod R = t0 + quotient (-R mod q).  With t1 and the
-        quotient reduced mod q, every slot on the way is at most
-        B = (2d - 1) p^2 < 2^s.  One multiplication reduces every slot v
-        mod q at once (_mod_slots): with k = s + bit_length(q) and
-        m = ceil(2^k / q), floor(v m / 2^k) = floor(v / q), since v m / 2^k
-        exceeds v / q by less than 2^(s-k) < 1 / q; v m < 2^(2s+1) = 2^w,
-        so the slots of t m never carry, and after the shift by k each
-        slot's quotient sits in its low w - k bits, under the mask quot."""
+        at most d products: at most d p^2.  The layout reverses the
+        coefficients, and the product of two reversed polynomials is their
+        product reversed: coefficient i of t sits in slot 2d - 2 - i.
+        Reducing mod q commutes with adding, multiplying and shifting whole
+        slots, so Barrett's method (CRYPTO 1986) runs on packed slots as on
+        polynomials, where it is exact (see GF2Ext._sliced_product): with
+        t = t1 X^d + t0 and mu = floor(X^(2d-2) / R) mod q, the quotient
+        is (t1 mu) div X^(d-2), and t mod R = t0 + quotient (-R mod q).
+        Reversed, t1 is the low d - 1 slots of t and t0 the rest, the
+        quotient is the low d - 1 slots of t1 mu, and the low d - 2 slots
+        of quotient (-R mod q) are the part dropped by the reduction mod
+        X^d.  With t1 and the quotient reduced mod q, every slot on the way
+        is at most B = (2d - 1) p^2 < 2^s.  One multiplication reduces
+        every slot v mod q at once (_mod_slots): with k = s + bit_length(q)
+        and m = ceil(2^k / q), floor(v m / 2^k) = floor(v / q), since
+        v m / 2^k exceeds v / q by less than 2^(s-k) < 1 / q; v m <
+        2^(2s+1) = 2^w, so the slots of t m never carry, and after the
+        shift by k each slot's quotient sits in its low w - k bits, under
+        the mask quot."""
         q, d = self.base.q, self.d
         p = q - 1
         s = ((2 * d - 1) * p * p).bit_length()
         k = s + q.bit_length()
         w = 2 * s + 1
-        shifts = [j * w for j in range(d)]
+        shifts = self._shifts(w)
         r = self.modulus[-2::-1]  # R's coefficients below X^d, from the top
         top = [1]  # mu's coefficients from the top: R mu has none at X^(2d-3) .. X^(d-1)
         for j in range(1, d - 1):
@@ -730,9 +743,9 @@ class GFqExt(_FiniteExt):
         pack = self._pack
         self._packed = (
             shifts, (1 << w) - 1, pack(self.x, shifts), pack([q] * d, shifts),
-            d * w, max(d - 2, 0) * w, (1 << ((d - 1) * w)) - 1, (1 << (d * w)) - 1,
-            pack(top[::-1], shifts) if d > 1 else 0,  # mu
-            pack([(-c) % q for c in self.modulus[:-1]], shifts),  # -R mod q
+            (d - 1) * w, max(d - 2, 0) * w, (1 << ((d - 1) * w)) - 1,  # the low d - 1 slots
+            pack(top[::-1], shifts[1:]) if d > 1 else 0,  # mu, d - 1 slots
+            pack(self._neg_r, shifts),
             k, -(-(1 << k) // q), pack([(1 << (w - k)) - 1] * d, shifts), q,  # m, quot
         )
         return self._packed
@@ -746,18 +759,18 @@ class GFqExt(_FiniteExt):
         """The integer product t of two packed elements, taken mod R with
         every slot reduced mod q (_packing): _mod_slots written out three
         times, on t1, on the quotient and on the remainder."""
-        dw, sw, high, low, mu, N, k, m, quot, q = self._packed[4:]
-        t1 = t >> dw
+        hw, lw, low, mu, N, k, m, quot, q = self._packed[4:]
+        t1 = t & low
         t1 -= ((t1 * m >> k) & quot) * q
-        quotient = (t1 * mu >> sw) & high
+        quotient = t1 * mu & low
         quotient -= ((quotient * m >> k) & quot) * q
-        t = (t & low) + (quotient * N & low)
+        t = (t >> hw) + (quotient * N >> lw)
         return t - ((t * m >> k) & quot) * q
 
     def _into(self, a):
-        """a in the packed form, coordinate j in slot j.  x itself packs
-        to the one packed x and _out takes that back to x itself, so that
-        identity marks x in the form and out of it, as mul reads it."""
+        """a in the packed form.  x itself packs to the one packed x and
+        _out takes that back to x itself, so that identity marks x in the
+        form and out of it, as mul reads it."""
         shifts, _, x = (self._packed or self._packing())[:3]
         return x if a is self.x else self._pack(a, shifts)
 
@@ -769,7 +782,7 @@ class GFqExt(_FiniteExt):
     def _product(self, a, b):
         shifts, slot = (self._packed or self._packing())[:2]
         t = self._reduced(self._pack(a, shifts) * self._pack(b, shifts))
-        return self._unpack(t, shifts, slot)
+        return tuple([(t >> j) & slot for j in shifts])
 
     def _mul_packed(self, a, b):
         """The product of packed elements, counted in POLY_MUL_OPS as mul
@@ -781,12 +794,13 @@ class GFqExt(_FiniteExt):
 
     def product_form(self):
         """(into, mul, out) as ExtField.product_form: from d = 2 on the
-        packed form, its product and the way back.  Packed values are
-        added, subtracted and scaled by a base scalar exactly, by add, sub
-        and scalar_mul, on which the sparse scan relies.  At d = 1 the
-        packed x is a value below q, which CPython may keep as one object
-        with every equal int, so identity could not mark it: the element
-        itself stays the form there."""
+        packed form, its product and the way back, so that pow squares and
+        multiplies in the slots.  Packed values are added, subtracted and
+        scaled by a base scalar exactly, by add, sub and scalar_mul, on
+        which the sparse scan relies.  At d = 1 the packed x is a value
+        below q, which CPython may keep as one object with every equal int,
+        so identity could not mark it: the element itself stays the form
+        there."""
         if self.d == 1:
             return ExtField.product_form(self)
         return self._into, self._mul_packed, self._out
@@ -810,27 +824,6 @@ class GFqExt(_FiniteExt):
             return self._mod_slots(c * a)
         q = self.base.q
         return tuple([c * y % q for y in a])
-
-    def pow(self, a, e):
-        """a^e as ExtField.pow takes it, left to right from the top set bit
-        of e, and counted as it counts: bit_length(e) - 1 squarings and
-        popcount(e) - 1 products by a, where a that is x itself (by
-        identity) makes the first squaring and every product by a
-        uncounted.  a is packed once, every square and product stays in
-        the slots (_reduced), and the result is unpacked once."""
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e < 2:
-            return a if e else self.one()
-        POLY_MUL_OPS.bump(e.bit_length() - 2 + (0 if a is self.x else e.bit_count()))
-        shifts, slot = (self._packed or self._packing())[:2]
-        acc = pa = self._pack(a, shifts)
-        reduced = self._reduced
-        for i in range(e.bit_length() - 2, -1, -1):
-            acc = reduced(acc * acc)
-            if (e >> i) & 1:
-                acc = reduced(acc * pa)
-        return self._unpack(acc, shifts, slot)
 
     def horner(self, cs, alpha):
         """sum cs[i] x^i, that is the polynomial cs mod R, for coefficients
@@ -892,12 +885,15 @@ class GFqExt(_FiniteExt):
 
     def _slots(self, bound):
         """For a slot bound: the width w with 2^w > bound, the mask of one
-        slot, the shifts of coordinates 0 .. d-1 (slots d-1 .. 0) and M,
-        the packed -R."""
+        slot, the shifts of coordinates 0 .. d-1 and M, -R mod q packed."""
         w = bound.bit_length()
-        shifts = [j * w for j in range(self.d - 1, -1, -1)]
-        M = self._pack([(-c) % self.base.q for c in self.modulus[:-1]], shifts)
-        return w, (1 << w) - 1, shifts, M
+        shifts = self._shifts(w)
+        return w, (1 << w) - 1, shifts, self._pack(self._neg_r, shifts)
+
+    def _shifts(self, w):
+        """The bit offsets of coordinates 0 .. d-1 in w-bit slots: (d - 1) w
+        down to 0."""
+        return list(range((self.d - 1) * w, -1, -w))
 
     @staticmethod
     def _pack(cs, shifts):

@@ -670,8 +670,9 @@ def odd_q_elements(draw):
 
 
 def _generic(ring):
-    """ring's products made by ExtField's Horner loop, for the references."""
-    return mock.patch.object(type(ring), "_product", ExtField._product)
+    """ring's products made by ExtField's Horner loop and pow by mul on
+    elements, for the references."""
+    return mock.patch.multiple(type(ring), _product=ExtField._product, product_form=ExtField.product_form)
 
 
 class TestPackedOddQArithmetic:
