@@ -7,14 +7,15 @@ where something happens, kept as a dict of pending values and a min-heap
 of their indices, and bridge the gaps between them by powers of the point
 from one windowed power table (poly.power_table), which also serves
 P(alpha) and F(alpha) and which the calling check shares with its
-evaluation of H.  The sparse scan keeps its values in the ring's product
-form (ring.product_form), bit-sliced in GF(2)[X]/(R), slot-packed in
+evaluation of H.  The table gives its powers in the ring's product form
+(ring.product_form), bit-sliced in GF(2)[X]/(R), slot-packed in
 GF(q)[X]/(R) for odd q from degree 2 on, and the element itself
-elsewhere, so its gap products are made as the table makes its own, and
-only the result leaves the form.  Where deg F + deg G < deg P
-nothing wraps, and
-neither form scans at all: the result is F(alpha) G(alpha), the sparse
-routine's from that table (_nothing_wraps).  The one exception is dense
+elsewhere, and the sparse scan takes its gap powers from it as they are
+and keeps its own values in that form, so its gap products are made as
+the table makes its own, and only the result leaves the form.  Where
+deg F + deg G < deg P nothing wraps, and neither form scans at all: the
+result is F(alpha) G(alpha), the sparse routine's from that table
+(_nothing_wraps).  The one exception is dense
 input at the class of X in a quotient ring, where that product would be a
 counted polynomial multiplication and the dense scan keeps its walk.
 P = X^n - 1 is one such P, not a scan of its own.
@@ -73,7 +74,8 @@ term's value by its entry of that window of the shared power table, whose
 window grows in bulk (PrimeField.double_powers) where the request asks for
 enough of it, and runs of terms that share a top byte are summed before
 their one product.  Its reference is the per-term loop poly._sparse_sum,
-which every other ring runs.
+which every other ring runs in its product form, on the table's powers
+as they are, leaving the form once with the sum.
 None of them multiplies polynomials or counts in POLY_MUL_OPS.
 """
 
@@ -375,8 +377,8 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     The scan runs in the ring's product form (ring.product_form), the
     bit-sliced one in GF(2)[X]/(R), the slot-packed one in GF(q)[X]/(R)
     for odd q from degree 2 on, and the element itself elsewhere:
-    alpha, P(alpha) and F(alpha) enter it once, the gap powers are the
-    table's pw.form, and the result leaves it once.  Coefficients in a
+    alpha, P(alpha) and F(alpha) enter it once, the gap powers come from
+    the table in it, and the result leaves it once.  Coefficients in a
     base are added and scaled by the ring's add, sub and scalar_mul on
     form values, as the form is linear over the base; coefficients in the
     ring itself enter the form and scale by its product.
@@ -404,7 +406,6 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
         g = {e: into(c) for e, c in g.items()}
     else:
         scale = ring.scalar_mul
-    gap = pw.form
     a = into(alpha)
     p_alpha = into(evaluate(P, alpha, ring, pw))
     f_alpha = into(evaluate(F, alpha, ring, pw))
@@ -417,7 +418,7 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
         step = mul(a, f_alpha)
         if i in vals:
             step = ring.sub(step, scale(vals[i], p_alpha))
-        value_j = mul(gap(j - i - 1), step)
+        value_j = mul(pw(j - i - 1), step)
         if j in vals:
             f_alpha = value_j
             i = j

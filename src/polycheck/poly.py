@@ -370,8 +370,8 @@ def mul_oracle(F, G):
 def product_terms(F, G, P=None):
     """F*G, or (F*G) mod P for a monic sparse P, of sparse F and G as the
     dict {exponent: coefficient} of its nonzero terms, coefficients
-    canonical: the reference product of mul_oracle and mul_mod_oracle, and
-    what the exact route of prodverify.verify_product compares with H.
+    canonical: the reference product of mul_oracle, and what the exact
+    route of prodverify.verify_product compares with H.
     Counts one product in POLY_MUL_OPS; deg F + deg G is checked against
     EXPONENT_CAP once.
 
@@ -609,13 +609,6 @@ def _plus_multiple(xs, c, ys, q):
     return [x + c * y for x, y in zip(xs, ys)]
 
 
-def mul_mod_oracle(F, G, P):
-    """Reference modular product of sparse F and G, mod_reduce(mul_oracle(F,
-    G), P) as one product_terms call, sorted once."""
-    terms = product_terms(F, G, P)
-    return _sorted_poly(F.ctx, terms)
-
-
 def reduce_mod_binomial(F, i):
     """F mod (X^i - 1): fold every exponent e to e mod i and merge.  F
     itself when F is zero or of degree below i, where nothing folds.  A
@@ -667,19 +660,20 @@ def power_table(ring, alpha):
     each: T[j] = T[j ^ low] T[low] with low the lowest set bit of j, and the
     power-of-two entries T[2^k] = alpha^(2^(8i+k)) come from the squares of
     alpha, one product per square, as far as the largest exponent asked
-    for needs.  Z (int_modulus 0) keeps its builtin pow, and its form is
-    the element itself: there pw.form is pw.
+    for needs.  Z (int_modulus 0) keeps the builtin pow.
 
-    The squares and entries are kept in the form the ring names with its
-    product (ring.product_form): the element itself and ring.mul, but
-    bit-sliced in GF(2)[X]/(R), where a product is three integer
-    multiplications (see rings.GF2Ext._sliced_product), and slot-packed in
-    GF(q)[X]/(R) for odd q from degree 2 on (see rings.GFqExt._packing).
-    pw(e) leaves the form once, and pw.form(e) is alpha^e in the form,
-    which the sparse scan of modeval multiplies by the form's product.
-    alpha enters the form with the first entry made, so a table nothing
-    reads costs nothing.  A product in the form is counted in POLY_MUL_OPS
-    where ring.mul is: every ExtField product but one with x.
+    pw(e) is alpha^e in the form the ring names with its product
+    (ring.product_form), in which the squares and entries are kept: the
+    element itself and ring.mul, but bit-sliced in GF(2)[X]/(R), where a
+    product is three integer multiplications (see
+    rings.GF2Ext._sliced_product), and slot-packed in GF(q)[X]/(R) for odd
+    q from degree 2 on (see rings.GFqExt._packing).  Its readers, the sparse
+    sum _sparse_sum and the sparse scan of modeval, stay in that form and
+    leave it once, with their result; ring.product_form()'s out gives the
+    element of one power.  alpha enters the form with the first entry
+    made, so a table nothing reads costs nothing.  A product in the form is
+    counted in POLY_MUL_OPS where ring.mul is: every ExtField product but
+    one with x.
 
     Besides pw(e), the table gives bulk access to one window:
     pw.window(i, digits) fills the entries of window i that the byte values
@@ -704,12 +698,8 @@ def power_table(ring, alpha):
     one check, through any access and in any order; it is local to that
     check."""
     if ring.int_modulus == 0:
-        def pw(e):
-            return ring.pow(alpha, e)
-
-        pw.form = pw
-        return pw
-    into, mul, out = ring.product_form()
+        return functools.partial(pow, alpha)
+    into, mul, _ = ring.product_form()
     squares = []
     windows = []
     prefix = []  # window i holds every entry below prefix[i], a power of two
@@ -752,7 +742,7 @@ def power_table(ring, alpha):
             window[j] = v
         return v
 
-    def form(e):
+    def pw(e):
         digits = e.to_bytes((e.bit_length() + 7) >> 3, "little")
         if len(windows) < len(digits):
             fill(len(digits) - 1)
@@ -766,10 +756,6 @@ def power_table(ring, alpha):
                 acc = v if acc is None else mul(acc, v)
         return into(ring.one()) if acc is None else acc
 
-    def pw(e):
-        return out(form(e))
-
-    pw.form = form
     pw.window = fill
     return pw
 
@@ -787,14 +773,20 @@ def _horner(cs, alpha, ring, ctx):
 
 def _sparse_sum(terms, pw, ring, ctx):
     """The generic per-term loop on the ring interface, the reference for
-    every ring.sparse_sum, for coefficients in ctx: scaled by
-    ring.scalar_mul from a base, multiplied by ring.mul in the ring
-    itself."""
-    scale = ring.mul if ctx == ring else ring.scalar_mul
-    acc = ring.zero()
+    every ring.sparse_sum, for coefficients in ctx.  It sums in the ring's
+    product form (ring.product_form), the form pw keeps its powers in: a
+    coefficient in a base scales a power by ring.scalar_mul, one in the
+    ring itself enters the form and multiplies by the form's product, and
+    the sum leaves the form once."""
+    into, mul, out = ring.product_form()
+    scale = ring.scalar_mul
+    if ctx == ring:
+        terms = [(e, into(c)) for e, c in terms]
+        scale = mul
+    acc = into(ring.zero())
     for e, c in terms:
         acc = ring.add(acc, scale(c, pw(e)))
-    return acc
+    return out(acc)
 
 
 def evaluate(F, alpha, ring=None, pw=None):
@@ -807,9 +799,9 @@ def evaluate(F, alpha, ring=None, pw=None):
     power_table(ring, alpha) that a check evaluating several polynomials at
     alpha builds once and shares, or from a fresh one: by the fused
     sparse_sum where ring.serves_sparse(F.ctx), in GF(q) a byte of every
-    exponent at a time, elsewhere term by term (_sparse_sum).  At the class of X in a quotient
-    ring, F(X) is F mod R, and dense Horner multiplies no polynomials (see
-    ExtField.mul)."""
+    exponent at a time, elsewhere term by term in the ring's product form
+    (_sparse_sum).  At the class of X in a quotient ring, F(X) is F mod R,
+    and dense Horner multiplies no polynomials (see ExtField.mul)."""
     ring = _check_eval_ring(F, ring)
     if isinstance(F, DensePoly):
         if ring.serves_dense(F.ctx, alpha):

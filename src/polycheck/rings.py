@@ -208,18 +208,18 @@ def ln_pow2_upper(k):
 # coefficients and points where their contract holds; poly.evaluate and
 # modeval.eval_mod_p_dense ask nothing else.
 #
-# pow, the power table and the sparse scan of modeval keep their values in
-# the ring's product form (product_form): the element itself and mul, but in
-# GF2Ext the bit-sliced form of GF2Ext._slice, where a product is three
-# integer multiplications, and in GFqExt from d = 2 on the slot-packed
-# form of GFqExt._into, where a product is one integer product and its
-# reduction in the slots.  The form is linear over the base: into and out
-# commute with add, sub and scalar_mul by a base scalar, which the sparse
-# scan applies to form values (GFqExt's take packed values as well as
-# elements).  GF2Ext has no sparse_sum: the generic loop reads the same
-# sliced table, and an XOR of the sliced powers, unsliced once, measured
-# no faster (1.54 against 1.58 ms for companion-freivalds at T = 8).
-# GFqExt has none either: the generic loop unpacks each term's power.
+# pow, the power table, the sparse sum poly._sparse_sum and the sparse scan
+# of modeval keep their values in the ring's product form (product_form):
+# elements appear only at a loop's input and result, which enter and leave
+# the form once.  The form is the element itself and mul, but in GF2Ext the
+# bit-sliced form of GF2Ext._slice, where a product is three integer
+# multiplications, and in GFqExt from d = 2 on the slot-packed form of
+# GFqExt._into, where a product is one integer product and its reduction in
+# the slots.  The form is linear over the base: into and out commute with
+# add, sub and scalar_mul by a base scalar, which the sparse sum and scan
+# apply to form values (GFqExt's take packed values as well as elements).
+# So GF2Ext and GFqExt have no sparse_sum: the generic loop sums in their
+# forms.
 #
 # GF2Ext has that one product: mul slices its factors and unslices the
 # result, which costs more than the 4-bit comb it replaced at small d.
@@ -622,12 +622,12 @@ class ExtField:
         return acc
 
     def product_form(self):
-        """(into, mul, out): the form pow, poly.power_table and the sparse
-        scan of modeval keep values in, its product and the way back, here
-        the element itself and mul (GF2Ext and GFqExt keep their own
-        forms).  A form is linear over the base: into and out commute with
-        add, sub and scalar_mul by a base scalar, on which the sparse scan
-        relies."""
+        """(into, mul, out): the form pow, poly.power_table, the sparse sum
+        and the sparse scan of modeval keep values in, its product and the
+        way back, here the element itself and mul (GF2Ext and GFqExt keep
+        their own forms).  A form is linear over the base: into and out
+        commute with add, sub and scalar_mul by a base scalar, on which the
+        sparse sum and scan rely."""
         return _same, self.mul, _same
 
     def pow(self, a, e):
@@ -689,11 +689,11 @@ class GFqExt(_FiniteExt):
     slot (_shifts, _pack, _unpack).  The one product packs both factors
     and is one integer product reduced by Barrett's method, in two more
     multiplications and three reductions mod q of every slot at once
-    (_packing, _reduced).  From d = 2 on pow, the power table and the
-    sparse scan of modeval keep their values packed (product_form), so
-    they pack and unpack once.  horner and dense_scan keep the
-    coordinates unreduced in slots of a width of their own, where x f is
-    a shift down one slot plus (low slot % q) times -R mod q packed
+    (_packing, _reduced).  From d = 2 on pow, the power table, the sparse
+    sum and the sparse scan of modeval keep their values packed
+    (product_form), so they pack and unpack once.  horner and dense_scan
+    keep the coordinates unreduced in slots of a width of their own, where
+    x f is a shift down one slot plus (low slot % q) times -R mod q packed
     (_slots)."""
 
     __slots__ = ("_neg_r", "_packed")
@@ -729,7 +729,16 @@ class GFqExt(_FiniteExt):
         v m / 2^k exceeds v / q by less than 2^(s-k) < 1 / q; v m <
         2^(2s+1) = 2^w, so the slots of t m never carry, and after the
         shift by k each slot's quotient sits in its low w - k bits, under
-        the mask quot."""
+        the mask quot.
+
+        x packs with q added to its coordinate 0 (0 from d = 2 on), equal
+        to x mod q, so the packed x is an int of its own that no reduced
+        value equals: at d = 2 x would pack to 1, which CPython shares with
+        every equal int, and identity could not tell x from a value equal
+        to it (product_form).  A product with it has slots of at most q^2,
+        so a slot on the way is at most q^2 + (d - 1) p^2 < 2^s: at most B
+        for q >= 5 or d >= 3, and 13 < 16 at q = 3, d = 2.  Its slots are
+        at most q, so add, sub and scalar_mul take it too."""
         q, d = self.base.q, self.d
         p = q - 1
         s = ((2 * d - 1) * p * p).bit_length()
@@ -742,7 +751,7 @@ class GFqExt(_FiniteExt):
             top.append(-sum(map(operator.mul, r[:j], reversed(top))) % q)
         pack = self._pack
         self._packed = (
-            shifts, (1 << w) - 1, pack(self.x, shifts), pack([q] * d, shifts),
+            shifts, (1 << w) - 1, pack([self.x[0] + q, *self.x[1:]], shifts), pack([q] * d, shifts),
             (d - 1) * w, max(d - 2, 0) * w, (1 << ((d - 1) * w)) - 1,  # the low d - 1 slots
             pack(top[::-1], shifts[1:]) if d > 1 else 0,  # mu, d - 1 slots
             pack(self._neg_r, shifts),
@@ -797,10 +806,10 @@ class GFqExt(_FiniteExt):
         packed form, its product and the way back, so that pow squares and
         multiplies in the slots.  Packed values are added, subtracted and
         scaled by a base scalar exactly, by add, sub and scalar_mul, on
-        which the sparse scan relies.  At d = 1 the packed x is a value
-        below q, which CPython may keep as one object with every equal int,
-        so identity could not mark it: the element itself stays the form
-        there."""
+        which the sparse sum and scan rely.  At d = 1 the packed x is a
+        value below 2q, which CPython may keep as one object with every
+        equal int, so identity could not mark it: the element itself stays
+        the form there."""
         if self.d == 1:
             return ExtField.product_form(self)
         return self._into, self._mul_packed, self._out
@@ -913,8 +922,9 @@ class GF2Ext(_FiniteExt):
     one product is bit-sliced (_slice): coefficient i in bit 0 of slot i
     of one int, where a product is three integer multiplications
     (_sliced_product).  mul slices its factors and unslices the result;
-    poly.power_table and the sparse scan of modeval keep their values in
-    that form (product_form), so they slice and unslice once."""
+    poly.power_table, the sparse sum and the sparse scan of modeval keep
+    their values in that form (product_form), so they slice and unslice
+    once."""
 
     __slots__ = ("_r", "_fold", "_sliced")
 

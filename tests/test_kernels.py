@@ -25,7 +25,12 @@ ring-method loops that stay as their reference:
     the slots, the packed product form and its slot reduction) against
     ExtField's generic product and pow, with their POLY_MUL_OPS counts,
     and Horner at x on zero blocks; and pins of what that arithmetic
-    must not move: Ben-Or's draws and the odd-q extension reports.
+    must not move: Ben-Or's draws and the odd-q extension reports;
+  - the generic sparse sum (poly._sparse_sum), which sums in the ring's
+    product form, against the same loop in the element form, in
+    GF(2)[X]/(R), odd-q GF(q)[X]/(R) and two towers, with coefficients
+    in the base and in the ring itself; and a pin of the sparse checks
+    whose coefficients lie in a quotient ring.
 Z has no kernel; its instances check the generic loops against the oracle.
 
 These tests run under the "thorough" hypothesis profile in CI as well; see
@@ -764,6 +769,79 @@ class TestPackedOddQArithmetic:
             assert run() == got
 
 
+# GF(2^8)[Y]/(Y^3 + x) and GF(7^2)[Y]/(Y^2 + x): quotient rings over a
+# quotient ring, whose product form is the element itself
+TOWERS = tuple(
+    ExtField(B, [B.x] + [B.zero()] * (k - 1) + [B.one()])
+    for B, k in ((ExtField(F2, [1, 1, 0, 1, 1, 0, 0, 0, 1]), 3), (ExtField(pc.GF(7), [1, 0, 1]), 2))
+)
+
+
+@st.composite
+def sparse_sum_instances_in_a_quotient_ring(draw, kind, in_ring):
+    """(ring, ctx, alpha, terms): GF(2)[X]/(R) of degree 1..300, GF(q)[X]/(R)
+    for q in 3, 7, 65537 and 2^61 - 1 as odd_q_elements draws it, or a
+    tower, by kind; coefficients in the ring itself (x itself, 1 or random)
+    where in_ring, else in the base (1 or random); alpha x itself, 0, 1 or
+    random; up to 12 terms, none included, with exponents at the window
+    edges 2^(8i) - 1, 2^(8i), 2^(8i) + 1 and anywhere up to 2^64."""
+    if kind == "GF(2)":
+        d = draw(st.sampled_from((1, 2, 255, 256, 300)) | st.integers(1, 300))
+        low = draw(st.integers(0, 2**d - 1))
+        ring = ExtField(F2, [(low >> i) & 1 for i in range(d)] + [1])
+    elif kind == "odd q":
+        ring = draw(odd_q_elements())[0]
+    else:
+        ring = draw(st.sampled_from(TOWERS))
+    rng = RngStream(draw(st.integers(0, 2**32)))
+    ctx = ring if in_ring else ring.base
+    alpha = draw(st.sampled_from((ring.x, ring.zero(), ring.one(), ring.sample(rng))))
+    edges = [2 ** (8 * i) + k for i in range(9) for k in (-1, 0, 1)]
+    exps = sorted(set(draw(st.lists(st.sampled_from(edges) | st.integers(0, 2**64), max_size=12))))
+    kinds = ("one", "random", "x") if in_ring else ("one", "random")
+    coeffs = {"one": ctx.one, "random": lambda: ctx.sample(rng), "x": lambda: ring.x}
+    return ring, ctx, alpha, [(e, coeffs[draw(st.sampled_from(kinds))]()) for e in exps]
+
+
+class TestGenericSparseSum:
+    @pytest.mark.parametrize("in_ring", [False, True], ids=["base", "ring"])
+    @pytest.mark.parametrize("kind", ["GF(2)", "odd q", "tower"])
+    @given(data=st.data())
+    def test_sums_in_the_product_form(self, kind, in_ring, data):
+        """poly._sparse_sum, which sums in the ring's product form on the
+        table's powers, gives the value and the POLY_MUL_OPS delta (table
+        products included) of the same loop in the element form."""
+        ring, ctx, alpha, terms = data.draw(sparse_sum_instances_in_a_quotient_ring(kind, in_ring))
+
+        def run():
+            return _counted(lambda: _sparse_sum(terms, power_table(ring, alpha), ring, ctx))
+
+        got = run()
+        with mock.patch.object(type(ring), "product_form", ExtField.product_form):
+            assert run() == got
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_value_equal_to_x_is_counted_like_any_other(d):
+    """A point equal to x but not x itself: pow, the power table and the
+    sparse sum count its products as the element form does, also at d = 2,
+    where the packed x would be the int 1 that CPython shares with every
+    equal int, so that identity could not tell the two apart."""
+    ring = ExtField(pc.GF(3), [2, 2, 1, 1][-d - 1 :])
+    a = ring.from_coeffs([0, 1]) if d > 1 else ring.from_coeffs(list(ring.x))
+    assert a == ring.x and a is not ring.x
+
+    terms = [(255, 1), (2**40 + 9, 2)]
+
+    def run():
+        return (_counted(lambda: ring.pow(a, 255)),
+                _counted(lambda: _sparse_sum(terms, power_table(ring, a), ring, ring.base)))
+
+    got = run()
+    with mock.patch.object(type(ring), "product_form", ExtField.product_form):
+        assert run() == got
+
+
 @pytest.mark.parametrize("q", [3, 7, 65537, 2**61 - 1])
 @pytest.mark.parametrize("d", [1, 2, 3, 22, 40])
 def test_slot_reduction_at_its_bound(q, d):
@@ -894,3 +972,56 @@ def test_odd_q_extension_is_pinned(record, digest):
     any verdict, witness, random draw or product count changes it."""
     got = hashlib.sha256(json.dumps(record(), sort_keys=True).encode()).hexdigest()[:16]
     assert got == digest
+
+
+def _tower_record():
+    """Sparse checks whose coefficients lie in a quotient ring, the branch
+    of the sparse sum and scan that multiplies coefficients by the ring's
+    product, each result with its POLY_MUL_OPS delta:
+      - at epsilon 1/2 on sparse triples of degree below 32, with the true
+        H and H with one term changed, verify_mod_ff ("auto" and
+        "direct-eval") over K = GF(2)[X]/(X^8 + X^4 + X^3 + X + 1), and
+        verify_sparse_product over GF(2^16), as its fold prime (at least
+        21) puts X^p - 1 past what 256 elements reach at that epsilon;
+      - evaluate of sparse polynomials over GF(7^2) and over the tower
+        GF(7^2)[Y]/(Y^2 + x) itself, at the tower's x and at a random
+        point of it."""
+    record = []
+    rng = RngStream(0x70E)
+    eps = Fraction(1, 2)
+    K = ExtField(F2, [1, 1, 0, 1, 1, 0, 0, 0, 1])
+    P = pc.SparsePoly.from_dict(K, {0: K.one(), 5: K.x, 32: K.one()})
+    L = ExtField(F2, _irreducible(2, 16, 0))
+    for seed in range(4):
+        F, G = (rand_sparse(K, 32, 3 + rng.below(4), rng) for _ in "FG")
+        H = oracle_mod_product(F, G, P)
+        for X in (H, perturb_poly(H, rng)):
+            for method in ("auto", "direct-eval"):
+                r, ops = _counted(lambda: verify_mod_ff(F, G, X, P, VerifyConfig(eps, method, seed)))
+                assert r.verdict is (X is H)
+                record.append([r.to_dict(), ops])
+        F, G = (rand_sparse(L, 32, 3 + rng.below(4), rng) for _ in "FG")
+        H = pc.mul_oracle(F, G)
+        for X in (H, perturb_poly(H, rng)):
+            r, ops = _counted(lambda: verify_sparse_product(F, G, X, VerifyConfig(eps, "sparse", seed)))
+            assert r.verdict is (X is H)
+            record.append([r.to_dict(), ops])
+    B = ExtField(pc.GF(7), [1, 0, 1])
+    T = ExtField(B, [B.x, B.zero(), B.one()])
+    for ctx in (B, T):
+        for alpha in (T.x, T.sample(rng)):
+            for t in (0, 1, 5, 12):
+                F = pc.SparsePoly.from_dict(
+                    ctx, {rng.below(2**40): ctx.sample(rng) for _ in range(t)})
+                value, ops = _counted(lambda: evaluate(F, alpha, T))
+                record.append([repr(ctx), t, value, ops])
+    return record
+
+
+def test_tower_sparse_checks_are_pinned():
+    """sha256 (first 16 hex digits) of the sorted-key JSON of _tower_record,
+    taken while the sparse sum still read its powers as elements: a change
+    to any verdict, witness, random draw, value or product count of the
+    sparse paths in a quotient ring changes it."""
+    got = hashlib.sha256(json.dumps(_tower_record(), sort_keys=True).encode()).hexdigest()[:16]
+    assert got == "b538be658741a263"

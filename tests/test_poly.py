@@ -23,9 +23,9 @@ from polycheck.poly import (
     _parse_coeff,
     _sparse_terms,
     format_poly,
-    mul_mod_oracle,
     parse_poly,
     power_table,
+    product_terms,
     reduction_steps,
 )
 from polycheck.rings import POLY_MUL_OPS, GF2Ext, RngStream
@@ -95,11 +95,17 @@ class TestMulOracle:
             assert pc.mul_oracle(F, G) == _school_product_dense(F, G)
 
 
+def mul_mod_oracle(F, G, P):
+    """(F*G) mod P as the exact route computes it, one product_terms call,
+    sorted into a SparsePoly by the checking constructor."""
+    return pc.SparsePoly.from_dict(F.ctx, product_terms(F, G, P))
+
+
 class TestSparseExactRoute:
-    """The sparse branches of mul_oracle and mod_reduce, and mul_mod_oracle,
-    which fuses them, the exact route of the CLI's auto, against the
-    oracle's term loops, which build every result through the checking
-    constructor."""
+    """The sparse branches of mul_oracle and mod_reduce, and product_terms
+    modulo P (mul_mod_oracle), which fuses them, the exact route of the
+    CLI's auto, against the oracle's term loops, which build every result
+    through the checking constructor."""
 
     RINGS = (Z, pc.GF(2), pc.GF(7), pc.GF(65537))
 
@@ -776,14 +782,15 @@ class TestEvaluate:
             st.lists(st.one_of(st.sampled_from(edges), st.integers(0, 2**80)), min_size=1, max_size=8)
         )
         pw = power_table(ring, alpha)
+        out = ring.product_form()[2]
         want = [ring.pow(alpha, e) for e in exps]
-        assert [pw(e) for e in exps] == want
-        assert [pw(e) for e in reversed(exps)] == want[::-1]
+        assert [out(pw(e)) for e in exps] == want
+        assert [out(pw(e)) for e in reversed(exps)] == want[::-1]
 
     @given(st.data())
     def test_gf2_power_table_matches_ring_pow_to_degree_300(self, data):
         # the bit-sliced table of GF(2)[X]/(R) at slot widths 8 and 16, at
-        # x, 0, 1 and random points, through pw(e) and pw.form(e)
+        # x, 0, 1 and random points, in the sliced form and out of it
         d = data.draw(st.sampled_from((1, 2, 255, 256, 300)) | st.integers(1, 300))
         dense = st.integers(0, 2**32).map(lambda seed: RngStream(seed).bits(d))
         low = data.draw(dense)
@@ -795,9 +802,10 @@ class TestEvaluate:
             st.lists(st.sampled_from(edges) | st.integers(0, 2**64), min_size=1, max_size=6)
         )
         pw = power_table(ring, alpha)
+        out = ring.product_form()[2]
         want = [ring.pow(alpha, e) for e in exps]
-        assert [pw(e) for e in exps] == want
-        assert [pw.form(e) for e in reversed(exps)] == [ring._slice(v) for v in reversed(want)]
+        assert [out(pw(e)) for e in exps] == want
+        assert [pw(e) for e in reversed(exps)] == [ring._slice(v) for v in reversed(want)]
 
     @given(st.data())
     def test_prime_field_windows_lazy_and_bulk_match_ring_pow(self, data):
