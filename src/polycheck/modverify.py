@@ -7,8 +7,11 @@ list so a failing run can be replayed from its seed.
 
 Every method but "companion-no-polymul" compares both sides once, at the
 point that point_kind picks and draw_point draws; that pair is the one
-point policy of the package, and prodverify's one-point checks ask it
-too.  Over Z, F, G, H and P are read as they are at a point of GF(q),
+point policy of the package.  _verify_at_point is the one check at that
+point, for plain products too: with P None it decides H = F*G, which is
+prodverify's one-point Kaminski check, and its comparison _agree_at is
+also the one of prodverify's check at 2^w modulo a prime.  Over Z, F, G,
+H and P are read as they are at a point of GF(q),
 never copied into GF(q): the evaluation kernels and the scans reduce the
 integers as they read them.  Only "companion-no-polymul" makes many
 unscreened draws instead.  verify_mod_ff runs every method on every ring
@@ -219,15 +222,15 @@ def draw_point(kind, ctx, deg, eps, rng, norm):
 
 
 def _verify_at_point(F, G, H, P, cfg, method):
-    """Decide H = (F*G) mod P by comparing H with ((F*G) mod P) once, at the
-    point that point_kind picks for method and draw_point draws, by the
-    evaluation scans.  Soundness: Δ = H - (F*G) mod P has degree < n =
+    """Decide H = (F*G) mod P, or H = F*G where P is None, by comparing
+    both sides once, at the point that point_kind picks for method and
+    draw_point draws.  Soundness: Δ = H - (F*G) mod P has degree < n =
     deg P, and the point keeps a nonzero Δ nonzero with probability at
     least 1 - ε (see point_kind).
 
-    The scans read the inputs in the forms of triple_forms: at X modulo R
-    input that is not all sparse is made dense, as the dense scans at X
-    multiply no polynomials, and past DENSIFY_CAP every input is made
+    With P, the scans read the inputs in the forms of triple_forms: at X
+    modulo R input that is not all sparse is made dense, as the dense scans
+    at X multiply no polynomials, and past DENSIFY_CAP every input is made
     sparse.  All-sparse input is first screened by its term count
     (sparsity_precheck), a certain rejection with rounds = 0 and no
     witness.  Over Z the scans read F, G, H and P as they are at the
@@ -235,38 +238,56 @@ def _verify_at_point(F, G, H, P, cfg, method):
     rounds = 1 and the witness of draw_point, over Z as two entries
     {"q": q}, {"alpha": α}.
     Its method is the one asked for; "auto" reads "extension" at X modulo
-    R and "direct-eval" at a random point."""
-    n = modeval.check_shapes(P, F, G, H)
-    ctx, eps = P.ctx, cfg.epsilon
-    kind = point_kind(ctx, n - 1, eps, method)
+    R and "direct-eval" at a random point.
+
+    With P None, the caller's plain product check, F, G and H are nonzero
+    and already in the forms it compares them in, and deg H <= deg F +
+    deg G, so Δ = H - F*G has degree at most deg F + deg G, where the
+    point is asked for under "auto" (Schwartz 1980; one point in place of
+    Kaminski's folds, J. ACM 1989).  method names the report, and its
+    witness is draw_point's single entry."""
+    if P is None:
+        ctx, deg = F.ctx, F.degree() + G.degree()
+    else:
+        n = modeval.check_shapes(P, F, G, H)
+        ctx, deg = P.ctx, n - 1
+    eps = cfg.epsilon
+    kind = point_kind(ctx, deg, eps, "auto" if P is None else method)
     if method == "auto":
         method = "extension" if kind == "extension" else "direct-eval"
-    dense = kind == "extension" and not all_sparse(F, G, H)
-    F, G, H, sparse = triple_forms(F, G, H, n=n, dense=dense)
-    if sparse and sparsity_precheck(F, G, H, P):
-        return VerifyReport(False, 0.0, 0, [], method, cfg.seed)
+    if P is not None:
+        dense = kind == "extension" and not all_sparse(F, G, H)
+        F, G, H, sparse = triple_forms(F, G, H, n=n, dense=dense)
+        if sparse and sparsity_precheck(F, G, H, P):
+            return VerifyReport(False, 0.0, 0, [], method, cfg.seed)
     norm = delta_norm_bound(F, G, H, P) if kind == "prime" else 0
-    ring, alpha, witness = draw_point(kind, ctx, n - 1, eps, RngStream(cfg.seed), norm)
+    ring, alpha, witness = draw_point(kind, ctx, deg, eps, RngStream(cfg.seed), norm)
     # schema 1 names a modular check's prime "q", in an entry of its own
-    witnesses = [{"q": ring.q}, {"alpha": alpha}] if kind == "prime" else [witness]
+    witnesses = [witness] if P is None or kind != "prime" else [{"q": ring.q}, {"alpha": alpha}]
     verdict = _agree_at(F, G, H, P, alpha, ring)
     return VerifyReport(verdict, bound_above(eps), 1, witnesses, method, cfg.seed)
 
 
 def _agree_at(F, G, H, P, alpha, ring):
-    """H(alpha) == ((F*G) mod P)(alpha): the check behind every verifier of
-    this module, at a random point or at the class of X modulo R.  One
-    power table at alpha serves every sparse polynomial of the check."""
+    """H(alpha) == ((F*G) mod P)(alpha), or F(alpha) G(alpha) == H(alpha)
+    where P is None: the check behind every one-point verifier of the
+    package, at a random point or at the class of X modulo R.  One power
+    table at alpha serves every sparse polynomial of the check; a plain
+    check evaluates F, G and H in that order."""
     pw = power_table(ring, alpha)
+    if P is None:
+        fa, ga, ha = (evaluate(X, alpha, ring, pw) for X in (F, G, H))
+        return ring.mul(fa, ga) == ha
     return evaluate(H, alpha, ring, pw) == modeval.eval_mod(P, F, G, alpha, ring, pw)
 
 
-def delta_norm_bound(F, G, H, P):
+def delta_norm_bound(F, G, H, P=None):
     """Bound on |H - (F*G) mod P| coefficients over Z:
-    ||H|| + min(#F, #G) ||F|| ||G|| (#P ||P||)^ceil(1/gamma)."""
-    g = gap_info(P)
+    ||H|| + min(#F, #G) ||F|| ||G|| (#P ||P||)^ceil(1/gamma), and
+    ||H|| + min(#F, #G) ||F|| ||G|| on |H - F*G| where P is None."""
     prod = product_norm_bound(F, G)
-    if prod:
+    if prod and P is not None:
+        g = gap_info(P)
         prod = reduced_norm_bound(prod, P.sparsity(), P.norm(), g.n - 1, g)
     return H.norm() + prod
 

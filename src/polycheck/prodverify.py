@@ -13,11 +13,12 @@ products fold exponents modulo a random prime p and verify modulo X^p - 1.
 Where Kaminski's fold bound has no force (at the default e = 9/20, every
 degree below about 10^13), no verifier recomputes the product: the
 polynomial check compares H(α) with F(α)G(α) once (Schwartz 1980, Zippel
-1979), at the point of the package's one point policy
-(modverify.point_kind); the integer check compares F(2^w) G(2^w) with
-H(2^w) modulo one random prime.  Over Z the values mod p come from
-poly.evaluate at a point of GF(p), which reads the integer coefficients as
-they are.
+1979), by the one check at a point of the modular verifiers
+(modverify._verify_at_point with P None), so the point draw, the norm
+bound of Δ and the comparison are theirs; the integer check compares
+F(2^w) G(2^w) with H(2^w) modulo one random prime, by the same comparison
+(modverify._agree_at).  Over Z the values mod p come from poly.evaluate at
+a point of GF(p), which reads the integer coefficients as they are.
 """
 
 import math
@@ -32,10 +33,7 @@ from .poly import (
     DensePoly,
     SparsePoly,
     all_sparse,
-    evaluate,
     mul_oracle,
-    power_table,
-    product_norm_bound,
     product_terms,
     reduce_mod_binomial,
     same_ctx,
@@ -183,48 +181,23 @@ def _product_shape_reject(F, G, H):
     return None
 
 
-def _product_agrees_at(F, G, H, alpha, ring):
-    """F(α) G(α) == H(α) in ring, every value from one power table at α:
-    the comparison of every one-point product check."""
-    pw = power_table(ring, alpha)
-    fa, ga, ha = (evaluate(X, alpha, ring, pw) for X in (F, G, H))
-    return ring.mul(fa, ga) == ha
-
-
-def _product_at_one_point(F, G, H, cfg, method):
-    """Decide H = F*G by comparing H(α) with F(α)G(α) once.  F, G and H are
-    all dense or all sparse, none zero, and deg H <= deg F + deg G, so
-    Δ = H - F*G has degree at most m = deg F + deg G, and over Z its
-    coefficients are at most ||H|| + min(#F, #G) ||F|| ||G||.  The point is
-    the one of modverify.point_kind at m, which keeps a nonzero Δ nonzero
-    with probability at least 1 - ε; every ring operation is exact, so a
-    true H always passes.  The report has rounds = 1 and the witness of
-    modverify.draw_point.  Where the point policy cannot serve, a ring it
-    refuses (serves_point_policy) or a GF(q)[X]/(R) too small for ε, one
-    exact product decides, with rounds = 0 and the witness
-    {"deterministic": "reference-product"}."""
-    ctx, eps = F.ctx, cfg.epsilon
-    m = F.degree() + G.degree()
-    kind = modverify.point_kind(ctx, m, eps) if ctx.serves_point_policy() else None
-    if kind is None:
-        return _certain(mul_oracle(F, G) == H, "reference-product", method, cfg)
-    norm = H.norm() + product_norm_bound(F, G) if kind == "prime" else 0
-    ring, alpha, witness = modverify.draw_point(kind, ctx, m, eps, RngStream(cfg.seed), norm)
-    verdict = _product_agrees_at(F, G, H, alpha, ring)
-    return VerifyReport(verdict, bound_above(eps), 1, [witness], method, cfg.seed)
-
-
 def verify_product_kaminski(F, G, H, cfg=None, params=None):
     """Decide H = F*G over any coefficient ring by folding modulo a random
     X^i - 1 and comparing folded products.  One-sided.  When the per-round
     bound at this degree is vacuous, which at the default e holds for every
-    degree below about 10^13, it compares H and F*G at one point instead
-    (_product_at_one_point), and multiplies F by G only where the point
-    policy cannot serve.  Every comparison meets one form, the one
-    modeval.triple_forms picks for degrees below one more than the
-    largest of F, G and H: a triple that is not all sparse is made dense
-    below DENSIFY_CAP, and past it all three are read sparse, so no degree
-    up to EXPONENT_CAP is refused."""
+    degree below about 10^13, it compares F(α)G(α) with H(α) once instead,
+    by the modular checks' one-point check with P None
+    (modverify._verify_at_point): Δ = H - F*G has degree at most
+    deg F + deg G, and over Z coefficients at most
+    modverify.delta_norm_bound(F, G, H).  The report has rounds = 1 and
+    the witness of modverify.draw_point.  Where the point policy cannot
+    serve, a ring it refuses (serves_point_policy) or a GF(q)[X]/(R) too
+    small for ε, one exact product decides, with rounds = 0 and the
+    witness {"deterministic": "reference-product"}.  Every comparison
+    meets one form, the one modeval.triple_forms picks for degrees below
+    one more than the largest of F, G and H: a triple that is not all
+    sparse is made dense below DENSIFY_CAP, and past it all three are read
+    sparse, so no degree up to EXPONENT_CAP is refused."""
     cfg = cfg or VerifyConfig()
     params = params or KaminskiParams()
     same_ctx(F, G, H)
@@ -236,12 +209,15 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
     F, G, H, _ = modeval.triple_forms(F, G, H, n=top + 1, dense=not all_sparse(F, G, H))
     n = max(F.degree(), G.degree(), 1)
     rho = params.per_round_bound(n)
-    if rho > Fraction(1, 2):
-        return _product_at_one_point(F, G, H, cfg, "kaminski")
-    return _fold_rounds(
-        cfg, rho, params.fold_range(n), RngStream(cfg.seed), "kaminski",
-        lambda i: (kaminski_round(F, G, H, i), {"i": i}),
-    )
+    if rho <= Fraction(1, 2):
+        return _fold_rounds(
+            cfg, rho, params.fold_range(n), RngStream(cfg.seed), "kaminski",
+            lambda i: (kaminski_round(F, G, H, i), {"i": i}),
+        )
+    ctx, m = F.ctx, F.degree() + G.degree()
+    if ctx.serves_point_policy() and modverify.point_kind(ctx, m, cfg.epsilon):
+        return modverify._verify_at_point(F, G, H, None, cfg, "kaminski")
+    return _certain(mul_oracle(F, G) == H, "reference-product", "kaminski", cfg)
 
 
 def _modular_check_no_mul(F, G, H, P, cfg):
@@ -389,7 +365,7 @@ def _check_at_power_of_two(F, G, H, w, cfg, e, method):
     # 2^i - 1 is a useless modulus below i = 2, so tiny operands take a prime too
     if rho > Fraction(1, 2) or lo < 2 or hi > FOLD_BITS_CAP:
         p = random_prime(modverify.prime_lambda_pow2(1, 2 * s, eps), eps / 2, rng)
-        verdict = _product_agrees_at(F, G, H, pow(2, w, p), PrimeField(p))
+        verdict = modverify._agree_at(F, G, H, None, pow(2, w, p), PrimeField(p))
         return VerifyReport(verdict, bound_above(eps), 1, [{"p": p}], method, cfg.seed)
 
     def agree(i):
@@ -411,9 +387,9 @@ def verify_int_product(a, b, c, cfg=None, e=None):
 
 def kronecker_point(F, G, H):
     """The evaluation base for the substitution: the smallest power of two
-    whose half exceeds every coefficient the difference H - F*G could have."""
-    bound = 2 * (H.norm() + product_norm_bound(F, G))
-    return 1 << max(bound.bit_length(), 1)
+    whose half exceeds every coefficient the difference H - F*G could have
+    (modverify.delta_norm_bound)."""
+    return 1 << max((2 * modverify.delta_norm_bound(F, G, H)).bit_length(), 1)
 
 
 def verify_product_kronecker(F, G, H, cfg=None, e=None):

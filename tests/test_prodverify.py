@@ -2,12 +2,13 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
 import polycheck as pc
-from polycheck import cli, modverify, prodverify, rings
+from polycheck import cli, modeval, modverify, prodverify, rings
 from polycheck.cli import main
 from polycheck.modverify import (
     FieldTooSmallError,
@@ -1320,3 +1321,94 @@ def test_full_degree_reports_are_pinned():
         json.dumps(_full_degree_reports(), sort_keys=True).encode()
     ).hexdigest()[:16]
     assert got == "145769f9834f1c07"
+
+
+class _Draws(random.Random):
+    """A random.Random with the below(n) of the conftest builders, so a
+    corpus drawn from it does not move when the package's RngStream does."""
+
+    def below(self, n):
+        return self.randrange(n)
+
+
+def _one_point_records():
+    """Reports of the plain one-point checks, each with its POLY_MUL_OPS
+    delta, grouped by entry:
+      - verify_product_kaminski at its one point, on dense and sparse
+        triples over Z with 31-bit coefficients (the degree term sets the
+        prime's lambda) and 2048-bit ones (the norm term sets it), GF(7)
+        (the extension point at 2^-20), GF(65537), GF(2^61 - 1), and
+        GF(2^8) = GF(2)[X]/(X^8 + X^4 + X^3 + X + 1), whose field point
+        serves at 1/4 and whose exact product answers at 2^-20;
+      - verify_product_kronecker on the Z triples;
+      - verify_int_product on 31- and 2048-bit operands;
+    true and perturbed H (or c), epsilon 1/4 and 2^-20, seeds 0 and 1."""
+    rnd = _Draws(0x1F0)
+    groups = {}
+
+    def add(group, call):
+        before = POLY_MUL_OPS.count
+        report = call()
+        groups.setdefault(group, []).append([report.to_dict(), POLY_MUL_OPS.count - before])
+        return report
+
+    gf256 = pc.ExtField(F2, [1, 1, 0, 1, 1, 0, 0, 0, 1])
+    for ctx, hi, deg, sparse_deg in (
+        (Z, 2**31 - 1, 150, 2**16),
+        (Z, 2**2048 - 1, 40, 2**16),
+        (pc.GF(7), 9, 40, 2**12),
+        (pc.GF(65537), 9, 150, 2**16),
+        (pc.GF(2**61 - 1), 9, 150, 2**16),
+        (gf256, 9, 20, 30),
+    ):
+        dense = [rand_dense(ctx, deg - i, rnd, hi) for i in (0, 7)]
+        sparse = [rand_sparse(ctx, sparse_deg, 8, rnd, hi) for _ in "FG"]
+        for F, G in (dense, sparse):
+            H = pc.mul_oracle(F, G)
+            for X in (H, perturb_poly(H, rnd)):
+                for eps in (QUARTER, STRICT):
+                    for seed in (0, 1):
+                        r = add("kaminski", lambda: verify_product_kaminski(F, G, X, cfg(seed, eps)))
+                        assert r.verdict is (X is H) and r.rounds <= 1
+                        if ctx == Z:
+                            r = add("kronecker", lambda: verify_product_kronecker(F, G, X, cfg(seed, eps)))
+                            assert r.verdict is (X is H)
+    for bits in (31, 2048):
+        a, b = rnd.getrandbits(bits) | 1, rnd.getrandbits(bits) | 1
+        for c in (a * b, a * b + 1, a * b ^ (1 << rnd.below(bits))):
+            for eps in (QUARTER, STRICT):
+                for seed in (0, 1):
+                    r = add("int", lambda: verify_int_product(a, b, c, cfg(seed, eps)))
+                    assert r.verdict is (c == a * b)
+    return groups
+
+
+ONE_POINT_GOLDEN = {
+    "kaminski": "29666b2482378e60",
+    "kronecker": "dfe7cb7decd2365c",
+    "int": "9a7d912575038257",
+}
+
+
+def test_one_point_checks_are_pinned(monkeypatch):
+    """The plain one-point checks' reports and product counts, sha256 of
+    their sorted-key JSON (first 16 hex digits) per entry.  None of them
+    reaches modeval.eval_mod, the scan of a modular check; kaminski-nomul's
+    check at X^(D+1) - 1 does."""
+
+    class ReachedEvalMod(Exception):
+        pass
+
+    def eval_mod(*args, **kwargs):
+        raise ReachedEvalMod
+
+    monkeypatch.setattr(modeval, "eval_mod", eval_mod)
+    got = {
+        group: hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()[:16]
+        for group, records in _one_point_records().items()
+    }
+    assert got == ONE_POINT_GOLDEN
+    rnd = _Draws(0x1F1)
+    F, G = (rand_dense(Z, 64, rnd) for _ in "FG")
+    with pytest.raises(ReachedEvalMod):
+        verify_product_kaminski_nomul(F, G, pc.mul_oracle(F, G), cfg(0))
