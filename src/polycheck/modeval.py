@@ -15,9 +15,12 @@ and keeps its own values in that form, so its gap products are made as
 the table makes its own, and only the result leaves the form.  Where
 deg F + deg G < deg P nothing wraps, and neither form scans at all: the
 result is F(alpha) G(alpha), the sparse routine's from that table
-(_nothing_wraps).  The one exception is dense
-input at the class of X in a quotient ring, where that product would be a
-counted polynomial multiplication and the dense scan keeps its walk.
+(_nothing_wraps).  That exit serves the folds of verify_sparse_product
+whose prime lands above the degree of the product and the full-degree
+checks of kaminski-nomul that read their input sparse.  The one exception
+is dense input at the class of X in a quotient ring, where that product
+would be a counted polynomial multiplication and the dense scan keeps its
+walk.
 P = X^n - 1 is one such P, not a scan of its own.
 eval_mod is the one entry: it reads F and G in the forms of triple_forms,
 the one form rule of every check, and runs the sparse scan when both are
@@ -386,7 +389,10 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     When nothing wraps (_nothing_wraps, the rule of eval_mod_p_dense too)
     the result is F(alpha) G(alpha), both from pw, with no scan at all, at
     every point, the class of X included.  That is every fold of
-    verify_sparse_product whose prime exceeds the degree of the product."""
+    verify_sparse_product whose prime lands above the degree of the
+    product (where no prime of its range can be below it, that verifier
+    folds nothing and compares at one point instead) and every
+    full-degree check of kaminski-nomul that reads its input sparse."""
     n = check_shapes(P, F, G)
     F, G = F.to_sparse(), G.to_sparse()
     if G.sparsity() < F.sparsity():

@@ -9,7 +9,8 @@ Every method but "companion-no-polymul" compares both sides once, at the
 point that point_kind picks and draw_point draws; that pair is the one
 point policy of the package.  _verify_at_point is the one check at that
 point, for plain products too: with P None it decides H = F*G, which is
-prodverify's one-point Kaminski check, and its comparison _agree_at is
+prodverify's one-point Kaminski check and its sparse check where no fold
+prime can be below the degree, and its comparison _agree_at is
 also the one of prodverify's check at 2^w modulo a prime.  Over Z, F, G,
 H and P are read as they are at a point of GF(q),
 never copied into GF(q): the evaluation kernels and the scans reduce the
@@ -244,7 +245,8 @@ def _verify_at_point(F, G, H, P, cfg, method):
     and already in the forms it compares them in, and deg H <= deg F +
     deg G, so Δ = H - F*G has degree at most deg F + deg G, where the
     point is asked for under "auto" (Schwartz 1980; one point in place of
-    Kaminski's folds, J. ACM 1989).  method names the report, and its
+    Kaminski's folds, J. ACM 1989, and of the sparse verifier's exponent
+    fold where no prime can fold).  method names the report, and its
     witness is draw_point's single entry."""
     if P is None:
         ctx, deg = F.ctx, F.degree() + G.degree()
@@ -272,11 +274,14 @@ def _agree_at(F, G, H, P, alpha, ring):
     """H(alpha) == ((F*G) mod P)(alpha), or F(alpha) G(alpha) == H(alpha)
     where P is None: the check behind every one-point verifier of the
     package, at a random point or at the class of X modulo R.  One power
-    table at alpha serves every sparse polynomial of the check; a plain
-    check evaluates F, G and H in that order."""
+    table at alpha serves every sparse polynomial of the check.  Both
+    checks evaluate H first, which on a random support has about #F #G
+    terms, the most of the three: in GF(q) its many exponents grow the
+    windows in bulk (poly.power_table), and F and G then find their
+    entries made instead of making them one lazy product at a time."""
     pw = power_table(ring, alpha)
     if P is None:
-        fa, ga, ha = (evaluate(X, alpha, ring, pw) for X in (F, G, H))
+        ha, fa, ga = (evaluate(X, alpha, ring, pw) for X in (H, F, G))
         return ring.mul(fa, ga) == ha
     return evaluate(H, alpha, ring, pw) == modeval.eval_mod(P, F, G, alpha, ring, pw)
 
@@ -286,7 +291,7 @@ def delta_norm_bound(F, G, H, P=None):
     ||H|| + min(#F, #G) ||F|| ||G|| (#P ||P||)^ceil(1/gamma), and
     ||H|| + min(#F, #G) ||F|| ||G|| on |H - F*G| where P is None."""
     prod = product_norm_bound(F, G)
-    if prod and P is not None:
+    if prod and P is not None and F.degree() + G.degree() >= P.degree():
         g = gap_info(P)
         prod = reduced_norm_bound(prod, P.sparsity(), P.norm(), g.n - 1, g)
     return H.norm() + prod

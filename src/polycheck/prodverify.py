@@ -8,17 +8,19 @@ for constants at w = 0, or at the Kronecker point 2^w where it is equivalent
 to H = F*G; signs and sizes come from the top terms, and the identity is
 compared modulo random Mersenne-style moduli 2^i - 1 or one random prime m
 by evaluating F, G and H at 2^w mod m, so no value at 2^w is formed.  Sparse
-products fold exponents modulo a random prime p and verify modulo X^p - 1.
+products fold exponents modulo a random prime p and verify modulo X^p - 1
+where p can fall below the degree of the product.
 
 Where Kaminski's fold bound has no force (at the default e = 9/20, every
-degree below about 10^13), no verifier recomputes the product: the
-polynomial check compares H(α) with F(α)G(α) once (Schwartz 1980, Zippel
-1979), by the one check at a point of the modular verifiers
-(modverify._verify_at_point with P None), so the point draw, the norm
-bound of Δ and the comparison are theirs; the integer check compares
-F(2^w) G(2^w) with H(2^w) modulo one random prime, by the same comparison
-(modverify._agree_at).  Over Z the values mod p come from poly.evaluate at
-a point of GF(p), which reads the integer coefficients as they are.
+degree below about 10^13), and where no sparse fold prime can be below the
+degree, no verifier recomputes or folds the product: the polynomial check
+compares H(α) with F(α)G(α) once (Schwartz 1980, Zippel 1979), by the one
+check at a point of the modular verifiers (modverify._verify_at_point with
+P None), so the point draw, the norm bound of Δ and the comparison are
+theirs; the integer check compares F(2^w) G(2^w) with H(2^w) modulo one
+random prime, by the same comparison (modverify._agree_at).  Over Z the
+values mod p come from poly.evaluate at a point of GF(p), which reads the
+integer coefficients as they are.
 """
 
 import math
@@ -425,12 +427,12 @@ def verify_product_kronecker(F, G, H, cfg=None, e=None):
 # sparse products
 
 
-# verify_sparse_product's split of epsilon: the fold prime is drawn at
-# eps1 = SPARSE_EPS1 * epsilon and the folded identity is checked at
-# eps2 = SPARSE_EPS2 * epsilon.  The fold loses a nonzero difference with
-# probability at most 10 eps1/3 = epsilon/2, and the check accepts a
-# surviving one with probability at most eps2 = epsilon/2, so a wrong H
-# passes with probability at most
+# verify_sparse_product's split of epsilon where it folds: the fold prime
+# is drawn at eps1 = SPARSE_EPS1 * epsilon and the folded identity is
+# checked at eps2 = SPARSE_EPS2 * epsilon.  The fold loses a nonzero
+# difference with probability at most 10 eps1/3 = epsilon/2, and the check
+# accepts a surviving one with probability at most eps2 = epsilon/2, so a
+# wrong H passes with probability at most
 # (10 eps1/3) + (1 - 10 eps1/3) eps2 = epsilon - epsilon^2/4 <= epsilon.
 SPARSE_EPS1 = Fraction(3, 20)
 SPARSE_EPS2 = Fraction(1, 2)
@@ -466,12 +468,25 @@ def _sparse_screen(F, G, H):
 
 def verify_sparse_product(F, G, H, cfg=None):
     """Decide H = F*G, reading F, G and H sparse whatever their forms
-    (to_sparse()): screen the trivial shape mistakes, fold all exponents
-    modulo a random prime p that almost surely keeps a nonzero difference
-    nonzero, and verify the folded identity modulo X^p - 1 at the point of
-    modverify.point_kind, through modverify.verify_mod_ff on every ring:
-    over GF(q) it extends a small field, and it raises FieldTooSmallError
-    on a GF(q)[X]/(R) too small for the bound."""
+    (to_sparse()): screen the trivial shape mistakes, then compare at one
+    point or fold.
+
+    The fold prime p would be drawn from [lam, 2 lam] (_sparse_lam).
+    Where lam > m = deg F + deg G, no such p is below m, so the fold
+    would change nothing: the check is the plain one-point check
+    (modverify._verify_at_point with P None, as kaminski's), at the whole
+    epsilon and the degree m of Δ = H - F*G, with no fold prime and no
+    X^p - 1.  Its report is kaminski's one-point report with method
+    "sparse": rounds = 1 and the witness of modverify.draw_point.
+
+    Otherwise it folds all exponents modulo a random prime p that almost
+    surely keeps a nonzero difference nonzero, and verifies the folded
+    identity modulo X^p - 1 at the point of modverify.point_kind, through
+    modverify.verify_mod_ff; the witness is {"p": p, "inner": ...}.
+
+    On every ring the point policy serves: over GF(q) either check extends
+    a small field, and on a GF(q)[X]/(R) too small for the bound it raises
+    FieldTooSmallError."""
     cfg = cfg or VerifyConfig()
     same_ctx(F, G, H)
     _own_method(cfg, "sparse")
@@ -481,8 +496,11 @@ def verify_sparse_product(F, G, H, cfg=None):
     if screen is not None:
         verdict, witness = screen
         return VerifyReport(verdict, 0.0, 0, [witness], "sparse", cfg.seed)
+    lam = _sparse_lam(F, G, H, eps)
+    if lam > F.degree() + G.degree():
+        return modverify._verify_at_point(F, G, H, None, cfg, "sparse")
     rng = RngStream(cfg.seed)
-    p = random_prime(_sparse_lam(F, G, H, eps), Fraction(5, 3) * SPARSE_EPS1 * eps, rng)
+    p = random_prime(lam, Fraction(5, 3) * SPARSE_EPS1 * eps, rng)
     inner = _folded_check(F, G, H, p, SPARSE_EPS2 * eps, rng, modverify.verify_mod_ff)
     witnesses = [{"p": p, "inner": inner.witnesses}]
     return VerifyReport(inner.verdict, bound_above(eps), 1, witnesses, "sparse", cfg.seed)
@@ -512,9 +530,12 @@ def exact_route_costs(F, G, H, eps, P=None):
     - verify: VERIFY_COST_PER_TERM_BYTE (#F + #G + #H [+ #P]) b, with b the
       byte count of the largest exponent the verifier evaluates (one
       power_table product per byte and term): deg P - 1, or for a plain
-      product the lam of verify_sparse_product, below which it folds the
-      exponents; times EXTENSION_PRODUCT_COST where modverify.point_kind
-      evaluates at that degree and the verifier's epsilon in GF(q)[X]/(R).
+      product the lam of verify_sparse_product at its fold's eps2, below
+      which it folds the exponents; times EXTENSION_PRODUCT_COST where
+      modverify.point_kind evaluates at that degree and that epsilon in
+      GF(q)[X]/(R).  For a plain product that is an estimate from above
+      where lam > deg F + deg G: there the verifier folds nothing and
+      evaluates at degree deg F + deg G and the whole epsilon.
 
     Returns {"product": ..., "verify": ...} when the product is cheaper and
     every exponent of F*G stays within EXPONENT_CAP, else None."""

@@ -616,10 +616,20 @@ class TestLibraryErrorsExitTwo:
         self._check(capsys, ["verify-mod", *args], "no probable prime")
 
     def test_verify_prod_prime_generation_error(self, tmp_path, capsys, monkeypatch):
+        # no fold prime can be below degree 10: the one point's prime fails
         exc = pc.rings.PrimeGenerationError("no probable prime")
-        monkeypatch.setattr(pc.prodverify, "random_prime", self._raise(exc))
+        monkeypatch.setattr(pc.modverify, "random_prime", self._raise(exc))
         args = poly_args(tmp_path, "Z", F="sparse 0:1 5:1", G="sparse 0:1 5:1",
                          H="sparse 0:1 5:2 10:1")
+        self._check(capsys, ["verify-prod", "--method", "sparse", *args], "no probable prime")
+
+    def test_verify_prod_fold_prime_generation_error(self, tmp_path, capsys, monkeypatch):
+        # at degree 2^41 the fold prime's range lies below the degree
+        exc = pc.rings.PrimeGenerationError("no probable prime")
+        monkeypatch.setattr(pc.prodverify, "random_prime", self._raise(exc))
+        n = 2**40
+        args = poly_args(tmp_path, "Z", F=f"sparse 0:1 {n}:1", G=f"sparse 0:1 {n}:1",
+                         H=f"sparse 0:1 {n}:2 {2 * n}:1")
         self._check(capsys, ["verify-prod", "--method", "sparse", *args], "no probable prime")
 
     # a method the ring of the files cannot run is the library's TypeError,

@@ -80,8 +80,8 @@ GOLDEN = {
     "mod-Z-sparse-trinomial-wrong": "de4c2c8facab4a5f",
     "prod-GF2-dense-true": "20b1d8ed2bd82d7e",
     "prod-GF2-dense-wrong": "f5a7cfaf06fa05d8",
-    "prod-GF2-example2-true": "8c693db596912508",
-    "prod-GF2-example2-wrong": "7ac013c2ecc43388",
+    "prod-GF2-example2-true": "c20f78a999588630",
+    "prod-GF2-example2-wrong": "465a6c34d433445a",
     "prod-GF2-sparse-true": "520ea81910a09dc7",
     "prod-GF2-sparse-wrong": "e456ad69b07cd7e3",
     "prod-GF65537-dense-true": "1c0adc3c99734d4f",
@@ -94,8 +94,8 @@ GOLDEN = {
     "prod-GF7-sparse-wrong": "f4df03d2fa6100dc",
     "prod-Z-dense-true": "93f7258255f10b0b",
     "prod-Z-dense-wrong": "edd3af01794bcade",
-    "prod-Z-example2-true": "fe9c608d14dd09b0",
-    "prod-Z-example2-wrong": "da4ec669fb6af913",
+    "prod-Z-example2-true": "c5a2083bbab048fe",
+    "prod-Z-example2-wrong": "058ebc8c27466b6f",
     "prod-Z-sparse-true": "300bc90c0a012ca2",
     "prod-Z-sparse-wrong": "57855fedcf5bde75",
 }

@@ -932,10 +932,10 @@ def _odd_q_irreducible_record():
 def _odd_q_report_record():
     """Reports and POLY_MUL_OPS deltas over GF(7) and GF(65537) at epsilon
     2^-20: verify_sparse_product on two 32-term factors of degree below
-    2^20 (extension degrees 22 and 4), with the true H and H with one
-    coefficient changed; and verify_mod_ff's "companion-no-polymul" and
-    "extension" on dense F and G of degree 299 with P = X^300 + X^101 + 1,
-    true and perturbed."""
+    2^20 (one point, extension degrees 15 and 3), with the true H and H
+    with one coefficient changed; and verify_mod_ff's
+    "companion-no-polymul" and "extension" on dense F and G of degree 299
+    with P = X^300 + X^101 + 1, true and perturbed."""
     record = []
     rng = RngStream(0x0DD)
     eps = Fraction(1, 2**20)
@@ -964,12 +964,14 @@ def _odd_q_report_record():
 
 @pytest.mark.parametrize("record, digest", [
     (_odd_q_irreducible_record, "be5408e01c7cde9a"),
-    (_odd_q_report_record, "1b84558c3a7810d6"),
+    (_odd_q_report_record, "54510033f7162b72"),
 ])
 def test_odd_q_extension_is_pinned(record, digest):
     """sha256 (first 16 hex digits) of the sorted-key JSON of each record,
-    taken before GF(q)[X]/(R) for odd q had its packed product: a change to
-    any verdict, witness, random draw or product count changes it."""
+    taken before GF(q)[X]/(R) for odd q had its packed product (the report
+    record re-recorded, verdicts unchanged, when verify_sparse_product
+    stopped drawing a fold prime that cannot fold): a change to any
+    verdict, witness, random draw or product count changes it."""
     got = hashlib.sha256(json.dumps(record(), sort_keys=True).encode()).hexdigest()[:16]
     assert got == digest
 
@@ -981,8 +983,8 @@ def _tower_record():
       - at epsilon 1/2 on sparse triples of degree below 32, with the true
         H and H with one term changed, verify_mod_ff ("auto" and
         "direct-eval") over K = GF(2)[X]/(X^8 + X^4 + X^3 + X + 1), and
-        verify_sparse_product over GF(2^16), as its fold prime (at least
-        21) puts X^p - 1 past what 256 elements reach at that epsilon;
+        verify_sparse_product over GF(2^16), at one point of it, as no
+        fold prime can be below these degrees;
       - evaluate of sparse polynomials over GF(7^2) and over the tower
         GF(7^2)[Y]/(Y^2 + x) itself, at the tower's x and at a random
         point of it."""
@@ -1020,8 +1022,10 @@ def _tower_record():
 
 def test_tower_sparse_checks_are_pinned():
     """sha256 (first 16 hex digits) of the sorted-key JSON of _tower_record,
-    taken while the sparse sum still read its powers as elements: a change
-    to any verdict, witness, random draw, value or product count of the
-    sparse paths in a quotient ring changes it."""
+    taken while the sparse sum still read its powers as elements and
+    re-recorded when verify_sparse_product stopped drawing a fold prime
+    that cannot fold (its verdicts unchanged): a change to any verdict,
+    witness, random draw, value or product count of the sparse paths in a
+    quotient ring changes it."""
     got = hashlib.sha256(json.dumps(_tower_record(), sort_keys=True).encode()).hexdigest()[:16]
-    assert got == "b538be658741a263"
+    assert got == "61916e1f0bb75961"

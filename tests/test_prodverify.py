@@ -31,7 +31,7 @@ from polycheck.prodverify import (
     verify_sparse_product,
 )
 from polycheck.rings import POLY_MUL_OPS, RngStream, poly_list_is_irreducible
-from conftest import perturb_poly, rand_dense, rand_sparse
+from conftest import perturb_poly, rand_dense, rand_nonzero_coeff, rand_sparse
 
 Z = pc.ZZ
 F2 = pc.GF(2)
@@ -55,6 +55,24 @@ def shifted_sum(X, w):
     at a power of two."""
     terms = X.terms if isinstance(X, pc.SparsePoly) else enumerate(X.coeffs)
     return sum(c << (i * w) for i, c in terms)
+
+
+GF256 = pc.ExtField(F2, [1, 1, 0, 1, 1, 0, 0, 0, 1])  # GF(2)[X]/(X^8 + X^4 + X^3 + X + 1)
+
+
+def _sparse_of_degree(ctx, deg, rng, t=3):
+    """A random sparse polynomial of t terms and exact degree deg."""
+    low = rand_sparse(ctx, deg, t - 1, rng)
+    return pc.SparsePoly(ctx, [*low.terms, (deg, rand_nonzero_coeff(ctx, rng))])
+
+
+def _change_one_coefficient(H, rng):
+    """H with one coefficient below its lead raised by one (dropped where
+    that makes it zero): a wrong product of H's degree."""
+    terms = dict(H.terms)
+    e = H.terms[rng.below(len(H.terms) - 1)][0]
+    terms[e] = H.ctx.add(terms[e], H.ctx.one())
+    return pc.SparsePoly.from_dict(H.ctx, terms)
 
 
 def example2(t):
@@ -314,6 +332,21 @@ class TestKaminskiNoMul:
         r = verify_product_kaminski_nomul(F, G, H, cfg(0, Fraction(1, 2)))
         assert r.verdict is True
         assert r.witnesses[0]["full-degree-fold"] == 41
+
+    def test_full_degree_check_draws_kaminskis_prime(self):
+        # nothing wraps at X^(D+1) - 1, so Delta's bound is the plain one; on
+        # 2048-bit factors, where that bound sets lambda, both checks draw
+        # one prime and one point
+        rnd = RngStream(0x2048)
+        F, G = (rand_dense(Z, 63, rnd, 2**2048 - 1) for _ in "FG")
+        H = pc.mul_oracle(F, G)
+        P = pc.x_pow_minus_one(Z, F.degree() + G.degree() + 1)
+        assert modverify.delta_norm_bound(F, G, H, P) == modverify.delta_norm_bound(F, G, H)
+        for seed in range(3):
+            (point,) = verify_product_kaminski(F, G, H, cfg(seed)).witnesses
+            nomul = verify_product_kaminski_nomul(F, G, H, cfg(seed))
+            prime, alpha = nomul.witnesses[0]["inner"]
+            assert {"p": prime["q"], **alpha} == point
 
     @pytest.mark.parametrize("ctx", [Z, pc.GF(7)], ids=str)
     def test_shape_screens_are_pinned(self, ctx, rng):
@@ -711,6 +744,46 @@ class TestSparseProduct:
         assert verify_sparse_product(Zp, G, Zp, cfg(0)).verdict is True
         assert verify_sparse_product(Zp, G, G, cfg(0)).verdict is False
         assert verify_sparse_product(G, G, Zp, cfg(0)).verdict is False
+
+    @pytest.mark.parametrize("ctx, deg, eps", [
+        (Z, 2**20, Fraction(1, 2**20)),
+        (F2, 2**20, Fraction(1, 2**20)),
+        (pc.GF(7), 2**20, Fraction(1, 2**20)),
+        (pc.GF(65537), 2**20, Fraction(1, 2**20)),
+        (GF256, 30, Fraction(1, 2)),
+    ], ids=["Z", "GF2", "GF7", "GF65537", "GF256"])
+    def test_one_point_where_no_prime_can_fold(self, ctx, deg, eps, monkeypatch):
+        # where lambda > deg F + deg G no fold prime is below the degree: no
+        # prime is drawn, nothing is folded, and the report is kaminski's
+        def refuse(*args):
+            raise AssertionError("a fold where no prime can fold")
+
+        monkeypatch.setattr(prodverify, "random_prime", refuse)
+        monkeypatch.setattr(prodverify, "reduce_mod_binomial", refuse)
+        rnd = RngStream(0x1F2)
+        for seed in range(3):
+            F, G = (rand_sparse(ctx, deg, 8, rnd) for _ in "FG")
+            H = pc.mul_oracle(F, G)
+            for X in (H, _change_one_coefficient(H, rnd)):
+                assert prodverify._sparse_lam(F, G, X, eps) > F.degree() + G.degree()
+                r = verify_sparse_product(F, G, X, cfg(seed, eps))
+                assert r.verdict is (X is H) and r.rounds == 1
+                k = verify_product_kaminski(F, G, X, cfg(seed, eps))
+                assert {**r.to_dict(), "method": "kaminski"} == k.to_dict()
+
+    def test_small_quotient_field_at_the_degree_of_delta(self):
+        # GF(2^8) at epsilon 1/2: Delta has degree at most 53 <= 256/2, so
+        # one point of the field serves; a check asked at the degree of a
+        # fold prime, far above 53, would need more than 256 elements
+        rnd = RngStream(0x92)
+        accepted = rejected = 0
+        for seed in range(20):
+            F, G = _sparse_of_degree(GF256, 31, rnd), _sparse_of_degree(GF256, 22, rnd)
+            H = pc.mul_oracle(F, G)
+            c = cfg(seed, Fraction(1, 2))
+            accepted += verify_sparse_product(F, G, H, c).verdict
+            rejected += not verify_sparse_product(F, G, _change_one_coefficient(H, rnd), c).verdict
+        assert (accepted, rejected) == (20, 20)
 
 
 def past_cap_triple(ctx):
@@ -1209,8 +1282,10 @@ def _fold_path_reports():
     """Reports of the fold paths, grouped by verifier: Kaminski's fold and
     its multiplication-free variant at e = 1/10 (folding) and at the
     default e, the integer check at e = 3/10 and the default, the sparse
-    exponent fold, and companion-no-polymul over GF(2) and GF(3), on dense,
-    all-sparse and mixed input, true and wrong H, fixed seeds."""
+    verifier (its exponent fold at epsilon 1/4, its one-point check at
+    2^-20, where no fold prime is below the degree), and
+    companion-no-polymul over GF(2) and GF(3), on dense, all-sparse and
+    mixed input, true and wrong H, fixed seeds."""
     rng = RngStream(0x5EED)
     groups = {}
 
@@ -1271,7 +1346,7 @@ FOLD_PATH_GOLDEN = {
     "kaminski-nomul": "c2266f60ade24796",
     "kronecker": "5426503a1ffd3f47",
     "int": "90e063409119c078",
-    "sparse": "63d9cad8f14148e4",
+    "sparse": "6c5300bb1d936b48",
     "companion": "85ee3ce0af1fc525",
 }
 
