@@ -1,13 +1,14 @@
 """Shared test helpers: deterministic oracles and random instance builders."""
 
 import os
+import random
 
 import pytest
 from hypothesis import settings
 
 import polycheck as pc
 from polycheck.oracle import oracle_mod_product
-from polycheck.rings import RngStream, is_prime
+from polycheck.rings import POLY_MUL_OPS, RngStream, is_prime
 
 # "ci" is the default; POLYCHECK_HYPOTHESIS_PROFILE=thorough draws many more
 # (still reproducible) examples, for the kernel-equivalence tests in CI.
@@ -68,9 +69,29 @@ def gf2_clmul(a, b):
     return r
 
 
+class Draws(random.Random):
+    """A random.Random with the below(n) and residue(n) of RngStream that
+    the builders here and ring.sample read, so instances drawn from it do
+    not move when the package's RngStream does."""
+
+    def below(self, n):
+        return self.randrange(n)
+
+    residue = below
+
+
+def counted(call):
+    """call()'s value and the POLY_MUL_OPS delta of the call."""
+    before = POLY_MUL_OPS.count
+    value = call()
+    return value, POLY_MUL_OPS.count - before
+
+
 def rand_coeff(ctx, rng, hi=9):
     if ctx == pc.ZZ:
         return rng.below(2 * hi + 1) - hi
+    if isinstance(ctx.zero(), tuple):  # GF(q)[X]/(R) for odd q, or a tower
+        return ctx.sample(rng)
     return rng.below(ctx.size())
 
 

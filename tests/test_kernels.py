@@ -24,21 +24,17 @@ ring-method loops that stay as their reference:
   - the packed arithmetic of GF(q)[X]/(R) for odd q (the product, pow in
     the slots, the packed product form and its slot reduction) against
     ExtField's generic product and pow, with their POLY_MUL_OPS counts,
-    and Horner at x on zero blocks; and pins of what that arithmetic
-    must not move: Ben-Or's draws and the odd-q extension reports;
+    and Horner at x on zero blocks;
   - the generic sparse sum (poly._sparse_sum), which sums in the ring's
     product form, against the same loop in the element form, in
     GF(2)[X]/(R), odd-q GF(q)[X]/(R) and two towers, with coefficients
-    in the base and in the ring itself; and a pin of the sparse checks
-    whose coefficients lie in a quotient ring.
+    in the base and in the ring itself.
 Z has no kernel; its instances check the generic loops against the oracle.
 
 These tests run under the "thorough" hypothesis profile in CI as well; see
 conftest.py.
 """
 
-import hashlib
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -55,7 +51,7 @@ from polycheck.modeval import (
     gf2_first_mismatch,
     leading_coefficients,
 )
-from polycheck.modverify import VerifyConfig, _agree_at, verify_mod_ff
+from polycheck.modverify import _agree_at
 from polycheck.oracle import oracle_mod_product
 from polycheck.poly import (
     EXPONENT_CAP,
@@ -64,9 +60,8 @@ from polycheck.poly import (
     evaluate,
     power_table,
 )
-from polycheck.prodverify import verify_sparse_product
 from polycheck.rings import POLY_MUL_OPS, ExtField, RngStream, random_irreducible
-from conftest import gf2_clmul, perturb_poly, rand_dense, rand_sparse, rebuilt
+from conftest import counted, gf2_clmul, rebuilt
 
 Z = pc.ZZ
 F2 = pc.GF(2)
@@ -814,7 +809,7 @@ class TestGenericSparseSum:
         ring, ctx, alpha, terms = data.draw(sparse_sum_instances_in_a_quotient_ring(kind, in_ring))
 
         def run():
-            return _counted(lambda: _sparse_sum(terms, power_table(ring, alpha), ring, ctx))
+            return counted(lambda: _sparse_sum(terms, power_table(ring, alpha), ring, ctx))
 
         got = run()
         with mock.patch.object(type(ring), "product_form", ExtField.product_form):
@@ -834,8 +829,8 @@ def test_a_value_equal_to_x_is_counted_like_any_other(d):
     terms = [(255, 1), (2**40 + 9, 2)]
 
     def run():
-        return (_counted(lambda: ring.pow(a, 255)),
-                _counted(lambda: _sparse_sum(terms, power_table(ring, a), ring, ring.base)))
+        return (counted(lambda: ring.pow(a, 255)),
+                counted(lambda: _sparse_sum(terms, power_table(ring, a), ring, ring.base)))
 
     got = run()
     with mock.patch.object(type(ring), "product_form", ExtField.product_form):
@@ -902,130 +897,3 @@ class TestHornerOnZeroBlocks:
         cs = P.to_dense().coeffs
         got = ring.horner(cs, ring.x)
         assert got == _horner(cs, ring.x, ring, ctx) == evaluate(P, ring.x, ring)
-
-
-# ---------------------------------------------------------------------------
-# what the odd-q extension arithmetic must not move
-
-
-def _counted(call):
-    before = POLY_MUL_OPS.count
-    value = call()
-    return value, POLY_MUL_OPS.count - before
-
-
-def _odd_q_irreducible_record():
-    """random_irreducible over GF(7) at d = 5, 22, 34 and over GF(65537) at
-    d = 3, 4, 8, seeds 0-4, epsilon 2^-20: each R, the draw that follows
-    and the POLY_MUL_OPS delta of Ben-Or's squarings."""
-    record = []
-    for q, degrees in ((7, (5, 22, 34)), (65537, (3, 4, 8))):
-        for d in degrees:
-            for seed in range(5):
-                rng = RngStream(seed)
-                R, ops = _counted(
-                    lambda: random_irreducible(pc.GF(q), d, Fraction(1, 2**20), rng))
-                record.append([q, d, seed, list(R.coeffs), rng.bits(32), ops])
-    return record
-
-
-def _odd_q_report_record():
-    """Reports and POLY_MUL_OPS deltas over GF(7) and GF(65537) at epsilon
-    2^-20: verify_sparse_product on two 32-term factors of degree below
-    2^20 (one point, extension degrees 15 and 3), with the true H and H
-    with one coefficient changed; and verify_mod_ff's
-    "companion-no-polymul" and "extension" on dense F and G of degree 299
-    with P = X^300 + X^101 + 1, true and perturbed."""
-    record = []
-    rng = RngStream(0x0DD)
-    eps = Fraction(1, 2**20)
-    for q in (7, 65537):
-        ctx = pc.GF(q)
-        F, G = (rand_sparse(ctx, 2**20, 32, rng) for _ in "FG")
-        H = pc.mul_oracle(F, G)
-        terms = dict(H.terms)
-        e = H.terms[rng.below(len(terms))][0]
-        terms[e] = terms[e] % (q - 1) + 1  # another nonzero coefficient
-        for X in (H, pc.SparsePoly.from_dict(ctx, terms)):
-            r, ops = _counted(lambda: verify_sparse_product(F, G, X, VerifyConfig(eps, "sparse", 3)))
-            assert r.verdict is (X is H)
-            record.append([r.to_dict(), ops])
-        n = 300
-        P = pc.SparsePoly.from_dict(ctx, {0: 1, 101: 1, n: 1})
-        F, G = (rand_dense(ctx, n - 1, rng) for _ in "FG")
-        H = oracle_mod_product(F, G, P)
-        for X in (H, perturb_poly(H, rng)):
-            for method in ("companion-no-polymul", "extension"):
-                r, ops = _counted(lambda: verify_mod_ff(F, G, X, P, VerifyConfig(eps, method, 5)))
-                assert r.verdict is (X is H)
-                record.append([r.to_dict(), ops])
-    return record
-
-
-@pytest.mark.parametrize("record, digest", [
-    (_odd_q_irreducible_record, "be5408e01c7cde9a"),
-    (_odd_q_report_record, "54510033f7162b72"),
-])
-def test_odd_q_extension_is_pinned(record, digest):
-    """sha256 (first 16 hex digits) of the sorted-key JSON of each record,
-    taken before GF(q)[X]/(R) for odd q had its packed product (the report
-    record re-recorded, verdicts unchanged, when verify_sparse_product
-    stopped drawing a fold prime that cannot fold): a change to any
-    verdict, witness, random draw or product count changes it."""
-    got = hashlib.sha256(json.dumps(record(), sort_keys=True).encode()).hexdigest()[:16]
-    assert got == digest
-
-
-def _tower_record():
-    """Sparse checks whose coefficients lie in a quotient ring, the branch
-    of the sparse sum and scan that multiplies coefficients by the ring's
-    product, each result with its POLY_MUL_OPS delta:
-      - at epsilon 1/2 on sparse triples of degree below 32, with the true
-        H and H with one term changed, verify_mod_ff ("auto" and
-        "direct-eval") over K = GF(2)[X]/(X^8 + X^4 + X^3 + X + 1), and
-        verify_sparse_product over GF(2^16), at one point of it, as no
-        fold prime can be below these degrees;
-      - evaluate of sparse polynomials over GF(7^2) and over the tower
-        GF(7^2)[Y]/(Y^2 + x) itself, at the tower's x and at a random
-        point of it."""
-    record = []
-    rng = RngStream(0x70E)
-    eps = Fraction(1, 2)
-    K = ExtField(F2, [1, 1, 0, 1, 1, 0, 0, 0, 1])
-    P = pc.SparsePoly.from_dict(K, {0: K.one(), 5: K.x, 32: K.one()})
-    L = ExtField(F2, _irreducible(2, 16, 0))
-    for seed in range(4):
-        F, G = (rand_sparse(K, 32, 3 + rng.below(4), rng) for _ in "FG")
-        H = oracle_mod_product(F, G, P)
-        for X in (H, perturb_poly(H, rng)):
-            for method in ("auto", "direct-eval"):
-                r, ops = _counted(lambda: verify_mod_ff(F, G, X, P, VerifyConfig(eps, method, seed)))
-                assert r.verdict is (X is H)
-                record.append([r.to_dict(), ops])
-        F, G = (rand_sparse(L, 32, 3 + rng.below(4), rng) for _ in "FG")
-        H = pc.mul_oracle(F, G)
-        for X in (H, perturb_poly(H, rng)):
-            r, ops = _counted(lambda: verify_sparse_product(F, G, X, VerifyConfig(eps, "sparse", seed)))
-            assert r.verdict is (X is H)
-            record.append([r.to_dict(), ops])
-    B = ExtField(pc.GF(7), [1, 0, 1])
-    T = ExtField(B, [B.x, B.zero(), B.one()])
-    for ctx in (B, T):
-        for alpha in (T.x, T.sample(rng)):
-            for t in (0, 1, 5, 12):
-                F = pc.SparsePoly.from_dict(
-                    ctx, {rng.below(2**40): ctx.sample(rng) for _ in range(t)})
-                value, ops = _counted(lambda: evaluate(F, alpha, T))
-                record.append([repr(ctx), t, value, ops])
-    return record
-
-
-def test_tower_sparse_checks_are_pinned():
-    """sha256 (first 16 hex digits) of the sorted-key JSON of _tower_record,
-    taken while the sparse sum still read its powers as elements and
-    re-recorded when verify_sparse_product stopped drawing a fold prime
-    that cannot fold (its verdicts unchanged): a change to any verdict,
-    witness, random draw, value or product count of the sparse paths in a
-    quotient ring changes it."""
-    got = hashlib.sha256(json.dumps(_tower_record(), sort_keys=True).encode()).hexdigest()[:16]
-    assert got == "61916e1f0bb75961"

@@ -1,6 +1,4 @@
-import hashlib
 import itertools
-import json
 import math
 
 import pytest
@@ -1005,54 +1003,3 @@ class TestPrintedBound:
         r = verify_mod_ff(F, G, H, P, cfg(1, Fraction(1, 3)))
         assert r.verdict is True and Fraction(r.error_bound) >= Fraction(1, 3)
         assert verify_mod_ff(F, G, H, P, cfg(1, Fraction(1, 2**20))).error_bound == 2**-20
-
-
-def _sparse_gf2_wrap_record():
-    """Reports and per-call POLY_MUL_OPS counts of verify_mod_ff's
-    "companion-freivalds" and "extension" on sparse GF(2) triples whose
-    sparse scan wraps: 8 terms each below n = 2^20, P = X^n + X^17 + 1,
-    seeds 0-2, true H and H with one term removed; and eval_mod_p_sparse
-    on the same triples at x and at a random point of GF(2)[X]/(R) for
-    d in {1, 2, 8, 23, 64}, each value checked against the oracle."""
-    rng = RngStream(0x5C4)
-    n = 2**20
-    P = pc.SparsePoly(F2, [(0, 1), (17, 1), (n, 1)])
-    record = []
-
-    def counted(call):
-        before = POLY_MUL_OPS.count
-        value = call()
-        return value, POLY_MUL_OPS.count - before
-
-    triples = []
-    for seed in range(3):
-        F, G = (rand_sparse(F2, n, 8, rng) for _ in "FG")
-        assert F.degree() + G.degree() >= n
-        H = oracle_mod_product(F, G, P)
-        drop = rng.below(H.sparsity())
-        cut = pc.SparsePoly(F2, [t for k, t in enumerate(H.terms) if k != drop])
-        triples.append((F, G, H))
-        for X in (H, cut):
-            for method in ("companion-freivalds", "extension"):
-                r, ops = counted(lambda: verify_mod_ff(F, G, X, P, cfg(seed, method=method)))
-                assert r.verdict is (X is H)
-                record.append([r.to_dict(), ops])
-    for d in (1, 2, 8, 23, 64):
-        K = ExtField(F2, random_monic(F2, d, rng))
-        for F, G, H in triples:
-            for alpha in (K.x, K.sample(rng)):
-                got, ops = counted(lambda: modeval.eval_mod_p_sparse(P, F, G, alpha, K))
-                assert got == evaluate(H, alpha, K)
-                record.append([d, got, ops])
-    return record
-
-
-def test_sparse_gf2_wrap_is_pinned():
-    """sha256 (first 16 hex digits) of the sorted-key JSON of
-    _sparse_gf2_wrap_record: a change to any verdict, witness, random draw,
-    scan value or product count of the wrapping sparse GF(2) scan changes
-    it."""
-    got = hashlib.sha256(
-        json.dumps(_sparse_gf2_wrap_record(), sort_keys=True).encode()
-    ).hexdigest()[:16]
-    assert got == "c0c2b31b45e93e4d"

@@ -1,8 +1,6 @@
-import hashlib
 import itertools
 import json
 import math
-import random
 import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
@@ -17,7 +15,7 @@ from polycheck.modverify import (
     prime_lambda,
     prime_lambda_pow2,
 )
-from polycheck.oracle import oracle_mod_product, poly_divmod
+from polycheck.oracle import poly_divmod
 from polycheck.poly import power_table, product_terms, write_poly_file
 from polycheck.prodverify import (
     KaminskiParams,
@@ -31,7 +29,7 @@ from polycheck.prodverify import (
     verify_sparse_product,
 )
 from polycheck.rings import POLY_MUL_OPS, RngStream, poly_list_is_irreducible
-from conftest import perturb_poly, rand_dense, rand_nonzero_coeff, rand_sparse
+from conftest import Draws, perturb_poly, rand_dense, rand_nonzero_coeff, rand_sparse
 
 Z = pc.ZZ
 F2 = pc.GF(2)
@@ -1278,198 +1276,10 @@ class TestOnePointSoundness:
         assert accepted / trials <= 0.30
 
 
-def _fold_path_reports():
-    """Reports of the fold paths, grouped by verifier: Kaminski's fold and
-    its multiplication-free variant at e = 1/10 (folding) and at the
-    default e, the integer check at e = 3/10 and the default, the sparse
-    verifier (its exponent fold at epsilon 1/4, its one-point check at
-    2^-20, where no fold prime is below the degree), and
-    companion-no-polymul over GF(2) and GF(3), on dense, all-sparse and
-    mixed input, true and wrong H, fixed seeds."""
-    rng = RngStream(0x5EED)
-    groups = {}
-
-    def add(group, report):
-        groups.setdefault(group, []).append(report.to_dict())
-
-    def triples(ctx, deg, sparse_deg):  # dense, all-sparse and mixed
-        F, G = rand_dense(ctx, deg, rng), rand_dense(ctx, deg - 5, rng)
-        yield F, G, pc.mul_oracle(F, G)
-        Fs, Gs = (rand_sparse(ctx, sparse_deg, 6, rng) for _ in "FG")
-        yield Fs, Gs, pc.mul_oracle(Fs, Gs)
-        yield F, G.to_sparse(), pc.mul_oracle(F, G)
-
-    for ctx in (Z, F2, pc.GF(3), pc.GF(65537)):
-        for F, G, H in triples(ctx, 70, 200):
-            for X in (H, perturb_poly(H, rng)):
-                for seed, params in ((0, KaminskiParams(e=E_SMALL)), (1, None)):
-                    for eps in (QUARTER, STRICT):
-                        c = cfg(seed, eps)
-                        add("kaminski", verify_product_kaminski(F, G, X, c, params))
-                        add("kaminski-nomul", verify_product_kaminski_nomul(F, G, X, c, params))
-    for F, G, H in triples(Z, 60, 2**20):
-        for X in (H, perturb_poly(H, rng)):
-            for e in (Fraction(3, 10), None):
-                add("kronecker", verify_product_kronecker(F, G, X, cfg(2), e))
-    for bits in (8, 3000):
-        a, b = rng.bits(bits) | 1, rng.bits(bits) | 1
-        for c in (a * b, a * b + (1 << rng.below(bits)), -a * b):
-            for e in (Fraction(3, 10), None):
-                add("int", verify_int_product(a, b, c, cfg(3), e))
-    for ctx in (Z, F2, pc.GF(7), pc.GF(65537)):
-        F, G = (rand_sparse(ctx, 2**16, 6, rng) for _ in "FG")
-        H = pc.mul_oracle(F, G)
-        for seed, X in enumerate((H, perturb_poly(H, rng))):
-            for eps in (QUARTER, STRICT):
-                add("sparse", verify_sparse_product(F, G, X, cfg(seed, eps)))
-    for ctx in (F2, pc.GF(3)):
-        for n, deg, t in ((48, 46, None), (2048, None, 5)):
-            for P in (pc.x_pow_minus_one(ctx, n),
-                      pc.SparsePoly(ctx, [(0, 1), (1 + rng.below(n - 1), 1), (n, 1)])):
-                if t is None:
-                    F, G = rand_dense(ctx, deg, rng), rand_dense(ctx, deg - 3, rng)
-                else:
-                    F, G = (rand_sparse(ctx, n, t, rng) for _ in "FG")
-                H = oracle_mod_product(F, G, P)
-                for seed, X in enumerate((H, perturb_poly(H, rng))):
-                    for eps in (QUARTER, STRICT):
-                        c = VerifyConfig(epsilon=eps, method="companion-no-polymul", seed=seed)
-                        add("companion", modverify.verify_mod_companion(F, G, X, P, c))
-                        if t is not None:  # mixed input is made dense
-                            add("companion", modverify.verify_mod_companion(
-                                F.to_dense(), G, X, P, c))
-    return groups
-
-
-FOLD_PATH_GOLDEN = {
-    "kaminski": "a01bc7f9a2c784a3",
-    "kaminski-nomul": "c2266f60ade24796",
-    "kronecker": "5426503a1ffd3f47",
-    "int": "90e063409119c078",
-    "sparse": "6c5300bb1d936b48",
-    "companion": "85ee3ce0af1fc525",
-}
-
-
-def test_fold_path_reports_are_pinned():
-    """The fold paths' reports, sha256 of their sorted-key JSON (first 16
-    hex digits) per group: a change to any verdict, witness or random draw
-    of these paths changes a hash."""
-    got = {
-        group: hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()[:16]
-        for group, reports in _fold_path_reports().items()
-    }
-    assert got == FOLD_PATH_GOLDEN
-
-
-def _full_degree_reports():
-    """Reports of kaminski-nomul's full-degree check (the modular check at
-    X^(D+1) - 1, D = deg F + deg G, where nothing wraps) at a point of the
-    field: over Z at a point of GF(p), n = 4096 with 32-bit coefficients at
-    epsilon = 1/4 and 2^-20; over GF(2^61 - 1), n = 1024 at 2^-20; over
-    GF(65537), n = 512 at 1/4, where 65537 epsilon >= 1022 gives a field
-    point.  True H and H with one coefficient raised by one, seeds 0-2."""
-    rng = RngStream(0xF0D)
-    reports = []
-    for ctx, n, hi, epsilons in (
-        (Z, 4096, 2**31 - 1, (QUARTER, STRICT)),
-        (pc.GF(2**61 - 1), 1024, 9, (STRICT,)),
-        (pc.GF(65537), 512, 9, (QUARTER,)),
-    ):
-        F, G = rand_dense(ctx, n - 1, rng, hi), rand_dense(ctx, n - 1, rng, hi)
-        H = pc.mul_oracle(F, G)
-        for X in (H, perturb_poly(H, rng)):
-            for seed in range(3):
-                for eps in epsilons:
-                    r = verify_product_kaminski_nomul(F, G, X, cfg(seed, eps))
-                    assert "full-degree-fold" in r.witnesses[0]
-                    assert r.verdict is (X is H)
-                    reports.append(r.to_dict())
-    return reports
-
-
-def test_full_degree_reports_are_pinned():
-    """sha256 (first 16 hex digits) of the sorted-key JSON of the
-    full-degree reports: a change to any verdict, witness or random draw of
-    the check at a point of the field changes it."""
-    got = hashlib.sha256(
-        json.dumps(_full_degree_reports(), sort_keys=True).encode()
-    ).hexdigest()[:16]
-    assert got == "145769f9834f1c07"
-
-
-class _Draws(random.Random):
-    """A random.Random with the below(n) of the conftest builders, so a
-    corpus drawn from it does not move when the package's RngStream does."""
-
-    def below(self, n):
-        return self.randrange(n)
-
-
-def _one_point_records():
-    """Reports of the plain one-point checks, each with its POLY_MUL_OPS
-    delta, grouped by entry:
-      - verify_product_kaminski at its one point, on dense and sparse
-        triples over Z with 31-bit coefficients (the degree term sets the
-        prime's lambda) and 2048-bit ones (the norm term sets it), GF(7)
-        (the extension point at 2^-20), GF(65537), GF(2^61 - 1), and
-        GF(2^8) = GF(2)[X]/(X^8 + X^4 + X^3 + X + 1), whose field point
-        serves at 1/4 and whose exact product answers at 2^-20;
-      - verify_product_kronecker on the Z triples;
-      - verify_int_product on 31- and 2048-bit operands;
-    true and perturbed H (or c), epsilon 1/4 and 2^-20, seeds 0 and 1."""
-    rnd = _Draws(0x1F0)
-    groups = {}
-
-    def add(group, call):
-        before = POLY_MUL_OPS.count
-        report = call()
-        groups.setdefault(group, []).append([report.to_dict(), POLY_MUL_OPS.count - before])
-        return report
-
-    gf256 = pc.ExtField(F2, [1, 1, 0, 1, 1, 0, 0, 0, 1])
-    for ctx, hi, deg, sparse_deg in (
-        (Z, 2**31 - 1, 150, 2**16),
-        (Z, 2**2048 - 1, 40, 2**16),
-        (pc.GF(7), 9, 40, 2**12),
-        (pc.GF(65537), 9, 150, 2**16),
-        (pc.GF(2**61 - 1), 9, 150, 2**16),
-        (gf256, 9, 20, 30),
-    ):
-        dense = [rand_dense(ctx, deg - i, rnd, hi) for i in (0, 7)]
-        sparse = [rand_sparse(ctx, sparse_deg, 8, rnd, hi) for _ in "FG"]
-        for F, G in (dense, sparse):
-            H = pc.mul_oracle(F, G)
-            for X in (H, perturb_poly(H, rnd)):
-                for eps in (QUARTER, STRICT):
-                    for seed in (0, 1):
-                        r = add("kaminski", lambda: verify_product_kaminski(F, G, X, cfg(seed, eps)))
-                        assert r.verdict is (X is H) and r.rounds <= 1
-                        if ctx == Z:
-                            r = add("kronecker", lambda: verify_product_kronecker(F, G, X, cfg(seed, eps)))
-                            assert r.verdict is (X is H)
-    for bits in (31, 2048):
-        a, b = rnd.getrandbits(bits) | 1, rnd.getrandbits(bits) | 1
-        for c in (a * b, a * b + 1, a * b ^ (1 << rnd.below(bits))):
-            for eps in (QUARTER, STRICT):
-                for seed in (0, 1):
-                    r = add("int", lambda: verify_int_product(a, b, c, cfg(seed, eps)))
-                    assert r.verdict is (c == a * b)
-    return groups
-
-
-ONE_POINT_GOLDEN = {
-    "kaminski": "29666b2482378e60",
-    "kronecker": "dfe7cb7decd2365c",
-    "int": "9a7d912575038257",
-}
-
-
-def test_one_point_checks_are_pinned(monkeypatch):
-    """The plain one-point checks' reports and product counts, sha256 of
-    their sorted-key JSON (first 16 hex digits) per entry.  None of them
-    reaches modeval.eval_mod, the scan of a modular check; kaminski-nomul's
-    check at X^(D+1) - 1 does."""
+def test_only_kaminski_nomul_reaches_the_modular_scan(monkeypatch):
+    """The plain one-point checks (kaminski, kronecker, the integer check)
+    answer without modeval.eval_mod, the scan of a modular check;
+    kaminski-nomul's check at X^(D+1) - 1 reaches it."""
 
     class ReachedEvalMod(Exception):
         pass
@@ -1478,12 +1288,17 @@ def test_one_point_checks_are_pinned(monkeypatch):
         raise ReachedEvalMod
 
     monkeypatch.setattr(modeval, "eval_mod", eval_mod)
-    got = {
-        group: hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()[:16]
-        for group, records in _one_point_records().items()
-    }
-    assert got == ONE_POINT_GOLDEN
-    rnd = _Draws(0x1F1)
+    rnd = Draws(0x1F1)
     F, G = (rand_dense(Z, 64, rnd) for _ in "FG")
     with pytest.raises(ReachedEvalMod):
         verify_product_kaminski_nomul(F, G, pc.mul_oracle(F, G), cfg(0))
+    for ctx, hi in ((Z, 2**31 - 1), (Z, 2**2048 - 1), (pc.GF(7), 9), (GF256, 9)):
+        F, G = rand_dense(ctx, 20, rnd, hi), rand_dense(ctx, 13, rnd, hi)
+        H = pc.mul_oracle(F, G)
+        for X, eps in ((H, QUARTER), (perturb_poly(H, rnd), STRICT)):
+            assert verify_product_kaminski(F, G, X, cfg(0, eps)).verdict is (X is H)
+            if ctx == Z:
+                assert verify_product_kronecker(F, G, X, cfg(0, eps)).verdict is (X is H)
+    a, b = rnd.getrandbits(2048) | 1, rnd.getrandbits(2048) | 1
+    for c in (a * b, a * b + 1):
+        assert verify_int_product(a, b, c, cfg(0, STRICT)).verdict is (c == a * b)
