@@ -76,9 +76,10 @@ each byte position of the exponents, one C-level pass multiplies every
 term's value by its entry of that window of the shared power table, whose
 window grows in bulk (PrimeField.double_powers) where the request asks for
 enough of it, and runs of terms that share a top byte are summed before
-their one product.  Its reference is the per-term loop poly._sparse_sum,
-which every other ring runs in its product form, on the table's powers
-as they are, leaving the form once with the sum.
+their one product.  Its reference is the bucketed loop poly._sparse_sum,
+which every other ring, Z included, runs in its product form: for each
+byte position, one product per distinct high part of the exponents, on
+the table's windows as they are, leaving the form once with the sum.
 None of them multiplies polynomials or counts in POLY_MUL_OPS.
 """
 
@@ -372,10 +373,10 @@ def gf2_first_mismatch(P, F, G, H, moduli):
 def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     """Sparse variant: F and G, in either form, are read sparse, and only
     indices where a leading coefficient is nonzero or G has a term are
-    visited; power gaps are bridged by alpha^gap.  P(alpha),
-    F(alpha) and every gap power come from pw, the power_table(ring, alpha)
-    of the calling check (a fresh one if not given), at about
-    (bits of the power)/8 - 1 products each.
+    visited; power gaps are bridged by alpha^gap.  P(alpha) and F(alpha)
+    (sparse sums, by buckets outside GF(q)) and every gap power come from
+    pw, the power_table(ring, alpha) of the calling check (a fresh one if
+    not given), a gap power at about (bits of the power)/8 - 1 products.
 
     The scan runs in the ring's product form (ring.product_form), the
     bit-sliced one in GF(2)[X]/(R), the slot-packed one in GF(q)[X]/(R)

@@ -652,15 +652,15 @@ def _check_eval_ring(F, ring):
 def power_table(ring, alpha):
     """The map e -> alpha^e for many exponents at one point.
 
-    In GF(q) and in a quotient ring it is one fixed-base windowed table
-    (Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992): window i holds
-    alpha^(j 2^(8i)) for 0 <= j < 256, entry 0 being 1, and alpha^e is the
-    product of one entry per nonzero byte of e, so (nonzero bytes of e) - 1
-    products once its entries exist.  Entries are filled lazily, one product
-    each: T[j] = T[j ^ low] T[low] with low the lowest set bit of j, and the
-    power-of-two entries T[2^k] = alpha^(2^(8i+k)) come from the squares of
-    alpha, one product per square, as far as the largest exponent asked
-    for needs.  Z (int_modulus 0) keeps the builtin pow.
+    It is one fixed-base windowed table (Brickell, Gordon, McCurley and
+    Wilson, EUROCRYPT 1992), in Z, GF(q) and every quotient ring alike:
+    window i holds alpha^(j 2^(8i)) for 0 <= j < 256, entry 0 being 1, and
+    alpha^e is the product of one entry per nonzero byte of e, so (nonzero
+    bytes of e) - 1 products once its entries exist.  Entries are filled
+    lazily, one product each: T[j] = T[j ^ low] T[low] with low the lowest
+    set bit of j, and the power-of-two entries T[2^k] = alpha^(2^(8i+k))
+    come from the squares of alpha, one product per square, as far as the
+    largest exponent asked for needs.
 
     pw(e) is alpha^e in the form the ring names with its product
     (ring.product_form), in which the squares and entries are kept: the
@@ -668,24 +668,27 @@ def power_table(ring, alpha):
     product is three integer multiplications (see
     rings.GF2Ext._sliced_product), and slot-packed in GF(q)[X]/(R) for odd
     q from degree 2 on (see rings.GFqExt._packing).  Its readers, the sparse
-    sum _sparse_sum and the sparse scan of modeval, stay in that form and
-    leave it once, with their result; ring.product_form()'s out gives the
-    element of one power.  alpha enters the form with the first entry
-    made, so a table nothing reads costs nothing.  A product in the form is
-    counted in POLY_MUL_OPS where ring.mul is: every ExtField product but
-    one with x.
+    sums and the sparse scan of modeval, stay in that form and leave it
+    once, with their result; ring.product_form()'s out gives the element
+    of one power.  alpha enters the form with the first entry made, so a
+    table nothing reads costs nothing.  A product in the form is counted
+    in POLY_MUL_OPS where ring.mul is: every ExtField product but one with
+    x.
 
     Besides pw(e), the table gives bulk access to one window:
     pw.window(i, digits) fills the entries of window i that the byte values
-    digits need and returns the window, which the fused sparse kernel
-    PrimeField.sparse_sum indexes by byte.  In GF(q) (a ring whose
-    int_modulus is a q > 0) such a request may
-    instead grow the window in bulk: with its entries below L = 2^t all
-    filled, PrimeField.double_powers doubles that prefix, one C-level pass
-    per doubling, until it covers the largest byte asked for.  It does so
+    digits need and returns the window, which the sparse sums index by
+    byte: the fused kernel PrimeField.sparse_sum and the bucketed loop
+    _sparse_sum of every other ring.  In GF(q) (a ring whose int_modulus
+    is a q > 0) such a request may instead grow the window in bulk: with
+    its entries below L = 2^t all filled, PrimeField.double_powers doubles
+    that prefix, one C-level pass per doubling.  A request of at least
+    BULK_GROWTH 255 bytes grows the window to all 256 entries, without
+    building the set of its bytes (about 70 us per 4096 bytes on the host
+    below).  A shorter one grows it to cover the largest byte asked for
     when BULK_GROWTH times the number of nonzero bytes asked for reaches
-    the largest of them (and that byte lies past L); single lookups pw(e)
-    and smaller requests keep the lazy fill.  Measured on a fresh window
+    that byte (and it lies past L).  Single lookups pw(e) and the remaining
+    requests keep the lazy fill.  Measured on a fresh window
     (CPython 3.11, 2-vCPU VM), a lazy entry costs about 0.65 us and a bulk
     one 0.07 us at a 17-bit q and 0.24 us at a 61-bit q, where % q is a
     long division; bulk growth up to byte 255 broke even at about 32
@@ -697,8 +700,6 @@ def power_table(ring, alpha):
     One table serves every term of every polynomial evaluated at alpha in
     one check, through any access and in any order; it is local to that
     check."""
-    if ring.int_modulus == 0:
-        return functools.partial(pow, alpha)
     into, mul, _ = ring.product_form()
     squares = []
     windows = []
@@ -710,19 +711,23 @@ def power_table(ring, alpha):
             windows.append([into(ring.one())] + [None] * ((1 << WINDOW_BITS) - 1))
             prefix.append(1)
         w = windows[i]
-        asked = set(digits)
-        asked.discard(0)
-        top = max(asked) if asked else 0
-        if bulk and BULK_GROWTH * len(asked) >= top >= prefix[i]:
+        if bulk and len(digits) >= BULK_GROWTH * 255:
+            top = 255
+        else:
+            asked = set(digits)
+            asked.discard(0)
+            top = max(asked) if asked else 0
+            if not (bulk and BULK_GROWTH * len(asked) >= top):
+                for j in asked:
+                    if w[j] is None:
+                        entry(w, i, j)
+                return w
+        if top >= prefix[i]:
             # doubling 2^t entries takes the step alpha^(2^t 2^(8i)), entry 2^t
             size = prefix[i]
             steps = [entry(w, i, 1 << t) for t in range(size.bit_length() - 1, top.bit_length())]
             prefix[i] = size << len(steps)
             w[: prefix[i]] = ring.double_powers(w[:size], steps)
-        else:
-            for j in asked:
-                if w[j] is None:
-                    entry(w, i, j)
         return w
 
     def entry(window, i, j):
@@ -772,21 +777,52 @@ def _horner(cs, alpha, ring, ctx):
 
 
 def _sparse_sum(terms, pw, ring, ctx):
-    """The generic per-term loop on the ring interface, the reference for
-    every ring.sparse_sum, for coefficients in ctx.  It sums in the ring's
-    product form (ring.product_form), the form pw keeps its powers in: a
-    coefficient in a base scales a power by ring.scalar_mul, one in the
-    ring itself enters the form and multiplies by the form's product, and
-    the sum leaves the form once."""
+    """sum c alpha^e over the ascending (e, c) terms, with coefficients
+    in ctx: the loop of every ring without a sparse kernel, and the
+    reference for every ring.sparse_sum.  It sums by buckets (Pippenger,
+    SIAM J. Comput. 1980), one form product per distinct high part, not
+    one per term and byte.  At byte level i the values are keyed by
+    e >> 8i, and the values whose keys agree but for the low byte j form
+    one run, as the terms ascend; a run's sum of value times entry j of
+    window i (read through pw.window) is the value of key >> 8 at the
+    next level, until the one key 0 is left.
+
+    It sums in the ring's product form (ring.product_form), the form pw
+    keeps its powers in, and leaves it once.  A value carries how it
+    multiplies an entry: a coefficient in a base by ring.scalar_mul, no
+    product, until it meets another value of its run and enters the form
+    as c 1; a coefficient in the ring itself, or a sum, by the form's
+    product.  Byte 0 multiplies nothing.  So the sum never makes more
+    products than the per-term loop it replaced, alpha^e from pw scaled
+    by c, and the table makes the same entries for both."""
+    if not terms:
+        return ring.zero()
     into, mul, out = ring.product_form()
-    scale = ring.scalar_mul
+    add, scale = ring.add, ring.scalar_mul
     if ctx == ring:
-        terms = [(e, into(c)) for e, c in terms]
-        scale = mul
-    acc = into(ring.zero())
-    for e, c in terms:
-        acc = ring.add(acc, scale(c, pw(e)))
-    return out(acc)
+        level = [(e, into(c), mul) for e, c in terms]
+    else:
+        level = [(e, c, scale) for e, c in terms]
+    low = (1 << WINDOW_BITS) - 1
+    i = 0
+    while True:
+        window = pw.window(i, [e & low for e, _, _ in level])
+        runs = []
+        for e, v, times in level:
+            j = e & low
+            if j:
+                v, times = times(v, window[j]), mul
+            h = e >> WINDOW_BITS
+            if runs and runs[-1][0] == h:
+                _, acc, by = runs[-1]
+                runs[-1] = (h, add(acc if by is mul else scale(acc, window[0]), v), mul)
+            else:
+                runs.append((h, v, times))
+        level = runs
+        i += 1
+        if runs[-1][0] == 0:
+            _, v, times = runs[0]
+            return out(v if times is mul else scale(v, window[0]))
 
 
 def evaluate(F, alpha, ring=None, pw=None):
@@ -799,9 +835,10 @@ def evaluate(F, alpha, ring=None, pw=None):
     power_table(ring, alpha) that a check evaluating several polynomials at
     alpha builds once and shares, or from a fresh one: by the fused
     sparse_sum where ring.serves_sparse(F.ctx), in GF(q) a byte of every
-    exponent at a time, elsewhere term by term in the ring's product form
-    (_sparse_sum).  At the class of X in a quotient ring, F(X) is F mod R,
-    and dense Horner multiplies no polynomials (see ExtField.mul)."""
+    exponent at a time, elsewhere by buckets of a byte at a time in the
+    ring's product form (_sparse_sum).  At the class of X in a quotient
+    ring, F(X) is F mod R, and dense Horner multiplies no polynomials (see
+    ExtField.mul)."""
     ring = _check_eval_ring(F, ring)
     if isinstance(F, DensePoly):
         if ring.serves_dense(F.ctx, alpha):

@@ -23,6 +23,7 @@ from itertools import repeat
 _MASK64 = (1 << 64) - 1
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # GF(2) coefficients as binary digits
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")  # and back
+_TOP_BIT_DIGITS = bytes(48 + (b >> 7) for b in range(256))  # a byte's top bit as a binary digit
 RUN_TERMS = 8  # PrimeField.sparse_sum sums runs of a top byte first from this many terms per value
 
 
@@ -108,6 +109,14 @@ class RngStream:
             return []
         words = self._gen.getrandbits(32 * k).to_bytes(4 * k, "little")
         return [byte >> 7 for byte in words[3::4]]
+
+    def bit_int(self, k):
+        """bit_list(k) as one int, entry i in bit i, from the same draw:
+        the top bits of the k bytes, read from the top as binary digits."""
+        if k <= 0:
+            return 0
+        words = self._gen.getrandbits(32 * k).to_bytes(4 * k, "little")
+        return int(words[:2:-4].translate(_TOP_BIT_DIGITS), 2)
 
     def below(self, n):
         """Uniform integer in [0, n), unbiased (rejection sampling)."""
@@ -198,7 +207,8 @@ def ln_pow2_upper(k):
 #                                    returns sum gs[i] f_i over i < len(gs)
 #   sparse_sum(terms, pw)            sum c alpha^e over the (e, c) terms,
 #                                    ascending in e as a SparsePoly keeps them,
-#                                    the powers from the power_table pw at alpha
+#                                    the powers from the windows of the
+#                                    power_table pw at alpha
 #
 # The quotient-ring classes are GF2Ext (GF(2)[X]/(R), one bit-packed int
 # per element), GFqExt (odd GF(q), tuples of ints that the kernels pack
@@ -219,7 +229,9 @@ def ln_pow2_upper(k):
 # add, sub and scalar_mul by a base scalar, which the sparse sum and scan
 # apply to form values (GFqExt's take packed values as well as elements).
 # So GF2Ext and GFqExt have no sparse_sum: the generic loop sums in their
-# forms.
+# forms, by buckets of a byte at a time, one product per distinct high
+# part of the exponents with a nonzero byte, where a base coefficient only
+# scales an entry.  Z runs the same loop on its exact ints.
 #
 # GF2Ext has that one product: mul slices its factors and unslices the
 # result, which costs more than the 4-bit comb it replaced at small d.
@@ -1353,7 +1365,9 @@ def random_irreducible(field, d, epsilon, rng):
     returns the first one passing poly_list_is_irreducible (Ben-Or's exact
     test); if none passes, the last candidate is returned (this happens with
     probability at most epsilon).  The result is uniform over the monic
-    irreducibles of degree d whenever it is irreducible.
+    irreducibles of degree d whenever it is irreducible.  Over GF(2) a
+    candidate is one packed int, the draw of random_monic read by
+    RngStream.bit_int, screened by _gf2_is_irreducible directly.
     """
     from .poly import DensePoly
 
@@ -1367,7 +1381,12 @@ def random_irreducible(field, d, epsilon, rng):
     ln_inv = math.log(eps.denominator) - math.log(eps.numerator)
     budget = max(1, math.ceil(2 * d * ln_inv + 1e-9))
     q = field.q
-    cand = None
+    if q == 2:  # each candidate one packed int, its X^d bit set
+        for _ in range(budget):
+            cand = rng.bit_int(d) | 1 << d
+            if _gf2_is_irreducible(cand, d):
+                break
+        return DensePoly(field, [(cand >> i) & 1 for i in range(d + 1)])
     for _ in range(budget):
         cand = random_monic(field, d, rng)
         if poly_list_is_irreducible(cand, q):

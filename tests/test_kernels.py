@@ -25,10 +25,11 @@ ring-method loops that stay as their reference:
     the slots, the packed product form and its slot reduction) against
     ExtField's generic product and pow, with their POLY_MUL_OPS counts,
     and Horner at x on zero blocks;
-  - the generic sparse sum (poly._sparse_sum), which sums in the ring's
-    product form, against the same loop in the element form, in
-    GF(2)[X]/(R), odd-q GF(q)[X]/(R) and two towers, with coefficients
-    in the base and in the ring itself.
+  - the generic sparse sum (poly._sparse_sum), which sums by buckets in
+    the ring's product form, against the same loop in the element form
+    and against the per-term loop it replaced (_per_term_sum, here), by
+    value and by its products, in GF(2)[X]/(R), odd-q GF(q)[X]/(R) and
+    two towers, with coefficients in the base and in the ring itself.
 Z has no kernel; its instances check the generic loops against the oracle.
 
 These tests run under the "thorough" hypothesis profile in CI as well; see
@@ -772,14 +773,36 @@ TOWERS = tuple(
 )
 
 
+EDGES = [2 ** (8 * i) + k for i in range(9) for k in (-1, 0, 1)]
+WINDOW_EDGE_EXPONENTS = st.lists(st.sampled_from(EDGES) | st.integers(0, 2**64), max_size=12)
+
+
 @st.composite
-def sparse_sum_instances_in_a_quotient_ring(draw, kind, in_ring):
+def exponents_in_buckets(draw):
+    """Up to 48 exponents that share high parts, have zero bytes and differ
+    in byte length: up to 4 high parts of 0 to 6 bytes, each over up to 12
+    low parts of 0 to 3 bytes, every byte 0, 1, 255 or any."""
+    byte = st.sampled_from((0, 1, 255)) | st.integers(0, 255)
+
+    def number(size):
+        return st.lists(byte, max_size=size).map(lambda bs: int.from_bytes(bytes(bs), "little"))
+
+    exps = []
+    for high in draw(st.lists(number(6), min_size=1, max_size=4)):
+        width = draw(st.integers(0, 3))
+        exps += [high << 8 * width | low for low in draw(st.lists(number(width), max_size=12))]
+    return exps
+
+
+@st.composite
+def sparse_sum_instances_in_a_quotient_ring(draw, kind, in_ring, exponents=WINDOW_EDGE_EXPONENTS):
     """(ring, ctx, alpha, terms): GF(2)[X]/(R) of degree 1..300, GF(q)[X]/(R)
     for q in 3, 7, 65537 and 2^61 - 1 as odd_q_elements draws it, or a
     tower, by kind; coefficients in the ring itself (x itself, 1 or random)
     where in_ring, else in the base (1 or random); alpha x itself, 0, 1 or
-    random; up to 12 terms, none included, with exponents at the window
-    edges 2^(8i) - 1, 2^(8i), 2^(8i) + 1 and anywhere up to 2^64."""
+    random; the exponents drawn, by default up to 12 terms, none included,
+    at the window edges 2^(8i) - 1, 2^(8i), 2^(8i) + 1 and anywhere up to
+    2^64."""
     if kind == "GF(2)":
         d = draw(st.sampled_from((1, 2, 255, 256, 300)) | st.integers(1, 300))
         low = draw(st.integers(0, 2**d - 1))
@@ -791,8 +814,7 @@ def sparse_sum_instances_in_a_quotient_ring(draw, kind, in_ring):
     rng = RngStream(draw(st.integers(0, 2**32)))
     ctx = ring if in_ring else ring.base
     alpha = draw(st.sampled_from((ring.x, ring.zero(), ring.one(), ring.sample(rng))))
-    edges = [2 ** (8 * i) + k for i in range(9) for k in (-1, 0, 1)]
-    exps = sorted(set(draw(st.lists(st.sampled_from(edges) | st.integers(0, 2**64), max_size=12))))
+    exps = sorted(set(draw(exponents)))
     kinds = ("one", "random", "x") if in_ring else ("one", "random")
     coeffs = {"one": ctx.one, "random": lambda: ctx.sample(rng), "x": lambda: ring.x}
     return ring, ctx, alpha, [(e, coeffs[draw(st.sampled_from(kinds))]()) for e in exps]
@@ -814,6 +836,51 @@ class TestGenericSparseSum:
         got = run()
         with mock.patch.object(type(ring), "product_form", ExtField.product_form):
             assert run() == got
+
+    @pytest.mark.parametrize("in_ring", [False, True], ids=["base", "ring"])
+    @pytest.mark.parametrize("kind", ["GF(2)", "odd q", "tower"])
+    @given(data=st.data())
+    def test_buckets_never_make_more_products_than_the_per_term_loop(self, kind, in_ring, data):
+        """The bucketed sum gives the per-term loop's value and never makes
+        more products, table products included, on exponents that share
+        high parts.  Products are the calls of the form's product: a product
+        by x among them, which POLY_MUL_OPS leaves out, as it is a shift.
+        So the per-term loop may count fewer there: at x it makes x a^256
+        for e = 257, where the bucket of 256 and 257 makes (c + c' x) a^256."""
+        exps = exponents_in_buckets()
+        ring, ctx, alpha, terms = data.draw(sparse_sum_instances_in_a_quotient_ring(kind, in_ring, exps))
+        into, mul, out = ring.product_form()
+        calls = []
+
+        def form():
+            return into, lambda a, b: calls.append(1) or mul(a, b), out
+
+        def run(loop):
+            calls.clear()
+            with mock.patch.object(type(ring), "product_form", lambda _: form()):
+                value = loop(terms, power_table(ring, alpha), ring, ctx)
+            return value, len(calls)
+
+        got, products = run(_sparse_sum)
+        want, per_term = run(_per_term_sum)
+        assert got == want
+        assert products <= per_term
+
+
+def _per_term_sum(terms, pw, ring, ctx):
+    """The per-term loop that the bucketed poly._sparse_sum replaced, the
+    reference for its value and its count: every alpha^e from pw, one
+    product per nonzero byte of e after the first, scaled and added in the
+    product form."""
+    into, mul, out = ring.product_form()
+    scale = ring.scalar_mul
+    if ctx == ring:
+        terms = [(e, into(c)) for e, c in terms]
+        scale = mul
+    acc = into(ring.zero())
+    for e, c in terms:
+        acc = ring.add(acc, scale(c, pw(e)))
+    return out(acc)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -786,9 +786,11 @@ class TestZeroCostsNothing:
 
     # (dense at x, sparse at x, dense at x + 1, sparse at x + 1) products
     # per instance; 55, 38, 164, 51 / 56, 58, 164, 85 / 52, 35, 159, 56 /
-    # 56, 46, 162, 64 / 51, 36, 156, 50 when every zero was scaled
-    COUNTS = [(10, 37, 119, 50), (19, 57, 127, 84), (13, 35, 120, 56),
-              (14, 46, 120, 64), (9, 35, 114, 49)]
+    # 56, 46, 162, 64 / 51, 36, 156, 50 when every zero was scaled, and one
+    # more in each but the first column when the sparse sum multiplied P's
+    # constant term by alpha^0
+    COUNTS = [(10, 36, 118, 49), (19, 56, 126, 83), (13, 34, 119, 55),
+              (14, 45, 119, 63), (9, 34, 113, 48)]
 
     def test_counts_in_the_ring_itself(self):
         got = []

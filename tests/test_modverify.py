@@ -343,7 +343,7 @@ class TestVerifyModFF:
         F, G = rand_sparse(F2, n, 8, rng), rand_sparse(F2, n, 8, rng)
         P = pc.SparsePoly(F2, [(0, 1), (17, 1), (n, 1)])
         H = oracle_mod_product(F, G, P)
-        for eps, d, count in ((QUARTER, 23, 523), (Fraction(1, 2**20), 41, 574)):
+        for eps, d, count in ((QUARTER, 23, 390), (Fraction(1, 2**20), 41, 441)):
             before = POLY_MUL_OPS.count
             report = verify_mod_ff(F, G, H, P, cfg(7, eps, "companion-freivalds"))
             assert POLY_MUL_OPS.count - before == count

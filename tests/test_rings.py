@@ -11,6 +11,7 @@ from polycheck.rings import (
     PrimeGenerationError,
     RngStream,
     _DET_BASES,
+    _gf2_bits,
     _list_gcd,
     _strong_probable_prime,
     ceil_log2,
@@ -49,6 +50,14 @@ class TestRngStream:
                 a, b = RngStream(seed), RngStream(seed)
                 assert a.bit_list(k) == [b.bits(1) for _ in range(k)]
                 assert a.bits(64) == b.bits(64)  # the same draws were taken
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 300))
+    def test_bit_int_is_bit_list_packed(self, seed, k):
+        # entry i of bit_list(k) in bit i, from the same draw
+        a, b = RngStream(seed), RngStream(seed)
+        bits = b.bit_list(k)
+        assert a.bit_int(k) == (_gf2_bits(bits) if bits else 0)
+        assert a.bits(64) == b.bits(64)  # the same draws were taken
 
 
 def _random_rounds_loop(n, rounds, rng):
