@@ -101,12 +101,13 @@ def _print_report(report, command):
     print(json.dumps(payload, sort_keys=True))
 
 
-def _verify(command, args, paths):
-    """The verify commands: the polynomials of the files F, G, H (and P),
-    in one ring, checked by prodverify.verify_product at the method,
-    epsilon and seed of the command line; the report is printed and its
-    verdict is the exit code."""
-    polys = [_load(p) for p in paths]
+def _verify(command, files, args):
+    """The verify commands: the polynomials of the file flags named in
+    files (F, G, H and, for verify-mod, P), in one ring, checked by
+    prodverify.verify_product at the method, epsilon and seed of the
+    command line; the report is printed and its verdict is the exit
+    code."""
+    polys = [_load(getattr(args, name)) for name in files]
     _same_ctx(*polys)
     cfg = VerifyConfig(
         epsilon=_parse_epsilon(args.epsilon), method=args.method, seed=_seed_from(args)
@@ -118,14 +119,6 @@ def _verify(command, args, paths):
         raise CliError(str(exc)) from None
     _print_report(report, command)
     return 0 if report.verdict else 1
-
-
-def _cmd_verify_mod(args):
-    return _verify("verify-mod", args, (args.F, args.G, args.H, args.P))
-
-
-def _cmd_verify_prod(args):
-    return _verify("verify-prod", args, (args.F, args.G, args.H))
 
 
 # ---------------------------------------------------------------------------
@@ -407,24 +400,18 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    vm = sub.add_parser("verify-mod", help="check H = (F*G) mod P")
-    vm.add_argument("--F", required=True)
-    vm.add_argument("--G", required=True)
-    vm.add_argument("--H", required=True)
-    vm.add_argument("--P", required=True)
-    vm.add_argument("--epsilon", default="2^-20")
-    vm.add_argument("--method", default="auto", choices=list(modverify.METHODS))
-    vm.add_argument("--seed", type=int, default=None)
-    vm.set_defaults(fn=_cmd_verify_mod)
-
-    vp = sub.add_parser("verify-prod", help="check H = F*G")
-    vp.add_argument("--F", required=True)
-    vp.add_argument("--G", required=True)
-    vp.add_argument("--H", required=True)
-    vp.add_argument("--epsilon", default="2^-20")
-    vp.add_argument("--method", default="auto", choices=list(PRODUCT_METHODS))
-    vp.add_argument("--seed", type=int, default=None)
-    vp.set_defaults(fn=_cmd_verify_prod)
+    # the verify commands: command, help, file flags and methods
+    for command, help_text, files, methods in (
+        ("verify-mod", "check H = (F*G) mod P", "FGHP", modverify.METHODS),
+        ("verify-prod", "check H = F*G", "FGH", PRODUCT_METHODS),
+    ):
+        verify = sub.add_parser(command, help=help_text)
+        for name in files:
+            verify.add_argument(f"--{name}", required=True)
+        verify.add_argument("--epsilon", default="2^-20")
+        verify.add_argument("--method", default="auto", choices=list(methods))
+        verify.add_argument("--seed", type=int, default=None)
+        verify.set_defaults(fn=functools.partial(_verify, command, files))
 
     gen = sub.add_parser("gen", help="generate an instance triple F, G, H")
     gen.add_argument("--ring", required=True, choices=["Z", "GF"])

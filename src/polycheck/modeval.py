@@ -438,20 +438,18 @@ def eval_mod(P, F, G, alpha, ring=None, pw=None):
     """((F*G) mod P)(alpha), the one entry into the scans: F and G are read
     in the forms of triple_forms (as they are, or both sparse from
     DENSIFY_CAP on), then the sparse scan runs when both are sparse, with
-    pw as in eval_mod_p_sparse, and the dense scan otherwise; P = X^n - 1
-    runs the binomial variants."""
+    pw as in eval_mod_p_sparse, at every P, and the dense scan otherwise,
+    through eval_mod_binomial_dense at P = X^n - 1."""
     n = check_shapes(P, F, G)
     F, G, sparse = triple_forms(F, G, n=n, dense=False)
+    if sparse:
+        return eval_mod_p_sparse(P, F, G, alpha, ring, pw)
     ctx = P.ctx
     binom = (
         P.sparsity() == 2
         and P.terms[0][0] == 0
         and ctx.is_zero(ctx.add(P.terms[0][1], ctx.one()))
     )
-    if sparse:
-        if binom:
-            return eval_mod_binomial_sparse(F, G, n, alpha, ring, pw)
-        return eval_mod_p_sparse(P, F, G, alpha, ring, pw)
     if binom:
         return eval_mod_binomial_dense(F, G, n, alpha, ring)
     return eval_mod_p_dense(P, F, G, alpha, ring)

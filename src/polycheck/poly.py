@@ -613,8 +613,9 @@ def reduce_mod_binomial(F, i):
     """F mod (X^i - 1): fold every exponent e to e mod i and merge.  F
     itself when F is zero or of degree below i, where nothing folds.  A
     dense F over Z or GF(q) is the long division of mod_reduce at X^i - 1,
-    which there adds the blocks of i coefficients; any other F folds term
-    by term, a dense one over a quotient ring through its sparse form."""
+    which there adds the blocks of i coefficients; any other F sums its
+    terms by folded exponent (_ring_sum), a dense one over a quotient ring
+    read through its sparse form."""
     if i < 1:
         raise ValueError("binomial degree must be >= 1")
     if not isinstance(F, (DensePoly, SparsePoly)):
@@ -625,11 +626,8 @@ def reduce_mod_binomial(F, i):
     dense = isinstance(F, DensePoly)
     if dense and ctx.int_modulus is not None:
         return mod_reduce(F, x_pow_minus_one(ctx, i))
-    acc = {}
-    zero = ctx.zero()
-    for e, c in F.to_sparse().terms:
-        pos = e % i
-        acc[pos] = ctx.add(acc.get(pos, zero), c)
+    terms = F.to_sparse().terms
+    acc = _ring_sum([([e % i for e, _ in terms], [c for _, c in terms])], ctx)
     folded = SparsePoly.trusted(ctx, sorted(acc.items()))
     return folded.to_dense() if dense else folded
 

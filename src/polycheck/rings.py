@@ -100,19 +100,13 @@ class RngStream:
     def bits(self, k):
         return self._gen.getrandbits(k) if k > 0 else 0
 
-    def bit_list(self, k):
-        """What k successive bits(1) calls return, from one draw: CPython
-        fills getrandbits(32 k) with k successive 32-bit outputs, least
-        significant first, and bits(1) is the top bit of one output, so it
-        is bit 7 of every fourth byte from the fourth on."""
-        if k <= 0:
-            return []
-        words = self._gen.getrandbits(32 * k).to_bytes(4 * k, "little")
-        return [byte >> 7 for byte in words[3::4]]
-
     def bit_int(self, k):
-        """bit_list(k) as one int, entry i in bit i, from the same draw:
-        the top bits of the k bytes, read from the top as binary digits."""
+        """What k successive bits(1) calls return, from one draw, as one
+        int, call i in bit i: CPython fills getrandbits(32 k) with k
+        successive 32-bit outputs, least significant first, and bits(1) is
+        the top bit of one output, so it is bit 7 of every fourth byte from
+        the fourth on; those bytes, read from the top, are its binary
+        digits."""
         if k <= 0:
             return 0
         words = self._gen.getrandbits(32 * k).to_bytes(4 * k, "little")
@@ -1348,12 +1342,15 @@ def random_prime(lam, epsilon, rng):
 
 def random_monic(field, d, rng):
     """Uniformly random monic degree-d polynomial over GF(q), as a coefficient
-    list (no irreducibility screening, no polynomial products)."""
+    list (no irreducibility screening, no polynomial products).  Over GF(2)
+    coefficient i is bit i of RngStream.bit_int(d), the d bits(1) draws
+    of below(2) in one."""
     if not isinstance(field, PrimeField):
         raise TypeError("random_monic needs a PrimeField")
     q = field.q
     if q == 2:  # below(2) is one bits(1) draw
-        return rng.bit_list(d) + [1]
+        bits = rng.bit_int(d)
+        return [(bits >> i) & 1 for i in range(d)] + [1]
     return [rng.below(q) for _ in range(d)] + [1]
 
 

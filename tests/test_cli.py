@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import polycheck as pc
-from polycheck.cli import EPSILON_FLOOR, _parse_epsilon, main, run_bench
+from polycheck.cli import EPSILON_FLOOR, _parse_epsilon, build_parser, main, run_bench
 from polycheck.oracle import oracle_mod_product
 from polycheck.poly import format_poly, parse_poly, write_poly_file
 from polycheck.rings import RngStream
@@ -584,6 +585,129 @@ class TestOneParserPerProcess:
             assert (code, got.out, got.err) == run_cli(argv)
             codes.append(code)
         assert codes == [2, 0, 0, 0, 2]
+
+
+def _action_rows(parser):
+    """Per action of parser: option strings, dest, required, default,
+    choices, type and help."""
+    return [
+        (a.option_strings, a.dest, a.required, a.default,
+         None if a.choices is None else list(a.choices),
+         None if a.type is None else a.type.__name__, a.help)
+        for a in parser._actions
+    ]
+
+
+HELP = (["-h", "--help"], "help", False, "==SUPPRESS==", None, None,
+        "show this help message and exit")
+
+
+class TestParserShape:
+    """The parser's usage lines at 80 columns and every action's option
+    strings, dest, required, default, choices, type and help; the full
+    help text is not pinned, as its section titles differ between Python
+    versions."""
+
+    USAGE = {
+        None: "usage: polycheck [-h] {verify-mod,verify-prod,gen,bench} ...\n",
+        "verify-mod": (
+            "usage: polycheck verify-mod [-h] --F F --G G --H H --P P [--epsilon EPSILON]\n"
+            "                            [--method {auto,direct-eval,extension,"
+            "companion-freivalds,companion-no-polymul}]\n"
+            "                            [--seed SEED]\n"
+        ),
+        "verify-prod": (
+            "usage: polycheck verify-prod [-h] --F F --G G --H H [--epsilon EPSILON]\n"
+            "                             [--method {auto,kaminski,kaminski-nomul,"
+            "kronecker,sparse}]\n"
+            "                             [--seed SEED]\n"
+        ),
+        "gen": (
+            "usage: polycheck gen [-h] --ring {Z,GF} [--q Q] [--n N] [--T T]\n"
+            "                     [--coeff-bits COEFF_BITS] [--seed SEED] --out-prefix\n"
+            "                     OUT_PREFIX\n"
+            "                     [--adversarial {perturb,lcm-divisors,example2}]\n"
+        ),
+        "bench": (
+            "usage: polycheck bench [-h] --suite {modverify,prodverify} [--sizes SIZES]\n"
+            "                       [--trials TRIALS] [--seed SEED] [--csv CSV]\n"
+        ),
+    }
+    ACTIONS = {
+        None: [
+            HELP,
+            ([], "command", True, None, ["verify-mod", "verify-prod", "gen", "bench"],
+             None, None),
+        ],
+        "verify-mod": [
+            HELP,
+            (["--F"], "F", True, None, None, None, None),
+            (["--G"], "G", True, None, None, None, None),
+            (["--H"], "H", True, None, None, None, None),
+            (["--P"], "P", True, None, None, None, None),
+            (["--epsilon"], "epsilon", False, "2^-20", None, None, None),
+            (["--method"], "method", False, "auto",
+             ["auto", "direct-eval", "extension", "companion-freivalds",
+              "companion-no-polymul"], None, None),
+            (["--seed"], "seed", False, None, None, "int", None),
+        ],
+        "verify-prod": [
+            HELP,
+            (["--F"], "F", True, None, None, None, None),
+            (["--G"], "G", True, None, None, None, None),
+            (["--H"], "H", True, None, None, None, None),
+            (["--epsilon"], "epsilon", False, "2^-20", None, None, None),
+            (["--method"], "method", False, "auto",
+             ["auto", "kaminski", "kaminski-nomul", "kronecker", "sparse"], None, None),
+            (["--seed"], "seed", False, None, None, "int", None),
+        ],
+        "gen": [
+            HELP,
+            (["--ring"], "ring", True, None, ["Z", "GF"], None, None),
+            (["--q"], "q", False, None, None, "int", None),
+            (["--n"], "n", False, 64, None, "int", None),
+            (["--T"], "T", False, None, None, "int", None),
+            (["--coeff-bits"], "coeff_bits", False, 16, None, "int", None),
+            (["--seed"], "seed", False, None, None, "int", None),
+            (["--out-prefix"], "out_prefix", True, None, None, None, None),
+            (["--adversarial"], "adversarial", False, None,
+             ["perturb", "lcm-divisors", "example2"], None, None),
+        ],
+        "bench": [
+            HELP,
+            (["--suite"], "suite", True, None, ["modverify", "prodverify"], None, None),
+            (["--sizes"], "sizes", False, "1024", None, None, None),
+            (["--trials"], "trials", False, 4, None, "int", None),
+            (["--seed"], "seed", False, None, None, "int", None),
+            (["--csv"], "csv", False, None, None, None, None),
+        ],
+    }
+    SUBCOMMAND_HELP = [
+        ("verify-mod", "check H = (F*G) mod P"),
+        ("verify-prod", "check H = F*G"),
+        ("gen", "generate an instance triple F, G, H"),
+        ("bench", "timing and acceptance-rate harness"),
+    ]
+
+    @staticmethod
+    def _parsers():
+        top = build_parser()
+        (sub,) = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+        return top, sub
+
+    def test_usage_lines(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal
+        top, sub = self._parsers()
+        got = {None: top.format_usage()}
+        got.update((name, p.format_usage()) for name, p in sub.choices.items())
+        assert got == self.USAGE
+
+    def test_actions(self):
+        top, sub = self._parsers()
+        got = {None: _action_rows(top)}
+        got.update((name, _action_rows(p)) for name, p in sub.choices.items())
+        assert got == self.ACTIONS
+        assert [(a.dest, a.help) for a in sub._choices_actions] == self.SUBCOMMAND_HELP
 
 
 class TestLibraryErrorsExitTwo:

@@ -61,7 +61,7 @@ from polycheck.poly import (
     evaluate,
     power_table,
 )
-from polycheck.rings import POLY_MUL_OPS, ExtField, RngStream, random_irreducible
+from polycheck.rings import POLY_MUL_OPS, ExtField, RngStream, random_irreducible, random_monic
 from conftest import counted, gf2_clmul, rebuilt
 
 Z = pc.ZZ
@@ -513,7 +513,7 @@ class TestScanKernelEdges:
         """The byte step against the one-index reference: lengths that end
         inside, at and past a byte, R of degree below, at and above 8."""
         rng = RngStream(100 * d + m)
-        ring = ExtField(F2, rng.bit_list(d) + [1])
+        ring = ExtField(F2, random_monic(F2, d, rng))
         for v_kind, g_kind, with_f, with_pa in SCAN_KINDS:
             f = rng.bits(d) if with_f else 0
             pa = rng.bits(d) if with_pa else 0

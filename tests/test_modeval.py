@@ -24,6 +24,7 @@ from polycheck.oracle import oracle_matrix_eval, oracle_mod_product, poly_divmod
 from polycheck.prodverify import verify_product_kaminski_nomul
 from polycheck.rings import POLY_MUL_OPS, GF2Ext, GFqExt, RngStream
 from conftest import (
+    counted,
     perturb_poly,
     rand_dense,
     rand_monic_sparse,
@@ -591,6 +592,44 @@ class TestScanEntry:
             assert eval_mod_p_dense(P, F, G, ring.x, ring) == want
             assert POLY_MUL_OPS.count == before  # the dense scan multiplies none
             assert modeval.eval_mod(P, F, G, ring.x, ring) == want
+
+
+class TestBinomialRoutes:
+    """eval_mod at P = X^n - 1: an all-sparse pair gives what
+    eval_mod_binomial_sparse gives, in value and in POLY_MUL_OPS, and only
+    a dense pair reaches eval_mod_binomial_dense."""
+
+    @staticmethod
+    def _cases(rng):
+        """(ctx, n, alpha, ring): x of a GF(2) quotient ring, a random point
+        of GF(7), and a point of GF(p) for polynomials over Z."""
+        ring = CompanionOperator(pc.DensePoly(F2, [1, 0, 1, 1, 0, 1]))
+        yield F2, 40, ring.x, ring
+        yield pc.GF(7), 30, rng.below(7), None
+        p = 2**61 - 1
+        yield Z, 50, rng.below(p), pc.GF(p)
+
+    def test_sparse_pairs_take_the_sparse_scan(self, rng):
+        for ctx, n, alpha, ring in self._cases(rng):
+            P = pc.x_pow_minus_one(ctx, n)
+            for t in (1, 3, 8):
+                F, G = (rand_sparse(ctx, n, t, rng) for _ in "FG")
+                got = counted(lambda: modeval.eval_mod(P, F, G, alpha, ring))
+                want = counted(lambda: eval_mod_binomial_sparse(F, G, n, alpha, ring))
+                assert got == want
+
+    def test_only_dense_pairs_reach_the_dense_binomial_scan(self, rng, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("eval_mod_binomial_dense")
+
+        monkeypatch.setattr(modeval, "eval_mod_binomial_dense", broken)
+        for ctx, n, alpha, ring in self._cases(rng):
+            P = pc.x_pow_minus_one(ctx, n)
+            F, G = (rand_sparse(ctx, n, 6, rng) for _ in "FG")
+            want = oracle_eval(P, F, G, alpha, ring)
+            assert modeval.eval_mod(P, F, G, alpha, ring) == want
+            with pytest.raises(RuntimeError, match="^eval_mod_binomial_dense$"):
+                modeval.eval_mod(P, F.to_dense(), G.to_dense(), alpha, ring)
 
 
 def _sparse_of_degree(ctx, d, t, rng):

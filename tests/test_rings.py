@@ -11,7 +11,6 @@ from polycheck.rings import (
     PrimeGenerationError,
     RngStream,
     _DET_BASES,
-    _gf2_bits,
     _list_gcd,
     _strong_probable_prime,
     ceil_log2,
@@ -44,20 +43,18 @@ class TestRngStream:
         for _ in range(100):
             assert 0 <= r.residue(65537) < 65537
 
-    def test_bit_list_is_successive_single_bits(self):
-        for k in range(1, 65):
-            for seed in (0, 1, k, 2**64 - 1):
-                a, b = RngStream(seed), RngStream(seed)
-                assert a.bit_list(k) == [b.bits(1) for _ in range(k)]
-                assert a.bits(64) == b.bits(64)  # the same draws were taken
-
     @given(st.integers(0, 2**64 - 1), st.integers(0, 300))
-    def test_bit_int_is_bit_list_packed(self, seed, k):
-        # entry i of bit_list(k) in bit i, from the same draw
-        a, b = RngStream(seed), RngStream(seed)
-        bits = b.bit_list(k)
-        assert a.bit_int(k) == (_gf2_bits(bits) if bits else 0)
-        assert a.bits(64) == b.bits(64)  # the same draws were taken
+    def test_bit_int_is_successive_single_bits(self, seed, k):
+        """Bit i of bit_int(k) is the i-th of k successive bits(1) calls,
+        the stream is left where those calls leave it, and random_monic
+        over GF(2) is those bits and a leading 1."""
+        a, b, c = RngStream(seed), RngStream(seed), RngStream(seed)
+        bits = [b.bits(1) for _ in range(k)]
+        packed = a.bit_int(k)
+        assert [(packed >> i) & 1 for i in range(k)] == bits
+        assert packed >> k == 0
+        assert random_monic(pc.GF(2), k, c) == bits + [1]
+        assert a.bits(64) == b.bits(64) == c.bits(64)  # the same draws were taken
 
 
 def _random_rounds_loop(n, rounds, rng):
