@@ -28,11 +28,9 @@ from .poly import (
     product_norm_bound,
     reduce_mod_binomial,
     reduced_norm_bound,
-    sparsity_bound,
     x_pow_minus_one,
 )
 from .modeval import (
-    CompanionOperator,
     eval_mod,
     eval_mod_binomial_dense,
     eval_mod_binomial_sparse,
@@ -56,7 +54,6 @@ from .modverify import (
 )
 from .prodverify import (
     KaminskiParams,
-    count_binomial_divisors,
     verify_int_product,
     verify_product,
     verify_product_kaminski,
@@ -64,6 +61,5 @@ from .prodverify import (
     verify_product_kronecker,
     verify_sparse_product,
 )
-from .oracle import oracle_divides, oracle_matrix_eval, oracle_mod_product
 
 __version__ = "0.1.0"

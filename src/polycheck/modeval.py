@@ -96,14 +96,6 @@ from .poly import (
     same_ctx,
     x_pow_minus_one,
 )
-from .rings import ExtField
-
-
-def CompanionOperator(R):
-    """Multiplication by X modulo a monic R of degree d >= 1: the quotient
-    ring B[X]/(R), whose x is the class of X; the companion matrix stays
-    implicit."""
-    return ExtField(R.ctx, R.to_dense().coeffs)  # raises unless R is monic
 
 
 def check_shapes(P, *polys):

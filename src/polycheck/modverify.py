@@ -329,7 +329,6 @@ def verify_mod_over_Z(F, G, H, P, cfg=None):
     """verify_mod for integer polynomials only: one comparison at a random
     point of GF(q) for a random prime q, whose error split prime_lambda
     states."""
-    modeval.check_shapes(P, F, G, H)
     if P.ctx != ZZ:
         raise TypeError("verify_mod_over_Z needs integer polynomials")
     return verify_mod(F, G, H, P, cfg)

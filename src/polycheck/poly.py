@@ -902,13 +902,6 @@ def reduction_steps(excess, gap):
     return -(-excess // gap.gap_width)
 
 
-def sparsity_bound(q_terms, p_terms, excess, gap):
-    """Upper bound #Q (#P - 1)^ceil(excess/(gamma n)) on #(Q mod P)."""
-    if p_terms < 2:
-        raise ValueError("bound needs #P >= 2")
-    return q_terms * (p_terms - 1) ** reduction_steps(excess, gap)
-
-
 def reduced_norm_bound(q_norm, p_terms, p_norm, excess, gap):
     """Upper bound ||Q|| (#P ||P||)^ceil(excess/(gamma n)) on ||Q mod P||."""
     return q_norm * (p_terms * p_norm) ** reduction_steps(excess, gap)

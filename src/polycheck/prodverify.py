@@ -613,17 +613,3 @@ def verify_product(F, G, H, cfg=None, P=None):
     if method == "kaminski-nomul":
         return verify_product_kaminski_nomul(F, G, H, cfg)
     raise ValueError(f"unknown method {method!r}")
-
-
-def count_binomial_divisors(delta, n, e=KaminskiParams.e):
-    """Exact count of fold degrees i in [n^(1-e), 2 n^(1-e)) with
-    (X^i - 1) dividing delta; brute force, for harness use."""
-    if delta.is_zero():
-        raise ValueError("delta must be nonzero")
-    params = KaminskiParams(e=Fraction(e))
-    lo, hi = params.fold_range(n)
-    count = 0
-    for i in range(lo, hi):
-        if reduce_mod_binomial(delta, i).is_zero():
-            count += 1
-    return count

@@ -4,10 +4,17 @@ These back the test suite; no verifier calls them.  They never call the
 package's optimized paths: dense products are plain schoolbook convolutions
 and reductions are classical term-by-term long division, so they form an
 independent route against which everything else is checked.
+
+The last three, sparsity_bound and count_binomial_divisors (the paper's
+lemma counters) and CompanionOperator (a test constructor), do call the
+package; they are not part of that independent route.
 """
 
-from .poly import DensePoly, SparsePoly
-from .rings import POLY_MUL_OPS
+from fractions import Fraction
+
+from polycheck.poly import DensePoly, SparsePoly, reduce_mod_binomial, reduction_steps
+from polycheck.prodverify import KaminskiParams
+from polycheck.rings import POLY_MUL_OPS, ExtField
 
 
 def poly_divmod(Q, P):
@@ -176,3 +183,31 @@ def oracle_divides(A, B):
         return True
     _, rem = poly_divmod(A, B)
     return rem.is_zero()
+
+
+def sparsity_bound(q_terms, p_terms, excess, gap):
+    """Upper bound #Q (#P - 1)^ceil(excess/(gamma n)) on #(Q mod P)."""
+    if p_terms < 2:
+        raise ValueError("bound needs #P >= 2")
+    return q_terms * (p_terms - 1) ** reduction_steps(excess, gap)
+
+
+def count_binomial_divisors(delta, n, e=KaminskiParams.e):
+    """Exact count of fold degrees i in [n^(1-e), 2 n^(1-e)) with
+    (X^i - 1) dividing delta; brute force, for harness use."""
+    if delta.is_zero():
+        raise ValueError("delta must be nonzero")
+    params = KaminskiParams(e=Fraction(e))
+    lo, hi = params.fold_range(n)
+    count = 0
+    for i in range(lo, hi):
+        if reduce_mod_binomial(delta, i).is_zero():
+            count += 1
+    return count
+
+
+def CompanionOperator(R):
+    """Multiplication by X modulo a monic R of degree d >= 1: the quotient
+    ring B[X]/(R), whose x is the class of X; the companion matrix stays
+    implicit."""
+    return ExtField(R.ctx, R.to_dense().coeffs)  # raises unless R is monic

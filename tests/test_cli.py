@@ -9,10 +9,10 @@ import pytest
 
 import polycheck as pc
 from polycheck.cli import EPSILON_FLOOR, _parse_epsilon, build_parser, main, run_bench
-from polycheck.oracle import oracle_mod_product
 from polycheck.poly import format_poly, parse_poly, write_poly_file
 from polycheck.rings import RngStream
 from conftest import rand_monic_sparse, rand_sparse
+from oracle import oracle_mod_product
 
 Z = pc.ZZ
 

@@ -22,10 +22,10 @@ import pytest
 
 import polycheck as pc
 from polycheck.cli import main
-from polycheck.oracle import oracle_mod_product
 from polycheck.poly import write_poly_file
 from polycheck.rings import RngStream
 from conftest import perturb_poly, rand_dense, rand_sparse
+from oracle import oracle_mod_product
 
 RINGS = {"Z": pc.ZZ, "GF2": pc.GF(2), "GF7": pc.GF(7), "GF65537": pc.GF(65537)}
 REPS = ("dense", "sparse")

@@ -25,7 +25,6 @@ import pytest
 import polycheck as pc
 from polycheck.modeval import eval_mod
 from polycheck.modverify import METHODS, VerifyConfig, VerifyReport, verify_mod, verify_mod_ff
-from polycheck.oracle import oracle_mod_product
 from polycheck.prodverify import (
     KaminskiParams,
     exact_route_costs,
@@ -37,6 +36,7 @@ from polycheck.prodverify import (
 )
 from polycheck.rings import RngStream, random_irreducible
 from conftest import Draws, counted, perturb_poly, rand_dense, rand_sparse
+from oracle import oracle_mod_product
 
 TABLE = Path(__file__).with_name("corpus.json")
 PACKAGE = Path(pc.__file__).parent

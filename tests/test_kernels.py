@@ -53,7 +53,6 @@ from polycheck.modeval import (
     leading_coefficients,
 )
 from polycheck.modverify import _agree_at
-from polycheck.oracle import oracle_mod_product
 from polycheck.poly import (
     EXPONENT_CAP,
     _horner,
@@ -63,6 +62,7 @@ from polycheck.poly import (
 )
 from polycheck.rings import POLY_MUL_OPS, ExtField, RngStream, random_irreducible, random_monic
 from conftest import counted, gf2_clmul, rebuilt
+from oracle import oracle_mod_product
 
 Z = pc.ZZ
 F2 = pc.GF(2)

@@ -7,7 +7,6 @@ from hypothesis import example, given, strategies as st
 import polycheck as pc
 from polycheck import modeval, poly
 from polycheck.modeval import (
-    CompanionOperator,
     eval_mod_binomial_dense,
     eval_mod_binomial_sparse,
     eval_mod_p_dense,
@@ -20,7 +19,6 @@ from polycheck.modeval import (
     sparse_leading_coefficients,
 )
 from polycheck.modverify import VerifyConfig, verify_mod, verify_mod_ff
-from polycheck.oracle import oracle_matrix_eval, oracle_mod_product, poly_divmod
 from polycheck.prodverify import verify_product_kaminski_nomul
 from polycheck.rings import POLY_MUL_OPS, GF2Ext, GFqExt, RngStream
 from conftest import (
@@ -32,6 +30,7 @@ from conftest import (
     rand_sparse,
     rebuilt,
 )
+from oracle import CompanionOperator, oracle_matrix_eval, oracle_mod_product, poly_divmod
 
 Z = pc.ZZ
 F2 = pc.GF(2)

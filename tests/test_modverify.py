@@ -20,7 +20,6 @@ from polycheck.modverify import (
     verify_mod_ff,
     verify_mod_over_Z,
 )
-from polycheck.oracle import oracle_mod_product, poly_divmod
 from polycheck.poly import DENSIFY_CAP, evaluate
 from polycheck.prodverify import KaminskiParams, _rounds_for, verify_product_kaminski
 from polycheck.rings import (
@@ -41,6 +40,7 @@ from conftest import (
     rebuilt,
     witness_point,
 )
+from oracle import oracle_mod_product, poly_divmod
 
 Z = pc.ZZ
 F2 = pc.GF(2)
@@ -220,6 +220,14 @@ class TestVerifyModOverZ:
         P, F, G, H = make_instance(pc.GF(5), 10, 3, rng)
         with pytest.raises(TypeError):
             verify_mod_over_Z(F, G, H, P, cfg(0))
+
+    def test_ring_is_checked_before_the_shape(self, rng):
+        # a GF(q) triple of a bad shape is refused for its ring, a Z one for its shape
+        for ctx, error, match in ((pc.GF(5), TypeError, "integer"), (Z, ValueError, "deg P")):
+            P, F, G, _ = make_instance(ctx, 10, 3, rng)
+            tall = pc.SparsePoly(ctx, [(P.degree(), 1)])
+            with pytest.raises(error, match=match):
+                verify_mod_over_Z(F, G, tall, P, cfg(0))
 
     def test_prime_is_drawn_at_a_quarter_of_epsilon(self, rng, monkeypatch):
         # composite share eps/4 + divisor share eps/4 + root share eps/2 = eps

@@ -1,14 +1,14 @@
 import pytest
 
 import polycheck as pc
-from polycheck.oracle import (
+from conftest import rand_dense, rand_monic_sparse, rand_sparse
+from oracle import (
     companion_matrix,
     oracle_divides,
     oracle_matrix_eval,
     oracle_mod_product,
     poly_divmod,
 )
-from conftest import rand_dense, rand_monic_sparse, rand_sparse
 
 Z = pc.ZZ
 

@@ -8,12 +8,6 @@ from hypothesis import given, strategies as st
 
 import polycheck as pc
 from polycheck import poly, rings
-from polycheck.oracle import (
-    _pair_product_sparse,
-    _sparse_long_division_rem,
-    oracle_mod_product,
-    poly_divmod,
-)
 from polycheck.poly import (
     EXPONENT_CAP,
     PolyFormatError,
@@ -30,6 +24,13 @@ from polycheck.poly import (
 )
 from polycheck.rings import POLY_MUL_OPS, GF2Ext, RngStream
 from conftest import rand_dense, rand_monic_sparse, rand_nonzero_coeff, rand_sparse, rebuilt
+from oracle import (
+    _pair_product_sparse,
+    _sparse_long_division_rem,
+    oracle_mod_product,
+    poly_divmod,
+    sparsity_bound,
+)
 
 Z = pc.ZZ
 PRIME_127 = 2**127 - 1  # a Mersenne prime
@@ -67,7 +68,7 @@ class TestMulOracle:
 
     def test_dense_quotient_ring_matches_schoolbook_oracle(self, rng):
         # dense GF(2^8) coefficients take the all-pairs loop and come back dense
-        from polycheck.oracle import _school_product_dense
+        from oracle import _school_product_dense
 
         ring = pc.ExtField(pc.GF(2), (1, 0, 1, 1, 1, 0, 0, 0, 1))
         for deg_f, deg_g in ((-1, 3), (0, 0), (1, 40), (60, 33)):
@@ -87,7 +88,7 @@ class TestMulOracle:
             )
 
     def test_karatsuba_matches_schoolbook_oracle(self, rng):
-        from polycheck.oracle import _school_product_dense
+        from oracle import _school_product_dense
 
         for ctx in (Z, pc.GF(101)):
             F = rand_dense(ctx, 300, rng)
@@ -386,7 +387,7 @@ def kronecker_factors(draw):
 class TestKroneckerKernel:
     @given(kronecker_factors())
     def test_matches_schoolbook_oracle(self, pair):
-        from polycheck.oracle import _school_product_dense
+        from oracle import _school_product_dense
 
         F, G = pair
         assert pc.mul_oracle(F, G) == _school_product_dense(F, G)
@@ -394,7 +395,7 @@ class TestKroneckerKernel:
     def test_extreme_coefficients(self):
         # every digit of the packed product at its extreme: all coefficients
         # +-2^200 or q - 1, negative leading coefficients, unequal lengths
-        from polycheck.oracle import _school_product_dense
+        from oracle import _school_product_dense
 
         big = 2**200
         for ctx in KRONECKER_RINGS:
@@ -426,7 +427,7 @@ class TestKroneckerKernel:
     def test_decimal_packing_matches_schoolbook_oracle(self, pair):
         # these factors are small enough for the binary packing; a crossover
         # of 0 sends them through the decimal one
-        from polycheck.oracle import _school_product_dense
+        from oracle import _school_product_dense
 
         F, G = pair
         with mock.patch.object(poly, "_DECIMAL_MIN_DIGITS", 0):
@@ -436,7 +437,7 @@ class TestKroneckerKernel:
         # 2^20000 has 6021 digits, far past the 640 that str() and int() can
         # be held to; from 9 coefficients on the product packs in decimal,
         # with every slot converted through Decimal
-        from polycheck.oracle import _school_product_dense
+        from oracle import _school_product_dense
 
         big = 2**20000
         row = (big, -big, 1, big - 1, 0, -1)
@@ -458,7 +459,7 @@ class TestKroneckerKernel:
         assert spy.call_count == 2 * 3
 
     def test_caller_decimal_context_neither_used_nor_changed(self):
-        from polycheck.oracle import _school_product_dense
+        from oracle import _school_product_dense
 
         big = 2**20000
         gf = pc.GF(2**61 - 1)
@@ -483,7 +484,7 @@ class TestKroneckerKernel:
     def test_wide_slots_read_in_pieces(self, bits, limit, rng):
         # product slots of about 1235 and 4935 digits, read as int of pieces
         # of at most 640 digits whatever the int-to-str limit
-        from polycheck.oracle import _school_product_dense
+        from oracle import _school_product_dense
 
         top = 1 << bits
         row = [top - 1, -(top - 1), 1, 0] + [rng.bits(bits) - rng.bits(bits) for _ in range(8)]
@@ -957,7 +958,7 @@ class TestBounds:
 
     def test_zero_excess(self):
         g = pc.gap_info(EX22_P)
-        assert pc.sparsity_bound(7, 6, 0, g) == 7
+        assert sparsity_bound(7, 6, 0, g) == 7
         assert reduction_steps(0, g) == 0
 
     def test_reduction_example_norm_bound(self):
@@ -978,7 +979,7 @@ class TestBounds:
             g = pc.gap_info(P)
             excess = max(0, Q.degree() - (n - 1))
             R = pc.mod_reduce(Q, P)
-            assert R.sparsity() <= pc.sparsity_bound(
+            assert R.sparsity() <= sparsity_bound(
                 Q.sparsity(), P.sparsity(), excess, g
             )
             assert R.norm() <= pc.reduced_norm_bound(

@@ -15,11 +15,9 @@ from polycheck.modverify import (
     prime_lambda,
     prime_lambda_pow2,
 )
-from polycheck.oracle import poly_divmod
 from polycheck.poly import power_table, product_terms, write_poly_file
 from polycheck.prodverify import (
     KaminskiParams,
-    count_binomial_divisors,
     kaminski_round,
     kronecker_point,
     verify_int_product,
@@ -30,6 +28,7 @@ from polycheck.prodverify import (
 )
 from polycheck.rings import POLY_MUL_OPS, RngStream, poly_list_is_irreducible
 from conftest import Draws, perturb_poly, rand_dense, rand_nonzero_coeff, rand_sparse
+from oracle import count_binomial_divisors, poly_divmod
 
 Z = pc.ZZ
 F2 = pc.GF(2)
