@@ -118,15 +118,17 @@ def triple_forms(*polys, n, dense):
     """(*polys, sparse): the forms a check of polys, each of degree below n,
     reads them in, and whether those are all sparse.  This is the one form
     rule of every check that meets more than one form: of the verifiers on
-    their triple F, G, H, and of eval_mod on its F and G.  From
-    n = DENSIFY_CAP on, where no vector of n coefficients is built, every
-    one is read as its to_sparse() copy, so the check is the one of the
-    all-sparse input.  Below it, all are made dense where dense is asked
-    for (at X modulo R, where the dense scans multiply no polynomials) and
-    stay as they are otherwise."""
+    their triple F, G, H, and of eval_mod on its F and G.  All-sparse input
+    is read as it is, whatever is asked: a check reads its sparse terms
+    only and never expands them.  From n = DENSIFY_CAP on, where no vector
+    of n coefficients is built, every one is read as its to_sparse() copy,
+    so the check is the one of the all-sparse input.  Below it, mixed or
+    dense input is made dense where dense is asked for (at X modulo R,
+    where the dense scans multiply no polynomials) and stays as it is
+    otherwise."""
     if n >= DENSIFY_CAP:
         polys = [X.to_sparse() for X in polys]
-    elif dense:
+    elif dense and not all_sparse(*polys):
         polys = [X.to_dense() for X in polys]
     return (*polys, all_sparse(*polys))
 

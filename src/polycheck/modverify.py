@@ -258,8 +258,7 @@ def _verify_at_point(F, G, H, P, cfg, method):
     if method == "auto":
         method = "extension" if kind == "extension" else "direct-eval"
     if P is not None:
-        dense = kind == "extension" and not all_sparse(F, G, H)
-        F, G, H, sparse = triple_forms(F, G, H, n=n, dense=dense)
+        F, G, H, sparse = triple_forms(F, G, H, n=n, dense=kind == "extension")
         if sparse and sparsity_precheck(F, G, H, P):
             return VerifyReport(False, 0.0, 0, [], method, cfg.seed)
     norm = delta_norm_bound(F, G, H, P) if kind == "prime" else 0
@@ -414,11 +413,12 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     and compares H mod R with ((F*G) mod P) mod R through the evaluation
     scans at the class of X in GF(q)[X]/(R).  The scans use ring operations
     only, never an inverse, so a true H passes for every R, reducible or
-    not.  All-sparse inputs run the sparse scans, whose powers of X come
-    from one power table per draw, each of its products counted in
+    not.  The inputs are read in the forms of triple_forms: all-sparse
+    input is never made dense and runs the sparse scans, whose powers of X
+    come from one power table per draw, each of its products counted in
     POLY_MUL_OPS; any other input is made dense and runs the dense scans,
     which multiply no polynomials, save past DENSIFY_CAP, where it is made
-    sparse (triple_forms).  The first draw runs alone.  If it
+    sparse.  The first draw runs alone.  If it
     agrees, the rest are drawn at once; over GF(2) on dense input they run
     as one lane-packed scan (modeval.gf2_first_mismatch), while odd q and
     all-sparse input still scan draw by draw.  The draws take nothing from
@@ -442,7 +442,7 @@ def verify_mod_companion(F, G, H, P, cfg=None):
     _check_method(ctx, cfg.method)
     if cfg.method != "companion-no-polymul":
         return _verify_at_point(F, G, H, P, cfg, "companion-freivalds")
-    F, G, H, sparse = triple_forms(F, G, H, n=n, dense=not all_sparse(F, G, H))
+    F, G, H, sparse = triple_forms(F, G, H, n=n, dense=True)
     eps = cfg.epsilon
     rng = RngStream(cfg.seed)
     d = _companion_degree(ctx.q, n)

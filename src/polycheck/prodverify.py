@@ -208,7 +208,7 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
     if quick is not None:
         return _certain(quick, "shape", "kaminski", cfg)
     top = max(X.degree() for X in (F, G, H) if not X.is_zero())
-    F, G, H, _ = modeval.triple_forms(F, G, H, n=top + 1, dense=not all_sparse(F, G, H))
+    F, G, H, _ = modeval.triple_forms(F, G, H, n=top + 1, dense=True)
     n = max(F.degree(), G.degree(), 1)
     rho = params.per_round_bound(n)
     if rho <= Fraction(1, 2):
@@ -223,36 +223,39 @@ def verify_product_kaminski(F, G, H, cfg=None, params=None):
 
 
 def _modular_check_no_mul(F, G, H, P, cfg):
-    """Verify H = (F*G) mod P at cfg's epsilon and seed without any
-    polynomial multiplication, through modverify.verify_mod_ff on every
-    ring: where modverify.point_kind picks X modulo an irreducible R, whose
-    screening multiplies, with the method companion-no-polymul, its
-    unscreened draws, and everywhere else with cfg's "auto", one
-    comparison at a random point, or point_kind's TypeError on a ring the
-    policy refuses.  The draws at X read the triple dense whatever its
-    forms, as the dense scans at X multiply no polynomials, wherever
-    modeval.triple_forms can: below DENSIFY_CAP.  Past it they run the
-    sparse scans, whose power table products count in POLY_MUL_OPS."""
+    """Verify H = (F*G) mod P at cfg's epsilon and seed through
+    modverify.verify_mod_ff on every ring, on F, G and H in the forms of
+    modeval.triple_forms.  A triple that is not all sparse, where
+    modverify.point_kind picks X modulo an irreducible R, whose screening
+    multiplies, runs the method companion-no-polymul: unscreened draws on
+    the triple made dense, whose dense scans multiply no polynomials.
+    Everything else runs cfg's "auto": one comparison at a random point,
+    or, for a triple read sparse (all-sparse input, and any past
+    DENSIFY_CAP), at X modulo one screened R, the point of kaminski's own
+    check, whose screening and power table products count in POLY_MUL_OPS;
+    or point_kind's TypeError on a ring the policy refuses."""
     n = P.degree()
-    if modverify.point_kind(F.ctx, n - 1, cfg.epsilon) == "extension":
-        F, G, H, _ = modeval.triple_forms(F, G, H, n=n, dense=True)
+    F, G, H, sparse = modeval.triple_forms(F, G, H, n=n, dense=False)
+    if not sparse and modverify.point_kind(F.ctx, n - 1, cfg.epsilon) == "extension":
         cfg = replace(cfg, method="companion-no-polymul")
     return modverify.verify_mod_ff(F, G, H, P, cfg)
 
 
 def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
     """Fold-based product verification with the folded-product comparison
-    replaced by a modular-product verification, so below DENSIFY_CAP the
-    whole path performs no polynomial multiplication.  Small degrees, where
+    replaced by a modular-product verification, so on input that is not
+    all sparse below DENSIFY_CAP the whole path performs no polynomial
+    multiplication.  Small degrees, where
     the fold range is useless, are handled by verifying H = F*G modulo
     X^(D+1) - 1 directly (an equivalence, since deg of both sides stays
     below D+1).  Nothing wraps there, so at a point of the field that check
     is H(alpha) = F(alpha) G(alpha) with no scan (modeval.eval_mod_p_dense);
     only at X modulo R do the scans walk.  F, G and H may have any forms
     and any degree up to EXPONENT_CAP: the modular check reads them in the
-    forms of modeval.triple_forms (_modular_check_no_mul), dense at X
-    below DENSIFY_CAP and sparse past it, where the sparse scans' power
-    tables multiply, each product counted in POLY_MUL_OPS.
+    forms of modeval.triple_forms (_modular_check_no_mul), a triple that is
+    not all sparse dense at X below DENSIFY_CAP, and an all-sparse one, or
+    any past the cap, sparse at kaminski's one screened point, whose
+    products count in POLY_MUL_OPS.
 
     Having neither a product nor an extension of a quotient ring, it
     refuses where the point policy finds GF(q)[X]/(R) too small: over
@@ -260,7 +263,8 @@ def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
     product at epsilon = 1/8 (the check at X^41 - 1 needs 256 epsilon >=
     40) and answers at epsilon = 1/2; kaminski answers the first by its
     exact product and the second at a random point of GF(2^8).  Over GF(q)
-    it makes unscreened draws at X modulo R instead
+    it makes unscreened draws at X modulo R instead on a triple that is not
+    all sparse, and checks an all-sparse one at one screened R
     (_modular_check_no_mul)."""
     cfg = cfg or VerifyConfig()
     params = params or KaminskiParams()

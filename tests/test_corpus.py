@@ -72,9 +72,8 @@ def _true_and_wrong(H, rnd):
 
 def _plain(rnd):
     """Plain products: dense and mixed triples of degree 40 to 96 and
-    sparse ones below degree 200 under every product method, Kaminski's two
-    at e = 1/10 as well, and sparse triples below 2^16 under auto, sparse
-    and kronecker only (kaminski-nomul makes them dense)."""
+    sparse ones below degree 200 and below 2^16 under every product method,
+    Kaminski's two at e = 1/10 as well."""
     for k, (ring, ctx) in enumerate(RINGS.items()):
         hi = _hi(ctx)
         deg = 40 + 8 * k  # a fold range of its own per ring
@@ -88,8 +87,7 @@ def _plain(rnd):
             ("sparse", Fs, Gs, pc.mul_oracle(Fs, Gs)),
             ("sparse-2^16", Fw, Gw, pc.mul_oracle(Fw, Gw)),
         ):
-            wide = form == "sparse-2^16"
-            methods = ["auto", "sparse"] + ["kaminski", "kaminski-nomul"] * (not wide)
+            methods = ["auto", "sparse", "kaminski", "kaminski-nomul"]
             methods += ["kronecker"] * (ctx == pc.ZZ)
             for h, X, expect in _true_and_wrong(H, rnd):
                 for eps, seed in RUNS:
@@ -97,10 +95,9 @@ def _plain(rnd):
                     cfg = VerifyConfig(eps, seed=seed)
                     for m in methods:
                         yield f"{name}/{m}", expect, verify_product, (A, B, X, replace(cfg, method=m))
-                    if not wide:
-                        args = (A, B, X, cfg, E_FOLD)
-                        yield f"{name}/kaminski,e=0.1", expect, verify_product_kaminski, args
-                        yield f"{name}/kaminski-nomul,e=0.1", expect, verify_product_kaminski_nomul, args
+                    args = (A, B, X, cfg, E_FOLD)
+                    yield f"{name}/kaminski,e=0.1", expect, verify_product_kaminski, args
+                    yield f"{name}/kaminski-nomul,e=0.1", expect, verify_product_kaminski_nomul, args
                     if ctx == pc.ZZ:
                         args = (A, B, X, cfg, E_KRONECKER)
                         yield f"{name}/kronecker,e=0.3", expect, verify_product_kronecker, args

@@ -15,7 +15,7 @@ from polycheck.modverify import (
     prime_lambda,
     prime_lambda_pow2,
 )
-from polycheck.poly import power_table, product_terms, write_poly_file
+from polycheck.poly import power_table, product_terms, read_poly_file, write_poly_file
 from polycheck.prodverify import (
     KaminskiParams,
     kaminski_round,
@@ -344,6 +344,24 @@ class TestKaminskiNoMul:
             nomul = verify_product_kaminski_nomul(F, G, H, cfg(seed))
             prime, alpha = nomul.witnesses[0]["inner"]
             assert {"p": prime["q"], **alpha} == point
+
+    @pytest.mark.parametrize("q", [3, 7])
+    def test_all_sparse_full_degree_check_is_kaminskis(self, q, tmp_path):
+        # two 8-term factors below 2^16 are read sparse at X^(D+1) - 1, so
+        # the check takes kaminski's one screened R with its products and
+        # never scans the 1.3*10^5 coefficients of the dense triple
+        prefix = str(tmp_path / "g")
+        gen = ["gen", "--ring", "GF", "--q", str(q), "--n", "65535", "--T", "8", "--seed", "1"]
+        assert main([*gen, "--out-prefix", prefix]) == 0
+        F, G, H = (read_poly_file(f"{prefix}_{X}.poly") for X in "FGH")
+        for X in (H, _change_one_coefficient(H, RngStream(q))):
+            before = POLY_MUL_OPS.count
+            want = verify_product_kaminski(F, G, X, cfg(1, Fraction(1, 2**20)))
+            middle = POLY_MUL_OPS.count
+            got = verify_product_kaminski_nomul(F, G, X, cfg(1, Fraction(1, 2**20)))
+            assert got.verdict is want.verdict is (X is H)
+            assert got.witnesses[0]["inner"] == want.witnesses
+            assert POLY_MUL_OPS.count - middle == middle - before
 
     @pytest.mark.parametrize("ctx", [Z, pc.GF(7)], ids=str)
     def test_shape_screens_are_pinned(self, ctx, rng):
@@ -796,8 +814,9 @@ def past_cap_triple(ctx):
 
 class TestOneFormRule:
     """modverify.triple_forms decides the forms every product check reads:
-    mixed input is made dense below DENSIFY_CAP and read sparse past it,
-    so no verifier refuses a true triple for its degree."""
+    all-sparse input stays sparse, mixed input is made dense below
+    DENSIFY_CAP and read sparse past it, so no verifier refuses a true
+    triple for its degree."""
 
     @pytest.mark.parametrize("ctx", [F2, pc.GF(65537), Z], ids=str)
     @pytest.mark.parametrize("eps", [QUARTER, Fraction(1, 2**20)], ids=["1/4", "2^-20"])
@@ -814,7 +833,8 @@ class TestOneFormRule:
     @pytest.mark.parametrize("ctx", [F2, pc.GF(65537)], ids=str)
     def test_nomul_multiplies_only_past_the_cap(self, ctx):
         # below the cap the mixed triple is made dense and the dense scans
-        # at X multiply nothing; past it the sparse scans' power tables do
+        # at X multiply nothing; past it the triple is read sparse and takes
+        # the one screened point, whose screening and power table multiply
         for n, counted in ((2**12, False), (2**27, True)):
             F = pc.SparsePoly(ctx, [(0, 1), (n, 1)])
             G = pc.DensePoly(ctx, [1, 1])
@@ -840,6 +860,8 @@ class TestOneFormRule:
         cap = pc.poly.DENSIFY_CAP
         assert modverify.triple_forms(F, G, H, n=3, dense=False) == (F, G, H, False)
         assert modverify.triple_forms(F, G, H, n=3, dense=True) == (F, G.to_dense(), H, False)
+        Fs, Hs = F.to_sparse(), H.to_sparse()
+        assert modverify.triple_forms(Fs, G, Hs, n=3, dense=True) == (Fs, G, Hs, True)
         for dense in (False, True):
             assert modverify.triple_forms(F, G, H, n=cap, dense=dense) == (
                 F.to_sparse(), G, H.to_sparse(), True
