@@ -131,16 +131,17 @@ def _random_sparse(ctx, n, t, coeff_bits, rng):
     exps.add(n)
     while len(exps) < t:
         exps.add(rng.below(n))
-    terms = []
-    for e in sorted(exps):
+    exps = sorted(exps)
+    cs = []
+    for _ in exps:
         c = ctx.zero()
         while ctx.is_zero(c):
             if ctx == ZZ:
                 c = rng.bits(coeff_bits) - (1 << (coeff_bits - 1)) if coeff_bits > 1 else 1
             else:
                 c = rng.below(ctx.q)
-        terms.append((e, c))
-    return SparsePoly(ctx, terms)
+        cs.append(c)
+    return SparsePoly(ctx, zip(exps, cs))
 
 
 def _random_dense(ctx, n, coeff_bits, rng):
@@ -159,10 +160,10 @@ def _random_dense(ctx, n, coeff_bits, rng):
 def _perturb(H, rng):
     ctx = H.ctx
     if isinstance(H, SparsePoly):
-        terms = dict(H.terms)
-        if H.terms:
-            e, c = H.terms[rng.below(len(H.terms))]
-            terms[e] = ctx.add(c, ctx.one())
+        terms = dict(zip(H.exps, H.cs))
+        if H.exps:
+            k = rng.below(len(H.exps))
+            terms[H.exps[k]] = ctx.add(H.cs[k], ctx.one())
         else:
             terms[1] = ctx.one()
         return SparsePoly.from_dict(ctx, terms)  # drops a term bumped to zero
@@ -233,8 +234,9 @@ def _cmd_gen(args):
             true_product = False
         elif kind == "lcm-divisors":
             L, delta = _lcm_adversarial(ctx, max(args.n, 4), rng)
-            acc = dict(H.to_sparse().terms)
-            for e, c in delta.terms:
+            S = H.to_sparse()
+            acc = dict(zip(S.exps, S.cs))
+            for e, c in zip(delta.exps, delta.cs):
                 acc[e] = ctx.add(acc.get(e, ctx.zero()), c)
             H = SparsePoly.from_dict(ctx, acc)  # drops the terms that cancel
             if not sparse_mode:

@@ -195,9 +195,10 @@ def sparse_leading_coefficients(P, F, ring=None):
     #F * #P^ceil(1/gamma - 1)."""
     n = check_shapes(P, F)
     ctx = _coefficient_ring(P, ring)
-    pending = {n - 1 - t: ctx.canon(c) for t, c in F.to_sparse().terms if t > 0}  # index -> v_i
+    F = F.to_sparse()
+    pending = {n - 1 - t: ctx.canon(c) for t, c in zip(F.exps, F.cs) if t > 0}  # index -> v_i
     heap = sorted(pending)
-    updates = [(k, ctx.canon(c)) for k, c in P.terms[:-1] if k > 0]
+    updates = [(k, ctx.canon(c)) for k, c in zip(P.exps[:-1], P.cs[:-1]) if k > 0]
     out = []
     while heap:
         i = heapq.heappop(heap)
@@ -332,7 +333,7 @@ def gf2_first_mismatch(P, F, G, H, moduli):
         | (ones << 2 * width if k & 4 else 0)
         for k in range(8)
     ]
-    p_bits = sum(1 << (8 * e) for e, _ in P.terms)
+    p_bits = sum(1 << (8 * e) for e in P.exps)
     codes = (
         int.from_bytes(bytes(H.coeffs), "little")
         | int.from_bytes(bytes(F.coeffs), "little") << 1
@@ -399,7 +400,7 @@ def eval_mod_p_sparse(P, F, G, alpha, ring=None, pw=None):
     if _nothing_wraps(n, F, G):
         return ring.mul(evaluate(F, alpha, ring, pw), evaluate(G, alpha, ring, pw))
     vals = dict(sparse_leading_coefficients(P, F, ring))  # no zero among them
-    g = dict(G.terms)
+    g = dict(zip(G.exps, G.cs))
     into, mul, out = ring.product_form()
     if F.ctx == ring:
         scale = mul
@@ -441,8 +442,8 @@ def eval_mod(P, F, G, alpha, ring=None, pw=None):
     ctx = P.ctx
     binom = (
         P.sparsity() == 2
-        and P.terms[0][0] == 0
-        and ctx.is_zero(ctx.add(P.terms[0][1], ctx.one()))
+        and P.exps[0] == 0
+        and ctx.is_zero(ctx.add(P.cs[0], ctx.one()))
     )
     if binom:
         return eval_mod_binomial_dense(F, G, n, alpha, ring)

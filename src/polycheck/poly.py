@@ -10,7 +10,10 @@ products and reductions, and the on-disk text format shared with the CLI.
 Polynomials are immutable; the zero polynomial is the empty coefficient
 vector / empty term list and has no degree.  Both classes have to_dense()
 and to_sparse(); asked for the form it already has, a polynomial returns
-itself.
+itself.  A SparsePoly keeps its terms as two parallel tuples, exps and cs,
+with no tuple per term; its .terms, the (exponent, coefficient) pairs, is
+a view built anew at every access for callers outside the package, not
+for loops, and nothing here reads it.
 """
 
 import functools
@@ -18,7 +21,8 @@ import json
 from bisect import bisect_left
 from decimal import MAX_EMAX, Context, Inexact, InvalidOperation
 from fractions import Fraction
-from operator import itemgetter, lt
+from itertools import compress
+from operator import lt
 
 from .rings import PrimeField, POLY_MUL_OPS, ZZ, GF, is_prime
 
@@ -94,7 +98,7 @@ class DensePoly:
         return self
 
     def to_sparse(self):
-        return SparsePoly.trusted(self.ctx, enumerate(self.coeffs))
+        return SparsePoly.trusted(self.ctx, range(len(self.coeffs)), self.coeffs)
 
     def __eq__(self, other):
         return (
@@ -111,12 +115,13 @@ class DensePoly:
 
 
 class SparsePoly:
-    """Strictly-increasing (exponent, nonzero coefficient) term list."""
+    """Strictly-increasing exponents and their nonzero coefficients, kept
+    as two parallel tuples, exps and cs: no tuple per term."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "exps", "cs")
 
     def __init__(self, ctx, terms):
-        out = []
+        exps, cs = [], []
         last = -1
         for e, c in terms:
             e = int(e)
@@ -129,9 +134,11 @@ class SparsePoly:
             last = e
             c = ctx.canon(c)
             if not ctx.is_zero(c):
-                out.append((e, c))
+                exps.append(e)
+                cs.append(c)
         self.ctx = ctx
-        self.terms = tuple(out)
+        self.exps = tuple(exps)
+        self.cs = tuple(cs)
 
     @classmethod
     def zero(cls, ctx):
@@ -142,55 +149,65 @@ class SparsePoly:
         return cls(ctx, sorted(d.items()))
 
     @classmethod
-    def trusted(cls, ctx, terms):
-        """A SparsePoly from terms the caller built in order: exponents
-        strictly increasing ints within EXPONENT_CAP, coefficients canonical
-        in ctx.  Only zero coefficients are dropped; the checks of the
+    def trusted(cls, ctx, exps, cs):
+        """A SparsePoly from the parallel sequences exps and cs the caller
+        built in order: exponents strictly increasing ints within
+        EXPONENT_CAP, coefficients canonical in ctx.  Only zero
+        coefficients are dropped, with their exponents; the checks of the
         constructor are skipped."""
+        if ctx.int_modulus is not None:
+            keep = list(map(bool, cs)) if 0 in cs else None
+        else:
+            keep = [not ctx.is_zero(c) for c in cs]
+            keep = None if all(keep) else keep
+        if keep is not None:
+            exps, cs = compress(exps, keep), compress(cs, keep)
         F = cls.__new__(cls)
         F.ctx = ctx
-        if ctx.int_modulus is not None:
-            F.terms = tuple(filter(itemgetter(1), terms))
-        else:
-            z = ctx.is_zero
-            F.terms = tuple(t for t in terms if not z(t[1]))
+        F.exps = tuple(exps)
+        F.cs = tuple(cs)
         return F
 
+    @property
+    def terms(self):
+        """The (exponent, coefficient) pairs, ascending: a tuple of pairs
+        built anew at every access, for callers outside the package; the
+        package reads exps and cs."""
+        return tuple(zip(self.exps, self.cs))
+
     def is_zero(self):
-        return not self.terms
+        return not self.exps
 
     def degree(self):
-        if not self.terms:
+        if not self.exps:
             raise ValueError("the zero polynomial has no degree")
-        return self.terms[-1][0]
+        return self.exps[-1]
 
     def coeff(self, i):
-        for e, c in self.terms:
-            if e == i:
-                return c
-            if e > i:
-                break
+        k = bisect_left(self.exps, i)
+        if k < len(self.exps) and self.exps[k] == i:
+            return self.cs[k]
         return self.ctx.zero()
 
     def sparsity(self):
-        return len(self.terms)
+        return len(self.exps)
 
     def norm(self):
         if self.ctx != ZZ:
             raise TypeError("norm is defined over Z only")
-        return _abs_max(list(map(itemgetter(1), self.terms))) if self.terms else 0
+        return _abs_max(self.cs) if self.cs else 0
 
     def to_sparse(self):
         return self
 
     def to_dense(self):
-        if not self.terms:
+        if not self.exps:
             return DensePoly.zero(self.ctx)
-        n = self.terms[-1][0]
+        n = self.exps[-1]
         if n >= DENSIFY_CAP:
             raise ValueError(f"degree {n} too large to densify")
         cs = [self.ctx.zero()] * (n + 1)
-        for e, c in self.terms:
+        for e, c in zip(self.exps, self.cs):
             cs[e] = c
         return DensePoly.trusted(self.ctx, cs)
 
@@ -198,14 +215,16 @@ class SparsePoly:
         return (
             isinstance(other, SparsePoly)
             and self.ctx == other.ctx
-            and self.terms == other.terms
+            and self.exps == other.exps
+            and self.cs == other.cs
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.terms))
+        return hash((self.ctx, self.exps, self.cs))
 
     def __repr__(self):
-        return f"SparsePoly({self.ctx!r}, {list(self.terms)!r})"
+        pairs = ", ".join([f"({e!r}, {c!r})" for e, c in zip(self.exps, self.cs)])
+        return f"SparsePoly({self.ctx!r}, [{pairs}])"
 
 
 def all_sparse(*polys):
@@ -392,17 +411,17 @@ def product_terms(F, G, P=None):
     same_ctx(*(X for X in (F, G, P) if X is not None))
     ctx = F.ctx
     POLY_MUL_OPS.bump()
-    fs, gs = F.terms, G.terms
-    if len(fs) > len(gs):
-        fs, gs = gs, fs
-    if not fs:
+    if F.sparsity() > G.sparsity():
+        F, G = G, F
+    if F.is_zero():
         return {}
-    if fs[-1][0] + gs[-1][0] > EXPONENT_CAP:
+    if F.degree() + G.degree() > EXPONENT_CAP:
         raise ValueError("exponent exceeds 2^63 - 1")
-    ges = [e for e, _ in gs]
-    gcs = [c for _, c in gs]
+    ges, gcs = G.exps, G.cs
     q = ctx.int_modulus
-    rows = [([e1 + e for e in ges], _scaled(gcs, c1, q, ctx.mul)) for e1, c1 in fs]
+    rows = [
+        ([e1 + e for e in ges], _scaled(gcs, c1, q, ctx.mul)) for e1, c1 in zip(F.exps, F.cs)
+    ]
     if P is None:
         return _merged_rows(rows, ctx, q)
     if q is None:
@@ -431,9 +450,9 @@ def _row(terms):
 
 
 def _sorted_poly(ctx, terms):
-    """The SparsePoly of the dict terms, exponent -> canonical nonzero
-    coefficient."""
-    return SparsePoly.trusted(ctx, zip(*_row(terms)))
+    """The SparsePoly of the dict terms, exponent -> canonical coefficient,
+    zero coefficients dropped."""
+    return SparsePoly.trusted(ctx, *_row(terms))
 
 
 def _reduced_rows(rows, P, q):
@@ -449,7 +468,7 @@ def _reduced_rows(rows, P, q):
     the degrees of P."""
     ctx = P.ctx
     n = P.degree()
-    low = [(e - n, pe) for e, pe in P.terms[:-1]]
+    low = [(e - n, pe) for e, pe in zip(P.exps[:-1], P.cs[:-1])]
     done = []
     high = _split_rows(rows, n, done)
     while high:
@@ -534,7 +553,7 @@ def _require_monic(P):
         raise TypeError("modulus must be a SparsePoly")
     if P.is_zero() or P.degree() < 1:
         raise ValueError("modulus must have degree >= 1")
-    if not P.ctx.is_zero(P.ctx.sub(P.terms[-1][1], P.ctx.one())):
+    if not P.ctx.is_zero(P.ctx.sub(P.cs[-1], P.ctx.one())):
         raise ValueError("modulus must be monic")
 
 
@@ -553,8 +572,7 @@ def mod_reduce(Q, P):
         return DensePoly.trusted(ctx, cs)
     if isinstance(Q, SparsePoly):
         q = ctx.int_modulus
-        row = ([e for e, _ in Q.terms], [c for _, c in Q.terms])
-        return _sorted_poly(ctx, _merged_rows(_reduced_rows([row], P, q), ctx, q))
+        return _sorted_poly(ctx, _merged_rows(_reduced_rows([(Q.exps, Q.cs)], P, q), ctx, q))
     raise TypeError("unsupported polynomial type")
 
 
@@ -580,7 +598,8 @@ def divide_in_place(cs, P, start=0, ctx=None):
     ctx = ctx or P.ctx
     n = P.degree()
     width = gap_info(P).gap_width
-    low = [(n - e, ctx.canon(pe)) for e, pe in P.terms[:-1]]  # cs[i] writes at i - (n - e)
+    # cs[i] writes at i - (n - e)
+    low = [(n - e, ctx.canon(pe)) for e, pe in zip(P.exps[:-1], P.cs[:-1])]
     q = ctx.int_modulus
     top = len(cs)
     floor = max(n - start, width)  # the lowest quotient entry with a write kept
@@ -626,9 +645,8 @@ def reduce_mod_binomial(F, i):
     dense = isinstance(F, DensePoly)
     if dense and ctx.int_modulus is not None:
         return mod_reduce(F, x_pow_minus_one(ctx, i))
-    terms = F.to_sparse().terms
-    acc = _ring_sum([([e % i for e, _ in terms], [c for _, c in terms])], ctx)
-    folded = SparsePoly.trusted(ctx, sorted(acc.items()))
+    S = F.to_sparse()
+    folded = _sorted_poly(ctx, _ring_sum([([e % i for e in S.exps], S.cs)], ctx))
     return folded.to_dense() if dense else folded
 
 
@@ -774,16 +792,17 @@ def _horner(cs, alpha, ring, ctx):
     return acc
 
 
-def _sparse_sum(terms, pw, ring, ctx):
-    """sum c alpha^e over the ascending (e, c) terms, with coefficients
-    in ctx: the loop of every ring without a sparse kernel, and the
-    reference for every ring.sparse_sum.  It sums by buckets (Pippenger,
-    SIAM J. Comput. 1980), one form product per distinct high part, not
-    one per term and byte.  At byte level i the values are keyed by
-    e >> 8i, and the values whose keys agree but for the low byte j form
-    one run, as the terms ascend; a run's sum of value times entry j of
-    window i (read through pw.window) is the value of key >> 8 at the
-    next level, until the one key 0 is left.
+def _sparse_sum(exps, cs, pw, ring, ctx):
+    """sum c alpha^e over the ascending exponents exps and their
+    coefficients cs in ctx: the loop of every ring without a sparse
+    kernel, and the reference for every ring.sparse_sum.  It sums by
+    buckets (Pippenger, SIAM J. Comput. 1980), one form product per
+    distinct high part, not one per term and byte.  At byte level i the
+    values are keyed by e >> 8i, and the values whose keys agree but for
+    the low byte j form one run, as the terms ascend; a run's sum of value
+    times entry j of window i (read through pw.window) is the value of
+    key >> 8 at the next level, until the one key 0 is left.  Keys, values
+    and how each value multiplies are three parallel lists.
 
     It sums in the ring's product form (ring.product_form), the form pw
     keeps its powers in, and leaves it once.  A value carries how it
@@ -793,34 +812,36 @@ def _sparse_sum(terms, pw, ring, ctx):
     product.  Byte 0 multiplies nothing.  So the sum never makes more
     products than the per-term loop it replaced, alpha^e from pw scaled
     by c, and the table makes the same entries for both."""
-    if not terms:
+    if not exps:
         return ring.zero()
     into, mul, out = ring.product_form()
     add, scale = ring.add, ring.scalar_mul
     if ctx == ring:
-        level = [(e, into(c), mul) for e, c in terms]
+        keys, vals, times = exps, list(map(into, cs)), [mul] * len(cs)
     else:
-        level = [(e, c, scale) for e, c in terms]
+        keys, vals, times = exps, cs, [scale] * len(cs)
     low = (1 << WINDOW_BITS) - 1
     i = 0
     while True:
-        window = pw.window(i, [e & low for e, _, _ in level])
-        runs = []
-        for e, v, times in level:
+        window = pw.window(i, [e & low for e in keys])
+        hs, vs, bys = [], [], []
+        for e, v, by in zip(keys, vals, times):
             j = e & low
             if j:
-                v, times = times(v, window[j]), mul
+                v, by = by(v, window[j]), mul
             h = e >> WINDOW_BITS
-            if runs and runs[-1][0] == h:
-                _, acc, by = runs[-1]
-                runs[-1] = (h, add(acc if by is mul else scale(acc, window[0]), v), mul)
+            if hs and hs[-1] == h:
+                acc = vs[-1]
+                vs[-1] = add(acc if bys[-1] is mul else scale(acc, window[0]), v)
+                bys[-1] = mul
             else:
-                runs.append((h, v, times))
-        level = runs
+                hs.append(h)
+                vs.append(v)
+                bys.append(by)
+        keys, vals, times = hs, vs, bys
         i += 1
-        if runs[-1][0] == 0:
-            _, v, times = runs[0]
-            return out(v if times is mul else scale(v, window[0]))
+        if hs[-1] == 0:
+            return out(vs[0] if bys[0] is mul else scale(vs[0], window[0]))
 
 
 def evaluate(F, alpha, ring=None, pw=None):
@@ -845,8 +866,8 @@ def evaluate(F, alpha, ring=None, pw=None):
     if isinstance(F, SparsePoly):
         pw = pw or power_table(ring, alpha)
         if ring.serves_sparse(F.ctx):
-            return ring.sparse_sum(F.terms, pw)
-        return _sparse_sum(F.terms, pw, ring, F.ctx)
+            return ring.sparse_sum(F.exps, F.cs, pw)
+        return _sparse_sum(F.exps, F.cs, pw, ring, F.ctx)
     raise TypeError("unsupported polynomial type")
 
 
@@ -890,9 +911,9 @@ def gap_info(P):
     degree is 0 by convention, giving gamma = 1."""
     _require_monic(P)
     n = P.degree()
-    if len(P.terms) == 1:
+    if len(P.exps) == 1:
         return GapInfo(n, 0)
-    return GapInfo(n, P.terms[-2][0])
+    return GapInfo(n, P.exps[-2])
 
 
 def reduction_steps(excess, gap):
@@ -927,7 +948,7 @@ def format_poly(F):
     if isinstance(F, DensePoly):
         body = " ".join(["dense"] + [str(c) for c in F.coeffs])
     elif isinstance(F, SparsePoly):
-        body = " ".join(["sparse"] + [f"{e}:{c}" for e, c in F.terms])
+        body = " ".join(["sparse"] + [f"{e}:{c}" for e, c in zip(F.exps, F.cs)])
     else:
         raise TypeError("unsupported polynomial type")
     return head + "\n" + body + "\n"
@@ -978,7 +999,7 @@ def parse_poly(text):
         terms = _bulk_sparse_terms(ctx, rest)
         if terms is None:
             terms = _sparse_terms(ctx, rest.split())  # raises the error of the first bad token
-        return SparsePoly.trusted(ctx, terms)
+        return SparsePoly.trusted(ctx, *terms)
     raise PolyFormatError(f"bad representation {kind!r}")
 
 
@@ -1011,14 +1032,15 @@ def _parse_coeff(ctx, tok):
 
 
 def _sparse_terms(ctx, items):
-    """The terms of the sparse body items, read and checked token by token;
-    raises the PolyFormatError of the first bad token."""
-    terms = []
+    """The exponents and coefficients of the sparse body items, two lists
+    read and checked token by token; raises the PolyFormatError of the
+    first bad token."""
+    exps, cs = [], []
     last = -1
     for tok in items:
         if ":" not in tok:
             raise PolyFormatError(f"bad term {_quoted(tok)}")
-        es, cs = tok.split(":", 1)
+        es, ct = tok.split(":", 1)
         try:
             e = int(es)
         except ValueError:
@@ -1028,11 +1050,12 @@ def _sparse_terms(ctx, items):
         if e <= last:
             raise PolyFormatError("exponents must be strictly increasing")
         last = e
-        c = _parse_coeff(ctx, cs)
+        c = _parse_coeff(ctx, ct)
         if c == 0:
             raise PolyFormatError("zero coefficient in sparse term")
-        terms.append((e, c))
-    return terms
+        exps.append(e)
+        cs.append(c)
+    return exps, cs
 
 
 _INT_CHARS = str.maketrans("", "", "0123456789- ")
@@ -1081,7 +1104,7 @@ def _bulk_sparse_terms(ctx, text):
         return None
     if isinstance(ctx, PrimeField) and cs and (min(cs) < 0 or max(cs) >= ctx.q):
         return None
-    return zip(exps, cs)
+    return exps, cs
 
 
 def read_poly_file(path):

@@ -282,7 +282,7 @@ def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
         inner = _modular_check_no_mul(F, G, H, P, VerifyConfig(epsilon=eps, seed=cfg.seed))
         witness = {"full-degree-fold": D + 1, "inner": inner.witnesses}
         return VerifyReport(
-            inner.verdict, bound_above(eps), inner.rounds, [witness], "kaminski-nomul", cfg.seed
+            inner.verdict, inner.error_bound, inner.rounds, [witness], "kaminski-nomul", cfg.seed
         )
     rng = RngStream(cfg.seed)
 
@@ -306,8 +306,8 @@ def _sign_and_bits(X, w):
     w deg X + bitlen|lead| bits, one less when |lead| is a power of two and
     the next nonzero term has the other sign."""
     if isinstance(X, SparsePoly):
-        lead = X.terms[-1][1]
-        below = X.terms[-2][1] if len(X.terms) > 1 else 0
+        lead = X.cs[-1]
+        below = X.cs[-2] if len(X.cs) > 1 else 0
     else:
         lead = X.coeffs[-1]
         below = next((c for c in islice(reversed(X.coeffs), 1, None) if c), 0)
@@ -323,7 +323,7 @@ def _value_mod_mersenne(X, w, i):
     so a term c X^e lands at bit (w e) mod i: the terms are placed there
     with their signed coefficients and summed, and the sum is reduced
     once."""
-    terms = X.terms if isinstance(X, SparsePoly) else enumerate(X.coeffs)
+    terms = zip(X.exps, X.cs) if isinstance(X, SparsePoly) else enumerate(X.coeffs)
     return sum(c << (w * e % i) for e, c in terms if c) % ((1 << i) - 1)
 
 
@@ -600,7 +600,7 @@ def verify_product(F, G, H, cfg=None, P=None):
     if method == "auto" and all_sparse(*polys):
         costs = exact_route_costs(F, G, H, cfg.epsilon, P)
         if costs:
-            verdict = product_terms(F, G, P) == dict(H.terms)
+            verdict = product_terms(F, G, P) == dict(zip(H.exps, H.cs))
             witness = {"deterministic": "reference-product", "cost": costs}
             return VerifyReport(verdict, 0.0, 0, [witness], "exact", cfg.seed)
         method = "sparse"

@@ -199,10 +199,10 @@ def ln_pow2_upper(k):
 #   horner(cs, alpha)                sum cs[i] alpha^i
 #   dense_scan(f, alpha, pa, V, gs)  f_0 = f, f_i = alpha f_{i-1} - V[i-1] pa;
 #                                    returns sum gs[i] f_i over i < len(gs)
-#   sparse_sum(terms, pw)            sum c alpha^e over the (e, c) terms,
-#                                    ascending in e as a SparsePoly keeps them,
-#                                    the powers from the windows of the
-#                                    power_table pw at alpha
+#   sparse_sum(exps, cs, pw)         sum c alpha^e over the exponents exps,
+#                                    ascending as a SparsePoly keeps them, and
+#                                    their coefficients cs, the powers from
+#                                    the windows of the power_table pw at alpha
 #
 # The quotient-ring classes are GF2Ext (GF(2)[X]/(R), one bit-packed int
 # per element), GFqExt (odd GF(q), tuples of ints that the kernels pack
@@ -437,7 +437,7 @@ class PrimeField:
         S.reverse()
         return (f * (gs[0] + alpha * s) - pa * sum(map(operator.mul, V, S))) % q
 
-    def sparse_sum(self, terms, pw):
+    def sparse_sum(self, exps, cs, pw):
         """Exponent byte i of every term at once: the exponents sit side by
         side as the little-endian 64-bit words of one C-level array, so
         window i's bytes are one slice, and one C-level map multiplies every
@@ -451,9 +451,9 @@ class PrimeField:
         Where the top byte spans at most one value per RUN_TERMS terms, each
         run's values are summed first and multiplied by their top entry
         once (bucket accumulation): one product per run, not per term."""
-        if not terms:
+        if not exps:
             return 0
-        exps, vals = zip(*terms)
+        vals = cs  # every term's running value, its coefficient at first
         nb = max(1, (exps[-1].bit_length() + 7) >> 3)
         digits = array("Q", exps)  # exponents below 2^63, so 8 bytes each
         if sys.byteorder == "big":

@@ -12,7 +12,13 @@ package; they are not part of that independent route.
 
 from fractions import Fraction
 
-from polycheck.poly import DensePoly, SparsePoly, reduce_mod_binomial, reduction_steps
+from polycheck.poly import (
+    EXPONENT_CAP,
+    DensePoly,
+    SparsePoly,
+    reduce_mod_binomial,
+    reduction_steps,
+)
 from polycheck.prodverify import KaminskiParams
 from polycheck.rings import POLY_MUL_OPS, ExtField
 
@@ -39,6 +45,29 @@ def poly_divmod(Q, P):
         for j in range(n + 1):
             rem[i - n + j] = ctx.sub(rem[i - n + j], ctx.mul(c, P.coeffs[j]))
     return DensePoly(ctx, quo), DensePoly(ctx, rem)
+
+
+def pair_terms(ctx, pairs):
+    """The terms a SparsePoly of the (exponent, coefficient) pairs holds,
+    as one tuple per term: exponents ints, strictly increasing from 0 and
+    at most EXPONENT_CAP, else the constructor's ValueError; coefficients
+    canonical, zeros dropped.  The reference for the two parallel tuples
+    a SparsePoly keeps, and for its .terms, repr and errors."""
+    out = []
+    last = -1
+    for e, c in pairs:
+        e = int(e)
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        if e <= last:
+            raise ValueError("exponents must be strictly increasing")
+        if e > EXPONENT_CAP:
+            raise ValueError("exponent exceeds 2^63 - 1")
+        last = e
+        c = ctx.canon(c)
+        if not ctx.is_zero(c):
+            out.append((e, c))
+    return tuple(out)
 
 
 def _school_product_dense(F, G):

@@ -78,6 +78,12 @@ def _coeff(ctx, extreme):
     return st.just(ctx.q - 1) if extreme else st.integers(0, ctx.q - 1)
 
 
+def _columns(terms):
+    """The (e, c) pairs terms as the two parallel tuples the sparse sums
+    take: exponents and coefficients."""
+    return tuple(e for e, _ in terms), tuple(c for _, c in terms)
+
+
 @lru_cache(maxsize=None)
 def _irreducible(q, d, seed):
     return tuple(random_irreducible(pc.GF(q), d, Fraction(1, 4), RngStream(seed)).coeffs)
@@ -300,14 +306,14 @@ class TestSparseKernel:
         pw(e) fills lazily agree with each other and with pow."""
         ctx, alpha, polys, probes = inst
         q = ctx.q
-        want = [_sparse_sum(X.terms, power_table(ctx, alpha), ctx, ctx) for X in polys]
+        want = [_sparse_sum(X.exps, X.cs, power_table(ctx, alpha), ctx, ctx) for X in polys]
         for X, value in zip(polys, want):
             assert value == sum(c * pow(alpha, e, q) for e, c in X.terms) % q
         before = POLY_MUL_OPS.count
         for order in (range(len(polys)), range(len(polys) - 1, -1, -1)):
             pw = power_table(ctx, alpha)
             for k in order:
-                assert ctx.sparse_sum(polys[k].terms, pw) == want[k]
+                assert ctx.sparse_sum(polys[k].exps, polys[k].cs, pw) == want[k]
                 assert evaluate(polys[k], alpha, ctx, pw) == want[k]
             assert [pw(e) for e in probes] == [pow(alpha, e, q) for e in probes]
         assert POLY_MUL_OPS.count == before
@@ -317,8 +323,9 @@ class TestSparseKernel:
         terms = ((0, 5), (0x0100_0000_00FF, 65536), (EXPONENT_CAP, 1))
         pw = power_table(ctx, 3)
         assert pw(0x00FF_0000_0001) == pow(3, 0x00FF_0000_0001, 65537)
-        assert ctx.sparse_sum(terms, pw) == sum(c * pow(3, e, 65537) for e, c in terms) % 65537
-        assert ctx.sparse_sum((), pw) == 0
+        want = sum(c * pow(3, e, 65537) for e, c in terms) % 65537
+        assert ctx.sparse_sum(*_columns(terms), pw) == want
+        assert ctx.sparse_sum((), (), pw) == 0
 
 
 class TestGF2SparseKernel:
@@ -831,7 +838,8 @@ class TestGenericSparseSum:
         ring, ctx, alpha, terms = data.draw(sparse_sum_instances_in_a_quotient_ring(kind, in_ring))
 
         def run():
-            return counted(lambda: _sparse_sum(terms, power_table(ring, alpha), ring, ctx))
+            exps, cs = _columns(terms)
+            return counted(lambda: _sparse_sum(exps, cs, power_table(ring, alpha), ring, ctx))
 
         got = run()
         with mock.patch.object(type(ring), "product_form", ExtField.product_form):
@@ -858,7 +866,7 @@ class TestGenericSparseSum:
         def run(loop):
             calls.clear()
             with mock.patch.object(type(ring), "product_form", lambda _: form()):
-                value = loop(terms, power_table(ring, alpha), ring, ctx)
+                value = loop(*_columns(terms), power_table(ring, alpha), ring, ctx)
             return value, len(calls)
 
         got, products = run(_sparse_sum)
@@ -867,7 +875,7 @@ class TestGenericSparseSum:
         assert products <= per_term
 
 
-def _per_term_sum(terms, pw, ring, ctx):
+def _per_term_sum(exps, cs, pw, ring, ctx):
     """The per-term loop that the bucketed poly._sparse_sum replaced, the
     reference for its value and its count: every alpha^e from pw, one
     product per nonzero byte of e after the first, scaled and added in the
@@ -875,10 +883,10 @@ def _per_term_sum(terms, pw, ring, ctx):
     into, mul, out = ring.product_form()
     scale = ring.scalar_mul
     if ctx == ring:
-        terms = [(e, into(c)) for e, c in terms]
+        cs = [into(c) for c in cs]
         scale = mul
     acc = into(ring.zero())
-    for e, c in terms:
+    for e, c in zip(exps, cs):
         acc = ring.add(acc, scale(c, pw(e)))
     return out(acc)
 
@@ -893,11 +901,11 @@ def test_a_value_equal_to_x_is_counted_like_any_other(d):
     a = ring.from_coeffs([0, 1]) if d > 1 else ring.from_coeffs(list(ring.x))
     assert a == ring.x and a is not ring.x
 
-    terms = [(255, 1), (2**40 + 9, 2)]
+    exps, cs = (255, 2**40 + 9), (1, 2)
 
     def run():
         return (counted(lambda: ring.pow(a, 255)),
-                counted(lambda: _sparse_sum(terms, power_table(ring, a), ring, ring.base)))
+                counted(lambda: _sparse_sum(exps, cs, power_table(ring, a), ring, ring.base)))
 
     got = run()
     with mock.patch.object(type(ring), "product_form", ExtField.product_form):

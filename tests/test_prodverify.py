@@ -272,6 +272,19 @@ class TestKaminskiNoMul:
         assert POLY_MUL_OPS.count == before
         assert r.verdict is False
 
+    @pytest.mark.parametrize("q", [3, 65537])
+    def test_a_certain_full_degree_rejection_states_no_error(self, q):
+        # H has more terms than F*G can have: the inner check's term-count
+        # screen rejects for certain, and the report states error bound 0.0
+        ctx = pc.GF(q)
+        F = pc.SparsePoly(ctx, [(0, 1), (3, 1)])
+        G = pc.SparsePoly(ctx, [(0, 1), (5, 1)])
+        H = pc.SparsePoly(ctx, [(e, 1) for e in (0, 1, 2, 3, 5, 8)])
+        for eps in (QUARTER, Fraction(1, 2**20)):
+            r = verify_product_kaminski_nomul(F, G, H, cfg(0, eps))
+            assert (r.verdict, r.error_bound, r.rounds) == (False, 0.0, 0)
+            assert r.witnesses == [{"full-degree-fold": 9, "inner": []}]
+
     def test_small_degree_full_fold_equivalence(self, rng):
         # below the useful fold range the verifier checks modulo X^(D+1) - 1
         F = rand_dense(Z, 12, rng)
