@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import modverify, prodverify
 from .modverify import PRODUCT_METHODS, VerifyConfig
 from .poly import (
+    EXPONENT_CAP,
     DensePoly,
     PolyFormatError,
     SparsePoly,
@@ -206,6 +207,8 @@ def _cmd_gen(args):
         raise CliError(f"--q {args.q} is not prime")
     if args.n < 0:
         raise CliError("--n must be >= 0")
+    if args.T is not None and 2 * args.n > EXPONENT_CAP:  # F*G has degree 2n
+        raise CliError(f"--n {args.n} is too large: 2n must be at most {EXPONENT_CAP}")
     if args.coeff_bits < 1:
         raise CliError("--coeff-bits must be >= 1")
     ctx = ZZ if args.ring == "Z" else GF(args.q)

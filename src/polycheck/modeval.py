@@ -68,7 +68,11 @@ There are three kernels, one per element representation:
 A fourth kernel, gf2_first_mismatch, runs the packed GF(2) scan for many
 moduli R of one degree d at once: each R's residue sits in its own
 (d+1)-bit lane of one int, and the first R at which H and the product
-disagree is the lowest nonzero lane of their difference.
+disagree is the lowest nonzero lane of their difference.  Its Horner pass
+for H, F and P runs a block of codes at a time, as PrimeField.horner and
+GFqExt.horner do: a block is one C-level sum of masked powers of x, and the
+giant step, acc times x^b, is a linear map of each lane's d bits, made of
+shifts, ANDs and one subtraction per bit, so no product is made.
 A fifth, sparse_sum, is the sparse evaluation of poly.evaluate, and so
 gives the sparse scan its P(alpha) and F(alpha), wherever the ring says it
 serves (ring.serves_sparse(ctx)).  In GF(q) (PrimeField.sparse_sum), for
@@ -84,6 +88,9 @@ None of them multiplies polynomials or counts in POLY_MUL_OPS.
 """
 
 import heapq
+import math
+from functools import reduce
+from operator import and_, xor
 
 from .poly import (
     DENSIFY_CAP,
@@ -96,6 +103,7 @@ from .poly import (
     same_ctx,
     x_pow_minus_one,
 )
+from .rings import _gf2_bits
 
 
 def check_shapes(P, *polys):
@@ -303,12 +311,22 @@ def gf2_first_mismatch(P, F, G, H, moduli):
     every lane is f <<= 1; t = f & TOP; f ^= ((t << 1) - (t >> d)) & RS: the
     difference sets every bit of exactly the lanes whose bit d is set.  One
     Horner pass over 3m lanes (m = len(moduli)) gives H(x), F(x) and P(x)
-    in every lane, each index XORing one of 8 patterns of lane bits 0,
-    chosen by h_i | f_i << 1 | p_i << 2.  The scan then runs one index per
-    step in every lane: each lane has its own R, so no one table serves
-    them as in GF2Ext.dense_scan's byte step.  The first mismatch is the
-    lowest nonzero lane of H(x) ^ beta.  Shifts and XORs only: nothing
-    counts in POLY_MUL_OPS."""
+    in every lane from the n + 1 codes h_i | f_i << 1 | p_i << 2, in
+    blocks of b = isqrt((n + 1) d) codes, at most n + 1, the rule of
+    GFqExt.horner (baby steps, giant steps; Paterson and Stockmeyer, SIAM
+    J. Comput. 1973).  The powers x^k, k < b + d, come once, from
+    b + d - 1 steps of x times every lane.  A block is one C-level sum:
+    code i ANDs x^(i mod b) with MASKS[code], every bit of the lanes its
+    pattern sets, and the terms are XORed.  The giant step acc x^b is the
+    lane-wise linear map a -> sum_(k<d) a_k x^(b+k): with SEL bit k of
+    every lane moved to bit 0, (SEL << (d+1)) - SEL sets every bit of the
+    lanes whose a_k is 1, and is ANDed with the packed x^(b+k).  So a block
+    costs O(d) steps in Python, and a code a few C-level int operations.
+    The scan then runs one index per step in every lane: each lane has its
+    own R, so no one table serves them as in GF2Ext.dense_scan's byte
+    step.  The first mismatch is the lowest nonzero lane of H(x) ^ beta.
+    Shifts, ANDs, XORs and subtractions only, each lane's bits kept apart:
+    no polynomial is multiplied, so nothing counts in POLY_MUL_OPS."""
     n = check_shapes(P, F, G, H)
     if P.ctx.int_modulus != 2:
         raise ValueError("the lane kernel needs F, G, H and P over GF(2)")
@@ -323,29 +341,32 @@ def gf2_first_mismatch(P, F, G, H, moduli):
     m = len(moduli)
     ones = sum(1 << (j * L) for j in range(m))  # bit 0 of every lane
     top = ones << d
-    rs = sum(sum(c << i for i, c in enumerate(R)) << (j * L) for j, R in enumerate(moduli))
+    rs = sum(_gf2_bits(R) << (j * L) for j, R in enumerate(moduli))
     width = m * L
-    # H, F and P side by side: 3m lanes, one Horner pass
-    top3 = top | top << width | top << 2 * width
-    rs3 = rs | rs << width | rs << 2 * width
-    patterns = [
-        (ones if k & 1 else 0) | (ones << width if k & 2 else 0)
-        | (ones << 2 * width if k & 4 else 0)
-        for k in range(8)
-    ]
+    # H, F and P side by side: 3m lanes, one blocked Horner pass
+    ones3 = ones | ones << width | ones << 2 * width
+    top3, rs3 = ones3 << d, rs | rs << width | rs << 2 * width
+    full = (1 << width) - 1  # every bit of m lanes
+    masks = [sum(full << g * width for g in range(3) if k >> g & 1) for k in range(8)]
     p_bits = sum(1 << (8 * e) for e in P.exps)
     codes = (
         int.from_bytes(bytes(H.coeffs), "little")
         | int.from_bytes(bytes(F.coeffs), "little") << 1
         | p_bits << 2
     ).to_bytes(n + 1, "little")
+    b = min(n + 1, math.isqrt((n + 1) * d))
+    powers = [ones3]  # x^k in every lane, k < b + d
+    for _ in range(b + d - 1):
+        p = powers[-1] << 1
+        t = p & top3
+        powers.append(p ^ ((t << 1) - (t >> d)) & rs3)
+    table, shifted = powers[:b], powers[b:]
     acc = 0
-    for c in reversed(codes):
-        acc <<= 1
-        t = acc & top3
-        acc ^= (((t << 1) - (t >> d)) & rs3) ^ patterns[c]
-    mask = (1 << width) - 1
-    h_x, f, p_x = acc & mask, (acc >> width) & mask, acc >> 2 * width
+    for start in range(n // b * b, -1, -b):
+        sels = [acc >> k & ones3 for k in range(d)]  # bit k of every lane, at bit 0
+        acc = reduce(xor, [((s << L) - s) & xk for s, xk in zip(sels, shifted)])
+        acc ^= reduce(xor, map(and_, table, map(masks.__getitem__, codes[start : start + b])))
+    h_x, f, p_x = acc & full, (acc >> width) & full, acc >> 2 * width
     gs = G.coeffs
     beta = 0
     if gs and not F.is_zero():

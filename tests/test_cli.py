@@ -406,6 +406,9 @@ class TestGenCommand:
             ["--n", "8", "--coeff-bits", "0"],
             # coefficients past the 4300-digit int-to-str limit have no text form
             ["--n", "2", "--coeff-bits", "16000"],
+            # exponents past EXPONENT_CAP: F and G themselves, or F*G of degree 2n
+            ["--n", "9223372036854775808", "--T", "3"],
+            ["--n", "9223372036854775807", "--T", "3"],
         ],
     )
     def test_bad_sizes_exit_two(self, tmp_path, capsys, sizes):
@@ -413,6 +416,16 @@ class TestGenCommand:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err
         assert not list(tmp_path.glob("x_*.poly"))
+
+    def test_largest_sparse_size_generates_and_verifies(self, tmp_path, capsys):
+        prefix = str(tmp_path / "x")
+        assert main(["gen", "--ring", "Z", "--T", "3", "--n", str(2**62 - 1),
+                     "--seed", "1", "--out-prefix", prefix]) == 0
+        for method in ("auto", "kaminski"):
+            capsys.readouterr()
+            assert main(["verify-prod", "--method", method, "--seed", "1",
+                         *(f"--{x}={prefix}_{x}.poly" for x in "FGH")]) == 0
+            assert json.loads(capsys.readouterr().out)["verdict"] is True
 
     def test_gf_requires_q(self, tmp_path):
         code, _, _ = run_cli(

@@ -443,19 +443,72 @@ def lane_instances(draw):
     return P, F, G, H, moduli
 
 
+def _first_disagreement(P, F, G, H, moduli):
+    """The reference of gf2_first_mismatch: _agree_at one modulus at a time."""
+    for j, R in enumerate(moduli):
+        ring = ExtField(F2, R)
+        if not _agree_at(F, G, H, P, ring.x, ring):
+            return j
+    return None
+
+
+# (kind, n, d) around the blocks of the lane Horner, b = min(n + 1,
+# isqrt((n + 1) d)) codes each over the n + 1 codes: one block, n + 1 a
+# multiple of b, and a partial first (highest) block, P's top code alone in
+# it where n is a multiple of b; d = 1 and d >= 31
+LANE_SHAPES = (
+    ("one", 1, 2), ("one", 5, 8), ("one", 30, 40),
+    ("multiple", 15, 1), ("multiple", 63, 4), ("multiple", 99, 1), ("multiple", 278, 31),
+    ("partial", 16, 1), ("partial", 64, 4), ("partial", 122, 31),
+    ("partial", 22, 1), ("partial", 300, 31),
+)
+
+
 class TestLaneKernel:
     @given(lane_instances())
     def test_first_mismatch_matches_agree_at(self, inst):
         P, F, G, H, moduli = inst
-        want = None
-        for j, R in enumerate(moduli):
-            ring = ExtField(F2, R)
-            if not _agree_at(F, G, H, P, ring.x, ring):
-                want = j
-                break
+        want = _first_disagreement(P, F, G, H, moduli)
         before = POLY_MUL_OPS.count
         assert gf2_first_mismatch(P, F, G, H, moduli) == want
         assert POLY_MUL_OPS.count == before
+
+    @pytest.mark.parametrize("m", [1, 200])
+    @pytest.mark.parametrize("kind, n, d", LANE_SHAPES)
+    def test_block_boundaries(self, kind, n, d, m):
+        """The true H, and an H off by a multiple of R0 at the moduli
+        [R1, R0, ..., R0] and [R0, ..., R0, R1], which disagree in the first
+        and in the last lane only (off by 1 where deg R0 >= n)."""
+        b = min(n + 1, math.isqrt((n + 1) * d))
+        assert {"one": n + 1 <= b, "multiple": n + 1 > b and (n + 1) % b == 0,
+                "partial": (n + 1) % b != 0}[kind]
+        rng = RngStream(1000 * n + d)
+        P = pc.SparsePoly.from_dict(F2, {0: 1, rng.below(n): 1, n: 1})
+        F, G = (pc.DensePoly(F2, [rng.bits(1) for _ in range(n)]) for _ in "FG")
+        true = oracle_mod_product(F, G, P)
+        R0 = R1 = random_monic(F2, d, rng)
+        while R1 == R0:
+            R1 = random_monic(F2, d, rng)
+        delta = sum(c << i for i, c in enumerate(R0)) if d < n else 1
+        off = pc.DensePoly(F2, _bits(sum(c << i for i, c in enumerate(true.coeffs)) ^ delta))
+        cases = [(true, [random_monic(F2, d, rng) for _ in range(m)], None),
+                 (off, [R1] + [R0] * (m - 1), 0)]
+        if d < n and m > 1:
+            cases.append((off, [R0] * (m - 1) + [R1], m - 1))
+        for H, moduli, want in cases:
+            assert _first_disagreement(P, F, G, H, moduli) == want
+            before = POLY_MUL_OPS.count
+            assert gf2_first_mismatch(P, F, G, H, moduli) == want
+            assert POLY_MUL_OPS.count == before
+
+    def test_one_block_of_two_codes(self):
+        """P = X + 1 and d = 2: the two codes make the only block, and H = 1
+        disagrees with F G = 0 at every R."""
+        P = pc.SparsePoly.from_dict(F2, {0: 1, 1: 1})
+        zero, one = pc.DensePoly(F2, []), pc.DensePoly(F2, [1])
+        for moduli in ([[1, 0, 1]], [[1, 1, 1], [0, 0, 1]]):
+            assert gf2_first_mismatch(P, zero, zero, one, moduli) == 0
+            assert gf2_first_mismatch(P, zero, zero, zero, moduli) is None
 
     def test_no_moduli_and_bad_moduli(self):
         P = pc.x_pow_minus_one(F2, 5)
