@@ -203,6 +203,8 @@ def _example2_triple(ctx, t):
 def _cmd_gen(args):
     if args.ring == "GF" and args.q is None:
         raise CliError("--q is required with --ring GF")
+    if args.ring == "Z" and args.q is not None:
+        raise CliError("--q is not allowed with --ring Z")
     if args.ring == "GF" and not is_prime(args.q):
         raise CliError(f"--q {args.q} is not prime")
     if args.n < 0:

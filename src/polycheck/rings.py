@@ -440,11 +440,14 @@ class PrimeField:
     def sparse_sum(self, exps, cs, pw):
         """Exponent byte i of every term at once: the exponents sit side by
         side as the little-endian 64-bit words of one C-level array, so
-        window i's bytes are one slice, and one C-level map multiplies every
-        term's running value (its coefficient at first) by its entry of
-        window i, where byte 0 stands for 1.  Only the sum is reduced: a
-        value is a coefficient times at most 8 entries, below |c| q^8, and
-        multiplying it by one more entry costs less than reducing it first.
+        window i's bytes are one slice.  A SparsePoly's exps is that array
+        already, and its bytes are read as they are; any other int sequence
+        (and any array on a big-endian host) is copied into one.  One
+        C-level map multiplies every term's running value (its coefficient
+        at first) by its entry of window i, where byte 0 stands for 1.  Only
+        the sum is reduced: a value is a coefficient times at most 8
+        entries, below |c| q^8, and multiplying it by one more entry costs
+        less than reducing it first.
 
         The terms ascend by exponent, as a SparsePoly keeps them, so the top
         bytes ascend too and each of their values covers one run of terms.
@@ -455,8 +458,9 @@ class PrimeField:
             return 0
         vals = cs  # every term's running value, its coefficient at first
         nb = max(1, (exps[-1].bit_length() + 7) >> 3)
-        digits = array("Q", exps)  # exponents below 2^63, so 8 bytes each
+        digits = exps if isinstance(exps, array) else array("q", exps)
         if sys.byteorder == "big":
+            digits = array("q", digits)  # a copy: the caller's array is never written
             digits.byteswap()
         width, digits = digits.itemsize, digits.tobytes()
         for i in range(nb - 1):

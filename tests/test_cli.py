@@ -427,6 +427,14 @@ class TestGenCommand:
                          *(f"--{x}={prefix}_{x}.poly" for x in "FGH")]) == 0
             assert json.loads(capsys.readouterr().out)["verdict"] is True
 
+    def test_z_refuses_q(self, tmp_path, capsys):
+        # mixed rings are bad input: Z with a field modulus writes no file
+        code = main(["gen", "--ring", "Z", "--q", "7", "--n", "10", "--T", "2",
+                     "--out-prefix", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2 and err == "error: --q is not allowed with --ring Z\n"
+        assert not list(tmp_path.glob("x_*.poly"))
+
     def test_gf_requires_q(self, tmp_path):
         code, _, _ = run_cli(
             ["gen", "--ring", "GF", "--n", "10", "--T", "2",

@@ -1,8 +1,13 @@
 """The sparse layout: a SparsePoly keeps its exponents and its coefficients
-as two parallel tuples, exps and cs, with no tuple per term.
+as two parallel sequences, exps (one array('q')) and cs (a tuple), with no
+tuple per term.
 
 - Footprint: the bytes a 2^14-term polynomial read by parse_poly retains
-  per term, measured by tracemalloc, over Z and GF(2).
+  per term, measured by tracemalloc, over Z and GF(2).  Run as a script,
+  this file prints them.
+- One layout: every producer stores exps as an array('q') of its own,
+  holding the expected exponents; equal polynomials from different
+  producers are equal and hash equal; no verifier writes into exps.
 - Guard: .terms is a view built per access for callers outside the
   package, and no path inside reads it.  With .terms patched to raise,
   the readers, every product and modular method on all-sparse input and
@@ -16,7 +21,9 @@ as two parallel tuples, exps and cs, with no tuple per term.
 import gc
 import io
 import random
+import tempfile
 import tracemalloc
+from array import array
 from contextlib import redirect_stdout
 from fractions import Fraction
 from unittest import mock
@@ -25,13 +32,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import polycheck as pc
+from polycheck import cli
 from polycheck.cli import main
 from polycheck.modeval import eval_mod
 from polycheck.modverify import METHODS, PRODUCT_METHODS, VerifyConfig, VerifyReport
 from polycheck.poly import EXPONENT_CAP, format_poly, parse_poly, read_poly_file, write_poly_file
 from polycheck.rings import PrimeGenerationError, RngStream
 from conftest import counted, perturb_poly, rand_coeff, rand_monic_sparse, rand_sparse
-from oracle import _pair_product_sparse, pair_terms
+from oracle import _pair_product_sparse, _sparse_long_division_rem, pair_terms
 
 F2 = pc.GF(2)
 GF256 = pc.ExtField(F2, [1, 1, 0, 1, 1, 0, 0, 0, 1])
@@ -66,18 +74,25 @@ def _retained_per_term(ctx, exps, cs):
     return retained / len(exps)
 
 
-@pytest.mark.parametrize("ring, bound", [("Z", 100), ("GF2", 72)])
-def test_footprint_per_term(ring, bound):
-    # 2^14 terms, exponents below 2^40: a tuple per term retained 126 B/term
-    # over Z (32-bit coefficients) and 96 over GF(2); the two tuples retain
-    # about 78 and 48 (CPython 3.11, 64-bit)
+def footprint(ring):
+    """The bytes per term retained by a 2^14-term polynomial over ring (Z
+    or GF2) read by parse_poly: exponents below 2^40, coefficients 32-bit
+    signed over Z."""
     rnd = random.Random(1)
     exps = sorted(rnd.sample(range(2**40), TERMS))
     if ring == "Z":
         cs = [rnd.choice((1, -1)) * rnd.randrange(1, 2**31) for _ in exps]
     else:
         cs = [1] * TERMS
-    assert _retained_per_term(RINGS[ring], exps, cs) < bound
+    return _retained_per_term(RINGS[ring], exps, cs)
+
+
+@pytest.mark.parametrize("ring, bound", [("Z", 56), ("GF2", 24)])
+def test_footprint_per_term(ring, bound):
+    # a tuple per term retained 126 B/term over Z and 96 over GF(2); two
+    # tuples 78 and 48; an int64 array of exponents and a tuple of
+    # coefficients about 46 and 16 (CPython 3.11, 64-bit)
+    assert footprint(ring) < bound
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +230,11 @@ def _exponents():
 
 
 @st.composite
-def pair_lists(draw, ctx=None):
+def pair_lists(draw, ctx=None, orders=("valid", "sorted", "any")):
     """(ctx, pairs): a ring of RINGS unless given and up to 12 pairs, their
     exponents valid (distinct, ascending, in range), only sorted, or in any
-    order, their coefficients zero, one or anything of the ring (over Z
-    any size)."""
+    order, as orders allows, their coefficients zero, one or anything of
+    the ring (over Z any size)."""
     if ctx is None:
         ctx = RINGS[draw(st.sampled_from(sorted(RINGS)))]
     if ctx == pc.ZZ:
@@ -229,9 +244,13 @@ def pair_lists(draw, ctx=None):
     else:
         coeff = st.integers(0, 255)
     coeff = st.sampled_from((0, 1)) | coeff
-    order = draw(st.sampled_from(("valid", "sorted", "any")))
+    order = draw(st.sampled_from(orders))
     if order == "valid":
-        valid = st.integers(0, 40) | st.integers(0, EXPONENT_CAP)
+        valid = (
+            st.integers(0, 40)
+            | st.integers(0, EXPONENT_CAP)
+            | st.integers(EXPONENT_CAP - 40, EXPONENT_CAP)
+        )
         exps = sorted(draw(st.sets(valid, max_size=12)))
     else:
         exps = draw(st.lists(_exponents(), max_size=12))
@@ -251,7 +270,7 @@ def _message(call):
 def _same_as_pairs(X, want):
     """X holds want, a tuple of pairs, and shows them as a pair list did."""
     assert X.terms == want
-    assert X.exps == tuple(e for e, _ in want) and X.cs == tuple(c for _, c in want)
+    assert tuple(X.exps) == tuple(e for e, _ in want) and X.cs == tuple(c for _, c in want)
     assert repr(X) == f"SparsePoly({X.ctx!r}, {list(want)!r})"
     assert X.sparsity() == len(want)
     for e, c in want:
@@ -310,3 +329,118 @@ def test_dense_to_sparse_and_mul_oracle_match_one_tuple_per_term(instance, data)
         for X in (pairs, data.draw(pair_lists(ctx))[1])
     )
     _same_as_pairs(pc.mul_oracle(F, G), _pair_product_sparse(F, G).terms)
+
+
+# ---------------------------------------------------------------------------
+# one layout: an int64 array of exponents, whoever builds the polynomial
+
+
+def _assert_layout(X, exps):
+    """X keeps exps, the exponents expected, as one array('q')."""
+    assert type(X.exps) is array and X.exps.typecode == "q"
+    assert X.exps.tolist() == list(exps)
+
+
+def _folded(ctx, pairs, i):
+    """The terms of pairs with every exponent taken mod i, summed."""
+    acc = {}
+    for e, c in pairs:
+        acc[e % i] = ctx.add(acc.get(e % i, ctx.zero()), c)
+    return pair_terms(ctx, sorted(acc.items()))
+
+
+@given(pair_lists(orders=("valid",)), st.data())
+def test_every_producer_keeps_one_int64_array(instance, data):
+    ctx, pairs = instance
+    want = pair_terms(ctx, pairs)
+    exps = [e for e, _ in want]
+    X = pc.SparsePoly(ctx, pairs)
+    made = [X, pc.SparsePoly.from_dict(ctx, dict(pairs))]
+    # trusted drops the zero coefficients with their exponents, from any iterable
+    raw, cs = [e for e, _ in pairs], [ctx.canon(c) for _, c in pairs]
+    for es in (raw, tuple(raw), (e for e in raw), array("q", raw)):
+        made.append(pc.SparsePoly.trusted(ctx, es, cs))
+        assert made[-1].exps is not es
+    if ctx.int_modulus is not None:
+        made.append(parse_poly(format_poly(X)))
+    for Y in made:
+        _assert_layout(Y, exps)
+        assert Y == X and hash(Y) == hash(X)
+
+    dense = pair_terms(ctx, enumerate(cs))
+    for Y in (pc.SparsePoly.trusted(ctx, range(len(cs)), cs), pc.DensePoly(ctx, cs).to_sparse()):
+        _assert_layout(Y, [e for e, _ in dense])
+        assert Y == pc.SparsePoly(ctx, dense) and hash(Y) == hash(pc.SparsePoly(ctx, dense))
+
+    i = data.draw(st.integers(1, 50) | st.integers(1, EXPONENT_CAP), label="i")
+    Y = pc.reduce_mod_binomial(X, i)
+    _assert_layout(Y, [e for e, _ in _folded(ctx, want, i)])
+    if want:  # a monic P of degree near deg X, so the oracle's division is short
+        n = max(1, X.degree() - data.draw(st.integers(0, 12), label="gap"))
+        low = st.integers(max(0, n - 12), n - 1) | st.integers(0, min(n - 1, 12))
+        d = {e: ctx.one() for e in data.draw(st.lists(low, max_size=3), label="low")}
+        P = pc.SparsePoly.from_dict(ctx, {**d, n: ctx.one()})
+        ref = _sparse_long_division_rem(X, P)
+        Y = pc.mod_reduce(X, P)
+        _assert_layout(Y, [e for e, _ in ref.terms])
+        assert Y == ref
+    F, G = (
+        pc.SparsePoly.from_dict(ctx, {e % 2**20: c for e, c in Z})
+        for Z in (pairs, data.draw(pair_lists(ctx))[1])
+    )
+    ref = _pair_product_sparse(F, G)
+    _assert_layout(pc.mul_oracle(F, G), [e for e, _ in ref.terms])
+
+
+@given(
+    st.sampled_from([["--ring", "Z"], ["--ring", "GF", "--q", "2"], ["--ring", "GF", "--q", "65537"]]),
+    st.integers(1, 3000) | st.integers(2**62 - 50, 2**62 - 1),
+    st.integers(2, 8),
+    st.sampled_from(["none", "perturb", "lcm-divisors", "example2"]),
+    st.integers(0, 2**32),
+)
+def test_gen_keeps_one_int64_array(ring, n, t, kind, seed):
+    # every SparsePoly gen --T formats is an array('q') holding the
+    # exponents its file holds; lcm-divisors scans the fold range of n
+    if kind == "lcm-divisors" and n > 3000:
+        kind = "perturb"
+    seen = []
+
+    def record(X):
+        text = format_poly(X)
+        seen.append((X, text))
+        return text
+
+    args = ["gen", *ring, "--n", str(n), "--T", str(t), "--seed", str(seed)]
+    if kind != "none":
+        args += ["--adversarial", kind]
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(cli, "format_poly", record):
+        assert main(args + ["--out-prefix", f"{d}/x"]) == 0
+    assert len(seen) == 3
+    for X, text in seen:
+        _assert_layout(X, [int(tok.split(":")[0]) for tok in text.splitlines()[1].split()[1:]])
+        assert parse_poly(text) == X
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("modular", [False, True], ids=["plain", "mod"])
+def test_verifiers_leave_exps_unchanged(ring, modular, instances):
+    F, G, H, P, HP = instances[ring]
+    methods, X, Ps = (METHODS, HP, (P,)) if modular else (PRODUCT_METHODS, H, ())
+    Y = perturb_poly(X, RngStream(9))
+    polys = (F, G, X, Y, *Ps)
+    want = [Z.exps.tobytes() for Z in polys]
+    for method in methods:
+        for eps, seed in ((Fraction(1, 4), 0), (Fraction(1, 2**20), 1)):
+            for Z in (X, Y):
+                try:
+                    pc.verify_product(F, G, Z, VerifyConfig(eps, method, seed), *Ps)
+                except (ValueError, TypeError, PrimeGenerationError):
+                    pass  # a method refused the instance; it still must not write
+    assert [Z.exps.tobytes() for Z in polys] == want
+
+
+if __name__ == "__main__":
+    for name in ("Z", "GF2"):
+        print(f"retained bytes per term of a parsed {TERMS}-term polynomial over {name}: "
+              f"{footprint(name):.1f}")
