@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -44,14 +45,22 @@ EPSILON_FLOOR = Fraction(1, 2**1022)
 def _parse_epsilon(text):
     try:
         if "^" in text:
-            base, exp = text.split("^", 1)
-            eps = Fraction(int(base)) ** int(exp)
+            base, exp = (int(x) for x in text.split("^", 1))
+            if (abs(base).bit_length() - 1) * abs(exp) > 1022:
+                # |base^exp| is past 2^1022 or below 2^-1022: (+-2)^(+-1023)
+                # of the same sign meets the same range check, unbuilt
+                base, exp = (2 if base > 0 or exp % 2 == 0 else -2), (1023 if exp > 0 else -1023)
+            eps = Fraction(base) ** exp
         elif "/" in text:
             eps = Fraction(text)
         else:
             # the exact value where the float underflows to 0.0, so a
-            # positive epsilon such as 1e-400 meets the floor's message
-            eps = Fraction(float(text)) or Fraction(text)
+            # positive epsilon such as 1e-400 meets the floor's message.
+            # Its mantissa has fewer than len(text) digits, so its exponent
+            # raised to -400 - len(text) keeps it 0, or of its sign and below
+            # 10^-400, and builds no power of ten of the exponent's size
+            raised = lambda m: str(max(int(m[0]), -400 - len(text)))
+            eps = Fraction(float(text)) or Fraction(re.sub(r"(?<=[eE])[-+]?\d+", raised, text))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise CliError(f"bad epsilon {text!r}: {exc}") from None
     if not 0 < eps < 1:
@@ -174,19 +183,32 @@ def _perturb(H, rng):
     return DensePoly(ctx, cs)
 
 
-def _lcm_adversarial(ctx, n, rng):
-    """F*G plus a difference X^L - 1 whose L is a multiple of several fold
-    degrees, so many binomials X^i - 1 divide the difference."""
-    params = prodverify.KaminskiParams()
-    lo, hi = params.fold_range(n)
-    i0 = lo + rng.below(max(hi - lo, 1))
-    L = i0
-    for cand in range(i0 + 1, hi):
-        nxt = math.lcm(L, cand)
-        if nxt <= 2 * n:
-            L = nxt
-    delta = {0: ctx.neg(ctx.one()), L: ctx.one()}
-    return L, SparsePoly.from_dict(ctx, delta)
+def _divisors(m):
+    """The divisors of m >= 1, by trial division up to sqrt(m)."""
+    low = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return {*low, *(m // d for d in low)}
+
+
+def _lcm_adversarial(n, rng):
+    """The L of a difference X^L - 1 added to F*G, a multiple of several
+    fold degrees, so many binomials X^i - 1 divide the difference.  L
+    starts at a random fold degree and takes in, in increasing order, each
+    later one whose lcm with it stays at most 2n.  Such an i is d k for a
+    divisor d of L and k <= 2n // L, so the search steps from one such
+    multiple to the next rather than through the fold range, and it ends
+    once L > n, where only divisors of L, which leave it as it is, would
+    join.  The divisors of L m are the products of one of L and one of m."""
+    lo, hi = prodverify.KaminskiParams().fold_range(n)
+    i = L = lo + rng.below(max(hi - lo, 1))
+    divisors = _divisors(L)
+    while L <= n:
+        i = min(((i // d + 1) * d for d in divisors if i // d < 2 * n // L), default=hi)
+        if i >= hi:
+            break
+        m = math.lcm(L, i) // L
+        L *= m
+        divisors = {d * e for e in _divisors(m) for d in divisors}
+    return L
 
 
 def _example2_triple(ctx, t):
@@ -238,10 +260,10 @@ def _cmd_gen(args):
             H = _perturb(H, rng)
             true_product = False
         elif kind == "lcm-divisors":
-            L, delta = _lcm_adversarial(ctx, max(args.n, 4), rng)
+            L = _lcm_adversarial(max(args.n, 4), rng)
             S = H.to_sparse()
             acc = dict(zip(S.exps, S.cs))
-            for e, c in zip(delta.exps, delta.cs):
+            for e, c in ((0, ctx.neg(ctx.one())), (L, ctx.one())):
                 acc[e] = ctx.add(acc.get(e, ctx.zero()), c)
             H = SparsePoly.from_dict(ctx, acc)  # drops the terms that cancel
             if not sparse_mode:

@@ -6,10 +6,10 @@ by a modular-product verification.  Integer products a*b = c and
 integer-coefficient dense products share one check: H(2^w) = F(2^w) G(2^w)
 for constants at w = 0, or at the Kronecker point 2^w where it is equivalent
 to H = F*G; signs and sizes come from the top terms, and the identity is
-compared modulo random Mersenne-style moduli 2^i - 1 or one random prime m
-by evaluating F, G and H at 2^w mod m, so no value at 2^w is formed.  Sparse
-products fold exponents modulo a random prime p and verify modulo X^p - 1
-where p can fall below the degree of the product.
+compared modulo one random prime p by evaluating F, G and H at 2^w mod p,
+so no value at 2^w is formed.  Sparse products fold exponents modulo a
+random prime p and verify modulo X^p - 1 where p can fall below the degree
+of the product.
 
 Where Kaminski's fold bound has no force (at the default e = 9/20, every
 degree below about 10^13), and where no sparse fold prime can be below the
@@ -91,19 +91,13 @@ class KaminskiParams:
         1 when no claim is available.  The count bound is only trusted once
         the fold range is wide enough (lo >= 21) for its asymptotic constant
         to have room; below that the verifiers fall back to one evaluation
-        (verify_product_kaminski, verify_int_product) or to one modular check
-        at a binomial (verify_product_kaminski_nomul)."""
+        (verify_product_kaminski) or to one modular check at a binomial
+        (verify_product_kaminski_nomul)."""
         lo, hi = self.fold_range(n)
         k = self.k(n)
         if hi - lo < 1 or lo < 21 or k == 0:
             return Fraction(1)
         return Fraction(max(k - 1, 0), hi - lo)
-
-
-# The longest fold modulus 2^i - 1, in bits.  At the default e a dense
-# operand reaches it only past about 2^45 bits; beyond it
-# _check_at_power_of_two takes the prime.
-FOLD_BITS_CAP = 2**26
 
 
 def _rounds_for(eps, per_round):
@@ -281,9 +275,7 @@ def verify_product_kaminski_nomul(F, G, H, cfg=None, params=None):
         P = x_pow_minus_one(F.ctx, D + 1)
         inner = _modular_check_no_mul(F, G, H, P, VerifyConfig(epsilon=eps, seed=cfg.seed))
         witness = {"full-degree-fold": D + 1, "inner": inner.witnesses}
-        return VerifyReport(
-            inner.verdict, inner.error_bound, inner.rounds, [witness], "kaminski-nomul", cfg.seed
-        )
+        return replace(inner, witnesses=[witness], method="kaminski-nomul")
     rng = RngStream(cfg.seed)
 
     def agree(i):
@@ -318,16 +310,7 @@ def _sign_and_bits(X, w):
     return lead > 0, bits
 
 
-def _value_mod_mersenne(X, w, i):
-    """X(2^w) modulo 2^i - 1 for an integer polynomial X.  There 2^i = 1,
-    so a term c X^e lands at bit (w e) mod i: the terms are placed there
-    with their signed coefficients and summed, and the sum is reduced
-    once."""
-    terms = zip(X.exps, X.cs) if isinstance(X, SparsePoly) else enumerate(X.coeffs)
-    return sum(c << (w * e % i) for e, c in terms if c) % ((1 << i) - 1)
-
-
-def _check_at_power_of_two(F, G, H, w, cfg, e, method):
+def _check_at_power_of_two(F, G, H, w, cfg, method):
     """Decide H(2^w) = F(2^w) G(2^w) for integer polynomials whose
     coefficients below the lead are less than 2^(w-1) in absolute value,
     without forming any of the three values.  One-sided.
@@ -338,20 +321,16 @@ def _check_at_power_of_two(F, G, H, w, cfg, e, method):
     rejections.  After them A = F(2^w), B = G(2^w) and C = H(2^w) agree in
     sign, so AB = C modulo m exactly when |A| |B| = |C| modulo m.
 
-    The moduli are 2^i - 1 with i drawn from [s^(1-e), 2 s^(1-e)) where
-    Kaminski's fold bound has force at s (KaminskiParams(e)).  Where it is
-    vacuous, or i would be below 2 or above FOLD_BITS_CAP (for a sparse X
-    of huge degree, whose folds would build ints far longer than X), the
-    modulus is one random prime p in [λ, 2λ] with
+    The modulus is one random prime p in [λ, 2λ] with
     λ = modverify.prime_lambda(1, 2^(2s), ε), linear in s/ε and computed
-    without building 2^(2s) (prime_lambda_pow2).
-    Then C and AB are below 2^(2s), so a nonzero Δ = C - AB has fewer than
+    without building 2^(2s) (prime_lambda_pow2), and F, G and H are
+    evaluated at 2^w mod p (modverify._agree_at).
+    C and AB are below 2^(2s), so a nonzero Δ = C - AB has fewer than
     2s/log2 λ prime factors >= λ.  [λ, 2λ] holds at least 3λ/(5 ln λ)
     primes, so a uniform prime there divides Δ with probability at most
     (5/3) 2s ln 2/λ <= ε/4, and random_prime at ε/2 returns a composite
     with probability at most ε/2.  The report has rounds = 1 and the
-    witness {"p": p}, or one {"i": i} per fold round."""
-    params = KaminskiParams() if e is None else KaminskiParams(e=e)
+    witness {"p": p}."""
     eps = cfg.epsilon
     if F.is_zero() or G.is_zero():
         return _certain(H.is_zero(), "zero", method, cfg)
@@ -365,30 +344,17 @@ def _check_at_power_of_two(F, G, H, w, cfg, e, method):
     s = max(f_bits, g_bits)
     if h_bits > 2 * s:
         return _certain(False, "size", method, cfg)
-    rho = params.per_round_bound(s)
-    lo, hi = params.fold_range(s)
-    rng = RngStream(cfg.seed)
-    # 2^i - 1 is a useless modulus below i = 2, so tiny operands take a prime too
-    if rho > Fraction(1, 2) or lo < 2 or hi > FOLD_BITS_CAP:
-        p = random_prime(modverify.prime_lambda_pow2(1, 2 * s, eps), eps / 2, rng)
-        verdict = modverify._agree_at(F, G, H, None, pow(2, w, p), PrimeField(p))
-        return VerifyReport(verdict, bound_above(eps), 1, [{"p": p}], method, cfg.seed)
-
-    def agree(i):
-        fa, ga, ha = (_value_mod_mersenne(X, w, i) for X in (F, G, H))
-        return fa * ga % ((1 << i) - 1) == ha, {"i": i}
-
-    return _fold_rounds(cfg, rho, (lo, hi), rng, method, agree)
+    p = random_prime(modverify.prime_lambda_pow2(1, 2 * s, eps), eps / 2, RngStream(cfg.seed))
+    verdict = modverify._agree_at(F, G, H, None, pow(2, w, p), PrimeField(p))
+    return VerifyReport(verdict, bound_above(eps), 1, [{"p": p}], method, cfg.seed)
 
 
-def verify_int_product(a, b, c, cfg=None, e=None):
+def verify_int_product(a, b, c, cfg=None):
     """Decide a*b = c for integers: _check_at_power_of_two on the constant
     polynomials a, b and c, so signs and sizes are screened first, then
-    a*b and c are compared modulo random 2^i - 1 with i drawn from
-    [s^(1-e), 2 s^(1-e)), s the operand bit size, or modulo one random
-    prime where that fold bound is vacuous.  One-sided."""
+    a*b and c are compared modulo one random prime.  One-sided."""
     a, b, c = (DensePoly(ZZ, (x,)) for x in (a, b, c))
-    return _check_at_power_of_two(a, b, c, 0, cfg or VerifyConfig(), e, "int-fold")
+    return _check_at_power_of_two(a, b, c, 0, cfg or VerifyConfig(), "int-fold")
 
 
 def kronecker_point(F, G, H):
@@ -398,14 +364,13 @@ def kronecker_point(F, G, H):
     return 1 << max((2 * modverify.delta_norm_bound(F, G, H)).bit_length(), 1)
 
 
-def verify_product_kronecker(F, G, H, cfg=None, e=None):
+def verify_product_kronecker(F, G, H, cfg=None):
     """Decide H = F*G over Z through the integer identity
     H(beta) = F(beta) G(beta) at a power of two beta = 2^w large enough
     (kronecker_point) that it is equivalent to polynomial equality.  The
     identity is checked by _check_at_power_of_two, as verify_int_product
-    checks a*b = c: by Mersenne folds where their bound has force,
-    otherwise modulo one random prime, evaluating F, G and H at 2^w modulo
-    each modulus, so no value at beta is formed.  A nonzero product over Z
+    checks a*b = c: modulo one random prime p, evaluating F, G and H at
+    2^w mod p, so no value at beta is formed.  A nonzero product over Z
     has degree deg F + deg G, so an H of lower degree than F or G is a
     certain shape rejection, made before beta is computed.  The report
     carries the inner error bound, rounds and witnesses."""
@@ -420,11 +385,8 @@ def verify_product_kronecker(F, G, H, cfg=None, e=None):
     if quick is not None:
         return _certain(quick, "shape", "kronecker", cfg)
     w = kronecker_point(F, G, H).bit_length() - 1
-    inner = _check_at_power_of_two(F, G, H, w, cfg, e, "kronecker")
-    witness = {"beta_log2": w, "inner": inner.witnesses}
-    return VerifyReport(
-        inner.verdict, inner.error_bound, inner.rounds, [witness], "kronecker", cfg.seed
-    )
+    inner = _check_at_power_of_two(F, G, H, w, cfg, "kronecker")
+    return replace(inner, witnesses=[{"beta_log2": w, "inner": inner.witnesses}])
 
 
 # ---------------------------------------------------------------------------

@@ -245,9 +245,7 @@ def test_criterion_4_one_sidedness():
     def f_int(rng, seed, i):
         a = rng.bits(2000) | 1
         b = rng.bits(2000) | 1
-        return prodverify.verify_int_product(
-            a, b, a * b, cfg(seed), e=Fraction(1, 10)
-        ).verdict
+        return prodverify.verify_int_product(a, b, a * b, cfg(seed)).verdict
 
     def f_kron(rng, seed, i):
         F = rand_dense(Z, 64, rng, hi=2**32)
@@ -351,7 +349,7 @@ def test_criterion_5_soundness_quarter():
 
     def int_trial(rng, s):
         cbad = c8 + (1 << RngStream(s).below(2 * 10**4 - 2))
-        return prodverify.verify_int_product(a8, b8, cbad, cfg(s), e=Fraction(3, 10)).verdict
+        return prodverify.verify_int_product(a8, b8, cbad, cfg(s)).verdict
 
     run("verify_int_product", int_trial)
 
@@ -361,7 +359,7 @@ def test_criterion_5_soundness_quarter():
 
     def kron_trial(rng, s):
         H9bad = perturb_poly(H9, RngStream(s ^ 0x5A5A))
-        return prodverify.verify_product_kronecker(F9, G9, H9bad, cfg(s), e=Fraction(3, 10)).verdict
+        return prodverify.verify_product_kronecker(F9, G9, H9bad, cfg(s)).verdict
 
     run("verify_product_kronecker", kron_trial)
 

@@ -162,10 +162,10 @@ class TestVerifyProdInputs:
 
     def test_kronecker_past_the_densify_cap_is_decided(self, tmp_path):
         # X^(2^26) * 1 = X^(2^26) is accepted and 2 X^(2^26) rejected, as by
-        # --method sparse; at X^(2^61) * X^(2^61) = X^(2^62) the fold modulus
-        # would pass FOLD_BITS_CAP, so the prime decides it.  The child's
-        # address space is capped at 1 GB, so a regression fails with a
-        # MemoryError rather than exhausting the host
+        # --method sparse, and so is X^(2^61) * X^(2^61) = X^(2^62): one
+        # prime decides each, with nothing of degree size formed.  The
+        # child's address space is capped at 1 GB, so a regression fails
+        # with a MemoryError rather than exhausting the host
         import resource
 
         def cap():
@@ -385,6 +385,18 @@ class TestGenCommand:
         )
         assert code == 1
 
+    def test_lcm_divisors_at_the_largest_n_ends_at_once(self, tmp_path):
+        # the search steps between the fold degrees that can join L rather
+        # than through a fold range of about 2^34 degrees
+        prefix = str(tmp_path / "lcm")
+        code, out, err = run_cli(
+            ["gen", "--ring", "Z", "--n", str(2**62 - 1), "--T", "4", "--seed", "1",
+             "--out-prefix", prefix, "--adversarial", "lcm-divisors"],
+            timeout=2,
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["true_product"] is False
+
     def test_deterministic_files(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         run_cli(["gen", "--ring", "Z", "--n", "20", "--T", "4", "--seed", "6",
@@ -575,6 +587,24 @@ class TestInProcessMain:
         assert out == ""
         reason = "in (0, 1)" if eps == "0.0" else "at least 2^-1022"
         assert err == f"error: epsilon must be {reason}\n"
+
+    @pytest.mark.parametrize("eps", ["10^-1000000000", "1e-1000000000"])
+    def test_epsilon_with_a_huge_exponent_meets_the_floor_at_once(self, example1_files, eps):
+        # the range is read from the base, the exponent and the sign, so no
+        # power of ten of a billion digits is built; the child's address
+        # space is capped at 1 GB, as for the huge Kronecker triples
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "polycheck.cli", "verify-prod", "--F", example1_files["F"],
+             "--G", example1_files["H"], "--H", example1_files["FH"], "--epsilon", eps],
+            capture_output=True, text=True, timeout=2, preexec_fn=cap,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: epsilon must be at least 2^-1022\n"
 
     def test_epsilon_floor_itself_parses(self):
         assert _parse_epsilon("2^-1022") == EPSILON_FLOOR == Fraction(1, 2**1022)

@@ -32,7 +32,6 @@ from polycheck.prodverify import (
     verify_product,
     verify_product_kaminski,
     verify_product_kaminski_nomul,
-    verify_product_kronecker,
 )
 from polycheck.rings import RngStream, random_irreducible
 from conftest import Draws, counted, perturb_poly, rand_dense, rand_sparse
@@ -55,7 +54,6 @@ RINGS = {
 STRICT = Fraction(1, 2**20)
 RUNS = ((Fraction(1, 4), 0), (STRICT, 1))  # (epsilon, seed); a name gives the seed
 E_FOLD = KaminskiParams(e=Fraction(1, 10))
-E_KRONECKER = Fraction(3, 10)
 
 # Each family yields (name, expect, function, arguments) per record: expect
 # is ACCEPTED for a true instance, the value a scan must return, or None.
@@ -98,9 +96,6 @@ def _plain(rnd):
                     args = (A, B, X, cfg, E_FOLD)
                     yield f"{name}/kaminski,e=0.1", expect, verify_product_kaminski, args
                     yield f"{name}/kaminski-nomul,e=0.1", expect, verify_product_kaminski_nomul, args
-                    if ctx == pc.ZZ:
-                        args = (A, B, X, cfg, E_KRONECKER)
-                        yield f"{name}/kronecker,e=0.3", expect, verify_product_kronecker, args
 
 
 def _modular(rnd):
@@ -135,8 +130,7 @@ def _modular(rnd):
 
 def _integers(rnd):
     """verify_int_product on operands of 8 to 3000 bits, with c the product,
-    the product plus one, with one bit flipped and negated, at the default
-    e and at e = 3/10."""
+    the product plus one, with one bit flipped and negated."""
     for bits in (8, 31, 2048, 3000):
         a, b = rnd.getrandbits(bits) | 1, rnd.getrandbits(bits) | 1
         flip = 1 << rnd.randrange(2 * bits)
@@ -145,9 +139,8 @@ def _integers(rnd):
             expect = ACCEPTED if kind == "true" else None
             for eps, seed in RUNS:
                 cfg = VerifyConfig(eps, seed=seed)
-                for label, e in (("default", None), ("e=0.3", E_KRONECKER)):
-                    args = (a, b, c, cfg, e)
-                    yield f"int/{bits}/{kind}/{seed}/{label}", expect, verify_int_product, args
+                args = (a, b, c, cfg)
+                yield f"int/{bits}/{kind}/{seed}/default", expect, verify_int_product, args
 
 
 def _scans(rnd):

@@ -553,7 +553,7 @@ class TestIntProduct:
         for seed in range(40):
             a = rng.bits(2000) | 1
             b = rng.bits(2000) | 1
-            r = verify_int_product(a, b, a * b, cfg(seed), e=E_SMALL)
+            r = verify_int_product(a, b, a * b, cfg(seed))
             assert r.verdict is True
 
     def test_one_times_one_is_not_two(self):
@@ -582,7 +582,7 @@ class TestIntProduct:
         for seed in range(trials):
             r = RngStream(seed)
             cbad = c + (1 << r.below(2 * bits - 2))
-            if verify_int_product(a, b, cbad, cfg(seed), e=Fraction(3, 10)).verdict:
+            if verify_int_product(a, b, cbad, cfg(seed)).verdict:
                 accepted += 1
         assert accepted / trials <= 0.30
 
@@ -621,7 +621,7 @@ class TestKronecker:
         trials = 2000
         for seed in range(trials):
             Hbad = perturb_poly(H, RngStream(seed ^ 0xABCD))
-            if verify_product_kronecker(F, G, Hbad, cfg(seed), e=Fraction(3, 10)).verdict:
+            if verify_product_kronecker(F, G, Hbad, cfg(seed)).verdict:
                 accepted += 1
         assert accepted / trials <= 0.30
 
@@ -668,6 +668,19 @@ class TestKronecker:
             assert list(r.witnesses[0]["inner"][0]) == ["p"]
             wrong = pc.SparsePoly(Z, [(degree, 2)])
             assert verify_product_kronecker(F, G, wrong, cfg(seed, STRICT)).verdict is False
+
+    def test_a_bit_size_where_kaminski_folds_have_force_takes_one_prime(self):
+        # (1 + X^(2^42))(1 + X) packs to s ≈ 1.3 10^13 bits, where the fold
+        # bound of the default e has force; the check is still one prime
+        F = pc.SparsePoly(Z, [(0, 1), (2**42, 1)])
+        G = pc.SparsePoly(Z, [(0, 1), (1, 1)])
+        H = pc.mul_oracle(F, G)
+        wrong = pc.SparsePoly(Z, [(e, 2 * c if e == H.degree() else c) for e, c in H.terms])
+        for X, verdict in ((H, True), (wrong, False)):
+            r = verify_product_kronecker(F, G, X, cfg(0, STRICT))
+            assert (r.verdict, r.rounds) == (verdict, 1)
+            p = r.witnesses[0]["inner"][0].get("p")
+            assert p and r.witnesses[0]["inner"] == [{"p": p}]
 
 
 class TestPrimeLambdaFromBits:
@@ -946,10 +959,7 @@ class TestReportDeterminism:
         a = rng.bits(4000) | 1
         b = rng.bits(4000) | 1
         runs = [
-            json.dumps(
-                verify_int_product(a, b, a * b + 2, cfg(5), e=E_SMALL).to_dict(),
-                sort_keys=True,
-            )
+            json.dumps(verify_int_product(a, b, a * b + 2, cfg(5)).to_dict(), sort_keys=True)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
@@ -1069,18 +1079,15 @@ class TestCheckAtPowerOfTwo:
 
     @given(product_triples((Z,)), st.integers(0, 200), st.integers(2, 2**70))
     def test_residues_at_two_to_the_w(self, inst, w, m):
-        # both residue maps against the packed values: the Horner and power
-        # table route at any modulus (its int loops never invert), the
-        # placed terms at 2^i - 1
+        # the residue map against the packed values: the Horner and power
+        # table route at any modulus (its int loops never invert)
         F, G, H, _ = inst
-        i = 2 + m % 70
         ring = pc.PrimeField(m)
         alpha = pow(2, w, m)
         pw = power_table(ring, alpha)
         for X in (F, G, H):
             value = shifted_sum(X, w)
             assert pc.evaluate(X, alpha, ring, pw) == value % m
-            assert prodverify._value_mod_mersenne(X, w, i) == value % ((1 << i) - 1)
 
     def test_evaluates_at_two_to_the_w_modulo_the_reported_prime(self, rng):
         # H + X - r with r = 2^w mod p is wrong, but its difference vanishes
@@ -1101,8 +1108,8 @@ class TestCheckAtPowerOfTwo:
             assert r.verdict is True and r.witnesses[0]["inner"] == [{"p": p}]
 
     @given(product_triples((Z,)), st.sampled_from(("true", "perturbed", "negated")),
-           st.sampled_from((None, Fraction(3, 10), E_SMALL)), st.sampled_from((QUARTER, STRICT)))
-    def test_kronecker_is_the_integer_check_on_packed_values(self, inst, variant, e, eps):
+           st.sampled_from((QUARTER, STRICT)))
+    def test_kronecker_is_the_integer_check_on_packed_values(self, inst, variant, eps):
         # byte for byte the report of verify_int_product on the packed values,
         # inside the kronecker wrapper
         F, G, H, seed = inst
@@ -1111,13 +1118,13 @@ class TestCheckAtPowerOfTwo:
         elif variant == "negated":
             H = _negated(H)
         c = cfg(seed, eps)
-        got = verify_product_kronecker(F, G, H, c, e=e).to_dict()
+        got = verify_product_kronecker(F, G, H, c).to_dict()
         if "inner" not in got["witnesses"][0]:
             assert got["witnesses"] == [{"deterministic": "shape"}]
             return
         w = got["witnesses"][0]["beta_log2"]
         assert w == kronecker_point(F, G, H).bit_length() - 1
-        inner = verify_int_product(*(shifted_sum(X, w) for X in (F, G, H)), c, e=e).to_dict()
+        inner = verify_int_product(*(shifted_sum(X, w) for X in (F, G, H)), c).to_dict()
         inner_witnesses = inner.pop("witnesses")
         want = dict(inner, method="kronecker", witnesses=[{"beta_log2": w, "inner": inner_witnesses}])
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
